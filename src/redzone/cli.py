@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--policy", choices=["type1", "type2"], default=None)
     p_sim.add_argument("--seed", type=int, default=None, help="master seed override")
     p_sim.add_argument("--replications", type=int, default=None)
-    p_sim.add_argument("--workers", type=int, default=None)
     p_sim.add_argument("--events-out", default=None,
                        help="also write a per-replication event CSV here")
 
@@ -77,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cmp)
     p_cmp.add_argument("--seed", type=int, default=None)
     p_cmp.add_argument("--replications", type=int, default=None)
-    p_cmp.add_argument("--workers", type=int, default=None)
 
     p_rz = sub.add_parser("redzone", help="sweep the lifetime spread, emit a detection table")
     add_common(p_rz)
@@ -129,10 +127,6 @@ def _resolve_sim(run: RunConfig, args):
         if args.replications < 1:
             raise ValidationError("--replications must be >= 1")
         sim = dc_replace(sim, replications=args.replications)
-    if getattr(args, "workers", None) is not None:
-        if args.workers < 1:
-            raise ValidationError("--workers must be >= 1")
-        sim = dc_replace(sim, workers=args.workers)
     return sim
 
 

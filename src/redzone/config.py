@@ -107,7 +107,6 @@ def default_config() -> dict:
             "horizon": None,
             "dt_event": 1e-6,
             "bin_width": 5.0,
-            "workers": 1,
         },
         "analysis": {
             "red_zone_threshold": 2.0,
@@ -275,7 +274,7 @@ def parse_config(doc) -> RunConfig:
         _fail("vendor.mtbf", f"must be > 0, got {vendor_mtbf}")
 
     sm = _section(doc, "sim", "",
-                  {"replications", "master_seed", "horizon", "dt_event", "bin_width", "workers"})
+                  {"replications", "master_seed", "horizon", "dt_event", "bin_width"})
     sm_d = d["sim"]
     try:
         sim = SimConfig(
@@ -284,7 +283,6 @@ def parse_config(doc) -> RunConfig:
             horizon=_number(sm, "horizon", "sim", sm_d["horizon"], nullable=True),
             dt_event=_number(sm, "dt_event", "sim", sm_d["dt_event"]),
             bin_width=_number(sm, "bin_width", "sim", sm_d["bin_width"]),
-            workers=_integer(sm, "workers", "sim", sm_d["workers"], minimum=1),
         )
     except ValidationError as e:
         if ":" in str(e):

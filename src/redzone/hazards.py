@@ -163,7 +163,7 @@ class BathtubModel:
                     f"({residual:.3g} vs {self.useful_rate:.3g}); declared phase "
                     "durations are inconsistent with the term decay",
                     ValidationWarning,
-                    stacklevel=2,
+                    stacklevel=3,  # past the dataclass-generated __init__ to its caller
                 )
 
     @property

@@ -13,11 +13,15 @@ Two interaction styles are supported:
 
 Failures are handled identically under both policies.  All planners here are
 pure functions over immutable snapshots; the simulator owns mutation.
+:func:`rotation_targets` is the rotation rule of :func:`plan_type2` over
+arrays of replications, for the batched simulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, ValidationError
 from .system import Unit, effective_age
@@ -30,6 +34,7 @@ __all__ = [
     "default_rotation_period",
     "plan_type1",
     "plan_type2",
+    "rotation_targets",
     "decision_point",
     "red_zone_condition",
 ]
@@ -137,6 +142,18 @@ def plan_type2(state: FleetSnapshot, t: float) -> MaintenanceAction | None:
         unit_in=state.shelf.id,
         unit_out=oldest.id,
     )
+
+
+def rotation_targets(ages: np.ndarray, alive: np.ndarray, shelf_usable: np.ndarray) -> np.ndarray:
+    """:func:`plan_type2` for many fleets at once: each row's swap slot, or -1.
+
+    ``ages`` and ``alive`` are (rows, slots) arrays of effective ages and
+    unfailed flags, ``shelf_usable`` a (rows,) flag.  The rule is the scalar
+    one: the unfailed slot of greatest effective age, ties to the lower
+    slot index, and no swap without a usable shelf unit or an unfailed slot.
+    """
+    target = np.argmax(np.where(alive, ages, -np.inf), axis=1)
+    return np.where(shelf_usable & alive.any(axis=1), target, -1)
 
 
 def decision_point(policy: Policy, *, trace=None, vendor_mtbf: float | None = None,

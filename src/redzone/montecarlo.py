@@ -8,28 +8,34 @@ form; there is no integration step.  Simultaneous events are ordered
 failure < replace < rotate, and equal-time failures break ties by slot
 index.
 
+Two engines run this model.  :func:`run_replication` is the scalar event
+loop: it returns one replication's full event log and is the reference the
+tests hold the other engine to.  :func:`run_batch` runs all replications of
+an ensemble in lockstep over numpy arrays, one pass per event epoch, and
+repeats the scalar loop's floating-point operations in the same order, so
+its per-replication results are bit-identical; :func:`run_ensemble` uses it.
+
 Randomness comes from splitmix64 streams: 64-bit state advanced by the
 golden-gamma increment 0x9E3779B97F4A7C15 and finalized by the standard
 avalanche mix (xor-shift 30 / multiply 0xBF58476D1CE4E5B9 / xor-shift 27 /
 multiply 0x94D049BB133111EB / xor-shift 31), period 2**64.  Per-replication
 seeds are derived by mixing the master seed with the replication index, so
-replications are independent of execution order and thread count.  Uniform
-variates are ((u64 >> 11) + 0.5) * 2**-53, strictly inside (0, 1).  The
-generator is implemented here, in integer arithmetic, so byte-identical
-output does not depend on any library version; golden vectors are frozen in
-the tests.
+replications are independent of execution order.  Uniform variates are
+((u64 >> 11) + 0.5) * 2**-53, strictly inside (0, 1).  The generator is
+implemented here, in integer arithmetic (wrapping uint64 arrays for the
+batched engine), so byte-identical output does not depend on any library
+version; golden vectors are frozen in the tests.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .maintenance import FleetSnapshot, Policy, plan_type1, plan_type2
+from .maintenance import FleetSnapshot, Policy, plan_type1, plan_type2, rotation_targets
 from .system import ACTIVE, FAILED, ON_SHELF, SystemConfig, Unit, effective_age
 
 __all__ = [
@@ -42,6 +48,8 @@ __all__ = [
     "SplitMix64",
     "derive_seed",
     "run_replication",
+    "BatchOutcomes",
+    "run_batch",
     "run_ensemble",
     "empirical_hazard",
 ]
@@ -68,6 +76,27 @@ def derive_seed(master_seed: int, replication_index: int) -> int:
     if replication_index < 0:
         raise DomainError("replication_index must be >= 0")
     return _mix64((master_seed + replication_index * _GAMMA) & _MASK64)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def _derive_seeds(master_seed: int, n: int) -> np.ndarray:
+    """``derive_seed(master_seed, i)`` for i in 0..n-1, as uint64."""
+    with np.errstate(over="ignore"):
+        steps = np.arange(n, dtype=np.uint64) * np.uint64(_GAMMA)
+        return _mix64_array(np.uint64(master_seed & _MASK64) + steps)
+
+
+def _uniforms(seeds: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` :meth:`SplitMix64.uniform` draws of each seed, shape (n, k)."""
+    with np.errstate(over="ignore"):
+        states = seeds[:, None] + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        bits = _mix64_array(states) >> np.uint64(11)
+    return (bits.astype(float) + 0.5) * (2.0 ** -53)
 
 
 class SplitMix64:
@@ -99,7 +128,6 @@ class SimConfig:
     horizon: float | None = None
     dt_event: float = 1e-6
     bin_width: float = 5.0
-    workers: int = 1
 
     def __post_init__(self):
         if self.replications < 1:
@@ -110,8 +138,6 @@ class SimConfig:
             raise ValidationError("dt_event must be > 0")
         if not self.bin_width > 0.0:
             raise ValidationError("bin_width must be > 0")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -348,37 +374,148 @@ class Metrics:
     red_zone: object | None = None
 
 
+# First axis of the batched engine's unit table: lifetime, lab credit, shelf age, on-job age.
+_LIFE, _LAB, _SHELF, _ONJOB = range(4)
+
+
+@dataclass(frozen=True, eq=False)
+class BatchOutcomes:
+    """Per-replication results of :func:`run_batch`, in replication order.
+
+    ``trdd``, ``tdt`` and ``dp`` hold NaN where the scalar trace holds None.
+    """
+
+    trdd: np.ndarray
+    tdt: np.ndarray
+    dp: np.ndarray
+    censored: np.ndarray
+    end_time: np.ndarray
+
+
+def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replications: int, *,
+              horizon: float | None = None, n_slots: int = 2, with_spare: bool = True,
+              lifetime_model=None) -> BatchOutcomes:
+    """Simulate replications 0..N-1 of ``master_seed`` in lockstep.
+
+    The struct-of-arrays form of :func:`run_replication`: one row per
+    running replication and one column per position (the slots, then the
+    shelf), so an installation or a rotation moves a column's unit state.
+    Each pass handles one event epoch of every running replication, with
+    the scalar loop's event order and floating-point operations, so
+    replication i equals ``run_replication(config, policy,
+    derive_seed(master_seed, i), ...)`` exactly.  ``lifetime_model.sample``
+    is called once, on a (replications, units) array of uniforms.
+    """
+    if n_slots not in (1, 2):
+        raise ValidationError("n_slots must be 1 or 2")
+    model = lifetime_model if lifetime_model is not None else config.unit_lifetime
+    if horizon is None:
+        horizon = 5.0 * model.mean
+    alpha = config.shelf_aging_factor
+    rotating = policy.kind == "type2"
+    S = n_slots  # column index of the shelf
+    n_units = n_slots + int(with_spare)
+
+    u = _uniforms(_derive_seeds(master_seed, replications), n_units)
+    units = np.zeros((4, replications, S + 1))
+    units[_LIFE, :, :n_units] = model.sample(u)
+    units[_LAB, :, S] = config.lab_burnin
+    on_shelf = np.full(replications, with_spare)
+    failed = np.zeros((replications, S + 1), dtype=bool)
+    # dead on arrival: the lab credit already exhausts the spare's lifetime
+    failed[:, S] = on_shelf & (units[_LAB, :, S] >= units[_LIFE, :, S])
+    t = np.zeros(replications)
+    rotation = np.ones(replications)
+    rows = np.arange(replications)  # replication index of each running row
+
+    trdd = np.full(replications, np.nan)
+    tdt = np.full(replications, np.nan)
+    dp = np.full(replications, np.nan)
+    censored = np.zeros(replications, dtype=bool)
+    end_time = np.empty(replications)
+
+    while rows.size:
+        consumed = units[_LAB] + alpha * units[_SHELF] + units[_ONJOB]
+        fail_at = np.where(failed[:, :S], np.inf,
+                           t[:, None] + (units[_LIFE, :, :S] - consumed[:, :S]))
+        t_next = fail_at.min(axis=1)
+        if alpha > 0.0:
+            shelf_fail_at = np.where(on_shelf & ~failed[:, S],
+                                     t + (units[_LIFE, :, S] - consumed[:, S]) / alpha, np.inf)
+            t_next = np.minimum(t_next, shelf_fail_at)
+        if rotating:
+            rotate_at = rotation * policy.rotation_period
+            t_next = np.minimum(t_next, rotate_at)
+
+        cut = t_next > horizon
+        censored[rows[cut]] = True
+        end_time[rows[cut]] = horizon
+        go = ~cut
+        step = t_next - t
+        # failed units and an emptied shelf column also age here; nothing reads them again
+        units[_ONJOB, :, :S] += step[:, None]
+        units[_SHELF, :, S] += step
+        t = t_next
+
+        # due events: slot failures in ascending slot, then the shelf, then the rotation
+        for s in range(S):
+            hit = go & (fail_at[:, s] == t)
+            failed[hit, s] = True
+            install = hit & on_shelf & ~failed[:, S]  # plan_type1
+            units[:, install, s] = units[:, install, S]
+            failed[install, s] = False
+            on_shelf[install] = False
+        if alpha > 0.0:
+            failed[go & on_shelf & (shelf_fail_at == t), S] = True
+        if rotating:
+            hit = go & (rotate_at == t)
+            rotation[hit] += 1.0
+            ages = units[_LAB, :, :S] + alpha * units[_SHELF, :, :S] + units[_ONJOB, :, :S]
+            target = rotation_targets(ages, ~failed[:, :S], on_shelf & ~failed[:, S])
+            r = np.flatnonzero(hit & (target >= 0))
+            c = target[r]
+            units[:, r, c], units[:, r, S] = units[:, r, S], units[:, r, c]
+
+        alive = np.count_nonzero(~failed[:, :S], axis=1)
+        first = go & (alive < 2) & ~(on_shelf & ~failed[:, S]) & np.isnan(trdd[rows])
+        trdd[rows[first]] = t[first]
+        if rotating:
+            first = go & (alive == S) & ~on_shelf & np.isnan(dp[rows])
+            dp[rows[first]] = t[first]
+        dead = go & (alive == 0)
+        tdt[rows[dead]] = t[dead]
+        end_time[rows[dead]] = t[dead]
+
+        keep = go & ~dead
+        rows, t, rotation = rows[keep], t[keep], rotation[keep]
+        units, failed, on_shelf = units[:, keep], failed[keep], on_shelf[keep]
+
+    return BatchOutcomes(trdd=trdd, tdt=tdt, dp=dp, censored=censored, end_time=end_time)
+
+
+def _defined(values: np.ndarray) -> np.ndarray:
+    return values[~np.isnan(values)]
+
+
 def run_ensemble(config: SystemConfig, policy: Policy, sim: SimConfig, *,
                  n_slots: int = 2, with_spare: bool = True,
                  lifetime_model=None) -> Metrics:
-    """Run N independent replications and aggregate in index order.
+    """Run N replications with :func:`run_batch` and aggregate in index order.
 
-    Seeds come from :func:`derive_seed`, so the result is identical whether
-    replications run serially or on a thread pool.
+    Replication i uses seed ``derive_seed(sim.master_seed, i)``, and its
+    values equal those of :func:`run_replication` for that seed.
     """
-    model = lifetime_model if lifetime_model is not None else config.unit_lifetime
-    horizon = sim.horizon if sim.horizon is not None else 5.0 * model.mean
-
-    def one(i: int) -> Trace:
-        return run_replication(config, policy, derive_seed(sim.master_seed, i),
-                               horizon=horizon, n_slots=n_slots,
-                               with_spare=with_spare, lifetime_model=lifetime_model)
-
-    if sim.workers > 1:
-        with ThreadPoolExecutor(max_workers=sim.workers) as pool:
-            traces = list(pool.map(one, range(sim.replications)))
-    else:
-        traces = [one(i) for i in range(sim.replications)]
-
-    censored_count = sum(1 for tr in traces if tr.censored)
-    usable = censored_count < len(traces)
-    trdd_values = np.array([tr.trdd for tr in traces if tr.trdd is not None], dtype=float)
-    tdt_values = np.array([tr.tdt for tr in traces if tr.tdt is not None], dtype=float)
-    dp_values = np.array([tr.dp for tr in traces if tr.dp is not None], dtype=float)
-    tdr_values = np.array([tr.tdr for tr in traces if tr.tdr is not None], dtype=float)
-    hazard = empirical_hazard(traces, sim.bin_width) if usable else None
+    out = run_batch(config, policy, sim.master_seed, sim.replications, horizon=sim.horizon,
+                    n_slots=n_slots, with_spare=with_spare, lifetime_model=lifetime_model)
+    censored_count = int(np.count_nonzero(out.censored))
+    usable = censored_count < sim.replications
+    trdd_values = _defined(out.trdd)
+    tdt_values = _defined(out.tdt)
+    dp_values = _defined(out.dp)
+    tdr_values = _defined(out.tdt - out.dp)
+    hazard = empirical_hazard(out.end_time, tdt_values, sim.bin_width) if usable else None
     return Metrics(
-        n_replications=len(traces),
+        n_replications=sim.replications,
         censored_count=censored_count,
         usable=usable,
         trdd=_summarize(trdd_values),
@@ -393,21 +530,21 @@ def run_ensemble(config: SystemConfig, policy: Policy, sim: SimConfig, *,
     )
 
 
-def empirical_hazard(traces, bin_width: float) -> EmpiricalHazardCurve:
+def empirical_hazard(end_times, death_times, bin_width: float) -> EmpiricalHazardCurve:
     """Binned hazard estimator: system deaths over at-risk system time.
 
-    Bin j covers [j*w, (j+1)*w); its rate is (deaths in bin) / (total time
+    ``end_times`` holds every replication's end of observation (death or
+    horizon) and ``death_times`` the uncensored total lifetimes.  Bin j
+    covers [j*w, (j+1)*w); its rate is (deaths in bin) / (total time
     systems spent at risk inside the bin).  Bins with zero at-risk time are
-    omitted.  Needs at least one uncensored trace.
+    omitted.  Needs at least one death.
     """
     if not bin_width > 0.0:
         raise DomainError("bin_width must be > 0")
-    traces = list(traces)
-    deaths_t = np.array([tr.tdt for tr in traces if not tr.censored and tr.tdt is not None],
-                        dtype=float)
+    deaths_t = np.asarray(death_times, dtype=float)
     if len(deaths_t) == 0:
-        raise DomainError("empirical_hazard needs at least one uncensored trace")
-    ends = np.sort(np.array([tr.end_time for tr in traces], dtype=float))
+        raise DomainError("empirical_hazard needs at least one uncensored replication")
+    ends = np.sort(np.asarray(end_times, dtype=float))
     n_bins = int(math.ceil(ends[-1] / bin_width))
     edges = np.arange(n_bins + 1, dtype=float) * bin_width
     deaths, _ = np.histogram(deaths_t, bins=edges)

@@ -134,7 +134,7 @@ class SystemConfig:
                 f"lab_burnin ({self.lab_burnin}) exceeds the declared burn-in "
                 f"duration th1 ({self.hazard.th1})",
                 ValidationWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__ to its caller
             )
 
 

@@ -26,14 +26,17 @@ from redzone import (
     bathtub_hazard,
     compose_parallel,
     delta_sweep,
+    derive_seed,
     lifetime_extension,
     run_ensemble,
+    run_replication,
     scenario_timeline,
     system_hazard_curve,
     weibull_cumulative,
     weibull_hazard,
 )
 from redzone.cli import main
+from redzone.config import parse_config
 
 from conftest import make_bathtub, make_flat_bathtub, make_redzone_system
 
@@ -174,29 +177,34 @@ def test_criterion_7_lab_burnin_mitigation():
 
 
 def test_criterion_8_byte_identical_cli_output(tmp_path):
-    with criterion(8, "simulate/compare output is byte-identical across runs and threads", 60.0):
-        conf = tmp_path / "config.json"
-        conf.write_text(json.dumps({
+    with criterion(8, "simulate/compare output is byte-identical across runs and "
+                      "the ensemble equals the scalar engine", 60.0):
+        doc = {
             "schema_version": 1,
             "lifetime": {"mean": 200.0, "sd": 2.0},
             "policy": {"kind": "type1", "rotation_period": 200.0 / 6.0},
             "vendor": {"mtbf": 200.0},
             "sim": {"replications": 200, "master_seed": 808},
-        }), encoding="utf-8")
-        outputs = []
-        for run_idx, workers in ((0, 1), (1, 1), (2, 8)):
-            out = tmp_path / f"sim_{run_idx}.json"
-            assert main(["simulate", "--config", str(conf), "--out", str(out),
-                         "--workers", str(workers)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
-        outputs = []
-        for run_idx, workers in ((0, 1), (1, 1), (2, 8)):
-            out = tmp_path / f"cmp_{run_idx}.json"
-            assert main(["compare", "--config", str(conf), "--out", str(out),
-                         "--workers", str(workers)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
+        }
+        conf = tmp_path / "config.json"
+        conf.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("simulate", "compare"):
+            outputs = []
+            for run_idx in range(3):
+                out = tmp_path / f"{command}_{run_idx}.json"
+                assert main([command, "--config", str(conf), "--out", str(out)]) == 0
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1] == outputs[2]
+
+        run = parse_config(doc)
+        for policy in (Policy("type1"), Policy("type2", rotation_period=run.rotation_period)):
+            met = run_ensemble(run.system, policy, run.sim)
+            traces = [run_replication(run.system, policy, derive_seed(run.sim.master_seed, i))
+                      for i in range(run.sim.replications)]
+            for name in ("trdd", "tdt", "dp", "tdr"):
+                scalar = [getattr(tr, name) for tr in traces if getattr(tr, name) is not None]
+                assert np.array_equal(getattr(met, f"{name}_values"), np.array(scalar, dtype=float))
+            assert met.censored_count == sum(tr.censored for tr in traces)
 
 
 def test_criterion_9_empirical_hazard_recovers_constant_rate():

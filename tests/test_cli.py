@@ -35,12 +35,16 @@ class TestParser:
     def test_simulate_flags(self):
         args = build_parser().parse_args(
             ["simulate", "--config", "c.json", "--out", "o.json",
-             "--policy", "type2", "--seed", "9", "--replications", "123",
-             "--workers", "4"])
+             "--policy", "type2", "--seed", "9", "--replications", "123"])
         assert args.policy == "type2"
         assert args.seed == 9
         assert args.replications == 123
-        assert args.workers == 4
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_removed_workers_flag_exits_one(self, command, capsys):
+        rc = main([command, "--config", "c.json", "--out", "o", "--workers", "2"])
+        assert rc == 1
+        assert "--workers" in capsys.readouterr().err
 
     def test_unknown_policy_is_usage_error(self, capsys):
         rc = main(["simulate", "--config", "c.json", "--out", "o", "--policy", "type9"])
@@ -147,7 +151,7 @@ class TestSimulateCommand:
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         assert main(["simulate", "--config", conf, "--out", str(a)]) == 0
-        assert main(["simulate", "--config", conf, "--out", str(b), "--workers", "8"]) == 0
+        assert main(["simulate", "--config", conf, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_type2_decision_point_from_trace(self, tmp_path):
@@ -239,7 +243,7 @@ class TestCompareCommand:
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         assert main(["compare", "--config", conf, "--out", str(a)]) == 0
-        assert main(["compare", "--config", conf, "--out", str(b), "--workers", "8"]) == 0
+        assert main(["compare", "--config", conf, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
 

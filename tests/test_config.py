@@ -40,6 +40,9 @@ class TestParseConfig:
         doc = {"schema_version": 1, "hazard": {"burnin": {"scale": 0.1, "rate": 1.0}}}
         with pytest.raises(ValidationError, match=r"hazard\.burnin\.rate"):
             parse_config(doc)
+        # a configuration written for the removed thread pool
+        with pytest.raises(ValidationError, match=r"sim\.workers: unknown key"):
+            parse_config({"schema_version": 1, "sim": {"workers": 1}})
 
     def test_type_errors_report_path(self):
         with pytest.raises(ValidationError, match=r"lifetime\.mean"):

@@ -151,9 +151,10 @@ class TestBathtub:
             make_bathtub(th1=0.0)
 
     def test_slow_burnin_decay_warns(self):
-        with pytest.warns(ValidationWarning):
+        with pytest.warns(ValidationWarning) as record:
             BathtubModel(useful_rate=0.01, burnin=WeibullTerm(0.05, 0.5),
                          wearout=WeibullTerm(1e-6, 3.0), th1=20.0, th2=80.0, th3=40.0)
+        assert [w.filename for w in record] == [__file__]  # the caller, not the dataclass
 
     def test_cumulative_matches_quadrature(self):
         rng = np.random.default_rng(20240502)

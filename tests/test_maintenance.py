@@ -1,11 +1,18 @@
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redzone import DomainError, Policy, Unit, ValidationError, decision_point, red_zone_condition
-from redzone.maintenance import FleetSnapshot, default_rotation_period, plan_type1, plan_type2
+from redzone.maintenance import (
+    FleetSnapshot,
+    default_rotation_period,
+    plan_type1,
+    plan_type2,
+    rotation_targets,
+)
 
 
 def unit(uid, onjob=0.0, shelf=0.0, credit=0.0, status="active", lifetime=1000.0):
@@ -84,6 +91,29 @@ class TestPlanType2:
     def test_suspended_when_shelf_empty(self):
         state = FleetSnapshot(60.0, (unit("a"), unit("b")), None)
         assert plan_type2(state, 60.0) is None
+
+    # Few distinct ages, so that equal effective ages (ties) are common.
+    @settings(max_examples=150, deadline=None)
+    @given(fleets=st.integers(1, 2).flatmap(lambda k: st.lists(
+        st.tuples(st.lists(st.tuples(st.sampled_from([0.0, 7.5, 30.0]), st.booleans()),
+                           min_size=k, max_size=k),
+                  st.sampled_from(["usable", "failed", "empty"])),
+        min_size=1, max_size=6)))
+    def test_vectorised_rule_agrees_with_plan_type2(self, fleets):
+        expected = []
+        for slots, shelf in fleets:
+            state = FleetSnapshot(
+                60.0,
+                tuple(unit(f"s{i}", onjob=age, status="active" if up else "failed")
+                      for i, (age, up) in enumerate(slots)),
+                None if shelf == "empty" else unit("c", status="shelf" if shelf == "usable"
+                                                   else "failed"))
+            action = plan_type2(state, 60.0)
+            expected.append(-1 if action is None else action.slot)
+        ages = np.array([[age for age, _ in slots] for slots, _ in fleets])
+        alive = np.array([[up for _, up in slots] for slots, _ in fleets])
+        usable = np.array([shelf == "usable" for _, shelf in fleets])
+        assert rotation_targets(ages, alive, usable).tolist() == expected
 
 
 class TestDecisionPoint:

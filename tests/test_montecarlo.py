@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redzone import (
     DomainError,
@@ -15,7 +17,7 @@ from redzone import (
     run_ensemble,
     run_replication,
 )
-from redzone.montecarlo import SplitMix64
+from redzone.montecarlo import SplitMix64, _derive_seeds, _uniforms, run_batch
 
 from conftest import make_flat_bathtub, make_redzone_system
 
@@ -24,6 +26,27 @@ def det_config(mean=200.0, lab=0.0, alpha=0.0):
     model = make_flat_bathtub(th1=20.0, th2=160.0, th3=40.0)
     return SystemConfig(hazard=model, unit_lifetime=LifetimeDistribution(mean, 0.0),
                         lab_burnin=lab, shelf_aging_factor=alpha)
+
+
+def hazard_of(traces, bin_width):
+    return empirical_hazard([tr.end_time for tr in traces],
+                            [tr.tdt for tr in traces if tr.tdt is not None], bin_width)
+
+
+def assert_batch_matches_scalar(config, policy, master_seed, replications, **kwargs):
+    """Every per-replication result of run_batch equals run_replication's, exactly."""
+    out = run_batch(config, policy, master_seed, replications, **kwargs)
+    traces = [run_replication(config, policy, derive_seed(master_seed, i), **kwargs)
+              for i in range(replications)]
+
+    def column(name):
+        return np.array([np.nan if getattr(tr, name) is None else getattr(tr, name)
+                         for tr in traces])
+
+    for name in ("trdd", "tdt", "dp", "end_time"):
+        np.testing.assert_array_equal(getattr(out, name), column(name), err_msg=name)
+    np.testing.assert_array_equal(out.censored, [tr.censored for tr in traces])
+    return traces
 
 
 def replay_occupancy(trace, n_slots=2):
@@ -102,6 +125,15 @@ class TestSplitMix64:
     def test_uniform_golden(self):
         g = SplitMix64(0)
         assert g.uniform() == pytest.approx(0.8833108082136427, rel=0.0)
+
+    @pytest.mark.parametrize("master", [0, 42, 2 ** 64 - 1, 2 ** 64 + 5])
+    def test_vectorised_streams_match_scalar(self, master):
+        seeds = _derive_seeds(master, 50)
+        assert seeds.tolist() == [derive_seed(master, i) for i in range(50)]
+        uniforms = _uniforms(seeds, 3)
+        for seed, row in zip(seeds.tolist(), uniforms.tolist()):
+            g = SplitMix64(seed)
+            assert row == [g.uniform() for _ in range(3)]
 
 
 class TestRunReplication:
@@ -210,15 +242,6 @@ class TestRunEnsemble:
                            lifetime_model=ExponentialLifetime(0.01))
         assert abs(met.tdt.mean - 150.0) / 150.0 < 0.02
 
-    def test_worker_count_does_not_change_results(self):
-        cfg = make_redzone_system(delta=5.0)
-        m1 = run_ensemble(cfg, Policy("type1"), SimConfig(replications=300, master_seed=3))
-        m4 = run_ensemble(cfg, Policy("type1"),
-                          SimConfig(replications=300, master_seed=3, workers=4))
-        assert np.array_equal(m1.tdt_values, m4.tdt_values)
-        assert np.array_equal(m1.trdd_values, m4.trdd_values)
-        assert m1.tdt == m4.tdt
-
     def test_monotone_redundancy_benefit(self):
         sim = SimConfig(replications=10_000, master_seed=21, horizon=5000.0)
         cfg = SystemConfig(hazard=make_flat_bathtub(),
@@ -242,6 +265,50 @@ class TestRunEnsemble:
         assert met.hazard is None
 
 
+class TestRunBatch:
+    """The batched engine against the scalar oracle, replication by replication."""
+
+    @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rotation_period=st.one_of(st.none(), st.floats(5.0, 120.0)),
+        alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        sd=st.one_of(st.just(0.0), st.floats(0.5, 60.0)),
+        lab=st.one_of(st.just(0.0), st.floats(0.0, 20.0), st.floats(150.0, 400.0)),
+        horizon=st.one_of(st.none(), st.floats(50.0, 1500.0)),
+        n_slots=st.sampled_from([1, 2]),
+        with_spare=st.booleans(),
+        exponential=st.booleans(),
+        master_seed=st.integers(0, 2 ** 64 + 100),
+    )
+    def test_matches_run_replication(self, rotation_period, alpha, sd, lab, horizon,
+                                     n_slots, with_spare, exponential, master_seed):
+        cfg = SystemConfig(hazard=make_flat_bathtub(),
+                           unit_lifetime=LifetimeDistribution(208.0, sd),
+                           lab_burnin=lab, shelf_aging_factor=alpha)
+        policy = (Policy("type1") if rotation_period is None
+                  else Policy("type2", rotation_period=rotation_period))
+        assert_batch_matches_scalar(
+            cfg, policy, master_seed, 30, horizon=horizon, n_slots=n_slots,
+            with_spare=with_spare,
+            lifetime_model=ExponentialLifetime(1.0 / 208.0) if exponential else None)
+
+    @pytest.mark.parametrize("alpha, death", [(0.0, 400.0), (1.0, 200.0)])
+    def test_failures_at_rotation_epoch(self, alpha, death):
+        # Both mains exhaust their 200 weeks exactly at the first epoch: failures
+        # come first, the spare fills slot 0, and the rotation finds no shelf unit.
+        # A fully shelf-aged spare (alpha = 1) is due to die on the shelf at that
+        # same instant; it is installed instead and fails in its slot on the next pass.
+        traces = assert_batch_matches_scalar(det_config(alpha=alpha),
+                                             Policy("type2", rotation_period=200.0),
+                                             11, 3, horizon=2000.0)
+        assert [(e.time, e.kind, e.slot) for e in traces[0].events] == [
+            (200.0, "failure", 0), (200.0, "replace", 0), (200.0, "failure", 1),
+            (death, "failure", 0), (death, "system_death", None),
+        ]
+        assert (traces[0].trdd, traces[0].dp, traces[0].tdt) == (200.0, None, death)
+
+
 class TestEmpiricalHazard:
     def test_constant_rate_recovered(self):
         met = run_ensemble(det_config(), Policy("type1"),
@@ -258,7 +325,7 @@ class TestEmpiricalHazard:
     def test_bins_beyond_all_deaths_omitted(self):
         traces = [run_replication(det_config(), Policy("type1"), seed=s, horizon=2000.0)
                   for s in range(3)]
-        h = empirical_hazard(traces, bin_width=50.0)
+        h = hazard_of(traces, bin_width=50.0)
         assert h.midpoints[-1] < 400.0 + 50.0
         assert np.all(h.exposure > 0.0)
 
@@ -266,7 +333,7 @@ class TestEmpiricalHazard:
         traces = [run_replication(det_config(), Policy("type1"), seed=s, horizon=100.0)
                   for s in range(3)]
         with pytest.raises(DomainError):
-            empirical_hazard(traces, bin_width=10.0)
+            hazard_of(traces, bin_width=10.0)
 
     def test_end_of_life_peak_dwarfs_useful_phase_rates(self):
         cfg = make_redzone_system(delta=1.0)

@@ -50,6 +50,14 @@ class TestEffectiveAge:
             Unit("u", lifetime=1.0, onjob_age=-1.0)
 
 
+class TestSystemConfig:
+    def test_lab_burnin_beyond_th1_warns_at_caller(self, flat_bathtub):
+        with pytest.warns(ValidationWarning) as record:
+            SystemConfig(hazard=flat_bathtub, unit_lifetime=LifetimeDistribution(220.0, 0.0),
+                         lab_burnin=flat_bathtub.th1 + 1.0)
+        assert [w.filename for w in record] == [__file__]
+
+
 class TestUnitHazard:
     def test_fresh_unit_useful_phase(self, flat_bathtub):
         cfg = SystemConfig(hazard=flat_bathtub,
