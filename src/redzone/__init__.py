@@ -38,7 +38,6 @@ from .hazards import (
     bathtub_cumulative,
     bathtub_hazard,
     component_total_hazard,
-    lognormal_from_mean_sd,
     lognormal_sample,
     software_hazard,
     weibull_cumulative,

@@ -39,7 +39,6 @@ __all__ = [
     "peak_ratio",
     "assess_red_zone",
     "lifetime_extension",
-    "decision_margin",
     "delta_sweep",
     "compare_policies",
     "apply_vendor_decision_point",
@@ -164,13 +163,6 @@ def lifetime_extension(trdd_1: float, trdd_2: float) -> float:
     if not trdd_1 > 0.0:
         raise DomainError(f"trdd_1 must be > 0, got {trdd_1!r}")
     return (trdd_2 - trdd_1) / trdd_1
-
-
-def decision_margin(tdt: float, dp: float | None) -> float | None:
-    """Realisation time left after the decision point; absent when DP is."""
-    if dp is None:
-        return None
-    return tdt - dp
 
 
 @dataclass(frozen=True)

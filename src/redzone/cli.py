@@ -25,7 +25,6 @@ from .errors import DomainError, ValidationError
 from .hazards import bathtub_hazard, software_hazard
 from .maintenance import Policy, decision_point
 from .montecarlo import Metrics, derive_seed, run_ensemble, run_replication
-from .system import scenario_timeline
 
 __all__ = ["main", "build_parser"]
 
@@ -112,9 +111,9 @@ def _resolve_policy(run: RunConfig, name: str | None) -> Policy:
     kind = name if name is not None else run.policy.kind
     if kind == "type1":
         return Policy("type1")
-    if run.rotation_period is None:
+    if run.policy.rotation_period is None:
         raise ValidationError("policy.rotation_period: required for type2")
-    return Policy("type2", rotation_period=run.rotation_period)
+    return Policy("type2", rotation_period=run.policy.rotation_period)
 
 
 def _resolve_sim(run: RunConfig, args):
@@ -155,9 +154,11 @@ def _curve_sibling(path: str) -> str:
 
 
 def cmd_scenario(run: RunConfig, args) -> int:
-    policy = _resolve_policy(run, args.policy)
+    kind = args.policy if args.policy is not None else run.policy.kind
+    if kind != "type1":
+        raise ValidationError(f"scenario: policy {kind} is not modelled; the analytic "
+                              "timeline covers the replace-on-failure policy (type1) only")
     dt = args.dt if args.dt is not None else run.curve_dt
-    timeline = scenario_timeline(run.system, policy=policy)
     assessment = assess_red_zone(run.system, threshold=run.red_zone_threshold, dt=dt,
                                  baseline_window_fraction=run.baseline_window_fraction)
     zone = assessment.zone
@@ -166,7 +167,7 @@ def cmd_scenario(run: RunConfig, args) -> int:
         return zone is not None and seg.t_start < zone.end and seg.t_end > zone.start
 
     rows = []
-    for seg in timeline.segments:
+    for seg in assessment.timeline.segments:
         rows.append([
             _f(seg.t_start),
             _f(seg.t_end),
@@ -257,12 +258,12 @@ def cmd_simulate(run: RunConfig, args) -> int:
 
 def cmd_compare(run: RunConfig, args) -> int:
     sim = _resolve_sim(run, args)
-    if run.rotation_period is None:
+    if run.policy.rotation_period is None:
         raise ValidationError("policy.rotation_period: required to compare against type2")
     report = compare_policies(
         run.system,
         Policy("type1"),
-        Policy("type2", rotation_period=run.rotation_period),
+        Policy("type2", rotation_period=run.policy.rotation_period),
         sim,
         vendor_mtbf=run.vendor_mtbf,
         warn_factor=run.warn_factor,

@@ -41,13 +41,11 @@ __all__ = [
     "weibull_cumulative",
     "bathtub_hazard",
     "bathtub_cumulative",
-    "lognormal_from_mean_sd",
     "lognormal_sample",
     "standard_normal_quantile",
     "software_hazard",
     "software_cumulative",
     "component_total_hazard",
-    "component_total_cumulative",
 ]
 
 
@@ -236,11 +234,6 @@ class LifetimeDistribution:
 
     def sample(self, u):
         return lognormal_sample(self, u)
-
-
-def lognormal_from_mean_sd(mean: float, sd: float) -> LifetimeDistribution:
-    """Build the lifetime distribution whose mean and sd are exactly (mean, sd)."""
-    return LifetimeDistribution(mean, sd)
 
 
 # Rational approximation of the standard normal quantile (Acklam's
@@ -464,15 +457,3 @@ def component_total_hazard(t, hw: BathtubModel,
         h = h + operator.rate
     return _ret(h, scalar)
 
-
-def component_total_cumulative(t, hw: BathtubModel,
-                               software: SoftwareHazardModel | None = None,
-                               operator: OperatorHazard | None = None):
-    """Integral of the total unit rate on [0, t]."""
-    arr, scalar = _coerce_time(t)
-    total = np.asarray(bathtub_cumulative(arr, hw), dtype=float)
-    if software is not None:
-        total = total + software_cumulative(arr, software)
-    if operator is not None:
-        total = total + operator.rate * arr
-    return _ret(total, scalar)

@@ -179,8 +179,7 @@ def decision_point(policy: Policy, *, trace=None, vendor_mtbf: float | None = No
         raise DomainError("type2 decision point needs a completed trace")
     if trace.dp is None:
         return None
-    margin = None if trace.tdt is None else trace.tdt - trace.dp
-    return DecisionPoint(time=trace.dp, rule="shelf_empty", margin=margin)
+    return DecisionPoint(time=trace.dp, rule="shelf_empty", margin=trace.tdr)
 
 
 def red_zone_condition(delta_spread: float, th3: float) -> bool:

@@ -119,14 +119,12 @@ class SimConfig:
     """Ensemble parameters.
 
     ``horizon`` defaults to five mean lifetimes; replications still alive
-    there are censored rather than simulated unboundedly.  ``dt_event`` is a
-    reporting tolerance for age-budget crossings, not an integration step.
+    there are censored rather than simulated unboundedly.
     """
 
     replications: int = 1000
     master_seed: int = 0
     horizon: float | None = None
-    dt_event: float = 1e-6
     bin_width: float = 5.0
 
     def __post_init__(self):
@@ -134,8 +132,6 @@ class SimConfig:
             raise ValidationError("replications must be >= 1")
         if self.horizon is not None and not self.horizon > 0.0:
             raise ValidationError("horizon must be > 0")
-        if not self.dt_event > 0.0:
-            raise ValidationError("dt_event must be > 0")
         if not self.bin_width > 0.0:
             raise ValidationError("bin_width must be > 0")
 
@@ -175,10 +171,6 @@ class Trace:
         if self.tdt is None or self.dp is None:
             return None
         return self.tdt - self.dp
-
-
-def _consumed(unit: Unit, alpha: float) -> float:
-    return effective_age(unit, alpha)
 
 
 def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
@@ -228,7 +220,7 @@ def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
 
     # A spare can be dead on arrival only when the lab credit already
     # exhausts its sampled lifetime; record it for transparency.
-    if shelf is not None and _consumed(shelf, alpha) >= shelf.lifetime:
+    if shelf is not None and effective_age(shelf, alpha) >= shelf.lifetime:
         shelf.status = FAILED
         events.append(Event(0.0, "failure", shelf.id, "shelf"))
 
@@ -236,9 +228,9 @@ def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
         candidates: list[tuple[float, int, int]] = []  # (time, priority, slot/row)
         for i, u in enumerate(slots):
             if u is not None and not u.failed:
-                candidates.append((t + (u.lifetime - _consumed(u, alpha)), 0, i))
+                candidates.append((t + (u.lifetime - effective_age(u, alpha)), 0, i))
         if shelf_usable() and alpha > 0.0:
-            candidates.append((t + (shelf.lifetime - _consumed(shelf, alpha)) / alpha, 0, 99))
+            candidates.append((t + (shelf.lifetime - effective_age(shelf, alpha)) / alpha, 0, 99))
         if policy.kind == "type2":
             candidates.append((rotation_index * policy.rotation_period, 1, -1))
         if not candidates:

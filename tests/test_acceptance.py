@@ -197,7 +197,7 @@ def test_criterion_8_byte_identical_cli_output(tmp_path):
             assert outputs[0] == outputs[1] == outputs[2]
 
         run = parse_config(doc)
-        for policy in (Policy("type1"), Policy("type2", rotation_period=run.rotation_period)):
+        for policy in (Policy("type1"), Policy("type2", rotation_period=run.policy.rotation_period)):
             met = run_ensemble(run.system, policy, run.sim)
             traces = [run_replication(run.system, policy, derive_seed(run.sim.master_seed, i))
                       for i in range(run.sim.replications)]

@@ -14,7 +14,7 @@ from redzone import (
     detect_red_zone,
     lifetime_extension,
 )
-from redzone.analysis import baseline_from_curve, decision_margin, peak_ratio
+from redzone.analysis import baseline_from_curve, peak_ratio
 
 from conftest import make_redzone_system
 
@@ -94,17 +94,6 @@ class TestLifetimeExtension:
     @given(x=st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False))
     def test_identity_is_zero(self, x):
         assert lifetime_extension(x, x) == 0.0
-
-
-class TestDecisionMargin:
-    def test_type1_margin(self):
-        assert decision_margin(400.0, 160.0) == pytest.approx(240.0)
-
-    def test_tight_margin(self):
-        assert decision_margin(300.0, 295.0) == pytest.approx(5.0)
-
-    def test_absent_dp(self):
-        assert decision_margin(300.0, None) is None
 
 
 class TestAssessRedZone:

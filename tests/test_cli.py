@@ -107,6 +107,14 @@ class TestScenarioCommand:
             assert landmark in edges
         assert (tmp_path / "segments_curve.csv").exists()
 
+    def test_rotation_policy_exits_one(self, tmp_path, capsys):
+        conf = write_config(tmp_path, policy={"kind": "type1", "rotation_period": 30.0})
+        rc = main(["scenario", "--config", conf, "--out", str(tmp_path / "s.csv"),
+                   "--policy", "type2"])
+        assert rc == 1
+        assert "policy type2" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_red_zone_annotation_tracks_gap(self, tmp_path):
         small = write_config(tmp_path, name="small.json", lifetime={"mean": 208.0, "sd": 1.0},
                              system={"lab_burnin": 2.0})
@@ -202,6 +210,14 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o.json")])
         assert rc == 1
         assert "hazard.thX" in capsys.readouterr().err
+
+    def test_infinite_warn_factor_exits_one(self, tmp_path, capsys):
+        conf = write_config(tmp_path, vendor={"mtbf": 200.0, "warn_factor": float("inf")},
+                            sim={"replications": 2, "master_seed": 5})
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", conf, "--out", str(out)]) == 1
+        assert "vendor.warn_factor" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
         conf = write_config(tmp_path, sim={"replications": 1, "master_seed": 5})

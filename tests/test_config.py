@@ -1,13 +1,81 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
+import redzone
 from redzone import ValidationError
 from redzone.config import default_config, load_config, parse_config
+
+SCHEMA = json.loads((Path(redzone.__file__).parent / "schema" / "run_config.schema.json")
+                    .read_text(encoding="utf-8"))
+EXAMPLE = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
 
 
 def minimal():
     return {"schema_version": 1}
+
+
+def schema_nodes(node, path=()):
+    """Every node below ``node`` with its path; an array's items sit at index 0."""
+    children = [((key,), sub) for key, sub in node.get("properties", {}).items()]
+    if "items" in node:
+        children.append(((0,), node["items"]))
+    for step, sub in children:
+        yield path + step, sub
+        yield from schema_nodes(sub, path + step)
+
+
+def dotted(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def document_with(path, value):
+    """The minimal document with ``value`` placed at ``path``."""
+    doc = minimal()
+    node = doc
+    for key, following in zip(path, path[1:]):
+        node[key] = [{}] if isinstance(following, int) else {}
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def types_of(node):
+    types = node.get("type", [])
+    return [types] if isinstance(types, str) else types
+
+
+def violations(node):
+    """(keyword, value) pairs, each breaking one keyword of a schema node."""
+    types = types_of(node)
+    if types:
+        yield "type", "x"
+        yield "type-bool", True
+    if "integer" in types:
+        yield "type-fraction", 1.5
+    if "null" not in types:
+        yield "null", None
+    for keyword, shift in (("minimum", -1), ("maximum", 1),
+                           ("exclusiveMinimum", 0), ("exclusiveMaximum", 0)):
+        if keyword in node:
+            yield keyword, node[keyword] + shift
+    if "enum" in node:
+        yield "enum", "no-such-choice"
+    if "const" in node:
+        yield "const", node["const"] + 1
+        yield "const-bool", True
+
+
+def drift_cases():
+    for path, node in schema_nodes(SCHEMA):
+        for keyword, value in violations(node):
+            yield pytest.param(document_with(path, value), dotted(path),
+                               id=f"{dotted(path)}-{keyword}")
+        if "object" in types_of(node):
+            yield pytest.param(document_with(path + ("no_such_key",), 1),
+                               dotted(path) + ".no_such_key", id=f"{dotted(path)}-unknown")
 
 
 class TestParseConfig:
@@ -106,6 +174,65 @@ class TestParseConfig:
     def test_shelf_aging_factor_range(self):
         with pytest.raises(ValidationError, match="system"):
             parse_config({"schema_version": 1, "system": {"shelf_aging_factor": 1.5}})
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("system", "lab_burnin", math.nan),
+        ("vendor", "warn_factor", math.inf),
+        ("hazard", "th3", -math.inf),
+    ])
+    def test_non_finite_numbers_rejected(self, section, key, value):
+        with pytest.raises(ValidationError, match=rf"^{section}\.{key}: must be a finite number"):
+            parse_config({"schema_version": 1, section: {key: value}})
+
+    def test_type1_rotation_period_bound_checked(self):
+        doc = {"schema_version": 1, "policy": {"kind": "type1", "rotation_period": -5.0}}
+        with pytest.raises(ValidationError, match=r"^policy\.rotation_period: must be > 0"):
+            parse_config(doc)
+
+    def test_null_section_rejected(self):
+        with pytest.raises(ValidationError, match=r"^sim: must be of type object"):
+            parse_config({"schema_version": 1, "sim": None})
+
+    def test_integer_field_rejects_float(self):
+        with pytest.raises(ValidationError, match=r"^sim\.replications"):
+            parse_config({"schema_version": 1, "sim": {"replications": 100.0}})
+
+    def test_removed_dt_event_is_unknown(self):
+        with pytest.raises(ValidationError, match=r"^sim\.dt_event: unknown key"):
+            parse_config({"schema_version": 1, "sim": {"dt_event": 1e-6}})
+
+    def test_upgrade_event_defaults(self):
+        doc = {"schema_version": 1, "software": {"steady_floor": 0.001, "upgrade_events": [{}]}}
+        (event,) = parse_config(doc).system.software.upgrade_events
+        assert (event.time, event.kind) == (0.0, "minor")
+
+    def test_integers_in_number_fields_become_floats(self):
+        run = parse_config({"schema_version": 1, "hazard": {"th1": 20}})
+        assert type(run.system.hazard.th1) is float
+        assert type(run.sim.replications) is int
+
+
+class TestSchemaIsTheLoader:
+    """Whatever the shipped schema rejects, the loader rejects, naming the field's path."""
+
+    @pytest.mark.parametrize("doc,path", drift_cases())
+    def test_violation_rejected_by_both(self, doc, path):
+        jsonschema = pytest.importorskip("jsonschema")
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, SCHEMA)
+        with pytest.raises(ValidationError) as info:
+            parse_config(doc)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_default_config_validates(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(default_config(), SCHEMA)
+
+    def test_example_config_loads_and_validates(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(json.loads(EXAMPLE.read_text(encoding="utf-8")), SCHEMA)
+        run = load_config(EXAMPLE)
+        assert run.policy.rotation_period == 34.67
 
 
 class TestLoadConfig:

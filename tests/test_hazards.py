@@ -22,7 +22,6 @@ from redzone import (
     bathtub_cumulative,
     bathtub_hazard,
     component_total_hazard,
-    lognormal_from_mean_sd,
     lognormal_sample,
     software_hazard,
     weibull_cumulative,
@@ -178,15 +177,15 @@ class TestBathtub:
 
 class TestLognormal:
     def test_parameters_from_mean_sd(self):
-        d = lognormal_from_mean_sd(10.0, 2.0)
+        d = LifetimeDistribution(10.0, 2.0)
         assert d.location == pytest.approx(2.282974736417405, rel=1e-12)
         assert d.scale == pytest.approx(0.1980422004353651, rel=1e-12)
-        d2 = lognormal_from_mean_sd(1.0, 1.0)
+        d2 = LifetimeDistribution(1.0, 1.0)
         assert d2.location == pytest.approx(-0.34657359027997264, rel=1e-12)
         assert d2.scale == pytest.approx(0.8325546111576977, rel=1e-12)
 
     def test_density_integrates_back_to_mean_and_sd(self):
-        d = lognormal_from_mean_sd(10.0, 2.0)
+        d = LifetimeDistribution(10.0, 2.0)
 
         def pdf(x):
             return (1.0 / (x * d.scale * math.sqrt(2 * math.pi))
@@ -198,25 +197,25 @@ class TestLognormal:
         assert math.sqrt(second - mean ** 2) == pytest.approx(2.0, rel=1e-9)
 
     def test_degenerate_mode(self):
-        d = lognormal_from_mean_sd(200.0, 0.0)
+        d = LifetimeDistribution(200.0, 0.0)
         assert d.degenerate
         for u in (0.1, 0.5, 0.9):
             assert lognormal_sample(d, u) == 200.0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValidationError):
-            lognormal_from_mean_sd(0.0, 1.0)
+            LifetimeDistribution(0.0, 1.0)
         with pytest.raises(ValidationError):
-            lognormal_from_mean_sd(-5.0, 1.0)
+            LifetimeDistribution(-5.0, 1.0)
         with pytest.raises(ValidationError):
-            lognormal_from_mean_sd(10.0, -1.0)
+            LifetimeDistribution(10.0, -1.0)
 
     def test_median_at_half(self):
-        d = lognormal_from_mean_sd(10.0, 2.0)
+        d = LifetimeDistribution(10.0, 2.0)
         assert lognormal_sample(d, 0.5) == pytest.approx(math.exp(d.location), rel=1e-9)
 
     def test_sample_against_high_precision_quantile(self):
-        d = lognormal_from_mean_sd(10.0, 2.0)
+        d = LifetimeDistribution(10.0, 2.0)
         expected = math.exp(d.location + d.scale * ndtri(0.975))
         assert expected == pytest.approx(14.456300158824469, rel=1e-12)
         assert lognormal_sample(d, 0.975) == pytest.approx(expected, abs=5e-8)
@@ -231,13 +230,13 @@ class TestLognormal:
         assert np.max(np.abs(ours - ref)) < 1e-8
 
     def test_u_domain_enforced(self):
-        d = lognormal_from_mean_sd(10.0, 2.0)
+        d = LifetimeDistribution(10.0, 2.0)
         for u in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(DomainError):
                 lognormal_sample(d, u)
 
     def test_sampling_round_trip(self):
-        d = lognormal_from_mean_sd(200.0, 20.0)
+        d = LifetimeDistribution(200.0, 20.0)
         gen = SplitMix64(20240503)
         n = 1_000_000
         u = np.array([gen.uniform() for _ in range(n)])

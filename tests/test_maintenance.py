@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +11,12 @@ from redzone.maintenance import (
     plan_type2,
     rotation_targets,
 )
+from redzone.montecarlo import Trace
+
+
+def finished_trace(dp, tdt):
+    return Trace(events=(), trdd=None, tdt=tdt, dp=dp, censored=False, end_time=tdt,
+                 lifetimes={}, seed=0)
 
 
 def unit(uid, onjob=0.0, shelf=0.0, credit=0.0, status="active", lifetime=1000.0):
@@ -127,14 +131,14 @@ class TestDecisionPoint:
             decision_point(Policy("type1"))
 
     def test_type2_read_from_trace(self):
-        trace = SimpleNamespace(dp=295.0, tdt=300.0)
+        trace = finished_trace(dp=295.0, tdt=300.0)
         dp = decision_point(Policy("type2", rotation_period=30.0), trace=trace)
         assert dp.time == 295.0
         assert dp.rule == "shelf_empty"
         assert dp.margin == pytest.approx(5.0)
 
     def test_type2_absent_when_shelf_never_empties(self):
-        trace = SimpleNamespace(dp=None, tdt=300.0)
+        trace = finished_trace(dp=None, tdt=300.0)
         assert decision_point(Policy("type2", rotation_period=30.0), trace=trace) is None
 
 

@@ -12,6 +12,7 @@ from redzone import (
     Policy,
     SimConfig,
     SystemConfig,
+    Trace,
     derive_seed,
     empirical_hazard,
     run_ensemble,
@@ -165,6 +166,17 @@ class TestRunReplication:
         assert tr.tdr == pytest.approx(100.0 / 3.0)
         rotations = [e for e in tr.events if e.kind == "rotate"]
         assert [e.slot for e in rotations[:2]] == [0, 1]
+
+    @pytest.mark.parametrize("tdt,dp,tdr", [
+        (400.0, 160.0, 240.0),
+        (300.0, 295.0, 5.0),
+        (300.0, None, None),  # no decision point, no margin
+        (None, 295.0, None),  # censored
+    ])
+    def test_tdr_is_time_left_after_decision_point(self, tdt, dp, tdr):
+        tr = Trace(events=(), trdd=None, tdt=tdt, dp=dp, censored=tdt is None,
+                   end_time=400.0, lifetimes={}, seed=0)
+        assert tr.tdr == tdr
 
     def test_same_seed_identical_traces(self):
         cfg = make_redzone_system(delta=5.0)
