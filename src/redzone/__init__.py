@@ -43,7 +43,7 @@ from .hazards import (
     weibull_cumulative,
     weibull_hazard,
 )
-from .maintenance import DecisionPoint, Policy, decision_point, red_zone_condition
+from .maintenance import Policy, red_zone_condition
 from .montecarlo import (
     Metrics,
     SimConfig,

@@ -1,4 +1,4 @@
-"""Red-zone detection, decision margins, and policy comparison studies.
+"""Red-zone detection, vendor decision points, and policy comparison studies.
 
 The red zone is the interval of critically elevated system failure rate
 that appears when both active units wear out near-simultaneously while the
@@ -6,9 +6,9 @@ just-installed spare is still in burn-in.  It is detected on a sampled
 hazard curve as the maximal contiguous run of points above ``threshold *
 baseline``; the baseline is the useful-phase plateau measured from the flat
 part of the curve itself.  Detection is restricted to the end-of-life
-window (at or after the mains' wear-out onset): the commissioning burn-in
-hump at t = 0 is a property of any fresh system, not of the spare
-interaction under study.
+window (at or after the mains' wear-out onset): the burn-in hump at
+t = 0 is a property of any fresh system, not of the spare interaction
+under study.
 
 The sweep study reads the lifetime spread both ways on purpose: each spread
 value drives a Monte Carlo ensemble (spread as sampling sd) for the
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .hazards import LifetimeDistribution
-from .maintenance import Policy, decision_point, red_zone_condition
+from .maintenance import Policy, red_zone_condition
 from .montecarlo import Metrics, MetricSummary, SimConfig, _summarize, run_ensemble
 from .system import HazardCurve, ScenarioTimeline, SystemConfig, scenario_timeline, system_hazard_curve
 
@@ -215,17 +215,26 @@ class ComparisonReport:
     tdr_2: float | None
 
 
-def apply_vendor_decision_point(metrics: Metrics, dp: float) -> Metrics:
+def apply_vendor_decision_point(metrics: Metrics, vendor_mtbf: float | None,
+                                warn_factor: float) -> Metrics:
     """Attach the vendor-statistics decision point to type1 metrics.
 
-    The replace-on-failure trace never reveals a decision point; the
-    operator's estimate is a configured constant, so the margin is the total
-    lifetime minus that constant, per replication.
+    The replace-on-failure trace never reveals a decision point, so the
+    operator estimates it as ``warn_factor * vendor_mtbf``; the factor is
+    configuration, not truth.  The margin is the total lifetime minus that
+    constant, per replication.  Without a vendor MTBF, or without any
+    uncensored replication, the metrics are returned unchanged.
     """
-    dp_values = np.full(len(metrics.tdt_values), float(dp))
+    if vendor_mtbf is None or metrics.tdt is None:
+        return metrics
+    if not vendor_mtbf > 0.0:
+        raise DomainError(f"vendor_mtbf must be > 0, got {vendor_mtbf!r}")
+    if not warn_factor > 0.0:
+        raise DomainError(f"warn_factor must be > 0, got {warn_factor!r}")
+    dp = float(warn_factor * vendor_mtbf)
+    dp_values = np.full(len(metrics.tdt_values), dp)
     tdr_values = metrics.tdt_values - dp
-    metrics.dp = MetricSummary(mean=float(dp), std=0.0, ci_low=float(dp),
-                               ci_high=float(dp), n=len(dp_values))
+    metrics.dp = MetricSummary(mean=dp, std=0.0, ci_low=dp, ci_high=dp, n=len(dp_values))
     metrics.tdr = _summarize(tdr_values)
     metrics.dp_values = dp_values
     metrics.tdr_values = tdr_values
@@ -243,9 +252,7 @@ def compare_policies(config: SystemConfig, policy1: Policy, policy2: Policy,
     """
     m1 = run_ensemble(config, policy1, sim)
     m2 = run_ensemble(config, policy2, sim)
-    if vendor_mtbf is not None and m1.tdt is not None:
-        dp = decision_point(policy1, vendor_mtbf=vendor_mtbf, warn_factor=warn_factor)
-        m1 = apply_vendor_decision_point(m1, dp.time)
+    m1 = apply_vendor_decision_point(m1, vendor_mtbf, warn_factor)
     if m1.trdd is None or m2.trdd is None:
         raise DomainError("policy comparison needs defined redundant lifetimes on both sides")
     ratio = lifetime_extension(m1.trdd.mean, m2.trdd.mean)

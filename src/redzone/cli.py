@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace as dc_replace
 
@@ -23,7 +24,7 @@ from .analysis import apply_vendor_decision_point, assess_red_zone, compare_poli
 from .config import SCHEMA_VERSION, RunConfig, load_config
 from .errors import DomainError, ValidationError
 from .hazards import bathtub_hazard, software_hazard
-from .maintenance import Policy, decision_point
+from .maintenance import Policy
 from .montecarlo import Metrics, derive_seed, run_ensemble, run_replication
 
 __all__ = ["main", "build_parser"]
@@ -129,12 +130,17 @@ def _resolve_sim(run: RunConfig, args):
     return sim
 
 
+def _positive(flag: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(f"{flag} must be a finite number > 0, got {value!r}")
+    return value
+
+
 def cmd_hazard(run: RunConfig, args) -> int:
     hz = run.system.hazard
-    t_max = args.t_max if args.t_max is not None else 1.2 * (hz.th1 + hz.th2 + hz.th3)
-    dt = args.dt if args.dt is not None else run.curve_dt
-    if not t_max > 0.0 or not dt > 0.0:
-        raise ValidationError("--t-max and --dt must be > 0")
+    t_max = _positive("--t-max", args.t_max if args.t_max is not None
+                      else 1.2 * (hz.th1 + hz.th2 + hz.th3))
+    dt = _positive("--dt", args.dt if args.dt is not None else run.curve_dt)
     t = np.arange(0.0, t_max + 0.5 * dt, dt)
     h_hw = np.asarray(bathtub_hazard(t, hz), dtype=float)
     h_sw = (np.asarray(software_hazard(t, run.system.software), dtype=float)
@@ -158,7 +164,7 @@ def cmd_scenario(run: RunConfig, args) -> int:
     if kind != "type1":
         raise ValidationError(f"scenario: policy {kind} is not modelled; the analytic "
                               "timeline covers the replace-on-failure policy (type1) only")
-    dt = args.dt if args.dt is not None else run.curve_dt
+    dt = _positive("--dt", args.dt if args.dt is not None else run.curve_dt)
     assessment = assess_red_zone(run.system, threshold=run.red_zone_threshold, dt=dt,
                                  baseline_window_fraction=run.baseline_window_fraction)
     zone = assessment.zone
@@ -236,9 +242,8 @@ def cmd_simulate(run: RunConfig, args) -> int:
     policy = _resolve_policy(run, args.policy)
     sim = _resolve_sim(run, args)
     metrics = run_ensemble(run.system, policy, sim)
-    if policy.kind == "type1" and run.vendor_mtbf is not None and metrics.tdt is not None:
-        dp = decision_point(policy, vendor_mtbf=run.vendor_mtbf, warn_factor=run.warn_factor)
-        metrics = apply_vendor_decision_point(metrics, dp.time)
+    if policy.kind == "type1":
+        metrics = apply_vendor_decision_point(metrics, run.vendor_mtbf, run.warn_factor)
     assessment = assess_red_zone(run.system, threshold=run.red_zone_threshold,
                                  dt=run.curve_dt,
                                  baseline_window_fraction=run.baseline_window_fraction)
@@ -291,6 +296,8 @@ def cmd_redzone(run: RunConfig, args) -> int:
             deltas = [float(x) for x in args.deltas.split(",") if x.strip()]
         except ValueError as e:
             raise ValidationError(f"--deltas: {e}") from e
+        if not all(math.isfinite(d) for d in deltas):
+            raise ValidationError(f"--deltas: spreads must be finite, got {args.deltas!r}")
     else:
         deltas = [0.1 * th3, 0.5 * th3, 2.0 * th3, 4.0 * th3]
     rows = delta_sweep(run.system, deltas, policy, sim,

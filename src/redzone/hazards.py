@@ -363,7 +363,7 @@ class SoftwareHazardModel:
 
     The rate is ``steady_floor + update_amplitude * exp(-t'/update_decay_tau)``
     plus one decaying pulse per past minor upgrade, where ``t'`` is the time
-    since the most recent major upgrade (or since commissioning).  The rate
+    since the most recent major upgrade (or since t = 0).  The rate
     never falls below ``steady_floor``.
     """
 
@@ -393,7 +393,7 @@ class SoftwareHazardModel:
 
 
 def software_hazard(t, model: SoftwareHazardModel):
-    """Software rate at calendar time ``t`` (weeks since commissioning)."""
+    """Software rate at calendar time ``t`` (weeks since the system entered service)."""
     arr, scalar = _coerce_time(t)
     if np.any(arr < 0.0):
         raise DomainError("software_hazard requires t >= 0")

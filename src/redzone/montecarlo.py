@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .maintenance import FleetSnapshot, Policy, plan_type1, plan_type2, rotation_targets
+from .maintenance import Policy, oldest_slot, rotation_targets
 from .system import ACTIVE, FAILED, ON_SHELF, SystemConfig, Unit, effective_age
 
 __all__ = [
@@ -154,7 +154,11 @@ class Trace:
     ``trdd`` is the first time fewer than two unfailed units occupy slots
     with no shelf unit able to restore redundancy; ``tdt`` the time of zero
     unfailed in-slot units (None when censored at the horizon).  ``dp`` is
-    the observable shelf-empty decision point (rotation policy).
+    the observable decision point (rotation policy): the first event epoch
+    at which every slot holds an unfailed unit but no usable shelf unit is
+    left, because the shelf is empty or its unit has failed.  Both are
+    checked after each event epoch, so a dead-on-arrival spare is seen at
+    the first epoch, not at t = 0.
     """
 
     events: tuple[Event, ...]
@@ -264,9 +268,7 @@ def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
                     continue
                 u.status = FAILED
                 events.append(Event(t, "failure", u.id, row))
-                action = plan_type1(
-                    FleetSnapshot(t, tuple(slots), shelf, alpha), row)
-                if action is not None:
+                if shelf_usable():
                     incoming = shelf
                     incoming.status = ACTIVE
                     slots[row] = incoming
@@ -280,24 +282,22 @@ def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
                     shelf.status = FAILED
                     events.append(Event(t, "failure", shelf.id, "shelf"))
             else:
-                action = plan_type2(FleetSnapshot(t, tuple(slots), shelf, alpha), t)
                 rotation_index += 1
-                if action is not None:
-                    outgoing = slots[action.slot]
+                target = oldest_slot(slots, alpha) if shelf_usable() else None
+                if target is not None:
+                    outgoing = slots[target]
                     incoming = shelf
                     incoming.status = ACTIVE
                     outgoing.status = ON_SHELF
-                    slots[action.slot] = incoming
+                    slots[target] = incoming
                     shelf = outgoing
-                    events.append(Event(t, "rotate", incoming.id, action.slot,
+                    events.append(Event(t, "rotate", incoming.id, target,
                                         unit_out=outgoing.id))
 
         alive = sum(1 for u in slots if u is not None and not u.failed)
-        occupied = sum(1 for u in slots if u is not None)
         if trdd is None and alive < 2 and not shelf_usable():
             trdd = t
-        if dp is None and policy.kind == "type2" and alive == n_slots == occupied \
-                and shelf is None:
+        if dp is None and policy.kind == "type2" and alive == n_slots and not shelf_usable():
             dp = t
             events.append(Event(t, "dp"))
         if alive == 0:
@@ -432,8 +432,10 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
                            t[:, None] + (units[_LIFE, :, :S] - consumed[:, :S]))
         t_next = fail_at.min(axis=1)
         if alpha > 0.0:
-            shelf_fail_at = np.where(on_shelf & ~failed[:, S],
-                                     t + (units[_LIFE, :, S] - consumed[:, S]) / alpha, np.inf)
+            # a tiny alpha overflows the division to inf, as it does in run_replication
+            with np.errstate(over="ignore"):
+                shelf_left = (units[_LIFE, :, S] - consumed[:, S]) / alpha
+            shelf_fail_at = np.where(on_shelf & ~failed[:, S], t + shelf_left, np.inf)
             t_next = np.minimum(t_next, shelf_fail_at)
         if rotating:
             rotate_at = rotation * policy.rotation_period
@@ -453,7 +455,7 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
         for s in range(S):
             hit = go & (fail_at[:, s] == t)
             failed[hit, s] = True
-            install = hit & on_shelf & ~failed[:, S]  # plan_type1
+            install = hit & on_shelf & ~failed[:, S]
             units[:, install, s] = units[:, install, S]
             failed[install, s] = False
             on_shelf[install] = False
@@ -469,10 +471,11 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
             units[:, r, c], units[:, r, S] = units[:, r, S], units[:, r, c]
 
         alive = np.count_nonzero(~failed[:, :S], axis=1)
-        first = go & (alive < 2) & ~(on_shelf & ~failed[:, S]) & np.isnan(trdd[rows])
+        no_spare = ~(on_shelf & ~failed[:, S])
+        first = go & (alive < 2) & no_spare & np.isnan(trdd[rows])
         trdd[rows[first]] = t[first]
         if rotating:
-            first = go & (alive == S) & ~on_shelf & np.isnan(dp[rows])
+            first = go & (alive == S) & no_spare & np.isnan(dp[rows])
             dp[rows[first]] = t[first]
         dead = go & (alive == 0)
         tdt[rows[dead]] = t[dead]

@@ -252,8 +252,7 @@ class ScenarioTimeline:
     t_end: float
 
 
-def scenario_timeline(config: SystemConfig, *, stagger: float | None = None,
-                      policy=None) -> ScenarioTimeline:
+def scenario_timeline(config: SystemConfig, *, stagger: float | None = None) -> ScenarioTimeline:
     """Deterministic event sequence for the replace-on-failure policy.
 
     The two mains are commissioned fresh at t = 0; the first fails at the
@@ -270,8 +269,6 @@ def scenario_timeline(config: SystemConfig, *, stagger: float | None = None,
     Segment labels follow the declared phase windows; hazard values along
     the curve always use true unit ages.
     """
-    if policy is not None and getattr(policy, "kind", "type1") != "type1":
-        raise ValidationError("the analytic timeline models the replace-on-failure policy only")
     if stagger is None:
         stagger = config.unit_lifetime.sd
     if stagger < 0.0:

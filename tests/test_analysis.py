@@ -13,8 +13,9 @@ from redzone import (
     delta_sweep,
     detect_red_zone,
     lifetime_extension,
+    run_ensemble,
 )
-from redzone.analysis import baseline_from_curve, peak_ratio
+from redzone.analysis import apply_vendor_decision_point, baseline_from_curve, peak_ratio
 
 from conftest import make_redzone_system
 
@@ -179,7 +180,6 @@ class TestComparePolicies:
     def test_rotation_budget_bound(self):
         cfg = make_redzone_system(delta=2.0, mean=200.0)
         sim = SimConfig(replications=2000, master_seed=37)
-        from redzone import run_ensemble
         met = run_ensemble(cfg, Policy("type2", rotation_period=200.0 / 6), sim)
         assert float(np.max(met.trdd_values)) <= 1.55 * 200.0
 
@@ -190,3 +190,34 @@ class TestComparePolicies:
         report = compare_policies(cfg, Policy("type1"),
                                   Policy("type2", rotation_period=400.0), sim)
         assert abs(report.extension_ratio) < 0.05
+
+
+class TestApplyVendorDecisionPoint:
+    @staticmethod
+    def type1_metrics(horizon=None):
+        return run_ensemble(make_redzone_system(delta=2.0, mean=200.0), Policy("type1"),
+                            SimConfig(replications=20, master_seed=3, horizon=horizon))
+
+    def test_warn_factor_times_vendor_mtbf(self):
+        met = apply_vendor_decision_point(self.type1_metrics(), 200.0, 0.8)
+        assert met.dp.mean == met.dp.ci_low == met.dp.ci_high == pytest.approx(160.0)
+        assert met.dp.std == 0.0
+        assert met.dp.n == len(met.tdt_values)
+        np.testing.assert_array_equal(met.tdr_values, met.tdt_values - met.dp_values)
+        assert met.tdr.mean == pytest.approx(met.tdt.mean - 160.0)
+
+    @pytest.mark.parametrize("vendor_mtbf, horizon", [
+        (None, None),  # no vendor statistics: no decision point to estimate
+        (200.0, 50.0),  # every replication censored: no lifetime to measure a margin on
+    ])
+    def test_leaves_metrics_unchanged(self, vendor_mtbf, horizon):
+        met = apply_vendor_decision_point(self.type1_metrics(horizon), vendor_mtbf, 0.8)
+        assert met.dp is None and met.tdr is None
+        assert len(met.dp_values) == len(met.tdr_values) == 0
+
+    @pytest.mark.parametrize("vendor_mtbf, warn_factor", [
+        (0.0, 0.8), (-200.0, 0.8), (float("nan"), 0.8), (200.0, 0.0), (200.0, -0.5),
+    ])
+    def test_non_positive_input_rejected(self, vendor_mtbf, warn_factor):
+        with pytest.raises(DomainError):
+            apply_vendor_decision_point(self.type1_metrics(), vendor_mtbf, warn_factor)

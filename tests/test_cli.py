@@ -51,6 +51,23 @@ class TestParser:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["hazard", "--t-max", "inf"],
+        ["hazard", "--t-max", "nan"],
+        ["hazard", "--dt", "inf"],
+        ["hazard", "--dt", "nan"],
+        ["scenario", "--dt", "inf"],
+        ["scenario", "--dt", "nan"],
+        ["redzone", "--deltas", "nan"],
+        ["redzone", "--deltas", "1,inf"],
+    ], ids="_".join)
+    def test_non_finite_flag_exits_one(self, argv, tmp_path, capsys):
+        conf = write_config(tmp_path, sim={"replications": 5, "master_seed": 5})
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--config", conf, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {argv[1]}")
+        assert not out.exists()
+
 
 class TestHazardCommand:
     def test_header_and_flat_useful_phase(self, tmp_path):

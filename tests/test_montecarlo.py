@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,13 +141,14 @@ class TestSplitMix64:
 class TestRunReplication:
     def test_deterministic_type1_hand_trace(self):
         tr = run_replication(det_config(lab=0.0), Policy("type1"), seed=1, horizon=2000.0)
-        kinds = [(e.time, e.kind, e.unit, e.slot) for e in tr.events]
+        # the spare replaces the first failed unit; the second failure finds the shelf empty
+        kinds = [(e.time, e.kind, e.unit, e.slot, e.unit_out) for e in tr.events]
         assert kinds == [
-            (200.0, "failure", "controller_1", 0),
-            (200.0, "replace", "controller_3", 0),
-            (200.0, "failure", "controller_2", 1),
-            (400.0, "failure", "controller_3", 0),
-            (400.0, "system_death", None, None),
+            (200.0, "failure", "controller_1", 0, None),
+            (200.0, "replace", "controller_3", 0, "controller_1"),
+            (200.0, "failure", "controller_2", 1, None),
+            (400.0, "failure", "controller_3", 0, None),
+            (400.0, "system_death", None, None, None),
         ]
         assert tr.trdd == 200.0
         assert tr.tdt == 400.0
@@ -166,6 +168,28 @@ class TestRunReplication:
         assert tr.tdr == pytest.approx(100.0 / 3.0)
         rotations = [e for e in tr.events if e.kind == "rotate"]
         assert [e.slot for e in rotations[:2]] == [0, 1]
+
+    @pytest.mark.parametrize("lab, alpha, death, dp", [
+        (250.0, 0.0, 0.0, 150.0),  # dead on arrival: the lab credit exceeds the lifetime
+        (100.0, 1.0, 100.0, 100.0),  # shelf ageing exhausts the remaining 100 weeks
+    ], ids=["dead-on-arrival", "died-on-shelf"])
+    def test_failed_spare_is_never_used(self, lab, alpha, death, dp):
+        # A failed spare is neither installed nor rotated in.  The system is then
+        # still redundant with no usable shelf unit: that is the decision point,
+        # recorded at the first event epoch that sees it (the rotation at 150 for
+        # a dead-on-arrival spare).
+        traces = assert_batch_matches_scalar(det_config(lab=lab, alpha=alpha),
+                                             Policy("type2", rotation_period=150.0),
+                                             11, 3, horizon=2000.0)
+        tr = traces[0]
+        assert [(e.time, e.kind, e.unit, e.slot) for e in tr.events] == [
+            (death, "failure", "controller_3", "shelf"),
+            (dp, "dp", None, None),
+            (200.0, "failure", "controller_1", 0),
+            (200.0, "failure", "controller_2", 1),
+            (200.0, "system_death", None, None),
+        ]
+        assert (tr.trdd, tr.dp, tr.tdt) == (200.0, dp, 200.0)
 
     @pytest.mark.parametrize("tdt,dp,tdr", [
         (400.0, 160.0, 240.0),
@@ -319,6 +343,18 @@ class TestRunBatch:
             (death, "failure", 0), (death, "system_death", None),
         ]
         assert (traces[0].trdd, traces[0].dp, traces[0].tdt) == (200.0, None, death)
+
+    @pytest.mark.parametrize("policy", [Policy("type1"), Policy("type2", rotation_period=30.0)],
+                             ids=["type1", "type2"])
+    def test_subnormal_shelf_aging_factor(self, policy):
+        # (lifetime - consumed) / 1e-310 overflows: the shelf unit's failure time is
+        # inf in both engines, and no numpy overflow warning reaches the caller
+        cfg = SystemConfig(hazard=make_flat_bathtub(),
+                           unit_lifetime=LifetimeDistribution(208.0, 20.0),
+                           lab_burnin=2.0, shelf_aging_factor=1e-310)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert_batch_matches_scalar(cfg, policy, 42, 50)
 
 
 class TestEmpiricalHazard:

@@ -22,7 +22,6 @@ from redzone import (
     system_hazard_curve,
     unit_hazard,
 )
-from redzone.maintenance import Policy
 
 from conftest import make_bathtub, make_flat_bathtub, make_redzone_system
 
@@ -197,10 +196,6 @@ class TestScenarioTimeline:
         cfg = SystemConfig(hazard=model, unit_lifetime=LifetimeDistribution(150.0, 1.0))
         with pytest.raises(ValidationError):
             scenario_timeline(cfg)
-
-    def test_rotation_policy_rejected(self):
-        with pytest.raises(ValidationError):
-            scenario_timeline(self.worked_config(), policy=Policy("type2", rotation_period=30.0))
 
     @settings(max_examples=40, deadline=None)
     @given(
