@@ -15,7 +15,6 @@ from redzone import (
     UpgradeEvent,
     WeibullTerm,
     bathtub_hazard,
-    component_total_hazard,
     software_hazard,
 )
 
@@ -59,9 +58,11 @@ print(f"  steady-state floor: {software.steady_floor}")
 
 print()
 print("Total unit rate in mid-useful life (week 100):")
-total = component_total_hazard(100.0, hardware, software, operator)
-print(f"  hardware {bathtub_hazard(100.0, hardware):.5f}"
-      f" + software {software_hazard(100.0, software):.5f}"
+hw = bathtub_hazard(100.0, hardware)
+sw = software_hazard(100.0, software)
+total = hw + sw + operator.rate
+print(f"  hardware {hw:.5f}"
+      f" + software {sw:.5f}"
       f" + operator {operator.rate:.5f} = {total:.5f} failures/week")
 
 # The plateau is what redundancy design budgets around; burn-in and

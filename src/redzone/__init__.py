@@ -23,7 +23,6 @@ from .errors import (
     CompositionError,
     DomainError,
     RedzoneError,
-    StateError,
     ValidationError,
     ValidationWarning,
 )
@@ -37,7 +36,6 @@ from .hazards import (
     WeibullTerm,
     bathtub_cumulative,
     bathtub_hazard,
-    component_total_hazard,
     lognormal_sample,
     software_hazard,
     weibull_cumulative,
@@ -61,7 +59,6 @@ from .system import (
     effective_age,
     scenario_timeline,
     system_hazard_curve,
-    unit_hazard,
 )
 
 __version__ = "0.1.0"

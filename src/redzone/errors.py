@@ -13,10 +13,6 @@ class ValidationError(RedzoneError, ValueError):
     """A model, configuration, or document violates its construction contract."""
 
 
-class StateError(RedzoneError, RuntimeError):
-    """An operation was applied to an object in the wrong state."""
-
-
 class CompositionError(RedzoneError, ArithmeticError):
     """A redundancy composition is undefined (e.g. all units already failed)."""
 

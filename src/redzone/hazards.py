@@ -45,7 +45,6 @@ __all__ = [
     "standard_normal_quantile",
     "software_hazard",
     "software_cumulative",
-    "component_total_hazard",
 ]
 
 
@@ -127,8 +126,8 @@ class BathtubModel:
     ``th1``, ``th2``, ``th3`` declare the burn-in / useful / wear-out phase
     durations used for scenario boundaries; they are configuration, not
     values derived from the terms.  The wear-out onset always equals
-    ``th1 + th2``.  ``clamp_floor`` bounds the burn-in singularity at the
-    origin and defaults to ``1e-6 * th1``.
+    ``th1 + th2``.  ``clamp_floor``, ``1e-6 * th1``, bounds the burn-in
+    singularity at the origin.
     """
 
     useful_rate: float
@@ -137,7 +136,7 @@ class BathtubModel:
     th1: float
     th2: float
     th3: float
-    clamp_floor: float | None = None
+    clamp_floor: float = field(init=False)
 
     def __post_init__(self):
         _require(_finite_number(self.useful_rate) and self.useful_rate > 0.0,
@@ -149,10 +148,8 @@ class BathtubModel:
         for nm in ("th1", "th2", "th3"):
             v = getattr(self, nm)
             _require(_finite_number(v) and v > 0.0, f"{nm} must be > 0, got {v!r}")
-        if self.clamp_floor is None:
-            object.__setattr__(self, "clamp_floor", 1e-6 * self.th1)
-        _require(_finite_number(self.clamp_floor) and self.clamp_floor > 0.0,
-                 f"clamp_floor must be > 0, got {self.clamp_floor!r}")
+        object.__setattr__(self, "clamp_floor", 1e-6 * self.th1)
+        _require(self.clamp_floor > 0.0, f"clamp_floor must be > 0, got {self.clamp_floor!r}")
         if self.burnin.scale > 0.0:
             residual = weibull_hazard(self.th1, self.burnin)
             if residual > 0.01 * self.useful_rate:
@@ -443,17 +440,3 @@ class OperatorHazard:
     def __post_init__(self):
         _require(_finite_number(self.rate) and self.rate >= 0.0,
                  f"operator rate must be >= 0, got {self.rate!r}")
-
-
-def component_total_hazard(t, hw: BathtubModel,
-                           software: SoftwareHazardModel | None = None,
-                           operator: OperatorHazard | None = None):
-    """Total rate of one unit: hardware + software + operator at time ``t``."""
-    arr, scalar = _coerce_time(t)
-    h = np.asarray(bathtub_hazard(arr, hw), dtype=float)
-    if software is not None:
-        h = h + software_hazard(arr, software)
-    if operator is not None:
-        h = h + operator.rate
-    return _ret(h, scalar)
-

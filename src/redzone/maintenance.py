@@ -29,7 +29,6 @@ from .system import Unit, effective_age
 
 __all__ = [
     "Policy",
-    "default_rotation_period",
     "oldest_slot",
     "rotation_targets",
     "red_zone_condition",
@@ -52,16 +51,6 @@ class Policy:
         if self.kind == TYPE2:
             if self.rotation_period is None or not self.rotation_period > 0.0:
                 raise ValidationError("type2 needs rotation_period > 0")
-
-
-def default_rotation_period(unit_life_mean: float) -> float:
-    """Default rotation period: one sixth of the unit life.
-
-    Smaller periods equalize ages more tightly and push the redundant
-    lifetime toward the 1.5x unit-life budget limit, at the cost of more
-    touch points.
-    """
-    return unit_life_mean / 6.0
 
 
 def oldest_slot(slots: Sequence[Unit | None], shelf_aging_factor: float) -> int | None:

@@ -123,17 +123,14 @@ class SimConfig:
     """
 
     replications: int = 1000
-    master_seed: int = 0
+    master_seed: int = 1
     horizon: float | None = None
-    bin_width: float = 5.0
 
     def __post_init__(self):
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
         if self.horizon is not None and not self.horizon > 0.0:
             raise ValidationError("horizon must be > 0")
-        if not self.bin_width > 0.0:
-            raise ValidationError("bin_width must be > 0")
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,10 @@ class Trace:
     at which every slot holds an unfailed unit but no usable shelf unit is
     left, because the shelf is empty or its unit has failed.  Both are
     checked after each event epoch, so a dead-on-arrival spare is seen at
-    the first epoch, not at t = 0.
+    the first epoch, not at t = 0.  Likewise a fleet that starts without
+    redundancy (one slot, no usable spare) records ``trdd`` at its first
+    event epoch, and under type2 also ``dp``, since its single slot is
+    full: that epoch is the first rotation.
     """
 
     events: tuple[Event, ...]
@@ -168,7 +168,6 @@ class Trace:
     censored: bool
     end_time: float
     lifetimes: dict[str, float]
-    seed: int
 
     @property
     def tdr(self) -> float | None:
@@ -307,7 +306,7 @@ def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
 
     lifetimes = {u.id: u.lifetime for u in roster}
     return Trace(events=tuple(events), trdd=trdd, tdt=tdt, dp=dp,
-                 censored=censored, end_time=t, lifetimes=lifetimes, seed=seed)
+                 censored=censored, end_time=t, lifetimes=lifetimes)
 
 
 @dataclass(frozen=True)
@@ -347,13 +346,11 @@ class Metrics:
 
     Value arrays hold the defined observations only (a censored replication
     has no total lifetime); ``censored_count`` reports how many were cut at
-    the horizon and ``usable`` is False when every replication was.  The
-    red-zone assessment is attached by the analysis layer.
+    the horizon.
     """
 
     n_replications: int
     censored_count: int
-    usable: bool
     trdd: MetricSummary | None
     tdt: MetricSummary | None
     dp: MetricSummary | None
@@ -362,8 +359,6 @@ class Metrics:
     tdt_values: np.ndarray
     dp_values: np.ndarray
     tdr_values: np.ndarray
-    hazard: EmpiricalHazardCurve | None
-    red_zone: object | None = None
 
 
 # First axis of the batched engine's unit table: lifetime, lab credit, shelf age, on-job age.
@@ -502,17 +497,13 @@ def run_ensemble(config: SystemConfig, policy: Policy, sim: SimConfig, *,
     """
     out = run_batch(config, policy, sim.master_seed, sim.replications, horizon=sim.horizon,
                     n_slots=n_slots, with_spare=with_spare, lifetime_model=lifetime_model)
-    censored_count = int(np.count_nonzero(out.censored))
-    usable = censored_count < sim.replications
     trdd_values = _defined(out.trdd)
     tdt_values = _defined(out.tdt)
     dp_values = _defined(out.dp)
     tdr_values = _defined(out.tdt - out.dp)
-    hazard = empirical_hazard(out.end_time, tdt_values, sim.bin_width) if usable else None
     return Metrics(
         n_replications=sim.replications,
-        censored_count=censored_count,
-        usable=usable,
+        censored_count=int(np.count_nonzero(out.censored)),
         trdd=_summarize(trdd_values),
         tdt=_summarize(tdt_values),
         dp=_summarize(dp_values),
@@ -521,7 +512,6 @@ def run_ensemble(config: SystemConfig, policy: Policy, sim: SimConfig, *,
         tdt_values=tdt_values,
         dp_values=dp_values,
         tdr_values=tdr_values,
-        hazard=hazard,
     )
 
 
@@ -529,10 +519,11 @@ def empirical_hazard(end_times, death_times, bin_width: float) -> EmpiricalHazar
     """Binned hazard estimator: system deaths over at-risk system time.
 
     ``end_times`` holds every replication's end of observation (death or
-    horizon) and ``death_times`` the uncensored total lifetimes.  Bin j
-    covers [j*w, (j+1)*w); its rate is (deaths in bin) / (total time
-    systems spent at risk inside the bin).  Bins with zero at-risk time are
-    omitted.  Needs at least one death.
+    horizon) and ``death_times`` the uncensored total lifetimes: for an
+    ensemble, a :func:`run_batch` result's ``end_time`` and its non-NaN
+    ``tdt``.  Bin j covers [j*w, (j+1)*w); its rate is (deaths in bin) /
+    (total time systems spent at risk inside the bin).  Bins with zero
+    at-risk time are omitted.  Needs at least one death.
     """
     if not bin_width > 0.0:
         raise DomainError("bin_width must be > 0")

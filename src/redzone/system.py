@@ -25,8 +25,7 @@ effect the timeline exists to exhibit.
 Two readings of the lifetime spread are supported deliberately: the Monte
 Carlo engine treats it as the standard deviation of sampled lifetimes, and
 the deterministic timeline treats it as the explicit gap between the two
-main-unit failure times.  ``Unit.stagger`` expresses the related analytic
-device of evaluating one unit's hazard ahead by a fixed shift.
+main-unit failure times.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CompositionError, DomainError, StateError, ValidationError, ValidationWarning
+from .errors import CompositionError, DomainError, ValidationError, ValidationWarning
 from .hazards import (
     BathtubModel,
     LifetimeDistribution,
@@ -57,7 +56,6 @@ __all__ = [
     "ScenarioTimeline",
     "HazardCurve",
     "effective_age",
-    "unit_hazard",
     "compose_parallel",
     "scenario_timeline",
     "system_hazard_curve",
@@ -74,8 +72,6 @@ class Unit:
 
     ``lifetime`` is the sampled (or deterministic) total life budget in
     weeks.  Ages only ever increase; the simulator owns all mutation.
-    ``stagger`` shifts hazard evaluation forward in age and is nonzero only
-    for the second main unit in analytic studies.
     """
 
     id: str
@@ -83,7 +79,6 @@ class Unit:
     onjob_age: float = 0.0
     shelf_age: float = 0.0
     lab_burnin_credit: float = 0.0
-    stagger: float = 0.0
     status: str = ACTIVE
 
     def __post_init__(self):
@@ -112,14 +107,12 @@ class SystemConfig:
     ``lab_burnin`` is the burn-in credit (weeks) given to the provisioned
     shelf spare; practical lab runs are one or two weeks, far shorter than a
     typical burn-in phase, so a warning is emitted when it exceeds ``th1``.
-    ``warranty`` is reporting metadata only and is never simulated.
     """
 
     hazard: BathtubModel
     unit_lifetime: LifetimeDistribution
     shelf_aging_factor: float = 0.0
     lab_burnin: float = 2.0
-    warranty: float | None = None
     software: SoftwareHazardModel | None = None
     operator: OperatorHazard | None = None
 
@@ -136,26 +129,6 @@ class SystemConfig:
                 ValidationWarning,
                 stacklevel=3,  # past the dataclass-generated __init__ to its caller
             )
-
-
-def unit_hazard(unit: Unit, t: float, config: SystemConfig) -> float:
-    """Failure rate of one unit at calendar time ``t``.
-
-    Hardware is evaluated at the unit's effective age plus its stagger
-    shift.  Software runs only on powered units, so it contributes (at
-    calendar time) only while the unit is active in a slot; likewise the
-    operator term.  Shelf spares are powered off.
-    """
-    if unit.failed:
-        raise StateError(f"unit {unit.id} has failed; its hazard is undefined")
-    age = effective_age(unit, config.shelf_aging_factor) + unit.stagger
-    h = bathtub_hazard(age, config.hazard)
-    if unit.status == ACTIVE:
-        if config.software is not None:
-            h += software_hazard(t, config.software)
-        if config.operator is not None:
-            h += config.operator.rate
-    return float(h)
 
 
 def compose_parallel(hazards, cumulative_hazards):

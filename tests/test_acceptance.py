@@ -27,6 +27,7 @@ from redzone import (
     compose_parallel,
     delta_sweep,
     derive_seed,
+    empirical_hazard,
     lifetime_extension,
     run_ensemble,
     run_replication,
@@ -37,6 +38,7 @@ from redzone import (
 )
 from redzone.cli import main
 from redzone.config import parse_config
+from redzone.montecarlo import run_batch
 
 from conftest import make_bathtub, make_flat_bathtub, make_redzone_system
 
@@ -211,12 +213,9 @@ def test_criterion_9_empirical_hazard_recovers_constant_rate():
     with criterion(9, "binned hazard estimator recovers a constant rate within 3 SE", 60.0):
         rate = 0.01
         cfg = make_redzone_system(delta=1.0)
-        met = run_ensemble(cfg, Policy("type1"),
-                           SimConfig(replications=100_000, master_seed=909,
-                                     horizon=5_000.0, bin_width=10.0),
-                           n_slots=1, with_spare=False,
-                           lifetime_model=ExponentialLifetime(rate))
-        h = met.hazard
+        out = run_batch(cfg, Policy("type1"), 909, 100_000, horizon=5_000.0,
+                        n_slots=1, with_spare=False, lifetime_model=ExponentialLifetime(rate))
+        h = empirical_hazard(out.end_time, out.tdt[~np.isnan(out.tdt)], bin_width=10.0)
         first_two_lifetimes = h.midpoints <= 2.0 / rate
         assert np.count_nonzero(first_two_lifetimes) >= 20
         for r, d, e in zip(h.rates[first_two_lifetimes], h.deaths[first_two_lifetimes],

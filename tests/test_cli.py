@@ -68,20 +68,35 @@ class TestParser:
         assert capsys.readouterr().err.startswith(f"error: {argv[1]}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "redzone"])
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--replications", "0")])
+    def test_out_of_range_sim_flag_exits_one(self, command, flag, value, tmp_path, capsys):
+        conf = write_config(tmp_path, policy={"kind": "type1", "rotation_period": 50.0})
+        out = tmp_path / "out"
+        assert main([command, "--config", conf, "--out", str(out), flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}")
+        assert not out.exists()
+
 
 class TestHazardCommand:
-    def test_header_and_flat_useful_phase(self, tmp_path):
+    @pytest.mark.parametrize("terms, sw, op", [
+        ({}, 0.0, 0.0),
+        ({"software": {"steady_floor": 0.001}, "operator": {"rate": 0.0005}}, 0.001, 0.0005),
+    ], ids=["hardware-only", "all-terms"])
+    def test_header_and_flat_useful_phase(self, terms, sw, op, tmp_path):
         conf = write_config(
             tmp_path,
-            hazard={"burnin": {"scale": 0.0}, "wearout": {"scale": 0.0}})
+            hazard={"burnin": {"scale": 0.0}, "wearout": {"scale": 0.0}}, **terms)
         out = tmp_path / "h.csv"
         assert main(["hazard", "--config", conf, "--out", str(out),
                      "--t-max", "100", "--dt", "1"]) == 0
         header, rows = read_csv(out)
         assert header == ["t_weeks", "h_hardware", "h_software", "h_operate", "h_system"]
         assert len(rows) == 101
-        assert all(float(r[1]) == 0.01 for r in rows)
-        assert all(float(r[4]) == 0.01 for r in rows)
+        for r in rows:
+            h_hw, h_sw, h_op, h_sys = map(float, r[1:])
+            assert (h_hw, h_sw, h_op) == (0.01, sw, op)
+            assert h_sys == h_hw + h_sw + h_op
 
     def test_bathtub_shape_matches_library(self, tmp_path):
         import numpy as np

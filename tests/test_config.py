@@ -1,11 +1,12 @@
 import json
 import math
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 import redzone
-from redzone import ValidationError
+from redzone import SimConfig, SystemConfig, ValidationError
 from redzone.config import default_config, load_config, parse_config
 
 SCHEMA = json.loads((Path(redzone.__file__).parent / "schema" / "run_config.schema.json")
@@ -197,9 +198,15 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match=r"^sim\.replications"):
             parse_config({"schema_version": 1, "sim": {"replications": 100.0}})
 
-    def test_removed_dt_event_is_unknown(self):
-        with pytest.raises(ValidationError, match=r"^sim\.dt_event: unknown key"):
-            parse_config({"schema_version": 1, "sim": {"dt_event": 1e-6}})
+    @pytest.mark.parametrize("section, key, value", [
+        ("sim", "dt_event", 1e-6),
+        ("sim", "bin_width", 5.0),
+        ("system", "warranty", 104.0),
+    ], ids=["dt_event", "bin_width", "warranty"])
+    def test_removed_dt_event_is_unknown(self, section, key, value):
+        # keys an older configuration may still set; each is gone from the schema
+        with pytest.raises(ValidationError, match=rf"^{section}\.{key}: unknown key"):
+            parse_config({"schema_version": 1, section: {key: value}})
 
     def test_upgrade_event_defaults(self):
         doc = {"schema_version": 1, "software": {"steady_floor": 0.001, "upgrade_events": [{}]}}
@@ -227,6 +234,14 @@ class TestSchemaIsTheLoader:
     def test_default_config_validates(self):
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.validate(default_config(), SCHEMA)
+
+    @pytest.mark.parametrize("cls, section", [(SimConfig, "sim"), (SystemConfig, "system")])
+    def test_library_defaults_match_schema(self, cls, section):
+        # the constructors' defaults serve direct library use; they must say what the schema says
+        doc = default_config()
+        values = {**doc, **doc[section]}  # software and operator are top-level sections
+        defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+        assert defaults == {name: values[name] for name in defaults}
 
     def test_example_config_loads_and_validates(self):
         jsonschema = pytest.importorskip("jsonschema")

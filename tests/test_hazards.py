@@ -13,7 +13,6 @@ from redzone import (
     DomainError,
     ExponentialLifetime,
     LifetimeDistribution,
-    OperatorHazard,
     SoftwareHazardModel,
     UpgradeEvent,
     ValidationError,
@@ -21,7 +20,6 @@ from redzone import (
     WeibullTerm,
     bathtub_cumulative,
     bathtub_hazard,
-    component_total_hazard,
     lognormal_sample,
     software_hazard,
     weibull_cumulative,
@@ -309,27 +307,6 @@ class TestSoftwareHazard:
             x = np.linspace(a, b - 1e-9, 200_001)
             quad += float(np.trapezoid(software_hazard(x, m), x))
         assert quad == pytest.approx(software_cumulative(horizon, m), rel=1e-6)
-
-
-class TestComponentTotal:
-    def test_reduces_to_hardware_only(self, example_bathtub):
-        t = np.linspace(0.0, 120.0, 121)
-        assert np.array_equal(component_total_hazard(t, example_bathtub),
-                              bathtub_hazard(t, example_bathtub))
-
-    def test_term_sum_in_useful_phase(self):
-        model = make_bathtub(th1=20.0, th2=1e6, th3=40.0)
-        sw = SoftwareHazardModel(steady_floor=0.001)
-        op = OperatorHazard(0.0005)
-        total = component_total_hazard(1e5, model, sw, op)
-        assert total == pytest.approx(0.0115, rel=0.01)
-
-    def test_zero_amplitude_contributions_add_nothing(self, flat_bathtub):
-        sw = SoftwareHazardModel(steady_floor=0.0)
-        op = OperatorHazard(0.0)
-        t = np.linspace(0.0, 300.0, 301)
-        assert np.array_equal(component_total_hazard(t, flat_bathtub, sw, op),
-                              bathtub_hazard(t, flat_bathtub))
 
 
 @settings(max_examples=80, deadline=None)

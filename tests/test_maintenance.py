@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redzone import DomainError, Policy, Unit, ValidationError, red_zone_condition
-from redzone.maintenance import default_rotation_period, oldest_slot, rotation_targets
+from redzone.maintenance import oldest_slot, rotation_targets
 
 
 def unit(uid, onjob=0.0, shelf=0.0, credit=0.0, status="active", lifetime=1000.0):
@@ -26,9 +26,6 @@ class TestPolicy:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             Policy("type3")
-
-    def test_default_rotation_period_guidance(self):
-        assert default_rotation_period(200.0) == pytest.approx(200.0 / 6.0)
 
 
 class TestOldestSlot:

@@ -35,6 +35,10 @@ def hazard_of(traces, bin_width):
                             [tr.tdt for tr in traces if tr.tdt is not None], bin_width)
 
 
+def batch_hazard(out, bin_width):
+    return empirical_hazard(out.end_time, out.tdt[~np.isnan(out.tdt)], bin_width)
+
+
 def assert_batch_matches_scalar(config, policy, master_seed, replications, **kwargs):
     """Every per-replication result of run_batch equals run_replication's, exactly."""
     out = run_batch(config, policy, master_seed, replications, **kwargs)
@@ -191,6 +195,18 @@ class TestRunReplication:
         ]
         assert (tr.trdd, tr.dp, tr.tdt) == (200.0, dp, 200.0)
 
+    @pytest.mark.parametrize("policy, trdd, dp", [
+        (Policy("type1"), 200.0, None),
+        (Policy("type2", rotation_period=50.0), 50.0, 50.0),
+    ], ids=["type1", "type2"])
+    def test_single_slot_fleet_starts_without_redundancy(self, policy, trdd, dp):
+        # One slot and no spare: trdd is recorded at the first event epoch, the unit's
+        # death under type1 and the first rotation under type2, where the full slot
+        # with no usable shelf unit is also the decision point.
+        traces = assert_batch_matches_scalar(det_config(), policy, 11, 3, horizon=2000.0,
+                                             n_slots=1, with_spare=False)
+        assert (traces[0].trdd, traces[0].dp, traces[0].tdt) == (trdd, dp, 200.0)
+
     @pytest.mark.parametrize("tdt,dp,tdr", [
         (400.0, 160.0, 240.0),
         (300.0, 295.0, 5.0),
@@ -199,7 +215,7 @@ class TestRunReplication:
     ])
     def test_tdr_is_time_left_after_decision_point(self, tdt, dp, tdr):
         tr = Trace(events=(), trdd=None, tdt=tdt, dp=dp, censored=tdt is None,
-                   end_time=400.0, lifetimes={}, seed=0)
+                   end_time=400.0, lifetimes={})
         assert tr.tdr == tdr
 
     def test_same_seed_identical_traces(self):
@@ -296,9 +312,7 @@ class TestRunEnsemble:
         met = run_ensemble(det_config(), Policy("type1"),
                            SimConfig(replications=20, master_seed=5, horizon=50.0))
         assert met.censored_count == 20
-        assert not met.usable
         assert met.tdt is None
-        assert met.hazard is None
 
 
 class TestRunBatch:
@@ -359,12 +373,9 @@ class TestRunBatch:
 
 class TestEmpiricalHazard:
     def test_constant_rate_recovered(self):
-        met = run_ensemble(det_config(), Policy("type1"),
-                           SimConfig(replications=20_000, master_seed=13,
-                                     horizon=5000.0, bin_width=10.0),
-                           n_slots=1, with_spare=False,
-                           lifetime_model=ExponentialLifetime(0.01))
-        h = met.hazard
+        out = run_batch(det_config(), Policy("type1"), 13, 20_000, horizon=5000.0,
+                        n_slots=1, with_spare=False, lifetime_model=ExponentialLifetime(0.01))
+        h = batch_hazard(out, bin_width=10.0)
         early = h.midpoints <= 100.0
         for rate, d, e in zip(h.rates[early], h.deaths[early], h.exposure[early]):
             se = math.sqrt(max(d, 1.0)) / e
@@ -385,9 +396,7 @@ class TestEmpiricalHazard:
 
     def test_end_of_life_peak_dwarfs_useful_phase_rates(self):
         cfg = make_redzone_system(delta=1.0)
-        met = run_ensemble(cfg, Policy("type1"),
-                           SimConfig(replications=2_000, master_seed=23, bin_width=5.0))
-        h = met.hazard
+        h = batch_hazard(run_batch(cfg, Policy("type1"), 23, 2_000), bin_width=5.0)
         useful = (h.midpoints > cfg.hazard.th1) & (h.midpoints < cfg.hazard.wearout_onset)
         peak = float(np.max(h.rates))
         assert peak >= 2.0 * float(np.max(h.rates[useful], initial=0.0))

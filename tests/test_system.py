@@ -9,18 +9,14 @@ from redzone import (
     CompositionError,
     DomainError,
     LifetimeDistribution,
-    SoftwareHazardModel,
-    StateError,
     SystemConfig,
     Unit,
     ValidationError,
     ValidationWarning,
-    bathtub_hazard,
     compose_parallel,
     effective_age,
     scenario_timeline,
     system_hazard_curve,
-    unit_hazard,
 )
 
 from conftest import make_bathtub, make_flat_bathtub, make_redzone_system
@@ -55,46 +51,6 @@ class TestSystemConfig:
             SystemConfig(hazard=flat_bathtub, unit_lifetime=LifetimeDistribution(220.0, 0.0),
                          lab_burnin=flat_bathtub.th1 + 1.0)
         assert [w.filename for w in record] == [__file__]
-
-
-class TestUnitHazard:
-    def test_fresh_unit_useful_phase(self, flat_bathtub):
-        cfg = SystemConfig(hazard=flat_bathtub,
-                           unit_lifetime=LifetimeDistribution(220.0, 0.0))
-        u = Unit("u", lifetime=220.0, onjob_age=50.0)
-        assert unit_hazard(u, 50.0, cfg) == flat_bathtub.useful_rate
-
-    def test_stagger_shift_identity(self, example_bathtub):
-        cfg = SystemConfig(hazard=example_bathtub,
-                           unit_lifetime=LifetimeDistribution(220.0, 0.0))
-        delta = 7.5
-        for age in (5.0, 40.0, 90.0, 130.0):
-            c1_later = Unit("controller_1", lifetime=400.0, onjob_age=age + delta)
-            c2 = Unit("controller_2", lifetime=400.0, onjob_age=age, stagger=delta)
-            assert unit_hazard(c2, age, cfg) == unit_hazard(c1_later, age + delta, cfg)
-
-    def test_spare_installed_with_lab_credit(self, example_bathtub):
-        cfg = SystemConfig(hazard=example_bathtub,
-                           unit_lifetime=LifetimeDistribution(220.0, 0.0), lab_burnin=2.0)
-        spare = Unit("controller_3", lifetime=220.0, lab_burnin_credit=2.0)
-        assert unit_hazard(spare, 220.0, cfg) == bathtub_hazard(2.0, example_bathtub)
-
-    def test_failed_unit_rejected(self, flat_bathtub):
-        cfg = SystemConfig(hazard=flat_bathtub,
-                           unit_lifetime=LifetimeDistribution(220.0, 0.0))
-        u = Unit("u", lifetime=10.0, onjob_age=10.0, status="failed")
-        with pytest.raises(StateError):
-            unit_hazard(u, 10.0, cfg)
-
-    def test_software_only_while_in_slot(self, flat_bathtub):
-        sw = SoftwareHazardModel(steady_floor=0.003)
-        cfg = SystemConfig(hazard=flat_bathtub,
-                           unit_lifetime=LifetimeDistribution(220.0, 0.0), software=sw)
-        active = Unit("a", lifetime=220.0, onjob_age=30.0, status="active")
-        shelved = Unit("s", lifetime=220.0, shelf_age=30.0, status="shelf")
-        assert unit_hazard(active, 30.0, cfg) == pytest.approx(
-            flat_bathtub.useful_rate + 0.003)
-        assert unit_hazard(shelved, 30.0, cfg) == pytest.approx(flat_bathtub.useful_rate)
 
 
 class TestComposeParallel:
