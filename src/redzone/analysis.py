@@ -52,7 +52,6 @@ class RedZone:
     start: float
     end: float
     severity: float
-    baseline: float
 
     def __post_init__(self):
         if not self.start < self.end:
@@ -92,7 +91,7 @@ def detect_red_zone(curve: HazardCurve, baseline: float, threshold: float) -> Re
         # single-point run: widen to one grid step
         step = float(curve.times[1] - curve.times[0]) if len(curve.times) > 1 else 1e-9
         end = start + step
-    return RedZone(start=start, end=end, severity=severity, baseline=baseline)
+    return RedZone(start=start, end=end, severity=severity)
 
 
 def baseline_from_curve(curve: HazardCurve, useful_end: float,
@@ -217,13 +216,13 @@ class ComparisonReport:
 
 def apply_vendor_decision_point(metrics: Metrics, vendor_mtbf: float | None,
                                 warn_factor: float) -> Metrics:
-    """Attach the vendor-statistics decision point to type1 metrics.
+    """Type1 metrics with the vendor-statistics decision point attached.
 
     The replace-on-failure trace never reveals a decision point, so the
     operator estimates it as ``warn_factor * vendor_mtbf``; the factor is
     configuration, not truth.  The margin is the total lifetime minus that
-    constant, per replication.  Without a vendor MTBF, or without any
-    uncensored replication, the metrics are returned unchanged.
+    constant, per replication.  Returns a copy; without a vendor MTBF, or
+    without any uncensored replication, the metrics themselves.
     """
     if vendor_mtbf is None or metrics.tdt is None:
         return metrics
@@ -234,11 +233,9 @@ def apply_vendor_decision_point(metrics: Metrics, vendor_mtbf: float | None,
     dp = float(warn_factor * vendor_mtbf)
     dp_values = np.full(len(metrics.tdt_values), dp)
     tdr_values = metrics.tdt_values - dp
-    metrics.dp = MetricSummary(mean=dp, std=0.0, ci_low=dp, ci_high=dp, n=len(dp_values))
-    metrics.tdr = _summarize(tdr_values)
-    metrics.dp_values = dp_values
-    metrics.tdr_values = tdr_values
-    return metrics
+    return replace(metrics,
+                   dp=MetricSummary(mean=dp, std=0.0, ci_low=dp, ci_high=dp, n=len(dp_values)),
+                   tdr=_summarize(tdr_values), dp_values=dp_values, tdr_values=tdr_values)
 
 
 def compare_policies(config: SystemConfig, policy1: Policy, policy2: Policy,

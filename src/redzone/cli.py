@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import replace as dc_replace
+from itertools import islice
 
 import numpy as np
 
@@ -25,7 +26,8 @@ from .config import SCHEMA_VERSION, RunConfig, load_config
 from .errors import DomainError, ValidationError
 from .hazards import bathtub_hazard, software_hazard
 from .maintenance import Policy
-from .montecarlo import Metrics, derive_seed, run_ensemble, run_replication
+from .montecarlo import EventLog, Metrics, run_batch
+from .system import scenario_timeline
 
 __all__ = ["main", "build_parser"]
 
@@ -98,10 +100,16 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, header: list[str], lines) -> None:
+    """Write the header and the data lines, each already joined with commas.
+
+    Lines are written in blocks, so a long table is never held as one string.
+    """
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        while block := list(islice(lines, 65536)):
+            fh.write("\n".join(block) + "\n")
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -136,20 +144,33 @@ def _positive(flag: str, value: float) -> float:
     return value
 
 
+# The most float64 grid points numpy can hold in one array.
+_MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
+def _grid_step(flag: str, value: float, span: float) -> float:
+    """A finite step > 0 whose grid over [0, span] numpy can hold."""
+    _positive(flag, value)
+    if span / value >= _MAX_GRID_POINTS:
+        raise ValidationError(f"{flag} {value!r} gives {span / value:.3g} grid points over "
+                              f"[0, {span!r}] weeks, more than an array can hold")
+    return value
+
+
 def cmd_hazard(run: RunConfig, args) -> int:
     hz = run.system.hazard
     t_max = _positive("--t-max", args.t_max if args.t_max is not None
                       else 1.2 * (hz.th1 + hz.th2 + hz.th3))
-    dt = _positive("--dt", args.dt if args.dt is not None else run.curve_dt)
+    dt = _grid_step("--dt", args.dt if args.dt is not None else run.curve_dt, t_max)
     t = np.arange(0.0, t_max + 0.5 * dt, dt)
     h_hw = np.asarray(bathtub_hazard(t, hz), dtype=float)
     h_sw = (np.asarray(software_hazard(t, run.system.software), dtype=float)
             if run.system.software is not None else np.zeros_like(t))
     h_op = np.full_like(t, run.system.operator.rate if run.system.operator else 0.0)
     h_sys = h_hw + h_sw + h_op
-    rows = ([_f(a), _f(b), _f(c), _f(dd), _f(e)]
-            for a, b, c, dd, e in zip(t, h_hw, h_sw, h_op, h_sys))
-    _write_csv(args.out, ["t_weeks", "h_hardware", "h_software", "h_operate", "h_system"], rows)
+    columns = (t.tolist(), h_hw.tolist(), h_sw.tolist(), h_op.tolist(), h_sys.tolist())
+    _write_csv(args.out, ["t_weeks", "h_hardware", "h_software", "h_operate", "h_system"],
+               (f"{a!r},{b!r},{c!r},{d!r},{e!r}" for a, b, c, d, e in zip(*columns)))
     return 0
 
 
@@ -164,7 +185,8 @@ def cmd_scenario(run: RunConfig, args) -> int:
     if kind != "type1":
         raise ValidationError(f"scenario: policy {kind} is not modelled; the analytic "
                               "timeline covers the replace-on-failure policy (type1) only")
-    dt = _positive("--dt", args.dt if args.dt is not None else run.curve_dt)
+    dt = _grid_step("--dt", args.dt if args.dt is not None else run.curve_dt,
+                    scenario_timeline(run.system).t_end)
     assessment = assess_red_zone(run.system, threshold=run.red_zone_threshold, dt=dt,
                                  baseline_window_fraction=run.baseline_window_fraction)
     zone = assessment.zone
@@ -174,7 +196,7 @@ def cmd_scenario(run: RunConfig, args) -> int:
 
     rows = []
     for seg in assessment.timeline.segments:
-        rows.append([
+        rows.append(",".join([
             _f(seg.t_start),
             _f(seg.t_end),
             seg.composition,
@@ -182,14 +204,14 @@ def cmd_scenario(run: RunConfig, args) -> int:
             ";".join(au.unit_id for au in seg.units),
             ";".join(au.phase for au in seg.units),
             "1" if in_zone(seg) else "0",
-        ])
+        ]))
     _write_csv(args.out,
                ["t_start_weeks", "t_end_weeks", "composition", "boundary",
                 "active_units", "phases", "red_zone"],
                rows)
     curve = assessment.curve
     _write_csv(_curve_sibling(args.out), ["t_weeks", "h_system"],
-               ([_f(a), _f(b)] for a, b in zip(curve.times, curve.rates)))
+               (f"{a!r},{b!r}" for a, b in zip(curve.times.tolist(), curve.rates.tolist())))
     return 0
 
 
@@ -220,28 +242,18 @@ def _zone_doc(zone) -> dict | None:
             "severity": float(zone.severity)}
 
 
-def _write_events_csv(path: str, config, policy, sim) -> None:
-    rows = []
-    horizon = sim.horizon
-    for i in range(sim.replications):
-        tr = run_replication(config, policy, derive_seed(sim.master_seed, i),
-                             horizon=horizon)
-        for ev in tr.events:
-            rows.append([
-                str(i),
-                _f(ev.time),
-                ev.kind,
-                ev.unit or "",
-                "" if ev.slot is None else str(ev.slot),
-                ev.unit_out or "",
-            ])
-    _write_csv(path, ["replication", "time_weeks", "kind", "unit", "slot", "unit_out"], rows)
+def _write_events_csv(path: str, log: EventLog) -> None:
+    _write_csv(path, ["replication", "time_weeks", "kind", "unit", "slot", "unit_out"],
+               (f"{i},{t!r},{k},{u or ''},{'' if s is None else s},{o or ''}"
+                for i, t, k, u, s, o in zip(*log.fields())))
 
 
 def cmd_simulate(run: RunConfig, args) -> int:
     policy = _resolve_policy(run, args.policy)
     sim = _resolve_sim(run, args)
-    metrics = run_ensemble(run.system, policy, sim)
+    out = run_batch(run.system, policy, sim.master_seed, sim.replications,
+                    horizon=sim.horizon, record_events=bool(args.events_out))
+    metrics = Metrics.from_batch(out)
     if policy.kind == "type1":
         metrics = apply_vendor_decision_point(metrics, run.vendor_mtbf, run.warn_factor)
     assessment = assess_red_zone(run.system, threshold=run.red_zone_threshold,
@@ -257,7 +269,7 @@ def cmd_simulate(run: RunConfig, args) -> int:
     }
     _write_json(args.out, doc)
     if args.events_out:
-        _write_events_csv(args.events_out, run.system, policy, sim)
+        _write_events_csv(args.events_out, out.events)
     return 0
 
 
@@ -302,13 +314,13 @@ def cmd_redzone(run: RunConfig, args) -> int:
         deltas = [0.1 * th3, 0.5 * th3, 2.0 * th3, 4.0 * th3]
     rows = delta_sweep(run.system, deltas, policy, sim,
                        threshold=run.red_zone_threshold, dt=run.curve_dt)
-    out_rows = [[
+    out_rows = [",".join([
         _f(r.delta),
         "1" if r.predicted else "0",
         "1" if r.detected else "0",
         _f(r.severity),
         "" if r.trdd_mean is None else _f(r.trdd_mean),
-    ] for r in rows]
+    ]) for r in rows]
     _write_csv(args.out,
                ["delta_weeks", "predicted", "detected", "severity", "trdd_mean_weeks"],
                out_rows)

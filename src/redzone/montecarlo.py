@@ -8,12 +8,15 @@ form; there is no integration step.  Simultaneous events are ordered
 failure < replace < rotate, and equal-time failures break ties by slot
 index.
 
-Two engines run this model.  :func:`run_replication` is the scalar event
-loop: it returns one replication's full event log and is the reference the
-tests hold the other engine to.  :func:`run_batch` runs all replications of
-an ensemble in lockstep over numpy arrays, one pass per event epoch, and
+Two engines run this model.  :func:`run_batch` runs all replications of an
+ensemble in lockstep over numpy arrays, one pass per event epoch, and
 repeats the scalar loop's floating-point operations in the same order, so
-its per-replication results are bit-identical; :func:`run_ensemble` uses it.
+its per-replication results are bit-identical; on request it also records
+every replication's event log as one :class:`EventLog` table.  It is the
+engine every command runs, through :func:`run_ensemble` or directly.
+:func:`run_replication` is the scalar event loop, kept as the oracle only:
+it returns one replication's event log, and the tests hold the batched
+engine's results and event logs to it.
 
 Randomness comes from splitmix64 streams: 64-bit state advanced by the
 golden-gamma increment 0x9E3779B97F4A7C15 and finalized by the standard
@@ -48,6 +51,8 @@ __all__ = [
     "SplitMix64",
     "derive_seed",
     "run_replication",
+    "EVENT_KINDS",
+    "EventLog",
     "BatchOutcomes",
     "run_batch",
     "run_ensemble",
@@ -340,7 +345,7 @@ class EmpiricalHazardCurve:
     exposure: np.ndarray
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Metrics:
     """Ensemble statistics over N replications.
 
@@ -360,9 +365,73 @@ class Metrics:
     dp_values: np.ndarray
     tdr_values: np.ndarray
 
+    @classmethod
+    def from_batch(cls, out: BatchOutcomes) -> Metrics:
+        """Aggregate a :func:`run_batch` result in replication order."""
+        trdd_values = _defined(out.trdd)
+        tdt_values = _defined(out.tdt)
+        dp_values = _defined(out.dp)
+        tdr_values = _defined(out.tdt - out.dp)
+        return cls(
+            n_replications=len(out.trdd),
+            censored_count=int(np.count_nonzero(out.censored)),
+            trdd=_summarize(trdd_values),
+            tdt=_summarize(tdt_values),
+            dp=_summarize(dp_values),
+            tdr=_summarize(tdr_values),
+            trdd_values=trdd_values,
+            tdt_values=tdt_values,
+            dp_values=dp_values,
+            tdr_values=tdr_values,
+        )
 
-# First axis of the batched engine's unit table: lifetime, lab credit, shelf age, on-job age.
-_LIFE, _LAB, _SHELF, _ONJOB = range(4)
+
+def _defined(values: np.ndarray) -> np.ndarray:
+    return values[~np.isnan(values)]
+
+
+# First axis of the batched engine's unit table: lifetime, lab credit, shelf age,
+# on-job age, and (only while recording events) the unit's roster index.
+_LIFE, _LAB, _SHELF, _ONJOB, _ID = range(5)
+
+EVENT_KINDS = ("failure", "replace", "rotate", "dp", "system_death")
+_FAILURE, _REPLACE, _ROTATE, _DP, _DEATH = range(len(EVENT_KINDS))
+# Codes of EventLog.unit/unit_out and EventLog.slot, decoded by indexing these
+# tables: a roster index or -1 for no unit; a slot index, -2 the shelf or -1 none.
+_NONE, _SHELF_SLOT = -1, -2
+_UNIT_IDS = np.array(["controller_1", "controller_2", "controller_3", None], dtype=object)
+_SLOTS = np.array([0, 1, "shelf", None], dtype=object)
+_KIND_NAMES = np.array(EVENT_KINDS, dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """The event logs of a :func:`run_batch` ensemble as one table.
+
+    One row per event, grouped by ascending replication; each replication's
+    rows are in the order of ``run_replication(...).events``.  ``kind``
+    indexes :data:`EVENT_KINDS`; ``unit`` and ``unit_out`` hold a roster
+    index (unit i is ``controller_{i+1}``) or -1 for none; ``slot`` holds a
+    slot index, -2 for the shelf or -1 for none.
+    """
+
+    replication: np.ndarray
+    time: np.ndarray
+    kind: np.ndarray
+    unit: np.ndarray
+    slot: np.ndarray
+    unit_out: np.ndarray
+
+    def fields(self) -> tuple[list, ...]:
+        """The columns as lists of :class:`Event` field values.
+
+        Returns (replication, time, kind, unit, slot, unit_out); a row's last
+        five values equal the ``time``, ``kind``, ``unit``, ``slot`` and
+        ``unit_out`` of the scalar event.
+        """
+        return (self.replication.tolist(), self.time.tolist(),
+                _KIND_NAMES[self.kind].tolist(), _UNIT_IDS[self.unit].tolist(),
+                _SLOTS[self.slot].tolist(), _UNIT_IDS[self.unit_out].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,6 +439,7 @@ class BatchOutcomes:
     """Per-replication results of :func:`run_batch`, in replication order.
 
     ``trdd``, ``tdt`` and ``dp`` hold NaN where the scalar trace holds None.
+    ``events`` is the ensemble's event log when it was recorded, else None.
     """
 
     trdd: np.ndarray
@@ -377,11 +447,12 @@ class BatchOutcomes:
     dp: np.ndarray
     censored: np.ndarray
     end_time: np.ndarray
+    events: EventLog | None = None
 
 
 def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replications: int, *,
               horizon: float | None = None, n_slots: int = 2, with_spare: bool = True,
-              lifetime_model=None) -> BatchOutcomes:
+              lifetime_model=None, record_events: bool = False) -> BatchOutcomes:
     """Simulate replications 0..N-1 of ``master_seed`` in lockstep.
 
     The struct-of-arrays form of :func:`run_replication`: one row per
@@ -392,6 +463,12 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
     replication i equals ``run_replication(config, policy,
     derive_seed(master_seed, i), ...)`` exactly.  ``lifetime_model.sample``
     is called once, on a (replications, units) array of uniforms.
+
+    With ``record_events`` the result also holds the event log of every
+    replication (:class:`EventLog`), equal to the scalar traces' events.
+    Each pass appends one block of rows per event kind, in the scalar
+    loop's order within an epoch, and a stable sort on the replication
+    index then groups the blocks into per-replication logs.
     """
     if n_slots not in (1, 2):
         raise ValidationError("n_slots must be 1 or 2")
@@ -404,7 +481,7 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
     n_units = n_slots + int(with_spare)
 
     u = _uniforms(_derive_seeds(master_seed, replications), n_units)
-    units = np.zeros((4, replications, S + 1))
+    units = np.zeros((_ID + int(record_events), replications, S + 1))
     units[_LIFE, :, :n_units] = model.sample(u)
     units[_LAB, :, S] = config.lab_burnin
     on_shelf = np.full(replications, with_spare)
@@ -420,6 +497,15 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
     dp = np.full(replications, np.nan)
     censored = np.zeros(replications, dtype=bool)
     end_time = np.empty(replications)
+
+    blocks: list[tuple] = []  # (replication, time, kind, unit, slot, unit_out)
+
+    def record(sel, kind, unit=_NONE, slot=_NONE, unit_out=_NONE):
+        blocks.append((rows[sel], t[sel], kind, unit, slot, unit_out))
+
+    if record_events:
+        units[_ID] = np.arange(S + 1)
+        record(failed[:, S], _FAILURE, S, _SHELF_SLOT)
 
     while rows.size:
         consumed = units[_LAB] + alpha * units[_SHELF] + units[_ONJOB]
@@ -451,11 +537,17 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
             hit = go & (fail_at[:, s] == t)
             failed[hit, s] = True
             install = hit & on_shelf & ~failed[:, S]
+            if record_events:
+                record(hit, _FAILURE, units[_ID, hit, s], s)
+                record(install, _REPLACE, units[_ID, install, S], s, units[_ID, install, s])
             units[:, install, s] = units[:, install, S]
             failed[install, s] = False
             on_shelf[install] = False
         if alpha > 0.0:
-            failed[go & on_shelf & (shelf_fail_at == t), S] = True
+            hit = go & on_shelf & (shelf_fail_at == t)
+            failed[hit, S] = True
+            if record_events:
+                record(hit, _FAILURE, units[_ID, hit, S], _SHELF_SLOT)
         if rotating:
             hit = go & (rotate_at == t)
             rotation[hit] += 1.0
@@ -463,6 +555,8 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
             target = rotation_targets(ages, ~failed[:, :S], on_shelf & ~failed[:, S])
             r = np.flatnonzero(hit & (target >= 0))
             c = target[r]
+            if record_events:
+                record(r, _ROTATE, units[_ID, r, S], c, units[_ID, r, c])
             units[:, r, c], units[:, r, S] = units[:, r, S], units[:, r, c]
 
         alive = np.count_nonzero(~failed[:, :S], axis=1)
@@ -472,19 +566,33 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
         if rotating:
             first = go & (alive == S) & no_spare & np.isnan(dp[rows])
             dp[rows[first]] = t[first]
+            if record_events:
+                record(first, _DP)
         dead = go & (alive == 0)
         tdt[rows[dead]] = t[dead]
         end_time[rows[dead]] = t[dead]
+        if record_events:
+            record(dead, _DEATH)
 
         keep = go & ~dead
         rows, t, rotation = rows[keep], t[keep], rotation[keep]
         units, failed, on_shelf = units[:, keep], failed[keep], on_shelf[keep]
 
-    return BatchOutcomes(trdd=trdd, tdt=tdt, dp=dp, censored=censored, end_time=end_time)
+    events = _event_log(blocks) if record_events else None
+    return BatchOutcomes(trdd=trdd, tdt=tdt, dp=dp, censored=censored, end_time=end_time,
+                         events=events)
 
 
-def _defined(values: np.ndarray) -> np.ndarray:
-    return values[~np.isnan(values)]
+def _event_log(blocks: list[tuple]) -> EventLog:
+    """Concatenate the recorded blocks and group them by replication, stably."""
+    sizes = [len(b[0]) for b in blocks]
+    columns = [np.concatenate([np.broadcast_to(b[j], n) for b, n in zip(blocks, sizes)])
+               for j in range(6)]
+    order = np.argsort(columns[0], kind="stable")
+    replication, time, kind, unit, slot, unit_out = (col[order] for col in columns)
+    return EventLog(replication=replication, time=time, kind=kind.astype(np.int8),
+                    unit=unit.astype(np.int8), slot=slot.astype(np.int8),
+                    unit_out=unit_out.astype(np.int8))
 
 
 def run_ensemble(config: SystemConfig, policy: Policy, sim: SimConfig, *,
@@ -495,24 +603,9 @@ def run_ensemble(config: SystemConfig, policy: Policy, sim: SimConfig, *,
     Replication i uses seed ``derive_seed(sim.master_seed, i)``, and its
     values equal those of :func:`run_replication` for that seed.
     """
-    out = run_batch(config, policy, sim.master_seed, sim.replications, horizon=sim.horizon,
-                    n_slots=n_slots, with_spare=with_spare, lifetime_model=lifetime_model)
-    trdd_values = _defined(out.trdd)
-    tdt_values = _defined(out.tdt)
-    dp_values = _defined(out.dp)
-    tdr_values = _defined(out.tdt - out.dp)
-    return Metrics(
-        n_replications=sim.replications,
-        censored_count=int(np.count_nonzero(out.censored)),
-        trdd=_summarize(trdd_values),
-        tdt=_summarize(tdt_values),
-        dp=_summarize(dp_values),
-        tdr=_summarize(tdr_values),
-        trdd_values=trdd_values,
-        tdt_values=tdt_values,
-        dp_values=dp_values,
-        tdr_values=tdr_values,
-    )
+    return Metrics.from_batch(run_batch(
+        config, policy, sim.master_seed, sim.replications, horizon=sim.horizon,
+        n_slots=n_slots, with_spare=with_spare, lifetime_model=lifetime_model))
 
 
 def empirical_hazard(end_times, death_times, bin_width: float) -> EmpiricalHazardCurve:

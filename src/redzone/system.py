@@ -216,7 +216,6 @@ class ScenarioTimeline:
     """Deterministic replace-on-failure life of the two-main + spare system."""
 
     config: SystemConfig
-    stagger: float
     segments: tuple[ScenarioSegment, ...]
     t0: float
     tf1: float
@@ -292,7 +291,7 @@ def scenario_timeline(config: SystemConfig, *, stagger: float | None = None) -> 
         add(min(spare_onset, t_end), t_end, (replace(spare, phase=PHASE_WEAROUT),),
             "single", tf2, "spare_wearout")
 
-    return ScenarioTimeline(config=config, stagger=float(stagger), segments=tuple(segs),
+    return ScenarioTimeline(config=config, segments=tuple(segs),
                             t0=t0, tf1=tf1, tf2=tf2, t2=t2, t_end=t_end)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,15 @@ class TestApplyVendorDecisionPoint:
         assert met.dp.n == len(met.tdt_values)
         np.testing.assert_array_equal(met.tdr_values, met.tdt_values - met.dp_values)
         assert met.tdr.mean == pytest.approx(met.tdt.mean - 160.0)
+
+    def test_input_metrics_unchanged(self):
+        given_metrics = self.type1_metrics()
+        met = apply_vendor_decision_point(given_metrics, 200.0, 0.8)
+        assert met is not given_metrics and met.dp is not None
+        assert given_metrics.dp is None and given_metrics.tdr is None
+        assert len(given_metrics.dp_values) == len(given_metrics.tdr_values) == 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            given_metrics.dp = met.dp
 
     @pytest.mark.parametrize("vendor_mtbf, horizon", [
         (None, None),  # no vendor statistics: no decision point to estimate

@@ -3,7 +3,11 @@ import json
 
 import pytest
 
+from redzone import Policy, derive_seed, run_replication
+from redzone import cli
 from redzone.cli import build_parser, main
+from redzone.config import load_config
+from redzone.montecarlo import run_batch
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -66,6 +70,15 @@ class TestParser:
         out = tmp_path / "out.csv"
         assert main([*argv, "--config", conf, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {argv[1]}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["hazard", "scenario"])
+    def test_grid_too_large_for_an_array_exits_one(self, command, tmp_path, capsys):
+        # numpy refuses this grid's size before it allocates anything
+        conf = write_config(tmp_path)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", conf, "--out", str(out), "--dt", "1e-300"]) == 1
+        assert capsys.readouterr().err.startswith("error: --dt 1e-300 gives ")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "compare", "redzone"])
@@ -226,15 +239,55 @@ class TestSimulateCommand:
         jsonschema.validate(json.loads(Path(conf).read_text()),
                             json.loads((schema_dir / "run_config.schema.json").read_text()))
 
-    def test_events_csv(self, tmp_path):
-        conf = write_config(tmp_path, sim={"replications": 2, "master_seed": 5})
+    @pytest.mark.parametrize("policy, system, horizon", [
+        # lab credit near the mean lifetime: some spares are dead on arrival
+        (Policy("type1"), {"lab_burnin": 189.0}, None),
+        (Policy("type2", rotation_period=30.0), {"lab_burnin": 2.0, "shelf_aging_factor": 0.5},
+         245.0),
+    ], ids=["type1-dead-on-arrival", "type2-censored"])
+    def test_events_csv(self, policy, system, horizon, tmp_path):
+        reps, seed = 40, 5
+        conf = write_config(tmp_path, lifetime={"mean": 200.0, "sd": 10.0}, system=system,
+                            policy={"kind": policy.kind,
+                                    "rotation_period": policy.rotation_period},
+                            sim={"replications": reps, "master_seed": seed,
+                                 "horizon": horizon})
         out = tmp_path / "sim.json"
         ev = tmp_path / "events.csv"
         assert main(["simulate", "--config", conf, "--out", str(out),
                      "--events-out", str(ev)]) == 0
         header, rows = read_csv(ev)
         assert header == ["replication", "time_weeks", "kind", "unit", "slot", "unit_out"]
-        assert any(r[2] == "system_death" for r in rows)
+        config = load_config(conf).system
+        expected = [
+            [str(i), repr(e.time), e.kind, e.unit or "", "" if e.slot is None else str(e.slot),
+             e.unit_out or ""]
+            for i in range(reps)
+            for e in run_replication(config, policy, derive_seed(seed, i),
+                                     horizon=horizon).events]
+        assert rows == expected
+        deaths = sum(r[2] == "system_death" for r in rows)
+        assert deaths == reps - json.loads(out.read_text())["censored_count"]
+        if policy.kind == "type1":
+            assert 0 < sum(r[:3] == [r[0], "0.0", "failure"] for r in rows) < reps
+        else:
+            assert 0 < deaths < reps and any(r[2] == "rotate" for r in rows)
+
+    @pytest.mark.parametrize("events", [False, True], ids=["summary", "events-out"])
+    def test_one_ensemble_pass(self, events, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["record_events"])
+            return run_batch(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_batch", counted)
+        conf = write_config(tmp_path, sim={"replications": 5, "master_seed": 5})
+        argv = ["simulate", "--config", conf, "--out", str(tmp_path / "sim.json")]
+        if events:
+            argv += ["--events-out", str(tmp_path / "events.csv")]
+        assert main(argv) == 0
+        assert calls == [events]
 
     def test_malformed_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -39,9 +39,12 @@ def batch_hazard(out, bin_width):
     return empirical_hazard(out.end_time, out.tdt[~np.isnan(out.tdt)], bin_width)
 
 
-def assert_batch_matches_scalar(config, policy, master_seed, replications, **kwargs):
-    """Every per-replication result of run_batch equals run_replication's, exactly."""
-    out = run_batch(config, policy, master_seed, replications, **kwargs)
+def assert_batch_matches_scalar(config, policy, master_seed, replications, *,
+                                record_events=True, **kwargs):
+    """Every per-replication result of run_batch equals run_replication's, exactly,
+    and so does every recorded event: time, kind, unit, slot and unit_out."""
+    out = run_batch(config, policy, master_seed, replications, record_events=record_events,
+                    **kwargs)
     traces = [run_replication(config, policy, derive_seed(master_seed, i), **kwargs)
               for i in range(replications)]
 
@@ -52,6 +55,12 @@ def assert_batch_matches_scalar(config, policy, master_seed, replications, **kwa
     for name in ("trdd", "tdt", "dp", "end_time"):
         np.testing.assert_array_equal(getattr(out, name), column(name), err_msg=name)
     np.testing.assert_array_equal(out.censored, [tr.censored for tr in traces])
+    if record_events:
+        assert list(zip(*out.events.fields())) == [
+            (i, e.time, e.kind, e.unit, e.slot, e.unit_out)
+            for i, tr in enumerate(traces) for e in tr.events]
+    else:
+        assert out.events is None
     return traces
 
 
@@ -315,33 +324,49 @@ class TestRunEnsemble:
         assert met.tdt is None
 
 
+# Fleets for the differential tests: both policies, shelf ageing, sd = 0 ties,
+# lab credit with dead-on-arrival spares, horizon censoring, one or two slots,
+# with or without a spare, and the exponential model.
+fleets = given(
+    rotation_period=st.one_of(st.none(), st.floats(5.0, 120.0)),
+    alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    sd=st.one_of(st.just(0.0), st.floats(0.5, 60.0)),
+    lab=st.one_of(st.just(0.0), st.floats(0.0, 20.0), st.floats(150.0, 400.0)),
+    horizon=st.one_of(st.none(), st.floats(50.0, 1500.0)),
+    n_slots=st.sampled_from([1, 2]),
+    with_spare=st.booleans(),
+    exponential=st.booleans(),
+    master_seed=st.integers(0, 2 ** 64 + 100),
+)
+
+
+def assert_fleet_matches_scalar(rotation_period, alpha, sd, lab, horizon, n_slots,
+                                with_spare, exponential, master_seed, record_events):
+    cfg = SystemConfig(hazard=make_flat_bathtub(),
+                       unit_lifetime=LifetimeDistribution(208.0, sd),
+                       lab_burnin=lab, shelf_aging_factor=alpha)
+    policy = (Policy("type1") if rotation_period is None
+              else Policy("type2", rotation_period=rotation_period))
+    assert_batch_matches_scalar(
+        cfg, policy, master_seed, 30, record_events=record_events, horizon=horizon,
+        n_slots=n_slots, with_spare=with_spare,
+        lifetime_model=ExponentialLifetime(1.0 / 208.0) if exponential else None)
+
+
 class TestRunBatch:
     """The batched engine against the scalar oracle, replication by replication."""
 
     @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
     @settings(max_examples=80, deadline=None)
-    @given(
-        rotation_period=st.one_of(st.none(), st.floats(5.0, 120.0)),
-        alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-        sd=st.one_of(st.just(0.0), st.floats(0.5, 60.0)),
-        lab=st.one_of(st.just(0.0), st.floats(0.0, 20.0), st.floats(150.0, 400.0)),
-        horizon=st.one_of(st.none(), st.floats(50.0, 1500.0)),
-        n_slots=st.sampled_from([1, 2]),
-        with_spare=st.booleans(),
-        exponential=st.booleans(),
-        master_seed=st.integers(0, 2 ** 64 + 100),
-    )
-    def test_matches_run_replication(self, rotation_period, alpha, sd, lab, horizon,
-                                     n_slots, with_spare, exponential, master_seed):
-        cfg = SystemConfig(hazard=make_flat_bathtub(),
-                           unit_lifetime=LifetimeDistribution(208.0, sd),
-                           lab_burnin=lab, shelf_aging_factor=alpha)
-        policy = (Policy("type1") if rotation_period is None
-                  else Policy("type2", rotation_period=rotation_period))
-        assert_batch_matches_scalar(
-            cfg, policy, master_seed, 30, horizon=horizon, n_slots=n_slots,
-            with_spare=with_spare,
-            lifetime_model=ExponentialLifetime(1.0 / 208.0) if exponential else None)
+    @fleets
+    def test_matches_run_replication(self, **fleet):
+        assert_fleet_matches_scalar(**fleet, record_events=False)
+
+    @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
+    @settings(max_examples=80, deadline=None)
+    @fleets
+    def test_event_log_matches_run_replication(self, **fleet):
+        assert_fleet_matches_scalar(**fleet, record_events=True)
 
     @pytest.mark.parametrize("alpha, death", [(0.0, 400.0), (1.0, 200.0)])
     def test_failures_at_rotation_epoch(self, alpha, death):
