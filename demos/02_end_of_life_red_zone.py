@@ -39,7 +39,7 @@ def study(spread_weeks: float) -> None:
         units = ", ".join(f"{u.unit_id}[{u.phase}]" for u in seg.units)
         print(f"    [{seg.t_start:7.1f}, {seg.t_end:7.1f})  {units}")
 
-    result = assess_red_zone(config, threshold=2.0, dt=0.1)
+    result = assess_red_zone(config, threshold=2.0, dt=0.1, baseline_window_fraction=0.8)
     print(f"  useful-phase baseline: {result.baseline:.5f} failures/week")
     print(f"  peak over baseline in the failure window: {result.severity:.2f}x")
     if result.zone is not None:

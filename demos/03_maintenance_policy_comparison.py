@@ -43,6 +43,7 @@ report = compare_policies(
     Policy("type2", rotation_period=MEAN_LIFE / 6.0),
     SimConfig(replications=5000, master_seed=2024),
     vendor_mtbf=MEAN_LIFE,   # the only statistic available under type1
+    warn_factor=0.8,         # type1 decision point at 80% of the vendor MTBF
 )
 
 

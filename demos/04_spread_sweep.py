@@ -45,6 +45,8 @@ rows = delta_sweep(
     Policy("type1"),
     SimConfig(replications=1000, master_seed=99),
     threshold=2.0,
+    dt=0.1,
+    baseline_window_fraction=0.8,
 )
 
 print(f"wear-out phase duration th3 = {TH3} weeks; detection threshold 2x baseline\n")
@@ -56,6 +58,7 @@ for r in rows:
 print("\nMitigation: longer lab burn-in pre-ages the spare, so the peak it")
 print("shows while standing alone shrinks (spread fixed at 0.1 * th3):")
 for lab in (2.0, 6.0, 10.0, 14.0, 18.0):
-    a = assess_red_zone(make_config(lab_burnin=lab), threshold=2.0)
+    a = assess_red_zone(make_config(lab_burnin=lab), threshold=2.0, dt=0.1,
+                        baseline_window_fraction=0.8)
     print(f"  lab burn-in {lab:4.0f} weeks -> peak {a.severity:5.2f}x baseline"
           f"{'  (red zone)' if a.detected else ''}")

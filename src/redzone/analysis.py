@@ -94,8 +94,8 @@ def detect_red_zone(curve: HazardCurve, baseline: float, threshold: float) -> Re
     return RedZone(start=start, end=end, severity=severity)
 
 
-def baseline_from_curve(curve: HazardCurve, useful_end: float,
-                        window_fraction: float = 0.8) -> float:
+def baseline_from_curve(curve: HazardCurve, useful_end: float, *,
+                        window_fraction: float) -> float:
     """Useful-phase plateau: median rate over the tail of the useful window.
 
     ``useful_end`` is the calendar time where the mains' wear-out begins;
@@ -136,9 +136,9 @@ class RedZoneAssessment:
         return self.zone is not None
 
 
-def assess_red_zone(config: SystemConfig, *, threshold: float = 2.0, dt: float = 0.1,
-                    stagger: float | None = None,
-                    baseline_window_fraction: float = 0.8) -> RedZoneAssessment:
+def assess_red_zone(config: SystemConfig, *, threshold: float, dt: float,
+                    baseline_window_fraction: float,
+                    stagger: float | None = None) -> RedZoneAssessment:
     """Build the deterministic timeline and detect the end-of-life red zone.
 
     Detection runs on the curve restricted to t >= the mains' wear-out
@@ -148,7 +148,7 @@ def assess_red_zone(config: SystemConfig, *, threshold: float = 2.0, dt: float =
     """
     timeline = scenario_timeline(config, stagger=stagger)
     curve = system_hazard_curve(timeline, dt=dt)
-    baseline = baseline_from_curve(curve, timeline.t0, baseline_window_fraction)
+    baseline = baseline_from_curve(curve, timeline.t0, window_fraction=baseline_window_fraction)
     tail = curve.times >= timeline.t0
     tail_curve = HazardCurve(times=curve.times[tail], rates=curve.rates[tail])
     zone = detect_red_zone(tail_curve, baseline, threshold)
@@ -176,7 +176,8 @@ class DeltaSweepPoint:
 
 
 def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
-                threshold: float = 2.0, dt: float = 0.1) -> list[DeltaSweepPoint]:
+                threshold: float, dt: float,
+                baseline_window_fraction: float) -> list[DeltaSweepPoint]:
     """Sweep the lifetime spread and test the existence rule spread < th3.
 
     Each row pairs the ensemble estimate of the redundant lifetime (spread
@@ -191,7 +192,8 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
     rows: list[DeltaSweepPoint] = []
     for d in deltas:
         cfg = replace(config, unit_lifetime=LifetimeDistribution(config.unit_lifetime.mean, d))
-        assessment = assess_red_zone(cfg, threshold=threshold, dt=dt, stagger=d)
+        assessment = assess_red_zone(cfg, threshold=threshold, dt=dt, stagger=d,
+                                     baseline_window_fraction=baseline_window_fraction)
         metrics = run_ensemble(cfg, policy, sim)
         rows.append(DeltaSweepPoint(
             delta=d,
@@ -210,8 +212,6 @@ class ComparisonReport:
     metrics_type1: Metrics
     metrics_type2: Metrics
     extension_ratio: float
-    tdr_1: float | None
-    tdr_2: float | None
 
 
 def apply_vendor_decision_point(metrics: Metrics, vendor_mtbf: float | None,
@@ -240,7 +240,7 @@ def apply_vendor_decision_point(metrics: Metrics, vendor_mtbf: float | None,
 
 def compare_policies(config: SystemConfig, policy1: Policy, policy2: Policy,
                      sim: SimConfig, *, vendor_mtbf: float | None = None,
-                     warn_factor: float = 0.8) -> ComparisonReport:
+                     warn_factor: float) -> ComparisonReport:
     """Run both policies from the same master seed and compare lifetimes.
 
     The extension ratio uses the ensemble means of the redundant lifetime.
@@ -252,11 +252,5 @@ def compare_policies(config: SystemConfig, policy1: Policy, policy2: Policy,
     m1 = apply_vendor_decision_point(m1, vendor_mtbf, warn_factor)
     if m1.trdd is None or m2.trdd is None:
         raise DomainError("policy comparison needs defined redundant lifetimes on both sides")
-    ratio = lifetime_extension(m1.trdd.mean, m2.trdd.mean)
-    return ComparisonReport(
-        metrics_type1=m1,
-        metrics_type2=m2,
-        extension_ratio=ratio,
-        tdr_1=None if m1.tdr is None else m1.tdr.mean,
-        tdr_2=None if m2.tdr is None else m2.tdr.mean,
-    )
+    return ComparisonReport(metrics_type1=m1, metrics_type2=m2,
+                            extension_ratio=lifetime_extension(m1.trdd.mean, m2.trdd.mean))

@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace as dc_replace
 from itertools import islice
 
 import numpy as np
@@ -95,11 +94,6 @@ def _f(x) -> str:
     return repr(float(x))
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _write_csv(path: str, header: list[str], lines) -> None:
     """Write the header and the data lines, each already joined with commas.
 
@@ -113,55 +107,52 @@ def _write_csv(path: str, header: list[str], lines) -> None:
 
 
 def _write_json(path: str, doc: dict) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _resolve_policy(run: RunConfig, name: str | None) -> Policy:
-    kind = name if name is not None else run.policy.kind
-    if kind == "type1":
-        return Policy("type1")
-    if run.policy.rotation_period is None:
-        raise ValidationError("policy.rotation_period: required for type2")
-    return Policy("type2", rotation_period=run.policy.rotation_period)
+# The flags that set a config field, with the field's path.
+_FLAG_FIELDS = {
+    "--policy": "policy.kind",
+    "--seed": "sim.master_seed",
+    "--replications": "sim.replications",
+    "--dt": "analysis.curve_dt",
+}
 
 
-def _resolve_sim(run: RunConfig, args):
-    sim = run.sim
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ValidationError("--seed must be >= 0")
-        sim = dc_replace(sim, master_seed=args.seed)
-    if getattr(args, "replications", None) is not None:
-        if args.replications < 1:
-            raise ValidationError("--replications must be >= 1")
-        sim = dc_replace(sim, replications=args.replications)
-    return sim
-
-
-def _positive(flag: str, value: float) -> float:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(f"{flag} must be a finite number > 0, got {value!r}")
-    return value
+def _overrides(args) -> dict:
+    """The config fields set by the flags given, for :func:`load_config`."""
+    return {field: (flag, getattr(args, flag[2:])) for flag, field in _FLAG_FIELDS.items()
+            if getattr(args, flag[2:], None) is not None}
 
 
 # The most float64 grid points numpy can hold in one array.
 _MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
-def _grid_step(flag: str, value: float, span: float) -> float:
-    """A finite step > 0 whose grid over [0, span] numpy can hold."""
-    _positive(flag, value)
-    if span / value >= _MAX_GRID_POINTS:
-        raise ValidationError(f"{flag} {value!r} gives {span / value:.3g} grid points over "
+def _curve_dt(run: RunConfig, args, span: float | None = None) -> float:
+    """``run.curve_dt``, checked to give a grid over [0, span] that numpy can hold.
+
+    ``span`` defaults to the end of every scenario curve of ``run.system``,
+    which no stagger moves.  An error names ``--dt`` when the flag set the
+    step, else the config field.
+    """
+    if span is None:
+        span = scenario_timeline(run.system, stagger=0.0).t_end
+    dt = run.curve_dt
+    if span / dt >= _MAX_GRID_POINTS:
+        source = "--dt" if getattr(args, "dt", None) is not None else _FLAG_FIELDS["--dt"]
+        raise ValidationError(f"{source} {dt!r} gives {span / dt:.3g} grid points over "
                               f"[0, {span!r}] weeks, more than an array can hold")
-    return value
+    return dt
 
 
 def cmd_hazard(run: RunConfig, args) -> int:
     hz = run.system.hazard
-    t_max = _positive("--t-max", args.t_max if args.t_max is not None
-                      else 1.2 * (hz.th1 + hz.th2 + hz.th3))
-    dt = _grid_step("--dt", args.dt if args.dt is not None else run.curve_dt, t_max)
+    t_max = args.t_max if args.t_max is not None else 1.2 * (hz.th1 + hz.th2 + hz.th3)
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValidationError(f"--t-max must be a finite number > 0, got {t_max!r}")
+    dt = _curve_dt(run, args, t_max)
     t = np.arange(0.0, t_max + 0.5 * dt, dt)
     h_hw = np.asarray(bathtub_hazard(t, hz), dtype=float)
     h_sw = (np.asarray(software_hazard(t, run.system.software), dtype=float)
@@ -174,20 +165,12 @@ def cmd_hazard(run: RunConfig, args) -> int:
     return 0
 
 
-def _curve_sibling(path: str) -> str:
-    if path.endswith(".csv"):
-        return path[:-4] + "_curve.csv"
-    return path + "_curve.csv"
-
-
 def cmd_scenario(run: RunConfig, args) -> int:
-    kind = args.policy if args.policy is not None else run.policy.kind
-    if kind != "type1":
-        raise ValidationError(f"scenario: policy {kind} is not modelled; the analytic "
-                              "timeline covers the replace-on-failure policy (type1) only")
-    dt = _grid_step("--dt", args.dt if args.dt is not None else run.curve_dt,
-                    scenario_timeline(run.system).t_end)
-    assessment = assess_red_zone(run.system, threshold=run.red_zone_threshold, dt=dt,
+    if run.policy.kind != "type1":
+        raise ValidationError(f"scenario: policy {run.policy.kind} is not modelled; the "
+                              "analytic timeline covers the replace-on-failure policy (type1) only")
+    assessment = assess_red_zone(run.system, threshold=run.red_zone_threshold,
+                                 dt=_curve_dt(run, args),
                                  baseline_window_fraction=run.baseline_window_fraction)
     zone = assessment.zone
 
@@ -210,7 +193,7 @@ def cmd_scenario(run: RunConfig, args) -> int:
                 "active_units", "phases", "red_zone"],
                rows)
     curve = assessment.curve
-    _write_csv(_curve_sibling(args.out), ["t_weeks", "h_system"],
+    _write_csv(args.out.removesuffix(".csv") + "_curve.csv", ["t_weeks", "h_system"],
                (f"{a!r},{b!r}" for a, b in zip(curve.times.tolist(), curve.rates.tolist())))
     return 0
 
@@ -249,15 +232,14 @@ def _write_events_csv(path: str, log: EventLog) -> None:
 
 
 def cmd_simulate(run: RunConfig, args) -> int:
-    policy = _resolve_policy(run, args.policy)
-    sim = _resolve_sim(run, args)
+    policy, sim = run.policy, run.sim
+    dt = _curve_dt(run, args)
     out = run_batch(run.system, policy, sim.master_seed, sim.replications,
                     horizon=sim.horizon, record_events=bool(args.events_out))
     metrics = Metrics.from_batch(out)
     if policy.kind == "type1":
         metrics = apply_vendor_decision_point(metrics, run.vendor_mtbf, run.warn_factor)
-    assessment = assess_red_zone(run.system, threshold=run.red_zone_threshold,
-                                 dt=run.curve_dt,
+    assessment = assess_red_zone(run.system, threshold=run.red_zone_threshold, dt=dt,
                                  baseline_window_fraction=run.baseline_window_fraction)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -274,7 +256,7 @@ def cmd_simulate(run: RunConfig, args) -> int:
 
 
 def cmd_compare(run: RunConfig, args) -> int:
-    sim = _resolve_sim(run, args)
+    sim = run.sim
     if run.policy.rotation_period is None:
         raise ValidationError("policy.rotation_period: required to compare against type2")
     report = compare_policies(
@@ -285,23 +267,23 @@ def cmd_compare(run: RunConfig, args) -> int:
         vendor_mtbf=run.vendor_mtbf,
         warn_factor=run.warn_factor,
     )
+    m1, m2 = report.metrics_type1, report.metrics_type2
     doc = {
         "schema_version": SCHEMA_VERSION,
         "seed": int(sim.master_seed),
         "replications": int(sim.replications),
         "extension_ratio": float(report.extension_ratio),
-        "tdr_1_weeks": None if report.tdr_1 is None else float(report.tdr_1),
-        "tdr_2_weeks": None if report.tdr_2 is None else float(report.tdr_2),
-        "type1": _metrics_doc(report.metrics_type1),
-        "type2": _metrics_doc(report.metrics_type2),
+        "tdr_1_weeks": None if m1.tdr is None else float(m1.tdr.mean),
+        "tdr_2_weeks": None if m2.tdr is None else float(m2.tdr.mean),
+        "type1": _metrics_doc(m1),
+        "type2": _metrics_doc(m2),
     }
     _write_json(args.out, doc)
     return 0
 
 
 def cmd_redzone(run: RunConfig, args) -> int:
-    policy = _resolve_policy(run, args.policy)
-    sim = _resolve_sim(run, args)
+    dt = _curve_dt(run, args)
     th3 = run.system.hazard.th3
     if args.deltas is not None:
         try:
@@ -312,8 +294,9 @@ def cmd_redzone(run: RunConfig, args) -> int:
             raise ValidationError(f"--deltas: spreads must be finite, got {args.deltas!r}")
     else:
         deltas = [0.1 * th3, 0.5 * th3, 2.0 * th3, 4.0 * th3]
-    rows = delta_sweep(run.system, deltas, policy, sim,
-                       threshold=run.red_zone_threshold, dt=run.curve_dt)
+    rows = delta_sweep(run.system, deltas, run.policy, run.sim,
+                       threshold=run.red_zone_threshold, dt=dt,
+                       baseline_window_fraction=run.baseline_window_fraction)
     out_rows = [",".join([
         _f(r.delta),
         "1" if r.predicted else "0",
@@ -337,21 +320,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
-        run = load_config(args.config)
+        args = build_parser().parse_args(argv)
+        run = load_config(args.config, _overrides(args))
         return _COMMANDS[args.command](run, args)
-    except (ValidationError, DomainError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, (_UsageError, ValidationError, DomainError)) else 2
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ document and fill in its defaults, then builds the domain objects, whose
 constructors check the rules that span fields (a type2 policy needs a
 rotation period, upgrade events are sorted, ...).  Unknown keys are
 rejected, and every validation error names the offending field path
-(e.g. ``hazard.burnin.scale``).
+(e.g. ``hazard.burnin.scale``), or the label of the override that set it
+(e.g. ``--seed``, for a command-line flag).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import functools
 import json
 import operator
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,11 +132,16 @@ def default_config() -> dict:
 
 @contextmanager
 def _section(path: str):
-    """Prefix a domain constructor's validation error with the section's path."""
-    try:
-        yield
-    except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from None
+    """Prefix a domain constructor's validation errors and warnings with the section's path."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        except ValidationError as e:
+            raise ValidationError(f"{path}: {e}") from None
+    for w in caught:
+        # past this generator and contextlib's __exit__ to the line that built the section
+        warnings.warn(f"{path}: {w.message}", w.category, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -151,10 +158,25 @@ class RunConfig:
     baseline_window_fraction: float
 
 
-def parse_config(doc) -> RunConfig:
-    """Validate a configuration document and build the domain objects."""
-    d = _check(_schema(), doc, "")
+def parse_config(doc, overrides=None) -> RunConfig:
+    """Validate a configuration document and build the domain objects.
 
+    ``overrides`` maps a field path (``"sim.master_seed"``) to a ``(label,
+    value)`` pair; the value, checked against the field's schema node with
+    errors naming ``label``, replaces the document's.
+    """
+    d = _check(_schema(), doc, "")
+    for path, (label, value) in (overrides or {}).items():
+        *parents, key = path.split(".")
+        node, section = _schema(), d
+        for name in parents:
+            node, section = node["properties"][name], section[name]
+        section[key] = _check(node["properties"][key], value, label)
+    return _build(d)
+
+
+def _build(d: dict) -> RunConfig:
+    """The domain objects of a checked, defaulted configuration document."""
     hz = d["hazard"]
     with _section("hazard"):
         hz["burnin"] = WeibullTerm(**hz["burnin"])
@@ -198,8 +220,8 @@ def parse_config(doc) -> RunConfig:
     )
 
 
-def load_config(path) -> RunConfig:
-    """Read and validate a JSON configuration file."""
+def load_config(path, overrides=None) -> RunConfig:
+    """Read and validate a JSON configuration file; see :func:`parse_config`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -207,4 +229,4 @@ def load_config(path) -> RunConfig:
         raise ValidationError(f"config: cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ValidationError(f"config: {path} is not valid JSON: {e}") from e
-    return parse_config(doc)
+    return parse_config(doc, overrides)

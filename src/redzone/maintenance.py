@@ -19,6 +19,7 @@ one fleet and :func:`rotation_targets` for many fleets at once.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -48,9 +49,11 @@ class Policy:
     def __post_init__(self):
         if self.kind not in (TYPE1, TYPE2):
             raise ValidationError(f"policy kind must be 'type1' or 'type2', got {self.kind!r}")
-        if self.kind == TYPE2:
-            if self.rotation_period is None or not self.rotation_period > 0.0:
-                raise ValidationError("type2 needs rotation_period > 0")
+        if self.kind == TYPE2 and self.rotation_period is None:
+            raise ValidationError("type2 needs rotation_period > 0")
+        if self.rotation_period is not None and not 0.0 < self.rotation_period < math.inf:
+            raise ValidationError(f"rotation_period must be finite and > 0, "
+                                  f"got {self.rotation_period!r}")
 
 
 def oldest_slot(slots: Sequence[Unit | None], shelf_aging_factor: float) -> int | None:

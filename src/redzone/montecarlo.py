@@ -134,8 +134,10 @@ class SimConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
-        if self.horizon is not None and not self.horizon > 0.0:
-            raise ValidationError("horizon must be > 0")
+        if self.master_seed < 0:
+            raise ValidationError("master_seed must be >= 0")
+        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
+            raise ValidationError("horizon must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -183,17 +185,16 @@ class Trace:
 
 def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
                     horizon: float | None = None, n_slots: int = 2,
-                    with_spare: bool = True, lifetime_model=None) -> Trace:
+                    with_spare: bool = True) -> Trace:
     """Simulate one system life and return its trace.
 
     ``n_slots``/``with_spare`` select the fleet: the production architecture
     is two slots plus a shelf spare; single-unit and no-spare fleets exist
-    for oracle configurations.  ``lifetime_model`` overrides the configured
-    lifetime distribution (anything with ``sample(u) -> weeks``).
+    for oracle configurations.
     """
     if n_slots not in (1, 2):
         raise ValidationError("n_slots must be 1 or 2")
-    model = lifetime_model if lifetime_model is not None else config.unit_lifetime
+    model = config.unit_lifetime
     if horizon is None:
         horizon = 5.0 * model.mean
     alpha = config.shelf_aging_factor
@@ -452,7 +453,7 @@ class BatchOutcomes:
 
 def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replications: int, *,
               horizon: float | None = None, n_slots: int = 2, with_spare: bool = True,
-              lifetime_model=None, record_events: bool = False) -> BatchOutcomes:
+              record_events: bool = False) -> BatchOutcomes:
     """Simulate replications 0..N-1 of ``master_seed`` in lockstep.
 
     The struct-of-arrays form of :func:`run_replication`: one row per
@@ -461,7 +462,7 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
     Each pass handles one event epoch of every running replication, with
     the scalar loop's event order and floating-point operations, so
     replication i equals ``run_replication(config, policy,
-    derive_seed(master_seed, i), ...)`` exactly.  ``lifetime_model.sample``
+    derive_seed(master_seed, i), ...)`` exactly.  ``config.unit_lifetime.sample``
     is called once, on a (replications, units) array of uniforms.
 
     With ``record_events`` the result also holds the event log of every
@@ -472,9 +473,8 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
     """
     if n_slots not in (1, 2):
         raise ValidationError("n_slots must be 1 or 2")
-    model = lifetime_model if lifetime_model is not None else config.unit_lifetime
     if horizon is None:
-        horizon = 5.0 * model.mean
+        horizon = 5.0 * config.unit_lifetime.mean
     alpha = config.shelf_aging_factor
     rotating = policy.kind == "type2"
     S = n_slots  # column index of the shelf
@@ -482,7 +482,7 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
 
     u = _uniforms(_derive_seeds(master_seed, replications), n_units)
     units = np.zeros((_ID + int(record_events), replications, S + 1))
-    units[_LIFE, :, :n_units] = model.sample(u)
+    units[_LIFE, :, :n_units] = config.unit_lifetime.sample(u)
     units[_LAB, :, S] = config.lab_burnin
     on_shelf = np.full(replications, with_spare)
     failed = np.zeros((replications, S + 1), dtype=bool)
@@ -596,8 +596,7 @@ def _event_log(blocks: list[tuple]) -> EventLog:
 
 
 def run_ensemble(config: SystemConfig, policy: Policy, sim: SimConfig, *,
-                 n_slots: int = 2, with_spare: bool = True,
-                 lifetime_model=None) -> Metrics:
+                 n_slots: int = 2, with_spare: bool = True) -> Metrics:
     """Run N replications with :func:`run_batch` and aggregate in index order.
 
     Replication i uses seed ``derive_seed(sim.master_seed, i)``, and its
@@ -605,7 +604,7 @@ def run_ensemble(config: SystemConfig, policy: Policy, sim: SimConfig, *,
     """
     return Metrics.from_batch(run_batch(
         config, policy, sim.master_seed, sim.replications, horizon=sim.horizon,
-        n_slots=n_slots, with_spare=with_spare, lifetime_model=lifetime_model))
+        n_slots=n_slots, with_spare=with_spare))
 
 
 def empirical_hazard(end_times, death_times, bin_width: float) -> EmpiricalHazardCurve:

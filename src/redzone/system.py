@@ -30,6 +30,7 @@ main-unit failure times.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -104,9 +105,12 @@ def effective_age(unit: Unit, shelf_aging_factor: float) -> float:
 class SystemConfig:
     """Everything that defines one system under study.
 
-    ``lab_burnin`` is the burn-in credit (weeks) given to the provisioned
-    shelf spare; practical lab runs are one or two weeks, far shorter than a
-    typical burn-in phase, so a warning is emitted when it exceeds ``th1``.
+    ``unit_lifetime`` is any model with a ``mean`` and a ``sample(u)`` that
+    maps an array of uniforms to lifetimes in weeks (``ExponentialLifetime``
+    serves the oracles).  ``lab_burnin`` is the burn-in credit (weeks) given
+    to the provisioned shelf spare; practical lab runs are one or two weeks,
+    far shorter than a typical burn-in phase, so a warning is emitted when
+    it exceeds ``th1``.
     """
 
     hazard: BathtubModel
@@ -120,8 +124,8 @@ class SystemConfig:
         if not 0.0 <= self.shelf_aging_factor <= 1.0:
             raise ValidationError(
                 f"shelf_aging_factor must lie in [0, 1], got {self.shelf_aging_factor!r}")
-        if self.lab_burnin < 0.0:
-            raise ValidationError(f"lab_burnin must be >= 0, got {self.lab_burnin!r}")
+        if not 0.0 <= self.lab_burnin < math.inf:
+            raise ValidationError(f"lab_burnin must be finite and >= 0, got {self.lab_burnin!r}")
         if self.lab_burnin > self.hazard.th1:
             warnings.warn(
                 f"lab_burnin ({self.lab_burnin}) exceeds the declared burn-in "
@@ -328,7 +332,7 @@ def _unit_cumulative_at(t, au: ActiveUnit, config: SystemConfig):
     return total
 
 
-def system_hazard_curve(timeline: ScenarioTimeline, dt: float = 0.1) -> HazardCurve:
+def system_hazard_curve(timeline: ScenarioTimeline, *, dt: float) -> HazardCurve:
     """Sample the composed system rate over the whole timeline.
 
     Within each segment the active units' cumulative hazards are measured

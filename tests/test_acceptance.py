@@ -10,6 +10,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,10 +122,9 @@ def test_criterion_3_parallel_composition_oracle():
             / (2 - np.exp(-rate * curve.times[mains]))
         assert np.all(np.abs(curve.rates[mains] - ref) <= 1e-9 * np.maximum(ref, 1e-300))
 
-        met = run_ensemble(cfg, Policy("type1"),
+        met = run_ensemble(replace(cfg, unit_lifetime=ExponentialLifetime(rate)), Policy("type1"),
                            SimConfig(replications=100_000, master_seed=303, horizon=10_000.0),
-                           n_slots=2, with_spare=False,
-                           lifetime_model=ExponentialLifetime(rate))
+                           n_slots=2, with_spare=False)
         assert met.censored_count == 0
         assert abs(met.tdt.mean - 150.0) / 150.0 < 0.02
 
@@ -161,7 +161,7 @@ def test_criterion_6_red_zone_condition_brackets_th3():
         rows = delta_sweep(cfg, [0.1 * th3, 0.5 * th3, 2.0 * th3, 4.0 * th3],
                            Policy("type1"),
                            SimConfig(replications=1_000, master_seed=606),
-                           threshold=2.0, dt=0.1)
+                           threshold=2.0, dt=0.1, baseline_window_fraction=0.8)
         assert [r.detected for r in rows] == [True, True, False, False]
         assert [r.predicted for r in rows] == [True, True, False, False]
         for r in rows:
@@ -174,7 +174,8 @@ def test_criterion_7_lab_burnin_mitigation():
         severities = []
         for lab in (2.0, 6.0, 10.0, 14.0, 18.0):
             cfg = make_redzone_system(delta=0.1 * th3, lab=lab)
-            severities.append(assess_red_zone(cfg, threshold=2.0, dt=0.1).severity)
+            severities.append(assess_red_zone(cfg, threshold=2.0, dt=0.1,
+                                              baseline_window_fraction=0.8).severity)
         assert all(a > b for a, b in zip(severities, severities[1:])), severities
 
 
@@ -212,9 +213,9 @@ def test_criterion_8_byte_identical_cli_output(tmp_path):
 def test_criterion_9_empirical_hazard_recovers_constant_rate():
     with criterion(9, "binned hazard estimator recovers a constant rate within 3 SE", 60.0):
         rate = 0.01
-        cfg = make_redzone_system(delta=1.0)
+        cfg = replace(make_redzone_system(delta=1.0), unit_lifetime=ExponentialLifetime(rate))
         out = run_batch(cfg, Policy("type1"), 909, 100_000, horizon=5_000.0,
-                        n_slots=1, with_spare=False, lifetime_model=ExponentialLifetime(rate))
+                        n_slots=1, with_spare=False)
         h = empirical_hazard(out.end_time, out.tdt[~np.isnan(out.tdt)], bin_width=10.0)
         first_two_lifetimes = h.midpoints <= 2.0 / rate
         assert np.count_nonzero(first_two_lifetimes) >= 20

@@ -21,6 +21,9 @@ from redzone.analysis import apply_vendor_decision_point, baseline_from_curve, p
 
 from conftest import make_redzone_system
 
+# the red-zone settings of the shipped schema's analysis section
+SWEEP = {"threshold": 2.0, "dt": 0.1, "baseline_window_fraction": 0.8}
+
 
 def bump_curve(baseline=1.0, bumps=((40.0, 50.0, 3.0),), dt=0.5, t_max=100.0):
     t = np.arange(0.0, t_max, dt)
@@ -68,7 +71,7 @@ class TestDetectRedZone:
 class TestBaselineAndPeak:
     def test_baseline_is_window_median(self):
         curve = bump_curve(bumps=())
-        assert baseline_from_curve(curve, useful_end=80.0) == pytest.approx(1.0)
+        assert baseline_from_curve(curve, useful_end=80.0, window_fraction=0.8) == pytest.approx(1.0)
 
     def test_peak_ratio_defined_below_threshold(self):
         curve = bump_curve(bumps=((40.0, 50.0, 1.5),))
@@ -102,7 +105,7 @@ class TestLifetimeExtension:
 class TestAssessRedZone:
     def test_small_gap_detected_inside_failure_window(self):
         cfg = make_redzone_system(delta=1.0)
-        a = assess_red_zone(cfg, threshold=2.0, dt=0.1)
+        a = assess_red_zone(cfg, threshold=2.0, dt=0.1, baseline_window_fraction=0.8)
         assert a.detected
         assert a.severity > 2.0
         assert a.zone.start >= a.timeline.tf1
@@ -111,7 +114,7 @@ class TestAssessRedZone:
 
     def test_large_gap_not_detected(self):
         cfg = make_redzone_system(delta=20.0)
-        a = assess_red_zone(cfg, threshold=2.0, dt=0.1)
+        a = assess_red_zone(cfg, threshold=2.0, dt=0.1, baseline_window_fraction=0.8)
         assert not a.detected
         assert a.severity < 2.0
 
@@ -119,7 +122,7 @@ class TestAssessRedZone:
         # the early-life hump is far above baseline but lies before the
         # end-of-life window, so it must not trigger detection
         cfg = make_redzone_system(delta=20.0)
-        a = assess_red_zone(cfg, threshold=2.0, dt=0.1)
+        a = assess_red_zone(cfg, threshold=2.0, dt=0.1, baseline_window_fraction=0.8)
         early = a.curve.times < 10.0
         assert float(np.max(a.curve.rates[early])) > 2.0 * a.baseline
         assert not a.detected
@@ -131,7 +134,7 @@ class TestDeltaSweep:
         th3 = cfg.hazard.th3
         sim = SimConfig(replications=200, master_seed=17)
         rows = delta_sweep(cfg, [0.1 * th3, 0.5 * th3, 2.0 * th3, 4.0 * th3],
-                           Policy("type1"), sim)
+                           Policy("type1"), sim, **SWEEP)
         assert [r.detected for r in rows] == [True, True, False, False]
         assert [r.predicted for r in rows] == [True, True, False, False]
         assert all(r.trdd_mean is not None for r in rows)
@@ -141,7 +144,7 @@ class TestDeltaSweep:
         th3 = cfg.hazard.th3
         sim = SimConfig(replications=1000, master_seed=29)
         deltas = [m * th3 for m in (0.2, 0.4, 0.8, 1.2, 1.6, 2.4, 3.2, 4.0)]
-        rows = delta_sweep(cfg, deltas, Policy("type1"), sim)
+        rows = delta_sweep(cfg, deltas, Policy("type1"), sim, **SWEEP)
         flags = [r.detected for r in rows]
         assert flags == sorted(flags, reverse=True)
         sevs = [r.severity for r in rows]
@@ -152,19 +155,19 @@ class TestDeltaSweep:
         sevs = []
         for lab in (2.0, 6.0, 10.0, 14.0, 18.0):
             cfg = make_redzone_system(delta=0.1 * th3, lab=lab)
-            sevs.append(assess_red_zone(cfg, threshold=2.0, dt=0.1).severity)
+            sevs.append(assess_red_zone(cfg, threshold=2.0, dt=0.1, baseline_window_fraction=0.8).severity)
         assert all(a > b for a, b in zip(sevs, sevs[1:]))
 
     def test_empty_sweep(self):
         cfg = make_redzone_system(delta=1.0)
         assert delta_sweep(cfg, [], Policy("type1"),
-                           SimConfig(replications=10, master_seed=1)) == []
+                           SimConfig(replications=10, master_seed=1), **SWEEP) == []
 
     def test_unsorted_rejected(self):
         cfg = make_redzone_system(delta=1.0)
         with pytest.raises(DomainError):
             delta_sweep(cfg, [5.0, 1.0], Policy("type1"),
-                        SimConfig(replications=10, master_seed=1))
+                        SimConfig(replications=10, master_seed=1), **SWEEP)
 
 
 class TestComparePolicies:
@@ -173,11 +176,12 @@ class TestComparePolicies:
         sim = SimConfig(replications=2000, master_seed=31)
         report = compare_policies(cfg, Policy("type1"),
                                   Policy("type2", rotation_period=200.0 / 6), sim,
-                                  vendor_mtbf=200.0)
+                                  vendor_mtbf=200.0, warn_factor=0.8)
         assert 0.40 <= report.extension_ratio <= 0.55
         assert report.metrics_type1.dp.mean == pytest.approx(160.0)
-        assert report.tdr_1 == pytest.approx(report.metrics_type1.tdt.mean - 160.0)
-        assert report.tdr_2 is not None and report.tdr_2 > 0.0
+        assert report.metrics_type1.tdr.mean == pytest.approx(
+            report.metrics_type1.tdt.mean - 160.0)
+        assert report.metrics_type2.tdr is not None and report.metrics_type2.tdr.mean > 0.0
 
     def test_rotation_budget_bound(self):
         cfg = make_redzone_system(delta=2.0, mean=200.0)
@@ -190,7 +194,8 @@ class TestComparePolicies:
         cfg = make_redzone_system(delta=2.0, mean=200.0)
         sim = SimConfig(replications=1000, master_seed=41)
         report = compare_policies(cfg, Policy("type1"),
-                                  Policy("type2", rotation_period=400.0), sim)
+                                  Policy("type2", rotation_period=400.0), sim,
+                                  warn_factor=0.8)
         assert abs(report.extension_ratio) < 0.05
 
 

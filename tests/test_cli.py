@@ -1,13 +1,19 @@
 import csv
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from redzone import Policy, derive_seed, run_replication
+import redzone
+from redzone import LifetimeDistribution, Policy, assess_red_zone, derive_seed, run_replication
 from redzone import cli
 from redzone.cli import build_parser, main
 from redzone.config import load_config
 from redzone.montecarlo import run_batch
+
+SCHEMA = json.loads((Path(redzone.__file__).parent / "schema" / "run_config.schema.json")
+                    .read_text(encoding="utf-8"))
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -81,6 +87,22 @@ class TestParser:
         assert capsys.readouterr().err.startswith("error: --dt 1e-300 gives ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, value", [("hazard", "-1"), ("scenario", "0")])
+    def test_non_positive_dt_exits_one(self, command, value, tmp_path, capsys):
+        conf = write_config(tmp_path)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", conf, "--out", str(out), "--dt", value]) == 1
+        assert capsys.readouterr().err.startswith("error: --dt: must be > 0, got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["hazard", "scenario", "simulate", "redzone"])
+    def test_grid_too_large_in_config_exits_one(self, command, tmp_path, capsys):
+        conf = write_config(tmp_path, analysis={"curve_dt": 1e-300})
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", conf, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: analysis.curve_dt 1e-300 gives ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "compare", "redzone"])
     @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--replications", "0")])
     def test_out_of_range_sim_flag_exits_one(self, command, flag, value, tmp_path, capsys):
@@ -88,6 +110,49 @@ class TestParser:
         out = tmp_path / "out"
         assert main([command, "--config", conf, "--out", str(out), flag, value]) == 1
         assert capsys.readouterr().err.startswith(f"error: {flag}")
+        assert not out.exists()
+
+
+class TestFlagOverrides:
+    """A flag that sets a config field acts exactly as the field set in the file."""
+
+    def test_table_names_schema_fields_and_flags(self):
+        parser = build_parser()
+        dests = set()
+        for command in ("hazard", "scenario", "simulate", "compare", "redzone"):
+            dests |= set(vars(parser.parse_args([command, "--config", "c", "--out", "o"])))
+        for flag, field in cli._FLAG_FIELDS.items():
+            node = SCHEMA
+            for key in field.split("."):
+                node = node["properties"][key]
+            assert "default" in node, field
+            assert flag[2:] in dests, flag
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("simulate", "--policy", "type2"),
+        ("simulate", "--seed", 7),
+        ("compare", "--replications", 20),
+        ("scenario", "--dt", 0.5),
+    ], ids=["policy", "seed", "replications", "dt"])
+    def test_flag_equals_config_field(self, command, flag, value, tmp_path):
+        base = {"policy": {"kind": "type1", "rotation_period": 30.0},
+                "sim": {"replications": 10, "master_seed": 5}}
+        section, key = cli._FLAG_FIELDS[flag].split(".")
+        field_doc = {**base, section: {**base.get(section, {}), key: value}}
+        outputs = []
+        for name, doc, extra in (("flag", base, [flag, str(value)]), ("field", field_doc, [])):
+            (tmp_path / name).mkdir()
+            conf = write_config(tmp_path, name=f"{name}.json", **doc)
+            assert main([command, "--config", conf, "--out", str(tmp_path / name / "out.csv"),
+                         *extra]) == 0
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert outputs[0] == outputs[1]
+
+    def test_policy_flag_needs_rotation_period(self, tmp_path, capsys):
+        conf = write_config(tmp_path, policy={"kind": "type1"})
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", conf, "--out", str(out), "--policy", "type2"]) == 1
+        assert capsys.readouterr().err.startswith("error: policy: ")
         assert not out.exists()
 
 
@@ -360,6 +425,33 @@ class TestRedzoneCommand:
                           "trdd_mean_weeks"]
         assert [r[2] for r in rows] == ["1", "1", "0", "0"]
         assert [r[1] for r in rows] == ["1", "1", "0", "0"]
+
+    def test_baseline_window_from_config(self, tmp_path):
+        severities = {}
+        for fraction in (0.3, 0.8):
+            conf = write_config(tmp_path, name=f"{fraction}.json",
+                                lifetime={"mean": 208.0, "sd": 1.0}, system={"lab_burnin": 2.0},
+                                sim={"replications": 5, "master_seed": 3},
+                                analysis={"baseline_window_fraction": fraction})
+            out = tmp_path / f"{fraction}.csv"
+            assert main(["redzone", "--config", conf, "--out", str(out),
+                         "--deltas", "1,5,20"]) == 0
+            severities[fraction] = [float(r[3]) for r in read_csv(out)[1]]
+        system = load_config(conf).system
+        assert severities[0.3] == [
+            assess_red_zone(replace(system, unit_lifetime=LifetimeDistribution(208.0, d)),
+                            threshold=2.0, dt=0.1, baseline_window_fraction=0.3,
+                            stagger=d).severity
+            for d in (1.0, 5.0, 20.0)]
+        assert severities[0.3] != severities[0.8]
+
+    def test_config_spread_replaced_by_deltas(self, tmp_path):
+        # the config's sd would leave no spare for a second main failure; --deltas replaces it
+        conf = write_config(tmp_path, lifetime={"mean": 200.0, "sd": 250.0},
+                            sim={"replications": 5, "master_seed": 3})
+        out = tmp_path / "rz.csv"
+        assert main(["redzone", "--config", conf, "--out", str(out), "--deltas", "1,5"]) == 0
+        assert len(read_csv(out)[1]) == 2
 
     def test_explicit_deltas(self, tmp_path):
         conf = write_config(tmp_path, lifetime={"mean": 208.0, "sd": 1.0},

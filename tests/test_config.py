@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 import redzone
-from redzone import SimConfig, SystemConfig, ValidationError
-from redzone.config import default_config, load_config, parse_config
+from redzone import SimConfig, SystemConfig, ValidationError, ValidationWarning
+from redzone.config import _build, _check, default_config, load_config, parse_config
 
 SCHEMA = json.loads((Path(redzone.__file__).parent / "schema" / "run_config.schema.json")
                     .read_text(encoding="utf-8"))
@@ -67,6 +67,26 @@ def violations(node):
     if "const" in node:
         yield "const", node["const"] + 1
         yield "const-bool", True
+
+
+BOUNDS = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
+
+
+def bound_cases():
+    """(path, default, value): a value breaking a number node's bound or finiteness.
+
+    The vendor and analysis values are not built into objects: the loader
+    hands them to the analysis functions, which check them there.
+    """
+    for path, node in schema_nodes(SCHEMA):
+        types = types_of(node)
+        if path[0] in ("vendor", "analysis") or not {"number", "integer"} & set(types):
+            continue
+        values = [value for keyword, value in violations(node) if keyword in BOUNDS]
+        if "number" in types:
+            values += [math.nan, math.inf, -math.inf]
+        for value in values:
+            yield pytest.param(path, node["default"], value, id=f"{dotted(path)}={value}")
 
 
 def drift_cases():
@@ -213,6 +233,16 @@ class TestParseConfig:
         (event,) = parse_config(doc).system.software.upgrade_events
         assert (event.time, event.kind) == (0.0, "minor")
 
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "hazard: burn-in term at th1 exceeds"),
+        ({"hazard": {"burnin": {"scale": 0.0}}, "system": {"lab_burnin": 30.0}},
+         "system: lab_burnin (30.0) exceeds"),
+    ], ids=["hazard", "system"])
+    def test_warnings_name_the_section(self, doc, message):
+        with pytest.warns(ValidationWarning) as record:
+            parse_config({"schema_version": 1, **doc})
+        assert [str(w.message)[:len(message)] for w in record] == [message]
+
     def test_integers_in_number_fields_become_floats(self):
         run = parse_config({"schema_version": 1, "hazard": {"th1": 20}})
         assert type(run.system.hazard.th1) is float
@@ -242,6 +272,17 @@ class TestSchemaIsTheLoader:
         values = {**doc, **doc[section]}  # software and operator are top-level sections
         defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
         assert defaults == {name: values[name] for name in defaults}
+
+    @pytest.mark.parametrize("path, default, value", bound_cases())
+    def test_constructors_hold_schema_bounds(self, path, default, value):
+        # direct library use skips the schema walker, so the constructors repeat its bounds
+        doc = _check(SCHEMA, document_with(path, default), "")
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValidationError):
+            _build(doc)
 
     def test_example_config_loads_and_validates(self):
         jsonschema = pytest.importorskip("jsonschema")

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,11 @@ def det_config(mean=200.0, lab=0.0, alpha=0.0):
     model = make_flat_bathtub(th1=20.0, th2=160.0, th3=40.0)
     return SystemConfig(hazard=model, unit_lifetime=LifetimeDistribution(mean, 0.0),
                         lab_burnin=lab, shelf_aging_factor=alpha)
+
+
+def exp_config(rate):
+    """det_config with exponential lifetimes of the given rate."""
+    return replace(det_config(), unit_lifetime=ExponentialLifetime(rate))
 
 
 def hazard_of(traces, bin_width):
@@ -288,19 +294,17 @@ class TestRunEnsemble:
         assert met.tdt.ci_low == met.tdt.ci_high == met.tdt.mean
 
     def test_exponential_single_unit_mean(self):
-        met = run_ensemble(det_config(), Policy("type1"),
+        met = run_ensemble(exp_config(0.01), Policy("type1"),
                            SimConfig(replications=20_000, master_seed=7, horizon=5000.0),
-                           n_slots=1, with_spare=False,
-                           lifetime_model=ExponentialLifetime(0.01))
+                           n_slots=1, with_spare=False)
         se = met.tdt.std / math.sqrt(met.tdt.n)
         assert abs(met.tdt.mean - 100.0) < 3 * se
         assert abs(met.tdt.mean - 100.0) / 100.0 < 0.02
 
     def test_two_unit_parallel_mean(self):
-        met = run_ensemble(det_config(), Policy("type1"),
+        met = run_ensemble(exp_config(0.01), Policy("type1"),
                            SimConfig(replications=20_000, master_seed=7, horizon=10000.0),
-                           n_slots=2, with_spare=False,
-                           lifetime_model=ExponentialLifetime(0.01))
+                           n_slots=2, with_spare=False)
         assert abs(met.tdt.mean - 150.0) / 150.0 < 0.02
 
     def test_monotone_redundancy_benefit(self):
@@ -342,15 +346,14 @@ fleets = given(
 
 def assert_fleet_matches_scalar(rotation_period, alpha, sd, lab, horizon, n_slots,
                                 with_spare, exponential, master_seed, record_events):
-    cfg = SystemConfig(hazard=make_flat_bathtub(),
-                       unit_lifetime=LifetimeDistribution(208.0, sd),
+    lifetime = ExponentialLifetime(1.0 / 208.0) if exponential else LifetimeDistribution(208.0, sd)
+    cfg = SystemConfig(hazard=make_flat_bathtub(), unit_lifetime=lifetime,
                        lab_burnin=lab, shelf_aging_factor=alpha)
     policy = (Policy("type1") if rotation_period is None
               else Policy("type2", rotation_period=rotation_period))
     assert_batch_matches_scalar(
         cfg, policy, master_seed, 30, record_events=record_events, horizon=horizon,
-        n_slots=n_slots, with_spare=with_spare,
-        lifetime_model=ExponentialLifetime(1.0 / 208.0) if exponential else None)
+        n_slots=n_slots, with_spare=with_spare)
 
 
 class TestRunBatch:
@@ -398,8 +401,8 @@ class TestRunBatch:
 
 class TestEmpiricalHazard:
     def test_constant_rate_recovered(self):
-        out = run_batch(det_config(), Policy("type1"), 13, 20_000, horizon=5000.0,
-                        n_slots=1, with_spare=False, lifetime_model=ExponentialLifetime(0.01))
+        out = run_batch(exp_config(0.01), Policy("type1"), 13, 20_000, horizon=5000.0,
+                        n_slots=1, with_spare=False)
         h = batch_hazard(out, bin_width=10.0)
         early = h.midpoints <= 100.0
         for rate, d, e in zip(h.rates[early], h.deaths[early], h.exposure[early]):
