@@ -78,12 +78,11 @@ def detect_red_zone(curve: HazardCurve, baseline: float, threshold: float) -> Re
         return None
     exceed_idx = np.flatnonzero(above)
     peak = exceed_idx[np.argmax(curve.rates[exceed_idx])]
-    lo = peak
-    while lo > 0 and above[lo - 1]:
-        lo -= 1
-    hi = peak
-    while hi + 1 < len(above) and above[hi + 1]:
-        hi += 1
+    # the run ends next to the nearest non-exceeding points on either side
+    below = np.flatnonzero(~above)
+    k = int(np.searchsorted(below, peak))
+    lo = int(below[k - 1]) + 1 if k > 0 else 0
+    hi = int(below[k]) - 1 if k < len(below) else len(above) - 1
     severity = float(curve.rates[peak] / baseline)
     start = float(curve.times[lo])
     end = float(curve.times[hi])
@@ -128,7 +127,6 @@ class RedZoneAssessment:
     zone: RedZone | None
     severity: float
     baseline: float
-    curve: HazardCurve
     timeline: ScenarioTimeline
 
     @property
@@ -144,17 +142,20 @@ def assess_red_zone(config: SystemConfig, *, threshold: float, dt: float,
     Detection runs on the curve restricted to t >= the mains' wear-out
     onset.  ``severity`` is the peak ratio over the failure window (first
     main failure through the declared end of the spare's burn-in) and is
-    reported whether or not it crosses the threshold.
+    reported whether or not it crosses the threshold.  The curve is
+    sampled only from the start of the baseline window, the first point
+    any of these reads.
     """
     timeline = scenario_timeline(config, stagger=stagger)
-    curve = system_hazard_curve(timeline, dt=dt)
+    curve = system_hazard_curve(timeline, dt=dt,
+                                start=baseline_window_fraction * timeline.t0)
     baseline = baseline_from_curve(curve, timeline.t0, window_fraction=baseline_window_fraction)
-    tail = curve.times >= timeline.t0
-    tail_curve = HazardCurve(times=curve.times[tail], rates=curve.rates[tail])
+    tail = np.searchsorted(curve.times, timeline.t0, "left")
+    tail_curve = HazardCurve(times=curve.times[tail:], rates=curve.rates[tail:])
     zone = detect_red_zone(tail_curve, baseline, threshold)
     severity = peak_ratio(curve, baseline, timeline.tf1, max(timeline.t2, timeline.tf2))
     return RedZoneAssessment(zone=zone, severity=severity, baseline=baseline,
-                             curve=curve, timeline=timeline)
+                             timeline=timeline)
 
 
 def lifetime_extension(trdd_1: float, trdd_2: float) -> float:

@@ -26,7 +26,7 @@ from .errors import DomainError, ValidationError
 from .hazards import bathtub_hazard, software_hazard
 from .maintenance import Policy
 from .montecarlo import EventLog, Metrics, run_batch
-from .system import scenario_timeline
+from .system import scenario_timeline, system_hazard_curve
 
 __all__ = ["main", "build_parser"]
 
@@ -149,9 +149,15 @@ def _curve_dt(run: RunConfig, args, span: float | None = None) -> float:
 
 def cmd_hazard(run: RunConfig, args) -> int:
     hz = run.system.hazard
-    t_max = args.t_max if args.t_max is not None else 1.2 * (hz.th1 + hz.th2 + hz.th3)
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise ValidationError(f"--t-max must be a finite number > 0, got {t_max!r}")
+    if args.t_max is None:
+        t_max = 1.2 * (hz.th1 + hz.th2 + hz.th3)
+        if not math.isfinite(t_max):
+            raise ValidationError(f"hazard.th1, hazard.th2, hazard.th3: the default grid end "
+                                  f"1.2 * (th1 + th2 + th3) is {t_max!r}; pass --t-max")
+    else:
+        t_max = args.t_max
+        if not (math.isfinite(t_max) and t_max > 0.0):
+            raise ValidationError(f"--t-max must be a finite number > 0, got {t_max!r}")
     dt = _curve_dt(run, args, t_max)
     t = np.arange(0.0, t_max + 0.5 * dt, dt)
     h_hw = np.asarray(bathtub_hazard(t, hz), dtype=float)
@@ -169,8 +175,8 @@ def cmd_scenario(run: RunConfig, args) -> int:
     if run.policy.kind != "type1":
         raise ValidationError(f"scenario: policy {run.policy.kind} is not modelled; the "
                               "analytic timeline covers the replace-on-failure policy (type1) only")
-    assessment = assess_red_zone(run.system, threshold=run.red_zone_threshold,
-                                 dt=_curve_dt(run, args),
+    dt = _curve_dt(run, args)
+    assessment = assess_red_zone(run.system, threshold=run.red_zone_threshold, dt=dt,
                                  baseline_window_fraction=run.baseline_window_fraction)
     zone = assessment.zone
 
@@ -192,7 +198,7 @@ def cmd_scenario(run: RunConfig, args) -> int:
                ["t_start_weeks", "t_end_weeks", "composition", "boundary",
                 "active_units", "phases", "red_zone"],
                rows)
-    curve = assessment.curve
+    curve = system_hazard_curve(assessment.timeline, dt=dt)
     _write_csv(args.out.removesuffix(".csv") + "_curve.csv", ["t_weeks", "h_system"],
                (f"{a!r},{b!r}" for a, b in zip(curve.times.tolist(), curve.rates.tolist())))
     return 0

@@ -33,6 +33,7 @@ version; golden vectors are frozen in the tests.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +133,10 @@ class SimConfig:
     horizon: float | None = None
 
     def __post_init__(self):
+        for name in ("replications", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
         if self.master_seed < 0:

@@ -332,9 +332,12 @@ def _unit_cumulative_at(t, au: ActiveUnit, config: SystemConfig):
     return total
 
 
-def system_hazard_curve(timeline: ScenarioTimeline, *, dt: float) -> HazardCurve:
-    """Sample the composed system rate over the whole timeline.
+def system_hazard_curve(timeline: ScenarioTimeline, *, dt: float,
+                        start: float = 0.0) -> HazardCurve:
+    """Sample the composed system rate on the grid ``arange(0, t_end, dt)``.
 
+    Only the grid points at or after ``start`` are sampled, and they hold
+    the same values as the ``times >= start`` tail of the full curve.
     Within each segment the active units' cumulative hazards are measured
     from the segment's conditioning epoch; single-unit segments reduce to
     the unit's own rate.
@@ -342,20 +345,23 @@ def system_hazard_curve(timeline: ScenarioTimeline, *, dt: float) -> HazardCurve
     if not dt > 0.0:
         raise DomainError(f"dt must be > 0, got {dt!r}")
     config = timeline.config
+    # Slice the full grid rather than build one from ``start``: a grid that
+    # starts elsewhere holds different float values.
     t = np.arange(0.0, timeline.t_end, dt)
+    t = t[np.searchsorted(t, start, "left"):]
     h = np.zeros_like(t)
     for seg in timeline.segments:
-        mask = (t >= seg.t_start) & (t < seg.t_end)
-        if not np.any(mask):
+        lo, hi = np.searchsorted(t, (seg.t_start, seg.t_end), "left")
+        if lo == hi:
             continue
-        tt = t[mask]
+        tt = t[lo:hi]
         rates = [_unit_rate(tt, au, config) for au in seg.units]
         if seg.composition == "single" or len(seg.units) == 1:
-            h[mask] = rates[0]
+            h[lo:hi] = rates[0]
             continue
         cums = [
             _unit_cumulative_at(tt, au, config) - _unit_cumulative_at(seg.epoch, au, config)
             for au in seg.units
         ]
-        h[mask] = compose_parallel(rates, cums)
+        h[lo:hi] = compose_parallel(rates, cums)
     return HazardCurve(times=t, rates=h)

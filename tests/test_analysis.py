@@ -9,6 +9,7 @@ from redzone import (
     DomainError,
     HazardCurve,
     Policy,
+    RedZone,
     SimConfig,
     assess_red_zone,
     compare_policies,
@@ -16,6 +17,8 @@ from redzone import (
     detect_red_zone,
     lifetime_extension,
     run_ensemble,
+    scenario_timeline,
+    system_hazard_curve,
 )
 from redzone.analysis import apply_vendor_decision_point, baseline_from_curve, peak_ratio
 
@@ -31,6 +34,36 @@ def bump_curve(baseline=1.0, bumps=((40.0, 50.0, 3.0),), dt=0.5, t_max=100.0):
     for lo, hi, height in bumps:
         h[(t >= lo) & (t <= hi)] = height * baseline
     return HazardCurve(times=t, rates=h)
+
+
+def walked_zone(curve, baseline, threshold):
+    """Reference detection: walk the run out from the peak one point at a time."""
+    above = curve.rates > threshold * baseline
+    if not np.any(above):
+        return None
+    exceed_idx = np.flatnonzero(above)
+    peak = exceed_idx[np.argmax(curve.rates[exceed_idx])]
+    lo = hi = peak
+    while lo > 0 and above[lo - 1]:
+        lo -= 1
+    while hi + 1 < len(above) and above[hi + 1]:
+        hi += 1
+    start, end = float(curve.times[lo]), float(curve.times[hi])
+    if end <= start:
+        end = start + (float(curve.times[1] - curve.times[0]) if len(curve.times) > 1 else 1e-9)
+    return RedZone(start=start, end=end, severity=float(curve.rates[peak] / baseline))
+
+
+def full_grid_assessment(config, *, threshold, dt, baseline_window_fraction):
+    """Reference assessment: every reader takes its points from the curve on [0, t_end)."""
+    timeline = scenario_timeline(config)
+    curve = system_hazard_curve(timeline, dt=dt)
+    baseline = baseline_from_curve(curve, timeline.t0, window_fraction=baseline_window_fraction)
+    tail = curve.times >= timeline.t0
+    zone = walked_zone(HazardCurve(times=curve.times[tail], rates=curve.rates[tail]),
+                       baseline, threshold)
+    severity = peak_ratio(curve, baseline, timeline.tf1, max(timeline.t2, timeline.tf2))
+    return zone, severity, baseline
 
 
 class TestDetectRedZone:
@@ -55,6 +88,24 @@ class TestDetectRedZone:
         z_lo = detect_red_zone(curve, baseline=1.0, threshold=2.0)
         z_hi = detect_red_zone(curve, baseline=1.0, threshold=3.0)
         assert z_lo.start <= z_hi.start and z_hi.end <= z_lo.end
+
+    @pytest.mark.parametrize("bump, start, end", [
+        ((0.0, 10.0, 3.0), 0.0, 10.0),     # the run touches the first point
+        ((95.0, 100.0, 3.0), 95.0, 99.5),  # the run touches the last point
+        ((40.0, 40.0, 3.0), 40.0, 40.5),   # a single point, widened to one step
+        ((0.0, 100.0, 3.0), 0.0, 99.5),    # every point
+    ], ids=["first", "last", "single", "all"])
+    def test_run_edges(self, bump, start, end):
+        curve = bump_curve(bumps=(bump,))
+        zone = detect_red_zone(curve, baseline=1.0, threshold=2.0)
+        assert (zone.start, zone.end, zone.severity) == (start, end, 3.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rates=st.lists(st.sampled_from([0.5, 1.0, 2.5, 3.0, 4.0]), min_size=1, max_size=60),
+           threshold=st.sampled_from([1.5, 2.0, 2.9, 3.5]))
+    def test_matches_walked_run(self, rates, threshold):
+        curve = HazardCurve(times=0.5 * np.arange(len(rates)), rates=np.array(rates))
+        assert detect_red_zone(curve, 1.0, threshold) == walked_zone(curve, 1.0, threshold)
 
     def test_empty_curve_rejected(self):
         empty = HazardCurve(times=np.array([]), rates=np.array([]))
@@ -123,9 +174,20 @@ class TestAssessRedZone:
         # end-of-life window, so it must not trigger detection
         cfg = make_redzone_system(delta=20.0)
         a = assess_red_zone(cfg, threshold=2.0, dt=0.1, baseline_window_fraction=0.8)
-        early = a.curve.times < 10.0
-        assert float(np.max(a.curve.rates[early])) > 2.0 * a.baseline
+        curve = system_hazard_curve(a.timeline, dt=0.1)
+        early = curve.times < 10.0
+        assert float(np.max(curve.rates[early])) > 2.0 * a.baseline
         assert not a.detected
+
+    @settings(max_examples=40, deadline=None)
+    @given(delta=st.floats(0.1, 40.0), lab=st.floats(0.0, 18.0),
+           threshold=st.floats(1.05, 4.0), dt=st.floats(0.05, 1.0),
+           fraction=st.floats(0.05, 0.95))
+    def test_window_matches_full_grid(self, delta, lab, threshold, dt, fraction):
+        cfg = make_redzone_system(delta=delta, lab=lab)
+        a = assess_red_zone(cfg, threshold=threshold, dt=dt, baseline_window_fraction=fraction)
+        assert (a.zone, a.severity, a.baseline) == full_grid_assessment(
+            cfg, threshold=threshold, dt=dt, baseline_window_fraction=fraction)
 
 
 class TestDeltaSweep:

@@ -78,6 +78,15 @@ class TestParser:
         assert capsys.readouterr().err.startswith(f"error: {argv[1]}")
         assert not out.exists()
 
+    def test_overflowing_default_t_max_names_the_hazard_fields(self, tmp_path, capsys):
+        conf = write_config(tmp_path, hazard={"th1": 1e308, "th2": 1e308})
+        out = tmp_path / "out.csv"
+        assert main(["hazard", "--config", conf, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: hazard.th1, hazard.th2, hazard.th3: ")
+        assert "--t-max must" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["hazard", "scenario"])
     def test_grid_too_large_for_an_array_exits_one(self, command, tmp_path, capsys):
         # numpy refuses this grid's size before it allocates anything

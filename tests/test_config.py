@@ -85,6 +85,8 @@ def bound_cases():
         values = [value for keyword, value in violations(node) if keyword in BOUNDS]
         if "number" in types:
             values += [math.nan, math.inf, -math.inf]
+        if "integer" in types:
+            values += [1.5, math.nan, True]
         for value in values:
             yield pytest.param(path, node["default"], value, id=f"{dotted(path)}={value}")
 
@@ -283,6 +285,12 @@ class TestSchemaIsTheLoader:
         node[path[-1]] = value
         with pytest.raises(ValidationError):
             _build(doc)
+
+    @pytest.mark.parametrize("key", ["replications", "master_seed"])
+    @pytest.mark.parametrize("value", [2.5, math.nan, True, "3"], ids=repr)
+    def test_sim_integer_fields_named(self, key, value):
+        with pytest.raises(ValidationError, match=rf"^{key} must be an integer, got "):
+            SimConfig(**{key: value})
 
     def test_example_config_loads_and_validates(self):
         jsonschema = pytest.importorskip("jsonschema")

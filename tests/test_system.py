@@ -9,8 +9,11 @@ from redzone import (
     CompositionError,
     DomainError,
     LifetimeDistribution,
+    OperatorHazard,
+    SoftwareHazardModel,
     SystemConfig,
     Unit,
+    UpgradeEvent,
     ValidationError,
     ValidationWarning,
     compose_parallel,
@@ -18,6 +21,7 @@ from redzone import (
     scenario_timeline,
     system_hazard_curve,
 )
+from redzone.system import _unit_cumulative_at, _unit_rate
 
 from conftest import make_bathtub, make_flat_bathtub, make_redzone_system
 
@@ -26,6 +30,22 @@ def closed_form_pair(lam, t):
     """Composed rate of two identical constant-rate units from birth."""
     e = np.exp(-lam * t)
     return 2.0 * lam * (1.0 - e) / (2.0 - e)
+
+
+def masked_curve(tl, dt):
+    """Reference sampling: locate each segment's points with a boolean mask."""
+    t = np.arange(0.0, tl.t_end, dt)
+    h = np.zeros_like(t)
+    for seg in tl.segments:
+        mask = (t >= seg.t_start) & (t < seg.t_end)
+        rates = [_unit_rate(t[mask], au, tl.config) for au in seg.units]
+        if len(seg.units) == 1:
+            h[mask] = rates[0]
+        else:
+            h[mask] = compose_parallel(rates, [
+                _unit_cumulative_at(t[mask], au, tl.config)
+                - _unit_cumulative_at(seg.epoch, au, tl.config) for au in seg.units])
+    return t, h
 
 
 class TestEffectiveAge:
@@ -212,6 +232,16 @@ class TestSystemHazardCurve:
         window = (curve.times >= tl.tf2) & (curve.times <= tl.t2)
         assert float(np.max(curve.rates[window])) > 2.0 * baseline
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 20.0])
+    @pytest.mark.parametrize("dt", [0.5, 0.25, 0.1])
+    def test_matches_masked_segments(self, delta, dt):
+        # with these steps most segment boundaries fall on grid points
+        tl = scenario_timeline(make_redzone_system(delta=delta))
+        curve = system_hazard_curve(tl, dt=dt)
+        t, h = masked_curve(tl, dt)
+        assert np.array_equal(curve.times, t)
+        assert np.array_equal(curve.rates, h)
+
     def test_grid_step_validation(self):
         cfg = make_redzone_system(delta=1.0)
         tl = scenario_timeline(cfg)
@@ -223,3 +253,38 @@ class TestSystemHazardCurve:
         curve = system_hazard_curve(scenario_timeline(cfg), dt=0.25)
         assert np.all(np.isfinite(curve.rates))
         assert np.all(curve.rates >= 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        th1=st.floats(5.0, 40.0),
+        th2=st.floats(50.0, 300.0),
+        margin=st.floats(0.0, 60.0),
+        stagger=st.floats(0.0, 30.0),
+        lab_share=st.floats(0.0, 1.0),
+        events=st.lists(st.tuples(st.floats(0.0, 800.0), st.sampled_from(["minor", "major"]),
+                                  st.floats(0.0, 0.01), st.floats(1.0, 50.0)),
+                        max_size=3, unique_by=lambda e: e[0]),
+        operator_rate=st.floats(0.0, 0.01),
+        dt=st.floats(0.01, 5.0),
+        data=st.data(),
+    )
+    def test_window_is_the_full_curve_tail(self, th1, th2, margin, stagger, lab_share, events,
+                                           operator_rate, dt, data):
+        model = make_bathtub(burnin=(0.9, 0.1), th1=th1, th2=th2, th3=10.0)
+        mean = th1 + th2 + margin
+        upgrades = tuple(UpgradeEvent(*event) for event in sorted(events))
+        cfg = SystemConfig(hazard=model, unit_lifetime=LifetimeDistribution(mean, stagger),
+                           lab_burnin=lab_share * th1,
+                           software=SoftwareHazardModel(0.001, 0.004, 26.0, upgrades),
+                           operator=OperatorHazard(operator_rate))
+        tl = scenario_timeline(cfg)
+        full = system_hazard_curve(tl, dt=dt)
+        start = data.draw(st.one_of(
+            st.floats(0.0, tl.t_end, exclude_max=True),
+            st.sampled_from([tl.t0, tl.tf1, tl.tf2, 0.8 * tl.t0]),
+            st.sampled_from(full.times.tolist()),
+        ), label="start")
+        window = system_hazard_curve(tl, dt=dt, start=start)
+        tail = full.times >= start
+        assert np.array_equal(window.times, full.times[tail])
+        assert np.array_equal(window.rates, full.rates[tail])
