@@ -135,8 +135,7 @@ class RedZoneAssessment:
 
 
 def assess_red_zone(config: SystemConfig, *, threshold: float, dt: float,
-                    baseline_window_fraction: float,
-                    stagger: float | None = None) -> RedZoneAssessment:
+                    baseline_window_fraction: float) -> RedZoneAssessment:
     """Build the deterministic timeline and detect the end-of-life red zone.
 
     Detection runs on the curve restricted to t >= the mains' wear-out
@@ -146,7 +145,7 @@ def assess_red_zone(config: SystemConfig, *, threshold: float, dt: float,
     sampled only from the start of the baseline window, the first point
     any of these reads.
     """
-    timeline = scenario_timeline(config, stagger=stagger)
+    timeline = scenario_timeline(config)
     curve = system_hazard_curve(timeline, dt=dt,
                                 start=baseline_window_fraction * timeline.t0)
     baseline = baseline_from_curve(curve, timeline.t0, window_fraction=baseline_window_fraction)
@@ -193,7 +192,7 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
     rows: list[DeltaSweepPoint] = []
     for d in deltas:
         cfg = replace(config, unit_lifetime=LifetimeDistribution(config.unit_lifetime.mean, d))
-        assessment = assess_red_zone(cfg, threshold=threshold, dt=dt, stagger=d,
+        assessment = assess_red_zone(cfg, threshold=threshold, dt=dt,
                                      baseline_window_fraction=baseline_window_fraction)
         metrics = run_ensemble(cfg, policy, sim)
         rows.append(DeltaSweepPoint(

@@ -26,7 +26,7 @@ from .errors import DomainError, ValidationError
 from .hazards import bathtub_hazard, software_hazard
 from .maintenance import Policy
 from .montecarlo import EventLog, Metrics, run_batch
-from .system import scenario_timeline, system_hazard_curve
+from .system import end_of_life, system_hazard_curve
 
 __all__ = ["main", "build_parser"]
 
@@ -134,11 +134,11 @@ def _curve_dt(run: RunConfig, args, span: float | None = None) -> float:
     """``run.curve_dt``, checked to give a grid over [0, span] that numpy can hold.
 
     ``span`` defaults to the end of every scenario curve of ``run.system``,
-    which no stagger moves.  An error names ``--dt`` when the flag set the
-    step, else the config field.
+    which no lifetime sd moves.  An error names ``--dt`` when the flag set
+    the step, else the config field.
     """
     if span is None:
-        span = scenario_timeline(run.system, stagger=0.0).t_end
+        span = end_of_life(run.system)
     dt = run.curve_dt
     if span / dt >= _MAX_GRID_POINTS:
         source = "--dt" if getattr(args, "dt", None) is not None else _FLAG_FIELDS["--dt"]
@@ -240,13 +240,13 @@ def _write_events_csv(path: str, log: EventLog) -> None:
 def cmd_simulate(run: RunConfig, args) -> int:
     policy, sim = run.policy, run.sim
     dt = _curve_dt(run, args)
+    assessment = assess_red_zone(run.system, threshold=run.red_zone_threshold, dt=dt,
+                                 baseline_window_fraction=run.baseline_window_fraction)
     out = run_batch(run.system, policy, sim.master_seed, sim.replications,
                     horizon=sim.horizon, record_events=bool(args.events_out))
     metrics = Metrics.from_batch(out)
     if policy.kind == "type1":
         metrics = apply_vendor_decision_point(metrics, run.vendor_mtbf, run.warn_factor)
-    assessment = assess_red_zone(run.system, threshold=run.red_zone_threshold, dt=dt,
-                                 baseline_window_fraction=run.baseline_window_fraction)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "seed": int(sim.master_seed),

@@ -86,24 +86,18 @@ class WeibullTerm:
                  f"WeibullTerm.shape must be a finite number > 0, got {self.shape!r}")
 
 
-def weibull_hazard(t, term: WeibullTerm, *, t_min: float | None = None):
+def weibull_hazard(t, term: WeibullTerm):
     """Instantaneous rate ``scale * shape * t**(shape - 1)``.
 
-    For ``shape < 1`` the rate diverges at ``t = 0``; callers that need the
-    origin must supply a clamp floor ``t_min > 0``, below which the rate is
-    evaluated at ``t_min`` instead.  Without a floor, ``t = 0`` with
-    ``shape < 1`` raises :class:`DomainError`.
+    For ``shape < 1`` the rate diverges at ``t = 0``, so ``t = 0`` with
+    ``shape < 1`` raises :class:`DomainError`; callers that need the origin
+    clamp ``t`` themselves (see :func:`bathtub_hazard`).
     """
     arr, scalar = _coerce_time(t)
     if np.any(arr < 0.0):
         raise DomainError("weibull_hazard requires t >= 0")
-    if term.shape < 1.0:
-        if t_min is not None:
-            if not (_finite_number(t_min) and t_min > 0.0):
-                raise DomainError(f"t_min must be a finite number > 0, got {t_min!r}")
-            arr = np.maximum(arr, t_min)
-        elif np.any(arr == 0.0):
-            raise DomainError("t = 0 with shape < 1 needs a clamp floor (t_min)")
+    if term.shape < 1.0 and np.any(arr == 0.0):
+        raise DomainError("t = 0 with shape < 1: the rate diverges at the origin")
     if term.scale == 0.0:
         return _ret(np.zeros_like(arr), scalar)
     return _ret(term.scale * term.shape * arr ** (term.shape - 1.0), scalar)
@@ -173,7 +167,7 @@ def bathtub_hazard(t, model: BathtubModel):
         raise DomainError("bathtub_hazard requires t >= 0")
     h = np.full_like(arr, model.useful_rate, dtype=float)
     if model.burnin.scale > 0.0:
-        h = h + weibull_hazard(arr, model.burnin, t_min=model.clamp_floor)
+        h = h + weibull_hazard(np.maximum(arr, model.clamp_floor), model.burnin)
     if model.wearout.scale > 0.0:
         h = h + weibull_hazard(np.maximum(arr - model.wearout_onset, 0.0), model.wearout)
     return _ret(h, scalar)

@@ -8,11 +8,11 @@ spare.  A unit's effective consumed life is
 and a unit has failed once that quantity reaches its lifetime.  The shelf
 aging factor defaults to 0 (ideal cold storage).
 
-Redundancy is composed exactly: for k active units with rates ``h_i`` and
-cumulative hazards ``H_i`` measured from a common conditioning epoch, the
-1-out-of-k system rate is
+Redundancy is composed exactly: for the two active units with rates ``h_i``
+and cumulative hazards ``H_i`` measured from a common conditioning epoch,
+the 1-out-of-2 system rate is
 
-    sum_i f_i * prod_{j != i} F_j   /   (1 - prod_i F_i)
+    (f1 * F2 + f2 * F1)   /   (1 - F1 * F2)
 
 with ``R_i = exp(-H_i)``, ``F_i = 1 - R_i`` and ``f_i = h_i * R_i``.  The
 curve generator conditions every segment on the units known alive at the
@@ -58,6 +58,7 @@ __all__ = [
     "HazardCurve",
     "effective_age",
     "compose_parallel",
+    "end_of_life",
     "scenario_timeline",
     "system_hazard_curve",
 ]
@@ -136,7 +137,7 @@ class SystemConfig:
 
 
 def compose_parallel(hazards, cumulative_hazards):
-    """Exact 1-out-of-k active-parallel composition.
+    """Exact 1-out-of-k active-parallel composition for k = 1 or 2.
 
     Arguments are sequences of per-unit values (floats or equally shaped
     arrays): instantaneous rates ``h_i`` and cumulative hazards ``H_i``
@@ -147,28 +148,17 @@ def compose_parallel(hazards, cumulative_hazards):
     if len(hazards) != len(cumulative_hazards):
         raise DomainError("hazards and cumulative_hazards must have equal length")
     k = len(hazards)
-    if k == 0:
-        raise DomainError("compose_parallel needs at least one unit")
+    if not 1 <= k <= 2:
+        raise DomainError(f"compose_parallel takes one or two units, got {k}")
     if k == 1:
         return hazards[0]
-    h = [np.asarray(x, dtype=float) for x in hazards]
-    H = [np.asarray(x, dtype=float) for x in cumulative_hazards]
-    scalar = all(x.ndim == 0 for x in h)
-    R = [np.exp(-x) for x in H]
-    F = [-np.expm1(-x) for x in H]
-    f = [hi * Ri for hi, Ri in zip(h, R)]
-    prod_f = np.ones_like(np.broadcast_arrays(*F)[0])
-    num = np.zeros_like(prod_f)
-    for i in range(k):
-        others = np.ones_like(prod_f)
-        for j in range(k):
-            if j != i:
-                others = others * F[j]
-        num = num + f[i] * others
-    den = 1.0
-    for Fi in F:
-        den = den * Fi
-    den = 1.0 - den
+    h1, h2 = (np.asarray(x, dtype=float) for x in hazards)
+    H1, H2 = (np.asarray(x, dtype=float) for x in cumulative_hazards)
+    scalar = h1.ndim == 0 and h2.ndim == 0
+    F1, F2 = -np.expm1(-H1), -np.expm1(-H2)
+    f1, f2 = h1 * np.exp(-H1), h2 * np.exp(-H2)
+    num = f1 * F2 + f2 * F1
+    den = 1.0 - F1 * F2
     if np.any(den <= 0.0):
         raise CompositionError("all units certainly failed; composed rate undefined")
     out = num / den
@@ -206,13 +196,17 @@ class ScenarioSegment:
     t_start: float
     t_end: float
     units: tuple[ActiveUnit, ...]
-    composition: str
     epoch: float
     boundary: str
 
     def __post_init__(self):
         if not self.t_start < self.t_end:
             raise ValidationError("segment needs t_start < t_end")
+
+    @property
+    def composition(self) -> str:
+        """``single`` for one active unit, else ``parallel``."""
+        return "single" if len(self.units) == 1 else "parallel"
 
 
 @dataclass(frozen=True)
@@ -228,27 +222,32 @@ class ScenarioTimeline:
     t_end: float
 
 
-def scenario_timeline(config: SystemConfig, *, stagger: float | None = None) -> ScenarioTimeline:
+def end_of_life(config: SystemConfig) -> float:
+    """When the spare, installed at the first main failure, exhausts its life.
+
+    Installed at the mean lifetime with its lab credit already consumed,
+    it fails at ``mean + (mean - lab)``: the end of every scenario curve.
+    """
+    mean = config.unit_lifetime.mean
+    return mean + (mean - config.lab_burnin)
+
+
+def scenario_timeline(config: SystemConfig) -> ScenarioTimeline:
     """Deterministic event sequence for the replace-on-failure policy.
 
     The two mains are commissioned fresh at t = 0; the first fails at the
-    mean lifetime and the second a fixed ``stagger`` later (the lifetime
-    spread read as an explicit gap; defaults to the configured sd).  The
-    spare carries its lab burn-in credit and is installed at the first
-    failure.  Boundaries:
+    mean lifetime and the second the lifetime sd later (the spread read as
+    an explicit gap).  The spare carries its lab burn-in credit and is
+    installed at the first failure.  Boundaries:
 
         T0  = th1 + th2                wear-out onset of the mains
         Tf1 = mean                     first main failure, spare installed
-        Tf2 = mean + stagger           second main failure
+        Tf2 = mean + sd                second main failure
         T2  = Tf2 + (th1 - lab)        declared end of the spare's burn-in
 
     Segment labels follow the declared phase windows; hazard values along
     the curve always use true unit ages.
     """
-    if stagger is None:
-        stagger = config.unit_lifetime.sd
-    if stagger < 0.0:
-        raise ValidationError(f"stagger must be >= 0, got {stagger!r}")
     hz = config.hazard
     mean = config.unit_lifetime.mean
     lab = config.lab_burnin
@@ -258,12 +257,12 @@ def scenario_timeline(config: SystemConfig, *, stagger: float | None = None) -> 
             f"mean lifetime ({mean}) lies before the wear-out onset ({t0}); "
             "the end-of-life scenario is undefined")
     tf1 = mean
-    tf2 = mean + stagger
+    tf2 = mean + config.unit_lifetime.sd
     t2 = tf2 + max(hz.th1 - lab, 0.0)
-    t_end = tf1 + (mean - lab)
+    t_end = end_of_life(config)
     if t_end <= tf2:
         raise ValidationError("spare exhausts before the second main failure; "
-                              "lower the stagger or raise the mean lifetime")
+                              "lower the lifetime sd or raise the mean lifetime")
 
     main1 = ActiveUnit("controller_1", PHASE_USEFUL, birth=0.0)
     main2 = ActiveUnit("controller_2", PHASE_USEFUL, birth=0.0)
@@ -272,28 +271,25 @@ def scenario_timeline(config: SystemConfig, *, stagger: float | None = None) -> 
 
     segs: list[ScenarioSegment] = []
 
-    def add(t_start, t_end_, units, composition, epoch, boundary):
+    def add(t_start, t_end_, units, epoch, boundary):
         if t_start < t_end_:
-            segs.append(ScenarioSegment(t_start, t_end_, tuple(units), composition,
-                                        epoch, boundary))
+            segs.append(ScenarioSegment(t_start, t_end_, tuple(units), epoch, boundary))
 
-    if t0 > 0.0:
-        add(0.0, min(t0, tf1), (main1, main2), "parallel", 0.0, "start")
+    add(0.0, min(t0, tf1), (main1, main2), 0.0, "start")
     add(t0, tf1, (replace(main1, phase=PHASE_WEAROUT), replace(main2, phase=PHASE_WEAROUT)),
-        "parallel", 0.0, "T0")
-    add(tf1, tf2, (replace(main2, phase=PHASE_WEAROUT), spare), "parallel", tf1, "Tf1")
-    # Declared spare burn-in window; with a large stagger the spare has
-    # already matured and the label is schematic (values use true ages).
-    add(tf2, min(t2, t_end), (spare,), "single", tf2, "Tf2")
+        0.0, "T0")
+    add(tf1, tf2, (replace(main2, phase=PHASE_WEAROUT), spare), tf1, "Tf1")
+    # Declared spare burn-in window; with a large sd the spare has already
+    # matured and the label is schematic (values use true ages).
+    add(tf2, min(t2, t_end), (spare,), tf2, "Tf2")
     spare_onset = spare_birth + hz.wearout_onset
     if spare_onset <= max(t2, tf2):
-        add(max(t2, tf2), t_end, (replace(spare, phase=PHASE_WEAROUT),), "single",
-            tf2, "T2")
+        add(max(t2, tf2), t_end, (replace(spare, phase=PHASE_WEAROUT),), tf2, "T2")
     else:
         add(max(t2, tf2), min(spare_onset, t_end), (replace(spare, phase=PHASE_USEFUL),),
-            "single", tf2, "T2")
+            tf2, "T2")
         add(min(spare_onset, t_end), t_end, (replace(spare, phase=PHASE_WEAROUT),),
-            "single", tf2, "spare_wearout")
+            tf2, "spare_wearout")
 
     return ScenarioTimeline(config=config, segments=tuple(segs),
                             t0=t0, tf1=tf1, tf2=tf2, t2=t2, t_end=t_end)
@@ -356,7 +352,7 @@ def system_hazard_curve(timeline: ScenarioTimeline, *, dt: float,
             continue
         tt = t[lo:hi]
         rates = [_unit_rate(tt, au, config) for au in seg.units]
-        if seg.composition == "single" or len(seg.units) == 1:
+        if len(seg.units) == 1:
             h[lo:hi] = rates[0]
             continue
         cums = [

@@ -449,8 +449,7 @@ class TestRedzoneCommand:
         system = load_config(conf).system
         assert severities[0.3] == [
             assess_red_zone(replace(system, unit_lifetime=LifetimeDistribution(208.0, d)),
-                            threshold=2.0, dt=0.1, baseline_window_fraction=0.3,
-                            stagger=d).severity
+                            threshold=2.0, dt=0.1, baseline_window_fraction=0.3).severity
             for d in (1.0, 5.0, 20.0)]
         assert severities[0.3] != severities[0.8]
 

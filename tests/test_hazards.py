@@ -61,14 +61,8 @@ class TestWeibullHazard:
             weibull_hazard(-1.0, WeibullTerm(1.0, 2.0))
 
     def test_origin_needs_clamp_for_decreasing_shape(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="diverges at the origin"):
             weibull_hazard(0.0, WeibullTerm(1.0, 0.5))
-
-    def test_clamp_floor_applies_below_floor(self):
-        term = WeibullTerm(1.0, 0.5)
-        clamped = weibull_hazard(0.0, term, t_min=1e-4)
-        assert clamped == weibull_hazard(1e-4, term)
-        assert weibull_hazard(1.0, term, t_min=1e-4) == weibull_hazard(1.0, term)
 
     def test_array_input(self):
         t = np.array([1.0, 2.0, 4.0])
@@ -133,6 +127,14 @@ class TestBathtub:
     def test_flat_model_is_exactly_constant(self, flat_bathtub):
         t = np.linspace(0.0, 500.0, 1001)
         assert np.all(bathtub_hazard(t, flat_bathtub) == flat_bathtub.useful_rate)
+
+    def test_clamp_floor_applies_below_floor(self, example_bathtub):
+        floor = example_bathtub.clamp_floor
+        at_floor = bathtub_hazard(floor, example_bathtub)
+        t = np.linspace(0.0, floor, 11)
+        assert np.all(bathtub_hazard(t, example_bathtub) == at_floor)
+        assert bathtub_hazard(0.0, example_bathtub) == at_floor
+        assert bathtub_hazard(2.0 * floor, example_bathtub) < at_floor
 
     def test_onset_is_th1_plus_th2(self, example_bathtub):
         assert example_bathtub.wearout_onset == 100.0
@@ -317,7 +319,7 @@ class TestSoftwareHazard:
 )
 def test_hazard_values_are_finite_and_nonnegative(lam, beta, t):
     term = WeibullTerm(lam, beta)
-    h = weibull_hazard(t, term, t_min=1e-9)
+    h = weibull_hazard(t, term)
     H = weibull_cumulative(t, term)
     assert math.isfinite(h) and h >= 0.0
     assert math.isfinite(H) and H >= 0.0

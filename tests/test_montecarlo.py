@@ -19,6 +19,7 @@ from redzone import (
     empirical_hazard,
     run_ensemble,
     run_replication,
+    scenario_timeline,
 )
 from redzone.montecarlo import SplitMix64, _derive_seeds, _uniforms, run_batch
 
@@ -320,6 +321,32 @@ class TestRunEnsemble:
 
         assert two.tdt.mean - one.tdt.mean > 3 * (se(two.tdt) + se(one.tdt))
         assert full.tdt.mean - two.tdt.mean > 3 * (se(full.tdt) + se(two.tdt))
+
+    @pytest.mark.parametrize("policy", [Policy("type1"), Policy("type2", rotation_period=30.0)])
+    def test_cold_spare_matches_closed_form_means(self, policy):
+        # Cold spare (alpha = 0, no lab credit), memoryless lifetimes: two units
+        # run until the first failure, then the survivor and the installed spare
+        # until the next, so trdd ~ Erlang(2, 2 lam) with mean 1/lam, and tdt adds
+        # the last unit's Exp(lam), mean 2/lam.  Rotation cannot change that law.
+        # Tolerance: 3 standard errors of the ensemble mean.
+        lam = 0.01
+        met = run_ensemble(exp_config(lam), policy,
+                           SimConfig(replications=50_000, master_seed=7, horizon=10000.0))
+        assert met.censored_count == 0
+        for summary, expected in ((met.trdd, 1.0 / lam), (met.tdt, 2.0 / lam)):
+            se = summary.std / math.sqrt(summary.n)
+            assert abs(summary.mean - expected) < 3 * se
+
+    def test_sd_zero_ties_the_timeline_landmarks(self):
+        # With deterministic lifetimes the spread's two readings agree: every
+        # type1 replication loses redundancy at the timeline's Tf2 and dies at
+        # its end of life, mean + (mean - lab).  The system is the demo config's.
+        system = make_redzone_system(delta=0.0)
+        tl = scenario_timeline(system)
+        assert (tl.tf2, tl.t_end) == (208.0, 414.0)
+        out = run_batch(system, Policy("type1"), 42, 500)
+        assert np.all(out.trdd == tl.tf2)
+        assert np.all(out.tdt == tl.t_end)
 
     def test_all_censored_flagged_unusable(self):
         met = run_ensemble(det_config(), Policy("type1"),

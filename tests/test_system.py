@@ -122,6 +122,8 @@ class TestComposeParallel:
             compose_parallel([], [])
         with pytest.raises(DomainError):
             compose_parallel([1.0], [1.0, 2.0])
+        with pytest.raises(DomainError, match="one or two units, got 3"):
+            compose_parallel([1.0] * 3, [1.0] * 3)
 
 
 class TestScenarioTimeline:
