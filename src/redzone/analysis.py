@@ -19,11 +19,12 @@ is spread < th3, strict.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, ValidationWarning
 from .hazards import LifetimeDistribution
 from .maintenance import Policy, red_zone_condition
 from .montecarlo import Metrics, MetricSummary, SimConfig, _summarize, run_ensemble
@@ -191,7 +192,10 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
         raise DomainError("sweep spreads must be sorted, strictly increasing")
     rows: list[DeltaSweepPoint] = []
     for d in deltas:
-        cfg = replace(config, unit_lifetime=LifetimeDistribution(config.unit_lifetime.mean, d))
+        # the caller's config has already warned about itself; the copy would repeat it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidationWarning)
+            cfg = replace(config, unit_lifetime=LifetimeDistribution(config.unit_lifetime.mean, d))
         assessment = assess_red_zone(cfg, threshold=threshold, dt=dt,
                                      baseline_window_fraction=baseline_window_fraction)
         metrics = run_ensemble(cfg, policy, sim)

@@ -56,13 +56,13 @@ class Policy:
                                   f"got {self.rotation_period!r}")
 
 
-def oldest_slot(slots: Sequence[Unit | None], shelf_aging_factor: float) -> int | None:
+def oldest_slot(slots: Sequence[Unit], shelf_aging_factor: float) -> int | None:
     """The rotation target: the unfailed slot of greatest effective age.
 
-    Ties go to the lower slot index; ``None`` when every slot is empty or
-    failed.  This is the scalar form of :func:`rotation_targets`.
+    Ties go to the lower slot index; ``None`` when every slot has failed.
+    This is the scalar form of :func:`rotation_targets`.
     """
-    candidates = [i for i, u in enumerate(slots) if u is not None and not u.failed]
+    candidates = [i for i, u in enumerate(slots) if not u.failed]
     return max(candidates, key=lambda i: (effective_age(slots[i], shelf_aging_factor), -i),
                default=None)
 

@@ -24,10 +24,11 @@ avalanche mix (xor-shift 30 / multiply 0xBF58476D1CE4E5B9 / xor-shift 27 /
 multiply 0x94D049BB133111EB / xor-shift 31), period 2**64.  Per-replication
 seeds are derived by mixing the master seed with the replication index, so
 replications are independent of execution order.  Uniform variates are
-((u64 >> 11) + 0.5) * 2**-53, strictly inside (0, 1).  The generator is
-implemented here, in integer arithmetic (wrapping uint64 arrays for the
-batched engine), so byte-identical output does not depend on any library
-version; golden vectors are frozen in the tests.
+((u64 >> 11) + 0.5) * 2**-53, strictly inside (0, 1): the one value that
+rounds to 1.0, u64 >> 11 = 2**53 - 1, is taken as 1 - 2**-53.  The
+generator is implemented here, in integer arithmetic (wrapping uint64
+arrays for the batched engine), so byte-identical output does not depend
+on any library version; golden vectors are frozen in the tests.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 
 
 def _mix64(z: int) -> int:
@@ -102,7 +104,7 @@ def _uniforms(seeds: np.ndarray, k: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         states = seeds[:, None] + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         bits = _mix64_array(states) >> np.uint64(11)
-    return (bits.astype(float) + 0.5) * (2.0 ** -53)
+    return np.minimum((bits.astype(float) + 0.5) * (2.0 ** -53), _BELOW_ONE)
 
 
 class SplitMix64:
@@ -116,8 +118,9 @@ class SplitMix64:
         return _mix64(self._state)
 
     def uniform(self) -> float:
-        """A double strictly inside (0, 1): ((u64 >> 11) + 0.5) * 2**-53."""
-        return ((self.next_u64() >> 11) + 0.5) * (2.0 ** -53)
+        """A double strictly inside (0, 1): ((u64 >> 11) + 0.5) * 2**-53,
+        except that u64 >> 11 = 2**53 - 1, which rounds to 1.0, gives 1 - 2**-53."""
+        return min(((self.next_u64() >> 11) + 0.5) * (2.0 ** -53), _BELOW_ONE)
 
 
 @dataclass(frozen=True)
@@ -167,10 +170,7 @@ class Trace:
     at which every slot holds an unfailed unit but no usable shelf unit is
     left, because the shelf is empty or its unit has failed.  Both are
     checked after each event epoch, so a dead-on-arrival spare is seen at
-    the first epoch, not at t = 0.  Likewise a fleet that starts without
-    redundancy (one slot, no usable spare) records ``trdd`` at its first
-    event epoch, and under type2 also ``dp``, since its single slot is
-    full: that epoch is the first rotation.
+    the first epoch, not at t = 0.
     """
 
     events: tuple[Event, ...]
@@ -189,37 +189,19 @@ class Trace:
 
 
 def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
-                    horizon: float | None = None, n_slots: int = 2,
-                    with_spare: bool = True) -> Trace:
-    """Simulate one system life and return its trace.
-
-    ``n_slots``/``with_spare`` select the fleet: the production architecture
-    is two slots plus a shelf spare; single-unit and no-spare fleets exist
-    for oracle configurations.
-    """
-    if n_slots not in (1, 2):
-        raise ValidationError("n_slots must be 1 or 2")
+                    horizon: float | None = None) -> Trace:
+    """Simulate one life of the two-slot, one-spare system and return its trace."""
     model = config.unit_lifetime
     if horizon is None:
         horizon = 5.0 * model.mean
     alpha = config.shelf_aging_factor
     rng = SplitMix64(seed)
 
-    roster: list[Unit] = []
-    slots: list[Unit | None] = []
-    for i in range(n_slots):
-        u = Unit(id=f"controller_{i + 1}",
-                 lifetime=float(model.sample(rng.uniform())),
-                 status=ACTIVE)
-        roster.append(u)
-        slots.append(u)
-    shelf: Unit | None = None
-    if with_spare:
-        shelf = Unit(id=f"controller_{n_slots + 1}",
-                     lifetime=float(model.sample(rng.uniform())),
-                     lab_burnin_credit=config.lab_burnin,
-                     status=ON_SHELF)
-        roster.append(shelf)
+    slots = [Unit(id=f"controller_{i}", lifetime=float(model.sample(rng.uniform())),
+                  status=ACTIVE) for i in (1, 2)]
+    shelf: Unit | None = Unit(id="controller_3", lifetime=float(model.sample(rng.uniform())),
+                              lab_burnin_credit=config.lab_burnin, status=ON_SHELF)
+    lifetimes = {u.id: u.lifetime for u in (*slots, shelf)}
 
     events: list[Event] = []
     trdd: float | None = None
@@ -234,26 +216,24 @@ def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
 
     # A spare can be dead on arrival only when the lab credit already
     # exhausts its sampled lifetime; record it for transparency.
-    if shelf is not None and effective_age(shelf, alpha) >= shelf.lifetime:
+    if effective_age(shelf, alpha) >= shelf.lifetime:
         shelf.status = FAILED
         events.append(Event(0.0, "failure", shelf.id, "shelf"))
 
     while True:
         candidates: list[tuple[float, int, int]] = []  # (time, priority, slot/row)
         for i, u in enumerate(slots):
-            if u is not None and not u.failed:
+            if not u.failed:
                 candidates.append((t + (u.lifetime - effective_age(u, alpha)), 0, i))
         if shelf_usable() and alpha > 0.0:
             candidates.append((t + (shelf.lifetime - effective_age(shelf, alpha)) / alpha, 0, 99))
         if policy.kind == "type2":
             candidates.append((rotation_index * policy.rotation_period, 1, -1))
-        if not candidates:
-            break
         t_next = min(c[0] for c in candidates)
         if t_next > horizon:
             step = horizon - t
             for u in slots:
-                if u is not None and not u.failed:
+                if not u.failed:
                     u.onjob_age += step
             if shelf_usable():
                 shelf.shelf_age += step
@@ -263,7 +243,7 @@ def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
 
         step = t_next - t
         for u in slots:
-            if u is not None and not u.failed:
+            if not u.failed:
                 u.onjob_age += step
         if shelf_usable():
             shelf.shelf_age += step
@@ -274,8 +254,6 @@ def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
         for _, prio, row in sorted(due, key=lambda c: (c[1], c[2])):
             if prio == 0 and row != 99:
                 u = slots[row]
-                if u is None or u.failed:
-                    continue
                 u.status = FAILED
                 events.append(Event(t, "failure", u.id, row))
                 if shelf_usable():
@@ -304,10 +282,10 @@ def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
                     events.append(Event(t, "rotate", incoming.id, target,
                                         unit_out=outgoing.id))
 
-        alive = sum(1 for u in slots if u is not None and not u.failed)
+        alive = sum(1 for u in slots if not u.failed)
         if trdd is None and alive < 2 and not shelf_usable():
             trdd = t
-        if dp is None and policy.kind == "type2" and alive == n_slots and not shelf_usable():
+        if dp is None and policy.kind == "type2" and alive == 2 and not shelf_usable():
             dp = t
             events.append(Event(t, "dp"))
         if alive == 0:
@@ -315,7 +293,6 @@ def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
             events.append(Event(t, "system_death"))
             break
 
-    lifetimes = {u.id: u.lifetime for u in roster}
     return Trace(events=tuple(events), trdd=trdd, tdt=tdt, dp=dp,
                  censored=censored, end_time=t, lifetimes=lifetimes)
 
@@ -457,8 +434,7 @@ class BatchOutcomes:
 
 
 def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replications: int, *,
-              horizon: float | None = None, n_slots: int = 2, with_spare: bool = True,
-              record_events: bool = False) -> BatchOutcomes:
+              horizon: float | None = None, record_events: bool = False) -> BatchOutcomes:
     """Simulate replications 0..N-1 of ``master_seed`` in lockstep.
 
     The struct-of-arrays form of :func:`run_replication`: one row per
@@ -476,23 +452,20 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
     loop's order within an epoch, and a stable sort on the replication
     index then groups the blocks into per-replication logs.
     """
-    if n_slots not in (1, 2):
-        raise ValidationError("n_slots must be 1 or 2")
     if horizon is None:
         horizon = 5.0 * config.unit_lifetime.mean
     alpha = config.shelf_aging_factor
     rotating = policy.kind == "type2"
-    S = n_slots  # column index of the shelf
-    n_units = n_slots + int(with_spare)
+    S = 2  # column index of the shelf, after the two slots
 
-    u = _uniforms(_derive_seeds(master_seed, replications), n_units)
+    u = _uniforms(_derive_seeds(master_seed, replications), S + 1)
     units = np.zeros((_ID + int(record_events), replications, S + 1))
-    units[_LIFE, :, :n_units] = config.unit_lifetime.sample(u)
+    units[_LIFE] = config.unit_lifetime.sample(u)
     units[_LAB, :, S] = config.lab_burnin
-    on_shelf = np.full(replications, with_spare)
+    on_shelf = np.ones(replications, dtype=bool)
     failed = np.zeros((replications, S + 1), dtype=bool)
     # dead on arrival: the lab credit already exhausts the spare's lifetime
-    failed[:, S] = on_shelf & (units[_LAB, :, S] >= units[_LIFE, :, S])
+    failed[:, S] = units[_LAB, :, S] >= units[_LIFE, :, S]
     t = np.zeros(replications)
     rotation = np.ones(replications)
     rows = np.arange(replications)  # replication index of each running row
@@ -600,16 +573,14 @@ def _event_log(blocks: list[tuple]) -> EventLog:
                     unit_out=unit_out.astype(np.int8))
 
 
-def run_ensemble(config: SystemConfig, policy: Policy, sim: SimConfig, *,
-                 n_slots: int = 2, with_spare: bool = True) -> Metrics:
+def run_ensemble(config: SystemConfig, policy: Policy, sim: SimConfig) -> Metrics:
     """Run N replications with :func:`run_batch` and aggregate in index order.
 
     Replication i uses seed ``derive_seed(sim.master_seed, i)``, and its
     values equal those of :func:`run_replication` for that seed.
     """
     return Metrics.from_batch(run_batch(
-        config, policy, sim.master_seed, sim.replications, horizon=sim.horizon,
-        n_slots=n_slots, with_spare=with_spare))
+        config, policy, sim.master_seed, sim.replications, horizon=sim.horizon))
 
 
 def empirical_hazard(end_times, death_times, bin_width: float) -> EmpiricalHazardCurve:

@@ -122,9 +122,11 @@ def test_criterion_3_parallel_composition_oracle():
             / (2 - np.exp(-rate * curve.times[mains]))
         assert np.all(np.abs(curve.rates[mains] - ref) <= 1e-9 * np.maximum(ref, 1e-300))
 
-        met = run_ensemble(replace(cfg, unit_lifetime=ExponentialLifetime(rate)), Policy("type1"),
-                           SimConfig(replications=100_000, master_seed=303, horizon=10_000.0),
-                           n_slots=2, with_spare=False)
+        # a lab credit above every lifetime Exp(rate) can draw (53 ln 2 / rate, about
+        # 3,674 weeks) leaves the spare dead on arrival and the two units as the pair
+        pair = replace(cfg, unit_lifetime=ExponentialLifetime(rate), lab_burnin=1e4)
+        met = run_ensemble(pair, Policy("type1"),
+                           SimConfig(replications=100_000, master_seed=303, horizon=10_000.0))
         assert met.censored_count == 0
         assert abs(met.tdt.mean - 150.0) / 150.0 < 0.02
 
@@ -213,13 +215,15 @@ def test_criterion_8_byte_identical_cli_output(tmp_path):
 def test_criterion_9_empirical_hazard_recovers_constant_rate():
     with criterion(9, "binned hazard estimator recovers a constant rate within 3 SE", 60.0):
         rate = 0.01
-        cfg = replace(make_redzone_system(delta=1.0), unit_lifetime=ExponentialLifetime(rate))
-        out = run_batch(cfg, Policy("type1"), 909, 100_000, horizon=5_000.0,
-                        n_slots=1, with_spare=False)
-        h = empirical_hazard(out.end_time, out.tdt[~np.isnan(out.tdt)], bin_width=10.0)
+        # with the spare dead on arrival (lab credit above every lifetime), the
+        # pair's first failure, trdd, is Exp(2 rate)
+        cfg = replace(make_redzone_system(delta=1.0), unit_lifetime=ExponentialLifetime(rate),
+                      lab_burnin=1e4)
+        out = run_batch(cfg, Policy("type1"), 909, 100_000, horizon=5_000.0)
+        h = empirical_hazard(out.trdd, out.trdd, bin_width=10.0)
         first_two_lifetimes = h.midpoints <= 2.0 / rate
         assert np.count_nonzero(first_two_lifetimes) >= 20
         for r, d, e in zip(h.rates[first_two_lifetimes], h.deaths[first_two_lifetimes],
                            h.exposure[first_two_lifetimes]):
             se = math.sqrt(max(d, 1.0)) / e
-            assert abs(r - rate) <= 3.0 * se, (r, d, e)
+            assert abs(r - 2.0 * rate) <= 3.0 * se, (r, d, e)

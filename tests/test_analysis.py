@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,16 @@ class TestDeltaSweep:
             cfg = make_redzone_system(delta=0.1 * th3, lab=lab)
             sevs.append(assess_red_zone(cfg, threshold=2.0, dt=0.1, baseline_window_fraction=0.8).severity)
         assert all(a > b for a, b in zip(sevs, sevs[1:]))
+
+    def test_config_warning_not_repeated_per_spread(self):
+        # lab_burnin 25 > th1 20 warns once, when the caller builds the config;
+        # the sweep's per-spread copies of it must not warn again
+        cfg = make_redzone_system(delta=1.0, lab=25.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            delta_sweep(cfg, [1.0, 20.0], Policy("type1"),
+                        SimConfig(replications=10, master_seed=1), **SWEEP)
+        assert [str(w.message) for w in caught] == []
 
     def test_empty_sweep(self):
         cfg = make_redzone_system(delta=1.0)

@@ -44,11 +44,10 @@ class TestOldestSlot:
     def test_effective_age_includes_credit_and_shelf(self, second, alpha, expected):
         assert oldest_slot((unit("a", onjob=10.0), second), alpha) == expected
 
-    def test_empty_and_failed_slots_skipped(self):
+    def test_failed_slots_skipped(self):
         old_failed = unit("a", onjob=50.0, status="failed")
-        assert oldest_slot((None, unit("b")), 0.0) == 1
         assert oldest_slot((old_failed, unit("b", onjob=5.0)), 0.0) == 1
-        assert oldest_slot((None, old_failed), 0.0) is None
+        assert oldest_slot((old_failed, unit("b", status="failed")), 0.0) is None
 
     # Few distinct ages, so that equal effective ages (ties) are common.
     @settings(max_examples=150, deadline=None)

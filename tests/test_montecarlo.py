@@ -1,11 +1,13 @@
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from redzone import (
     DomainError,
@@ -21,6 +23,7 @@ from redzone import (
     run_replication,
     scenario_timeline,
 )
+from redzone.cli import main
 from redzone.montecarlo import SplitMix64, _derive_seeds, _uniforms, run_batch
 
 from conftest import make_flat_bathtub, make_redzone_system
@@ -32,9 +35,15 @@ def det_config(mean=200.0, lab=0.0, alpha=0.0):
                         lab_burnin=lab, shelf_aging_factor=alpha)
 
 
-def exp_config(rate):
+def exp_config(rate, lab=0.0, alpha=0.0):
     """det_config with exponential lifetimes of the given rate."""
-    return replace(det_config(), unit_lifetime=ExponentialLifetime(rate))
+    return replace(det_config(lab=lab, alpha=alpha), unit_lifetime=ExponentialLifetime(rate))
+
+
+# A lab credit above every lifetime the tests' models can draw (ExponentialLifetime(0.01)
+# draws at most 53 ln 2 / 0.01, about 3,674 weeks): the spare is dead on arrival, which
+# leaves the two slots as a pair without a spare.
+DEAD_SPARE_LAB = 1e4
 
 
 def hazard_of(traces, bin_width):
@@ -71,13 +80,11 @@ def assert_batch_matches_scalar(config, policy, master_seed, replications, *,
     return traces
 
 
-def replay_occupancy(trace, n_slots=2):
+def replay_occupancy(trace):
     """Independent replay of a trace: rebuild slot/shelf occupancy and
     per-unit consumption, asserting conservation along the way."""
-    slots = [f"controller_{i + 1}" for i in range(n_slots)]
-    shelf = f"controller_{n_slots + 1}" if len(trace.lifetimes) > n_slots else None
-    placed = [u for u in slots if u] + ([shelf] if shelf else [])
-    assert len(set(placed)) == len(placed)
+    slots = ["controller_1", "controller_2"]
+    shelf = "controller_3"
     stints = {u: [] for u in trace.lifetimes}  # (start, end) on-job intervals
     start = {u: 0.0 for u in slots}
     for ev in trace.events:
@@ -148,6 +155,22 @@ class TestSplitMix64:
         g = SplitMix64(0)
         assert g.uniform() == pytest.approx(0.8833108082136427, rel=0.0)
 
+    def test_top_53_bit_draw_stays_below_one(self, tmp_path):
+        # Replication 0 of this master seed first draws u64 >> 11 = 2**53 - 1, for
+        # which ((u64 >> 11) + 0.5) * 2**-53 rounds to exactly 1.0; both forms of
+        # the stream must give the largest double below 1 instead.
+        master = 13696288941778812732
+        seed = derive_seed(master, 0)
+        assert SplitMix64(seed).next_u64() >> 11 == 2 ** 53 - 1
+        below_one = 1.0 - 2.0 ** -53
+        assert SplitMix64(seed).uniform() == below_one
+        assert _uniforms(_derive_seeds(master, 1), 3)[0, 0] == below_one
+        for policy in (Policy("type1"), Policy("type2", rotation_period=30.0)):
+            assert_batch_matches_scalar(make_redzone_system(delta=2.0), policy, master, 5)
+        config = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s.json"),
+                     "--seed", str(master), "--replications", "50"]) == 0
+
     @pytest.mark.parametrize("master", [0, 42, 2 ** 64 - 1, 2 ** 64 + 5])
     def test_vectorised_streams_match_scalar(self, master):
         seeds = _derive_seeds(master, 50)
@@ -210,18 +233,6 @@ class TestRunReplication:
             (200.0, "system_death", None, None),
         ]
         assert (tr.trdd, tr.dp, tr.tdt) == (200.0, dp, 200.0)
-
-    @pytest.mark.parametrize("policy, trdd, dp", [
-        (Policy("type1"), 200.0, None),
-        (Policy("type2", rotation_period=50.0), 50.0, 50.0),
-    ], ids=["type1", "type2"])
-    def test_single_slot_fleet_starts_without_redundancy(self, policy, trdd, dp):
-        # One slot and no spare: trdd is recorded at the first event epoch, the unit's
-        # death under type1 and the first rotation under type2, where the full slot
-        # with no usable shelf unit is also the decision point.
-        traces = assert_batch_matches_scalar(det_config(), policy, 11, 3, horizon=2000.0,
-                                             n_slots=1, with_spare=False)
-        assert (traces[0].trdd, traces[0].dp, traces[0].tdt) == (trdd, dp, 200.0)
 
     @pytest.mark.parametrize("tdt,dp,tdr", [
         (400.0, 160.0, 240.0),
@@ -294,33 +305,33 @@ class TestRunEnsemble:
         assert met.tdt.mean == met.tdt_values[0]
         assert met.tdt.ci_low == met.tdt.ci_high == met.tdt.mean
 
-    def test_exponential_single_unit_mean(self):
-        met = run_ensemble(exp_config(0.01), Policy("type1"),
-                           SimConfig(replications=20_000, master_seed=7, horizon=5000.0),
-                           n_slots=1, with_spare=False)
-        se = met.tdt.std / math.sqrt(met.tdt.n)
-        assert abs(met.tdt.mean - 100.0) < 3 * se
-        assert abs(met.tdt.mean - 100.0) / 100.0 < 0.02
+    def test_exponential_pair_first_failure_mean(self):
+        # With the spare dead on arrival, redundancy ends at the pair's first
+        # failure, the minimum of two Exp(lam): Exp(2 lam), mean 1/(2 lam) = 50.
+        met = run_ensemble(exp_config(0.01, lab=DEAD_SPARE_LAB), Policy("type1"),
+                           SimConfig(replications=20_000, master_seed=7, horizon=5000.0))
+        se = met.trdd.std / math.sqrt(met.trdd.n)
+        assert abs(met.trdd.mean - 50.0) < 3 * se
+        assert abs(met.trdd.mean - 50.0) / 50.0 < 0.02
 
     def test_two_unit_parallel_mean(self):
-        met = run_ensemble(exp_config(0.01), Policy("type1"),
-                           SimConfig(replications=20_000, master_seed=7, horizon=10000.0),
-                           n_slots=2, with_spare=False)
+        met = run_ensemble(exp_config(0.01, lab=DEAD_SPARE_LAB), Policy("type1"),
+                           SimConfig(replications=20_000, master_seed=7, horizon=10000.0))
         assert abs(met.tdt.mean - 150.0) / 150.0 < 0.02
 
     def test_monotone_redundancy_benefit(self):
+        # the pair's first failure, then its second, then the spare's extra life
         sim = SimConfig(replications=10_000, master_seed=21, horizon=5000.0)
         cfg = SystemConfig(hazard=make_flat_bathtub(),
                            unit_lifetime=LifetimeDistribution(200.0, 20.0), lab_burnin=0.0)
-        one = run_ensemble(cfg, Policy("type1"), sim, n_slots=1, with_spare=False)
-        two = run_ensemble(cfg, Policy("type1"), sim, n_slots=2, with_spare=False)
+        pair = run_ensemble(replace(cfg, lab_burnin=DEAD_SPARE_LAB), Policy("type1"), sim)
         full = run_ensemble(cfg, Policy("type1"), sim)
 
         def se(m):
             return m.std / math.sqrt(m.n)
 
-        assert two.tdt.mean - one.tdt.mean > 3 * (se(two.tdt) + se(one.tdt))
-        assert full.tdt.mean - two.tdt.mean > 3 * (se(full.tdt) + se(two.tdt))
+        assert pair.tdt.mean - pair.trdd.mean > 3 * (se(pair.tdt) + se(pair.trdd))
+        assert full.tdt.mean - pair.tdt.mean > 3 * (se(full.tdt) + se(pair.tdt))
 
     @pytest.mark.parametrize("policy", [Policy("type1"), Policy("type2", rotation_period=30.0)])
     def test_cold_spare_matches_closed_form_means(self, policy):
@@ -336,6 +347,55 @@ class TestRunEnsemble:
         for summary, expected in ((met.trdd, 1.0 / lam), (met.tdt, 2.0 / lam)):
             se = summary.std / math.sqrt(summary.n)
             assert abs(summary.mean - expected) < 3 * se
+
+    @pytest.mark.parametrize("policy", [Policy("type1"), Policy("type2", rotation_period=30.0)],
+                             ids=["type1", "type2"])
+    def test_warm_spare_matches_closed_form(self, policy):
+        # Warm spare (alpha = 0.5), memoryless lifetimes: the waiting spare fails at
+        # rate alpha lam, so the first event comes at rate (2 + alpha) lam and is a
+        # shelf death with probability alpha / (2 + alpha) = 0.2.  Either way the two
+        # units left lose redundancy at rate 2 lam: E[trdd] = 1/((2 + alpha) lam)
+        # + 1/(2 lam) = 90.  Tolerance: 3 standard errors, of the mean and of the
+        # shelf-death share.
+        lam, alpha, n = 0.01, 0.5, 50_000
+        out = run_batch(exp_config(lam, alpha=alpha), policy, 7, n, horizon=10000.0,
+                        record_events=True)
+        assert not out.censored.any()
+        se = np.std(out.trdd, ddof=1) / math.sqrt(n)
+        assert abs(np.mean(out.trdd) - 90.0) < 3 * se
+        share, p = np.count_nonzero(out.events.slot == -2) / n, alpha / (2.0 + alpha)
+        assert abs(share - p) < 3 * math.sqrt(p * (1.0 - p) / n)
+
+    def test_lab_credit_dead_on_arrival_odds(self):
+        # A spare that arrives with L weeks of lab credit is dead on arrival when
+        # its Exp(lam) lifetime is at most L: P = 1 - exp(-lam L), about 0.181 at
+        # L = 20.  A cold spare cannot die on the shelf later, so every shelf
+        # failure is at t = 0.  Tolerance: 3 standard errors of the share.
+        lam, lab, n = 0.01, 20.0, 50_000
+        out = run_batch(exp_config(lam, lab=lab), Policy("type1"), 7, n, horizon=10000.0,
+                        record_events=True)
+        on_shelf = out.events.slot == -2
+        assert np.all(out.events.time[on_shelf] == 0.0)
+        share, p = np.count_nonzero(on_shelf) / n, 1.0 - math.exp(-lam * lab)
+        assert abs(share - p) < 3 * math.sqrt(p * (1.0 - p) / n)
+
+    @pytest.mark.parametrize("policy", [Policy("type1"), Policy("type2", rotation_period=30.0)],
+                             ids=["type1", "type2"])
+    def test_cold_spare_trdd_is_erlang(self, policy):
+        # The whole distribution, not only the mean: with a cold spare trdd is
+        # Erlang(2, 2 lam), CDF 1 - exp(-2 lam t)(1 + 2 lam t).  One-sample
+        # Kolmogorov-Smirnov test at significance 0.01: the statistic must stay
+        # below the asymptotic critical value sqrt(ln(2 / 0.01) / 2) / sqrt(n),
+        # 1.6276 / sqrt(n), about 0.00728 at n = 50,000.
+        lam, n = 0.01, 50_000
+        out = run_batch(exp_config(lam), policy, 7, n, horizon=10000.0)
+
+        def erlang_cdf(t):
+            x = 2.0 * lam * np.asarray(t)
+            return 1.0 - np.exp(-x) * (1.0 + x)
+
+        result = stats.kstest(out.trdd, erlang_cdf)
+        assert result.statistic < 1.6276 / math.sqrt(n), result
 
     def test_sd_zero_ties_the_timeline_landmarks(self):
         # With deterministic lifetimes the spread's two readings agree: every
@@ -356,31 +416,28 @@ class TestRunEnsemble:
 
 
 # Fleets for the differential tests: both policies, shelf ageing, sd = 0 ties,
-# lab credit with dead-on-arrival spares, horizon censoring, one or two slots,
-# with or without a spare, and the exponential model.
+# lab credit with dead-on-arrival spares, horizon censoring, and the exponential
+# model.
 fleets = given(
     rotation_period=st.one_of(st.none(), st.floats(5.0, 120.0)),
     alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     sd=st.one_of(st.just(0.0), st.floats(0.5, 60.0)),
     lab=st.one_of(st.just(0.0), st.floats(0.0, 20.0), st.floats(150.0, 400.0)),
     horizon=st.one_of(st.none(), st.floats(50.0, 1500.0)),
-    n_slots=st.sampled_from([1, 2]),
-    with_spare=st.booleans(),
     exponential=st.booleans(),
     master_seed=st.integers(0, 2 ** 64 + 100),
 )
 
 
-def assert_fleet_matches_scalar(rotation_period, alpha, sd, lab, horizon, n_slots,
-                                with_spare, exponential, master_seed, record_events):
+def assert_fleet_matches_scalar(rotation_period, alpha, sd, lab, horizon, exponential,
+                                master_seed, record_events):
     lifetime = ExponentialLifetime(1.0 / 208.0) if exponential else LifetimeDistribution(208.0, sd)
     cfg = SystemConfig(hazard=make_flat_bathtub(), unit_lifetime=lifetime,
                        lab_burnin=lab, shelf_aging_factor=alpha)
     policy = (Policy("type1") if rotation_period is None
               else Policy("type2", rotation_period=rotation_period))
     assert_batch_matches_scalar(
-        cfg, policy, master_seed, 30, record_events=record_events, horizon=horizon,
-        n_slots=n_slots, with_spare=with_spare)
+        cfg, policy, master_seed, 30, record_events=record_events, horizon=horizon)
 
 
 class TestRunBatch:
@@ -428,13 +485,14 @@ class TestRunBatch:
 
 class TestEmpiricalHazard:
     def test_constant_rate_recovered(self):
-        out = run_batch(exp_config(0.01), Policy("type1"), 13, 20_000, horizon=5000.0,
-                        n_slots=1, with_spare=False)
-        h = batch_hazard(out, bin_width=10.0)
+        # the pair's first failure (spare dead on arrival) is Exp(2 lam)
+        out = run_batch(exp_config(0.01, lab=DEAD_SPARE_LAB), Policy("type1"), 13, 20_000,
+                        horizon=5000.0)
+        h = empirical_hazard(out.trdd, out.trdd, bin_width=10.0)
         early = h.midpoints <= 100.0
         for rate, d, e in zip(h.rates[early], h.deaths[early], h.exposure[early]):
             se = math.sqrt(max(d, 1.0)) / e
-            assert abs(rate - 0.01) <= 3 * se
+            assert abs(rate - 0.02) <= 3 * se
 
     def test_bins_beyond_all_deaths_omitted(self):
         traces = [run_replication(det_config(), Policy("type1"), seed=s, horizon=2000.0)
