@@ -13,6 +13,7 @@ from .analysis import (
     DeltaSweepPoint,
     RedZone,
     RedZoneAssessment,
+    assess_curve,
     assess_red_zone,
     compare_policies,
     delta_sweep,
@@ -59,6 +60,7 @@ from .system import (
     effective_age,
     scenario_timeline,
     system_hazard_curve,
+    system_hazard_curves,
 )
 
 __version__ = "0.1.0"

@@ -28,7 +28,14 @@ from .errors import DomainError, ValidationError, ValidationWarning
 from .hazards import LifetimeDistribution
 from .maintenance import Policy, red_zone_condition
 from .montecarlo import Metrics, MetricSummary, SimConfig, _summarize, run_ensemble
-from .system import HazardCurve, ScenarioTimeline, SystemConfig, scenario_timeline, system_hazard_curve
+from .system import (
+    HazardCurve,
+    ScenarioTimeline,
+    SystemConfig,
+    scenario_timeline,
+    system_hazard_curve,
+    system_hazard_curves,
+)
 
 __all__ = [
     "RedZone",
@@ -38,6 +45,7 @@ __all__ = [
     "detect_red_zone",
     "baseline_from_curve",
     "peak_ratio",
+    "assess_curve",
     "assess_red_zone",
     "lifetime_extension",
     "delta_sweep",
@@ -135,20 +143,17 @@ class RedZoneAssessment:
         return self.zone is not None
 
 
-def assess_red_zone(config: SystemConfig, *, threshold: float, dt: float,
-                    baseline_window_fraction: float) -> RedZoneAssessment:
-    """Build the deterministic timeline and detect the end-of-life red zone.
+def assess_curve(timeline: ScenarioTimeline, curve: HazardCurve, *, threshold: float,
+                 baseline_window_fraction: float) -> RedZoneAssessment:
+    """Detect the end-of-life red zone on a curve sampled from ``timeline``.
 
-    Detection runs on the curve restricted to t >= the mains' wear-out
-    onset.  ``severity`` is the peak ratio over the failure window (first
-    main failure through the declared end of the spare's burn-in) and is
-    reported whether or not it crosses the threshold.  The curve is
-    sampled only from the start of the baseline window, the first point
-    any of these reads.
+    The curve must hold the grid points from the start of the baseline
+    window, ``baseline_window_fraction * t0``, on: the first point any of
+    these reads.  Detection runs on the curve restricted to t >= the mains'
+    wear-out onset.  ``severity`` is the peak ratio over the failure window
+    (first main failure through the declared end of the spare's burn-in)
+    and is reported whether or not it crosses the threshold.
     """
-    timeline = scenario_timeline(config)
-    curve = system_hazard_curve(timeline, dt=dt,
-                                start=baseline_window_fraction * timeline.t0)
     baseline = baseline_from_curve(curve, timeline.t0, window_fraction=baseline_window_fraction)
     tail = np.searchsorted(curve.times, timeline.t0, "left")
     tail_curve = HazardCurve(times=curve.times[tail:], rates=curve.rates[tail:])
@@ -156,6 +161,20 @@ def assess_red_zone(config: SystemConfig, *, threshold: float, dt: float,
     severity = peak_ratio(curve, baseline, timeline.tf1, max(timeline.t2, timeline.tf2))
     return RedZoneAssessment(zone=zone, severity=severity, baseline=baseline,
                              timeline=timeline)
+
+
+def assess_red_zone(config: SystemConfig, *, threshold: float, dt: float,
+                    baseline_window_fraction: float) -> RedZoneAssessment:
+    """Build the deterministic timeline, sample its curve and assess it.
+
+    The curve is sampled only from the start of the baseline window, the
+    first point :func:`assess_curve` reads.
+    """
+    timeline = scenario_timeline(config)
+    curve = system_hazard_curve(timeline, dt=dt,
+                                start=baseline_window_fraction * timeline.t0)
+    return assess_curve(timeline, curve, threshold=threshold,
+                        baseline_window_fraction=baseline_window_fraction)
 
 
 def lifetime_extension(trdd_1: float, trdd_2: float) -> float:
@@ -183,21 +202,42 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
 
     Each row pairs the ensemble estimate of the redundant lifetime (spread
     as sampling sd) with curve-based detection (spread as the deterministic
-    failure gap) and the rule's prediction.
+    failure gap) and the rule's prediction.  Every spread's timeline is
+    built before any curve is sampled or ensemble run, so a spread the
+    timeline rejects fails the sweep at once, its error naming the spread.
+    The curves come from one :func:`system_hazard_curves` call, which
+    samples the segments the spreads share once, and each is assessed by
+    :func:`assess_curve`; the rows equal per-spread :func:`assess_red_zone`
+    results bit for bit.
     """
     deltas = [float(d) for d in deltas]
     if any(d <= 0.0 for d in deltas):
         raise DomainError("all sweep spreads must be > 0")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise DomainError("sweep spreads must be sorted, strictly increasing")
+    # the caller's config has already warned about itself; the copies would repeat it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidationWarning)
+        configs = [replace(config, unit_lifetime=LifetimeDistribution(config.unit_lifetime.mean, d))
+                   for d in deltas]
+    timelines = []
+    for d, cfg in zip(deltas, configs):
+        try:
+            timelines.append(scenario_timeline(cfg))
+        except ValidationError as e:
+            raise ValidationError(f"spread {d!r}: {e}") from None
+    if not timelines:
+        return []
+    # Every spread shares t0, so one baseline window start serves all curves.
+    # All spreads are assessed before any ensemble runs, so the samples the
+    # curves share are freed before the ensembles allocate.
+    start = baseline_window_fraction * timelines[0].t0
+    assessments = [assess_curve(timeline, curve, threshold=threshold,
+                                baseline_window_fraction=baseline_window_fraction)
+                   for timeline, curve in zip(timelines,
+                                              system_hazard_curves(timelines, dt=dt, start=start))]
     rows: list[DeltaSweepPoint] = []
-    for d in deltas:
-        # the caller's config has already warned about itself; the copy would repeat it
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidationWarning)
-            cfg = replace(config, unit_lifetime=LifetimeDistribution(config.unit_lifetime.mean, d))
-        assessment = assess_red_zone(cfg, threshold=threshold, dt=dt,
-                                     baseline_window_fraction=baseline_window_fraction)
+    for d, cfg, assessment in zip(deltas, configs, assessments):
         metrics = run_ensemble(cfg, policy, sim)
         rows.append(DeltaSweepPoint(
             delta=d,

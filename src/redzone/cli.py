@@ -16,17 +16,24 @@ import argparse
 import json
 import math
 import sys
-from itertools import islice
+from collections.abc import Iterator
+from itertools import chain, islice
 
 import numpy as np
 
-from .analysis import apply_vendor_decision_point, assess_red_zone, compare_policies, delta_sweep
+from .analysis import (
+    apply_vendor_decision_point,
+    assess_curve,
+    assess_red_zone,
+    compare_policies,
+    delta_sweep,
+)
 from .config import SCHEMA_VERSION, RunConfig, load_config
 from .errors import DomainError, ValidationError
 from .hazards import bathtub_hazard, software_hazard
 from .maintenance import Policy
 from .montecarlo import EventLog, Metrics, run_batch
-from .system import end_of_life, system_hazard_curve
+from .system import end_of_life, scenario_timeline, system_hazard_curve
 
 __all__ = ["main", "build_parser"]
 
@@ -94,6 +101,10 @@ def _f(x) -> str:
     return repr(float(x))
 
 
+# Lines per block written by _write_csv.
+_BLOCK = 65536
+
+
 def _write_csv(path: str, header: list[str], lines) -> None:
     """Write the header and the data lines, each already joined with commas.
 
@@ -102,8 +113,20 @@ def _write_csv(path: str, header: list[str], lines) -> None:
     lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        while block := list(islice(lines, 65536)):
+        while block := list(islice(lines, _BLOCK)):
             fh.write("\n".join(block) + "\n")
+
+
+def _curve_lines(curve) -> Iterator[str]:
+    """A curve's CSV lines, converting one block of grid points at a time.
+
+    Converting the whole columns at once would hold two Python floats per
+    grid point while the lines are written.
+    """
+    return chain.from_iterable(
+        (f"{a!r},{b!r}" for a, b in zip(curve.times[lo:lo + _BLOCK].tolist(),
+                                         curve.rates[lo:lo + _BLOCK].tolist()))
+        for lo in range(0, len(curve.times), _BLOCK))
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -176,15 +199,17 @@ def cmd_scenario(run: RunConfig, args) -> int:
         raise ValidationError(f"scenario: policy {run.policy.kind} is not modelled; the "
                               "analytic timeline covers the replace-on-failure policy (type1) only")
     dt = _curve_dt(run, args)
-    assessment = assess_red_zone(run.system, threshold=run.red_zone_threshold, dt=dt,
-                                 baseline_window_fraction=run.baseline_window_fraction)
-    zone = assessment.zone
+    timeline = scenario_timeline(run.system)
+    # one full curve serves both the assessment and the curve file
+    curve = system_hazard_curve(timeline, dt=dt)
+    zone = assess_curve(timeline, curve, threshold=run.red_zone_threshold,
+                        baseline_window_fraction=run.baseline_window_fraction).zone
 
     def in_zone(seg) -> bool:
         return zone is not None and seg.t_start < zone.end and seg.t_end > zone.start
 
     rows = []
-    for seg in assessment.timeline.segments:
+    for seg in timeline.segments:
         rows.append(",".join([
             _f(seg.t_start),
             _f(seg.t_end),
@@ -198,9 +223,8 @@ def cmd_scenario(run: RunConfig, args) -> int:
                ["t_start_weeks", "t_end_weeks", "composition", "boundary",
                 "active_units", "phases", "red_zone"],
                rows)
-    curve = system_hazard_curve(assessment.timeline, dt=dt)
     _write_csv(args.out.removesuffix(".csv") + "_curve.csv", ["t_weeks", "h_system"],
-               (f"{a!r},{b!r}" for a, b in zip(curve.times.tolist(), curve.rates.tolist())))
+               _curve_lines(curve))
     return 0
 
 

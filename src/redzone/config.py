@@ -140,8 +140,27 @@ def _section(path: str):
         except ValidationError as e:
             raise ValidationError(f"{path}: {e}") from None
     for w in caught:
-        # past this generator and contextlib's __exit__ to the line that built the section
-        warnings.warn(f"{path}: {w.message}", w.category, stacklevel=3)
+        # the public loaders re-emit it at their caller (see _warns_at_caller)
+        warnings.warn(f"{path}: {w.message}", w.category)
+
+
+def _warns_at_caller(fn):
+    """Re-emit the warnings ``fn`` raises at the line that called it.
+
+    A warning then points at the code that loaded the configuration, not at
+    the loader's own lines.  Warnings raised before an error are re-emitted too.
+    """
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        caught = []
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                return fn(*args, **kwargs)
+        finally:
+            for w in caught:
+                warnings.warn(w.message, w.category, stacklevel=2)
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -158,6 +177,7 @@ class RunConfig:
     baseline_window_fraction: float
 
 
+@_warns_at_caller
 def parse_config(doc, overrides=None) -> RunConfig:
     """Validate a configuration document and build the domain objects.
 
@@ -220,6 +240,7 @@ def _build(d: dict) -> RunConfig:
     )
 
 
+@_warns_at_caller
 def load_config(path, overrides=None) -> RunConfig:
     """Read and validate a JSON configuration file; see :func:`parse_config`."""
     try:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,6 +62,7 @@ __all__ = [
     "end_of_life",
     "scenario_timeline",
     "system_hazard_curve",
+    "system_hazard_curves",
 ]
 
 ACTIVE = "active"
@@ -328,36 +330,91 @@ def _unit_cumulative_at(t, au: ActiveUnit, config: SystemConfig):
     return total
 
 
-def system_hazard_curve(timeline: ScenarioTimeline, *, dt: float,
-                        start: float = 0.0) -> HazardCurve:
-    """Sample the composed system rate on the grid ``arange(0, t_end, dt)``.
+def _segment_key(seg: ScenarioSegment, config: SystemConfig):
+    """Everything a segment's sampled values depend on besides the grid.
+
+    That is the unit terms ``_unit_rate`` and ``_unit_cumulative_at`` read,
+    the active units' births and, for a pair, the conditioning epoch; the
+    phase labels and the segment's extent do not enter the values.
+    """
+    epoch = seg.epoch if len(seg.units) > 1 else None
+    return (config.hazard, config.software, config.operator,
+            tuple(au.birth for au in seg.units), epoch)
+
+
+def _segment_rates(tt: np.ndarray, seg: ScenarioSegment, config: SystemConfig) -> np.ndarray:
+    """The composed rate of ``seg``'s active units at the times ``tt``."""
+    rates = [_unit_rate(tt, au, config) for au in seg.units]
+    if len(seg.units) == 1:
+        return rates[0]
+    cums = [
+        _unit_cumulative_at(tt, au, config) - _unit_cumulative_at(seg.epoch, au, config)
+        for au in seg.units
+    ]
+    return compose_parallel(rates, cums)
+
+
+def system_hazard_curves(timelines, *, dt: float,
+                         start: float = 0.0) -> Iterator[HazardCurve]:
+    """Sample the composed system rate of each timeline on ``arange(0, t_end, dt)``.
 
     Only the grid points at or after ``start`` are sampled, and they hold
     the same values as the ``times >= start`` tail of the full curve.
     Within each segment the active units' cumulative hazards are measured
     from the segment's conditioning epoch; single-unit segments reduce to
     the unit's own rate.
+
+    The timelines must share one end of life, hence one grid; the spreads
+    of one system do.  Segments whose values are the same function of time
+    (same unit terms, births and, for a pair, epoch) are evaluated once,
+    over the hull of the grid slices that read them; for the spreads of one
+    system those slices nest, so the hull is their union.  A grid point's
+    value does not depend on which other points are evaluated with it, so
+    every curve equals the curve sampled from its timeline alone, bit for
+    bit.  All evaluation, and any error it raises, happens in this call;
+    the returned iterator then assembles one curve per timeline, in order,
+    as it is advanced.  The curves share one ``times`` array.
     """
     if not dt > 0.0:
         raise DomainError(f"dt must be > 0, got {dt!r}")
-    config = timeline.config
+    timelines = list(timelines)
+    ends = {tl.t_end for tl in timelines}
+    if len(ends) > 1:
+        raise DomainError(f"system_hazard_curves needs timelines with one end of life, "
+                          f"got {sorted(ends)}")
+    if not timelines:
+        return iter(())
     # Slice the full grid rather than build one from ``start``: a grid that
     # starts elsewhere holds different float values.
-    t = np.arange(0.0, timeline.t_end, dt)
+    t = np.arange(0.0, timelines[0].t_end, dt)
     t = t[np.searchsorted(t, start, "left"):]
-    h = np.zeros_like(t)
-    for seg in timeline.segments:
-        lo, hi = np.searchsorted(t, (seg.t_start, seg.t_end), "left")
-        if lo == hi:
-            continue
-        tt = t[lo:hi]
-        rates = [_unit_rate(tt, au, config) for au in seg.units]
-        if len(seg.units) == 1:
-            h[lo:hi] = rates[0]
-            continue
-        cums = [
-            _unit_cumulative_at(tt, au, config) - _unit_cumulative_at(seg.epoch, au, config)
-            for au in seg.units
-        ]
-        h[lo:hi] = compose_parallel(rates, cums)
-    return HazardCurve(times=t, rates=h)
+    plans = []  # per timeline: (key, lo, hi) for each segment with grid points
+    hulls = {}  # key -> (a segment, its config, hull of the grid slices that read it)
+    for tl in timelines:
+        plan = []
+        for seg in tl.segments:
+            lo, hi = (int(i) for i in np.searchsorted(t, (seg.t_start, seg.t_end), "left"))
+            if lo == hi:
+                continue
+            key = _segment_key(seg, tl.config)
+            plan.append((key, lo, hi))
+            first, config, a, b = hulls.get(key, (seg, tl.config, lo, hi))
+            hulls[key] = (first, config, min(a, lo), max(b, hi))
+        plans.append(plan)
+    values = {key: (lo, _segment_rates(t[lo:hi], seg, config))
+              for key, (seg, config, lo, hi) in hulls.items()}
+
+    def assemble(plan) -> HazardCurve:
+        h = np.zeros_like(t)
+        for key, lo, hi in plan:
+            base, block = values[key]
+            h[lo:hi] = block[lo - base:hi - base]
+        return HazardCurve(times=t, rates=h)
+
+    return (assemble(plan) for plan in plans)
+
+
+def system_hazard_curve(timeline: ScenarioTimeline, *, dt: float,
+                        start: float = 0.0) -> HazardCurve:
+    """The curve of one timeline; see :func:`system_hazard_curves`."""
+    return next(system_hazard_curves([timeline], dt=dt, start=start))

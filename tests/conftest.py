@@ -1,14 +1,20 @@
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from redzone import (
     BathtubModel,
     LifetimeDistribution,
+    OperatorHazard,
+    SoftwareHazardModel,
     SystemConfig,
     ValidationWarning,
     WeibullTerm,
+    compose_parallel,
 )
+from redzone.system import _unit_cumulative_at, _unit_rate
 
 
 def make_bathtub(useful_rate=0.01, burnin=(0.05, 0.5), wearout=(1e-6, 3.0),
@@ -39,6 +45,46 @@ def make_redzone_system(delta: float, lab: float = 2.0, mean: float = 208.0) -> 
                          th1=20.0, th2=180.0, th3=10.0)
     return SystemConfig(hazard=model, unit_lifetime=LifetimeDistribution(mean, delta),
                         lab_burnin=lab)
+
+
+def make_software_system(*, th1=20.0, th2=180.0, margin=8.0, lab=2.0, upgrades=(),
+                         software=True, operator_rate=0.0) -> SystemConfig:
+    """A red-zone system with optional software and operator terms; lifetime sd 0."""
+    model = make_bathtub(burnin=(0.9, 0.1), th1=th1, th2=th2, th3=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidationWarning)
+        return SystemConfig(
+            hazard=model, unit_lifetime=LifetimeDistribution(th1 + th2 + margin, 0.0),
+            lab_burnin=lab,
+            software=SoftwareHazardModel(0.001, 0.004, 26.0, tuple(upgrades)) if software else None,
+            operator=OperatorHazard(operator_rate) if operator_rate else None)
+
+
+def with_spread(config: SystemConfig, sd: float) -> SystemConfig:
+    """``config`` with lifetime sd ``sd``: one spread of a sweep."""
+    return replace(config, unit_lifetime=LifetimeDistribution(config.unit_lifetime.mean, sd))
+
+
+def per_segment_curve(tl, dt, start=0.0):
+    """Reference sampling: one timeline at a time, each segment evaluated on its own points."""
+    t = np.arange(0.0, tl.t_end, dt)
+    t = t[np.searchsorted(t, start, "left"):]
+    h = np.zeros_like(t)
+    for seg in tl.segments:
+        lo, hi = np.searchsorted(t, (seg.t_start, seg.t_end), "left")
+        if lo == hi:
+            continue
+        tt = t[lo:hi]
+        rates = [_unit_rate(tt, au, tl.config) for au in seg.units]
+        if len(seg.units) == 1:
+            h[lo:hi] = rates[0]
+            continue
+        cums = [
+            _unit_cumulative_at(tt, au, tl.config) - _unit_cumulative_at(seg.epoch, au, tl.config)
+            for au in seg.units
+        ]
+        h[lo:hi] = compose_parallel(rates, cums)
+    return t, h
 
 
 @pytest.fixture

@@ -7,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redzone import (
+    CompositionError,
+    DeltaSweepPoint,
     DomainError,
     HazardCurve,
     Policy,
     RedZone,
     SimConfig,
+    UpgradeEvent,
+    ValidationError,
+    assess_curve,
     assess_red_zone,
     compare_policies,
     delta_sweep,
@@ -21,9 +26,11 @@ from redzone import (
     scenario_timeline,
     system_hazard_curve,
 )
+from redzone import analysis
 from redzone.analysis import apply_vendor_decision_point, baseline_from_curve, peak_ratio
+from redzone.maintenance import red_zone_condition
 
-from conftest import make_redzone_system
+from conftest import make_redzone_system, make_software_system, per_segment_curve, with_spread
 
 # the red-zone settings of the shipped schema's analysis section
 SWEEP = {"threshold": 2.0, "dt": 0.1, "baseline_window_fraction": 0.8}
@@ -230,6 +237,64 @@ class TestDeltaSweep:
             delta_sweep(cfg, [1.0, 20.0], Policy("type1"),
                         SimConfig(replications=10, master_seed=1), **SWEEP)
         assert [str(w.message) for w in caught] == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        spreads=st.lists(st.floats(0.1, 45.0), min_size=1, max_size=4, unique=True).map(sorted),
+        lab=st.floats(0.0, 20.0),
+        upgrades=st.lists(st.tuples(st.floats(0.0, 400.0), st.sampled_from(["minor", "major"]),
+                                    st.floats(0.0, 0.01), st.floats(1.0, 50.0)),
+                          max_size=2, unique_by=lambda e: e[0]),
+        software=st.booleans(),
+        operator_rate=st.floats(0.0, 0.01),
+        threshold=st.floats(1.05, 4.0),
+        dt=st.floats(0.05, 1.0),
+        fraction=st.floats(0.05, 0.95),
+    )
+    def test_rows_equal_per_spread_reference(self, spreads, lab, upgrades, software,
+                                             operator_rate, threshold, dt, fraction):
+        cfg = make_software_system(lab=lab, software=software, operator_rate=operator_rate,
+                                   upgrades=[UpgradeEvent(*e) for e in sorted(upgrades)])
+        policy, sim = Policy("type1"), SimConfig(replications=3, master_seed=11)
+        rows = delta_sweep(cfg, spreads, policy, sim, threshold=threshold, dt=dt,
+                           baseline_window_fraction=fraction)
+        expected = []
+        for d in spreads:
+            spread = with_spread(cfg, d)
+            timeline = scenario_timeline(spread)
+            t, h = per_segment_curve(timeline, dt, fraction * timeline.t0)
+            reference = assess_curve(timeline, HazardCurve(times=t, rates=h),
+                                     threshold=threshold, baseline_window_fraction=fraction)
+            trdd = run_ensemble(spread, policy, sim).trdd
+            expected.append(DeltaSweepPoint(
+                delta=d, predicted=red_zone_condition(d, cfg.hazard.th3),
+                detected=reference.detected, severity=reference.severity,
+                trdd_mean=None if trdd is None else trdd.mean))
+        assert rows == expected
+
+    def test_spread_past_the_spare_fails_before_any_ensemble(self, monkeypatch):
+        cfg = make_redzone_system(delta=1.0)
+        with pytest.raises(ValidationError) as reference:
+            scenario_timeline(with_spread(cfg, 300.0))
+        ensembles = []
+        monkeypatch.setattr(analysis, "run_ensemble", lambda *args: ensembles.append(args))
+        with pytest.raises(ValidationError) as swept:
+            delta_sweep(cfg, [1.0, 2.0, 300.0], Policy("type1"),
+                        SimConfig(replications=10, master_seed=1), **SWEEP)
+        assert str(swept.value) == f"spread 300.0: {reference.value}"
+        assert ensembles == []
+
+    def test_later_certainly_failed_spread_raises_the_reference_error(self):
+        # a software pulse at Tf1 leaves both units certainly failed within weeks
+        cfg = make_software_system(upgrades=(UpgradeEvent(208.0, "minor", 10.0, 50.0),))
+        sim = SimConfig(replications=10, master_seed=1)
+        assert len(delta_sweep(cfg, [1.0], Policy("type1"), sim, **SWEEP)) == 1
+        timeline = scenario_timeline(with_spread(cfg, 30.0))
+        with pytest.raises(CompositionError) as reference:
+            per_segment_curve(timeline, SWEEP["dt"], SWEEP["baseline_window_fraction"] * timeline.t0)
+        with pytest.raises(CompositionError) as swept:
+            delta_sweep(cfg, [1.0, 30.0], Policy("type1"), sim, **SWEEP)
+        assert str(swept.value) == str(reference.value)
 
     def test_empty_sweep(self):
         cfg = make_redzone_system(delta=1.0)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +12,9 @@ from redzone import cli
 from redzone.cli import build_parser, main
 from redzone.config import load_config
 from redzone.montecarlo import run_batch
+from redzone.system import end_of_life, scenario_timeline, system_hazard_curve
 
+EXAMPLE = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
 SCHEMA = json.loads((Path(redzone.__file__).parent / "schema" / "run_config.schema.json")
                     .read_text(encoding="utf-8"))
 
@@ -248,6 +251,20 @@ class TestScenarioCommand:
         assert any(r[6] == "1" for r in rows_small)
         assert all(r[6] == "0" for r in rows_large)
 
+    def test_curve_file_spans_blocks(self, tmp_path):
+        # more grid points than one written block: the blocks join without a seam
+        conf = write_config(tmp_path, lifetime={"mean": 208.0, "sd": 1.0},
+                            system={"lab_burnin": 2.0})
+        run = load_config(conf)
+        dt = end_of_life(run.system) / (2.5 * cli._BLOCK)
+        out = tmp_path / "s.csv"
+        assert main(["scenario", "--config", conf, "--out", str(out), "--dt", repr(dt)]) == 0
+        curve = system_hazard_curve(scenario_timeline(run.system), dt=dt)
+        assert len(curve.times) > 2 * cli._BLOCK
+        lines = (tmp_path / "s_curve.csv").read_text(encoding="utf-8").splitlines()
+        assert lines == ["t_weeks,h_system"] + [
+            f"{a!r},{b!r}" for a, b in zip(curve.times.tolist(), curve.rates.tolist())]
+
 
 class TestSimulateCommand:
     def test_deterministic_summary(self, tmp_path):
@@ -470,3 +487,39 @@ class TestRedzoneCommand:
                      "--deltas", "1,5"]) == 0
         _, rows = read_csv(out)
         assert [float(r[0]) for r in rows] == [1.0, 5.0]
+
+    def test_spread_past_the_spare_names_the_spread(self, tmp_path, capsys):
+        out = tmp_path / "rz.csv"
+        rc = main(["redzone", "--config", str(EXAMPLE), "--out", str(out), "--deltas", "1,300"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: spread 300.0: spare exhausts before the second main failure; "
+            "lower the lifetime sd or raise the mean lifetime\n")
+        assert not out.exists()
+
+    def test_spread_independent_error_names_the_first_spread(self, tmp_path, capsys):
+        # a mean before the wear-out onset fails every spread; the flag is not to blame
+        conf = write_config(tmp_path, lifetime={"mean": 150.0, "sd": 1.0})
+        assert main(["redzone", "--config", conf, "--out", str(tmp_path / "rz.csv"),
+                     "--deltas", "1,5"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: spread 1.0: mean lifetime (150.0) lies before the wear-out onset")
+
+
+# SHA-256 of every output of the curve commands on the shipped example config, at its
+# curve_dt; any byte the curve, detection or formatting code changes shows up here.
+CURVE_DIGESTS = {
+    "redzone.csv": "0d9a330b101fd4602898fb8fb66153c8e24e2934d98558edab8983ff6e58a906",
+    "scenario.csv": "7828153ff4b518eff44f53953b57d9f1988a81fe1f82c80de29c0af0765e9f4f",
+    "scenario_curve.csv": "54c56cf50537289a2af0ba125722a6921b9b68aea511db0643045570b4daccc7",
+}
+
+
+def test_curve_outputs_byte_identical(tmp_path):
+    assert main(["redzone", "--config", str(EXAMPLE), "--out", str(tmp_path / "redzone.csv"),
+                 "--deltas", "1,2,4,6,8,10,12,16,24,40"]) == 0
+    assert main(["scenario", "--config", str(EXAMPLE),
+                 "--out", str(tmp_path / "scenario.csv")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in CURVE_DIGESTS}
+    assert digests == CURVE_DIGESTS

@@ -245,6 +245,22 @@ class TestParseConfig:
             parse_config({"schema_version": 1, **doc})
         assert [str(w.message)[:len(message)] for w in record] == [message]
 
+    @pytest.mark.parametrize("loader", ["parse_config", "load_config"])
+    @pytest.mark.parametrize("policy", [{}, {"kind": "type2"}], ids=["valid", "invalid"])
+    def test_warnings_point_at_the_caller(self, loader, policy, tmp_path):
+        # the default hazard warns; a later section that fails still lets the warning out
+        doc = {"schema_version": 1, "policy": policy}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        load = {"parse_config": lambda: parse_config(doc), "load_config": lambda: load_config(path)}
+        with pytest.warns(ValidationWarning) as record:
+            if policy:
+                with pytest.raises(ValidationError, match="^policy: "):
+                    load[loader]()
+            else:
+                load[loader]()
+        assert [(w.filename, str(w.message)[:8]) for w in record] == [(__file__, "hazard: ")]
+
     def test_integers_in_number_fields_become_floats(self):
         run = parse_config({"schema_version": 1, "hazard": {"th1": 20}})
         assert type(run.system.hazard.th1) is float

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,10 +21,18 @@ from redzone import (
     effective_age,
     scenario_timeline,
     system_hazard_curve,
+    system_hazard_curves,
 )
 from redzone.system import _unit_cumulative_at, _unit_rate
 
-from conftest import make_bathtub, make_flat_bathtub, make_redzone_system
+from conftest import (
+    make_bathtub,
+    make_flat_bathtub,
+    make_redzone_system,
+    make_software_system,
+    per_segment_curve,
+    with_spread,
+)
 
 
 def closed_form_pair(lam, t):
@@ -290,3 +299,111 @@ class TestSystemHazardCurve:
         tail = full.times >= start
         assert np.array_equal(window.times, full.times[tail])
         assert np.array_equal(window.rates, full.rates[tail])
+
+
+# a sweep's sorted, distinct spreads; every one leaves the spare alive past Tf2
+SPREADS = st.lists(st.floats(0.0, 45.0), min_size=1, max_size=5, unique=True).map(sorted)
+UPGRADES = st.lists(st.tuples(st.floats(0.0, 800.0), st.sampled_from(["minor", "major"]),
+                              st.floats(0.0, 0.01), st.floats(1.0, 50.0)),
+                    max_size=3, unique_by=lambda e: e[0]).map(
+    lambda events: tuple(UpgradeEvent(*e) for e in sorted(events)))
+
+
+def pulse_at_first_failure():
+    """A system whose software pulse at Tf1 makes both units certainly failed within weeks."""
+    return make_software_system(upgrades=(UpgradeEvent(208.0, "minor", 10.0, 50.0),))
+
+
+class TestSystemHazardCurves:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        th1=st.floats(5.0, 40.0),
+        th2=st.floats(50.0, 300.0),
+        margin=st.floats(0.0, 60.0),
+        lab_share=st.floats(0.0, 1.0),
+        spreads=SPREADS,
+        upgrades=UPGRADES,
+        software=st.booleans(),
+        operator_rate=st.floats(0.0, 0.01),
+        dt=st.floats(0.05, 5.0),
+        start_share=st.floats(0.0, 1.0),
+    )
+    def test_equals_per_segment_reference(self, th1, th2, margin, lab_share, spreads, upgrades,
+                                          software, operator_rate, dt, start_share):
+        cfg = make_software_system(th1=th1, th2=th2, margin=margin, lab=lab_share * th1,
+                                   upgrades=upgrades, software=software,
+                                   operator_rate=operator_rate)
+        timelines = [scenario_timeline(with_spread(cfg, d)) for d in spreads]
+        start = start_share * timelines[0].t_end
+        curves = list(system_hazard_curves(timelines, dt=dt, start=start))
+        assert len(curves) == len(timelines)
+        for tl, curve in zip(timelines, curves):
+            t, h = per_segment_curve(tl, dt, start)
+            assert np.array_equal(curve.times, t)
+            assert np.array_equal(curve.rates, h)
+
+    def test_one_timeline_is_system_hazard_curve(self):
+        tl = scenario_timeline(make_redzone_system(delta=3.0))
+        (curve,) = system_hazard_curves([tl], dt=0.1, start=150.0)
+        single = system_hazard_curve(tl, dt=0.1, start=150.0)
+        assert np.array_equal(curve.times, single.times)
+        assert np.array_equal(curve.rates, single.rates)
+
+    def test_each_curve_owns_its_rates(self):
+        timelines = [scenario_timeline(make_redzone_system(delta=d)) for d in (1.0, 4.0, 9.0)]
+        curves = system_hazard_curves(timelines, dt=0.5)
+        first = next(curves)
+        first.rates[:] = -1.0
+        for tl, curve in zip(timelines[1:], curves):
+            assert np.array_equal(curve.rates, per_segment_curve(tl, 0.5)[1])
+
+    def test_systems_sharing_an_end_of_life_keep_their_own_values(self):
+        # every config ends at 2 * mean - lab = 414; each differs from the first in one
+        # thing a segment's values read: a unit term, the spare's birth or the Tf1 epoch
+        base = make_software_system(margin=8.0, lab=2.0)
+        configs = [
+            base,
+            dataclasses.replace(base, operator=OperatorHazard(0.002)),
+            dataclasses.replace(base, software=None),
+            dataclasses.replace(base, hazard=make_bathtub(useful_rate=0.02, burnin=(0.9, 0.1),
+                                                          th1=20.0, th2=180.0, th3=10.0)),
+            make_software_system(margin=9.0, lab=4.0),
+        ]
+        timelines = [scenario_timeline(with_spread(cfg, 3.0)) for cfg in configs]
+        assert len({tl.t_end for tl in timelines}) == 1
+        for tl, curve in zip(timelines, system_hazard_curves(timelines, dt=0.25, start=100.0)):
+            assert np.array_equal(curve.rates, per_segment_curve(tl, 0.25, 100.0)[1])
+
+    def test_pairs_with_other_epochs_keep_their_own_values(self):
+        # the same two units conditioned on different epochs are different functions of time
+        tl = scenario_timeline(make_redzone_system(delta=6.0))
+        moved = dataclasses.replace(tl, segments=tuple(
+            dataclasses.replace(seg, epoch=seg.epoch - 1.0) if seg.boundary == "Tf1" else seg
+            for seg in tl.segments))
+        for timeline, curve in zip((tl, moved), system_hazard_curves([tl, moved], dt=0.25)):
+            assert np.array_equal(curve.rates, per_segment_curve(timeline, 0.25)[1])
+
+    def test_empty(self):
+        assert list(system_hazard_curves([], dt=0.1)) == []
+
+    def test_grid_step_validation(self):
+        tl = scenario_timeline(make_redzone_system(delta=1.0))
+        with pytest.raises(DomainError, match="dt must be > 0"):
+            system_hazard_curves([tl], dt=0.0)
+
+    def test_timelines_must_share_one_end_of_life(self):
+        timelines = [scenario_timeline(make_redzone_system(delta=1.0, lab=lab))
+                     for lab in (2.0, 4.0)]
+        with pytest.raises(DomainError, match="one end of life"):
+            system_hazard_curves(timelines, dt=0.1)
+
+    def test_certainly_failed_only_where_a_curve_reaches(self):
+        cfg = pulse_at_first_failure()
+        small, large = (scenario_timeline(with_spread(cfg, d)) for d in (1.0, 30.0))
+        (curve,) = system_hazard_curves([small], dt=0.5)
+        assert np.array_equal(curve.rates, per_segment_curve(small, 0.5)[1])
+        with pytest.raises(CompositionError) as reference:
+            per_segment_curve(large, 0.5)
+        with pytest.raises(CompositionError) as shared:
+            system_hazard_curves([small, large], dt=0.5)
+        assert str(shared.value) == str(reference.value)
