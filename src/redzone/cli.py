@@ -17,7 +17,6 @@ import json
 import math
 import sys
 from collections.abc import Iterator
-from itertools import chain, islice
 
 import numpy as np
 
@@ -101,32 +100,54 @@ def _f(x) -> str:
     return repr(float(x))
 
 
-# Lines per block written by _write_csv.
-_BLOCK = 65536
+# Rows per block that _csv_blocks formats and _write_csv writes at once.
+_BLOCK = 8192
 
 
-def _write_csv(path: str, header: list[str], lines) -> None:
-    """Write the header and the data lines, each already joined with commas.
-
-    Lines are written in blocks, so a long table is never held as one string.
-    """
-    lines = iter(lines)
+def _write_csv(path: str, header: list[str], blocks) -> None:
+    """Write the header and the data lines, given as blocks of lines already
+    joined with commas, so a long table is never held as one string."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        while block := list(islice(lines, _BLOCK)):
-            fh.write("\n".join(block) + "\n")
+        for block in blocks:
+            if block:
+                fh.write("\n".join(block) + "\n")
 
 
-def _curve_lines(curve) -> Iterator[str]:
-    """A curve's CSV lines, converting one block of grid points at a time.
+def _float_reprs(x) -> list[str]:
+    """``[repr(v) for v in x.tolist()]`` for a float array, in one C call.
 
-    Converting the whole columns at once would hold two Python floats per
-    grid point while the lines are written.
+    orjson formats doubles with Ryu, whose digits are the shortest that round
+    trip, nearest the value, as ``repr``'s are.  Its notation differs only
+    for non-finite values, 0 < |x| < 1e-4 and |x| >= 1e16 (``null``,
+    ``0.00001``, ``1e16`` against ``inf``, ``1e-05``, ``1e+16``); those few
+    are formatted by ``repr``.
     """
-    return chain.from_iterable(
-        (f"{a!r},{b!r}" for a, b in zip(curve.times[lo:lo + _BLOCK].tolist(),
-                                         curve.rates[lo:lo + _BLOCK].tolist()))
-        for lo in range(0, len(curve.times), _BLOCK))
+    import orjson  # loaded only by commands that write float tables
+
+    x = np.ascontiguousarray(x, dtype=float)
+    if not x.size:
+        return []
+    out = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    ax = np.abs(x)
+    for i in np.flatnonzero(~((ax >= 1e-4) & (ax < 1e16)) & (x != 0.0)).tolist():
+        out[i] = repr(float(x[i]))
+    return out
+
+
+def _csv_blocks(n: int, cells) -> Iterator[list[str]]:
+    """The CSV lines of an ``n``-row table, one block of ``_BLOCK`` rows at a time.
+
+    ``cells(rows)`` gives the columns of a slice of rows.  A column is a
+    float array, formatted by :func:`_float_reprs`, or a list of values,
+    written with ``str`` and None as an empty cell.  Formatting whole
+    columns at once would hold a Python string per cell of the table.
+    """
+    for lo in range(0, n, _BLOCK):
+        columns = [_float_reprs(c) if isinstance(c, np.ndarray)
+                   else ["" if v is None else str(v) for v in c]
+                   for c in cells(slice(lo, lo + _BLOCK))]
+        yield list(map(",".join, zip(*columns)))
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -188,9 +209,9 @@ def cmd_hazard(run: RunConfig, args) -> int:
             if run.system.software is not None else np.zeros_like(t))
     h_op = np.full_like(t, run.system.operator.rate if run.system.operator else 0.0)
     h_sys = h_hw + h_sw + h_op
-    columns = (t.tolist(), h_hw.tolist(), h_sw.tolist(), h_op.tolist(), h_sys.tolist())
+    columns = (t, h_hw, h_sw, h_op, h_sys)
     _write_csv(args.out, ["t_weeks", "h_hardware", "h_software", "h_operate", "h_system"],
-               (f"{a!r},{b!r},{c!r},{d!r},{e!r}" for a, b, c, d, e in zip(*columns)))
+               _csv_blocks(len(t), lambda rows: [c[rows] for c in columns]))
     return 0
 
 
@@ -222,9 +243,9 @@ def cmd_scenario(run: RunConfig, args) -> int:
     _write_csv(args.out,
                ["t_start_weeks", "t_end_weeks", "composition", "boundary",
                 "active_units", "phases", "red_zone"],
-               rows)
+               [rows])
     _write_csv(args.out.removesuffix(".csv") + "_curve.csv", ["t_weeks", "h_system"],
-               _curve_lines(curve))
+               _csv_blocks(len(curve.times), lambda rows: (curve.times[rows], curve.rates[rows])))
     return 0
 
 
@@ -256,9 +277,12 @@ def _zone_doc(zone) -> dict | None:
 
 
 def _write_events_csv(path: str, log: EventLog) -> None:
+    def cells(rows):
+        replication, _, kind, unit, slot, unit_out = log.fields(rows)
+        return replication, log.time[rows], kind, unit, slot, unit_out
+
     _write_csv(path, ["replication", "time_weeks", "kind", "unit", "slot", "unit_out"],
-               (f"{i},{t!r},{k},{u or ''},{'' if s is None else s},{o or ''}"
-                for i, t, k, u, s, o in zip(*log.fields())))
+               _csv_blocks(len(log.time), cells))
 
 
 def cmd_simulate(run: RunConfig, args) -> int:
@@ -336,7 +360,7 @@ def cmd_redzone(run: RunConfig, args) -> int:
     ]) for r in rows]
     _write_csv(args.out,
                ["delta_weeks", "predicted", "detected", "severity", "trdd_mean_weeks"],
-               out_rows)
+               [out_rows])
     return 0
 
 
@@ -355,7 +379,9 @@ def main(argv=None) -> int:
         run = load_config(args.config, _overrides(args))
         return _COMMANDS[args.command](run, args)
     except Exception as e:
-        print(f"error: {e}", file=sys.stderr)
+        fields = getattr(e, "fields", ())
+        print(f"error: {e}" + (f" (config: {', '.join(fields)})" if fields else ""),
+              file=sys.stderr)
         return 1 if isinstance(e, (_UsageError, ValidationError, DomainError)) else 2
 
 

@@ -10,7 +10,15 @@ class DomainError(RedzoneError, ValueError):
 
 
 class ValidationError(RedzoneError, ValueError):
-    """A model, configuration, or document violates its construction contract."""
+    """A model, configuration, or document violates its construction contract.
+
+    ``fields`` names the run-config fields that decide a failed check on a
+    model built from a config document, for a caller that reads the document.
+    """
+
+    def __init__(self, *args, fields: tuple[str, ...] = ()):
+        super().__init__(*args)
+        self.fields = fields
 
 
 class CompositionError(RedzoneError, ArithmeticError):

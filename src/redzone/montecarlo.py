@@ -405,16 +405,17 @@ class EventLog:
     slot: np.ndarray
     unit_out: np.ndarray
 
-    def fields(self) -> tuple[list, ...]:
-        """The columns as lists of :class:`Event` field values.
+    def fields(self, rows: slice = slice(None)) -> tuple[list, ...]:
+        """The columns of ``rows`` (all rows by default) as lists of
+        :class:`Event` field values.
 
         Returns (replication, time, kind, unit, slot, unit_out); a row's last
         five values equal the ``time``, ``kind``, ``unit``, ``slot`` and
         ``unit_out`` of the scalar event.
         """
-        return (self.replication.tolist(), self.time.tolist(),
-                _KIND_NAMES[self.kind].tolist(), _UNIT_IDS[self.unit].tolist(),
-                _SLOTS[self.slot].tolist(), _UNIT_IDS[self.unit_out].tolist())
+        return (self.replication[rows].tolist(), self.time[rows].tolist(),
+                _KIND_NAMES[self.kind[rows]].tolist(), _UNIT_IDS[self.unit[rows]].tolist(),
+                _SLOTS[self.slot[rows]].tolist(), _UNIT_IDS[self.unit_out[rows]].tolist())
 
 
 @dataclass(frozen=True, eq=False)

@@ -257,14 +257,16 @@ def scenario_timeline(config: SystemConfig) -> ScenarioTimeline:
     if mean < t0:
         raise ValidationError(
             f"mean lifetime ({mean}) lies before the wear-out onset ({t0}); "
-            "the end-of-life scenario is undefined")
+            "the end-of-life scenario is undefined",
+            fields=("lifetime.mean", "hazard.th1 + hazard.th2"))
     tf1 = mean
     tf2 = mean + config.unit_lifetime.sd
     t2 = tf2 + max(hz.th1 - lab, 0.0)
     t_end = end_of_life(config)
     if t_end <= tf2:
         raise ValidationError("spare exhausts before the second main failure; "
-                              "lower the lifetime sd or raise the mean lifetime")
+                              "lower the lifetime sd or raise the mean lifetime",
+                              fields=("lifetime.sd", "lifetime.mean", "system.lab_burnin"))
 
     main1 = ActiveUnit("controller_1", PHASE_USEFUL, birth=0.0)
     main2 = ActiveUnit("controller_2", PHASE_USEFUL, birth=0.0)

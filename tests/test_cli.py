@@ -4,10 +4,20 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import redzone
-from redzone import LifetimeDistribution, Policy, assess_red_zone, derive_seed, run_replication
+from redzone import (
+    LifetimeDistribution,
+    Policy,
+    assess_red_zone,
+    bathtub_hazard,
+    derive_seed,
+    run_replication,
+)
 from redzone import cli
 from redzone.cli import build_parser, main
 from redzone.config import load_config
@@ -210,6 +220,20 @@ class TestHazardCommand:
         for r in rows:
             assert repr(float(r[1])) == r[1]
 
+    def test_table_spans_blocks(self, tmp_path):
+        # more rows than one formatted block: the blocks join without a seam
+        conf = write_config(tmp_path)
+        dt = 250.0 / (2.5 * cli._BLOCK)
+        out = tmp_path / "h.csv"
+        assert main(["hazard", "--config", conf, "--out", str(out),
+                     "--t-max", "250", "--dt", repr(dt)]) == 0
+        t = np.arange(0.0, 250.0 + 0.5 * dt, dt)
+        assert len(t) > 2 * cli._BLOCK
+        h = bathtub_hazard(t, load_config(conf).system.hazard)
+        assert out.read_text(encoding="utf-8").splitlines() == [
+            "t_weeks,h_hardware,h_software,h_operate,h_system"] + [
+            f"{a!r},{b!r},0.0,0.0,{b!r}" for a, b in zip(t.tolist(), h.tolist())]
+
 
 class TestScenarioCommand:
     def test_worked_boundaries_present(self, tmp_path):
@@ -250,6 +274,17 @@ class TestScenarioCommand:
         _, rows_large = read_csv(out_large)
         assert any(r[6] == "1" for r in rows_small)
         assert all(r[6] == "0" for r in rows_large)
+
+    @pytest.mark.parametrize("lifetime, fields", [
+        ({"mean": 150.0, "sd": 1.0}, "lifetime.mean, hazard.th1 + hazard.th2"),
+        ({"mean": 200.0, "sd": 300.0}, "lifetime.sd, lifetime.mean, system.lab_burnin"),
+    ], ids=["mean-before-wear-out", "spare-exhausted"])
+    def test_timeline_error_names_config_fields(self, lifetime, fields, tmp_path, capsys):
+        conf = write_config(tmp_path, lifetime=lifetime)
+        out = tmp_path / "s.csv"
+        assert main(["scenario", "--config", conf, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.endswith(f" (config: {fields})\n")
+        assert not out.exists()
 
     def test_curve_file_spans_blocks(self, tmp_path):
         # more grid points than one written block: the blocks join without a seam
@@ -363,6 +398,22 @@ class TestSimulateCommand:
             assert 0 < sum(r[:3] == [r[0], "0.0", "failure"] for r in rows) < reps
         else:
             assert 0 < deaths < reps and any(r[2] == "rotate" for r in rows)
+
+    def test_events_csv_spans_blocks(self, tmp_path):
+        # more rows than one formatted block: the blocks join without a seam
+        reps, seed = cli._BLOCK, 5
+        conf = write_config(tmp_path, lifetime={"mean": 200.0, "sd": 10.0},
+                            sim={"replications": reps, "master_seed": seed})
+        ev = tmp_path / "events.csv"
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim.json"),
+                     "--events-out", str(ev)]) == 0
+        log = run_batch(load_config(conf).system, Policy("type1"), seed, reps,
+                        record_events=True).events
+        assert len(log.time) > 2 * cli._BLOCK
+        assert ev.read_text(encoding="utf-8").splitlines() == [
+            "replication,time_weeks,kind,unit,slot,unit_out"] + [
+            f"{i},{t!r},{k},{u or ''},{'' if s is None else s},{o or ''}"
+            for i, t, k, u, s, o in zip(*log.fields())]
 
     @pytest.mark.parametrize("events", [False, True], ids=["summary", "events-out"])
     def test_one_ensemble_pass(self, events, tmp_path, monkeypatch):
@@ -523,3 +574,65 @@ def test_curve_outputs_byte_identical(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in CURVE_DIGESTS}
     assert digests == CURVE_DIGESTS
+
+
+# SHA-256 of the float tables of hazard and simulate --events-out on the shipped example
+# config, recorded before _float_reprs formatted them: they pin the repr bytes.
+TABLE_DIGESTS = {
+    "hazard.csv": "92437cd9e4c635b0e2c5dc1655c598e5ce92f41e278203af25a460c0751bcce8",
+    "hazard_dt.csv": "1cc4a9288ed5258a6119ce5afed536e423c611a2151506993a0ef4e991a52e86",
+    "events_type1.csv": "c84dc8d3f6b14a2955949f2373198e735dd6abc682bfc33379ff91a1e0ac9e87",
+    "events_type2.csv": "d4222df4f1124826b81019fb456794021d97981224962a16a141ebea14a60c0a",
+}
+
+
+def test_float_tables_byte_identical(tmp_path):
+    assert main(["hazard", "--config", str(EXAMPLE), "--out", str(tmp_path / "hazard.csv")]) == 0
+    assert main(["hazard", "--config", str(EXAMPLE), "--out", str(tmp_path / "hazard_dt.csv"),
+                 "--dt", "0.002"]) == 0
+    for policy in ("type1", "type2"):
+        assert main(["simulate", "--config", str(EXAMPLE), "--policy", policy,
+                     "--out", str(tmp_path / f"{policy}.json"),
+                     "--events-out", str(tmp_path / f"events_{policy}.csv")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in TABLE_DIGESTS}
+    assert digests == TABLE_DIGESTS
+
+
+def reprs(x):
+    return [repr(v) for v in np.asarray(x, dtype=float).tolist()]
+
+
+def ulp_window(edge, n=200_000):
+    """The 2n + 1 doubles nearest ``edge``, both signs."""
+    bits = np.float64(edge).view(np.int64) + np.arange(-n, n + 1)
+    x = bits.view(np.float64)
+    return np.concatenate([x, -x])
+
+
+class TestFloatReprs:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), max_size=50))
+    def test_matches_repr(self, values):
+        # st.floats() draws NaN, both infinities, subnormals and both zeros
+        x = np.array(values, dtype=float)
+        assert cli._float_reprs(x) == reprs(x)
+
+    @pytest.mark.parametrize("edge", [1e-4, 1e16], ids=["1e-4", "1e16"])
+    def test_notation_edges(self, edge):
+        # the edges where repr's notation leaves orjson's
+        x = ulp_window(edge)
+        assert cli._float_reprs(x) == reprs(x)
+
+    def test_special_values(self):
+        x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-05, 1e+16, 1e308])
+        assert cli._float_reprs(x) == ["0.0", "-0.0", "nan", "inf", "-inf", "5e-324",
+                                       "1e-05", "1e+16", "1e+308"]
+
+    def test_empty(self):
+        assert cli._float_reprs(np.array([])) == []
+
+    def test_strided_view(self):
+        x = np.linspace(-3.0, 7.0, 301)[::3]
+        assert not x.flags.c_contiguous
+        assert cli._float_reprs(x) == reprs(x)
