@@ -46,18 +46,13 @@ from .maintenance import Policy, red_zone_condition
 from .montecarlo import (
     Metrics,
     SimConfig,
-    Trace,
-    derive_seed,
     empirical_hazard,
     run_ensemble,
-    run_replication,
 )
 from .system import (
     HazardCurve,
     SystemConfig,
-    Unit,
     compose_parallel,
-    effective_age,
     scenario_timeline,
     system_hazard_curve,
     system_hazard_curves,

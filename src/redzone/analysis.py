@@ -204,11 +204,12 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
     as sampling sd) with curve-based detection (spread as the deterministic
     failure gap) and the rule's prediction.  Every spread's timeline is
     built before any curve is sampled or ensemble run, so a spread the
-    timeline rejects fails the sweep at once, its error naming the spread.
-    The curves come from one :func:`system_hazard_curves` call, which
-    samples the segments the spreads share once, and each is assessed by
-    :func:`assess_curve`; the rows equal per-spread :func:`assess_red_zone`
-    results bit for bit.
+    timeline rejects fails the sweep at once, its error naming the spread
+    in place of ``lifetime.sd``; a check no spread moves is raised as the
+    timeline raised it.  The curves come from one
+    :func:`system_hazard_curves` call, which samples the segments the
+    spreads share once, and each is assessed by :func:`assess_curve`; the
+    rows equal per-spread :func:`assess_red_zone` results bit for bit.
     """
     deltas = [float(d) for d in deltas]
     if any(d <= 0.0 for d in deltas):
@@ -225,7 +226,11 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
         try:
             timelines.append(scenario_timeline(cfg))
         except ValidationError as e:
-            raise ValidationError(f"spread {d!r}: {e}") from None
+            if "lifetime.sd" not in e.fields:
+                raise  # no spread moves this check
+            # the swept spread stands in for the config's lifetime sd
+            fields = tuple(f for f in e.fields if f != "lifetime.sd")
+            raise ValidationError(f"spread {d!r}: {e}", fields=fields) from None
     if not timelines:
         return []
     # Every spread shares t0, so one baseline window start serves all curves.

@@ -95,11 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _f(x) -> str:
-    """Shortest round-trip decimal representation."""
-    return repr(float(x))
-
-
 # Rows per block that _csv_blocks formats and _write_csv writes at once.
 _BLOCK = 8192
 
@@ -148,6 +143,13 @@ def _csv_blocks(n: int, cells) -> Iterator[list[str]]:
                    else ["" if v is None else str(v) for v in c]
                    for c in cells(slice(lo, lo + _BLOCK))]
         yield list(map(",".join, zip(*columns)))
+
+
+def _write_table(path: str, table: dict) -> None:
+    """Write a table given as {header: column}, each column as :func:`_csv_blocks` takes it."""
+    columns = list(table.values())
+    _write_csv(path, list(table),
+               _csv_blocks(len(columns[0]), lambda rows: [c[rows] for c in columns]))
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -208,10 +210,8 @@ def cmd_hazard(run: RunConfig, args) -> int:
     h_sw = (np.asarray(software_hazard(t, run.system.software), dtype=float)
             if run.system.software is not None else np.zeros_like(t))
     h_op = np.full_like(t, run.system.operator.rate if run.system.operator else 0.0)
-    h_sys = h_hw + h_sw + h_op
-    columns = (t, h_hw, h_sw, h_op, h_sys)
-    _write_csv(args.out, ["t_weeks", "h_hardware", "h_software", "h_operate", "h_system"],
-               _csv_blocks(len(t), lambda rows: [c[rows] for c in columns]))
+    _write_table(args.out, {"t_weeks": t, "h_hardware": h_hw, "h_software": h_sw,
+                            "h_operate": h_op, "h_system": h_hw + h_sw + h_op})
     return 0
 
 
@@ -229,23 +229,18 @@ def cmd_scenario(run: RunConfig, args) -> int:
     def in_zone(seg) -> bool:
         return zone is not None and seg.t_start < zone.end and seg.t_end > zone.start
 
-    rows = []
-    for seg in timeline.segments:
-        rows.append(",".join([
-            _f(seg.t_start),
-            _f(seg.t_end),
-            seg.composition,
-            seg.boundary,
-            ";".join(au.unit_id for au in seg.units),
-            ";".join(au.phase for au in seg.units),
-            "1" if in_zone(seg) else "0",
-        ]))
-    _write_csv(args.out,
-               ["t_start_weeks", "t_end_weeks", "composition", "boundary",
-                "active_units", "phases", "red_zone"],
-               [rows])
-    _write_csv(args.out.removesuffix(".csv") + "_curve.csv", ["t_weeks", "h_system"],
-               _csv_blocks(len(curve.times), lambda rows: (curve.times[rows], curve.rates[rows])))
+    segs = timeline.segments
+    _write_table(args.out, {
+        "t_start_weeks": np.array([seg.t_start for seg in segs], dtype=float),
+        "t_end_weeks": np.array([seg.t_end for seg in segs], dtype=float),
+        "composition": [seg.composition for seg in segs],
+        "boundary": [seg.boundary for seg in segs],
+        "active_units": [";".join(au.unit_id for au in seg.units) for seg in segs],
+        "phases": [";".join(au.phase for au in seg.units) for seg in segs],
+        "red_zone": [int(in_zone(seg)) for seg in segs],
+    })
+    _write_table(args.out.removesuffix(".csv") + "_curve.csv",
+                 {"t_weeks": curve.times, "h_system": curve.rates})
     return 0
 
 
@@ -277,12 +272,8 @@ def _zone_doc(zone) -> dict | None:
 
 
 def _write_events_csv(path: str, log: EventLog) -> None:
-    def cells(rows):
-        replication, _, kind, unit, slot, unit_out = log.fields(rows)
-        return replication, log.time[rows], kind, unit, slot, unit_out
-
     _write_csv(path, ["replication", "time_weeks", "kind", "unit", "slot", "unit_out"],
-               _csv_blocks(len(log.time), cells))
+               _csv_blocks(len(log.time), log.fields))
 
 
 def cmd_simulate(run: RunConfig, args) -> int:
@@ -351,16 +342,14 @@ def cmd_redzone(run: RunConfig, args) -> int:
     rows = delta_sweep(run.system, deltas, run.policy, run.sim,
                        threshold=run.red_zone_threshold, dt=dt,
                        baseline_window_fraction=run.baseline_window_fraction)
-    out_rows = [",".join([
-        _f(r.delta),
-        "1" if r.predicted else "0",
-        "1" if r.detected else "0",
-        _f(r.severity),
-        "" if r.trdd_mean is None else _f(r.trdd_mean),
-    ]) for r in rows]
-    _write_csv(args.out,
-               ["delta_weeks", "predicted", "detected", "severity", "trdd_mean_weeks"],
-               [out_rows])
+    # str(float) is repr(float): the optional column needs no array
+    _write_table(args.out, {
+        "delta_weeks": np.array([r.delta for r in rows], dtype=float),
+        "predicted": [int(r.predicted) for r in rows],
+        "detected": [int(r.detected) for r in rows],
+        "severity": np.array([r.severity for r in rows], dtype=float),
+        "trdd_mean_weeks": [None if r.trdd_mean is None else float(r.trdd_mean) for r in rows],
+    })
     return 0
 
 

@@ -12,25 +12,22 @@ Two interaction styles are supported:
   usable shelf unit.
 
 Failures are handled identically under both policies: a usable shelf unit
-is installed into the failed slot.  The simulators own all state and apply
-these rules themselves; :func:`oldest_slot` picks the rotation target for
-one fleet and :func:`rotation_targets` for many fleets at once.
+is installed into the failed slot.  The simulator owns all state and
+applies these rules itself; :func:`rotation_targets` picks the rotation
+target of many fleets at once.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .system import Unit, effective_age
 
 __all__ = [
     "Policy",
-    "oldest_slot",
     "rotation_targets",
     "red_zone_condition",
 ]
@@ -56,24 +53,13 @@ class Policy:
                                   f"got {self.rotation_period!r}")
 
 
-def oldest_slot(slots: Sequence[Unit], shelf_aging_factor: float) -> int | None:
-    """The rotation target: the unfailed slot of greatest effective age.
-
-    Ties go to the lower slot index; ``None`` when every slot has failed.
-    This is the scalar form of :func:`rotation_targets`.
-    """
-    candidates = [i for i, u in enumerate(slots) if not u.failed]
-    return max(candidates, key=lambda i: (effective_age(slots[i], shelf_aging_factor), -i),
-               default=None)
-
-
 def rotation_targets(ages: np.ndarray, alive: np.ndarray, shelf_usable: np.ndarray) -> np.ndarray:
-    """:func:`oldest_slot` for many fleets at once: each row's swap slot, or -1.
+    """The rotation target of many fleets at once: each row's swap slot, or -1.
 
     ``ages`` and ``alive`` are (rows, slots) arrays of effective ages and
-    unfailed flags, ``shelf_usable`` a (rows,) flag.  The rule is the scalar
-    one: the unfailed slot of greatest effective age, ties to the lower
-    slot index, and no swap without a usable shelf unit or an unfailed slot.
+    unfailed flags, ``shelf_usable`` a (rows,) flag.  The target is the
+    unfailed slot of greatest effective age, ties to the lower slot index,
+    and there is no swap without a usable shelf unit or an unfailed slot.
     """
     target = np.argmax(np.where(alive, ages, -np.inf), axis=1)
     return np.where(shelf_usable & alive.any(axis=1), target, -1)

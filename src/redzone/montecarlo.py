@@ -8,15 +8,12 @@ form; there is no integration step.  Simultaneous events are ordered
 failure < replace < rotate, and equal-time failures break ties by slot
 index.
 
-Two engines run this model.  :func:`run_batch` runs all replications of an
-ensemble in lockstep over numpy arrays, one pass per event epoch, and
-repeats the scalar loop's floating-point operations in the same order, so
-its per-replication results are bit-identical; on request it also records
-every replication's event log as one :class:`EventLog` table.  It is the
-engine every command runs, through :func:`run_ensemble` or directly.
-:func:`run_replication` is the scalar event loop, kept as the oracle only:
-it returns one replication's event log, and the tests hold the batched
-engine's results and event logs to it.
+:func:`run_batch` runs all replications of an ensemble in lockstep over
+numpy arrays, one pass per event epoch; on request it also records every
+replication's event log as one :class:`EventLog` table.  It is the engine
+every command runs, through :func:`run_ensemble` or directly.  The tests
+hold its per-replication results and event logs, bit for bit, to a scalar
+event loop over per-unit age ledgers kept in ``tests/oracle.py``.
 
 Randomness comes from splitmix64 streams: 64-bit state advanced by the
 golden-gamma increment 0x9E3779B97F4A7C15 and finalized by the standard
@@ -40,19 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .maintenance import Policy, oldest_slot, rotation_targets
-from .system import ACTIVE, FAILED, ON_SHELF, SystemConfig, Unit, effective_age
+from .maintenance import Policy, rotation_targets
+from .system import SystemConfig
 
 __all__ = [
     "SimConfig",
-    "Event",
-    "Trace",
     "MetricSummary",
     "Metrics",
     "EmpiricalHazardCurve",
-    "SplitMix64",
-    "derive_seed",
-    "run_replication",
     "EVENT_KINDS",
     "EventLog",
     "BatchOutcomes",
@@ -68,24 +60,6 @@ _MIX2 = 0x94D049BB133111EB
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 
 
-def _mix64(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
-def derive_seed(master_seed: int, replication_index: int) -> int:
-    """Per-replication seed: avalanche mix of master + index * golden gamma.
-
-    Both the index step and the finalizer are bijections on 64-bit words, so
-    distinct indices always yield distinct seeds for a fixed master.
-    """
-    if replication_index < 0:
-        raise DomainError("replication_index must be >= 0")
-    return _mix64((master_seed + replication_index * _GAMMA) & _MASK64)
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
@@ -93,34 +67,19 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 
 
 def _derive_seeds(master_seed: int, n: int) -> np.ndarray:
-    """``derive_seed(master_seed, i)`` for i in 0..n-1, as uint64."""
+    """Replication i's seed, for i in 0..n-1, as uint64: the avalanche mix of
+    master + i * golden gamma, a bijection of i for a fixed master."""
     with np.errstate(over="ignore"):
         steps = np.arange(n, dtype=np.uint64) * np.uint64(_GAMMA)
         return _mix64_array(np.uint64(master_seed & _MASK64) + steps)
 
 
 def _uniforms(seeds: np.ndarray, k: int) -> np.ndarray:
-    """The first ``k`` :meth:`SplitMix64.uniform` draws of each seed, shape (n, k)."""
+    """The first ``k`` uniform draws of each seed's splitmix64 stream, shape (n, k)."""
     with np.errstate(over="ignore"):
         states = seeds[:, None] + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         bits = _mix64_array(states) >> np.uint64(11)
     return np.minimum((bits.astype(float) + 0.5) * (2.0 ** -53), _BELOW_ONE)
-
-
-class SplitMix64:
-    """Minimal splitmix64 stream; see the module docstring for constants."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix64(self._state)
-
-    def uniform(self) -> float:
-        """A double strictly inside (0, 1): ((u64 >> 11) + 0.5) * 2**-53,
-        except that u64 >> 11 = 2**53 - 1, which rounds to 1.0, gives 1 - 2**-53."""
-        return min(((self.next_u64() >> 11) + 0.5) * (2.0 ** -53), _BELOW_ONE)
 
 
 @dataclass(frozen=True)
@@ -146,155 +105,6 @@ class SimConfig:
             raise ValidationError("master_seed must be >= 0")
         if self.horizon is not None and not 0.0 < self.horizon < math.inf:
             raise ValidationError("horizon must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class Event:
-    """One trace entry.  ``slot`` is an index, "shelf", or None."""
-
-    time: float
-    kind: str
-    unit: str | None = None
-    slot: int | str | None = None
-    unit_out: str | None = None
-
-
-@dataclass(frozen=True)
-class Trace:
-    """Ordered event log of one simulated system life.
-
-    ``trdd`` is the first time fewer than two unfailed units occupy slots
-    with no shelf unit able to restore redundancy; ``tdt`` the time of zero
-    unfailed in-slot units (None when censored at the horizon).  ``dp`` is
-    the observable decision point (rotation policy): the first event epoch
-    at which every slot holds an unfailed unit but no usable shelf unit is
-    left, because the shelf is empty or its unit has failed.  Both are
-    checked after each event epoch, so a dead-on-arrival spare is seen at
-    the first epoch, not at t = 0.
-    """
-
-    events: tuple[Event, ...]
-    trdd: float | None
-    tdt: float | None
-    dp: float | None
-    censored: bool
-    end_time: float
-    lifetimes: dict[str, float]
-
-    @property
-    def tdr(self) -> float | None:
-        if self.tdt is None or self.dp is None:
-            return None
-        return self.tdt - self.dp
-
-
-def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
-                    horizon: float | None = None) -> Trace:
-    """Simulate one life of the two-slot, one-spare system and return its trace."""
-    model = config.unit_lifetime
-    if horizon is None:
-        horizon = 5.0 * model.mean
-    alpha = config.shelf_aging_factor
-    rng = SplitMix64(seed)
-
-    slots = [Unit(id=f"controller_{i}", lifetime=float(model.sample(rng.uniform())),
-                  status=ACTIVE) for i in (1, 2)]
-    shelf: Unit | None = Unit(id="controller_3", lifetime=float(model.sample(rng.uniform())),
-                              lab_burnin_credit=config.lab_burnin, status=ON_SHELF)
-    lifetimes = {u.id: u.lifetime for u in (*slots, shelf)}
-
-    events: list[Event] = []
-    trdd: float | None = None
-    dp: float | None = None
-    tdt: float | None = None
-    censored = False
-    t = 0.0
-    rotation_index = 1
-
-    def shelf_usable() -> bool:
-        return shelf is not None and not shelf.failed
-
-    # A spare can be dead on arrival only when the lab credit already
-    # exhausts its sampled lifetime; record it for transparency.
-    if effective_age(shelf, alpha) >= shelf.lifetime:
-        shelf.status = FAILED
-        events.append(Event(0.0, "failure", shelf.id, "shelf"))
-
-    while True:
-        candidates: list[tuple[float, int, int]] = []  # (time, priority, slot/row)
-        for i, u in enumerate(slots):
-            if not u.failed:
-                candidates.append((t + (u.lifetime - effective_age(u, alpha)), 0, i))
-        if shelf_usable() and alpha > 0.0:
-            candidates.append((t + (shelf.lifetime - effective_age(shelf, alpha)) / alpha, 0, 99))
-        if policy.kind == "type2":
-            candidates.append((rotation_index * policy.rotation_period, 1, -1))
-        t_next = min(c[0] for c in candidates)
-        if t_next > horizon:
-            step = horizon - t
-            for u in slots:
-                if not u.failed:
-                    u.onjob_age += step
-            if shelf_usable():
-                shelf.shelf_age += step
-            t = horizon
-            censored = True
-            break
-
-        step = t_next - t
-        for u in slots:
-            if not u.failed:
-                u.onjob_age += step
-        if shelf_usable():
-            shelf.shelf_age += step
-        t = t_next
-
-        due = [c for c in candidates if c[0] == t_next]
-        # failures first, ascending slot index, then the shelf row
-        for _, prio, row in sorted(due, key=lambda c: (c[1], c[2])):
-            if prio == 0 and row != 99:
-                u = slots[row]
-                u.status = FAILED
-                events.append(Event(t, "failure", u.id, row))
-                if shelf_usable():
-                    incoming = shelf
-                    incoming.status = ACTIVE
-                    slots[row] = incoming
-                    shelf = None
-                    events.append(Event(t, "replace", incoming.id, row, unit_out=u.id))
-            elif prio == 0 and row == 99:
-                # the shelf unit may have been installed by an equal-time
-                # replacement; its exhausted budget then fails it in a slot
-                # on the next pass instead
-                if shelf is not None and not shelf.failed:
-                    shelf.status = FAILED
-                    events.append(Event(t, "failure", shelf.id, "shelf"))
-            else:
-                rotation_index += 1
-                target = oldest_slot(slots, alpha) if shelf_usable() else None
-                if target is not None:
-                    outgoing = slots[target]
-                    incoming = shelf
-                    incoming.status = ACTIVE
-                    outgoing.status = ON_SHELF
-                    slots[target] = incoming
-                    shelf = outgoing
-                    events.append(Event(t, "rotate", incoming.id, target,
-                                        unit_out=outgoing.id))
-
-        alive = sum(1 for u in slots if not u.failed)
-        if trdd is None and alive < 2 and not shelf_usable():
-            trdd = t
-        if dp is None and policy.kind == "type2" and alive == 2 and not shelf_usable():
-            dp = t
-            events.append(Event(t, "dp"))
-        if alive == 0:
-            tdt = t
-            events.append(Event(t, "system_death"))
-            break
-
-    return Trace(events=tuple(events), trdd=trdd, tdt=tdt, dp=dp,
-                 censored=censored, end_time=t, lifetimes=lifetimes)
 
 
 @dataclass(frozen=True)
@@ -392,7 +202,8 @@ class EventLog:
     """The event logs of a :func:`run_batch` ensemble as one table.
 
     One row per event, grouped by ascending replication; each replication's
-    rows are in the order of ``run_replication(...).events``.  ``kind``
+    rows are in the order of its events in the scalar oracle's trace
+    (``tests/oracle.py``).  ``kind``
     indexes :data:`EVENT_KINDS`; ``unit`` and ``unit_out`` hold a roster
     index (unit i is ``controller_{i+1}``) or -1 for none; ``slot`` holds a
     slot index, -2 for the shelf or -1 for none.
@@ -405,15 +216,15 @@ class EventLog:
     slot: np.ndarray
     unit_out: np.ndarray
 
-    def fields(self, rows: slice = slice(None)) -> tuple[list, ...]:
-        """The columns of ``rows`` (all rows by default) as lists of
-        :class:`Event` field values.
+    def fields(self, rows: slice = slice(None)) -> tuple[list, np.ndarray, list, list, list, list]:
+        """The columns of ``rows`` (all rows by default), decoded.
 
-        Returns (replication, time, kind, unit, slot, unit_out); a row's last
-        five values equal the ``time``, ``kind``, ``unit``, ``slot`` and
-        ``unit_out`` of the scalar event.
+        Returns (replication, time, kind, unit, slot, unit_out): ``time`` as
+        the float array, the others as lists of ints, names and None.  A
+        row's last five values equal the ``time``, ``kind``, ``unit``,
+        ``slot`` and ``unit_out`` of the oracle's scalar event.
         """
-        return (self.replication[rows].tolist(), self.time[rows].tolist(),
+        return (self.replication[rows].tolist(), self.time[rows],
                 _KIND_NAMES[self.kind[rows]].tolist(), _UNIT_IDS[self.unit[rows]].tolist(),
                 _SLOTS[self.slot[rows]].tolist(), _UNIT_IDS[self.unit_out[rows]].tolist())
 
@@ -422,7 +233,12 @@ class EventLog:
 class BatchOutcomes:
     """Per-replication results of :func:`run_batch`, in replication order.
 
-    ``trdd``, ``tdt`` and ``dp`` hold NaN where the scalar trace holds None.
+    ``trdd`` is the first time fewer than two unfailed units occupy slots
+    with no usable shelf unit left; ``tdt`` the time no unfailed unit
+    occupies a slot; ``dp`` (type2 only) the first event epoch at which
+    both slots hold an unfailed unit but no usable shelf unit is left.
+    Each holds NaN where it did not occur before the horizon, where the
+    oracle's scalar trace (``tests/oracle.py``) holds None.
     ``events`` is the ensemble's event log when it was recorded, else None.
     """
 
@@ -438,14 +254,15 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
               horizon: float | None = None, record_events: bool = False) -> BatchOutcomes:
     """Simulate replications 0..N-1 of ``master_seed`` in lockstep.
 
-    The struct-of-arrays form of :func:`run_replication`: one row per
-    running replication and one column per position (the slots, then the
-    shelf), so an installation or a rotation moves a column's unit state.
-    Each pass handles one event epoch of every running replication, with
-    the scalar loop's event order and floating-point operations, so
-    replication i equals ``run_replication(config, policy,
-    derive_seed(master_seed, i), ...)`` exactly.  ``config.unit_lifetime.sample``
-    is called once, on a (replications, units) array of uniforms.
+    The struct-of-arrays form of the scalar event loop in
+    ``tests/oracle.py``: one row per running replication and one column per
+    position (the slots, then the shelf), so an installation or a rotation
+    moves a column's unit state.  Each pass handles one event epoch of every
+    running replication, with the scalar loop's event order and
+    floating-point operations, so replication i equals the oracle's
+    ``run_replication(config, policy, derive_seed(master_seed, i), ...)``
+    exactly.  ``config.unit_lifetime.sample`` is called once, on a
+    (replications, units) array of uniforms.
 
     With ``record_events`` the result also holds the event log of every
     replication (:class:`EventLog`), equal to the scalar traces' events.
@@ -492,7 +309,7 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
                            t[:, None] + (units[_LIFE, :, :S] - consumed[:, :S]))
         t_next = fail_at.min(axis=1)
         if alpha > 0.0:
-            # a tiny alpha overflows the division to inf, as it does in run_replication
+            # a tiny alpha overflows the division to inf, as it does in the scalar loop
             with np.errstate(over="ignore"):
                 shelf_left = (units[_LIFE, :, S] - consumed[:, S]) / alpha
             shelf_fail_at = np.where(on_shelf & ~failed[:, S], t + shelf_left, np.inf)
@@ -577,8 +394,9 @@ def _event_log(blocks: list[tuple]) -> EventLog:
 def run_ensemble(config: SystemConfig, policy: Policy, sim: SimConfig) -> Metrics:
     """Run N replications with :func:`run_batch` and aggregate in index order.
 
-    Replication i uses seed ``derive_seed(sim.master_seed, i)``, and its
-    values equal those of :func:`run_replication` for that seed.
+    Replication i uses the i-th seed derived from ``sim.master_seed``, and
+    its values equal those of the scalar oracle's ``run_replication`` in
+    ``tests/oracle.py`` for that seed.
     """
     return Metrics.from_batch(run_batch(
         config, policy, sim.master_seed, sim.replications, horizon=sim.horizon))

@@ -1,12 +1,8 @@
-"""Unit age accounting, redundancy composition, and scenario timelines.
+"""System configuration, redundancy composition, and scenario timelines.
 
 The reference architecture is two active controller units plus one shelf
-spare.  A unit's effective consumed life is
-
-    lab_burnin_credit + shelf_aging_factor * shelf_age + onjob_age
-
-and a unit has failed once that quantity reaches its lifetime.  The shelf
-aging factor defaults to 0 (ideal cold storage).
+spare.  The shelf aging factor weights shelf time in a unit's consumed
+life (see :mod:`redzone.montecarlo`); it defaults to 0 (ideal cold storage).
 
 Redundancy is composed exactly: for the two active units with rates ``h_i``
 and cumulative hazards ``H_i`` measured from a common conditioning epoch,
@@ -50,58 +46,17 @@ from .hazards import (
 )
 
 __all__ = [
-    "ACTIVE", "ON_SHELF", "FAILED",
-    "Unit",
     "SystemConfig",
     "ActiveUnit",
     "ScenarioSegment",
     "ScenarioTimeline",
     "HazardCurve",
-    "effective_age",
     "compose_parallel",
     "end_of_life",
     "scenario_timeline",
     "system_hazard_curve",
     "system_hazard_curves",
 ]
-
-ACTIVE = "active"
-ON_SHELF = "shelf"
-FAILED = "failed"
-
-
-@dataclass
-class Unit:
-    """One controller unit with its age ledger.
-
-    ``lifetime`` is the sampled (or deterministic) total life budget in
-    weeks.  Ages only ever increase; the simulator owns all mutation.
-    """
-
-    id: str
-    lifetime: float
-    onjob_age: float = 0.0
-    shelf_age: float = 0.0
-    lab_burnin_credit: float = 0.0
-    status: str = ACTIVE
-
-    def __post_init__(self):
-        if self.lifetime <= 0.0:
-            raise ValidationError(f"unit lifetime must be > 0, got {self.lifetime!r}")
-        for nm in ("onjob_age", "shelf_age", "lab_burnin_credit"):
-            if getattr(self, nm) < 0.0:
-                raise ValidationError(f"{nm} must be >= 0")
-        if self.status not in (ACTIVE, ON_SHELF, FAILED):
-            raise ValidationError(f"unknown unit status {self.status!r}")
-
-    @property
-    def failed(self) -> bool:
-        return self.status == FAILED
-
-
-def effective_age(unit: Unit, shelf_aging_factor: float) -> float:
-    """Consumed life: lab credit + factor-weighted shelf time + on-job time."""
-    return unit.lab_burnin_credit + shelf_aging_factor * unit.shelf_age + unit.onjob_age
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,9 @@ from redzone import (
     bathtub_hazard,
     compose_parallel,
     delta_sweep,
-    derive_seed,
     empirical_hazard,
     lifetime_extension,
     run_ensemble,
-    run_replication,
     scenario_timeline,
     system_hazard_curve,
     weibull_cumulative,
@@ -42,6 +40,7 @@ from redzone.config import parse_config
 from redzone.montecarlo import run_batch
 
 from conftest import make_bathtub, make_flat_bathtub, make_redzone_system
+from oracle import derive_seed, run_replication
 
 
 @contextmanager

@@ -10,19 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redzone
-from redzone import (
-    LifetimeDistribution,
-    Policy,
-    assess_red_zone,
-    bathtub_hazard,
-    derive_seed,
-    run_replication,
-)
+from redzone import LifetimeDistribution, Policy, assess_red_zone, bathtub_hazard
 from redzone import cli
 from redzone.cli import build_parser, main
 from redzone.config import load_config
 from redzone.montecarlo import run_batch
 from redzone.system import end_of_life, scenario_timeline, system_hazard_curve
+
+from oracle import derive_seed, run_replication
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
 SCHEMA = json.loads((Path(redzone.__file__).parent / "schema" / "run_config.schema.json")
@@ -412,7 +407,7 @@ class TestSimulateCommand:
         assert len(log.time) > 2 * cli._BLOCK
         assert ev.read_text(encoding="utf-8").splitlines() == [
             "replication,time_weeks,kind,unit,slot,unit_out"] + [
-            f"{i},{t!r},{k},{u or ''},{'' if s is None else s},{o or ''}"
+            f"{i},{float(t)!r},{k},{u or ''},{'' if s is None else s},{o or ''}"
             for i, t, k, u, s, o in zip(*log.fields())]
 
     @pytest.mark.parametrize("events", [False, True], ids=["summary", "events-out"])
@@ -545,16 +540,19 @@ class TestRedzoneCommand:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: spread 300.0: spare exhausts before the second main failure; "
-            "lower the lifetime sd or raise the mean lifetime\n")
+            "lower the lifetime sd or raise the mean lifetime "
+            "(config: lifetime.mean, system.lab_burnin)\n")
         assert not out.exists()
 
-    def test_spread_independent_error_names_the_first_spread(self, tmp_path, capsys):
+    def test_spread_independent_error_names_no_spread(self, tmp_path, capsys):
         # a mean before the wear-out onset fails every spread; the flag is not to blame
         conf = write_config(tmp_path, lifetime={"mean": 150.0, "sd": 1.0})
         assert main(["redzone", "--config", conf, "--out", str(tmp_path / "rz.csv"),
                      "--deltas", "1,5"]) == 1
-        assert capsys.readouterr().err.startswith(
-            "error: spread 1.0: mean lifetime (150.0) lies before the wear-out onset")
+        assert capsys.readouterr().err == (
+            "error: mean lifetime (150.0) lies before the wear-out onset (200.0); "
+            "the end-of-life scenario is undefined "
+            "(config: lifetime.mean, hazard.th1 + hazard.th2)\n")
 
 
 # SHA-256 of every output of the curve commands on the shipped example config, at its

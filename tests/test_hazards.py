@@ -26,9 +26,9 @@ from redzone import (
     weibull_hazard,
 )
 from redzone.hazards import software_cumulative, standard_normal_quantile
-from redzone.montecarlo import SplitMix64
 
 from conftest import make_bathtub, make_flat_bathtub
+from oracle import SplitMix64
 
 
 def logspaced_trapezoid(fn, a, b, n=100_000):

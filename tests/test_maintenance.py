@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redzone import DomainError, Policy, Unit, ValidationError, red_zone_condition
-from redzone.maintenance import oldest_slot, rotation_targets
+from redzone import DomainError, Policy, ValidationError, red_zone_condition
+from redzone.maintenance import rotation_targets
+
+from oracle import Unit, oldest_slot
 
 
 def unit(uid, onjob=0.0, shelf=0.0, credit=0.0, status="active", lifetime=1000.0):

@@ -16,17 +16,15 @@ from redzone import (
     Policy,
     SimConfig,
     SystemConfig,
-    Trace,
-    derive_seed,
     empirical_hazard,
     run_ensemble,
-    run_replication,
     scenario_timeline,
 )
 from redzone.cli import main
-from redzone.montecarlo import SplitMix64, _derive_seeds, _uniforms, run_batch
+from redzone.montecarlo import _derive_seeds, _uniforms, run_batch
 
 from conftest import make_flat_bathtub, make_redzone_system
+from oracle import SplitMix64, Trace, derive_seed, run_replication
 
 
 def det_config(mean=200.0, lab=0.0, alpha=0.0):
@@ -170,6 +168,16 @@ class TestSplitMix64:
         config = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s.json"),
                      "--seed", str(master), "--replications", "50"]) == 0
+
+    def test_engine_stream_golden(self):
+        # the engine's own seeds and uniforms, held to the frozen vectors directly
+        assert _derive_seeds(0, 5).tolist() == [
+            0, 16294208416658607535, 7960286522194355700,
+            487617019471545679, 17909611376780542444,
+        ]
+        assert _derive_seeds(42, 8)[[0, 7]].tolist() == [
+            12058926934050108962, 4028864712777624925]
+        assert _uniforms(_derive_seeds(0, 1), 1)[0, 0] == 0.8833108082136427
 
     @pytest.mark.parametrize("master", [0, 42, 2 ** 64 - 1, 2 ** 64 + 5])
     def test_vectorised_streams_match_scalar(self, master):

@@ -1,4 +1,5 @@
-"""The package's declared dependencies cover what its modules import."""
+"""The package's declared dependencies cover what its modules import, and the
+scalar oracle in ``tests/oracle.py`` stays apart from the engine it checks."""
 
 import ast
 import re
@@ -7,24 +8,31 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = Path(__file__).resolve().parents[1]
+SRC_MODULES = sorted((ROOT / "src" / "redzone").glob("*.py"))
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Dotted names of the absolute imports anywhere in a module: each module
+    imported, and for ``from m import x`` both ``m`` and ``m.x``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
 
 
 def imported_top_level(path: Path) -> set[str]:
     """Top-level names of the absolute imports anywhere in a module."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import):
-            names.update(alias.name.partition(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module.partition(".")[0])
-    return names
+    return {name.partition(".")[0] for name in imported_modules(path)}
 
 
 def test_third_party_imports_are_declared_dependencies():
-    imported = set().union(*map(imported_top_level, (ROOT / "src" / "redzone").glob("*.py")))
+    tomllib = pytest.importorskip("tomllib")
+    imported = set().union(*map(imported_top_level, SRC_MODULES))
     third_party = imported - set(sys.stdlib_module_names)
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     # each module is distributed under its own name
@@ -32,3 +40,16 @@ def test_third_party_imports_are_declared_dependencies():
                 for dep in project["dependencies"]}
     assert {"numpy", "orjson"} <= third_party  # imports inside functions count too
     assert third_party <= declared
+
+
+def test_oracle_imports_no_engine_module():
+    imported = imported_modules(ROOT / "tests" / "oracle.py")
+    assert "redzone" in imported  # the walk sees the oracle's imports
+    assert not {m for m in imported
+                if ".".join(m.split(".")[:2]) in ("redzone.montecarlo", "redzone.maintenance")}
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
+def test_package_imports_nothing_from_tests(path):
+    test_modules = {"tests"} | {p.stem for p in (ROOT / "tests").glob("*.py")}
+    assert not imported_top_level(path) & test_modules

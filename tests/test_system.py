@@ -13,12 +13,10 @@ from redzone import (
     OperatorHazard,
     SoftwareHazardModel,
     SystemConfig,
-    Unit,
     UpgradeEvent,
     ValidationError,
     ValidationWarning,
     compose_parallel,
-    effective_age,
     scenario_timeline,
     system_hazard_curve,
     system_hazard_curves,
@@ -33,6 +31,7 @@ from conftest import (
     per_segment_curve,
     with_spread,
 )
+from oracle import Unit, effective_age
 
 
 def closed_form_pair(lam, t):
