@@ -29,6 +29,7 @@ from .hazards import LifetimeDistribution
 from .maintenance import Policy, red_zone_condition
 from .montecarlo import Metrics, MetricSummary, SimConfig, _summarize, run_ensemble
 from .system import (
+    _SPARE_EXHAUSTED,
     HazardCurve,
     ScenarioTimeline,
     SystemConfig,
@@ -122,11 +123,20 @@ def baseline_from_curve(curve: HazardCurve, useful_end: float, *,
 
 def peak_ratio(curve: HazardCurve, baseline: float, t_start: float, t_end: float) -> float:
     """Peak rate over baseline inside [t_start, t_end]; defined even when
-    the peak never crosses a detection threshold."""
-    mask = (curve.times >= t_start) & (curve.times <= t_end)
-    if not np.any(mask):
+    the peak never crosses a detection threshold.
+
+    A window narrower than the grid step can fall between two grid points;
+    it then reads those two points.  A window outside the sampled span is
+    rejected.
+    """
+    lo = int(np.searchsorted(curve.times, t_start, "left"))
+    hi = int(np.searchsorted(curve.times, t_end, "right"))
+    if lo == hi and 0 < lo < len(curve.times):
+        # window between two grid points: widen to them
+        lo, hi = lo - 1, hi + 1
+    if lo >= hi:
         raise DomainError("no curve samples inside the requested window")
-    return float(np.max(curve.rates[mask]) / baseline)
+    return float(np.max(curve.rates[lo:hi]) / baseline)
 
 
 @dataclass(frozen=True)
@@ -205,8 +215,8 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
     failure gap) and the rule's prediction.  Every spread's timeline is
     built before any curve is sampled or ensemble run, so a spread the
     timeline rejects fails the sweep at once, its error naming the spread
-    in place of ``lifetime.sd``; a check no spread moves is raised as the
-    timeline raised it.  The curves come from one
+    in place of ``lifetime.sd`` and advising a smaller spread; a check no
+    spread moves is raised as the timeline raised it.  The curves come from one
     :func:`system_hazard_curves` call, which samples the segments the
     spreads share once, and each is assessed by :func:`assess_curve`; the
     rows equal per-spread :func:`assess_red_zone` results bit for bit.
@@ -228,9 +238,10 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
         except ValidationError as e:
             if "lifetime.sd" not in e.fields:
                 raise  # no spread moves this check
-            # the swept spread stands in for the config's lifetime sd
+            # the swept spread stands in for the config's lifetime sd, in the fields and the advice
             fields = tuple(f for f in e.fields if f != "lifetime.sd")
-            raise ValidationError(f"spread {d!r}: {e}", fields=fields) from None
+            raise ValidationError(f"spread {d!r}: {_SPARE_EXHAUSTED}; use a smaller spread "
+                                  "or raise the mean lifetime", fields=fields) from None
     if not timelines:
         return []
     # Every spread shares t0, so one baseline window start serves all curves.

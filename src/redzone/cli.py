@@ -6,16 +6,25 @@ timeline and composed curve), ``simulate`` (Monte Carlo ensemble summary),
 sweep).  All behavior flows from the flags and the JSON configuration
 document; outputs are byte-reproducible for a given config and seed.
 
+CSV tables are written in blocks of rows, each block as bytes: a block of
+float columns takes one orjson pass (:func:`_float_lines`), and the event
+log decodes its codes through a table of pre-joined text.  Floats read as
+``repr`` writes them.
+
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical or
-runtime failure.
+runtime failure.  A configuration warning prints as ``warning: <message>``
+on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import sys
+import warnings
 from collections.abc import Iterator
 
 import numpy as np
@@ -28,10 +37,10 @@ from .analysis import (
     delta_sweep,
 )
 from .config import SCHEMA_VERSION, RunConfig, load_config
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, ValidationWarning
 from .hazards import bathtub_hazard, software_hazard
 from .maintenance import Policy
-from .montecarlo import EventLog, Metrics, run_batch
+from .montecarlo import _KIND_NAMES, _SLOTS, _UNIT_IDS, EventLog, Metrics, run_batch
 from .system import end_of_life, scenario_timeline, system_hazard_curve
 
 __all__ = ["main", "build_parser"]
@@ -100,53 +109,80 @@ _BLOCK = 8192
 
 
 def _write_csv(path: str, header: list[str], blocks) -> None:
-    """Write the header and the data lines, given as blocks of lines already
-    joined with commas, so a long table is never held as one string."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    """Write the header and the data lines, given as blocks of encoded lines,
+    so a long table is never held as one string."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for block in blocks:
-            if block:
-                fh.write("\n".join(block) + "\n")
+            fh.write(block)
 
 
-def _float_reprs(x) -> list[str]:
-    """``[repr(v) for v in x.tolist()]`` for a float array, in one C call.
+def _float_lines(columns) -> bytes:
+    """The CSV lines of a block of float columns, each cell as ``repr`` writes it.
 
     orjson formats doubles with Ryu, whose digits are the shortest that round
     trip, nearest the value, as ``repr``'s are.  Its notation differs only
     for non-finite values, 0 < |x| < 1e-4 and |x| >= 1e16 (``null``,
-    ``0.00001``, ``1e16`` against ``inf``, ``1e-05``, ``1e+16``); those few
-    are formatted by ``repr``.
+    ``0.00001``, ``1e16`` against ``nan``, ``1e-05``, ``1e+16``).  So the
+    block is interleaved row by row and dumped as one JSON array; every k-th
+    comma becomes a newline, and only those few cells are spliced in from
+    ``repr``, at the byte spans the commas bound.
     """
     import orjson  # loaded only by commands that write float tables
 
-    x = np.ascontiguousarray(x, dtype=float)
+    x = np.column_stack(columns).astype(float, copy=False).ravel()
     if not x.size:
-        return []
-    out = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        return b""
+    # the closing bracket ends the last row; k - 1 commas separate a row's cells
+    line = np.frombuffer(orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY), np.uint8)[1:].copy()
+    line[-1] = 10
+    commas = np.flatnonzero(line == 44)
+    line[commas[len(columns) - 1::len(columns)]] = 10
     ax = np.abs(x)
-    for i in np.flatnonzero(~((ax >= 1e-4) & (ax < 1e16)) & (x != 0.0)).tolist():
-        out[i] = repr(float(x[i]))
-    return out
+    fix = np.flatnonzero(~((ax >= 1e-4) & (ax < 1e16)) & (x != 0.0))
+    if not fix.size:
+        return line.tobytes()
+    # cell i lies between separators i - 1 and i
+    bounds = np.concatenate(([-1], commas, [line.size - 1]))
+    text, parts, pos = line.tobytes(), [], 0
+    for v, start, end in zip(x[fix].tolist(), (bounds[fix] + 1).tolist(),
+                             bounds[fix + 1].tolist()):
+        parts += (text[pos:start], repr(v).encode())
+        pos = end
+    parts.append(text[pos:])
+    return b"".join(parts)
 
 
-def _csv_blocks(n: int, cells) -> Iterator[list[str]]:
+def _float_reprs(x) -> list[str]:
+    """``[repr(v) for v in x.tolist()]`` for a float array: :func:`_float_lines` of one column."""
+    return _float_lines([x]).decode().split("\n")[:-1]
+
+
+def _table_lines(columns) -> bytes:
+    """The CSV lines of a block of columns: float arrays, or lists of cell text.
+
+    A block of float arrays alone is :func:`_float_lines`; otherwise the
+    float arrays are formatted by :func:`_float_reprs` and the rows joined.
+    """
+    if all(isinstance(c, np.ndarray) for c in columns):
+        return _float_lines(columns)
+    cells = [_float_reprs(c) if isinstance(c, np.ndarray) else c for c in columns]
+    return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
+
+
+def _csv_blocks(n: int, cells) -> Iterator[bytes]:
     """The CSV lines of an ``n``-row table, one block of ``_BLOCK`` rows at a time.
 
-    ``cells(rows)`` gives the columns of a slice of rows.  A column is a
-    float array, formatted by :func:`_float_reprs`, or a list of values,
-    written with ``str`` and None as an empty cell.  Formatting whole
-    columns at once would hold a Python string per cell of the table.
+    ``cells(rows)`` gives the columns of a slice of rows, as
+    :func:`_table_lines` takes them.  Formatting whole columns at once would
+    hold the text of the whole table.
     """
     for lo in range(0, n, _BLOCK):
-        columns = [_float_reprs(c) if isinstance(c, np.ndarray)
-                   else ["" if v is None else str(v) for v in c]
-                   for c in cells(slice(lo, lo + _BLOCK))]
-        yield list(map(",".join, zip(*columns)))
+        yield _table_lines(cells(slice(lo, lo + _BLOCK)))
 
 
 def _write_table(path: str, table: dict) -> None:
-    """Write a table given as {header: column}, each column as :func:`_csv_blocks` takes it."""
+    """Write a table given as {header: column}, each column as :func:`_table_lines` takes it."""
     columns = list(table.values())
     _write_csv(path, list(table),
                _csv_blocks(len(columns[0]), lambda rows: [c[rows] for c in columns]))
@@ -237,7 +273,7 @@ def cmd_scenario(run: RunConfig, args) -> int:
         "boundary": [seg.boundary for seg in segs],
         "active_units": [";".join(au.unit_id for au in seg.units) for seg in segs],
         "phases": [";".join(au.phase for au in seg.units) for seg in segs],
-        "red_zone": [int(in_zone(seg)) for seg in segs],
+        "red_zone": [str(int(in_zone(seg))) for seg in segs],
     })
     _write_table(args.out.removesuffix(".csv") + "_curve.csv",
                  {"t_weeks": curve.times, "h_system": curve.rates})
@@ -271,9 +307,40 @@ def _zone_doc(zone) -> dict | None:
             "severity": float(zone.severity)}
 
 
+# The event log's code columns, in the order _event_tails joins them.
+_EVENT_CODE_TABLES = (_KIND_NAMES, _UNIT_IDS, _SLOTS, _UNIT_IDS)
+
+
+@functools.cache
+def _event_tails() -> np.ndarray:
+    """The ``kind,unit,slot,unit_out`` text of every combination of their codes.
+
+    Built from the tables :meth:`EventLog.fields` decodes with, None as an
+    empty cell, in ``np.ravel_multi_index`` order over those tables.
+    """
+    return np.array([",".join("" if v is None else str(v) for v in combo)
+                     for combo in itertools.product(*_EVENT_CODE_TABLES)], dtype=object)
+
+
 def _write_events_csv(path: str, log: EventLog) -> None:
+    """Write the event log, each row one join of its replication, time and decoded codes."""
+    n = len(log.time)
+    replications = np.array(list(map(str, range(int(log.replication[-1]) + 1 if n else 0))),
+                            dtype=object)
+    tails = _event_tails()
+    shape = tuple(map(len, _EVENT_CODE_TABLES))
+
+    def cells(rows):
+        # "wrap" reads a negative code from the end of its table, as EventLog.fields
+        # does; the combined index is an intp, so the int8 codes cannot overflow
+        codes = np.ravel_multi_index(
+            (log.kind[rows], log.unit[rows], log.slot[rows], log.unit_out[rows]), shape,
+            mode="wrap")
+        return [replications[log.replication[rows]].tolist(), log.time[rows],
+                tails[codes].tolist()]
+
     _write_csv(path, ["replication", "time_weeks", "kind", "unit", "slot", "unit_out"],
-               _csv_blocks(len(log.time), log.fields))
+               _csv_blocks(n, cells))
 
 
 def cmd_simulate(run: RunConfig, args) -> int:
@@ -342,13 +409,13 @@ def cmd_redzone(run: RunConfig, args) -> int:
     rows = delta_sweep(run.system, deltas, run.policy, run.sim,
                        threshold=run.red_zone_threshold, dt=dt,
                        baseline_window_fraction=run.baseline_window_fraction)
-    # str(float) is repr(float): the optional column needs no array
     _write_table(args.out, {
         "delta_weeks": np.array([r.delta for r in rows], dtype=float),
-        "predicted": [int(r.predicted) for r in rows],
-        "detected": [int(r.detected) for r in rows],
+        "predicted": [str(int(r.predicted)) for r in rows],
+        "detected": [str(int(r.detected)) for r in rows],
         "severity": np.array([r.severity for r in rows], dtype=float),
-        "trdd_mean_weeks": [None if r.trdd_mean is None else float(r.trdd_mean) for r in rows],
+        "trdd_mean_weeks": ["" if r.trdd_mean is None else repr(float(r.trdd_mean))
+                            for r in rows],
     })
     return 0
 
@@ -363,15 +430,26 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        run = load_config(args.config, _overrides(args))
-        return _COMMANDS[args.command](run, args)
-    except Exception as e:
-        fields = getattr(e, "fields", ())
-        print(f"error: {e}" + (f" (config: {', '.join(fields)})" if fields else ""),
-              file=sys.stderr)
-        return 1 if isinstance(e, (_UsageError, ValidationError, DomainError)) else 2
+    # A config warning reads like an error line: the message, not a line of this package.
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def show_warning(message, category, *args, **kwargs):
+            if issubclass(category, ValidationWarning):
+                print(f"warning: {message}", file=sys.stderr)
+            else:
+                show(message, category, *args, **kwargs)
+
+        warnings.showwarning = show_warning
+        try:
+            args = build_parser().parse_args(argv)
+            run = load_config(args.config, _overrides(args))
+            return _COMMANDS[args.command](run, args)
+        except Exception as e:
+            fields = getattr(e, "fields", ())
+            print(f"error: {e}" + (f" (config: {', '.join(fields)})" if fields else ""),
+                  file=sys.stderr)
+            return 1 if isinstance(e, (_UsageError, ValidationError, DomainError)) else 2
 
 
 if __name__ == "__main__":

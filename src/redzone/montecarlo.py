@@ -380,10 +380,20 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
 
 
 def _event_log(blocks: list[tuple]) -> EventLog:
-    """Concatenate the recorded blocks and group them by replication, stably."""
+    """Concatenate the recorded blocks and group them by replication, stably.
+
+    Empty blocks are dropped (the first is kept, so the columns keep their
+    dtypes when every block is empty); a column whose blocks all hold one
+    code is expanded by a single ``np.repeat``.
+    """
+    blocks = [b for b in blocks if len(b[0])] or blocks[:1]
     sizes = [len(b[0]) for b in blocks]
-    columns = [np.concatenate([np.broadcast_to(b[j], n) for b, n in zip(blocks, sizes)])
-               for j in range(6)]
+    columns = []
+    for values in zip(*blocks):
+        if any(isinstance(v, np.ndarray) for v in values):
+            columns.append(np.concatenate([np.broadcast_to(v, n) for v, n in zip(values, sizes)]))
+        else:
+            columns.append(np.repeat(values, sizes))
     order = np.argsort(columns[0], kind="stable")
     replication, time, kind, unit, slot, unit_out = (col[order] for col in columns)
     return EventLog(replication=replication, time=time, kind=kind.astype(np.int8),

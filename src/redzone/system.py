@@ -45,6 +45,9 @@ from .hazards import (
     software_hazard,
 )
 
+# The cause of the one timeline error a smaller lifetime spread avoids.
+_SPARE_EXHAUSTED = "spare exhausts before the second main failure"
+
 __all__ = [
     "SystemConfig",
     "ActiveUnit",
@@ -219,8 +222,8 @@ def scenario_timeline(config: SystemConfig) -> ScenarioTimeline:
     t2 = tf2 + max(hz.th1 - lab, 0.0)
     t_end = end_of_life(config)
     if t_end <= tf2:
-        raise ValidationError("spare exhausts before the second main failure; "
-                              "lower the lifetime sd or raise the mean lifetime",
+        raise ValidationError(f"{_SPARE_EXHAUSTED}; lower the lifetime sd or raise the "
+                              "mean lifetime",
                               fields=("lifetime.sd", "lifetime.mean", "system.lab_burnin"))
 
     main1 = ActiveUnit("controller_1", PHASE_USEFUL, birth=0.0)

@@ -140,6 +140,11 @@ class TestBaselineAndPeak:
         with pytest.raises(DomainError):
             peak_ratio(bump_curve(), 1.0, 200.0, 300.0)
 
+    def test_window_between_grid_points_reads_both_neighbours(self):
+        # grid step 0.5: [50.1, 50.3] holds no point and reads 50.0 (bump) and 50.5
+        assert peak_ratio(bump_curve(), 1.0, 50.1, 50.3) == pytest.approx(3.0)
+        assert peak_ratio(bump_curve(), 1.0, 39.6, 39.8) == pytest.approx(3.0)
+
 
 class TestLifetimeExtension:
     def test_half_gain(self):
@@ -281,7 +286,11 @@ class TestDeltaSweep:
         with pytest.raises(ValidationError) as swept:
             delta_sweep(cfg, [1.0, 2.0, 300.0], Policy("type1"),
                         SimConfig(replications=10, master_seed=1), **SWEEP)
-        assert str(swept.value) == f"spread 300.0: {reference.value}"
+        assert str(reference.value).endswith("; lower the lifetime sd or raise the mean lifetime")
+        assert str(swept.value) == (
+            "spread 300.0: spare exhausts before the second main failure; "
+            "use a smaller spread or raise the mean lifetime")
+        assert swept.value.fields == ("lifetime.mean", "system.lab_burnin")
         assert ensembles == []
 
     def test_later_certainly_failed_spread_raises_the_reference_error(self):

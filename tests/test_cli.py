@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import itertools
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from redzone import LifetimeDistribution, Policy, assess_red_zone, bathtub_hazar
 from redzone import cli
 from redzone.cli import build_parser, main
 from redzone.config import load_config
-from redzone.montecarlo import run_batch
+from redzone.montecarlo import EVENT_KINDS, EventLog, run_batch
 from redzone.system import end_of_life, scenario_timeline, system_hazard_curve
 
 from oracle import derive_seed, run_replication
@@ -410,6 +412,19 @@ class TestSimulateCommand:
             f"{i},{float(t)!r},{k},{u or ''},{'' if s is None else s},{o or ''}"
             for i, t, k, u, s, o in zip(*log.fields())]
 
+    def test_events_csv_decodes_every_code_combination(self, tmp_path):
+        # the writer's table of joined text agrees with EventLog.fields on every code
+        codes = np.array(list(itertools.product(range(len(EVENT_KINDS)), range(-1, 3),
+                                                range(-2, 2), range(-1, 3))), dtype=np.int8)
+        n = len(codes)
+        log = EventLog(replication=np.arange(n) // 3, time=np.arange(n) / 7.0, kind=codes[:, 0],
+                       unit=codes[:, 1], slot=codes[:, 2], unit_out=codes[:, 3])
+        ev = tmp_path / "events.csv"
+        cli._write_events_csv(str(ev), log)
+        assert ev.read_text(encoding="utf-8").splitlines()[1:] == [
+            f"{i},{float(t)!r},{k},{u or ''},{'' if s is None else s},{o or ''}"
+            for i, t, k, u, s, o in zip(*log.fields())]
+
     @pytest.mark.parametrize("events", [False, True], ids=["summary", "events-out"])
     def test_one_ensemble_pass(self, events, tmp_path, monkeypatch):
         calls = []
@@ -538,9 +553,10 @@ class TestRedzoneCommand:
         out = tmp_path / "rz.csv"
         rc = main(["redzone", "--config", str(EXAMPLE), "--out", str(out), "--deltas", "1,300"])
         assert rc == 1
+        # the spread comes from --deltas, so the advice names the spread, not the lifetime sd
         assert capsys.readouterr().err == (
             "error: spread 300.0: spare exhausts before the second main failure; "
-            "lower the lifetime sd or raise the mean lifetime "
+            "use a smaller spread or raise the mean lifetime "
             "(config: lifetime.mean, system.lab_burnin)\n")
         assert not out.exists()
 
@@ -553,6 +569,38 @@ class TestRedzoneCommand:
             "error: mean lifetime (150.0) lies before the wear-out onset (200.0); "
             "the end-of-life scenario is undefined "
             "(config: lifetime.mean, hazard.th1 + hazard.th2)\n")
+
+
+# The shipped example config's one ValidationWarning, as the CLI prints it.
+EXAMPLE_WARNING = ("warning: hazard: burn-in term at th1 exceeds 1% of useful_rate "
+                   "(0.00607 vs 0.01); declared phase durations are inconsistent with the "
+                   "term decay\n")
+
+
+class TestWarnings:
+    @pytest.mark.filterwarnings("always::redzone.errors.ValidationWarning")
+    def test_config_warning_is_one_line(self, tmp_path, capsys):
+        show = warnings.showwarning
+        assert main(["hazard", "--config", str(EXAMPLE), "--out", str(tmp_path / "h.csv"),
+                     "--t-max", "10"]) == 0
+        assert capsys.readouterr().err == EXAMPLE_WARNING
+        assert warnings.showwarning is show
+
+    @pytest.mark.filterwarnings("always::redzone.errors.ValidationWarning")
+    def test_config_warning_precedes_the_error(self, tmp_path, capsys):
+        assert main(["redzone", "--config", str(EXAMPLE), "--out", str(tmp_path / "rz.csv"),
+                     "--deltas", "1,300"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(EXAMPLE_WARNING + "error: spread 300.0: ")
+        assert err.count("\n") == 2
+
+    @pytest.mark.filterwarnings("always::redzone.errors.ValidationWarning")
+    def test_library_callers_keep_the_python_warning(self, tmp_path):
+        assert main(["hazard", "--config", str(EXAMPLE), "--out", str(tmp_path / "h.csv"),
+                     "--t-max", "10"]) == 0
+        with pytest.warns(redzone.ValidationWarning) as record:
+            load_config(EXAMPLE)
+        assert [w.filename for w in record] == [__file__]
 
 
 # SHA-256 of every output of the curve commands on the shipped example config, at its
@@ -634,3 +682,48 @@ class TestFloatReprs:
         x = np.linspace(-3.0, 7.0, 301)[::3]
         assert not x.flags.c_contiguous
         assert cli._float_reprs(x) == reprs(x)
+
+
+def lines(columns):
+    """The CSV lines of float columns, one ``repr`` per cell."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows).encode()
+
+
+# Values whose repr notation differs from orjson's: the cells _float_lines splices.
+FIX_UPS = [np.nan, np.inf, -np.inf, 1e-05, -5e-324, 1e+16, -1e300]
+
+
+class TestFloatLines:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda k: st.lists(
+        st.lists(st.one_of(st.floats(), st.sampled_from(FIX_UPS)), min_size=k, max_size=k),
+        max_size=20).map(lambda rows: [np.array([r[j] for r in rows], dtype=float)
+                                       for j in range(k)])))
+    def test_matches_repr(self, columns):
+        # st.floats() draws NaN, both infinities, subnormals and both zeros
+        assert cli._float_lines(columns) == lines(columns)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("cells", [[(0, 0)], [(0, -1)], [(-1, 0)], [(-1, -1)],
+                                       [(0, 0), (0, -1), (-1, 0), (-1, -1)]],
+                             ids=["block-first", "row-end", "row-start", "block-last", "all-four"])
+    def test_fix_ups_at_row_and_block_edges(self, k, cells):
+        block = np.arange(1.0, 4 * k + 1.0).reshape(4, k) / 3.0
+        for n, (i, j) in enumerate(cells):
+            block[i, j] = FIX_UPS[n]
+        columns = list(block.T)
+        assert cli._float_lines(columns) == lines(columns)
+
+    @pytest.mark.parametrize("columns", [
+        [np.array(FIX_UPS), -np.array(FIX_UPS)],
+        [np.array([0.5]), np.array([-0.0]), np.array([1e-05])],
+        [np.array([]), np.array([])],
+    ], ids=["all-fix-ups", "one-row", "empty"])
+    def test_special_blocks(self, columns):
+        assert cli._float_lines(columns) == lines(columns)
+
+    @pytest.mark.parametrize("edge", [1e-4, 1e16], ids=["1e-4", "1e16"])
+    def test_notation_edges_in_two_columns(self, edge):
+        columns = list(ulp_window(edge).reshape(-1, 2).T)
+        assert cli._float_lines(columns) == lines(columns)

@@ -1,8 +1,11 @@
-"""The package's declared dependencies cover what its modules import, and the
-scalar oracle in ``tests/oracle.py`` stays apart from the engine it checks."""
+"""The package's declared dependencies cover what its modules import, orjson
+loads only where a float table is written, and the scalar oracle in
+``tests/oracle.py`` stays apart from the engine it checks."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,3 +56,21 @@ def test_oracle_imports_no_engine_module():
 def test_package_imports_nothing_from_tests(path):
     test_modules = {"tests"} | {p.stem for p in (ROOT / "tests").glob("*.py")}
     assert not imported_top_level(path) & test_modules
+
+
+def test_orjson_loads_only_with_a_float_table(tmp_path):
+    # the import and a JSON-only command stay free of orjson's import time
+    code = (
+        "import sys\n"
+        "import redzone.cli\n"
+        "assert 'orjson' not in sys.modules, 'import redzone.cli'\n"
+        "assert redzone.cli.main(['compare', '--config', sys.argv[1], '--out', sys.argv[2],\n"
+        "                         '--replications', '20']) == 0\n"
+        "assert 'orjson' not in sys.modules, 'compare'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code, str(ROOT / "demos" / "config_example.json"),
+                           str(tmp_path / "compare.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "compare.json").exists()
