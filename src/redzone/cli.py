@@ -402,8 +402,8 @@ def cmd_redzone(run: RunConfig, args) -> int:
             deltas = [float(x) for x in args.deltas.split(",") if x.strip()]
         except ValueError as e:
             raise ValidationError(f"--deltas: {e}") from e
-        if not all(math.isfinite(d) for d in deltas):
-            raise ValidationError(f"--deltas: spreads must be finite, got {args.deltas!r}")
+        if not deltas or not all(math.isfinite(d) for d in deltas):
+            raise ValidationError(f"--deltas: give one or more finite spreads, got {args.deltas!r}")
     else:
         deltas = [0.1 * th3, 0.5 * th3, 2.0 * th3, 4.0 * th3]
     rows = delta_sweep(run.system, deltas, run.policy, run.sim,

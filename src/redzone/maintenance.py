@@ -56,13 +56,17 @@ class Policy:
 def rotation_targets(ages: np.ndarray, alive: np.ndarray, shelf_usable: np.ndarray) -> np.ndarray:
     """The rotation target of many fleets at once: each row's swap slot, or -1.
 
-    ``ages`` and ``alive`` are (rows, slots) arrays of effective ages and
+    ``ages`` and ``alive`` are (slots, rows) arrays of effective ages and
     unfailed flags, ``shelf_usable`` a (rows,) flag.  The target is the
     unfailed slot of greatest effective age, ties to the lower slot index,
     and there is no swap without a usable shelf unit or an unfailed slot.
     """
-    target = np.argmax(np.where(alive, ages, -np.inf), axis=1)
-    return np.where(shelf_usable & alive.any(axis=1), target, -1)
+    target = np.zeros(len(shelf_usable), dtype=np.intp)
+    oldest = np.full(len(shelf_usable), -np.inf)
+    for s, age in enumerate(np.where(alive, ages, -np.inf)):
+        target = np.where(age > oldest, s, target)  # strict: a tie keeps the lower slot
+        oldest = np.maximum(oldest, age)
+    return np.where(shelf_usable & (oldest > -np.inf), target, -1)
 
 
 def red_zone_condition(delta_spread: float, th3: float) -> bool:

@@ -9,11 +9,12 @@ failure < replace < rotate, and equal-time failures break ties by slot
 index.
 
 :func:`run_batch` runs all replications of an ensemble in lockstep over
-numpy arrays, one pass per event epoch; on request it also records every
+position-major numpy arrays, one pass per event epoch that skips the event
+kinds no replication is due for; on request it also records every
 replication's event log as one :class:`EventLog` table.  It is the engine
-every command runs, through :func:`run_ensemble` or directly.  The tests
-hold its per-replication results and event logs, bit for bit, to a scalar
-event loop over per-unit age ledgers kept in ``tests/oracle.py``.
+every command runs, through :func:`run_ensemble` or directly.  The tests hold
+its per-replication results and event logs, bit for bit, to a scalar event
+loop over per-unit age ledgers kept in ``tests/oracle.py``.
 
 Randomness comes from splitmix64 streams: 64-bit state advanced by the
 golden-gamma increment 0x9E3779B97F4A7C15 and finalized by the standard
@@ -254,129 +255,123 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
               horizon: float | None = None, record_events: bool = False) -> BatchOutcomes:
     """Simulate replications 0..N-1 of ``master_seed`` in lockstep.
 
-    The struct-of-arrays form of the scalar event loop in
-    ``tests/oracle.py``: one row per running replication and one column per
-    position (the slots, then the shelf), so an installation or a rotation
-    moves a column's unit state.  Each pass handles one event epoch of every
-    running replication, with the scalar loop's event order and
-    floating-point operations, so replication i equals the oracle's
-    ``run_replication(config, policy, derive_seed(master_seed, i), ...)``
-    exactly.  ``config.unit_lifetime.sample`` is called once, on a
-    (replications, units) array of uniforms.
+    The struct-of-arrays form of the scalar event loop in ``tests/oracle.py``,
+    laid out by position: ``units[field, position, row]`` (the slots, then the
+    shelf) and ``failed[slot, row]``, so each two-slot step is elementwise
+    over contiguous rows.  Each pass handles one event epoch of every running
+    replication, with the scalar loop's event order and floating-point
+    operations, so replication i equals the oracle's ``run_replication`` for
+    ``derive_seed(master_seed, i)`` exactly.  A pass first drops the rows next
+    due past the horizon, as censored, and skips an event kind, or the
+    compaction of dead rows, that no row is due for.
+    ``config.unit_lifetime.sample`` is called once, on a (replications, units)
+    array of uniforms.
 
-    With ``record_events`` the result also holds the event log of every
-    replication (:class:`EventLog`), equal to the scalar traces' events.
-    Each pass appends one block of rows per event kind, in the scalar
-    loop's order within an epoch, and a stable sort on the replication
-    index then groups the blocks into per-replication logs.
+    With ``record_events`` the result also holds every replication's event log
+    (:class:`EventLog`), equal to the scalar traces' events: each pass appends
+    a block of rows per event kind, in the scalar loop's order within an
+    epoch, and a stable sort on the replication index groups the blocks into
+    per-replication logs.
     """
     if horizon is None:
         horizon = 5.0 * config.unit_lifetime.mean
     alpha = config.shelf_aging_factor
     rotating = policy.kind == "type2"
-    S = 2  # column index of the shelf, after the two slots
+    S = 2  # position of the shelf, after the two slots
 
     u = _uniforms(_derive_seeds(master_seed, replications), S + 1)
-    units = np.zeros((_ID + int(record_events), replications, S + 1))
-    units[_LIFE] = config.unit_lifetime.sample(u)
-    units[_LAB, :, S] = config.lab_burnin
-    on_shelf = np.ones(replications, dtype=bool)
-    failed = np.zeros((replications, S + 1), dtype=bool)
-    # dead on arrival: the lab credit already exhausts the spare's lifetime
-    failed[:, S] = units[_LAB, :, S] >= units[_LIFE, :, S]
+    units = np.zeros((_ID + int(record_events), S + 1, replications))
+    units[_LIFE] = config.unit_lifetime.sample(u).T
+    units[_LAB, S] = config.lab_burnin
+    failed = np.zeros((S, replications), dtype=bool)
+    # a usable shelf unit: not installed, not failed, not dead on arrival from its lab credit
+    spare = units[_LAB, S] < units[_LIFE, S]
     t = np.zeros(replications)
     rotation = np.ones(replications)
     rows = np.arange(replications)  # replication index of each running row
 
-    trdd = np.full(replications, np.nan)
-    tdt = np.full(replications, np.nan)
-    dp = np.full(replications, np.nan)
-    censored = np.zeros(replications, dtype=bool)
-    end_time = np.empty(replications)
+    trdd, tdt, dp = np.full((3, replications), np.nan)
 
     blocks: list[tuple] = []  # (replication, time, kind, unit, slot, unit_out)
 
-    def record(sel, kind, unit=_NONE, slot=_NONE, unit_out=_NONE):
-        blocks.append((rows[sel], t[sel], kind, unit, slot, unit_out))
+    def record(sel, kind, unit=None, slot=_NONE, unit_out=None):
+        # unit and unit_out are positions, read before the event moves their units
+        if record_events:
+            ids = [_NONE if p is None else units[_ID, p, sel] for p in (unit, unit_out)]
+            blocks.append((rows[sel], t[sel], kind, ids[0], slot, ids[1]))
 
     if record_events:
-        units[_ID] = np.arange(S + 1)
-        record(failed[:, S], _FAILURE, S, _SHELF_SLOT)
+        units[_ID] = np.arange(S + 1)[:, None]
+    record(~spare, _FAILURE, S, _SHELF_SLOT)
 
     while rows.size:
         consumed = units[_LAB] + alpha * units[_SHELF] + units[_ONJOB]
-        fail_at = np.where(failed[:, :S], np.inf,
-                           t[:, None] + (units[_LIFE, :, :S] - consumed[:, :S]))
-        t_next = fail_at.min(axis=1)
+        # when each slot's unit and the spare fail and the next rotation falls; inf: never
+        due_at = np.full((S + 2, rows.size), np.inf)
+        due_at[:S] = np.where(failed, np.inf, t + (units[_LIFE, :S] - consumed[:S]))
         if alpha > 0.0:
             # a tiny alpha overflows the division to inf, as it does in the scalar loop
             with np.errstate(over="ignore"):
-                shelf_left = (units[_LIFE, :, S] - consumed[:, S]) / alpha
-            shelf_fail_at = np.where(on_shelf & ~failed[:, S], t + shelf_left, np.inf)
-            t_next = np.minimum(t_next, shelf_fail_at)
+                shelf_left = (units[_LIFE, S] - consumed[S]) / alpha
+            due_at[S] = np.where(spare, t + shelf_left, np.inf)
         if rotating:
-            rotate_at = rotation * policy.rotation_period
-            t_next = np.minimum(t_next, rotate_at)
-
-        cut = t_next > horizon
-        censored[rows[cut]] = True
-        end_time[rows[cut]] = horizon
-        go = ~cut
+            due_at[S + 1] = rotation * policy.rotation_period
+        t_next = due_at.min(axis=0)
         step = t_next - t
-        # failed units and an emptied shelf column also age here; nothing reads them again
-        units[_ONJOB, :, :S] += step[:, None]
-        units[_SHELF, :, S] += step
+        # failed units and an emptied shelf also age here; nothing reads them again
+        units[_ONJOB, :S] += step
+        units[_SHELF, S] += step
         t = t_next
+
+        cut = t > horizon
+        if cut.any():
+            rows, t, rotation, spare, units, failed, due_at = (
+                np.compress(~cut, a, -1) for a in (rows, t, rotation, spare, units, failed, due_at))
+        due = due_at == t
 
         # due events: slot failures in ascending slot, then the shelf, then the rotation
         for s in range(S):
-            hit = go & (fail_at[:, s] == t)
-            failed[hit, s] = True
-            install = hit & on_shelf & ~failed[:, S]
-            if record_events:
-                record(hit, _FAILURE, units[_ID, hit, s], s)
-                record(install, _REPLACE, units[_ID, install, S], s, units[_ID, install, s])
-            units[:, install, s] = units[:, install, S]
-            failed[install, s] = False
-            on_shelf[install] = False
-        if alpha > 0.0:
-            hit = go & on_shelf & (shelf_fail_at == t)
-            failed[hit, S] = True
-            if record_events:
-                record(hit, _FAILURE, units[_ID, hit, S], _SHELF_SLOT)
-        if rotating:
-            hit = go & (rotate_at == t)
-            rotation[hit] += 1.0
-            ages = units[_LAB, :, :S] + alpha * units[_SHELF, :, :S] + units[_ONJOB, :, :S]
-            target = rotation_targets(ages, ~failed[:, :S], on_shelf & ~failed[:, S])
-            r = np.flatnonzero(hit & (target >= 0))
-            c = target[r]
-            if record_events:
-                record(r, _ROTATE, units[_ID, r, S], c, units[_ID, r, c])
-            units[:, r, c], units[:, r, S] = units[:, r, S], units[:, r, c]
+            hit = due[s]
+            if hit.any():
+                install = hit & spare
+                record(hit, _FAILURE, s, s)
+                record(install, _REPLACE, S, s, s)
+                units[:, s] = np.where(install, units[:, S], units[:, s])
+                failed[s] |= hit & ~install
+                spare &= ~install
+        hit = due[S] & spare
+        spare &= ~hit
+        record(hit, _FAILURE, S, _SHELF_SLOT)
+        hit = due[S + 1]
+        if hit.any():
+            rotation += hit
+            ages = units[_LAB, :S] + alpha * units[_SHELF, :S] + units[_ONJOB, :S]
+            target = rotation_targets(ages, ~failed, hit & spare)
+            for s in range(S):
+                swap = target == s
+                if swap.any():
+                    record(swap, _ROTATE, S, s, s)
+                    units[:, s], units[:, S] = (np.where(swap, units[:, S], units[:, s]),
+                                                np.where(swap, units[:, s], units[:, S]))
 
-        alive = np.count_nonzero(~failed[:, :S], axis=1)
-        no_spare = ~(on_shelf & ~failed[:, S])
-        first = go & (alive < 2) & no_spare & np.isnan(trdd[rows])
+        alive = (~failed).sum(axis=0, dtype=np.int8)
+        first = (alive < 2) & ~spare & np.isnan(trdd[rows])
         trdd[rows[first]] = t[first]
         if rotating:
-            first = go & (alive == S) & no_spare & np.isnan(dp[rows])
+            first = (alive == S) & ~spare & np.isnan(dp[rows])
             dp[rows[first]] = t[first]
-            if record_events:
-                record(first, _DP)
-        dead = go & (alive == 0)
-        tdt[rows[dead]] = t[dead]
-        end_time[rows[dead]] = t[dead]
-        if record_events:
+            record(first, _DP)
+        dead = alive == 0
+        if dead.any():
+            tdt[rows[dead]] = t[dead]
             record(dead, _DEATH)
-
-        keep = go & ~dead
-        rows, t, rotation = rows[keep], t[keep], rotation[keep]
-        units, failed, on_shelf = units[:, keep], failed[keep], on_shelf[keep]
+            rows, t, rotation, spare, units, failed = (
+                np.compress(~dead, a, -1) for a in (rows, t, rotation, spare, units, failed))
 
     events = _event_log(blocks) if record_events else None
-    return BatchOutcomes(trdd=trdd, tdt=tdt, dp=dp, censored=censored, end_time=end_time,
-                         events=events)
+    censored = np.isnan(tdt)  # a row leaves the loop when it dies or is censored
+    return BatchOutcomes(trdd=trdd, tdt=tdt, dp=dp, censored=censored,
+                         end_time=np.where(censored, horizon, tdt), events=events)
 
 
 def _event_log(blocks: list[tuple]) -> EventLog:

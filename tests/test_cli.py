@@ -88,6 +88,15 @@ class TestParser:
         assert capsys.readouterr().err.startswith(f"error: {argv[1]}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [",", "", " , "])
+    def test_deltas_without_a_spread_exits_one(self, value, tmp_path, capsys):
+        conf = write_config(tmp_path)
+        out = tmp_path / "out.csv"
+        assert main(["redzone", "--deltas", value, "--config", conf, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --deltas: give one or more finite spreads, got {value!r}\n")
+        assert not out.exists()
+
     def test_overflowing_default_t_max_names_the_hazard_fields(self, tmp_path, capsys):
         conf = write_config(tmp_path, hazard={"th1": 1e308, "th2": 1e308})
         out = tmp_path / "out.csv"
@@ -643,6 +652,26 @@ def test_float_tables_byte_identical(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in TABLE_DIGESTS}
     assert digests == TABLE_DIGESTS
+
+
+# SHA-256 of the JSON documents of compare and simulate on the shipped example config,
+# recorded before the batched engine was laid out by position: they pin every metric
+# the Monte Carlo engine feeds into a summary.
+JSON_DIGESTS = {
+    "compare.json": "775ca28e3db85abd902719288bd3afad9a559a100862e14d26e9484f6d1fd0ad",
+    "simulate_type1.json": "b1a08f7324c51ed01071c25cd276bb103f41064c19eddf4929dc764f52286b18",
+    "simulate_type2.json": "713e90df0a31b41b51ab1602b87c856430389f51339c6937914e6d058e116847",
+}
+
+
+def test_json_outputs_byte_identical(tmp_path):
+    assert main(["compare", "--config", str(EXAMPLE), "--out", str(tmp_path / "compare.json")]) == 0
+    for policy in ("type1", "type2"):
+        assert main(["simulate", "--config", str(EXAMPLE), "--policy", policy,
+                     "--out", str(tmp_path / f"simulate_{policy}.json")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in JSON_DIGESTS}
+    assert digests == JSON_DIGESTS
 
 
 def reprs(x):

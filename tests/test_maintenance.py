@@ -65,8 +65,9 @@ class TestOldestSlot:
                 [unit(f"s{i}", onjob=age, status="active" if up else "failed")
                  for i, (age, up) in enumerate(slots)], 0.0)
             expected.append(-1 if target is None or not shelf_usable else target)
-        ages = np.array([[age for age, _ in slots] for slots, _ in fleets])
-        alive = np.array([[up for _, up in slots] for slots, _ in fleets])
+        # (slots, rows) arrays: one column per fleet
+        ages = np.array([[age for age, _ in slots] for slots, _ in fleets]).T
+        alive = np.array([[up for _, up in slots] for slots, _ in fleets]).T
         usable = np.array([shelf_usable for _, shelf_usable in fleets])
         assert rotation_targets(ages, alive, usable).tolist() == expected
 

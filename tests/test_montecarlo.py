@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +21,13 @@ from redzone import (
     scenario_timeline,
 )
 from redzone.cli import main
+from redzone.config import load_config
 from redzone.montecarlo import _derive_seeds, _uniforms, run_batch
 
 from conftest import make_flat_bathtub, make_redzone_system
 from oracle import SplitMix64, Trace, derive_seed, run_replication
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
 
 
 def det_config(mean=200.0, lab=0.0, alpha=0.0):
@@ -36,6 +39,18 @@ def det_config(mean=200.0, lab=0.0, alpha=0.0):
 def exp_config(rate, lab=0.0, alpha=0.0):
     """det_config with exponential lifetimes of the given rate."""
     return replace(det_config(lab=lab, alpha=alpha), unit_lifetime=ExponentialLifetime(rate))
+
+
+@dataclass(frozen=True, eq=False)
+class ScriptedLifetimes:
+    """A lifetime model that looks each draw up in a table keyed by the uniform, so a
+    test can hand each unit of each replication the lifetime it needs."""
+
+    table: dict
+    mean: float = 100.0
+
+    def sample(self, u):
+        return np.vectorize(self.table.__getitem__, otypes=[float])(u)
 
 
 # A lab credit above every lifetime the tests' models can draw (ExponentialLifetime(0.01)
@@ -54,25 +69,26 @@ def batch_hazard(out, bin_width):
 
 
 def assert_batch_matches_scalar(config, policy, master_seed, replications, *,
-                                record_events=True, **kwargs):
-    """Every per-replication result of run_batch equals run_replication's, exactly,
-    and so does every recorded event: time, kind, unit, slot and unit_out."""
+                                record_events=True, every=1, **kwargs):
+    """Every ``every``-th replication's results from run_batch equal run_replication's,
+    exactly, and so does every recorded event: time, kind, unit, slot and unit_out."""
     out = run_batch(config, policy, master_seed, replications, record_events=record_events,
                     **kwargs)
+    checked = range(0, replications, every)
     traces = [run_replication(config, policy, derive_seed(master_seed, i), **kwargs)
-              for i in range(replications)]
+              for i in checked]
 
     def column(name):
         return np.array([np.nan if getattr(tr, name) is None else getattr(tr, name)
                          for tr in traces])
 
     for name in ("trdd", "tdt", "dp", "end_time"):
-        np.testing.assert_array_equal(getattr(out, name), column(name), err_msg=name)
-    np.testing.assert_array_equal(out.censored, [tr.censored for tr in traces])
+        np.testing.assert_array_equal(getattr(out, name)[::every], column(name), err_msg=name)
+    np.testing.assert_array_equal(out.censored[::every], [tr.censored for tr in traces])
     if record_events:
-        assert list(zip(*out.events.fields())) == [
+        assert [row for row in zip(*out.events.fields()) if row[0] % every == 0] == [
             (i, e.time, e.kind, e.unit, e.slot, e.unit_out)
-            for i, tr in enumerate(traces) for e in tr.events]
+            for i, tr in zip(checked, traces) for e in tr.events]
     else:
         assert out.events is None
     return traces
@@ -450,6 +466,47 @@ def assert_fleet_matches_scalar(rotation_period, alpha, sd, lab, horizon, expone
 
 class TestRunBatch:
     """The batched engine against the scalar oracle, replication by replication."""
+
+    @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
+    @pytest.mark.parametrize("kind, horizon", [
+        ("type1", None), ("type2", None), ("type1", 413.0), ("type2", 312.0),
+    ])
+    def test_example_ensemble_matches_run_replication(self, kind, horizon):
+        # 2,000 rows of the shipped config leave the lockstep loop in different passes,
+        # so every pass skips some event kinds and compacts some rows; the horizons sit
+        # at the median system lifetime, so about half the rows are censored on the way
+        run = load_config(EXAMPLE)
+        policy = Policy(kind, rotation_period=run.policy.rotation_period)
+        assert_batch_matches_scalar(run.system, policy, run.sim.master_seed, 2000,
+                                    every=50, horizon=horizon)
+
+    def test_pass_that_censors_kills_and_rotates(self):
+        # Rotation every 50 weeks and the horizon on the second epoch, t = 100.  In the
+        # third pass row 0 is next due at 150 > 100 and is censored before any event,
+        # while row 1 loses its last slot unit at t = 100 and dies, and row 2 loses a
+        # slot unit and passes the rotation epoch at t = 100: events at t == horizon
+        # are processed, not censored (row 0's second rotation, too).
+        lifetimes = [(1000.0, 1000.0, 1000.0), (30.0, 100.0, 20.0), (1000.0, 70.0, 50.0)]
+        master_seed = 7
+        u = _uniforms(_derive_seeds(master_seed, len(lifetimes)), 3)
+        model = ScriptedLifetimes(dict(zip(u.ravel().tolist(), np.ravel(lifetimes).tolist())))
+        cfg = SystemConfig(hazard=make_flat_bathtub(), unit_lifetime=model, lab_burnin=0.0)
+        traces = assert_batch_matches_scalar(cfg, Policy("type2", rotation_period=50.0),
+                                             master_seed, len(lifetimes), horizon=100.0)
+        c1, c2, c3 = (f"controller_{i}" for i in (1, 2, 3))
+        assert [[(e.time, e.kind, e.unit, e.slot, e.unit_out) for e in tr.events]
+                for tr in traces] == [
+            [(50.0, "rotate", c3, 0, c1), (100.0, "rotate", c1, 1, c2)],
+            [(30.0, "failure", c1, 0, None), (30.0, "replace", c3, 0, c1),
+             (30.0, "dp", None, None, None), (50.0, "failure", c3, 0, None),
+             (100.0, "failure", c2, 1, None), (100.0, "system_death", None, None, None)],
+            [(50.0, "rotate", c3, 0, c1), (70.0, "failure", c2, 1, None),
+             (70.0, "replace", c1, 1, c2), (70.0, "dp", None, None, None),
+             (100.0, "failure", c3, 0, None)],
+        ]
+        assert [(tr.trdd, tr.dp, tr.tdt, tr.censored, tr.end_time) for tr in traces] == [
+            (None, None, None, True, 100.0), (50.0, 30.0, 100.0, False, 100.0),
+            (100.0, 70.0, None, True, 100.0)]
 
     @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
     @settings(max_examples=80, deadline=None)
