@@ -14,7 +14,6 @@ import warnings
 from redzone import (
     BathtubModel,
     LifetimeDistribution,
-    Policy,
     SimConfig,
     SystemConfig,
     ValidationWarning,
@@ -39,8 +38,7 @@ config = SystemConfig(
 
 report = compare_policies(
     config,
-    Policy("type1"),
-    Policy("type2", rotation_period=MEAN_LIFE / 6.0),
+    MEAN_LIFE / 6.0,         # type2 rotates every sixth of a mean life; type1 replaces on failure
     SimConfig(replications=5000, master_seed=2024),
     vendor_mtbf=MEAN_LIFE,   # the only statistic available under type1
     warn_factor=0.8,         # type1 decision point at 80% of the vendor MTBF

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .hazards import (
     BathtubModel,
-    ExponentialLifetime,
     LifetimeDistribution,
     OperatorHazard,
     SoftwareHazardModel,
@@ -46,7 +45,6 @@ from .maintenance import Policy, red_zone_condition
 from .montecarlo import (
     Metrics,
     SimConfig,
-    empirical_hazard,
     run_ensemble,
 )
 from .system import (

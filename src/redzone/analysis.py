@@ -146,7 +146,6 @@ class RedZoneAssessment:
     zone: RedZone | None
     severity: float
     baseline: float
-    timeline: ScenarioTimeline
 
     @property
     def detected(self) -> bool:
@@ -169,8 +168,7 @@ def assess_curve(timeline: ScenarioTimeline, curve: HazardCurve, *, threshold: f
     tail_curve = HazardCurve(times=curve.times[tail:], rates=curve.rates[tail:])
     zone = detect_red_zone(tail_curve, baseline, threshold)
     severity = peak_ratio(curve, baseline, timeline.tf1, max(timeline.t2, timeline.tf2))
-    return RedZoneAssessment(zone=zone, severity=severity, baseline=baseline,
-                             timeline=timeline)
+    return RedZoneAssessment(zone=zone, severity=severity, baseline=baseline)
 
 
 def assess_red_zone(config: SystemConfig, *, threshold: float, dt: float,
@@ -291,24 +289,24 @@ def apply_vendor_decision_point(metrics: Metrics, vendor_mtbf: float | None,
     if not warn_factor > 0.0:
         raise DomainError(f"warn_factor must be > 0, got {warn_factor!r}")
     dp = float(warn_factor * vendor_mtbf)
-    dp_values = np.full(len(metrics.tdt_values), dp)
-    tdr_values = metrics.tdt_values - dp
     return replace(metrics,
-                   dp=MetricSummary(mean=dp, std=0.0, ci_low=dp, ci_high=dp, n=len(dp_values)),
-                   tdr=_summarize(tdr_values), dp_values=dp_values, tdr_values=tdr_values)
+                   dp=MetricSummary(mean=dp, std=0.0, ci_low=dp, ci_high=dp,
+                                    n=len(metrics.tdt_values)),
+                   tdr=_summarize(metrics.tdt_values - dp))
 
 
-def compare_policies(config: SystemConfig, policy1: Policy, policy2: Policy,
-                     sim: SimConfig, *, vendor_mtbf: float | None = None,
-                     warn_factor: float) -> ComparisonReport:
-    """Run both policies from the same master seed and compare lifetimes.
+def compare_policies(config: SystemConfig, rotation_period: float, sim: SimConfig, *,
+                     vendor_mtbf: float | None = None, warn_factor: float) -> ComparisonReport:
+    """Run replace on failure (type1) and rotation every ``rotation_period``
+    weeks (type2) from the same master seed and compare lifetimes.
 
     The extension ratio uses the ensemble means of the redundant lifetime.
     When a vendor MTBF is configured, the type1 decision point and margin
-    are derived from it.
+    are derived from it.  A bad period is rejected before any ensemble runs.
     """
-    m1 = run_ensemble(config, policy1, sim)
-    m2 = run_ensemble(config, policy2, sim)
+    rotation = Policy("type2", rotation_period=rotation_period)
+    m1 = run_ensemble(config, Policy("type1"), sim)
+    m2 = run_ensemble(config, rotation, sim)
     m1 = apply_vendor_decision_point(m1, vendor_mtbf, warn_factor)
     if m1.trdd is None or m2.trdd is None:
         raise DomainError("policy comparison needs defined redundant lifetimes on both sides")

@@ -8,8 +8,8 @@ document; outputs are byte-reproducible for a given config and seed.
 
 CSV tables are written in blocks of rows, each block as bytes: a block of
 float columns takes one orjson pass (:func:`_float_lines`), and the event
-log decodes its codes through a table of pre-joined text.  Floats read as
-``repr`` writes them.
+log's codes are decoded by ``EventLog.code_text``.  Floats read as ``repr``
+writes them.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical or
 runtime failure.  A configuration warning prints as ``warning: <message>``
@@ -19,8 +19,6 @@ on stderr.
 from __future__ import annotations
 
 import argparse
-import functools
-import itertools
 import json
 import math
 import sys
@@ -39,8 +37,7 @@ from .analysis import (
 from .config import SCHEMA_VERSION, RunConfig, load_config
 from .errors import DomainError, ValidationError, ValidationWarning
 from .hazards import bathtub_hazard, software_hazard
-from .maintenance import Policy
-from .montecarlo import _KIND_NAMES, _SLOTS, _UNIT_IDS, EventLog, Metrics, run_batch
+from .montecarlo import EventLog, Metrics, run_batch
 from .system import end_of_life, scenario_timeline, system_hazard_curve
 
 __all__ = ["main", "build_parser"]
@@ -307,37 +304,15 @@ def _zone_doc(zone) -> dict | None:
             "severity": float(zone.severity)}
 
 
-# The event log's code columns, in the order _event_tails joins them.
-_EVENT_CODE_TABLES = (_KIND_NAMES, _UNIT_IDS, _SLOTS, _UNIT_IDS)
-
-
-@functools.cache
-def _event_tails() -> np.ndarray:
-    """The ``kind,unit,slot,unit_out`` text of every combination of their codes.
-
-    Built from the tables :meth:`EventLog.fields` decodes with, None as an
-    empty cell, in ``np.ravel_multi_index`` order over those tables.
-    """
-    return np.array([",".join("" if v is None else str(v) for v in combo)
-                     for combo in itertools.product(*_EVENT_CODE_TABLES)], dtype=object)
-
-
 def _write_events_csv(path: str, log: EventLog) -> None:
-    """Write the event log, each row one join of its replication, time and decoded codes."""
+    """Write the event log, each row one join of its replication, time and code text."""
     n = len(log.time)
     replications = np.array(list(map(str, range(int(log.replication[-1]) + 1 if n else 0))),
                             dtype=object)
-    tails = _event_tails()
-    shape = tuple(map(len, _EVENT_CODE_TABLES))
 
     def cells(rows):
-        # "wrap" reads a negative code from the end of its table, as EventLog.fields
-        # does; the combined index is an intp, so the int8 codes cannot overflow
-        codes = np.ravel_multi_index(
-            (log.kind[rows], log.unit[rows], log.slot[rows], log.unit_out[rows]), shape,
-            mode="wrap")
         return [replications[log.replication[rows]].tolist(), log.time[rows],
-                tails[codes].tolist()]
+                log.code_text(rows)]
 
     _write_csv(path, ["replication", "time_weeks", "kind", "unit", "slot", "unit_out"],
                _csv_blocks(n, cells))
@@ -371,14 +346,8 @@ def cmd_compare(run: RunConfig, args) -> int:
     sim = run.sim
     if run.policy.rotation_period is None:
         raise ValidationError("policy.rotation_period: required to compare against type2")
-    report = compare_policies(
-        run.system,
-        Policy("type1"),
-        Policy("type2", rotation_period=run.policy.rotation_period),
-        sim,
-        vendor_mtbf=run.vendor_mtbf,
-        warn_factor=run.warn_factor,
-    )
+    report = compare_policies(run.system, run.policy.rotation_period, sim,
+                              vendor_mtbf=run.vendor_mtbf, warn_factor=run.warn_factor)
     m1, m2 = report.metrics_type1, report.metrics_type2
     doc = {
         "schema_version": SCHEMA_VERSION,

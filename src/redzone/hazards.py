@@ -33,7 +33,6 @@ __all__ = [
     "WeibullTerm",
     "BathtubModel",
     "LifetimeDistribution",
-    "ExponentialLifetime",
     "UpgradeEvent",
     "SoftwareHazardModel",
     "OperatorHazard",
@@ -146,10 +145,11 @@ class BathtubModel:
         _require(self.clamp_floor > 0.0, f"clamp_floor must be > 0, got {self.clamp_floor!r}")
         if self.burnin.scale > 0.0:
             residual = weibull_hazard(self.th1, self.burnin)
-            if residual > 0.01 * self.useful_rate:
+            limit = 0.01 * self.useful_rate
+            if residual > limit:
                 warnings.warn(
                     "burn-in term at th1 exceeds 1% of useful_rate "
-                    f"({residual:.3g} vs {self.useful_rate:.3g}); declared phase "
+                    f"({residual:.3g} vs {limit:.3g}); declared phase "
                     "durations are inconsistent with the term decay",
                     ValidationWarning,
                     stacklevel=3,  # past the dataclass-generated __init__ to its caller
@@ -292,27 +292,6 @@ def lognormal_sample(dist: LifetimeDistribution, u):
         return _ret(np.full_like(arr, dist.mean), scalar)
     z = standard_normal_quantile(arr)
     return _ret(np.exp(dist.location + dist.scale * np.asarray(z)), scalar)
-
-
-@dataclass(frozen=True)
-class ExponentialLifetime:
-    """Constant-hazard lifetime (mean ``1/rate``), used by sanity oracles."""
-
-    rate: float
-
-    def __post_init__(self):
-        _require(_finite_number(self.rate) and self.rate > 0.0,
-                 f"rate must be > 0, got {self.rate!r}")
-
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.rate
-
-    def sample(self, u):
-        arr, scalar = _coerce_time(u, name="u")
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-            raise DomainError("u must lie strictly inside (0, 1)")
-        return _ret(-np.log1p(-arr) / self.rate, scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ kinds no replication is due for; on request it also records every
 replication's event log as one :class:`EventLog` table.  It is the engine
 every command runs, through :func:`run_ensemble` or directly.  The tests hold
 its per-replication results and event logs, bit for bit, to a scalar event
-loop over per-unit age ledgers kept in ``tests/oracle.py``.
+loop over per-unit age ledgers kept in ``tests/oracle.py``.  The module
+keeps what the outputs read: :class:`Metrics`, the summaries ``simulate``
+and ``compare`` print, and :meth:`EventLog.code_text`, the one decoder of
+the event codes ``simulate --events-out`` writes.
 
 Randomness comes from splitmix64 streams: 64-bit state advanced by the
 golden-gamma increment 0x9E3779B97F4A7C15 and finalized by the standard
@@ -31,13 +34,15 @@ on any library version; golden vectors are frozen in the tests.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .maintenance import Policy, rotation_targets
 from .system import SystemConfig
 
@@ -45,13 +50,11 @@ __all__ = [
     "SimConfig",
     "MetricSummary",
     "Metrics",
-    "EmpiricalHazardCurve",
     "EVENT_KINDS",
     "EventLog",
     "BatchOutcomes",
     "run_batch",
     "run_ensemble",
-    "empirical_hazard",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -130,53 +133,33 @@ def _summarize(values: np.ndarray) -> MetricSummary | None:
 
 
 @dataclass(frozen=True, eq=False)
-class EmpiricalHazardCurve:
-    """Binned rate estimates: deaths per unit of at-risk system time."""
-
-    midpoints: np.ndarray
-    rates: np.ndarray
-    deaths: np.ndarray
-    exposure: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class Metrics:
-    """Ensemble statistics over N replications.
+    """Ensemble statistics over N replications, as ``simulate`` and ``compare`` print them.
 
-    Value arrays hold the defined observations only (a censored replication
-    has no total lifetime); ``censored_count`` reports how many were cut at
-    the horizon.
+    Summaries cover the defined observations only (a censored replication
+    has no total lifetime); ``censored_count`` counts those cut at the
+    horizon.  ``tdt_values``, the defined total lifetimes, give the type1
+    decision margin.
     """
 
-    n_replications: int
     censored_count: int
     trdd: MetricSummary | None
     tdt: MetricSummary | None
     dp: MetricSummary | None
     tdr: MetricSummary | None
-    trdd_values: np.ndarray
     tdt_values: np.ndarray
-    dp_values: np.ndarray
-    tdr_values: np.ndarray
 
     @classmethod
     def from_batch(cls, out: BatchOutcomes) -> Metrics:
         """Aggregate a :func:`run_batch` result in replication order."""
-        trdd_values = _defined(out.trdd)
         tdt_values = _defined(out.tdt)
-        dp_values = _defined(out.dp)
-        tdr_values = _defined(out.tdt - out.dp)
         return cls(
-            n_replications=len(out.trdd),
             censored_count=int(np.count_nonzero(out.censored)),
-            trdd=_summarize(trdd_values),
+            trdd=_summarize(_defined(out.trdd)),
             tdt=_summarize(tdt_values),
-            dp=_summarize(dp_values),
-            tdr=_summarize(tdr_values),
-            trdd_values=trdd_values,
+            dp=_summarize(_defined(out.dp)),
+            tdr=_summarize(_defined(out.tdt - out.dp)),
             tdt_values=tdt_values,
-            dp_values=dp_values,
-            tdr_values=tdr_values,
         )
 
 
@@ -193,9 +176,18 @@ _FAILURE, _REPLACE, _ROTATE, _DP, _DEATH = range(len(EVENT_KINDS))
 # Codes of EventLog.unit/unit_out and EventLog.slot, decoded by indexing these
 # tables: a roster index or -1 for no unit; a slot index, -2 the shelf or -1 none.
 _NONE, _SHELF_SLOT = -1, -2
-_UNIT_IDS = np.array(["controller_1", "controller_2", "controller_3", None], dtype=object)
-_SLOTS = np.array([0, 1, "shelf", None], dtype=object)
-_KIND_NAMES = np.array(EVENT_KINDS, dtype=object)
+_UNIT_IDS = ("controller_1", "controller_2", "controller_3", None)
+_SLOTS = (0, 1, "shelf", None)
+# The code columns' tables, in the order EventLog.code_text joins them.
+_EVENT_CODE_TABLES = (EVENT_KINDS, _UNIT_IDS, _SLOTS, _UNIT_IDS)
+
+
+@functools.cache
+def _event_tails() -> np.ndarray:
+    """The ``kind,unit,slot,unit_out`` text of every combination of their codes,
+    None as an empty cell, in ``np.ravel_multi_index`` order over their tables."""
+    return np.array([",".join("" if v is None else str(v) for v in combo)
+                     for combo in itertools.product(*_EVENT_CODE_TABLES)], dtype=object)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,17 +209,16 @@ class EventLog:
     slot: np.ndarray
     unit_out: np.ndarray
 
-    def fields(self, rows: slice = slice(None)) -> tuple[list, np.ndarray, list, list, list, list]:
-        """The columns of ``rows`` (all rows by default), decoded.
-
-        Returns (replication, time, kind, unit, slot, unit_out): ``time`` as
-        the float array, the others as lists of ints, names and None.  A
-        row's last five values equal the ``time``, ``kind``, ``unit``,
-        ``slot`` and ``unit_out`` of the oracle's scalar event.
-        """
-        return (self.replication[rows].tolist(), self.time[rows],
-                _KIND_NAMES[self.kind[rows]].tolist(), _UNIT_IDS[self.unit[rows]].tolist(),
-                _SLOTS[self.slot[rows]].tolist(), _UNIT_IDS[self.unit_out[rows]].tolist())
+    def code_text(self, rows: slice = slice(None)) -> list[str]:
+        """The ``kind,unit,slot,unit_out`` CSV text of each of ``rows`` (all rows
+        by default): the kind name, ``controller_{i+1}``, the slot index or
+        ``shelf``, and an empty cell for none."""
+        # "wrap" reads a negative code from the end of its table; the combined
+        # index is an intp, so the int8 codes cannot overflow
+        codes = np.ravel_multi_index(
+            (self.kind[rows], self.unit[rows], self.slot[rows], self.unit_out[rows]),
+            tuple(map(len, _EVENT_CODE_TABLES)), mode="wrap")
+        return _event_tails()[codes].tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +238,6 @@ class BatchOutcomes:
     tdt: np.ndarray
     dp: np.ndarray
     censored: np.ndarray
-    end_time: np.ndarray
     events: EventLog | None = None
 
 
@@ -368,10 +358,9 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
             rows, t, rotation, spare, units, failed = (
                 np.compress(~dead, a, -1) for a in (rows, t, rotation, spare, units, failed))
 
-    events = _event_log(blocks) if record_events else None
-    censored = np.isnan(tdt)  # a row leaves the loop when it dies or is censored
-    return BatchOutcomes(trdd=trdd, tdt=tdt, dp=dp, censored=censored,
-                         end_time=np.where(censored, horizon, tdt), events=events)
+    # a row leaves the loop when it dies or is censored
+    return BatchOutcomes(trdd=trdd, tdt=tdt, dp=dp, censored=np.isnan(tdt),
+                         events=_event_log(blocks) if record_events else None)
 
 
 def _event_log(blocks: list[tuple]) -> EventLog:
@@ -406,39 +395,3 @@ def run_ensemble(config: SystemConfig, policy: Policy, sim: SimConfig) -> Metric
     return Metrics.from_batch(run_batch(
         config, policy, sim.master_seed, sim.replications, horizon=sim.horizon))
 
-
-def empirical_hazard(end_times, death_times, bin_width: float) -> EmpiricalHazardCurve:
-    """Binned hazard estimator: system deaths over at-risk system time.
-
-    ``end_times`` holds every replication's end of observation (death or
-    horizon) and ``death_times`` the uncensored total lifetimes: for an
-    ensemble, a :func:`run_batch` result's ``end_time`` and its non-NaN
-    ``tdt``.  Bin j covers [j*w, (j+1)*w); its rate is (deaths in bin) /
-    (total time systems spent at risk inside the bin).  Bins with zero
-    at-risk time are omitted.  Needs at least one death.
-    """
-    if not bin_width > 0.0:
-        raise DomainError("bin_width must be > 0")
-    deaths_t = np.asarray(death_times, dtype=float)
-    if len(deaths_t) == 0:
-        raise DomainError("empirical_hazard needs at least one uncensored replication")
-    ends = np.sort(np.asarray(end_times, dtype=float))
-    n_bins = int(math.ceil(ends[-1] / bin_width))
-    edges = np.arange(n_bins + 1, dtype=float) * bin_width
-    deaths, _ = np.histogram(deaths_t, bins=edges)
-
-    # exposure_j = sum_i clip(end_i - e_j, 0, w), via prefix sums over sorted ends
-    prefix = np.concatenate(([0.0], np.cumsum(ends)))
-    lo = np.searchsorted(ends, edges[:-1], side="right")
-    hi = np.searchsorted(ends, edges[1:], side="right")
-    inside_sum = prefix[hi] - prefix[lo]
-    inside_cnt = hi - lo
-    above_cnt = len(ends) - hi
-    exposure = (inside_sum - edges[:-1] * inside_cnt) + bin_width * above_cnt
-
-    keep = exposure > 0.0
-    mid = edges[:-1] + 0.5 * bin_width
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rates = np.where(keep, deaths / np.where(keep, exposure, 1.0), np.nan)
-    return EmpiricalHazardCurve(midpoints=mid[keep], rates=rates[keep],
-                                deaths=deaths[keep].astype(float), exposure=exposure[keep])

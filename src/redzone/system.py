@@ -67,11 +67,11 @@ class SystemConfig:
     """Everything that defines one system under study.
 
     ``unit_lifetime`` is any model with a ``mean`` and a ``sample(u)`` that
-    maps an array of uniforms to lifetimes in weeks (``ExponentialLifetime``
-    serves the oracles).  ``lab_burnin`` is the burn-in credit (weeks) given
-    to the provisioned shelf spare; practical lab runs are one or two weeks,
-    far shorter than a typical burn-in phase, so a warning is emitted when
-    it exceeds ``th1``.
+    maps an array of uniforms to lifetimes in weeks, as
+    ``LifetimeDistribution`` does.  ``lab_burnin`` is the burn-in credit
+    (weeks) given to the provisioned shelf spare; practical lab runs are one
+    or two weeks, far shorter than a typical burn-in phase, so a warning is
+    emitted when it exceeds ``th1``.
     """
 
     hazard: BathtubModel

@@ -14,6 +14,7 @@ from redzone import (
     WeibullTerm,
     compose_parallel,
 )
+from redzone.montecarlo import EVENT_KINDS
 from redzone.system import _unit_cumulative_at, _unit_rate
 
 
@@ -85,6 +86,17 @@ def per_segment_curve(tl, dt, start=0.0):
         ]
         h[lo:hi] = compose_parallel(rates, cums)
     return t, h
+
+
+def event_fields(log):
+    """The (replication, time, kind, unit, slot, unit_out) columns of an ``EventLog``,
+    decoded as its docstring states: ``time`` as the array, the others as lists of
+    the values the oracle's scalar events hold."""
+    units = [None, "controller_1", "controller_2", "controller_3"]  # by unit code + 1
+    slots = {-2: "shelf", -1: None, 0: 0, 1: 1}
+    return (log.replication.tolist(), log.time, [EVENT_KINDS[k] for k in log.kind.tolist()],
+            [units[c + 1] for c in log.unit.tolist()], [slots[s] for s in log.slot.tolist()],
+            [units[c + 1] for c in log.unit_out.tolist()])
 
 
 @pytest.fixture

@@ -12,12 +12,18 @@ imports nothing from ``redzone.montecarlo`` or ``redzone.maintenance``, the
 modules it checks (``tests/test_packaging.py`` guards this); it takes the
 same config values as the engine and reads a policy only through its
 ``kind`` and ``rotation_period``.
+
+It also holds two references of the closed-form checks: the constant-hazard
+:class:`ExponentialLifetime` and the binned :func:`empirical_hazard` estimator.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from redzone import DomainError, Policy, SystemConfig, ValidationError
 
@@ -259,3 +265,67 @@ def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
 
     return Trace(events=tuple(events), trdd=trdd, tdt=tdt, dp=dp,
                  censored=censored, end_time=t, lifetimes=lifetimes)
+
+
+@dataclass(frozen=True)
+class ExponentialLifetime:
+    """Constant-hazard lifetime (mean ``1/rate``), sampled by inversion."""
+
+    rate: float
+
+    def __post_init__(self):
+        if not 0.0 < self.rate < math.inf:
+            raise ValidationError(f"rate must be > 0, got {self.rate!r}")
+
+    @property
+    def mean(self) -> float:
+        return 1.0 / self.rate
+
+    def sample(self, u):
+        """Lifetimes of uniforms ``u`` in (0, 1): a float for a float, else an array."""
+        out = -np.log1p(-np.asarray(u, dtype=float)) / self.rate
+        return out if out.ndim else float(out)
+
+
+@dataclass(frozen=True, eq=False)
+class EmpiricalHazardCurve:
+    """Binned rate estimates: deaths per unit of at-risk system time."""
+
+    midpoints: np.ndarray
+    rates: np.ndarray
+    deaths: np.ndarray
+    exposure: np.ndarray
+
+
+def empirical_hazard(end_times, death_times, bin_width: float) -> EmpiricalHazardCurve:
+    """Binned hazard estimator: system deaths over at-risk system time.
+
+    ``end_times`` holds every replication's end of observation (death or
+    horizon) and ``death_times`` the uncensored total lifetimes.  Bin j
+    covers [j*w, (j+1)*w); its rate is (deaths in bin) / (total time systems
+    spent at risk inside the bin).  Bins with zero at-risk time are omitted.
+    Needs at least one death.
+    """
+    if not bin_width > 0.0:
+        raise DomainError("bin_width must be > 0")
+    deaths_t = np.asarray(death_times, dtype=float)
+    if len(deaths_t) == 0:
+        raise DomainError("empirical_hazard needs at least one uncensored replication")
+    ends = np.sort(np.asarray(end_times, dtype=float))
+    n_bins = int(math.ceil(ends[-1] / bin_width))
+    edges = np.arange(n_bins + 1, dtype=float) * bin_width
+    deaths, _ = np.histogram(deaths_t, bins=edges)
+
+    # exposure_j = sum_i clip(end_i - e_j, 0, w), via prefix sums over sorted ends
+    prefix = np.concatenate(([0.0], np.cumsum(ends)))
+    lo = np.searchsorted(ends, edges[:-1], side="right")
+    hi = np.searchsorted(ends, edges[1:], side="right")
+    inside_sum = prefix[hi] - prefix[lo]
+    inside_cnt = hi - lo
+    above_cnt = len(ends) - hi
+    exposure = (inside_sum - edges[:-1] * inside_cnt) + bin_width * above_cnt
+
+    keep = exposure > 0.0
+    return EmpiricalHazardCurve(midpoints=(edges[:-1] + 0.5 * bin_width)[keep],
+                                rates=deaths[keep] / exposure[keep],
+                                deaths=deaths[keep].astype(float), exposure=exposure[keep])

@@ -29,6 +29,7 @@ from redzone import (
 from redzone import analysis
 from redzone.analysis import apply_vendor_decision_point, baseline_from_curve, peak_ratio
 from redzone.maintenance import red_zone_condition
+from redzone.montecarlo import run_batch
 
 from conftest import make_redzone_system, make_software_system, per_segment_curve, with_spread
 
@@ -172,8 +173,8 @@ class TestAssessRedZone:
         a = assess_red_zone(cfg, threshold=2.0, dt=0.1, baseline_window_fraction=0.8)
         assert a.detected
         assert a.severity > 2.0
-        assert a.zone.start >= a.timeline.tf1
-        assert a.zone.start < a.timeline.t2
+        timeline = scenario_timeline(cfg)
+        assert timeline.tf1 <= a.zone.start < timeline.t2
         assert a.zone.severity == pytest.approx(a.severity, rel=1e-9)
 
     def test_large_gap_not_detected(self):
@@ -187,7 +188,7 @@ class TestAssessRedZone:
         # end-of-life window, so it must not trigger detection
         cfg = make_redzone_system(delta=20.0)
         a = assess_red_zone(cfg, threshold=2.0, dt=0.1, baseline_window_fraction=0.8)
-        curve = system_hazard_curve(a.timeline, dt=0.1)
+        curve = system_hazard_curve(scenario_timeline(cfg), dt=0.1)
         early = curve.times < 10.0
         assert float(np.max(curve.rates[early])) > 2.0 * a.baseline
         assert not a.detected
@@ -321,9 +322,7 @@ class TestComparePolicies:
     def test_rotation_extends_redundant_lifetime(self):
         cfg = make_redzone_system(delta=2.0, mean=200.0)
         sim = SimConfig(replications=2000, master_seed=31)
-        report = compare_policies(cfg, Policy("type1"),
-                                  Policy("type2", rotation_period=200.0 / 6), sim,
-                                  vendor_mtbf=200.0, warn_factor=0.8)
+        report = compare_policies(cfg, 200.0 / 6, sim, vendor_mtbf=200.0, warn_factor=0.8)
         assert 0.40 <= report.extension_ratio <= 0.55
         assert report.metrics_type1.dp.mean == pytest.approx(160.0)
         assert report.metrics_type1.tdr.mean == pytest.approx(
@@ -333,17 +332,26 @@ class TestComparePolicies:
     def test_rotation_budget_bound(self):
         cfg = make_redzone_system(delta=2.0, mean=200.0)
         sim = SimConfig(replications=2000, master_seed=37)
-        met = run_ensemble(cfg, Policy("type2", rotation_period=200.0 / 6), sim)
-        assert float(np.max(met.trdd_values)) <= 1.55 * 200.0
+        trdd = run_batch(cfg, Policy("type2", rotation_period=200.0 / 6), sim.master_seed,
+                         sim.replications).trdd
+        assert float(np.nanmax(trdd)) <= 1.55 * 200.0
 
     def test_rotation_too_infrequent_to_help(self):
         # rotation period beyond the unit life degenerates to replace-on-failure
         cfg = make_redzone_system(delta=2.0, mean=200.0)
         sim = SimConfig(replications=1000, master_seed=41)
-        report = compare_policies(cfg, Policy("type1"),
-                                  Policy("type2", rotation_period=400.0), sim,
-                                  warn_factor=0.8)
+        report = compare_policies(cfg, 400.0, sim, warn_factor=0.8)
         assert abs(report.extension_ratio) < 0.05
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_rotation_period_rejected_before_any_ensemble(self, period, monkeypatch):
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("an ensemble ran")
+
+        monkeypatch.setattr(analysis, "run_ensemble", no_ensemble)
+        with pytest.raises(ValidationError, match="rotation_period"):
+            compare_policies(make_redzone_system(delta=2.0, mean=200.0), period,
+                             SimConfig(replications=10, master_seed=1), warn_factor=0.8)
 
 
 class TestApplyVendorDecisionPoint:
@@ -356,8 +364,9 @@ class TestApplyVendorDecisionPoint:
         met = apply_vendor_decision_point(self.type1_metrics(), 200.0, 0.8)
         assert met.dp.mean == met.dp.ci_low == met.dp.ci_high == pytest.approx(160.0)
         assert met.dp.std == 0.0
-        assert met.dp.n == len(met.tdt_values)
-        np.testing.assert_array_equal(met.tdr_values, met.tdt_values - met.dp_values)
+        assert met.dp.n == met.tdr.n == len(met.tdt_values)
+        margins = met.tdt_values - met.dp.mean  # per replication, as the summary reads them
+        assert (met.tdr.mean, met.tdr.std) == (np.mean(margins), np.std(margins, ddof=1))
         assert met.tdr.mean == pytest.approx(met.tdt.mean - 160.0)
 
     def test_input_metrics_unchanged(self):
@@ -365,7 +374,6 @@ class TestApplyVendorDecisionPoint:
         met = apply_vendor_decision_point(given_metrics, 200.0, 0.8)
         assert met is not given_metrics and met.dp is not None
         assert given_metrics.dp is None and given_metrics.tdr is None
-        assert len(given_metrics.dp_values) == len(given_metrics.tdr_values) == 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             given_metrics.dp = met.dp
 
@@ -376,7 +384,6 @@ class TestApplyVendorDecisionPoint:
     def test_leaves_metrics_unchanged(self, vendor_mtbf, horizon):
         met = apply_vendor_decision_point(self.type1_metrics(horizon), vendor_mtbf, 0.8)
         assert met.dp is None and met.tdr is None
-        assert len(met.dp_values) == len(met.tdr_values) == 0
 
     @pytest.mark.parametrize("vendor_mtbf, warn_factor", [
         (0.0, 0.8), (-200.0, 0.8), (float("nan"), 0.8), (200.0, 0.0), (200.0, -0.5),

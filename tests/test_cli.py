@@ -19,6 +19,7 @@ from redzone.config import load_config
 from redzone.montecarlo import EVENT_KINDS, EventLog, run_batch
 from redzone.system import end_of_life, scenario_timeline, system_hazard_curve
 
+from conftest import event_fields
 from oracle import derive_seed, run_replication
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
@@ -419,10 +420,10 @@ class TestSimulateCommand:
         assert ev.read_text(encoding="utf-8").splitlines() == [
             "replication,time_weeks,kind,unit,slot,unit_out"] + [
             f"{i},{float(t)!r},{k},{u or ''},{'' if s is None else s},{o or ''}"
-            for i, t, k, u, s, o in zip(*log.fields())]
+            for i, t, k, u, s, o in zip(*event_fields(log))]
 
     def test_events_csv_decodes_every_code_combination(self, tmp_path):
-        # the writer's table of joined text agrees with EventLog.fields on every code
+        # the writer's table of joined text agrees with the documented decoding on every code
         codes = np.array(list(itertools.product(range(len(EVENT_KINDS)), range(-1, 3),
                                                 range(-2, 2), range(-1, 3))), dtype=np.int8)
         n = len(codes)
@@ -432,7 +433,7 @@ class TestSimulateCommand:
         cli._write_events_csv(str(ev), log)
         assert ev.read_text(encoding="utf-8").splitlines()[1:] == [
             f"{i},{float(t)!r},{k},{u or ''},{'' if s is None else s},{o or ''}"
-            for i, t, k, u, s, o in zip(*log.fields())]
+            for i, t, k, u, s, o in zip(*event_fields(log))]
 
     @pytest.mark.parametrize("events", [False, True], ids=["summary", "events-out"])
     def test_one_ensemble_pass(self, events, tmp_path, monkeypatch):
@@ -582,7 +583,7 @@ class TestRedzoneCommand:
 
 # The shipped example config's one ValidationWarning, as the CLI prints it.
 EXAMPLE_WARNING = ("warning: hazard: burn-in term at th1 exceeds 1% of useful_rate "
-                   "(0.00607 vs 0.01); declared phase durations are inconsistent with the "
+                   "(0.00607 vs 0.0001); declared phase durations are inconsistent with the "
                    "term decay\n")
 
 

@@ -11,7 +11,6 @@ from scipy.special import ndtri
 from redzone import (
     BathtubModel,
     DomainError,
-    ExponentialLifetime,
     LifetimeDistribution,
     SoftwareHazardModel,
     UpgradeEvent,
@@ -28,7 +27,7 @@ from redzone import (
 from redzone.hazards import software_cumulative, standard_normal_quantile
 
 from conftest import make_bathtub, make_flat_bathtub
-from oracle import SplitMix64
+from oracle import ExponentialLifetime, SplitMix64
 
 
 def logspaced_trapezoid(fn, a, b, n=100_000):

@@ -11,12 +11,10 @@ from scipy import stats
 
 from redzone import (
     DomainError,
-    ExponentialLifetime,
     LifetimeDistribution,
     Policy,
     SimConfig,
     SystemConfig,
-    empirical_hazard,
     run_ensemble,
     scenario_timeline,
 )
@@ -24,8 +22,15 @@ from redzone.cli import main
 from redzone.config import load_config
 from redzone.montecarlo import _derive_seeds, _uniforms, run_batch
 
-from conftest import make_flat_bathtub, make_redzone_system
-from oracle import SplitMix64, Trace, derive_seed, run_replication
+from conftest import event_fields, make_flat_bathtub, make_redzone_system
+from oracle import (
+    ExponentialLifetime,
+    SplitMix64,
+    Trace,
+    derive_seed,
+    empirical_hazard,
+    run_replication,
+)
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
 
@@ -64,8 +69,9 @@ def hazard_of(traces, bin_width):
                             [tr.tdt for tr in traces if tr.tdt is not None], bin_width)
 
 
-def batch_hazard(out, bin_width):
-    return empirical_hazard(out.end_time, out.tdt[~np.isnan(out.tdt)], bin_width)
+def end_times(out, horizon):
+    """Each replication's end of observation: its death, or the horizon where censored."""
+    return np.where(out.censored, horizon, out.tdt)
 
 
 def assert_batch_matches_scalar(config, policy, master_seed, replications, *,
@@ -82,11 +88,13 @@ def assert_batch_matches_scalar(config, policy, master_seed, replications, *,
         return np.array([np.nan if getattr(tr, name) is None else getattr(tr, name)
                          for tr in traces])
 
-    for name in ("trdd", "tdt", "dp", "end_time"):
+    for name in ("trdd", "tdt", "dp"):
         np.testing.assert_array_equal(getattr(out, name)[::every], column(name), err_msg=name)
     np.testing.assert_array_equal(out.censored[::every], [tr.censored for tr in traces])
+    horizon = kwargs.get("horizon") or 5.0 * config.unit_lifetime.mean
+    np.testing.assert_array_equal(end_times(out, horizon)[::every], column("end_time"))
     if record_events:
-        assert [row for row in zip(*out.events.fields()) if row[0] % every == 0] == [
+        assert [row for row in zip(*event_fields(out.events)) if row[0] % every == 0] == [
             (i, e.time, e.kind, e.unit, e.slot, e.unit_out)
             for i, tr in zip(checked, traces) for e in tr.events]
     else:
@@ -574,7 +582,9 @@ class TestEmpiricalHazard:
 
     def test_end_of_life_peak_dwarfs_useful_phase_rates(self):
         cfg = make_redzone_system(delta=1.0)
-        h = batch_hazard(run_batch(cfg, Policy("type1"), 23, 2_000), bin_width=5.0)
+        out = run_batch(cfg, Policy("type1"), 23, 2_000)
+        ends = end_times(out, 5.0 * cfg.unit_lifetime.mean)  # run_batch's default horizon
+        h = empirical_hazard(ends, out.tdt[~np.isnan(out.tdt)], bin_width=5.0)
         useful = (h.midpoints > cfg.hazard.th1) & (h.midpoints < cfg.hazard.wearout_onset)
         peak = float(np.max(h.rates))
         assert peak >= 2.0 * float(np.max(h.rates[useful], initial=0.0))
