@@ -112,10 +112,10 @@ def baseline_from_curve(curve: HazardCurve, useful_end: float, *,
     """
     if not 0.0 < window_fraction < 1.0:
         raise DomainError("window_fraction must lie in (0, 1)")
-    mask = (curve.times >= window_fraction * useful_end) & (curve.times < useful_end)
-    if not np.any(mask):
+    lo, hi = np.searchsorted(curve.times, (window_fraction * useful_end, useful_end), "left")
+    if lo >= hi:
         raise DomainError("no curve samples inside the baseline window")
-    baseline = float(np.median(curve.rates[mask]))
+    baseline = float(np.median(curve.rates[lo:hi]))
     if not baseline > 0.0:
         raise DomainError("measured baseline is not positive")
     return baseline
@@ -290,8 +290,7 @@ def apply_vendor_decision_point(metrics: Metrics, vendor_mtbf: float | None,
         raise DomainError(f"warn_factor must be > 0, got {warn_factor!r}")
     dp = float(warn_factor * vendor_mtbf)
     return replace(metrics,
-                   dp=MetricSummary(mean=dp, std=0.0, ci_low=dp, ci_high=dp,
-                                    n=len(metrics.tdt_values)),
+                   dp=MetricSummary(mean=dp, std=0.0, ci_low=dp, ci_high=dp),
                    tdr=_summarize(metrics.tdt_values - dp))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from collections.abc import Iterator
@@ -205,24 +206,25 @@ def _overrides(args) -> dict:
             if getattr(args, flag[2:], None) is not None}
 
 
-# The most float64 grid points numpy can hold in one array.
-_MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+# A curve command holds up to about seven float64 arrays of its grid at once (44-55
+# bytes a point, measured on hazard and scenario runs); a grid may take eight.
+_GRID_POINT_BYTES = 8 * np.dtype(float).itemsize
+_PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _curve_dt(run: RunConfig, args, span: float | None = None) -> float:
-    """``run.curve_dt``, checked to give a grid over [0, span] that numpy can hold.
-
-    ``span`` defaults to the end of every scenario curve of ``run.system``,
-    which no lifetime sd moves.  An error names ``--dt`` when the flag set
-    the step, else the config field.
-    """
-    if span is None:
-        span = end_of_life(run.system)
+def _curve_dt(run: RunConfig, args, t_max: float | None = None) -> float:
+    """``run.curve_dt``, checked to give a grid that fits in physical memory: over
+    [0, t_max] for ``hazard``, else up to where every scenario curve of ``run.system``
+    ends, which no lifetime sd moves.  An error names ``--dt`` when the flag set the
+    step, else the config field."""
+    span = end_of_life(run.system) if t_max is None else t_max
     dt = run.curve_dt
-    if span / dt >= _MAX_GRID_POINTS:
+    if span / dt * _GRID_POINT_BYTES >= _PHYSICAL_MEMORY:
         source = "--dt" if getattr(args, "dt", None) is not None else _FLAG_FIELDS["--dt"]
+        fix = f"raise {source}" + ("" if t_max is None else " or lower --t-max")
         raise ValidationError(f"{source} {dt!r} gives {span / dt:.3g} grid points over "
-                              f"[0, {span!r}] weeks, more than an array can hold")
+                              f"[0, {span!r}] weeks, more than {_PHYSICAL_MEMORY:.3g} bytes of "
+                              f"physical memory hold; {fix}")
     return dt
 
 

@@ -90,7 +90,8 @@ def weibull_hazard(t, term: WeibullTerm):
 
     For ``shape < 1`` the rate diverges at ``t = 0``, so ``t = 0`` with
     ``shape < 1`` raises :class:`DomainError`; callers that need the origin
-    clamp ``t`` themselves (see :func:`bathtub_hazard`).
+    clamp ``t`` themselves, as :func:`bathtub_hazard` clamps its own burn-in
+    term to ``clamp_floor``.
     """
     arr, scalar = _coerce_time(t)
     if np.any(arr < 0.0):
@@ -160,17 +161,31 @@ class BathtubModel:
         return self.th1 + self.th2
 
 
+def _add_wearout(out, ages, model: BathtubModel, coef: float, power: float):
+    # coef * max(age - onset, 0)**power adds exactly 0 before the onset, where numpy's
+    # power would take its slow path on zero bases; a mask, as ages need not be sorted.
+    past = ages > model.wearout_onset
+    out[past] += coef * (ages[past] - model.wearout_onset) ** power
+
+
 def bathtub_hazard(t, model: BathtubModel):
     """Total hardware rate at age ``t`` (burn-in clamped near the origin)."""
     arr, scalar = _coerce_time(t)
     if np.any(arr < 0.0):
         raise DomainError("bathtub_hazard requires t >= 0")
-    h = np.full_like(arr, model.useful_rate, dtype=float)
-    if model.burnin.scale > 0.0:
-        h = h + weibull_hazard(np.maximum(arr, model.clamp_floor), model.burnin)
-    if model.wearout.scale > 0.0:
-        h = h + weibull_hazard(np.maximum(arr - model.wearout_onset, 0.0), model.wearout)
-    return _ret(h, scalar)
+    ages = np.atleast_1d(arr)
+    b, w = model.burnin, model.wearout
+    if b.scale > 0.0:
+        # In place, one array for the sum: IEEE + and * commute, so x += c is c + x.
+        h = np.maximum(ages, model.clamp_floor)
+        h **= b.shape - 1.0
+        h *= b.scale * b.shape
+        h += model.useful_rate
+    else:
+        h = np.full_like(ages, model.useful_rate)
+    if w.scale > 0.0:
+        _add_wearout(h, ages, model, w.scale * w.shape, w.shape - 1.0)
+    return _ret(h.reshape(arr.shape), scalar)
 
 
 def bathtub_cumulative(t, model: BathtubModel):
@@ -182,10 +197,15 @@ def bathtub_cumulative(t, model: BathtubModel):
     arr, scalar = _coerce_time(t)
     if np.any(arr < 0.0):
         raise DomainError("bathtub_cumulative requires t >= 0")
-    total = model.useful_rate * arr
-    total = total + weibull_cumulative(arr, model.burnin)
-    total = total + weibull_cumulative(np.maximum(arr - model.wearout_onset, 0.0), model.wearout)
-    return _ret(total, scalar)
+    ages = np.atleast_1d(arr)
+    b, w = model.burnin, model.wearout
+    total = model.useful_rate * ages
+    total += 0.0  # as the wear-out term's 0 before the onset did: an age of -0.0 sums to +0.0
+    if b.scale > 0.0:
+        total += b.scale * ages ** b.shape
+    if w.scale > 0.0:
+        _add_wearout(total, ages, model, w.scale, w.shape)
+    return _ret(total.reshape(arr.shape), scalar)
 
 
 # ---------------------------------------------------------------------------

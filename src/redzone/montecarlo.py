@@ -119,7 +119,6 @@ class MetricSummary:
     std: float
     ci_low: float
     ci_high: float
-    n: int
 
 
 def _summarize(values: np.ndarray) -> MetricSummary | None:
@@ -129,7 +128,7 @@ def _summarize(values: np.ndarray) -> MetricSummary | None:
     mean = float(np.mean(values))
     std = 0.0 if n < 2 else float(np.std(values, ddof=1))
     half = 1.96 * std / math.sqrt(n)
-    return MetricSummary(mean=mean, std=std, ci_low=mean - half, ci_high=mean + half, n=n)
+    return MetricSummary(mean=mean, std=std, ci_low=mean - half, ci_high=mean + half)
 
 
 @dataclass(frozen=True, eq=False)

@@ -115,8 +115,9 @@ def compose_parallel(hazards, cumulative_hazards):
     h1, h2 = (np.asarray(x, dtype=float) for x in hazards)
     H1, H2 = (np.asarray(x, dtype=float) for x in cumulative_hazards)
     scalar = h1.ndim == 0 and h2.ndim == 0
-    F1, F2 = -np.expm1(-H1), -np.expm1(-H2)
-    f1, f2 = h1 * np.exp(-H1), h2 * np.exp(-H2)
+    F1, f1 = -np.expm1(-H1), h1 * np.exp(-H1)
+    # one unit given twice (the same arrays) has its terms computed once
+    F2, f2 = (F1, f1) if h2 is h1 and H2 is H1 else (-np.expm1(-H2), h2 * np.exp(-H2))
     num = f1 * F2 + f2 * F1
     den = 1.0 - F1 * F2
     if np.any(den <= 0.0):
@@ -271,47 +272,21 @@ class HazardCurve:
 
 def _unit_rate(times: np.ndarray, au: ActiveUnit, config: SystemConfig) -> np.ndarray:
     # Hardware runs on the unit's age clock, software on the calendar clock.
-    ages = times - au.birth
-    h = np.asarray(bathtub_hazard(ages, config.hazard), dtype=float)
+    h = np.asarray(bathtub_hazard(times - au.birth, config.hazard), dtype=float)
     if config.software is not None:
-        h = h + software_hazard(times, config.software)
+        h += software_hazard(times, config.software)
     if config.operator is not None:
-        h = h + config.operator.rate
+        h += config.operator.rate
     return h
 
 
 def _unit_cumulative_at(t, au: ActiveUnit, config: SystemConfig):
-    age = np.asarray(t, dtype=float) - au.birth
-    total = np.asarray(bathtub_cumulative(age, config.hazard), dtype=float)
+    total = np.asarray(bathtub_cumulative(t - au.birth, config.hazard), dtype=float)
     if config.software is not None:
-        total = total + software_cumulative(np.asarray(t, dtype=float), config.software)
+        total += software_cumulative(t, config.software)
     if config.operator is not None:
-        total = total + config.operator.rate * np.asarray(t, dtype=float)
+        total += config.operator.rate * t
     return total
-
-
-def _segment_key(seg: ScenarioSegment, config: SystemConfig):
-    """Everything a segment's sampled values depend on besides the grid.
-
-    That is the unit terms ``_unit_rate`` and ``_unit_cumulative_at`` read,
-    the active units' births and, for a pair, the conditioning epoch; the
-    phase labels and the segment's extent do not enter the values.
-    """
-    epoch = seg.epoch if len(seg.units) > 1 else None
-    return (config.hazard, config.software, config.operator,
-            tuple(au.birth for au in seg.units), epoch)
-
-
-def _segment_rates(tt: np.ndarray, seg: ScenarioSegment, config: SystemConfig) -> np.ndarray:
-    """The composed rate of ``seg``'s active units at the times ``tt``."""
-    rates = [_unit_rate(tt, au, config) for au in seg.units]
-    if len(seg.units) == 1:
-        return rates[0]
-    cums = [
-        _unit_cumulative_at(tt, au, config) - _unit_cumulative_at(seg.epoch, au, config)
-        for au in seg.units
-    ]
-    return compose_parallel(rates, cums)
 
 
 def system_hazard_curves(timelines, *, dt: float,
@@ -325,15 +300,16 @@ def system_hazard_curves(timelines, *, dt: float,
     the unit's own rate.
 
     The timelines must share one end of life, hence one grid; the spreads
-    of one system do.  Segments whose values are the same function of time
-    (same unit terms, births and, for a pair, epoch) are evaluated once,
-    over the hull of the grid slices that read them; for the spreads of one
-    system those slices nest, so the hull is their union.  A grid point's
-    value does not depend on which other points are evaluated with it, so
-    every curve equals the curve sampled from its timeline alone, bit for
-    bit.  All evaluation, and any error it raises, happens in this call;
-    the returned iterator then assembles one curve per timeline, in order,
-    as it is advanced.  The curves share one ``times`` array.
+    of one system do.  Evaluation is by unit: units with the same terms and
+    birth (the two mains; the spare across segments and spreads) are one.
+    A unit's rate is evaluated once, over the hull of the grid slices that
+    read it, and its cumulative hazard once, over the hull of the pair slices
+    that read it; each pair is composed once from slices of those arrays.  A
+    grid point's value does not depend on which other points are evaluated
+    with it, so every curve equals the curve sampled from its timeline alone,
+    bit for bit.  All evaluation, and any error it raises, happens in this
+    call; the returned iterator then assembles one curve per timeline, in
+    order, as it is advanced.  The curves share one ``times`` array.
     """
     if not dt > 0.0:
         raise DomainError(f"dt must be > 0, got {dt!r}")
@@ -348,27 +324,51 @@ def system_hazard_curves(timelines, *, dt: float,
     # starts elsewhere holds different float values.
     t = np.arange(0.0, timelines[0].t_end, dt)
     t = t[np.searchsorted(t, start, "left"):]
-    plans = []  # per timeline: (key, lo, hi) for each segment with grid points
-    hulls = {}  # key -> (a segment, its config, hull of the grid slices that read it)
+    # (evaluator, key) -> [unit or pair segment, its config, hull lo, hull hi]; a unit's
+    # key is (index of its terms, birth), a pair's (*its unit keys, epoch).
+    terms, hulls, plans = {}, {}, []  # plans: (slot, lo, hi) per segment with grid points
     for tl in timelines:
+        c = tl.config
+        index = terms.setdefault((c.hazard, c.software, c.operator), len(terms))
         plan = []
         for seg in tl.segments:
             lo, hi = (int(i) for i in np.searchsorted(t, (seg.t_start, seg.t_end), "left"))
             if lo == hi:
                 continue
-            key = _segment_key(seg, tl.config)
-            plan.append((key, lo, hi))
-            first, config, a, b = hulls.get(key, (seg, tl.config, lo, hi))
-            hulls[key] = (first, config, min(a, lo), max(b, hi))
+            units = [((index, au.birth), au) for au in seg.units]
+            needs = [((_unit_rate, key), au) for key, au in units]
+            if len(units) != 1:  # compose_parallel rejects a count other than 2
+                needs += [((_unit_cumulative_at, key), au) for key, au in units]
+                needs.append((("pair", (*(key for key, _ in units), seg.epoch)), seg))
+            for slot, item in needs:
+                hull = hulls.setdefault(slot, [item, c, lo, hi])
+                hull[2:] = min(hull[2], lo), max(hull[3], hi)
+            plan.append((needs[-1][0], lo, hi))  # the pair, or the single unit's rate
         plans.append(plan)
-    values = {key: (lo, _segment_rates(t[lo:hi], seg, config))
-              for key, (seg, config, lo, hi) in hulls.items()}
+
+    values = {}  # slot -> (hull lo, the values over the hull)
+
+    def window(slot, lo, hi):
+        base, block = values[slot]
+        return block[lo - base:hi - base]
+
+    # A pair entered ``hulls`` after its units' rates and cumulatives, which it reads.
+    for (kind, key), (item, config, lo, hi) in hulls.items():
+        if kind == "pair":
+            units = dict(zip(key[:-1], item.units))  # one entry for the two mains
+            h = {k: window((_unit_rate, k), lo, hi) for k in units}
+            H = {k: window((_unit_cumulative_at, k), lo, hi)
+                 - _unit_cumulative_at(item.epoch, au, config) for k, au in units.items()}
+            block = compose_parallel([h[k] for k in key[:-1]], [H[k] for k in key[:-1]])
+        else:
+            block = kind(t[lo:hi], item, config)
+        values[kind, key] = (lo, block)
+    values = {slot: v for slot, v in values.items() if slot[0] is not _unit_cumulative_at}
 
     def assemble(plan) -> HazardCurve:
         h = np.zeros_like(t)
-        for key, lo, hi in plan:
-            base, block = values[key]
-            h[lo:hi] = block[lo - base:hi - base]
+        for slot, lo, hi in plan:
+            h[lo:hi] = window(slot, lo, hi)
         return HazardCurve(times=t, rates=h)
 
     return (assemble(plan) for plan in plans)

@@ -13,8 +13,11 @@ modules it checks (``tests/test_packaging.py`` guards this); it takes the
 same config values as the engine and reads a policy only through its
 ``kind`` and ``rotation_period``.
 
-It also holds two references of the closed-form checks: the constant-hazard
-:class:`ExponentialLifetime` and the binned :func:`empirical_hazard` estimator.
+It also holds two references of the closed-form checks, the constant-hazard
+:class:`ExponentialLifetime` and the binned :func:`empirical_hazard` estimator,
+and the term-by-term bathtub formulas, :func:`bathtub_hazard` and
+:func:`bathtub_cumulative`, that the kernels of ``redzone.hazards`` must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from redzone import DomainError, Policy, SystemConfig, ValidationError
+from redzone import (
+    BathtubModel,
+    DomainError,
+    Policy,
+    SystemConfig,
+    ValidationError,
+    weibull_cumulative,
+    weibull_hazard,
+)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -265,6 +276,27 @@ def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
 
     return Trace(events=tuple(events), trdd=trdd, tdt=tdt, dp=dp,
                  censored=censored, end_time=t, lifetimes=lifetimes)
+
+
+def bathtub_hazard(t, model: BathtubModel):
+    """Total hardware rate at age ``t``: every term over every age, through the
+    validating Weibull evaluators; a float for a float or a 0-d array."""
+    arr = np.asarray(t, dtype=float)
+    h = np.full_like(arr, model.useful_rate, dtype=float)
+    if model.burnin.scale > 0.0:
+        h = h + weibull_hazard(np.maximum(arr, model.clamp_floor), model.burnin)
+    if model.wearout.scale > 0.0:
+        h = h + weibull_hazard(np.maximum(arr - model.wearout_onset, 0.0), model.wearout)
+    return float(h) if arr.ndim == 0 else h
+
+
+def bathtub_cumulative(t, model: BathtubModel):
+    """Integral of the bathtub rate on [0, t], term by term, as :func:`bathtub_hazard`."""
+    arr = np.asarray(t, dtype=float)
+    total = model.useful_rate * arr
+    total = total + weibull_cumulative(arr, model.burnin)
+    total = total + weibull_cumulative(np.maximum(arr - model.wearout_onset, 0.0), model.wearout)
+    return float(total) if arr.ndim == 0 else total
 
 
 @dataclass(frozen=True)

@@ -364,7 +364,6 @@ class TestApplyVendorDecisionPoint:
         met = apply_vendor_decision_point(self.type1_metrics(), 200.0, 0.8)
         assert met.dp.mean == met.dp.ci_low == met.dp.ci_high == pytest.approx(160.0)
         assert met.dp.std == 0.0
-        assert met.dp.n == met.tdr.n == len(met.tdt_values)
         margins = met.tdt_values - met.dp.mean  # per replication, as the summary reads them
         assert (met.tdr.mean, met.tdr.std) == (np.mean(margins), np.std(margins, ddof=1))
         assert met.tdr.mean == pytest.approx(met.tdt.mean - 160.0)

@@ -109,12 +109,38 @@ class TestParser:
 
     @pytest.mark.parametrize("command", ["hazard", "scenario"])
     def test_grid_too_large_for_an_array_exits_one(self, command, tmp_path, capsys):
-        # numpy refuses this grid's size before it allocates anything
+        # refused before anything is allocated
         conf = write_config(tmp_path)
         out = tmp_path / "out.csv"
         assert main([command, "--config", conf, "--out", str(out), "--dt", "1e-300"]) == 1
         assert capsys.readouterr().err.startswith("error: --dt 1e-300 gives ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, source", [
+        ("hazard", ["--dt", "0.01"], "--dt"),
+        ("scenario", ["--dt", "0.01"], "--dt"),
+        ("hazard", [], "analysis.curve_dt"),
+        ("redzone", [], "analysis.curve_dt"),
+    ])
+    def test_grid_beyond_physical_memory_exits_one(self, command, flags, source, tmp_path,
+                                                   capsys, monkeypatch):
+        # with 1 MiB of memory: the 0.01-week grids of hazard (252 weeks) and of the
+        # scenario curves (400 weeks) take 1.6 MB and 2.6 MB at 64 bytes a point
+        monkeypatch.setattr(cli, "_PHYSICAL_MEMORY", 1 << 20)
+        conf = write_config(tmp_path, analysis={"curve_dt": 0.01})
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", conf, "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {source} 0.01 gives ")
+        fix = f"; raise {source}" + (" or lower --t-max" if command == "hazard" else "") + "\n"
+        assert err.endswith(fix)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["hazard", "scenario"])
+    def test_grid_within_physical_memory_runs(self, command, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_PHYSICAL_MEMORY", 4 << 20)
+        conf = write_config(tmp_path, analysis={"curve_dt": 0.01})
+        assert main([command, "--config", conf, "--out", str(tmp_path / "out.csv")]) == 0
 
     @pytest.mark.parametrize("command, value", [("hazard", "-1"), ("scenario", "0")])
     def test_non_positive_dt_exits_one(self, command, value, tmp_path, capsys):
@@ -673,6 +699,50 @@ def test_json_outputs_byte_identical(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in JSON_DIGESTS}
     assert digests == JSON_DIGESTS
+
+
+# A config that reaches every kernel term the example config leaves off: a software
+# model with update decay, a pulsed minor upgrade and a major upgrade, an operator rate,
+# a wear-out shape whose hazard exponent 1.5 misses numpy's square fast path, and shelf
+# aging in the ensembles.
+KERNEL_CONFIG = {
+    "schema_version": 1,
+    "hazard": {"useful_rate": 0.01, "burnin": {"scale": 0.9, "shape": 0.1},
+               "wearout": {"scale": 1e-4, "shape": 2.5},
+               "th1": 20.0, "th2": 180.0, "th3": 10.0},
+    "software": {"steady_floor": 0.001, "update_amplitude": 0.004, "update_decay_tau": 26.0,
+                 "upgrade_events": [
+                     {"time": 100.0, "kind": "minor", "pulse_amplitude": 0.003,
+                      "pulse_decay_tau": 4.0},
+                     {"time": 204.0, "kind": "major"}]},
+    "operator": {"rate": 0.0005},
+    "lifetime": {"mean": 208.0, "sd": 2.0},
+    "system": {"shelf_aging_factor": 0.3, "lab_burnin": 2.0},
+    "sim": {"replications": 200, "master_seed": 11},
+    "analysis": {"curve_dt": 0.05},
+}
+
+# SHA-256 of hazard, scenario and a three-spread redzone run on KERNEL_CONFIG, recorded
+# before the per-unit curve evaluation and the masked bathtub kernels.
+KERNEL_DIGESTS = {
+    "hazard.csv": "912359d2b54b3494ab23dd4f8d8f20ef2342c09ab3e2a42ec69d7ccc867b4038",
+    "scenario.csv": "7828153ff4b518eff44f53953b57d9f1988a81fe1f82c80de29c0af0765e9f4f",
+    "scenario_curve.csv": "96742185ddcffc19cdb59c15537a1810627a0cdac464866ba39d113c3efa5fdb",
+    "redzone.csv": "25d153dec9cdfd2ccb030fb51ce7e179f291364ba8219624bd56d603f26d05f9",
+}
+
+
+def test_kernel_outputs_byte_identical(tmp_path):
+    conf = tmp_path / "kernel.json"
+    conf.write_text(json.dumps(KERNEL_CONFIG), encoding="utf-8")
+    for command in ("hazard", "scenario"):
+        assert main([command, "--config", str(conf),
+                     "--out", str(tmp_path / f"{command}.csv")]) == 0
+    assert main(["redzone", "--config", str(conf), "--out", str(tmp_path / "redzone.csv"),
+                 "--deltas", "2,8,16"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in KERNEL_DIGESTS}
+    assert digests == KERNEL_DIGESTS
 
 
 def reprs(x):

@@ -27,6 +27,7 @@ from redzone import (
 from redzone.hazards import software_cumulative, standard_normal_quantile
 
 from conftest import make_bathtub, make_flat_bathtub
+import oracle
 from oracle import ExponentialLifetime, SplitMix64
 
 
@@ -135,6 +136,15 @@ class TestBathtub:
         assert bathtub_hazard(0.0, example_bathtub) == at_floor
         assert bathtub_hazard(2.0 * floor, example_bathtub) < at_floor
 
+    def test_negative_zero_age_sums_to_positive_zero(self):
+        # numpy's square-root path gives (-0.0) ** 0.5 == -0.0; the term-by-term sum,
+        # whose disabled wear-out term adds 0, ends at +0.0 all the same
+        model = make_bathtub(burnin=(1.0, 0.5), wearout=(0.0, 3.0))
+        for age in (-0.0, np.array([-0.0, 1.0])):
+            assert np.array_equal(bits(bathtub_cumulative(age, model)),
+                                  bits(oracle.bathtub_cumulative(age, model)))
+        assert bits(bathtub_cumulative(-0.0, model)) == bits(0.0)
+
     def test_onset_is_th1_plus_th2(self, example_bathtub):
         assert example_bathtub.wearout_onset == 100.0
 
@@ -172,6 +182,58 @@ class TestBathtub:
             quad = (logspaced_trapezoid(lambda x: bathtub_hazard(x, model), t_min, onset)
                     + logspaced_trapezoid(lambda x: bathtub_hazard(x, model), onset, horizon))
             assert quad == pytest.approx(exact, rel=1e-6)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@st.composite
+def bathtub_and_ages(draw, zero_burnin, zero_wearout):
+    """A bathtub model and an unsorted age array that holds 0, -0.0, the wear-out
+    onset and its neighbours on either side, among ages drawn on both sides of it."""
+    model = make_bathtub(
+        useful_rate=draw(st.floats(1e-4, 1.0)),
+        burnin=(0.0 if zero_burnin else draw(st.floats(1e-4, 2.0)), draw(st.floats(0.05, 0.95))),
+        wearout=(0.0 if zero_wearout else draw(st.floats(1e-9, 1e-2)),
+                 draw(st.sampled_from([2.0, 3.0]) | st.floats(1.05, 4.0))),
+        th1=draw(st.floats(1.0, 50.0)), th2=draw(st.floats(1.0, 300.0)), th3=10.0)
+    onset = model.wearout_onset
+    landmarks = [0.0, -0.0, onset, np.nextafter(onset, 0.0), np.nextafter(onset, np.inf),
+                 model.clamp_floor]
+    drawn = draw(st.lists(st.floats(0.0, onset) | st.floats(onset, 4.0 * onset), max_size=40))
+    return model, np.array(draw(st.permutations(landmarks + drawn)))
+
+
+@pytest.mark.parametrize("zero_burnin, zero_wearout",
+                         [(False, False), (True, False), (False, True), (True, True)],
+                         ids=["both_terms", "no_burnin", "no_wearout", "flat"])
+class TestBathtubMatchesTermByTerm:
+    """The kernels, which raise the wear-out power only past the onset and work in
+    place, give the bits of the term-by-term formulas in ``oracle``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_arrays(self, zero_burnin, zero_wearout, data):
+        model, ages = data.draw(bathtub_and_ages(zero_burnin, zero_wearout))
+        for fn, ref in ((bathtub_hazard, oracle.bathtub_hazard),
+                        (bathtub_cumulative, oracle.bathtub_cumulative)):
+            assert np.array_equal(bits(fn(ages, model)), bits(ref(ages, model)))
+            grid = ages[:len(ages) // 2 * 2].reshape(2, -1)
+            assert np.array_equal(bits(fn(grid, model)), bits(ref(grid, model)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_scalars_and_0d_arrays(self, zero_burnin, zero_wearout, data):
+        model, ages = data.draw(bathtub_and_ages(zero_burnin, zero_wearout))
+        for age in ages.tolist():
+            for fn, ref in ((bathtub_hazard, oracle.bathtub_hazard),
+                            (bathtub_cumulative, oracle.bathtub_cumulative)):
+                expected = ref(age, model)
+                for t in (age, np.asarray(age)):
+                    got = fn(t, model)
+                    assert type(got) is float
+                    assert bits(got) == bits(expected)
 
 
 class TestLognormal:

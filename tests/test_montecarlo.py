@@ -340,9 +340,10 @@ class TestRunEnsemble:
     def test_exponential_pair_first_failure_mean(self):
         # With the spare dead on arrival, redundancy ends at the pair's first
         # failure, the minimum of two Exp(lam): Exp(2 lam), mean 1/(2 lam) = 50.
-        met = run_ensemble(exp_config(0.01, lab=DEAD_SPARE_LAB), Policy("type1"),
-                           SimConfig(replications=20_000, master_seed=7, horizon=5000.0))
-        se = met.trdd.std / math.sqrt(met.trdd.n)
+        sim = SimConfig(replications=20_000, master_seed=7, horizon=5000.0)
+        met = run_ensemble(exp_config(0.01, lab=DEAD_SPARE_LAB), Policy("type1"), sim)
+        assert met.censored_count == 0  # every replication defines trdd
+        se = met.trdd.std / math.sqrt(sim.replications)
         assert abs(met.trdd.mean - 50.0) < 3 * se
         assert abs(met.trdd.mean - 50.0) / 50.0 < 0.02
 
@@ -359,8 +360,10 @@ class TestRunEnsemble:
         pair = run_ensemble(replace(cfg, lab_burnin=DEAD_SPARE_LAB), Policy("type1"), sim)
         full = run_ensemble(cfg, Policy("type1"), sim)
 
+        assert pair.censored_count == full.censored_count == 0  # n is the replication count
+
         def se(m):
-            return m.std / math.sqrt(m.n)
+            return m.std / math.sqrt(sim.replications)
 
         assert pair.tdt.mean - pair.trdd.mean > 3 * (se(pair.tdt) + se(pair.trdd))
         assert full.tdt.mean - pair.tdt.mean > 3 * (se(full.tdt) + se(pair.tdt))
@@ -373,11 +376,11 @@ class TestRunEnsemble:
         # the last unit's Exp(lam), mean 2/lam.  Rotation cannot change that law.
         # Tolerance: 3 standard errors of the ensemble mean.
         lam = 0.01
-        met = run_ensemble(exp_config(lam), policy,
-                           SimConfig(replications=50_000, master_seed=7, horizon=10000.0))
+        sim = SimConfig(replications=50_000, master_seed=7, horizon=10000.0)
+        met = run_ensemble(exp_config(lam), policy, sim)
         assert met.censored_count == 0
         for summary, expected in ((met.trdd, 1.0 / lam), (met.tdt, 2.0 / lam)):
-            se = summary.std / math.sqrt(summary.n)
+            se = summary.std / math.sqrt(sim.replications)
             assert abs(summary.mean - expected) < 3 * se
 
     @pytest.mark.parametrize("policy", [Policy("type1"), Policy("type2", rotation_period=30.0)],

@@ -21,6 +21,7 @@ from redzone import (
     system_hazard_curve,
     system_hazard_curves,
 )
+from redzone import system
 from redzone.system import _unit_cumulative_at, _unit_rate
 
 from conftest import (
@@ -347,6 +348,31 @@ class TestSystemHazardCurves:
         single = system_hazard_curve(tl, dt=0.1, start=150.0)
         assert np.array_equal(curve.times, single.times)
         assert np.array_equal(curve.rates, single.rates)
+
+    def test_each_unit_evaluated_once(self, monkeypatch):
+        # The spreads of a sweep straddling th3 = 10, sampled from the baseline window on,
+        # hold two units: the mains (born at 0) and the spare (born 2 weeks before Tf1).
+        births = {"rate": [], "cumulative": []}
+        rate, cumulative = system._unit_rate, system._unit_cumulative_at
+
+        def counted_rate(times, au, config):
+            births["rate"].append(au.birth)
+            return rate(times, au, config)
+
+        def counted_cumulative(t, au, config):
+            if np.ndim(t):  # not the cumulative hazard at a pair's epoch
+                births["cumulative"].append(au.birth)
+            return cumulative(t, au, config)
+
+        monkeypatch.setattr(system, "_unit_rate", counted_rate)
+        monkeypatch.setattr(system, "_unit_cumulative_at", counted_cumulative)
+        spreads = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0, 40.0)
+        timelines = [scenario_timeline(make_redzone_system(delta=d)) for d in spreads]
+        start = 0.8 * timelines[0].t0
+        curves = list(system_hazard_curves(timelines, dt=0.01, start=start))
+        assert sorted(births["rate"]) == sorted(births["cumulative"]) == [0.0, 206.0]
+        for tl, curve in zip(timelines, curves):
+            assert np.array_equal(curve.rates, per_segment_curve(tl, 0.01, start)[1])
 
     def test_each_curve_owns_its_rates(self):
         timelines = [scenario_timeline(make_redzone_system(delta=d)) for d in (1.0, 4.0, 9.0)]
