@@ -20,7 +20,7 @@ is spread < th3, strict.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .system import (
     system_hazard_curve,
     system_hazard_curves,
 )
+from .value import Value
 
 __all__ = [
     "RedZone",
@@ -55,15 +56,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RedZone:
+class RedZone(Value):
     """A detected interval of critically elevated system failure rate."""
 
-    start: float
-    end: float
-    severity: float
+    __slots__ = ("start", "end", "severity")
 
-    def __post_init__(self):
+    def __init__(self, start: float, end: float, severity: float):
+        self._set(start=start, end=end, severity=severity)
         if not self.start < self.end:
             raise ValidationError("red zone needs start < end")
 
@@ -84,15 +83,18 @@ def detect_red_zone(curve: HazardCurve, baseline: float, threshold: float) -> Re
     if not threshold > 1.0:
         raise DomainError(f"threshold must be > 1, got {threshold!r}")
     above = curve.rates > threshold * baseline
-    if not np.any(above):
-        return None
-    exceed_idx = np.flatnonzero(above)
-    peak = exceed_idx[np.argmax(curve.rates[exceed_idx])]
-    # the run ends next to the nearest non-exceeding points on either side
-    below = np.flatnonzero(~above)
-    k = int(np.searchsorted(below, peak))
-    lo = int(below[k - 1]) + 1 if k > 0 else 0
-    hi = int(below[k]) - 1 if k < len(below) else len(above) - 1
+    # the first maximum, which exceeds when any point does, unless a NaN took argmax
+    peak = int(np.argmax(curve.rates))
+    if not above[peak]:
+        if not np.any(above):
+            return None
+        peak = int(np.argmax(np.where(above, curve.rates, -np.inf)))
+    # the run ends next to the nearest non-exceeding point on either side: argmin
+    # finds the first False scanning out from the peak, or 0 when there is none
+    k = int(np.argmin(above[peak:]))
+    hi = peak + k - 1 if k else len(above) - 1
+    k = int(np.argmin(above[peak::-1]))
+    lo = peak - k + 1 if k else 0
     severity = float(curve.rates[peak] / baseline)
     start = float(curve.times[lo])
     end = float(curve.times[hi])
@@ -139,8 +141,7 @@ def peak_ratio(curve: HazardCurve, baseline: float, t_start: float, t_end: float
     return float(np.max(curve.rates[lo:hi]) / baseline)
 
 
-@dataclass(frozen=True)
-class RedZoneAssessment:
+class RedZoneAssessment(NamedTuple):
     """Curve-based red-zone study of one configuration."""
 
     zone: RedZone | None
@@ -192,8 +193,7 @@ def lifetime_extension(trdd_1: float, trdd_2: float) -> float:
     return (trdd_2 - trdd_1) / trdd_1
 
 
-@dataclass(frozen=True)
-class DeltaSweepPoint:
+class DeltaSweepPoint(NamedTuple):
     """One row of a spread sweep."""
 
     delta: float
@@ -227,7 +227,7 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
     # the caller's config has already warned about itself; the copies would repeat it
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidationWarning)
-        configs = [replace(config, unit_lifetime=LifetimeDistribution(config.unit_lifetime.mean, d))
+        configs = [config._replace(unit_lifetime=LifetimeDistribution(config.unit_lifetime.mean, d))
                    for d in deltas]
     timelines = []
     for d, cfg in zip(deltas, configs):
@@ -263,8 +263,7 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
     return rows
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Replace-on-failure vs periodic rotation, from one master seed."""
 
     metrics_type1: Metrics
@@ -289,9 +288,8 @@ def apply_vendor_decision_point(metrics: Metrics, vendor_mtbf: float | None,
     if not warn_factor > 0.0:
         raise DomainError(f"warn_factor must be > 0, got {warn_factor!r}")
     dp = float(warn_factor * vendor_mtbf)
-    return replace(metrics,
-                   dp=MetricSummary(mean=dp, std=0.0, ci_low=dp, ci_high=dp),
-                   tdr=_summarize(metrics.tdt_values - dp))
+    return metrics._replace(dp=MetricSummary(mean=dp, std=0.0, ci_low=dp, ci_high=dp),
+                            tdr=_summarize(metrics.tdt_values - dp))
 
 
 def compare_policies(config: SystemConfig, rotation_period: float, sim: SimConfig, *,

@@ -21,8 +21,8 @@ import operator
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .hazards import (
@@ -163,8 +163,7 @@ def _warns_at_caller(fn):
     return wrapper
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated configuration with its constructed domain objects."""
 
     system: SystemConfig

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ValidationError, ValidationWarning
+from .value import Value
 
 __all__ = [
     "WeibullTerm",
@@ -68,17 +68,16 @@ def _finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-@dataclass(frozen=True)
-class WeibullTerm:
+class WeibullTerm(Value):
     """One power-law hazard term ``scale * shape * t**(shape - 1)``.
 
     ``scale`` has units of (1/week**shape); ``scale = 0`` disables the term.
     """
 
-    scale: float
-    shape: float
+    __slots__ = ("scale", "shape")
 
-    def __post_init__(self):
+    def __init__(self, scale: float, shape: float):
+        self._set(scale=scale, shape=shape)
         _require(_finite_number(self.scale) and self.scale >= 0.0,
                  f"WeibullTerm.scale must be a finite number >= 0, got {self.scale!r}")
         _require(_finite_number(self.shape) and self.shape > 0.0,
@@ -113,8 +112,7 @@ def weibull_cumulative(t, term: WeibullTerm):
     return _ret(term.scale * arr ** term.shape, scalar)
 
 
-@dataclass(frozen=True)
-class BathtubModel:
+class BathtubModel(Value):
     """Additive bathtub hazard for one hardware unit.
 
     ``th1``, ``th2``, ``th3`` declare the burn-in / useful / wear-out phase
@@ -124,15 +122,12 @@ class BathtubModel:
     singularity at the origin.
     """
 
-    useful_rate: float
-    burnin: WeibullTerm
-    wearout: WeibullTerm
-    th1: float
-    th2: float
-    th3: float
-    clamp_floor: float = field(init=False)
+    __slots__ = ("useful_rate", "burnin", "wearout", "th1", "th2", "th3", "clamp_floor")
 
-    def __post_init__(self):
+    def __init__(self, useful_rate: float, burnin: WeibullTerm, wearout: WeibullTerm,
+                 th1: float, th2: float, th3: float):
+        self._set(useful_rate=useful_rate, burnin=burnin, wearout=wearout,
+                  th1=th1, th2=th2, th3=th3)
         _require(_finite_number(self.useful_rate) and self.useful_rate > 0.0,
                  f"useful_rate must be > 0, got {self.useful_rate!r}")
         _require(0.0 < self.burnin.shape < 1.0,
@@ -142,7 +137,7 @@ class BathtubModel:
         for nm in ("th1", "th2", "th3"):
             v = getattr(self, nm)
             _require(_finite_number(v) and v > 0.0, f"{nm} must be > 0, got {v!r}")
-        object.__setattr__(self, "clamp_floor", 1e-6 * self.th1)
+        self._set(clamp_floor=1e-6 * self.th1)
         _require(self.clamp_floor > 0.0, f"clamp_floor must be > 0, got {self.clamp_floor!r}")
         if self.burnin.scale > 0.0:
             residual = weibull_hazard(self.th1, self.burnin)
@@ -153,7 +148,7 @@ class BathtubModel:
                     f"({residual:.3g} vs {limit:.3g}); declared phase "
                     "durations are inconsistent with the term decay",
                     ValidationWarning,
-                    stacklevel=3,  # past the dataclass-generated __init__ to its caller
+                    stacklevel=2,
                 )
 
     @property
@@ -212,8 +207,7 @@ def bathtub_cumulative(t, model: BathtubModel):
 # Lifetime distributions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LifetimeDistribution:
+class LifetimeDistribution(Value):
     """Unit lifetime, lognormal with the given mean and standard deviation.
 
     Parameterized directly by the lifetime mean and spread (weeks), not by
@@ -221,23 +215,13 @@ class LifetimeDistribution:
     at ``mean`` (deterministic mode).
     """
 
-    mean: float
-    sd: float
-    location: float = field(init=False)
-    scale: float = field(init=False)
+    __slots__ = ("mean", "sd", "location", "scale")
 
-    def __post_init__(self):
-        _require(_finite_number(self.mean) and self.mean > 0.0,
-                 f"lifetime mean must be > 0, got {self.mean!r}")
-        _require(_finite_number(self.sd) and self.sd >= 0.0,
-                 f"lifetime sd must be >= 0, got {self.sd!r}")
-        if self.sd == 0.0:
-            object.__setattr__(self, "location", math.log(self.mean))
-            object.__setattr__(self, "scale", 0.0)
-        else:
-            s2 = math.log1p((self.sd / self.mean) ** 2)
-            object.__setattr__(self, "scale", math.sqrt(s2))
-            object.__setattr__(self, "location", math.log(self.mean) - 0.5 * s2)
+    def __init__(self, mean: float, sd: float):
+        _require(_finite_number(mean) and mean > 0.0, f"lifetime mean must be > 0, got {mean!r}")
+        _require(_finite_number(sd) and sd >= 0.0, f"lifetime sd must be >= 0, got {sd!r}")
+        s2 = math.log1p((sd / mean) ** 2) if sd else 0.0
+        self._set(mean=mean, sd=sd, location=math.log(mean) - 0.5 * s2, scale=math.sqrt(s2))
 
     @property
     def degenerate(self) -> bool:
@@ -318,8 +302,7 @@ def lognormal_sample(dist: LifetimeDistribution, u):
 # Software and operator contributions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UpgradeEvent:
+class UpgradeEvent(Value):
     """One scheduled software upgrade.
 
     ``minor`` events superpose a decaying stress pulse on the rate.  ``major``
@@ -328,12 +311,12 @@ class UpgradeEvent:
     not enter the rate.
     """
 
-    time: float
-    kind: str
-    pulse_amplitude: float = 0.0
-    pulse_decay_tau: float = 0.0
+    __slots__ = ("time", "kind", "pulse_amplitude", "pulse_decay_tau")
 
-    def __post_init__(self):
+    def __init__(self, time: float, kind: str, pulse_amplitude: float = 0.0,
+                 pulse_decay_tau: float = 0.0):
+        self._set(time=time, kind=kind, pulse_amplitude=pulse_amplitude,
+                  pulse_decay_tau=pulse_decay_tau)
         _require(self.kind in ("minor", "major"),
                  f"upgrade kind must be 'minor' or 'major', got {self.kind!r}")
         _require(_finite_number(self.time) and self.time >= 0.0,
@@ -347,8 +330,7 @@ class UpgradeEvent:
                      "a minor upgrade with a nonzero pulse needs pulse_decay_tau > 0")
 
 
-@dataclass(frozen=True)
-class SoftwareHazardModel:
+class SoftwareHazardModel(Value):
     """Software failure rate: steady floor + update decay + upgrade pulses.
 
     The rate is ``steady_floor + update_amplitude * exp(-t'/update_decay_tau)``
@@ -357,12 +339,12 @@ class SoftwareHazardModel:
     never falls below ``steady_floor``.
     """
 
-    steady_floor: float
-    update_amplitude: float = 0.0
-    update_decay_tau: float = 0.0
-    upgrade_events: tuple[UpgradeEvent, ...] = ()
+    __slots__ = ("steady_floor", "update_amplitude", "update_decay_tau", "upgrade_events")
 
-    def __post_init__(self):
+    def __init__(self, steady_floor: float, update_amplitude: float = 0.0,
+                 update_decay_tau: float = 0.0, upgrade_events: tuple[UpgradeEvent, ...] = ()):
+        self._set(steady_floor=steady_floor, update_amplitude=update_amplitude,
+                  update_decay_tau=update_decay_tau, upgrade_events=tuple(upgrade_events))
         _require(_finite_number(self.steady_floor) and self.steady_floor >= 0.0,
                  "steady_floor must be >= 0")
         _require(_finite_number(self.update_amplitude) and self.update_amplitude >= 0.0,
@@ -372,9 +354,7 @@ class SoftwareHazardModel:
         if self.update_amplitude > 0.0:
             _require(self.update_decay_tau > 0.0,
                      "a nonzero update_amplitude needs update_decay_tau > 0")
-        events = tuple(self.upgrade_events)
-        object.__setattr__(self, "upgrade_events", events)
-        times = [e.time for e in events]
+        times = [e.time for e in self.upgrade_events]
         _require(all(t1 < t2 for t1, t2 in zip(times, times[1:])),
                  "upgrade_events must be sorted by time, strictly increasing")
 
@@ -424,12 +404,12 @@ def software_cumulative(t, model: SoftwareHazardModel):
     return _ret(total, scalar)
 
 
-@dataclass(frozen=True)
-class OperatorHazard:
+class OperatorHazard(Value):
     """Constant operator-error failure rate."""
 
-    rate: float
+    __slots__ = ("rate",)
 
-    def __post_init__(self):
+    def __init__(self, rate: float):
+        self._set(rate=rate)
         _require(_finite_number(self.rate) and self.rate >= 0.0,
                  f"operator rate must be >= 0, got {self.rate!r}")

@@ -20,11 +20,11 @@ target of many fleets at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
+from .value import Value
 
 __all__ = [
     "Policy",
@@ -36,14 +36,13 @@ TYPE1 = "type1"
 TYPE2 = "type2"
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(Value):
     """Maintenance policy: ``type1`` or ``type2`` (with a rotation period)."""
 
-    kind: str
-    rotation_period: float | None = None
+    __slots__ = ("kind", "rotation_period")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, rotation_period: float | None = None):
+        self._set(kind=kind, rotation_period=rotation_period)
         if self.kind not in (TYPE1, TYPE2):
             raise ValidationError(f"policy kind must be 'type1' or 'type2', got {self.kind!r}")
         if self.kind == TYPE2 and self.rotation_period is None:

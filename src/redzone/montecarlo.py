@@ -38,13 +38,14 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .maintenance import Policy, rotation_targets
 from .system import SystemConfig
+from .value import Value
 
 __all__ = [
     "SimConfig",
@@ -86,19 +87,18 @@ def _uniforms(seeds: np.ndarray, k: int) -> np.ndarray:
     return np.minimum((bits.astype(float) + 0.5) * (2.0 ** -53), _BELOW_ONE)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Value):
     """Ensemble parameters.
 
     ``horizon`` defaults to five mean lifetimes; replications still alive
     there are censored rather than simulated unboundedly.
     """
 
-    replications: int = 1000
-    master_seed: int = 1
-    horizon: float | None = None
+    __slots__ = ("replications", "master_seed", "horizon")
 
-    def __post_init__(self):
+    def __init__(self, replications: int = 1000, master_seed: int = 1,
+                 horizon: float | None = None):
+        self._set(replications=replications, master_seed=master_seed, horizon=horizon)
         for name in ("replications", "master_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -111,8 +111,7 @@ class SimConfig:
             raise ValidationError("horizon must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class MetricSummary:
+class MetricSummary(NamedTuple):
     """Mean, sample standard deviation, and 95% interval of one metric."""
 
     mean: float
@@ -131,8 +130,7 @@ def _summarize(values: np.ndarray) -> MetricSummary | None:
     return MetricSummary(mean=mean, std=std, ci_low=mean - half, ci_high=mean + half)
 
 
-@dataclass(frozen=True, eq=False)
-class Metrics:
+class Metrics(NamedTuple):
     """Ensemble statistics over N replications, as ``simulate`` and ``compare`` print them.
 
     Summaries cover the defined observations only (a censored replication
@@ -189,8 +187,7 @@ def _event_tails() -> np.ndarray:
                      for combo in itertools.product(*_EVENT_CODE_TABLES)], dtype=object)
 
 
-@dataclass(frozen=True, eq=False)
-class EventLog:
+class EventLog(NamedTuple):
     """The event logs of a :func:`run_batch` ensemble as one table.
 
     One row per event, grouped by ascending replication; each replication's
@@ -220,8 +217,7 @@ class EventLog:
         return _event_tails()[codes].tolist()
 
 
-@dataclass(frozen=True, eq=False)
-class BatchOutcomes:
+class BatchOutcomes(NamedTuple):
     """Per-replication results of :func:`run_batch`, in replication order.
 
     ``trdd`` is the first time fewer than two unfailed units occupy slots

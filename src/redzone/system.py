@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .hazards import (
     software_cumulative,
     software_hazard,
 )
+from .value import Value
 
 # The cause of the one timeline error a smaller lifetime spread avoids.
 _SPARE_EXHAUSTED = "spare exhausts before the second main failure"
@@ -62,8 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(Value):
     """Everything that defines one system under study.
 
     ``unit_lifetime`` is any model with a ``mean`` and a ``sample(u)`` that
@@ -74,14 +74,16 @@ class SystemConfig:
     emitted when it exceeds ``th1``.
     """
 
-    hazard: BathtubModel
-    unit_lifetime: LifetimeDistribution
-    shelf_aging_factor: float = 0.0
-    lab_burnin: float = 2.0
-    software: SoftwareHazardModel | None = None
-    operator: OperatorHazard | None = None
+    __slots__ = ("hazard", "unit_lifetime", "shelf_aging_factor", "lab_burnin", "software",
+                 "operator")
 
-    def __post_init__(self):
+    def __init__(self, hazard: BathtubModel, unit_lifetime: LifetimeDistribution,
+                 shelf_aging_factor: float = 0.0, lab_burnin: float = 2.0,
+                 software: SoftwareHazardModel | None = None,
+                 operator: OperatorHazard | None = None):
+        self._set(hazard=hazard, unit_lifetime=unit_lifetime,
+                  shelf_aging_factor=shelf_aging_factor, lab_burnin=lab_burnin,
+                  software=software, operator=operator)
         if not 0.0 <= self.shelf_aging_factor <= 1.0:
             raise ValidationError(
                 f"shelf_aging_factor must lie in [0, 1], got {self.shelf_aging_factor!r}")
@@ -92,7 +94,7 @@ class SystemConfig:
                 f"lab_burnin ({self.lab_burnin}) exceeds the declared burn-in "
                 f"duration th1 ({self.hazard.th1})",
                 ValidationWarning,
-                stacklevel=3,  # past the dataclass-generated __init__ to its caller
+                stacklevel=2,
             )
 
 
@@ -135,8 +137,7 @@ PHASE_WEAROUT = "wearout"
 PHASE_BURNIN = "burnin"
 
 
-@dataclass(frozen=True)
-class ActiveUnit:
+class ActiveUnit(NamedTuple):
     """One unit active within a segment; its age at time t is ``t - birth``."""
 
     unit_id: str
@@ -144,8 +145,7 @@ class ActiveUnit:
     birth: float
 
 
-@dataclass(frozen=True)
-class ScenarioSegment:
+class ScenarioSegment(Value):
     """Half-open interval [t_start, t_end) with a fixed set of active units.
 
     ``epoch`` is the calendar time of the last failure/installation event at
@@ -154,13 +154,11 @@ class ScenarioSegment:
     timeline landmark that opens the segment.
     """
 
-    t_start: float
-    t_end: float
-    units: tuple[ActiveUnit, ...]
-    epoch: float
-    boundary: str
+    __slots__ = ("t_start", "t_end", "units", "epoch", "boundary")
 
-    def __post_init__(self):
+    def __init__(self, t_start: float, t_end: float, units: tuple[ActiveUnit, ...],
+                 epoch: float, boundary: str):
+        self._set(t_start=t_start, t_end=t_end, units=units, epoch=epoch, boundary=boundary)
         if not self.t_start < self.t_end:
             raise ValidationError("segment needs t_start < t_end")
 
@@ -170,8 +168,7 @@ class ScenarioSegment:
         return "single" if len(self.units) == 1 else "parallel"
 
 
-@dataclass(frozen=True)
-class ScenarioTimeline:
+class ScenarioTimeline(NamedTuple):
     """Deterministic replace-on-failure life of the two-main + spare system."""
 
     config: SystemConfig
@@ -239,33 +236,33 @@ def scenario_timeline(config: SystemConfig) -> ScenarioTimeline:
             segs.append(ScenarioSegment(t_start, t_end_, tuple(units), epoch, boundary))
 
     add(0.0, min(t0, tf1), (main1, main2), 0.0, "start")
-    add(t0, tf1, (replace(main1, phase=PHASE_WEAROUT), replace(main2, phase=PHASE_WEAROUT)),
+    add(t0, tf1, (main1._replace(phase=PHASE_WEAROUT), main2._replace(phase=PHASE_WEAROUT)),
         0.0, "T0")
-    add(tf1, tf2, (replace(main2, phase=PHASE_WEAROUT), spare), tf1, "Tf1")
+    add(tf1, tf2, (main2._replace(phase=PHASE_WEAROUT), spare), tf1, "Tf1")
     # Declared spare burn-in window; with a large sd the spare has already
     # matured and the label is schematic (values use true ages).
     add(tf2, min(t2, t_end), (spare,), tf2, "Tf2")
     spare_onset = spare_birth + hz.wearout_onset
     if spare_onset <= max(t2, tf2):
-        add(max(t2, tf2), t_end, (replace(spare, phase=PHASE_WEAROUT),), tf2, "T2")
+        add(max(t2, tf2), t_end, (spare._replace(phase=PHASE_WEAROUT),), tf2, "T2")
     else:
-        add(max(t2, tf2), min(spare_onset, t_end), (replace(spare, phase=PHASE_USEFUL),),
+        add(max(t2, tf2), min(spare_onset, t_end), (spare._replace(phase=PHASE_USEFUL),),
             tf2, "T2")
-        add(min(spare_onset, t_end), t_end, (replace(spare, phase=PHASE_WEAROUT),),
+        add(min(spare_onset, t_end), t_end, (spare._replace(phase=PHASE_WEAROUT),),
             tf2, "spare_wearout")
 
     return ScenarioTimeline(config=config, segments=tuple(segs),
                             t0=t0, tf1=tf1, tf2=tf2, t2=t2, t_end=t_end)
 
 
-@dataclass(frozen=True, eq=False)
-class HazardCurve:
-    """A hazard curve sampled on a uniform grid."""
+class HazardCurve(Value):
+    """A hazard curve sampled on a uniform grid; equal only to itself."""
 
-    times: np.ndarray
-    rates: np.ndarray
+    __slots__ = ("times", "rates")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, times: np.ndarray, rates: np.ndarray):
+        self._set(times=times, rates=rates)
         if len(self.times) != len(self.rates):
             raise ValidationError("times and rates must have equal length")
 

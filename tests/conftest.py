@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,7 +62,7 @@ def make_software_system(*, th1=20.0, th2=180.0, margin=8.0, lab=2.0, upgrades=(
 
 def with_spread(config: SystemConfig, sd: float) -> SystemConfig:
     """``config`` with lifetime sd ``sd``: one spread of a sweep."""
-    return replace(config, unit_lifetime=LifetimeDistribution(config.unit_lifetime.mean, sd))
+    return config._replace(unit_lifetime=LifetimeDistribution(config.unit_lifetime.mean, sd))
 
 
 def per_segment_curve(tl, dt, start=0.0):

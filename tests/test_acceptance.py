@@ -10,7 +10,6 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,7 +120,7 @@ def test_criterion_3_parallel_composition_oracle():
 
         # a lab credit above every lifetime Exp(rate) can draw (53 ln 2 / rate, about
         # 3,674 weeks) leaves the spare dead on arrival and the two units as the pair
-        pair = replace(cfg, unit_lifetime=ExponentialLifetime(rate), lab_burnin=1e4)
+        pair = cfg._replace(unit_lifetime=ExponentialLifetime(rate), lab_burnin=1e4)
         met = run_ensemble(pair, Policy("type1"),
                            SimConfig(replications=100_000, master_seed=303, horizon=10_000.0))
         assert met.censored_count == 0
@@ -219,8 +218,8 @@ def test_criterion_9_empirical_hazard_recovers_constant_rate():
         rate = 0.01
         # with the spare dead on arrival (lab credit above every lifetime), the
         # pair's first failure, trdd, is Exp(2 rate)
-        cfg = replace(make_redzone_system(delta=1.0), unit_lifetime=ExponentialLifetime(rate),
-                      lab_burnin=1e4)
+        cfg = make_redzone_system(delta=1.0)._replace(unit_lifetime=ExponentialLifetime(rate),
+                                                      lab_burnin=1e4)
         out = run_batch(cfg, Policy("type1"), 909, 100_000, horizon=5_000.0)
         h = empirical_hazard(out.trdd, out.trdd, bin_width=10.0)
         first_two_lifetimes = h.midpoints <= 2.0 / rate

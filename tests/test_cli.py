@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import json
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -562,7 +561,7 @@ class TestRedzoneCommand:
             severities[fraction] = [float(r[3]) for r in read_csv(out)[1]]
         system = load_config(conf).system
         assert severities[0.3] == [
-            assess_red_zone(replace(system, unit_lifetime=LifetimeDistribution(208.0, d)),
+            assess_red_zone(system._replace(unit_lifetime=LifetimeDistribution(208.0, d)),
                             threshold=2.0, dt=0.1, baseline_window_fraction=0.3).severity
             for d in (1.0, 5.0, 20.0)]
         assert severities[0.3] != severities[0.8]

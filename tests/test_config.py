@@ -1,6 +1,6 @@
+import inspect
 import json
 import math
-from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -288,7 +288,8 @@ class TestSchemaIsTheLoader:
         # the constructors' defaults serve direct library use; they must say what the schema says
         doc = default_config()
         values = {**doc, **doc[section]}  # software and operator are top-level sections
-        defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+        defaults = {name: p.default for name, p in inspect.signature(cls).parameters.items()
+                    if p.default is not p.empty}
         assert defaults == {name: values[name] for name in defaults}
 
     @pytest.mark.parametrize("path, default, value", bound_cases())

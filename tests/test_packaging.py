@@ -1,6 +1,7 @@
-"""The package's declared dependencies cover what its modules import, orjson
-loads only where a float table is written, and the scalar oracle in
-``tests/oracle.py`` stays apart from the engine it checks."""
+"""The package's declared dependencies cover what its modules import, its import
+loads neither ``dataclasses`` nor ``orjson``, orjson loads only where a float
+table is written, and the scalar oracle in ``tests/oracle.py`` stays apart from
+the engine it checks."""
 
 import ast
 import os
@@ -58,12 +59,21 @@ def test_package_imports_nothing_from_tests(path):
     assert not imported_top_level(path) & test_modules
 
 
+def test_cli_import_builds_no_dataclass_and_loads_no_orjson():
+    # start-up: the value types generate no code, and orjson waits for a float table
+    code = "import sys, redzone.cli; print(*sorted({'dataclasses', 'orjson'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
 def test_orjson_loads_only_with_a_float_table(tmp_path):
-    # the import and a JSON-only command stay free of orjson's import time
+    # a JSON-only command stays free of orjson's import time, as the import does
     code = (
         "import sys\n"
         "import redzone.cli\n"
-        "assert 'orjson' not in sys.modules, 'import redzone.cli'\n"
         "assert redzone.cli.main(['compare', '--config', sys.argv[1], '--out', sys.argv[2],\n"
         "                         '--replications', '20']) == 0\n"
         "assert 'orjson' not in sys.modules, 'compare'\n"

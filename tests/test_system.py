@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -349,9 +348,9 @@ class TestSystemHazardCurves:
         assert np.array_equal(curve.times, single.times)
         assert np.array_equal(curve.rates, single.rates)
 
-    def test_each_unit_evaluated_once(self, monkeypatch):
-        # The spreads of a sweep straddling th3 = 10, sampled from the baseline window on,
-        # hold two units: the mains (born at 0) and the spare (born 2 weeks before Tf1).
+    @pytest.fixture
+    def births(self, monkeypatch):
+        """The birth of each unit whose rate, or cumulative hazard over the grid, is evaluated."""
         births = {"rate": [], "cumulative": []}
         rate, cumulative = system._unit_rate, system._unit_cumulative_at
 
@@ -366,6 +365,11 @@ class TestSystemHazardCurves:
 
         monkeypatch.setattr(system, "_unit_rate", counted_rate)
         monkeypatch.setattr(system, "_unit_cumulative_at", counted_cumulative)
+        return births
+
+    def test_each_unit_evaluated_once(self, births):
+        # The spreads of a sweep straddling th3 = 10, sampled from the baseline window on,
+        # hold two units: the mains (born at 0) and the spare (born 2 weeks before Tf1).
         spreads = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0, 40.0)
         timelines = [scenario_timeline(make_redzone_system(delta=d)) for d in spreads]
         start = 0.8 * timelines[0].t0
@@ -373,6 +377,15 @@ class TestSystemHazardCurves:
         assert sorted(births["rate"]) == sorted(births["cumulative"]) == [0.0, 206.0]
         for tl, curve in zip(timelines, curves):
             assert np.array_equal(curve.rates, per_segment_curve(tl, 0.01, start)[1])
+
+    def test_equal_configs_are_one_system(self, births):
+        # two configs built apart, equal by value, key their units alike
+        first, second = make_redzone_system(delta=4.0), make_redzone_system(delta=4.0)
+        assert first is not second and first == second and hash(first) == hash(second)
+        timelines = [scenario_timeline(cfg) for cfg in (first, second)]
+        curves = list(system_hazard_curves(timelines, dt=0.5))
+        assert sorted(births["rate"]) == sorted(births["cumulative"]) == [0.0, 206.0]
+        assert np.array_equal(curves[0].rates, curves[1].rates)
 
     def test_each_curve_owns_its_rates(self):
         timelines = [scenario_timeline(make_redzone_system(delta=d)) for d in (1.0, 4.0, 9.0)]
@@ -388,10 +401,10 @@ class TestSystemHazardCurves:
         base = make_software_system(margin=8.0, lab=2.0)
         configs = [
             base,
-            dataclasses.replace(base, operator=OperatorHazard(0.002)),
-            dataclasses.replace(base, software=None),
-            dataclasses.replace(base, hazard=make_bathtub(useful_rate=0.02, burnin=(0.9, 0.1),
-                                                          th1=20.0, th2=180.0, th3=10.0)),
+            base._replace(operator=OperatorHazard(0.002)),
+            base._replace(software=None),
+            base._replace(hazard=make_bathtub(useful_rate=0.02, burnin=(0.9, 0.1),
+                                              th1=20.0, th2=180.0, th3=10.0)),
             make_software_system(margin=9.0, lab=4.0),
         ]
         timelines = [scenario_timeline(with_spread(cfg, 3.0)) for cfg in configs]
@@ -402,8 +415,8 @@ class TestSystemHazardCurves:
     def test_pairs_with_other_epochs_keep_their_own_values(self):
         # the same two units conditioned on different epochs are different functions of time
         tl = scenario_timeline(make_redzone_system(delta=6.0))
-        moved = dataclasses.replace(tl, segments=tuple(
-            dataclasses.replace(seg, epoch=seg.epoch - 1.0) if seg.boundary == "Tf1" else seg
+        moved = tl._replace(segments=tuple(
+            seg._replace(epoch=seg.epoch - 1.0) if seg.boundary == "Tf1" else seg
             for seg in tl.segments))
         for timeline, curve in zip((tl, moved), system_hazard_curves([tl, moved], dt=0.25)):
             assert np.array_equal(curve.rates, per_segment_curve(timeline, 0.25)[1])
