@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import warnings
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -102,17 +101,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Rows per block that _csv_blocks formats and _write_csv writes at once.
+# Rows per block that _write_csv formats and writes at once.
 _BLOCK = 8192
 
 
-def _write_csv(path: str, header: list[str], blocks) -> None:
-    """Write the header and the data lines, given as blocks of encoded lines,
-    so a long table is never held as one string."""
+def _write_csv(path: str, header: list[str], n: int, cells) -> None:
+    """Write the header and an ``n``-row table, one block of ``_BLOCK`` rows at a time.
+
+    ``cells(rows)`` gives the columns of a slice of rows, as
+    :func:`_table_lines` takes them.  Formatting whole columns at once would
+    hold the text of the whole table.
+    """
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for block in blocks:
-            fh.write(block)
+        for lo in range(0, n, _BLOCK):
+            fh.write(_table_lines(cells(slice(lo, lo + _BLOCK))))
 
 
 def _float_lines(columns) -> bytes:
@@ -168,22 +171,10 @@ def _table_lines(columns) -> bytes:
     return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
 
 
-def _csv_blocks(n: int, cells) -> Iterator[bytes]:
-    """The CSV lines of an ``n``-row table, one block of ``_BLOCK`` rows at a time.
-
-    ``cells(rows)`` gives the columns of a slice of rows, as
-    :func:`_table_lines` takes them.  Formatting whole columns at once would
-    hold the text of the whole table.
-    """
-    for lo in range(0, n, _BLOCK):
-        yield _table_lines(cells(slice(lo, lo + _BLOCK)))
-
-
 def _write_table(path: str, table: dict) -> None:
     """Write a table given as {header: column}, each column as :func:`_table_lines` takes it."""
     columns = list(table.values())
-    _write_csv(path, list(table),
-               _csv_blocks(len(columns[0]), lambda rows: [c[rows] for c in columns]))
+    _write_csv(path, list(table), len(columns[0]), lambda rows: [c[rows] for c in columns])
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -316,8 +307,7 @@ def _write_events_csv(path: str, log: EventLog) -> None:
         return [replications[log.replication[rows]].tolist(), log.time[rows],
                 log.code_text(rows)]
 
-    _write_csv(path, ["replication", "time_weeks", "kind", "unit", "slot", "unit_out"],
-               _csv_blocks(n, cells))
+    _write_csv(path, ["replication", "time_weeks", "kind", "unit", "slot", "unit_out"], n, cells)
 
 
 def cmd_simulate(run: RunConfig, args) -> int:

@@ -10,7 +10,9 @@ constructors check the rules that span fields (a type2 policy needs a
 rotation period, upgrade events are sorted, ...).  Unknown keys are
 rejected, and every validation error names the offending field path
 (e.g. ``hazard.burnin.scale``), or the label of the override that set it
-(e.g. ``--seed``, for a command-line flag).
+(e.g. ``--seed``, for a command-line flag).  A constructor's error or
+warning is prefixed with its section's path (``hazard: burn-in term at th1
+exceeds ...``), and a warning points at the line that called the loader.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ import json
 import operator
 import sys
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, warn
 from .hazards import (
     BathtubModel,
     LifetimeDistribution,
@@ -130,37 +131,18 @@ def default_config() -> dict:
     return _check(_schema(), {"schema_version": SCHEMA_VERSION}, "")
 
 
-@contextmanager
-def _section(path: str):
-    """Prefix a domain constructor's validation errors and warnings with the section's path."""
+def _made(path: str, cls, /, **fields):
+    """``cls(**fields)``, its validation errors and warnings prefixed with the section's
+    path; :func:`~redzone.errors.warn` re-emits a warning at the loader's caller."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            yield
+            made = cls(**fields)
         except ValidationError as e:
             raise ValidationError(f"{path}: {e}") from None
     for w in caught:
-        # the public loaders re-emit it at their caller (see _warns_at_caller)
-        warnings.warn(f"{path}: {w.message}", w.category)
-
-
-def _warns_at_caller(fn):
-    """Re-emit the warnings ``fn`` raises at the line that called it.
-
-    A warning then points at the code that loaded the configuration, not at
-    the loader's own lines.  Warnings raised before an error are re-emitted too.
-    """
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        caught = []
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                return fn(*args, **kwargs)
-        finally:
-            for w in caught:
-                warnings.warn(w.message, w.category, stacklevel=2)
-    return wrapper
+        warn(f"{path}: {w.message}", w.category)
+    return made
 
 
 class RunConfig(NamedTuple):
@@ -176,7 +158,6 @@ class RunConfig(NamedTuple):
     baseline_window_fraction: float
 
 
-@_warns_at_caller
 def parse_config(doc, overrides=None) -> RunConfig:
     """Validate a configuration document and build the domain objects.
 
@@ -197,34 +178,25 @@ def parse_config(doc, overrides=None) -> RunConfig:
 def _build(d: dict) -> RunConfig:
     """The domain objects of a checked, defaulted configuration document."""
     hz = d["hazard"]
-    with _section("hazard"):
-        hz["burnin"] = WeibullTerm(**hz["burnin"])
-        hz["wearout"] = WeibullTerm(**hz["wearout"])
-        hazard = BathtubModel(**hz)
+    for term in ("burnin", "wearout"):
+        hz[term] = _made("hazard", WeibullTerm, **hz[term])
+    hazard = _made("hazard", BathtubModel, **hz)
 
     software = None
     if (sw := d["software"]) is not None:
-        events = sw["upgrade_events"]
-        for i, ev in enumerate(events):
-            with _section(f"software.upgrade_events[{i}]"):
-                events[i] = UpgradeEvent(**ev)
-        with _section("software"):
-            software = SoftwareHazardModel(**sw)
+        sw["upgrade_events"] = [_made(f"software.upgrade_events[{i}]", UpgradeEvent, **ev)
+                                for i, ev in enumerate(sw["upgrade_events"])]
+        software = _made("software", SoftwareHazardModel, **sw)
 
     operator_hazard = None
     if d["operator"] is not None:
-        with _section("operator"):
-            operator_hazard = OperatorHazard(**d["operator"])
+        operator_hazard = _made("operator", OperatorHazard, **d["operator"])
 
-    with _section("lifetime"):
-        lifetime = LifetimeDistribution(**d["lifetime"])
-    with _section("system"):
-        system = SystemConfig(hazard=hazard, unit_lifetime=lifetime, software=software,
-                              operator=operator_hazard, **d["system"])
-    with _section("policy"):
-        policy = Policy(**d["policy"])
-    with _section("sim"):
-        sim = SimConfig(**d["sim"])
+    lifetime = _made("lifetime", LifetimeDistribution, **d["lifetime"])
+    system = _made("system", SystemConfig, hazard=hazard, unit_lifetime=lifetime,
+                   software=software, operator=operator_hazard, **d["system"])
+    policy = _made("policy", Policy, **d["policy"])
+    sim = _made("sim", SimConfig, **d["sim"])
 
     an = d["analysis"]
     return RunConfig(
@@ -239,7 +211,6 @@ def _build(d: dict) -> RunConfig:
     )
 
 
-@_warns_at_caller
 def load_config(path, overrides=None) -> RunConfig:
     """Read and validate a JSON configuration file; see :func:`parse_config`."""
     try:

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and :func:`warn`."""
+
+import sys
+import warnings
 
 
 class RedzoneError(Exception):
@@ -27,3 +30,12 @@ class CompositionError(RedzoneError, ArithmeticError):
 
 class ValidationWarning(UserWarning):
     """A configuration is legal but internally inconsistent or unusual."""
+
+
+def warn(message: str, category: type[Warning] = ValidationWarning) -> None:
+    """Emit a warning, a :class:`ValidationWarning` by default, at the first frame
+    outside this package: the code that built the value or loaded the configuration."""
+    frame, level = sys._getframe(1), 2
+    while frame and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)

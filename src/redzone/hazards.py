@@ -22,11 +22,10 @@ matching float or array.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, ValidationWarning
+from .errors import DomainError, ValidationError, warn
 from .value import Value
 
 __all__ = [
@@ -143,13 +142,9 @@ class BathtubModel(Value):
             residual = weibull_hazard(self.th1, self.burnin)
             limit = 0.01 * self.useful_rate
             if residual > limit:
-                warnings.warn(
-                    "burn-in term at th1 exceeds 1% of useful_rate "
-                    f"({residual:.3g} vs {limit:.3g}); declared phase "
-                    "durations are inconsistent with the term decay",
-                    ValidationWarning,
-                    stacklevel=2,
-                )
+                warn("burn-in term at th1 exceeds 1% of useful_rate "
+                     f"({residual:.3g} vs {limit:.3g}); declared phase "
+                     "durations are inconsistent with the term decay")
 
     @property
     def wearout_onset(self) -> float:

@@ -277,13 +277,17 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
 
     trdd, tdt, dp = np.full((3, replications), np.nan)
 
-    blocks: list[tuple] = []  # (replication, time, kind, unit, slot, unit_out)
+    columns = ([], [], [], [], [], [])  # replication, time, kind, unit, slot, unit_out
 
     def record(sel, kind, unit=None, slot=_NONE, unit_out=None):
         # unit and unit_out are positions, read before the event moves their units
         if record_events:
-            ids = [_NONE if p is None else units[_ID, p, sel] for p in (unit, unit_out)]
-            blocks.append((rows[sel], t[sel], kind, ids[0], slot, ids[1]))
+            n = np.count_nonzero(sel)
+            ids = [np.full(n, _NONE) if p is None else units[_ID, p, sel]
+                   for p in (unit, unit_out)]
+            block = (rows[sel], t[sel], np.full(n, kind), ids[0], np.full(n, slot), ids[1])
+            for column, values in zip(columns, block):
+                column.append(values)
 
     if record_events:
         units[_ID] = np.arange(S + 1)[:, None]
@@ -355,29 +359,20 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
 
     # a row leaves the loop when it dies or is censored
     return BatchOutcomes(trdd=trdd, tdt=tdt, dp=dp, censored=np.isnan(tdt),
-                         events=_event_log(blocks) if record_events else None)
+                         events=_event_log(columns) if record_events else None)
 
 
-def _event_log(blocks: list[tuple]) -> EventLog:
+def _event_log(columns) -> EventLog:
     """Concatenate the recorded blocks and group them by replication, stably.
 
-    Empty blocks are dropped (the first is kept, so the columns keep their
-    dtypes when every block is empty); a column whose blocks all hold one
-    code is expanded by a single ``np.repeat``.
+    The block recorded before the loop, empty or not, gives each column its
+    dtype, so an ensemble with no events still has typed columns.  The codes,
+    unit ids among them, are cast to int8.
     """
-    blocks = [b for b in blocks if len(b[0])] or blocks[:1]
-    sizes = [len(b[0]) for b in blocks]
-    columns = []
-    for values in zip(*blocks):
-        if any(isinstance(v, np.ndarray) for v in values):
-            columns.append(np.concatenate([np.broadcast_to(v, n) for v, n in zip(values, sizes)]))
-        else:
-            columns.append(np.repeat(values, sizes))
-    order = np.argsort(columns[0], kind="stable")
-    replication, time, kind, unit, slot, unit_out = (col[order] for col in columns)
-    return EventLog(replication=replication, time=time, kind=kind.astype(np.int8),
-                    unit=unit.astype(np.int8), slot=slot.astype(np.int8),
-                    unit_out=unit_out.astype(np.int8))
+    replication, time, *codes = map(np.concatenate, columns)
+    order = np.argsort(replication, kind="stable")
+    return EventLog(replication[order], time[order],
+                    *(code.astype(np.int8)[order] for code in codes))
 
 
 def run_ensemble(config: SystemConfig, policy: Policy, sim: SimConfig) -> Metrics:

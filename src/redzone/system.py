@@ -27,13 +27,12 @@ main-unit failure times.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CompositionError, DomainError, ValidationError, ValidationWarning
+from .errors import CompositionError, DomainError, ValidationError, warn
 from .hazards import (
     BathtubModel,
     LifetimeDistribution,
@@ -90,12 +89,8 @@ class SystemConfig(Value):
         if not 0.0 <= self.lab_burnin < math.inf:
             raise ValidationError(f"lab_burnin must be finite and >= 0, got {self.lab_burnin!r}")
         if self.lab_burnin > self.hazard.th1:
-            warnings.warn(
-                f"lab_burnin ({self.lab_burnin}) exceeds the declared burn-in "
-                f"duration th1 ({self.hazard.th1})",
-                ValidationWarning,
-                stacklevel=2,
-            )
+            warn(f"lab_burnin ({self.lab_burnin}) exceeds the declared burn-in "
+                 f"duration th1 ({self.hazard.th1})")
 
 
 def compose_parallel(hazards, cumulative_hazards):

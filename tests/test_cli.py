@@ -447,6 +447,16 @@ class TestSimulateCommand:
             f"{i},{float(t)!r},{k},{u or ''},{'' if s is None else s},{o or ''}"
             for i, t, k, u, s, o in zip(*event_fields(log))]
 
+    def test_events_csv_without_events_is_the_header(self, tmp_path):
+        doc = json.loads(EXAMPLE.read_text(encoding="utf-8"))
+        doc["sim"]["horizon"] = 1e-9  # every replication is censored before its first event
+        conf = tmp_path / "config.json"
+        conf.write_text(json.dumps(doc), encoding="utf-8")
+        ev = tmp_path / "events.csv"
+        assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "sim.json"),
+                     "--events-out", str(ev)]) == 0
+        assert ev.read_text(encoding="utf-8") == "replication,time_weeks,kind,unit,slot,unit_out\n"
+
     def test_events_csv_decodes_every_code_combination(self, tmp_path):
         # the writer's table of joined text agrees with the documented decoding on every code
         codes = np.array(list(itertools.product(range(len(EVENT_KINDS)), range(-1, 3),

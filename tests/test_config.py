@@ -261,6 +261,16 @@ class TestParseConfig:
                 load[loader]()
         assert [(w.filename, str(w.message)[:8]) for w in record] == [(__file__, "hazard: ")]
 
+    @pytest.mark.filterwarnings("always")
+    def test_other_warnings_keep_their_category(self):
+        # the burn-in term at a tiny th1 overflows in numpy before the model warns of it
+        doc = {"schema_version": 1, "system": {"lab_burnin": 0.0},
+               "hazard": {"burnin": {"scale": 1e308, "shape": 0.5}, "th1": 1e-3}}
+        with pytest.warns(Warning) as record:
+            parse_config(doc)
+        assert [(w.category, w.filename, str(w.message)[:8]) for w in record] == [
+            (RuntimeWarning, __file__, "hazard: "), (ValidationWarning, __file__, "hazard: ")]
+
     def test_integers_in_number_fields_become_floats(self):
         run = parse_config({"schema_version": 1, "hazard": {"th1": 20}})
         assert type(run.system.hazard.th1) is float

@@ -160,9 +160,10 @@ class TestBathtub:
 
     def test_slow_burnin_decay_warns(self):
         with pytest.warns(ValidationWarning) as record:
-            BathtubModel(useful_rate=0.01, burnin=WeibullTerm(0.05, 0.5),
-                         wearout=WeibullTerm(1e-6, 3.0), th1=20.0, th2=80.0, th3=40.0)
-        assert [w.filename for w in record] == [__file__]  # the caller, not the model
+            model = BathtubModel(useful_rate=0.01, burnin=WeibullTerm(0.05, 0.5),
+                                 wearout=WeibullTerm(1e-6, 3.0), th1=20.0, th2=80.0, th3=40.0)
+            model._replace(th3=30.0)  # a copy warns as a new value does
+        assert [w.filename for w in record] == [__file__] * 2  # the caller, not the model
 
     def test_cumulative_matches_quadrature(self):
         rng = np.random.default_rng(20240502)

@@ -531,6 +531,17 @@ class TestRunBatch:
     def test_event_log_matches_run_replication(self, **fleet):
         assert_fleet_matches_scalar(**fleet, record_events=True)
 
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_empty_event_log_keeps_its_dtypes(self, kind):
+        # a horizon before the first event censors every row, so no block has a row
+        run = load_config(EXAMPLE)
+        policy = Policy(kind, rotation_period=run.policy.rotation_period)
+        out = run_batch(run.system, policy, run.sim.master_seed, 50, horizon=1e-9,
+                        record_events=True)
+        assert out.censored.all()
+        assert [(len(c), c.dtype) for c in out.events] == [
+            (0, np.dtype(np.intp)), (0, np.dtype(float))] + [(0, np.dtype(np.int8))] * 4
+
     @pytest.mark.parametrize("alpha, death", [(0.0, 400.0), (1.0, 200.0)])
     def test_failures_at_rotation_epoch(self, alpha, death):
         # Both mains exhaust their 200 weeks exactly at the first epoch: failures

@@ -1,7 +1,7 @@
 """The package's declared dependencies cover what its modules import, its import
 loads neither ``dataclasses`` nor ``orjson``, orjson loads only where a float
-table is written, and the scalar oracle in ``tests/oracle.py`` stays apart from
-the engine it checks."""
+table is written, every warning goes through ``redzone.errors.warn``, and the
+scalar oracle in ``tests/oracle.py`` stays apart from the engine it checks."""
 
 import ast
 import os
@@ -57,6 +57,18 @@ def test_oracle_imports_no_engine_module():
 def test_package_imports_nothing_from_tests(path):
     test_modules = {"tests"} | {p.stem for p in (ROOT / "tests").glob("*.py")}
     assert not imported_top_level(path) & test_modules
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
+def test_only_errors_warn_sets_where_a_warning_points(path):
+    # errors.warn finds the caller's frame; a stack level counted anywhere else
+    # breaks as soon as another of the package's frames lies between
+    calls = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    warns = sum(ast.unparse(call.func) == "warnings.warn" for call in calls)
+    stacklevels = sum(any(k.arg == "stacklevel" for k in call.keywords) for call in calls)
+    assert "warnings.warn" not in imported_modules(path)
+    assert (warns, stacklevels) == ((1, 1) if path.name == "errors.py" else (0, 0))
 
 
 def test_cli_import_builds_no_dataclass_and_loads_no_orjson():

@@ -76,9 +76,11 @@ class TestEffectiveAge:
 class TestSystemConfig:
     def test_lab_burnin_beyond_th1_warns_at_caller(self, flat_bathtub):
         with pytest.warns(ValidationWarning) as record:
-            SystemConfig(hazard=flat_bathtub, unit_lifetime=LifetimeDistribution(220.0, 0.0),
-                         lab_burnin=flat_bathtub.th1 + 1.0)
-        assert [w.filename for w in record] == [__file__]
+            config = SystemConfig(hazard=flat_bathtub,
+                                  unit_lifetime=LifetimeDistribution(220.0, 0.0),
+                                  lab_burnin=flat_bathtub.th1 + 1.0)
+            config._replace(lab_burnin=flat_bathtub.th1 + 2.0)
+        assert [w.filename for w in record] == [__file__] * 2
 
 
 class TestComposeParallel:
