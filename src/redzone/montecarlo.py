@@ -11,7 +11,10 @@ index.
 :func:`run_batch` runs all replications of an ensemble in lockstep over
 position-major numpy arrays, one pass per event epoch that skips the event
 kinds no replication is due for; on request it also records every
-replication's event log as one :class:`EventLog` table.  It is the engine
+replication's event log as one :class:`EventLog` table.  Under a rotating
+policy with every shelf spare usable, one shared state first takes all
+replications through the leading rotation epochs at which none has any
+other event, which leaves results and event logs unchanged.  It is the engine
 every command runs, through :func:`run_ensemble` or directly.  The tests hold
 its per-replication results and event logs, bit for bit, to a scalar event
 loop over per-unit age ledgers kept in ``tests/oracle.py``.  The module
@@ -168,6 +171,12 @@ def _defined(values: np.ndarray) -> np.ndarray:
 # on-job age, and (only while recording events) the unit's roster index.
 _LIFE, _LAB, _SHELF, _ONJOB, _ID = range(5)
 
+
+def _consumed(units: np.ndarray, alpha: float) -> np.ndarray:
+    """Each unit's effective consumed life: lab credit + alpha * shelf time + on-job time."""
+    return units[_LAB] + alpha * units[_SHELF] + units[_ONJOB]
+
+
 EVENT_KINDS = ("failure", "replace", "rotate", "dp", "system_death")
 _FAILURE, _REPLACE, _ROTATE, _DP, _DEATH = range(len(EVENT_KINDS))
 # Codes of EventLog.unit/unit_out and EventLog.slot, decoded by indexing these
@@ -257,6 +266,17 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
     a block of rows per event kind, in the scalar loop's order within an
     epoch, and a stable sort on the replication index groups the blocks into
     per-replication logs.
+
+    A rotating policy whose every row starts with a usable shelf spare first
+    runs the lead.  Until its first failure every row holds the same ages in
+    the same positions and rotates the same slot, so one shared state, with
+    each position's least lifetime over the rows, stands for them all.
+    Rounding is monotone in the lifetime, so ``t + (least - consumed) > e``
+    (for the shelf, ``t + (least - consumed) / alpha > e``) exactly when no
+    row is due by epoch ``e``.  The lead takes the rotations of such epochs,
+    one block of event rows each, up to the first epoch that a failure ties,
+    another event precedes or the horizon cuts, then hands every row to the
+    loop; results and event logs are those of the loop alone.
     """
     if horizon is None:
         horizon = 5.0 * config.unit_lifetime.mean
@@ -293,8 +313,34 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
         units[_ID] = np.arange(S + 1)[:, None]
     record(~spare, _FAILURE, S, _SHELF_SLOT)
 
+    if rotating and replications and spare.all():
+        # the lead (see above): every row's ages by position, and each position's
+        # least lifetime over the rows
+        lead = units[:_ID, :, 0].copy()
+        lead[_LIFE] = units[_LIFE].min(axis=1)
+        order = list(range(S + 1))  # the starting position of each position's unit
+        alive, now, epoch = np.ones((S, 1), dtype=bool), 0.0, 1.0
+        while (when := epoch * policy.rotation_period) <= horizon:
+            left = lead[_LIFE] - _consumed(lead, alpha)
+            with np.errstate(over="ignore"):  # a tiny alpha overflows to inf, as in the loop
+                left[S] = left[S] / alpha if alpha > 0.0 else np.inf
+            if not (now + left > when).all():  # strict: a failure at the epoch goes first
+                break
+            lead[_ONJOB, :S] += when - now
+            lead[_SHELF, S] += when - now
+            now, epoch = when, epoch + 1.0
+            s = rotation_targets(_consumed(lead[:, :S, None], alpha), alive, spare[:1])[0]
+            if record_events:
+                for column, value in zip(columns, (rows, now, _ROTATE, order[S], s, order[s])):
+                    column.append(np.broadcast_to(value, replications))
+            lead[:, [s, S]] = lead[:, [S, s]]
+            order[s], order[S] = order[S], order[s]
+        units = units[:, order]
+        units[_LAB:_ID] = lead[_LAB:, :, None]
+        t[:], rotation[:] = now, epoch
+
     while rows.size:
-        consumed = units[_LAB] + alpha * units[_SHELF] + units[_ONJOB]
+        consumed = _consumed(units, alpha)
         # when each slot's unit and the spare fail and the next rotation falls; inf: never
         due_at = np.full((S + 2, rows.size), np.inf)
         due_at[:S] = np.where(failed, np.inf, t + (units[_LIFE, :S] - consumed[:S]))
@@ -334,8 +380,7 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
         hit = due[S + 1]
         if hit.any():
             rotation += hit
-            ages = units[_LAB, :S] + alpha * units[_SHELF, :S] + units[_ONJOB, :S]
-            target = rotation_targets(ages, ~failed, hit & spare)
+            target = rotation_targets(_consumed(units[:, :S], alpha), ~failed, hit & spare)
             for s in range(S):
                 swap = target == s
                 if swap.any():

@@ -180,6 +180,8 @@ def end_of_life(config: SystemConfig) -> float:
 
     Installed at the mean lifetime with its lab credit already consumed,
     it fails at ``mean + (mean - lab)``: the end of every scenario curve.
+    It ignores ``shelf_aging_factor``, by which the Monte Carlo engine also
+    ages the spare on the shelf.
     """
     mean = config.unit_lifetime.mean
     return mean + (mean - config.lab_burnin)
@@ -199,7 +201,9 @@ def scenario_timeline(config: SystemConfig) -> ScenarioTimeline:
         T2  = Tf2 + (th1 - lab)        declared end of the spare's burn-in
 
     Segment labels follow the declared phase windows; hazard values along
-    the curve always use true unit ages.
+    the curve always use true unit ages.  The timeline ignores
+    ``shelf_aging_factor``: the spare's age at install is its lab credit,
+    while the Monte Carlo engine also ages it on the shelf by that factor.
     """
     hz = config.hazard
     mean = config.unit_lifetime.mean

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -56,6 +56,14 @@ class ScriptedLifetimes:
 
     def sample(self, u):
         return np.vectorize(self.table.__getitem__, otypes=[float])(u)
+
+
+def scripted_config(lifetimes, master_seed, **system):
+    """A config whose replication i of ``master_seed`` draws ``lifetimes[i]``, its
+    three units' lifetimes in roster order."""
+    u = _uniforms(_derive_seeds(master_seed, len(lifetimes)), 3)
+    model = ScriptedLifetimes(dict(zip(u.ravel().tolist(), np.ravel(lifetimes).tolist())))
+    return SystemConfig(hazard=make_flat_bathtub(), unit_lifetime=model, **system)
 
 
 # A lab credit above every lifetime the tests' models can draw (ExponentialLifetime(0.01)
@@ -450,22 +458,45 @@ class TestRunEnsemble:
         assert met.tdt is None
 
 
-# Fleets for the differential tests: both policies, shelf ageing, sd = 0 ties,
-# lab credit with dead-on-arrival spares, horizon censoring, and the exponential
-# model.
-fleets = given(
-    rotation_period=st.one_of(st.none(), st.floats(5.0, 120.0)),
-    alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    sd=st.one_of(st.just(0.0), st.floats(0.5, 60.0)),
-    lab=st.one_of(st.just(0.0), st.floats(0.0, 20.0), st.floats(150.0, 400.0)),
-    horizon=st.one_of(st.none(), st.floats(50.0, 1500.0)),
-    exponential=st.booleans(),
-    master_seed=st.integers(0, 2 ** 64 + 100),
-)
+# Fleets for the differential tests: both policies, rotation periods down to half
+# a week (hundreds of epochs that every replication shares), shelf ageing, sd = 0
+# ties, lab credit with dead-on-arrival spares, horizon censoring, horizons on a
+# rotation epoch and one ulp below it, and the exponential model.
+FLEET = dict(rotation_period=None, alpha=0.0, sd=2.0, lab=0.0, horizon=None,
+             exponential=False, master_seed=42)
+
+
+def fleets(test):
+    # explicit examples, run every time: the edges of the rotations that every row
+    # of a type2 ensemble shares before its first failure
+    for edge in (
+        dict(rotation_period=50.0, sd=0.0, horizon=(4, False)),  # the 4th, at 200 < 208
+        dict(rotation_period=50.0, sd=0.0, horizon=(4, True)),
+        dict(rotation_period=52.0, sd=0.0),  # both mains fail at the 4th epoch, 208
+        dict(rotation_period=0.5),
+        dict(rotation_period=34.67, sd=60.0, lab=200.0),  # some spares dead on arrival
+        dict(rotation_period=3.0, alpha=0.3, sd=20.0, lab=20.0, horizon=(60, True)),
+    ):
+        test = example(**{**FLEET, **edge})(test)
+    return given(
+        rotation_period=st.one_of(st.none(), st.floats(5.0, 120.0), st.floats(0.5, 5.0)),
+        alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        sd=st.one_of(st.just(0.0), st.floats(0.5, 60.0)),
+        lab=st.one_of(st.just(0.0), st.floats(0.0, 20.0), st.floats(150.0, 400.0)),
+        # (k, below): the k-th rotation epoch, or one ulp below it
+        horizon=st.one_of(st.none(), st.floats(50.0, 1500.0),
+                          st.tuples(st.integers(1, 300), st.booleans())),
+        exponential=st.booleans(),
+        master_seed=st.integers(0, 2 ** 64 + 100),
+    )(test)
 
 
 def assert_fleet_matches_scalar(rotation_period, alpha, sd, lab, horizon, exponential,
                                 master_seed, record_events):
+    if isinstance(horizon, tuple):
+        k, below = horizon  # a type1 fleet takes its epochs from a 50-week period
+        horizon = k * (rotation_period or 50.0)
+        horizon = math.nextafter(horizon, 0.0) if below else horizon
     lifetime = ExponentialLifetime(1.0 / 208.0) if exponential else LifetimeDistribution(208.0, sd)
     cfg = SystemConfig(hazard=make_flat_bathtub(), unit_lifetime=lifetime,
                        lab_burnin=lab, shelf_aging_factor=alpha)
@@ -491,19 +522,18 @@ class TestRunBatch:
         assert_batch_matches_scalar(run.system, policy, run.sim.master_seed, 2000,
                                     every=50, horizon=horizon)
 
-    def test_pass_that_censors_kills_and_rotates(self):
+    @pytest.mark.parametrize("record_events", [False, True])
+    def test_pass_that_censors_kills_and_rotates(self, record_events):
         # Rotation every 50 weeks and the horizon on the second epoch, t = 100.  In the
         # third pass row 0 is next due at 150 > 100 and is censored before any event,
         # while row 1 loses its last slot unit at t = 100 and dies, and row 2 loses a
         # slot unit and passes the rotation epoch at t = 100: events at t == horizon
         # are processed, not censored (row 0's second rotation, too).
         lifetimes = [(1000.0, 1000.0, 1000.0), (30.0, 100.0, 20.0), (1000.0, 70.0, 50.0)]
-        master_seed = 7
-        u = _uniforms(_derive_seeds(master_seed, len(lifetimes)), 3)
-        model = ScriptedLifetimes(dict(zip(u.ravel().tolist(), np.ravel(lifetimes).tolist())))
-        cfg = SystemConfig(hazard=make_flat_bathtub(), unit_lifetime=model, lab_burnin=0.0)
-        traces = assert_batch_matches_scalar(cfg, Policy("type2", rotation_period=50.0),
-                                             master_seed, len(lifetimes), horizon=100.0)
+        traces = assert_batch_matches_scalar(scripted_config(lifetimes, 7, lab_burnin=0.0),
+                                             Policy("type2", rotation_period=50.0), 7,
+                                             len(lifetimes), record_events=record_events,
+                                             horizon=100.0)
         c1, c2, c3 = (f"controller_{i}" for i in (1, 2, 3))
         assert [[(e.time, e.kind, e.unit, e.slot, e.unit_out) for e in tr.events]
                 for tr in traces] == [
@@ -531,31 +561,59 @@ class TestRunBatch:
     def test_event_log_matches_run_replication(self, **fleet):
         assert_fleet_matches_scalar(**fleet, record_events=True)
 
+    @pytest.mark.parametrize("replications", [50, 0])
     @pytest.mark.parametrize("kind", ["type1", "type2"])
-    def test_empty_event_log_keeps_its_dtypes(self, kind):
-        # a horizon before the first event censors every row, so no block has a row
+    def test_empty_event_log_keeps_its_dtypes(self, kind, replications):
+        # a horizon before the first event censors every row, so no block has a row;
+        # nor has an ensemble of no replications
         run = load_config(EXAMPLE)
         policy = Policy(kind, rotation_period=run.policy.rotation_period)
-        out = run_batch(run.system, policy, run.sim.master_seed, 50, horizon=1e-9,
+        out = run_batch(run.system, policy, run.sim.master_seed, replications, horizon=1e-9,
                         record_events=True)
         assert out.censored.all()
         assert [(len(c), c.dtype) for c in out.events] == [
             (0, np.dtype(np.intp)), (0, np.dtype(float))] + [(0, np.dtype(np.int8))] * 4
 
+    @pytest.mark.parametrize("record_events", [False, True])
     @pytest.mark.parametrize("alpha, death", [(0.0, 400.0), (1.0, 200.0)])
-    def test_failures_at_rotation_epoch(self, alpha, death):
+    def test_failures_at_rotation_epoch(self, alpha, death, record_events):
         # Both mains exhaust their 200 weeks exactly at the first epoch: failures
         # come first, the spare fills slot 0, and the rotation finds no shelf unit.
         # A fully shelf-aged spare (alpha = 1) is due to die on the shelf at that
         # same instant; it is installed instead and fails in its slot on the next pass.
         traces = assert_batch_matches_scalar(det_config(alpha=alpha),
                                              Policy("type2", rotation_period=200.0),
-                                             11, 3, horizon=2000.0)
+                                             11, 3, record_events=record_events,
+                                             horizon=2000.0)
         assert [(e.time, e.kind, e.slot) for e in traces[0].events] == [
             (200.0, "failure", 0), (200.0, "replace", 0), (200.0, "failure", 1),
             (death, "failure", 0), (death, "system_death", None),
         ]
         assert (traces[0].trdd, traces[0].dp, traces[0].tdt) == (200.0, None, death)
+
+    @pytest.mark.parametrize("record_events", [False, True])
+    @pytest.mark.parametrize("lifetimes, alpha, lab, last_shared", [
+        # row 2's slot-1 unit fails exactly at the second epoch, t = 100
+        ([(1e3, 1e3, 1e3), (1e3, 1e3, 1e3), (1e3, 100.0, 1e3)], 0.0, 0.0, 50.0),
+        # row 1's spare is dead on arrival from its lab credit, so no epoch is shared
+        ([(1e3, 1e3, 1e3), (1e3, 1e3, 5.0), (300.0, 400.0, 500.0)], 0.0, 10.0, None),
+        # fully shelf-aged spares: row 1's dies on the shelf at 40, before the first
+        # epoch, or row 1 rotates its slot-0 unit onto the shelf at 50 and it dies at 70
+        ([(1e3, 1e3, 1e3), (1e3, 1e3, 40.0)], 1.0, 0.0, None),
+        ([(1e3, 1e3, 1e3), (70.0, 1e3, 1e3)], 1.0, 0.0, 50.0),
+    ])
+    def test_shared_rotations_end_at_first_other_event(self, lifetimes, alpha, lab,
+                                                       last_shared, record_events):
+        # Every row rotates the same slot at the same times until the first epoch at
+        # which some row has another event due; each row then goes its own way.
+        cfg = scripted_config(lifetimes, 3, lab_burnin=lab, shelf_aging_factor=alpha)
+        traces = assert_batch_matches_scalar(cfg, Policy("type2", rotation_period=50.0), 3,
+                                             len(lifetimes), record_events=record_events,
+                                             horizon=200.0)
+        rotations = [[(e.time, e.unit, e.slot) for e in tr.events if e.kind == "rotate"]
+                     for tr in traces]
+        shared = [r for r in rotations[0] if all(r in rs for rs in rotations)]
+        assert (shared[-1][0] if shared else None) == last_shared
 
     @pytest.mark.parametrize("policy", [Policy("type1"), Policy("type2", rotation_period=30.0)],
                              ids=["type1", "type2"])
