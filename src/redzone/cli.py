@@ -7,9 +7,10 @@ sweep).  All behavior flows from the flags and the JSON configuration
 document; outputs are byte-reproducible for a given config and seed.
 
 CSV tables are written in blocks of rows, each block as bytes: a block of
-float columns takes one orjson pass (:func:`_float_lines`), and the event
-log's codes are decoded by ``EventLog.code_text``.  Floats read as ``repr``
-writes them.
+float columns takes one orjson pass (:func:`_float_lines`).  A block of the
+event log is one flat join of each row's replication prefix, time and row
+tail, the tail looked up by the row's codes in ``montecarlo._event_tails``.
+Floats read as ``repr`` writes them.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical or
 runtime failure.  A configuration warning prints as ``warning: <message>``
@@ -37,7 +38,7 @@ from .analysis import (
 from .config import SCHEMA_VERSION, RunConfig, load_config
 from .errors import DomainError, ValidationError, ValidationWarning
 from .hazards import bathtub_hazard, software_hazard
-from .montecarlo import EventLog, Metrics, run_batch
+from .montecarlo import EventLog, Metrics, _event_tails, run_batch
 from .system import end_of_life, scenario_timeline, system_hazard_curve
 
 __all__ = ["main", "build_parser"]
@@ -101,33 +102,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Rows per block that _write_csv formats and writes at once.
+# Rows per block that the CSV writers format and write at once, not to hold a whole table's text.
 _BLOCK = 8192
 
 
-def _write_csv(path: str, header: list[str], n: int, cells) -> None:
-    """Write the header and an ``n``-row table, one block of ``_BLOCK`` rows at a time.
-
-    ``cells(rows)`` gives the columns of a slice of rows, as
-    :func:`_table_lines` takes them.  Formatting whole columns at once would
-    hold the text of the whole table.
-    """
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for lo in range(0, n, _BLOCK):
-            fh.write(_table_lines(cells(slice(lo, lo + _BLOCK))))
+def _repr_fix_ups(x: np.ndarray) -> np.ndarray:
+    """The indexes of the cells of float array ``x`` that orjson writes in another
+    notation than ``repr``.  Its Ryu digits are ``repr``'s, the shortest that round
+    trip; the notation differs only for non-finite values, 0 < |x| < 1e-4 and
+    |x| >= 1e16 (``null``, ``0.00001``, ``1e16`` against ``nan``, ``1e-05``, ``1e+16``)."""
+    ax = np.abs(x)
+    return np.flatnonzero(~((ax >= 1e-4) & (ax < 1e16)) & (x != 0.0))
 
 
 def _float_lines(columns) -> bytes:
     """The CSV lines of a block of float columns, each cell as ``repr`` writes it.
 
-    orjson formats doubles with Ryu, whose digits are the shortest that round
-    trip, nearest the value, as ``repr``'s are.  Its notation differs only
-    for non-finite values, 0 < |x| < 1e-4 and |x| >= 1e16 (``null``,
-    ``0.00001``, ``1e16`` against ``nan``, ``1e-05``, ``1e+16``).  So the
-    block is interleaved row by row and dumped as one JSON array; every k-th
-    comma becomes a newline, and only those few cells are spliced in from
-    ``repr``, at the byte spans the commas bound.
+    The block is interleaved row by row and dumped by orjson as one JSON array;
+    every k-th comma becomes a newline, and only the cells of :func:`_repr_fix_ups`
+    are spliced in from ``repr``, at the byte spans the commas bound.
     """
     import orjson  # loaded only by commands that write float tables
 
@@ -139,8 +132,7 @@ def _float_lines(columns) -> bytes:
     line[-1] = 10
     commas = np.flatnonzero(line == 44)
     line[commas[len(columns) - 1::len(columns)]] = 10
-    ax = np.abs(x)
-    fix = np.flatnonzero(~((ax >= 1e-4) & (ax < 1e16)) & (x != 0.0))
+    fix = _repr_fix_ups(x)
     if not fix.size:
         return line.tobytes()
     # cell i lies between separators i - 1 and i
@@ -155,8 +147,16 @@ def _float_lines(columns) -> bytes:
 
 
 def _float_reprs(x) -> list[str]:
-    """``[repr(v) for v in x.tolist()]`` for a float array: :func:`_float_lines` of one column."""
-    return _float_lines([x]).decode().split("\n")[:-1]
+    """``[repr(v) for v in x.tolist()]`` for a float array: orjson's cells, fixed up by ``repr``."""
+    import orjson
+
+    x = np.ascontiguousarray(x, dtype=float)
+    if not x.size:
+        return []
+    cells = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    for i in _repr_fix_ups(x).tolist():
+        cells[i] = repr(float(x[i]))
+    return cells
 
 
 def _table_lines(columns) -> bytes:
@@ -172,9 +172,13 @@ def _table_lines(columns) -> bytes:
 
 
 def _write_table(path: str, table: dict) -> None:
-    """Write a table given as {header: column}, each column as :func:`_table_lines` takes it."""
+    """Write a table given as {header: column}, each column as :func:`_table_lines`
+    takes it, one block of ``_BLOCK`` rows at a time."""
     columns = list(table.values())
-    _write_csv(path, list(table), len(columns[0]), lambda rows: [c[rows] for c in columns])
+    with open(path, "wb") as fh:
+        fh.write((",".join(table) + "\n").encode())
+        for lo in range(0, len(columns[0]), _BLOCK):
+            fh.write(_table_lines([c[lo:lo + _BLOCK] for c in columns]))
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -298,16 +302,23 @@ def _zone_doc(zone) -> dict | None:
 
 
 def _write_events_csv(path: str, log: EventLog) -> None:
-    """Write the event log, each row one join of its replication, time and code text."""
+    """Write the event log, a block of rows as one join of ``[prefix, time, tail] * rows``:
+    the replication's ``"{i},"``, the time and the row tail :func:`_event_tails` decodes."""
     n = len(log.time)
-    replications = np.array(list(map(str, range(int(log.replication[-1]) + 1 if n else 0))),
-                            dtype=object)
-
-    def cells(rows):
-        return [replications[log.replication[rows]].tolist(), log.time[rows],
-                log.code_text(rows)]
-
-    _write_csv(path, ["replication", "time_weeks", "kind", "unit", "slot", "unit_out"], n, cells)
+    prefixes = np.array([f"{i}," for i in range(int(log.replication[-1]) + 1 if n else 0)],
+                        dtype=object)
+    tails = _event_tails()
+    with open(path, "wb") as fh:
+        fh.write(b"replication,time_weeks,kind,unit,slot,unit_out\n")
+        for lo in range(0, n, _BLOCK):
+            rows = slice(lo, lo + _BLOCK)
+            times = _float_reprs(log.time[rows])
+            parts = [None] * (3 * len(times))
+            parts[0::3] = prefixes[log.replication[rows]].tolist()
+            parts[1::3] = times
+            parts[2::3] = tails[log.kind[rows], log.unit[rows], log.slot[rows],
+                                log.unit_out[rows]].tolist()
+            fh.write("".join(parts).encode())
 
 
 def cmd_simulate(run: RunConfig, args) -> int:

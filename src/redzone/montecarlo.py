@@ -19,7 +19,7 @@ every command runs, through :func:`run_ensemble` or directly.  The tests hold
 its per-replication results and event logs, bit for bit, to a scalar event
 loop over per-unit age ledgers kept in ``tests/oracle.py``.  The module
 keeps what the outputs read: :class:`Metrics`, the summaries ``simulate``
-and ``compare`` print, and :meth:`EventLog.code_text`, the one decoder of
+and ``compare`` print, and :func:`_event_tails`, the one table that decodes
 the event codes ``simulate --events-out`` writes.
 
 Randomness comes from splitmix64 streams: 64-bit state advanced by the
@@ -184,16 +184,18 @@ _FAILURE, _REPLACE, _ROTATE, _DP, _DEATH = range(len(EVENT_KINDS))
 _NONE, _SHELF_SLOT = -1, -2
 _UNIT_IDS = ("controller_1", "controller_2", "controller_3", None)
 _SLOTS = (0, 1, "shelf", None)
-# The code columns' tables, in the order EventLog.code_text joins them.
+# The code columns' tables, in the order of the CSV row's cells.
 _EVENT_CODE_TABLES = (EVENT_KINDS, _UNIT_IDS, _SLOTS, _UNIT_IDS)
 
 
 @functools.cache
 def _event_tails() -> np.ndarray:
-    """The ``kind,unit,slot,unit_out`` text of every combination of their codes,
-    None as an empty cell, in ``np.ravel_multi_index`` order over their tables."""
-    return np.array([",".join("" if v is None else str(v) for v in combo)
-                     for combo in itertools.product(*_EVENT_CODE_TABLES)], dtype=object)
+    """The CSV row tail ``,kind,unit,slot,unit_out\\n`` of every code combination, indexed
+    ``[kind, unit, slot, unit_out]`` (a negative code from the end of its axis): the kind
+    name, ``controller_{i+1}``, the slot index or ``shelf``, and an empty cell for none."""
+    return np.array(["," + ",".join("" if v is None else str(v) for v in combo) + "\n"
+                     for combo in itertools.product(*_EVENT_CODE_TABLES)],
+                    dtype=object).reshape(tuple(map(len, _EVENT_CODE_TABLES)))
 
 
 class EventLog(NamedTuple):
@@ -213,17 +215,6 @@ class EventLog(NamedTuple):
     unit: np.ndarray
     slot: np.ndarray
     unit_out: np.ndarray
-
-    def code_text(self, rows: slice = slice(None)) -> list[str]:
-        """The ``kind,unit,slot,unit_out`` CSV text of each of ``rows`` (all rows
-        by default): the kind name, ``controller_{i+1}``, the slot index or
-        ``shelf``, and an empty cell for none."""
-        # "wrap" reads a negative code from the end of its table; the combined
-        # index is an intp, so the int8 codes cannot overflow
-        codes = np.ravel_multi_index(
-            (self.kind[rows], self.unit[rows], self.slot[rows], self.unit_out[rows]),
-            tuple(map(len, _EVENT_CODE_TABLES)), mode="wrap")
-        return _event_tails()[codes].tolist()
 
 
 class BatchOutcomes(NamedTuple):

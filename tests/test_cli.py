@@ -470,6 +470,23 @@ class TestSimulateCommand:
             f"{i},{float(t)!r},{k},{u or ''},{'' if s is None else s},{o or ''}"
             for i, t, k, u, s, o in zip(*event_fields(log))]
 
+    def test_events_csv_fix_ups_across_blocks(self, tmp_path, monkeypatch):
+        # ten times in three-row blocks, three times over: every time whose notation repr
+        # and orjson write differently starts, ends and sits inside a block
+        monkeypatch.setattr(cli, "_BLOCK", 3)
+        times = [0.0, -0.0, 5e-324, 1e-05, 9.999999999999999e-05, 1e-4, 1e16, np.nan, np.inf,
+                 1 / 7] * 3
+        n = len(times)
+        log = EventLog(replication=np.arange(n) * 37 // 2, time=np.array(times),
+                       kind=np.zeros(n, dtype=np.int8), unit=np.full(n, -1, dtype=np.int8),
+                       slot=np.full(n, -2, dtype=np.int8),
+                       unit_out=(np.arange(n) % 3).astype(np.int8))
+        ev = tmp_path / "events.csv"
+        cli._write_events_csv(str(ev), log)
+        assert ev.read_text(encoding="utf-8").splitlines()[1:] == [
+            f"{i},{t!r},failure,,shelf,controller_{o + 1}"
+            for i, t, o in zip(log.replication.tolist(), times, log.unit_out.tolist())]
+
     @pytest.mark.parametrize("events", [False, True], ids=["summary", "events-out"])
     def test_one_ensemble_pass(self, events, tmp_path, monkeypatch):
         calls = []
@@ -752,6 +769,32 @@ def test_kernel_outputs_byte_identical(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in KERNEL_DIGESTS}
     assert digests == KERNEL_DIGESTS
+
+
+# SHA-256 of simulate --events-out on KERNEL_CONFIG with a rotating policy, a wide
+# lifetime spread and lab burn-in, recorded before the events writer joined each block
+# as one flat list: unlike the example config's logs, these hold shelf rows (8 and 28),
+# and type2's also hold rotate and dp rows.
+EVENTS_DIGESTS = {
+    "events_type1.csv": "c5fe70a10447ec5cd3cc8d0c18a4ac96388a7dbde774acb912250c2fa4b5fb48",
+    "events_type2.csv": "3df336e81eb7414c043625e92fd1ae160a715252e9e28895566f91be417b1baa",
+}
+
+
+def test_events_outputs_byte_identical(tmp_path):
+    doc = json.loads(json.dumps(KERNEL_CONFIG))
+    doc["policy"] = {"rotation_period": 34.67}
+    doc["lifetime"]["sd"] = 30.0
+    doc["system"]["lab_burnin"] = 100.0
+    conf = tmp_path / "events.json"
+    conf.write_text(json.dumps(doc), encoding="utf-8")
+    for policy in ("type1", "type2"):
+        assert main(["simulate", "--config", str(conf), "--policy", policy,
+                     "--out", str(tmp_path / f"{policy}.json"),
+                     "--events-out", str(tmp_path / f"events_{policy}.csv")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in EVENTS_DIGESTS}
+    assert digests == EVENTS_DIGESTS
 
 
 def reprs(x):
