@@ -8,24 +8,16 @@ baseline``; the baseline is the useful-phase plateau measured from the flat
 part of the curve itself.  Detection is restricted to the end-of-life
 window (at or after the mains' wear-out onset): the burn-in hump at
 t = 0 is a property of any fresh system, not of the spare interaction
-under study.
-
-The sweep study reads the lifetime spread both ways on purpose: each spread
-value drives a Monte Carlo ensemble (spread as sampling sd) for the
-redundant-lifetime estimate, and a deterministic timeline (spread as the
-failure-time gap) for curve-based detection.  The existence rule under test
-is spread < th3, strict.
+under study.  The existence rule under test is spread < th3, strict.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, ValidationWarning
-from .hazards import LifetimeDistribution
+from .errors import DomainError, ValidationError
 from .maintenance import Policy, red_zone_condition
 from .montecarlo import Metrics, MetricSummary, SimConfig, _summarize, run_ensemble
 from .system import (
@@ -34,7 +26,7 @@ from .system import (
     ScenarioTimeline,
     SystemConfig,
     scenario_timeline,
-    system_hazard_curve,
+    scenario_timelines,
     system_hazard_curves,
 )
 from .value import Value
@@ -174,16 +166,19 @@ def assess_curve(timeline: ScenarioTimeline, curve: HazardCurve, *, threshold: f
 
 def assess_red_zone(config: SystemConfig, *, threshold: float, dt: float,
                     baseline_window_fraction: float) -> RedZoneAssessment:
-    """Build the deterministic timeline, sample its curve and assess it.
+    """Build the deterministic timeline, sample its curve and assess it."""
+    return _assess([scenario_timeline(config)], threshold=threshold, dt=dt,
+                   baseline_window_fraction=baseline_window_fraction)[0]
 
-    The curve is sampled only from the start of the baseline window, the
-    first point :func:`assess_curve` reads.
-    """
-    timeline = scenario_timeline(config)
-    curve = system_hazard_curve(timeline, dt=dt,
-                                start=baseline_window_fraction * timeline.t0)
-    return assess_curve(timeline, curve, threshold=threshold,
-                        baseline_window_fraction=baseline_window_fraction)
+
+def _assess(timelines, *, threshold: float, dt: float,
+            baseline_window_fraction: float) -> list[RedZoneAssessment]:
+    """:func:`assess_curve` of one system's timelines, from one sampling of their curves."""
+    curves = system_hazard_curves(timelines, dt=dt,
+                                  start=baseline_window_fraction * timelines[0].t0)
+    return [assess_curve(timeline, curve, threshold=threshold,
+                         baseline_window_fraction=baseline_window_fraction)
+            for timeline, curve in zip(timelines, curves)]
 
 
 def lifetime_extension(trdd_1: float, trdd_2: float) -> float:
@@ -210,29 +205,22 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
 
     Each row pairs the ensemble estimate of the redundant lifetime (spread
     as sampling sd) with curve-based detection (spread as the deterministic
-    failure gap) and the rule's prediction.  Every spread's timeline is
-    built before any curve is sampled or ensemble run, so a spread the
-    timeline rejects fails the sweep at once, its error naming the spread
-    in place of ``lifetime.sd`` and advising a smaller spread; a check no
-    spread moves is raised as the timeline raised it.  The curves come from one
-    :func:`system_hazard_curves` call, which samples the segments the
-    spreads share once, and each is assessed by :func:`assess_curve`; the
-    rows equal per-spread :func:`assess_red_zone` results bit for bit.
+    failure gap) and the rule's prediction.  The timelines come from one
+    engine call, before any curve or ensemble, so a spread the timeline
+    rejects fails the sweep at once, its error naming the spread in place of
+    ``lifetime.sd``; a check no spread moves is raised as the timeline raised
+    it.  The curves come from one :func:`system_hazard_curves` call; the rows
+    equal per-spread :func:`assess_red_zone` results bit for bit.
     """
     deltas = [float(d) for d in deltas]
     if any(d <= 0.0 for d in deltas):
         raise DomainError("all sweep spreads must be > 0")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise DomainError("sweep spreads must be sorted, strictly increasing")
-    # the caller's config has already warned about itself; the copies would repeat it
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidationWarning)
-        configs = [config._replace(unit_lifetime=LifetimeDistribution(config.unit_lifetime.mean, d))
-                   for d in deltas]
-    timelines = []
-    for d, cfg in zip(deltas, configs):
+    timelines, built = [], scenario_timelines(config, deltas)
+    for d in deltas:
         try:
-            timelines.append(scenario_timeline(cfg))
+            timelines.append(next(built))
         except ValidationError as e:
             if "lifetime.sd" not in e.fields:
                 raise  # no spread moves this check
@@ -242,17 +230,13 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
                                   "or raise the mean lifetime", fields=fields) from None
     if not timelines:
         return []
-    # Every spread shares t0, so one baseline window start serves all curves.
     # All spreads are assessed before any ensemble runs, so the samples the
     # curves share are freed before the ensembles allocate.
-    start = baseline_window_fraction * timelines[0].t0
-    assessments = [assess_curve(timeline, curve, threshold=threshold,
-                                baseline_window_fraction=baseline_window_fraction)
-                   for timeline, curve in zip(timelines,
-                                              system_hazard_curves(timelines, dt=dt, start=start))]
+    assessments = _assess(timelines, threshold=threshold, dt=dt,
+                          baseline_window_fraction=baseline_window_fraction)
     rows: list[DeltaSweepPoint] = []
-    for d, cfg, assessment in zip(deltas, configs, assessments):
-        metrics = run_ensemble(cfg, policy, sim)
+    for d, timeline, assessment in zip(deltas, timelines, assessments):
+        metrics = run_ensemble(timeline.config, policy, sim)
         rows.append(DeltaSweepPoint(
             delta=d,
             predicted=red_zone_condition(d, config.hazard.th3),

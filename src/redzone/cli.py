@@ -38,8 +38,8 @@ from .analysis import (
 from .config import SCHEMA_VERSION, RunConfig, load_config
 from .errors import DomainError, ValidationError, ValidationWarning
 from .hazards import bathtub_hazard, software_hazard
-from .montecarlo import EventLog, Metrics, _event_tails, run_batch
-from .system import end_of_life, scenario_timeline, system_hazard_curve
+from .montecarlo import EventLog, Metrics, _event_tails, run_batch, sample_lifetimes
+from .system import scenario_timeline, system_hazard_curve
 
 __all__ = ["main", "build_parser"]
 
@@ -209,10 +209,9 @@ _PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 def _curve_dt(run: RunConfig, args, t_max: float | None = None) -> float:
     """``run.curve_dt``, checked to give a grid that fits in physical memory: over
-    [0, t_max] for ``hazard``, else up to where every scenario curve of ``run.system``
-    ends, which no lifetime sd moves.  An error names ``--dt`` when the flag set the
-    step, else the config field."""
-    span = end_of_life(run.system) if t_max is None else t_max
+    [0, t_max] for ``hazard``, else over twice the mean lifetime, past where any scenario
+    curve ends.  An error names ``--dt`` when the flag set the step, else the config field."""
+    span = 2.0 * run.system.unit_lifetime.mean if t_max is None else t_max
     dt = run.curve_dt
     if span / dt * _GRID_POINT_BYTES >= _PHYSICAL_MEMORY:
         source = "--dt" if getattr(args, "dt", None) is not None else _FLAG_FIELDS["--dt"]
@@ -324,10 +323,14 @@ def _write_events_csv(path: str, log: EventLog) -> None:
 def cmd_simulate(run: RunConfig, args) -> int:
     policy, sim = run.policy, run.sim
     dt = _curve_dt(run, args)
-    assessment = assess_red_zone(run.system, threshold=run.red_zone_threshold, dt=dt,
-                                 baseline_window_fraction=run.baseline_window_fraction)
-    out = run_batch(run.system, policy, sim.master_seed, sim.replications,
-                    horizon=sim.horizon, record_events=bool(args.events_out))
+    try:
+        zone = assess_red_zone(run.system, threshold=run.red_zone_threshold, dt=dt,
+                               baseline_window_fraction=run.baseline_window_fraction).zone
+    except ValidationError:
+        zone = None  # the timeline is undefined for this system; its ensemble is not
+    lifetimes = sample_lifetimes(run.system, sim.master_seed, sim.replications)
+    out = run_batch(run.system, policy, lifetimes, horizon=sim.horizon,
+                    record_events=bool(args.events_out))
     metrics = Metrics.from_batch(out)
     if policy.kind == "type1":
         metrics = apply_vendor_decision_point(metrics, run.vendor_mtbf, run.warn_factor)
@@ -336,7 +339,7 @@ def cmd_simulate(run: RunConfig, args) -> int:
         "seed": int(sim.master_seed),
         "policy": policy.kind,
         "replications": int(sim.replications),
-        "red_zone": _zone_doc(assessment.zone),
+        "red_zone": _zone_doc(zone),
         **_metrics_doc(metrics),
     }
     _write_json(args.out, doc)

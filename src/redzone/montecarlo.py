@@ -1,12 +1,11 @@
 """Seeded, deterministic Monte Carlo simulation of system lifetimes.
 
-One replication samples a lifetime per unit, then advances an event queue in
+One replication takes a lifetime per unit, then advances an event queue in
 which a unit fails exactly when its effective consumed life (lab credit +
-aged shelf time + on-job time) crosses its sampled lifetime.  Between
-maintenance events consumption is linear, so crossings are solved in closed
-form; there is no integration step.  Simultaneous events are ordered
-failure < replace < rotate, and equal-time failures break ties by slot
-index.
+aged shelf time + on-job time) crosses its lifetime.  Between maintenance
+events consumption is linear, so crossings are solved in closed form; there
+is no integration step.  Simultaneous events are ordered failure < replace
+< rotate, and equal-time failures break ties by slot index.
 
 :func:`run_batch` runs all replications of an ensemble in lockstep over
 position-major numpy arrays, one pass per event epoch that skips the event
@@ -14,13 +13,14 @@ kinds no replication is due for; on request it also records every
 replication's event log as one :class:`EventLog` table.  Under a rotating
 policy with every shelf spare usable, one shared state first takes all
 replications through the leading rotation epochs at which none has any
-other event, which leaves results and event logs unchanged.  It is the engine
-every command runs, through :func:`run_ensemble` or directly.  The tests hold
-its per-replication results and event logs, bit for bit, to a scalar event
-loop over per-unit age ledgers kept in ``tests/oracle.py``.  The module
-keeps what the outputs read: :class:`Metrics`, the summaries ``simulate``
-and ``compare`` print, and :func:`_event_tails`, the one table that decodes
-the event codes ``simulate --events-out`` writes.
+other event, which leaves results and event logs unchanged.  It alone says
+when the spare goes in, how old it is then and when it dies: every ensemble
+and every scenario timeline runs it.  The tests hold its per-replication
+results and event logs, bit for bit, to a scalar event loop over per-unit
+age ledgers kept in ``tests/oracle.py``.  The module keeps what the outputs
+read: :class:`Metrics`, the summaries ``simulate`` and ``compare`` print,
+and :func:`_event_tails`, the one table that decodes the event codes
+``simulate --events-out`` writes.
 
 Randomness comes from splitmix64 streams: 64-bit state advanced by the
 golden-gamma increment 0x9E3779B97F4A7C15 and finalized by the standard
@@ -41,14 +41,16 @@ import functools
 import itertools
 import math
 import numbers
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .maintenance import Policy, rotation_targets
-from .system import SystemConfig
 from .value import Value
+
+if TYPE_CHECKING:
+    from .system import SystemConfig
 
 __all__ = [
     "SimConfig",
@@ -57,6 +59,7 @@ __all__ = [
     "EVENT_KINDS",
     "EventLog",
     "BatchOutcomes",
+    "sample_lifetimes",
     "run_batch",
     "run_ensemble",
 ]
@@ -236,27 +239,31 @@ class BatchOutcomes(NamedTuple):
     events: EventLog | None = None
 
 
-def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replications: int, *,
-              horizon: float | None = None, record_events: bool = False) -> BatchOutcomes:
-    """Simulate replications 0..N-1 of ``master_seed`` in lockstep.
+def sample_lifetimes(config: SystemConfig, master_seed: int, replications: int) -> np.ndarray:
+    """The (N, 3) unit lifetimes of replications 0..N-1 of ``master_seed``, in one draw."""
+    return config.unit_lifetime.sample(_uniforms(_derive_seeds(master_seed, replications), 3))
+
+
+def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float | None = None,
+              record_events: bool = False) -> BatchOutcomes:
+    """Simulate one replication per row of ``lifetimes``, in lockstep: (N, 3) unit
+    lifetimes in roster order (slot 0's unit, slot 1's, then the shelf spare).
 
     The struct-of-arrays form of the scalar event loop in ``tests/oracle.py``,
     laid out by position: ``units[field, position, row]`` (the slots, then the
     shelf) and ``failed[slot, row]``, so each two-slot step is elementwise
     over contiguous rows.  Each pass handles one event epoch of every running
     replication, with the scalar loop's event order and floating-point
-    operations, so replication i equals the oracle's ``run_replication`` for
-    ``derive_seed(master_seed, i)`` exactly.  A pass first drops the rows next
-    due past the horizon, as censored, and skips an event kind, or the
-    compaction of dead rows, that no row is due for.
-    ``config.unit_lifetime.sample`` is called once, on a (replications, units)
-    array of uniforms.
+    operations, so at :func:`sample_lifetimes` of ``master_seed`` replication i
+    equals the oracle's ``run_replication`` for ``derive_seed(master_seed, i)``
+    exactly.  A pass first drops the rows next due past the horizon, as
+    censored, and skips an event kind, or the compaction of dead rows, that no
+    row is due for.
 
-    With ``record_events`` the result also holds every replication's event log
-    (:class:`EventLog`), equal to the scalar traces' events: each pass appends
-    a block of rows per event kind, in the scalar loop's order within an
-    epoch, and a stable sort on the replication index groups the blocks into
-    per-replication logs.
+    With ``record_events`` the result also holds the event logs (:class:`EventLog`),
+    equal to the scalar traces' events: each pass appends a block of rows per
+    event kind, in the scalar loop's order within an epoch, and a stable sort
+    on the replication index groups the blocks into per-replication logs.
 
     A rotating policy whose every row starts with a usable shelf spare first
     runs the lead.  Until its first failure every row holds the same ages in
@@ -275,9 +282,9 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
     rotating = policy.kind == "type2"
     S = 2  # position of the shelf, after the two slots
 
-    u = _uniforms(_derive_seeds(master_seed, replications), S + 1)
+    replications = len(lifetimes)
     units = np.zeros((_ID + int(record_events), S + 1, replications))
-    units[_LIFE] = config.unit_lifetime.sample(u).T
+    units[_LIFE] = lifetimes.T
     units[_LAB, S] = config.lab_burnin
     failed = np.zeros((S, replications), dtype=bool)
     # a usable shelf unit: not installed, not failed, not dead on arrival from its lab credit
@@ -291,9 +298,9 @@ def run_batch(config: SystemConfig, policy: Policy, master_seed: int, replicatio
     columns = ([], [], [], [], [], [])  # replication, time, kind, unit, slot, unit_out
 
     def record(sel, kind, unit=None, slot=_NONE, unit_out=None):
-        # unit and unit_out are positions, read before the event moves their units
-        if record_events:
-            n = np.count_nonzero(sel)
+        # unit and unit_out are positions, read before the event moves their units; an
+        # empty block is kept only first, where it gives each column its dtype
+        if record_events and ((n := np.count_nonzero(sel)) or not columns[0]):
             ids = [np.full(n, _NONE) if p is None else units[_ID, p, sel]
                    for p in (unit, unit_out)]
             block = (rows[sel], t[sel], np.full(n, kind), ids[0], np.full(n, slot), ids[1])
@@ -414,10 +421,9 @@ def _event_log(columns) -> EventLog:
 def run_ensemble(config: SystemConfig, policy: Policy, sim: SimConfig) -> Metrics:
     """Run N replications with :func:`run_batch` and aggregate in index order.
 
-    Replication i uses the i-th seed derived from ``sim.master_seed``, and
-    its values equal those of the scalar oracle's ``run_replication`` in
-    ``tests/oracle.py`` for that seed.
+    Replication i samples the i-th seed derived from ``sim.master_seed``, and its
+    values equal the scalar oracle's ``run_replication`` (``tests/oracle.py``) for it.
     """
-    return Metrics.from_batch(run_batch(
-        config, policy, sim.master_seed, sim.replications, horizon=sim.horizon))
+    lifetimes = sample_lifetimes(config, sim.master_seed, sim.replications)
+    return Metrics.from_batch(run_batch(config, policy, lifetimes, horizon=sim.horizon))
 

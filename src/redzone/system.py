@@ -21,18 +21,20 @@ effect the timeline exists to exhibit.
 Two readings of the lifetime spread are supported deliberately: the Monte
 Carlo engine treats it as the standard deviation of sampled lifetimes, and
 the deterministic timeline treats it as the explicit gap between the two
-main-unit failure times.
+main-unit failure times of one engine replication, whose spare it draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CompositionError, DomainError, ValidationError, warn
+from .errors import CompositionError, DomainError, ValidationError, ValidationWarning, warn
 from .hazards import (
     BathtubModel,
     LifetimeDistribution,
@@ -43,6 +45,8 @@ from .hazards import (
     software_cumulative,
     software_hazard,
 )
+from .maintenance import Policy
+from .montecarlo import _FAILURE, _REPLACE, run_batch
 from .value import Value
 
 # The cause of the one timeline error a smaller lifetime spread avoids.
@@ -55,8 +59,8 @@ __all__ = [
     "ScenarioTimeline",
     "HazardCurve",
     "compose_parallel",
-    "end_of_life",
     "scenario_timeline",
+    "scenario_timelines",
     "system_hazard_curve",
     "system_hazard_curves",
 ]
@@ -175,58 +179,64 @@ class ScenarioTimeline(NamedTuple):
     t_end: float
 
 
-def end_of_life(config: SystemConfig) -> float:
-    """When the spare, installed at the first main failure, exhausts its life.
-
-    Installed at the mean lifetime with its lab credit already consumed,
-    it fails at ``mean + (mean - lab)``: the end of every scenario curve.
-    It ignores ``shelf_aging_factor``, by which the Monte Carlo engine also
-    ages the spare on the shelf.
-    """
-    mean = config.unit_lifetime.mean
-    return mean + (mean - config.lab_burnin)
-
-
 def scenario_timeline(config: SystemConfig) -> ScenarioTimeline:
     """Deterministic event sequence for the replace-on-failure policy.
 
-    The two mains are commissioned fresh at t = 0; the first fails at the
-    mean lifetime and the second the lifetime sd later (the spread read as
-    an explicit gap).  The spare carries its lab burn-in credit and is
-    installed at the first failure.  Boundaries:
-
-        T0  = th1 + th2                wear-out onset of the mains
-        Tf1 = mean                     first main failure, spare installed
-        Tf2 = mean + sd                second main failure
-        T2  = Tf2 + (th1 - lab)        declared end of the spare's burn-in
-
-    Segment labels follow the declared phase windows; hazard values along
-    the curve always use true unit ages.  The timeline ignores
-    ``shelf_aging_factor``: the spare's age at install is its lab credit,
-    while the Monte Carlo engine also ages it on the shelf by that factor.
+    Tf1, Tf2 and the end of life ``t_end`` are the event times of a type1
+    ``run_batch`` replication at lifetimes (mean, mean + sd, mean): the spread
+    read as the gap between the mains' failures, and the spare, installed at
+    the first, born at its death less its lifetime.  T0 = th1 + th2; T2 = Tf2
+    + max(th1 - the spare's age at Tf1, 0), the declared end of its burn-in.
+    Segment labels follow the declared phase windows; hazard values use true
+    unit ages.  A spare dead before Tf1 or by Tf2 raises ValidationError.
     """
+    return next(scenario_timelines(config, [config.unit_lifetime.sd]))
+
+
+def scenario_timelines(config: SystemConfig, spreads) -> Iterator[ScenarioTimeline]:
+    """The :func:`scenario_timeline` of ``config`` at each lifetime spread, from one
+    ``run_batch`` call; the iterator builds each, or raises its error, when advanced."""
+    # the caller's config has already warned about itself; the copies would repeat it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidationWarning)
+        configs = [config._replace(unit_lifetime=LifetimeDistribution(
+            config.unit_lifetime.mean, d)) for d in spreads]
+    mean = config.unit_lifetime.mean
+    lives = np.array([(mean, mean + c.unit_lifetime.sd, mean) for c in configs]).reshape(-1, 3)
+    log = run_batch(config, Policy("type1"), lives, horizon=math.inf, record_events=True).events
+    ends = np.searchsorted(log.replication, np.arange(1, len(lives) + 1)).tolist()
+    events = zip(log.time.tolist(), log.kind.tolist(), log.unit.tolist())
+    return (_timeline(c, list(itertools.islice(events, hi - lo)))
+            for c, lo, hi in zip(configs, [0, *ends], ends))
+
+
+def _timeline(config: SystemConfig, events) -> ScenarioTimeline:
+    """The timeline of ``config`` from its replication's (time, kind, unit) events."""
     hz = config.hazard
     mean = config.unit_lifetime.mean
-    lab = config.lab_burnin
     t0 = hz.wearout_onset
     if mean < t0:
-        raise ValidationError(
-            f"mean lifetime ({mean}) lies before the wear-out onset ({t0}); "
-            "the end-of-life scenario is undefined",
-            fields=("lifetime.mean", "hazard.th1 + hazard.th2"))
-    tf1 = mean
-    tf2 = mean + config.unit_lifetime.sd
-    t2 = tf2 + max(hz.th1 - lab, 0.0)
-    t_end = end_of_life(config)
+        raise ValidationError(f"mean lifetime ({mean}) lies before the wear-out onset ({t0}); "
+                              "the end-of-life scenario is undefined",
+                              fields=("lifetime.mean", "hazard.th1 + hazard.th2"))
+    failed_at = {unit: t for t, kind, unit in events if kind == _FAILURE}
+    if not any(kind == _REPLACE for _, kind, _ in events):
+        raise ValidationError(f"spare dies before the first main failure ({failed_at[0]!r}), on "
+                              "arrival or on the shelf; lower the shelf aging factor or the lab "
+                              "burn-in", fields=("system.shelf_aging_factor", "system.lab_burnin"))
+    tf1, tf2, spare_birth = failed_at[0], failed_at[1], failed_at[2] - mean
+    t_end = events[-1][0]  # the system's death ends the log
     if t_end <= tf2:
         raise ValidationError(f"{_SPARE_EXHAUSTED}; lower the lifetime sd or raise the "
                               "mean lifetime",
                               fields=("lifetime.sd", "lifetime.mean", "system.lab_burnin"))
+    age = tf1 - spare_birth  # the spare's consumed life at install
+    t2 = tf2 + max(hz.th1 - age, 0.0)
 
     main1 = ActiveUnit("controller_1", PHASE_USEFUL, birth=0.0)
     main2 = ActiveUnit("controller_2", PHASE_USEFUL, birth=0.0)
-    spare_birth = tf1 - lab
-    spare = ActiveUnit("controller_3", PHASE_BURNIN, birth=spare_birth)
+    phase = PHASE_BURNIN if age < hz.th1 else PHASE_USEFUL if age < t0 else PHASE_WEAROUT
+    spare = ActiveUnit("controller_3", phase, birth=spare_birth)
 
     segs: list[ScenarioSegment] = []
 
@@ -238,17 +248,12 @@ def scenario_timeline(config: SystemConfig) -> ScenarioTimeline:
     add(t0, tf1, (main1._replace(phase=PHASE_WEAROUT), main2._replace(phase=PHASE_WEAROUT)),
         0.0, "T0")
     add(tf1, tf2, (main2._replace(phase=PHASE_WEAROUT), spare), tf1, "Tf1")
-    # Declared spare burn-in window; with a large sd the spare has already
-    # matured and the label is schematic (values use true ages).
+    # the spare's declared burn-in window, schematic at a large sd (values use true ages)
     add(tf2, min(t2, t_end), (spare,), tf2, "Tf2")
-    spare_onset = spare_birth + hz.wearout_onset
-    if spare_onset <= max(t2, tf2):
-        add(max(t2, tf2), t_end, (spare._replace(phase=PHASE_WEAROUT),), tf2, "T2")
-    else:
-        add(max(t2, tf2), min(spare_onset, t_end), (spare._replace(phase=PHASE_USEFUL),),
-            tf2, "T2")
-        add(min(spare_onset, t_end), t_end, (spare._replace(phase=PHASE_WEAROUT),),
-            tf2, "spare_wearout")
+    onset = min(max(spare_birth + t0, t2), t_end)  # t2 >= tf2
+    add(t2, onset, (spare._replace(phase=PHASE_USEFUL),), tf2, "T2")
+    add(onset, t_end, (spare._replace(phase=PHASE_WEAROUT),), tf2,
+        "T2" if onset == t2 else "spare_wearout")
 
     return ScenarioTimeline(config=config, segments=tuple(segs),
                             t0=t0, tf1=tf1, tf2=tf2, t2=t2, t_end=t_end)
@@ -295,9 +300,10 @@ def system_hazard_curves(timelines, *, dt: float,
     from the segment's conditioning epoch; single-unit segments reduce to
     the unit's own rate.
 
-    The timelines must share one end of life, hence one grid; the spreads
-    of one system do.  Evaluation is by unit: units with the same terms and
-    birth (the two mains; the spare across segments and spreads) are one.
+    The timelines must share one end of life, to a relative 1e-12, as the
+    spreads of one system do; each curve's grid, ``arange(0, t_end, dt)``, is
+    a prefix of the longest.  Evaluation is by unit: units with the same terms
+    and birth (the two mains; the spare across segments and spreads) are one.
     A unit's rate is evaluated once, over the hull of the grid slices that
     read it, and its cumulative hazard once, over the hull of the pair slices
     that read it; each pair is composed once from slices of those arrays.  A
@@ -305,30 +311,30 @@ def system_hazard_curves(timelines, *, dt: float,
     with it, so every curve equals the curve sampled from its timeline alone,
     bit for bit.  All evaluation, and any error it raises, happens in this
     call; the returned iterator then assembles one curve per timeline, in
-    order, as it is advanced.  The curves share one ``times`` array.
+    order, as it is advanced.  The curves' ``times`` are views of one array.
     """
     if not dt > 0.0:
         raise DomainError(f"dt must be > 0, got {dt!r}")
     timelines = list(timelines)
-    ends = {tl.t_end for tl in timelines}
-    if len(ends) > 1:
-        raise DomainError(f"system_hazard_curves needs timelines with one end of life, "
-                          f"got {sorted(ends)}")
     if not timelines:
         return iter(())
-    # Slice the full grid rather than build one from ``start``: a grid that
-    # starts elsewhere holds different float values.
-    t = np.arange(0.0, timelines[0].t_end, dt)
-    t = t[np.searchsorted(t, start, "left"):]
+    ends = sorted({tl.t_end for tl in timelines})
+    if not math.isclose(ends[0], ends[-1], rel_tol=1e-12):
+        raise DomainError(f"system_hazard_curves needs timelines with one end of life, got {ends}")
+    # Slice the full grid rather than build one from ``start``, whose floats differ; a
+    # curve's own grid, arange(0.0, t_end, dt), is its first ceil(t_end / dt) points.
+    t = np.arange(0.0, ends[-1], dt)
+    first = int(np.searchsorted(t, start, "left"))
+    t = t[first:]
     # (evaluator, key) -> [unit or pair segment, its config, hull lo, hull hi]; a unit's
     # key is (index of its terms, birth), a pair's (*its unit keys, epoch).
-    terms, hulls, plans = {}, {}, []  # plans: (slot, lo, hi) per segment with grid points
+    terms, hulls, plans = {}, {}, []  # plans: [point count, (slot, lo, hi) per segment]
     for tl in timelines:
         c = tl.config
         index = terms.setdefault((c.hazard, c.software, c.operator), len(terms))
-        plan = []
+        plan = [n := max(math.ceil(tl.t_end / dt) - first, 0)]
         for seg in tl.segments:
-            lo, hi = (int(i) for i in np.searchsorted(t, (seg.t_start, seg.t_end), "left"))
+            lo, hi = (min(int(i), n) for i in np.searchsorted(t, (seg.t_start, seg.t_end), "left"))
             if lo == hi:
                 continue
             units = [((index, au.birth), au) for au in seg.units]
@@ -362,10 +368,11 @@ def system_hazard_curves(timelines, *, dt: float,
     values = {slot: v for slot, v in values.items() if slot[0] is not _unit_cumulative_at}
 
     def assemble(plan) -> HazardCurve:
-        h = np.zeros_like(t)
+        n, *plan = plan
+        h = np.zeros(n)
         for slot, lo, hi in plan:
             h[lo:hi] = window(slot, lo, hi)
-        return HazardCurve(times=t, rates=h)
+        return HazardCurve(times=t[:n], rates=h)
 
     return (assemble(plan) for plan in plans)
 

@@ -34,7 +34,7 @@ from redzone import (
 )
 from redzone.cli import main
 from redzone.config import parse_config
-from redzone.montecarlo import run_batch
+from redzone.montecarlo import run_batch, sample_lifetimes
 
 from conftest import make_bathtub, make_flat_bathtub, make_redzone_system
 from oracle import ExponentialLifetime, derive_seed, empirical_hazard, run_replication
@@ -150,7 +150,8 @@ def test_criterion_5_rotation_extension():
         ratio = lifetime_extension(m1.trdd.mean, m2.trdd.mean)
         assert 0.40 <= ratio <= 0.55
         # three-unit budget consumed at rate two bounds the redundant life
-        trdd = run_batch(cfg, rotation, sim.master_seed, sim.replications).trdd
+        trdd = run_batch(cfg, rotation,
+                         sample_lifetimes(cfg, sim.master_seed, sim.replications)).trdd
         assert float(np.nanmax(trdd)) <= 1.55 * mean
 
 
@@ -202,8 +203,8 @@ def test_criterion_8_byte_identical_cli_output(tmp_path):
         run = parse_config(doc)
         for policy in (Policy("type1"), Policy("type2", rotation_period=run.policy.rotation_period)):
             met = run_ensemble(run.system, policy, run.sim)
-            out = run_batch(run.system, policy, run.sim.master_seed, run.sim.replications,
-                            horizon=run.sim.horizon)
+            out = run_batch(run.system, policy, sample_lifetimes(
+                run.system, run.sim.master_seed, run.sim.replications), horizon=run.sim.horizon)
             columns = {"trdd": out.trdd, "tdt": out.tdt, "dp": out.dp, "tdr": out.tdt - out.dp}
             traces = [run_replication(run.system, policy, derive_seed(run.sim.master_seed, i))
                       for i in range(run.sim.replications)]
@@ -220,7 +221,8 @@ def test_criterion_9_empirical_hazard_recovers_constant_rate():
         # pair's first failure, trdd, is Exp(2 rate)
         cfg = make_redzone_system(delta=1.0)._replace(unit_lifetime=ExponentialLifetime(rate),
                                                       lab_burnin=1e4)
-        out = run_batch(cfg, Policy("type1"), 909, 100_000, horizon=5_000.0)
+        out = run_batch(cfg, Policy("type1"), sample_lifetimes(cfg, 909, 100_000),
+                        horizon=5_000.0)
         h = empirical_hazard(out.trdd, out.trdd, bin_width=10.0)
         first_two_lifetimes = h.midpoints <= 2.0 / rate
         assert np.count_nonzero(first_two_lifetimes) >= 20

@@ -28,7 +28,7 @@ from redzone import (
 from redzone import analysis
 from redzone.analysis import apply_vendor_decision_point, baseline_from_curve, peak_ratio
 from redzone.maintenance import red_zone_condition
-from redzone.montecarlo import run_batch
+from redzone.montecarlo import run_batch, sample_lifetimes
 
 from conftest import make_redzone_system, make_software_system, per_segment_curve, with_spread
 
@@ -315,6 +315,25 @@ class TestDeltaSweep:
         assert swept.value.fields == ("lifetime.mean", "system.lab_burnin")
         assert ensembles == []
 
+    @pytest.mark.parametrize("alpha, lab", [(1.0, 2.0), (0.0, 250.0)],
+                             ids=["shelf-death", "dead-on-arrival"])
+    def test_spare_dead_before_first_failure_fails_before_any_ensemble(self, alpha, lab,
+                                                                       monkeypatch):
+        # fully shelf-aged, the spare dies on the shelf at 206, before Tf1 = 208; with
+        # 250 weeks of lab credit it is dead on arrival.  No spread moves either, so the
+        # sweep raises the timeline's error as it is
+        cfg = make_redzone_system(delta=1.0, lab=lab)._replace(shelf_aging_factor=alpha)
+        with pytest.raises(ValidationError) as reference:
+            scenario_timeline(cfg)
+        ensembles = []
+        monkeypatch.setattr(analysis, "run_ensemble", lambda *args: ensembles.append(args))
+        with pytest.raises(ValidationError) as swept:
+            delta_sweep(cfg, [1.0, 20.0], Policy("type1"),
+                        SimConfig(replications=10, master_seed=1), **SWEEP)
+        assert str(swept.value) == str(reference.value)
+        assert swept.value.fields == ("system.shelf_aging_factor", "system.lab_burnin")
+        assert ensembles == []
+
     def test_later_certainly_failed_spread_raises_the_reference_error(self):
         # a software pulse at Tf1 leaves both units certainly failed within weeks
         cfg = make_software_system(upgrades=(UpgradeEvent(208.0, "minor", 10.0, 50.0),))
@@ -353,8 +372,8 @@ class TestComparePolicies:
     def test_rotation_budget_bound(self):
         cfg = make_redzone_system(delta=2.0, mean=200.0)
         sim = SimConfig(replications=2000, master_seed=37)
-        trdd = run_batch(cfg, Policy("type2", rotation_period=200.0 / 6), sim.master_seed,
-                         sim.replications).trdd
+        trdd = run_batch(cfg, Policy("type2", rotation_period=200.0 / 6),
+                         sample_lifetimes(cfg, sim.master_seed, sim.replications)).trdd
         assert float(np.nanmax(trdd)) <= 1.55 * 200.0
 
     def test_rotation_too_infrequent_to_help(self):

@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redzone
-from redzone import LifetimeDistribution, Policy, assess_red_zone, bathtub_hazard
+from redzone import LifetimeDistribution, Policy, assess_red_zone, bathtub_hazard, run_ensemble
 from redzone import cli
 from redzone.cli import build_parser, main
 from redzone.config import load_config
-from redzone.montecarlo import EVENT_KINDS, EventLog, run_batch
-from redzone.system import end_of_life, scenario_timeline, system_hazard_curve
+from redzone.montecarlo import EVENT_KINDS, EventLog, run_batch, sample_lifetimes
+from redzone.system import scenario_timeline, system_hazard_curve
 
 from conftest import event_fields
 from oracle import derive_seed, run_replication
@@ -323,10 +323,11 @@ class TestScenarioCommand:
         conf = write_config(tmp_path, lifetime={"mean": 208.0, "sd": 1.0},
                             system={"lab_burnin": 2.0})
         run = load_config(conf)
-        dt = end_of_life(run.system) / (2.5 * cli._BLOCK)
+        timeline = scenario_timeline(run.system)
+        dt = timeline.t_end / (2.5 * cli._BLOCK)
         out = tmp_path / "s.csv"
         assert main(["scenario", "--config", conf, "--out", str(out), "--dt", repr(dt)]) == 0
-        curve = system_hazard_curve(scenario_timeline(run.system), dt=dt)
+        curve = system_hazard_curve(timeline, dt=dt)
         assert len(curve.times) > 2 * cli._BLOCK
         lines = (tmp_path / "s_curve.csv").read_text(encoding="utf-8").splitlines()
         assert lines == ["t_weeks,h_system"] + [
@@ -439,7 +440,8 @@ class TestSimulateCommand:
         ev = tmp_path / "events.csv"
         assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim.json"),
                      "--events-out", str(ev)]) == 0
-        log = run_batch(load_config(conf).system, Policy("type1"), seed, reps,
+        system = load_config(conf).system
+        log = run_batch(system, Policy("type1"), sample_lifetimes(system, seed, reps),
                         record_events=True).events
         assert len(log.time) > 2 * cli._BLOCK
         assert ev.read_text(encoding="utf-8").splitlines() == [
@@ -502,6 +504,25 @@ class TestSimulateCommand:
             argv += ["--events-out", str(tmp_path / "events.csv")]
         assert main(argv) == 0
         assert calls == [events]
+
+    @pytest.mark.parametrize("lifetime, system", [
+        ({"mean": 208.0, "sd": 2.0}, {"lab_burnin": 2.0, "shelf_aging_factor": 1.0}),
+        ({"mean": 208.0, "sd": 2.0}, {"lab_burnin": 250.0}),
+        ({"mean": 200.0, "sd": 300.0}, {}),
+        ({"mean": 150.0, "sd": 1.0}, {}),
+    ], ids=["shelf-death", "dead-on-arrival", "spare-exhausted", "mean-before-wear-out"])
+    def test_undefined_timeline_leaves_the_ensemble(self, lifetime, system, tmp_path):
+        # scenario exits 1 on these systems; simulate writes their ensemble, red_zone null
+        conf = write_config(tmp_path, lifetime=lifetime, system=system,
+                            sim={"replications": 20, "master_seed": 5})
+        assert main(["scenario", "--config", conf, "--out", str(tmp_path / "s.csv")]) == 1
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", conf, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        run = load_config(conf)
+        assert doc["red_zone"] is None
+        metrics = run_ensemble(run.system, Policy("type1"), run.sim)
+        assert doc["tdt_weeks"]["mean"] == metrics.tdt.mean
 
     def test_malformed_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -632,6 +653,22 @@ class TestRedzoneCommand:
             "the end-of-life scenario is undefined "
             "(config: lifetime.mean, hazard.th1 + hazard.th2)\n")
 
+    @pytest.mark.parametrize("command", ["scenario", "redzone"])
+    @pytest.mark.parametrize("system", [
+        {"lab_burnin": 2.0, "shelf_aging_factor": 1.0},  # dies on the shelf at 206
+        {"lab_burnin": 250.0},  # dead on arrival
+    ], ids=["shelf-death", "dead-on-arrival"])
+    def test_spare_dead_before_first_failure_exits_one(self, command, system, tmp_path,
+                                                       capsys):
+        # no curve is drawn for a spare the engine never installs
+        conf = write_config(tmp_path, lifetime={"mean": 208.0, "sd": 2.0}, system=system)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", conf, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: spare dies before the first main failure (208.0)")
+        assert err.endswith(" (config: system.shelf_aging_factor, system.lab_burnin)\n")
+        assert not out.exists()
+
 
 # The shipped example config's one ValidationWarning, as the CLI prints it.
 EXAMPLE_WARNING = ("warning: hazard: burn-in term at th1 exceeds 1% of useful_rate "
@@ -748,13 +785,15 @@ KERNEL_CONFIG = {
     "analysis": {"curve_dt": 0.05},
 }
 
-# SHA-256 of hazard, scenario and a three-spread redzone run on KERNEL_CONFIG, recorded
-# before the per-unit curve evaluation and the masked bathtub kernels.
+# SHA-256 of hazard, scenario and a three-spread redzone run on KERNEL_CONFIG.  hazard's
+# was recorded before the per-unit curve evaluation and the masked bathtub kernels; the
+# others when the timeline began to read its spare from the engine, which ages it on the
+# shelf (alpha 0.3): it goes in 64.4 weeks old, born at 143.6, and dies at 351.6.
 KERNEL_DIGESTS = {
     "hazard.csv": "912359d2b54b3494ab23dd4f8d8f20ef2342c09ab3e2a42ec69d7ccc867b4038",
-    "scenario.csv": "7828153ff4b518eff44f53953b57d9f1988a81fe1f82c80de29c0af0765e9f4f",
-    "scenario_curve.csv": "96742185ddcffc19cdb59c15537a1810627a0cdac464866ba39d113c3efa5fdb",
-    "redzone.csv": "25d153dec9cdfd2ccb030fb51ce7e179f291364ba8219624bd56d603f26d05f9",
+    "scenario.csv": "53ce9f212b4595a622178b1739d34a22c4ed5f4d849c921041cc6fec06dbe6bf",
+    "scenario_curve.csv": "546a28506e5a569503d1ea8fb6c721aba86665e9c2e3d84e5001f1c56ef01a95",
+    "redzone.csv": "f8ab51717bc3f070cf4d293249ba854a2f83308dd0e08cf76ea030819955a7d4",
 }
 
 

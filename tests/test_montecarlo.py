@@ -20,7 +20,7 @@ from redzone import (
 )
 from redzone.cli import main
 from redzone.config import load_config
-from redzone.montecarlo import _derive_seeds, _uniforms, run_batch
+from redzone.montecarlo import _derive_seeds, _uniforms, run_batch, sample_lifetimes
 
 from conftest import event_fields, make_flat_bathtub, make_redzone_system
 from oracle import (
@@ -86,8 +86,8 @@ def assert_batch_matches_scalar(config, policy, master_seed, replications, *,
                                 record_events=True, every=1, **kwargs):
     """Every ``every``-th replication's results from run_batch equal run_replication's,
     exactly, and so does every recorded event: time, kind, unit, slot and unit_out."""
-    out = run_batch(config, policy, master_seed, replications, record_events=record_events,
-                    **kwargs)
+    out = run_batch(config, policy, sample_lifetimes(config, master_seed, replications),
+                    record_events=record_events, **kwargs)
     checked = range(0, replications, every)
     traces = [run_replication(config, policy, derive_seed(master_seed, i), **kwargs)
               for i in checked]
@@ -401,7 +401,8 @@ class TestRunEnsemble:
         # + 1/(2 lam) = 90.  Tolerance: 3 standard errors, of the mean and of the
         # shelf-death share.
         lam, alpha, n = 0.01, 0.5, 50_000
-        out = run_batch(exp_config(lam, alpha=alpha), policy, 7, n, horizon=10000.0,
+        cfg = exp_config(lam, alpha=alpha)
+        out = run_batch(cfg, policy, sample_lifetimes(cfg, 7, n), horizon=10000.0,
                         record_events=True)
         assert not out.censored.any()
         se = np.std(out.trdd, ddof=1) / math.sqrt(n)
@@ -415,7 +416,8 @@ class TestRunEnsemble:
         # L = 20.  A cold spare cannot die on the shelf later, so every shelf
         # failure is at t = 0.  Tolerance: 3 standard errors of the share.
         lam, lab, n = 0.01, 20.0, 50_000
-        out = run_batch(exp_config(lam, lab=lab), Policy("type1"), 7, n, horizon=10000.0,
+        cfg = exp_config(lam, lab=lab)
+        out = run_batch(cfg, Policy("type1"), sample_lifetimes(cfg, 7, n), horizon=10000.0,
                         record_events=True)
         on_shelf = out.events.slot == -2
         assert np.all(out.events.time[on_shelf] == 0.0)
@@ -431,7 +433,8 @@ class TestRunEnsemble:
         # below the asymptotic critical value sqrt(ln(2 / 0.01) / 2) / sqrt(n),
         # 1.6276 / sqrt(n), about 0.00728 at n = 50,000.
         lam, n = 0.01, 50_000
-        out = run_batch(exp_config(lam), policy, 7, n, horizon=10000.0)
+        cfg = exp_config(lam)
+        out = run_batch(cfg, policy, sample_lifetimes(cfg, 7, n), horizon=10000.0)
 
         def erlang_cdf(t):
             x = 2.0 * lam * np.asarray(t)
@@ -440,14 +443,19 @@ class TestRunEnsemble:
         result = stats.kstest(out.trdd, erlang_cdf)
         assert result.statistic < 1.6276 / math.sqrt(n), result
 
-    def test_sd_zero_ties_the_timeline_landmarks(self):
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("lab", [2.0, 7.5])
+    def test_sd_zero_ties_the_timeline_landmarks(self, alpha, lab):
         # With deterministic lifetimes the spread's two readings agree: every
         # type1 replication loses redundancy at the timeline's Tf2 and dies at
-        # its end of life, mean + (mean - lab).  The system is the demo config's.
-        system = make_redzone_system(delta=0.0)
+        # its end of life, when the spare installed at the mean has consumed its
+        # mean lifetime: mean + (mean - lab - alpha * mean).  The system is the
+        # demo config's, with shelf ageing and another lab credit.
+        system = make_redzone_system(delta=0.0, lab=lab)._replace(shelf_aging_factor=alpha)
         tl = scenario_timeline(system)
-        assert (tl.tf2, tl.t_end) == (208.0, 414.0)
-        out = run_batch(system, Policy("type1"), 42, 500)
+        assert tl.tf2 == 208.0
+        assert tl.t_end == pytest.approx(208.0 + (208.0 - lab - alpha * 208.0), rel=1e-15)
+        out = run_batch(system, Policy("type1"), sample_lifetimes(system, 42, 500))
         assert np.all(out.trdd == tl.tf2)
         assert np.all(out.tdt == tl.t_end)
 
@@ -568,8 +576,9 @@ class TestRunBatch:
         # nor has an ensemble of no replications
         run = load_config(EXAMPLE)
         policy = Policy(kind, rotation_period=run.policy.rotation_period)
-        out = run_batch(run.system, policy, run.sim.master_seed, replications, horizon=1e-9,
-                        record_events=True)
+        out = run_batch(run.system, policy,
+                        sample_lifetimes(run.system, run.sim.master_seed, replications),
+                        horizon=1e-9, record_events=True)
         assert out.censored.all()
         assert [(len(c), c.dtype) for c in out.events] == [
             (0, np.dtype(np.intp)), (0, np.dtype(float))] + [(0, np.dtype(np.int8))] * 4
@@ -644,7 +653,7 @@ class TestEmpiricalHazard:
 
     def test_end_of_life_peak_dwarfs_useful_phase_rates(self):
         cfg = make_redzone_system(delta=1.0)
-        out = run_batch(cfg, Policy("type1"), 23, 2_000)
+        out = run_batch(cfg, Policy("type1"), sample_lifetimes(cfg, 23, 2_000))
         ends = end_times(out, 5.0 * cfg.unit_lifetime.mean)  # run_batch's default horizon
         h = empirical_hazard(ends, out.tdt[~np.isnan(out.tdt)], bin_width=5.0)
         useful = (h.midpoints > cfg.hazard.th1) & (h.midpoints < cfg.hazard.wearout_onset)

@@ -1,7 +1,8 @@
 """The package's declared dependencies cover what its modules import, its import
 loads neither ``dataclasses`` nor ``orjson``, orjson loads only where a float
-table is written, every warning goes through ``redzone.errors.warn``, and the
-scalar oracle in ``tests/oracle.py`` stays apart from the engine it checks."""
+table is written, every warning goes through ``redzone.errors.warn``, only the
+engine reads how the spare is consumed, and the scalar oracle in
+``tests/oracle.py`` stays apart from the engine it checks."""
 
 import ast
 import os
@@ -69,6 +70,23 @@ def test_only_errors_warn_sets_where_a_warning_points(path):
     stacklevels = sum(any(k.arg == "stacklevel" for k in call.keywords) for call in calls)
     assert "warnings.warn" not in imported_modules(path)
     assert (warns, stacklevels) == ((1, 1) if path.name == "errors.py" else (0, 0))
+
+
+def test_only_the_engine_reads_the_spare_s_consumption():
+    # the lab credit and the shelf aging factor fix when the spare dies; outside the
+    # config's own checks only run_batch's module reads them, so no second statement
+    # of the spare's install age or death time comes back
+    readers = set()
+    for path in SRC_MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        checks = {node for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "SystemConfig"
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                  for node in ast.walk(fn)}
+        readers.update(path.name for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and node not in checks
+                       and node.attr in ("lab_burnin", "shelf_aging_factor"))
+    assert readers == {"montecarlo.py"}
 
 
 def test_cli_import_builds_no_dataclass_and_loads_no_orjson():

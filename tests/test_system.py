@@ -21,7 +21,7 @@ from redzone import (
     system_hazard_curves,
 )
 from redzone import system
-from redzone.system import _unit_cumulative_at, _unit_rate
+from redzone.system import _unit_cumulative_at, _unit_rate, scenario_timelines
 
 from conftest import (
     make_bathtub,
@@ -431,11 +431,36 @@ class TestSystemHazardCurves:
         with pytest.raises(DomainError, match="dt must be > 0"):
             system_hazard_curves([tl], dt=0.0)
 
-    def test_timelines_must_share_one_end_of_life(self):
+    @pytest.mark.parametrize("mean, lab, alpha, spreads, dt, points", [
+        # 402.19 at spread 1 and one ulp below it at spread 8.06: one grid
+        (201.54, 0.89, 0.0, [1.0, 8.06], 0.1, [4022, 4022]),
+        # one ulp above 339.7 at spread 0.1 and 339.7 at 0.5, which dt divides: the
+        # upper end's grid holds one more point, 339.7 itself
+        (201.0, 2.0, 0.3, [0.1, 0.5], 0.1, [3398, 3397]),
+    ], ids=["one-grid", "dt-divides-the-lower-end"])
+    @pytest.mark.parametrize("start", [0.0, 150.0])
+    def test_ends_a_rounding_apart_keep_their_own_grids(self, mean, lab, alpha, spreads, dt,
+                                                        points, start):
+        # the engine rounds the spare's death by spread; each curve is sampled on
+        # arange(0, its own end, dt), as from its timeline alone
+        cfg = make_redzone_system(delta=1.0, lab=lab, mean=mean)._replace(shelf_aging_factor=alpha)
+        timelines = list(scenario_timelines(cfg, spreads))
+        assert timelines[0].t_end != timelines[1].t_end
+        assert math.isclose(timelines[0].t_end, timelines[1].t_end, rel_tol=1e-15)
+        curves = list(system_hazard_curves(timelines, dt=dt, start=start))
+        for tl, curve, n in zip(timelines, curves, points):
+            times, rates = per_segment_curve(tl, dt, start)
+            assert len(times) == n - int(start / dt)
+            assert np.array_equal(curve.times, times)
+            assert np.array_equal(curve.rates, rates)
+
+    @pytest.mark.parametrize("dt", [0.1, 50.0])
+    def test_timelines_must_share_one_end_of_life(self, dt):
+        # ends 414 and 412: at dt 50 both grids hold 9 points, yet the systems differ
         timelines = [scenario_timeline(make_redzone_system(delta=1.0, lab=lab))
                      for lab in (2.0, 4.0)]
         with pytest.raises(DomainError, match="one end of life"):
-            system_hazard_curves(timelines, dt=0.1)
+            system_hazard_curves(timelines, dt=dt)
 
     def test_certainly_failed_only_where_a_curve_reaches(self):
         cfg = pulse_at_first_failure()

@@ -23,7 +23,7 @@ from redzone import (
 )
 from redzone import analysis, config, hazards, maintenance, montecarlo, system
 from redzone.config import parse_config
-from redzone.montecarlo import run_batch
+from redzone.montecarlo import run_batch, sample_lifetimes
 from redzone.value import Value
 
 from conftest import make_redzone_system, make_software_system
@@ -46,7 +46,8 @@ def one_of_each() -> dict:
     red = make_redzone_system(delta=2.0)
     run = parse_config({"schema_version": 1, "sim": {"replications": 20}})
     timeline = scenario_timeline(red)
-    out = run_batch(red, Policy("type2", rotation_period=34.67), 1, 20, record_events=True)
+    out = run_batch(red, Policy("type2", rotation_period=34.67), sample_lifetimes(red, 1, 20),
+                    record_events=True)
     report = compare_policies(red, 34.67, SimConfig(replications=20), warn_factor=0.8)
     assessment = assess_red_zone(red, **SWEEP)
     values = [
