@@ -14,7 +14,7 @@ Two interaction styles are supported:
 Failures are handled identically under both policies: a usable shelf unit
 is installed into the failed slot.  The simulator owns all state and
 applies these rules itself; :func:`rotation_targets` picks the rotation
-target of many fleets at once.
+target of the two slots, of many systems at once.
 """
 
 from __future__ import annotations
@@ -52,20 +52,16 @@ class Policy(Value):
                                   f"got {self.rotation_period!r}")
 
 
-def rotation_targets(ages: np.ndarray, alive: np.ndarray, shelf_usable: np.ndarray) -> np.ndarray:
-    """The rotation target of many fleets at once: each row's swap slot, or -1.
+def rotation_targets(ages: np.ndarray, alive, shelf_usable) -> np.ndarray:
+    """The rotation target of the two slots: the swap slot, or -1; elementwise over rows.
 
-    ``ages`` and ``alive`` are (slots, rows) arrays of effective ages and
-    unfailed flags, ``shelf_usable`` a (rows,) flag.  The target is the
-    unfailed slot of greatest effective age, ties to the lower slot index,
-    and there is no swap without a usable shelf unit or an unfailed slot.
+    ``ages`` and ``alive`` hold each slot's effective age and unfailed flag
+    on their first axis, ``shelf_usable`` the shelf's flag.  The target is
+    the unfailed slot of greater effective age, a tie to slot 0, and there is
+    no swap without a usable shelf unit or an unfailed slot.
     """
-    target = np.zeros(len(shelf_usable), dtype=np.intp)
-    oldest = np.full(len(shelf_usable), -np.inf)
-    for s, age in enumerate(np.where(alive, ages, -np.inf)):
-        target = np.where(age > oldest, s, target)  # strict: a tie keeps the lower slot
-        oldest = np.maximum(oldest, age)
-    return np.where(shelf_usable & (oldest > -np.inf), target, -1)
+    second = alive[1] & ~(alive[0] & (ages[1] <= ages[0]))
+    return np.where(shelf_usable & (alive[0] | second), second, -1)
 
 
 def red_zone_condition(delta_spread: float, th3: float) -> bool:

@@ -111,8 +111,8 @@ class SimConfig(Value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
-        if self.master_seed < 0:
-            raise ValidationError("master_seed must be >= 0")
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ValidationError(f"master_seed must be in [0, {_MASK64}]")
         if self.horizon is not None and not 0.0 < self.horizon < math.inf:
             raise ValidationError("horizon must be finite and > 0")
 
@@ -178,6 +178,15 @@ _LIFE, _LAB, _SHELF, _ONJOB, _ID = range(5)
 def _consumed(units: np.ndarray, alpha: float) -> np.ndarray:
     """Each unit's effective consumed life: lab credit + alpha * shelf time + on-job time."""
     return units[_LAB] + alpha * units[_SHELF] + units[_ONJOB]
+
+
+def _due(units: np.ndarray, t, alpha: float) -> np.ndarray:
+    """When each position's unit fails, from time ``t``: ``t`` + its life left, the
+    shelf's (the last position's) divided by alpha and never due at alpha 0."""
+    left = units[_LIFE] - _consumed(units, alpha)
+    with np.errstate(over="ignore"):  # a tiny alpha overflows to inf, as in the scalar loop
+        left[-1] = left[-1] / alpha if alpha > 0.0 else np.inf
+    return t + left
 
 
 EVENT_KINDS = ("failure", "replace", "rotate", "dp", "system_death")
@@ -269,12 +278,13 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
     runs the lead.  Until its first failure every row holds the same ages in
     the same positions and rotates the same slot, so one shared state, with
     each position's least lifetime over the rows, stands for them all.
-    Rounding is monotone in the lifetime, so ``t + (least - consumed) > e``
-    (for the shelf, ``t + (least - consumed) / alpha > e``) exactly when no
-    row is due by epoch ``e``.  The lead takes the rotations of such epochs,
-    one block of event rows each, up to the first epoch that a failure ties,
-    another event precedes or the horizon cuts, then hands every row to the
-    loop; results and event logs are those of the loop alone.
+    The lead and the loop take due times from the one :func:`_due`, and
+    rounding is monotone in the lifetime, so the shared state is due past
+    epoch ``e`` exactly when no row is.  The lead takes the rotations of such
+    epochs, one block of event rows each, up to the first epoch that a
+    failure ties, another event precedes or the horizon cuts, then hands
+    every row to the loop; results and event logs are those of the loop
+    alone.
     """
     if horizon is None:
         horizon = 5.0 * config.unit_lifetime.mean
@@ -317,17 +327,14 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
         lead = units[:_ID, :, 0].copy()
         lead[_LIFE] = units[_LIFE].min(axis=1)
         order = list(range(S + 1))  # the starting position of each position's unit
-        alive, now, epoch = np.ones((S, 1), dtype=bool), 0.0, 1.0
+        now, epoch = 0.0, 1.0
         while (when := epoch * policy.rotation_period) <= horizon:
-            left = lead[_LIFE] - _consumed(lead, alpha)
-            with np.errstate(over="ignore"):  # a tiny alpha overflows to inf, as in the loop
-                left[S] = left[S] / alpha if alpha > 0.0 else np.inf
-            if not (now + left > when).all():  # strict: a failure at the epoch goes first
+            if not (_due(lead, now, alpha) > when).all():  # strict: a tying failure goes first
                 break
             lead[_ONJOB, :S] += when - now
             lead[_SHELF, S] += when - now
             now, epoch = when, epoch + 1.0
-            s = rotation_targets(_consumed(lead[:, :S, None], alpha), alive, spare[:1])[0]
+            s = rotation_targets(_consumed(lead[:, :S], alpha), (True, True), True)
             if record_events:
                 for column, value in zip(columns, (rows, now, _ROTATE, order[S], s, order[s])):
                     column.append(np.broadcast_to(value, replications))
@@ -338,15 +345,11 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
         t[:], rotation[:] = now, epoch
 
     while rows.size:
-        consumed = _consumed(units, alpha)
         # when each slot's unit and the spare fail and the next rotation falls; inf: never
         due_at = np.full((S + 2, rows.size), np.inf)
-        due_at[:S] = np.where(failed, np.inf, t + (units[_LIFE, :S] - consumed[:S]))
-        if alpha > 0.0:
-            # a tiny alpha overflows the division to inf, as it does in the scalar loop
-            with np.errstate(over="ignore"):
-                shelf_left = (units[_LIFE, S] - consumed[S]) / alpha
-            due_at[S] = np.where(spare, t + shelf_left, np.inf)
+        due_at[:S + 1] = _due(units, t, alpha)
+        np.copyto(due_at[:S], np.inf, where=failed)
+        np.copyto(due_at[S], np.inf, where=~spare)
         if rotating:
             due_at[S + 1] = rotation * policy.rotation_period
         t_next = due_at.min(axis=0)

@@ -300,10 +300,10 @@ def system_hazard_curves(timelines, *, dt: float,
     from the segment's conditioning epoch; single-unit segments reduce to
     the unit's own rate.
 
-    The timelines must share one end of life, to a relative 1e-12, as the
-    spreads of one system do; each curve's grid, ``arange(0, t_end, dt)``, is
-    a prefix of the longest.  Evaluation is by unit: units with the same terms
-    and birth (the two mains; the spare across segments and spreads) are one.
+    The timelines may end at different times: each curve's grid,
+    ``arange(0, t_end, dt)``, is a prefix of the grid to the latest end of
+    life.  Evaluation is by unit: units with the same terms and birth (the
+    two mains; the spare across segments and spreads) are one.
     A unit's rate is evaluated once, over the hull of the grid slices that
     read it, and its cumulative hazard once, over the hull of the pair slices
     that read it; each pair is composed once from slices of those arrays.  A
@@ -318,12 +318,9 @@ def system_hazard_curves(timelines, *, dt: float,
     timelines = list(timelines)
     if not timelines:
         return iter(())
-    ends = sorted({tl.t_end for tl in timelines})
-    if not math.isclose(ends[0], ends[-1], rel_tol=1e-12):
-        raise DomainError(f"system_hazard_curves needs timelines with one end of life, got {ends}")
     # Slice the full grid rather than build one from ``start``, whose floats differ; a
     # curve's own grid, arange(0.0, t_end, dt), is its first ceil(t_end / dt) points.
-    t = np.arange(0.0, ends[-1], dt)
+    t = np.arange(0.0, max(tl.t_end for tl in timelines), dt)
     first = int(np.searchsorted(t, start, "left"))
     t = t[first:]
     # (evaluator, key) -> [unit or pair segment, its config, hull lo, hull hi]; a unit's

@@ -122,7 +122,8 @@ def oldest_slot(slots: Sequence[Unit], shelf_aging_factor: float) -> int | None:
     """The rotation target: the unfailed slot of greatest effective age.
 
     Ties go to the lower slot index; ``None`` when every slot has failed.
-    This is the scalar form of ``redzone.maintenance.rotation_targets``.
+    This is the k-slot reference for ``redzone.maintenance.rotation_targets``,
+    the two-slot rule the engine applies.
     """
     candidates = [i for i, u in enumerate(slots) if not u.failed]
     return max(candidates, key=lambda i: (effective_age(slots[i], shelf_aging_factor), -i),

@@ -158,7 +158,8 @@ class TestParser:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "compare", "redzone"])
-    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--replications", "0")])
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--seed", str(2 ** 64)),
+                                             ("--replications", "0")])
     def test_out_of_range_sim_flag_exits_one(self, command, flag, value, tmp_path, capsys):
         conf = write_config(tmp_path, policy={"kind": "type1", "rotation_period": 50.0})
         out = tmp_path / "out"

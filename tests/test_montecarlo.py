@@ -484,6 +484,7 @@ def fleets(test):
         dict(rotation_period=0.5),
         dict(rotation_period=34.67, sd=60.0, lab=200.0),  # some spares dead on arrival
         dict(rotation_period=3.0, alpha=0.3, sd=20.0, lab=20.0, horizon=(60, True)),
+        dict(alpha=0.7, sd=20.0, lab=150.0),  # spares that die on the shelf, time / alpha
     ):
         test = example(**{**FLEET, **edge})(test)
     return given(

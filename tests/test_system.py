@@ -454,13 +454,19 @@ class TestSystemHazardCurves:
             assert np.array_equal(curve.times, times)
             assert np.array_equal(curve.rates, rates)
 
-    @pytest.mark.parametrize("dt", [0.1, 50.0])
-    def test_timelines_must_share_one_end_of_life(self, dt):
-        # ends 414 and 412: at dt 50 both grids hold 9 points, yet the systems differ
+    @pytest.mark.parametrize("dt", [0.1, 0.37, 50.0])
+    @pytest.mark.parametrize("start", [0.0, 150.0])
+    def test_timelines_may_end_at_different_times(self, dt, start):
+        # ends 414, 412 and 415.5: each curve is sampled on arange(0, its own end, dt),
+        # a prefix of the grid to the latest end, as from its timeline alone
         timelines = [scenario_timeline(make_redzone_system(delta=1.0, lab=lab))
-                     for lab in (2.0, 4.0)]
-        with pytest.raises(DomainError, match="one end of life"):
-            system_hazard_curves(timelines, dt=dt)
+                     for lab in (2.0, 4.0, 0.5)]
+        assert [tl.t_end for tl in timelines] == [414.0, 412.0, 415.5]
+        curves = list(system_hazard_curves(timelines, dt=dt, start=start))
+        for tl, curve in zip(timelines, curves):
+            times, rates = per_segment_curve(tl, dt, start)
+            assert np.array_equal(curve.times, times)
+            assert np.array_equal(curve.rates, rates)
 
     def test_certainly_failed_only_where_a_curve_reaches(self):
         cfg = pulse_at_first_failure()
