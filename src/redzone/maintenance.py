@@ -52,16 +52,15 @@ class Policy(Value):
                                   f"got {self.rotation_period!r}")
 
 
-def rotation_targets(ages: np.ndarray, alive, shelf_usable) -> np.ndarray:
+def rotation_targets(ages: np.ndarray, shelf_usable) -> np.ndarray:
     """The rotation target of the two slots: the swap slot, or -1; elementwise over rows.
 
-    ``ages`` and ``alive`` hold each slot's effective age and unfailed flag
-    on their first axis, ``shelf_usable`` the shelf's flag.  The target is
-    the unfailed slot of greater effective age, a tie to slot 0, and there is
-    no swap without a usable shelf unit or an unfailed slot.
+    ``ages`` holds each slot's effective age on its first axis, ``shelf_usable``
+    the shelf's flag.  The target is the slot of greater effective age, a tie
+    to slot 0, and there is no swap without a usable shelf unit.  Both slots
+    are up whenever the shelf unit is usable, so there is no failed slot to skip.
     """
-    second = alive[1] & ~(alive[0] & (ages[1] <= ages[0]))
-    return np.where(shelf_usable & (alive[0] | second), second, -1)
+    return np.where(shelf_usable, ages[1] > ages[0], -1)
 
 
 def red_zone_condition(delta_spread: float, th3: float) -> bool:

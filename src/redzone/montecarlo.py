@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DomainError, RedzoneError, ValidationError
 from .maintenance import Policy, rotation_targets
 from .value import Value
 
@@ -79,10 +79,12 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 
 def _derive_seeds(master_seed: int, n: int) -> np.ndarray:
     """Replication i's seed, for i in 0..n-1, as uint64: the avalanche mix of
-    master + i * golden gamma, a bijection of i for a fixed master."""
+    master + i * golden gamma, a bijection of i for a fixed master in [0, 2**64)."""
+    if not 0 <= master_seed <= _MASK64:
+        raise DomainError(f"master_seed must be in [0, 2**64), got {master_seed!r}")
     with np.errstate(over="ignore"):
         steps = np.arange(n, dtype=np.uint64) * np.uint64(_GAMMA)
-        return _mix64_array(np.uint64(master_seed & _MASK64) + steps)
+        return _mix64_array(np.uint64(master_seed) + steps)
 
 
 def _uniforms(seeds: np.ndarray, k: int) -> np.ndarray:
@@ -269,6 +271,21 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
     censored, and skips an event kind, or the compaction of dead rows, that no
     row is due for.
 
+    The engine rests on one invariant: a usable shelf spare means both slots
+    are up.  A slot stays failed only when no usable spare was left to fill it,
+    and ``spare`` is only ever cleared.  So a rotation always finds two
+    unfailed slots, and a row with a failed slot has no usable spare.
+
+    Lifetimes must be finite and >= 0, and ``horizon`` > 0 (``inf`` allowed),
+    or :class:`DomainError`.  Each pass gives every running row an event of its
+    own or censors it, so a row takes at most three failure passes, one per
+    unit; one rotation pass per epoch up to the horizon and its lifetime sum
+    (it has a unit on the job until it dies), plus one for rounding; and the
+    censoring pass.  A row still running after that many passes is an engine
+    fault and raises :class:`RedzoneError` instead of hanging.  Passes are
+    counted, not time: a spare installed with no life left fails in a pass of
+    its own at the same instant.
+
     With ``record_events`` the result also holds the event logs (:class:`EventLog`),
     equal to the scalar traces' events: each pass appends a block of rows per
     event kind, in the scalar loop's order within an epoch, and a stable sort
@@ -288,9 +305,19 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
     """
     if horizon is None:
         horizon = 5.0 * config.unit_lifetime.mean
+    if not horizon > 0.0:
+        raise DomainError(f"horizon must be > 0, got {horizon!r}")
     alpha = config.shelf_aging_factor
     rotating = policy.kind == "type2"
     S = 2  # position of the shelf, after the two slots
+    lifetimes = np.asarray(lifetimes, dtype=float)
+    if lifetimes.ndim != 2 or lifetimes.shape[1] != S + 1:
+        raise DomainError(f"lifetimes must have shape (N, 3), got {lifetimes.shape}")
+    if not ((lifetimes >= 0.0) & (lifetimes < np.inf)).all():
+        raise DomainError("lifetimes must be finite and >= 0")
+    # the pass bound (see above): 3 failures, the censoring pass, the rotation epochs
+    cap = min(horizon, lifetimes.sum(axis=1).max(initial=0.0))
+    passes = 4 + (math.floor(cap / policy.rotation_period) + 1 if rotating else 0)
 
     replications = len(lifetimes)
     units = np.zeros((_ID + int(record_events), S + 1, replications))
@@ -334,7 +361,7 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
             lead[_ONJOB, :S] += when - now
             lead[_SHELF, S] += when - now
             now, epoch = when, epoch + 1.0
-            s = rotation_targets(_consumed(lead[:, :S], alpha), (True, True), True)
+            s = rotation_targets(_consumed(lead[:, :S], alpha), True)
             if record_events:
                 for column, value in zip(columns, (rows, now, _ROTATE, order[S], s, order[s])):
                     column.append(np.broadcast_to(value, replications))
@@ -344,7 +371,7 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
         units[_LAB:_ID] = lead[_LAB:, :, None]
         t[:], rotation[:] = now, epoch
 
-    while rows.size:
+    for _ in range(passes):
         # when each slot's unit and the spare fail and the next rotation falls; inf: never
         due_at = np.full((S + 2, rows.size), np.inf)
         due_at[:S + 1] = _due(units, t, alpha)
@@ -381,7 +408,7 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
         hit = due[S + 1]
         if hit.any():
             rotation += hit
-            target = rotation_targets(_consumed(units[:, :S], alpha), ~failed, hit & spare)
+            target = rotation_targets(_consumed(units[:, :S], alpha), hit & spare)
             for s in range(S):
                 swap = target == s
                 if swap.any():
@@ -390,7 +417,7 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
                                                 np.where(swap, units[:, s], units[:, S]))
 
         alive = (~failed).sum(axis=0, dtype=np.int8)
-        first = (alive < 2) & ~spare & np.isnan(trdd[rows])
+        first = (alive < 2) & np.isnan(trdd[rows])
         trdd[rows[first]] = t[first]
         if rotating:
             first = (alive == S) & ~spare & np.isnan(dp[rows])
@@ -402,8 +429,12 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
             record(dead, _DEATH)
             rows, t, rotation, spare, units, failed = (
                 np.compress(~dead, a, -1) for a in (rows, t, rotation, spare, units, failed))
+        if not rows.size:  # a row leaves the loop when it dies or is censored
+            break
+    else:
+        raise RedzoneError(f"run_batch: {rows.size} replications still running after "
+                           f"{passes} passes, the most their lifetimes and horizon allow")
 
-    # a row leaves the loop when it dies or is censored
     return BatchOutcomes(trdd=trdd, tdt=tdt, dp=dp, censored=np.isnan(tdt),
                          events=_event_log(columns) if record_events else None)
 

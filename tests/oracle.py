@@ -32,6 +32,7 @@ from redzone import (
     BathtubModel,
     DomainError,
     Policy,
+    RedzoneError,
     SystemConfig,
     ValidationError,
     weibull_cumulative,
@@ -184,6 +185,11 @@ def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
     shelf: Unit | None = Unit(id="controller_3", lifetime=float(model.sample(rng.uniform())),
                               lab_burnin_credit=config.lab_burnin, status=ON_SHELF)
     lifetimes = {u.id: u.lifetime for u in (*slots, shelf)}
+    # each pass is a failure (at most one per unit), a rotation epoch before the horizon
+    # and the replication's death (plus one for rounding), or the censoring pass
+    passes = 4
+    if policy.kind == "type2":
+        passes += math.floor(min(horizon, sum(lifetimes.values())) / policy.rotation_period) + 1
 
     events: list[Event] = []
     trdd: float | None = None
@@ -202,7 +208,7 @@ def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
         shelf.status = FAILED
         events.append(Event(0.0, "failure", shelf.id, "shelf"))
 
-    while True:
+    for _ in range(passes):
         candidates: list[tuple[float, int, int]] = []  # (time, priority, slot/row)
         for i, u in enumerate(slots):
             if not u.failed:
@@ -274,6 +280,8 @@ def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
             tdt = t
             events.append(Event(t, "system_death"))
             break
+    else:
+        raise RedzoneError(f"run_replication: still running after {passes} passes")
 
     return Trace(events=tuple(events), trdd=trdd, tdt=tdt, dp=dp,
                  censored=censored, end_time=t, lifetimes=lifetimes)

@@ -51,32 +51,25 @@ class TestOldestSlot:
         assert oldest_slot((old_failed, unit("b", onjob=5.0)), 0.0) == 1
         assert oldest_slot((old_failed, unit("b", status="failed")), 0.0) is None
 
-    # Two-slot fleets, the only ones the rule serves, with few distinct ages so that
-    # equal effective ages (ties) are common.
+    # Two-slot fleets with both slots up, the only ones the rule serves (a usable shelf
+    # unit means both slots are up), with few distinct ages so that ties are common.
     @settings(max_examples=150, deadline=None)
     @given(fleets=st.lists(
-        st.tuples(st.lists(st.tuples(st.sampled_from([0.0, 7.5, 30.0]), st.booleans()),
-                           min_size=2, max_size=2),
+        st.tuples(st.lists(st.sampled_from([0.0, 7.5, 30.0]), min_size=2, max_size=2),
                   st.booleans()),
         min_size=1, max_size=6))
     def test_vectorised_rule_agrees_with_oldest_slot(self, fleets):
-        expected = []
-        for slots, shelf_usable in fleets:
-            target = oldest_slot(
-                [unit(f"s{i}", onjob=age, status="active" if up else "failed")
-                 for i, (age, up) in enumerate(slots)], 0.0)
-            expected.append(-1 if target is None or not shelf_usable else target)
+        targets = [oldest_slot([unit(f"s{i}", onjob=age) for i, age in enumerate(slots)], 0.0)
+                   for slots, _ in fleets]
         # (slots, rows) arrays: one column per fleet
-        ages = np.array([[age for age, _ in slots] for slots, _ in fleets]).T
-        alive = np.array([[up for _, up in slots] for slots, _ in fleets]).T
+        ages = np.array([slots for slots, _ in fleets]).T
         usable = np.array([shelf_usable for _, shelf_usable in fleets])
-        assert rotation_targets(ages, alive, usable).tolist() == expected
-        # one system's (2,) ages with both slots up and a usable shelf, as the engine's
-        # shared lead epochs call it
-        for age_pair in ages.T:
-            both = oldest_slot([unit("s0", onjob=age_pair[0]), unit("s1", onjob=age_pair[1])],
-                               0.0)
-            assert rotation_targets(age_pair, (True, True), True) == both
+        assert rotation_targets(ages, usable).tolist() == [
+            target if shelf_usable else -1 for target, (_, shelf_usable) in zip(targets, fleets)]
+        # one system's (2,) ages with a usable shelf, as the engine's shared lead
+        # epochs call it
+        for age_pair, target in zip(ages.T, targets):
+            assert rotation_targets(age_pair, True) == target
 
 
 class TestRedZoneCondition:
