@@ -290,6 +290,18 @@ def _unit_cumulative_at(t, au: ActiveUnit, config: SystemConfig):
     return total
 
 
+def _segment_rate(t: np.ndarray, seg: ScenarioSegment, config: SystemConfig) -> np.ndarray:
+    """The composed rate of ``seg`` at ``t``: a single unit's own rate, or the pair's
+    :func:`compose_parallel` with cumulative hazards measured from ``seg.epoch``."""
+    if len(seg.units) == 1:
+        return _unit_rate(t, seg.units[0], config)
+    units = {au.birth: au for au in seg.units}  # the two mains are one function of time
+    h = {b: _unit_rate(t, au, config) for b, au in units.items()}
+    H = {b: _unit_cumulative_at(t, au, config) - _unit_cumulative_at(seg.epoch, au, config)
+         for b, au in units.items()}
+    return compose_parallel([h[au.birth] for au in seg.units], [H[au.birth] for au in seg.units])
+
+
 def system_hazard_curves(timelines, *, dt: float,
                          start: float = 0.0) -> Iterator[HazardCurve]:
     """Sample the composed system rate of each timeline on ``arange(0, t_end, dt)``.
@@ -302,16 +314,16 @@ def system_hazard_curves(timelines, *, dt: float,
 
     The timelines may end at different times: each curve's grid,
     ``arange(0, t_end, dt)``, is a prefix of the grid to the latest end of
-    life.  Evaluation is by unit: units with the same terms and birth (the
-    two mains; the spare across segments and spreads) are one.
-    A unit's rate is evaluated once, over the hull of the grid slices that
-    read it, and its cumulative hazard once, over the hull of the pair slices
-    that read it; each pair is composed once from slices of those arrays.  A
-    grid point's value does not depend on which other points are evaluated
-    with it, so every curve equals the curve sampled from its timeline alone,
-    bit for bit.  All evaluation, and any error it raises, happens in this
-    call; the returned iterator then assembles one curve per timeline, in
-    order, as it is advanced.  The curves' ``times`` are views of one array.
+    life.  Evaluation is by piece: segments whose units have the same terms
+    and births, and for a pair the same epoch, are one function of time (the
+    spare alone across segments and spreads; a sweep's pairs).  Each piece
+    is evaluated once, by :func:`_segment_rate`, over the hull of the grid
+    slices of its segments.  A grid point's value does not depend on which
+    other points are evaluated with it, so every curve equals the curve
+    sampled from its timeline alone, bit for bit.  All evaluation, and any
+    error it raises, happens in this call; the returned iterator then
+    assembles one curve per timeline, in order, as it is advanced.  The
+    curves' ``times`` are views of one array.
     """
     if not dt > 0.0:
         raise DomainError(f"dt must be > 0, got {dt!r}")
@@ -323,9 +335,9 @@ def system_hazard_curves(timelines, *, dt: float,
     t = np.arange(0.0, max(tl.t_end for tl in timelines), dt)
     first = int(np.searchsorted(t, start, "left"))
     t = t[first:]
-    # (evaluator, key) -> [unit or pair segment, its config, hull lo, hull hi]; a unit's
-    # key is (index of its terms, birth), a pair's (*its unit keys, epoch).
-    terms, hulls, plans = {}, {}, []  # plans: [point count, (slot, lo, hi) per segment]
+    # piece -> [a segment of it, its config, hull lo, hull hi]; a piece is (index of its
+    # terms, its units' births) and, for a pair, its epoch
+    terms, hulls, plans = {}, {}, []  # plans: [point count, (piece, lo, hi) per segment]
     for tl in timelines:
         c = tl.config
         index = terms.setdefault((c.hazard, c.software, c.operator), len(terms))
@@ -334,41 +346,21 @@ def system_hazard_curves(timelines, *, dt: float,
             lo, hi = (min(int(i), n) for i in np.searchsorted(t, (seg.t_start, seg.t_end), "left"))
             if lo == hi:
                 continue
-            units = [((index, au.birth), au) for au in seg.units]
-            needs = [((_unit_rate, key), au) for key, au in units]
-            if len(units) != 1:  # compose_parallel rejects a count other than 2
-                needs += [((_unit_cumulative_at, key), au) for key, au in units]
-                needs.append((("pair", (*(key for key, _ in units), seg.epoch)), seg))
-            for slot, item in needs:
-                hull = hulls.setdefault(slot, [item, c, lo, hi])
-                hull[2:] = min(hull[2], lo), max(hull[3], hi)
-            plan.append((needs[-1][0], lo, hi))  # the pair, or the single unit's rate
+            births = tuple(au.birth for au in seg.units)
+            piece = (index, births, seg.epoch) if len(births) > 1 else (index, births)
+            hull = hulls.setdefault(piece, [seg, c, lo, hi])
+            hull[2:] = min(hull[2], lo), max(hull[3], hi)
+            plan.append((piece, lo, hi))
         plans.append(plan)
-
-    values = {}  # slot -> (hull lo, the values over the hull)
-
-    def window(slot, lo, hi):
-        base, block = values[slot]
-        return block[lo - base:hi - base]
-
-    # A pair entered ``hulls`` after its units' rates and cumulatives, which it reads.
-    for (kind, key), (item, config, lo, hi) in hulls.items():
-        if kind == "pair":
-            units = dict(zip(key[:-1], item.units))  # one entry for the two mains
-            h = {k: window((_unit_rate, k), lo, hi) for k in units}
-            H = {k: window((_unit_cumulative_at, k), lo, hi)
-                 - _unit_cumulative_at(item.epoch, au, config) for k, au in units.items()}
-            block = compose_parallel([h[k] for k in key[:-1]], [H[k] for k in key[:-1]])
-        else:
-            block = kind(t[lo:hi], item, config)
-        values[kind, key] = (lo, block)
-    values = {slot: v for slot, v in values.items() if slot[0] is not _unit_cumulative_at}
+    values = {piece: (lo, _segment_rate(t[lo:hi], seg, c))
+              for piece, (seg, c, lo, hi) in hulls.items()}
 
     def assemble(plan) -> HazardCurve:
         n, *plan = plan
         h = np.zeros(n)
-        for slot, lo, hi in plan:
-            h[lo:hi] = window(slot, lo, hi)
+        for piece, lo, hi in plan:
+            base, block = values[piece]
+            h[lo:hi] = block[lo - base:hi - base]
         return HazardCurve(times=t[:n], rates=h)
 
     return (assemble(plan) for plan in plans)

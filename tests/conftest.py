@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import Phase
 
 from redzone import (
     BathtubModel,
@@ -9,12 +10,20 @@ from redzone import (
     OperatorHazard,
     SoftwareHazardModel,
     SystemConfig,
+    UpgradeEvent,
     ValidationWarning,
     WeibullTerm,
     compose_parallel,
 )
 from redzone.montecarlo import EVENT_KINDS
 from redzone.system import _unit_cumulative_at, _unit_rate
+
+
+# The phases of a property test whose every example runs the engine, the scalar oracle
+# or a fine curve grid: a failure is reported as first found, unshrunk.  Shrinking it
+# reruns such examples hundreds of times, minutes per test when the engine is broken,
+# and skipping the phase is the one bound on shrinking that Hypothesis offers.
+UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 def make_bathtub(useful_rate=0.01, burnin=(0.05, 0.5), wearout=(1e-6, 3.0),
@@ -58,6 +67,11 @@ def make_software_system(*, th1=20.0, th2=180.0, margin=8.0, lab=2.0, upgrades=(
             lab_burnin=lab,
             software=SoftwareHazardModel(0.001, 0.004, 26.0, tuple(upgrades)) if software else None,
             operator=OperatorHazard(operator_rate) if operator_rate else None)
+
+
+def pulse_at_first_failure() -> SystemConfig:
+    """A system whose software pulse at Tf1 makes both units certainly failed within weeks."""
+    return make_software_system(upgrades=(UpgradeEvent(208.0, "minor", 10.0, 50.0),))
 
 
 def with_spread(config: SystemConfig, sd: float) -> SystemConfig:

@@ -30,7 +30,13 @@ from redzone.analysis import apply_vendor_decision_point, baseline_from_curve, p
 from redzone.maintenance import red_zone_condition
 from redzone.montecarlo import run_batch, sample_lifetimes
 
-from conftest import make_redzone_system, make_software_system, per_segment_curve, with_spread
+from conftest import (
+    UNSHRUNK,
+    make_redzone_system,
+    make_software_system,
+    per_segment_curve,
+    with_spread,
+)
 
 # the red-zone settings of the shipped schema's analysis section
 SWEEP = {"threshold": 2.0, "dt": 0.1, "baseline_window_fraction": 0.8}
@@ -214,7 +220,7 @@ class TestAssessRedZone:
         assert float(np.max(curve.rates[early])) > 2.0 * a.baseline
         assert not a.detected
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=UNSHRUNK)
     @given(delta=st.floats(0.1, 40.0), lab=st.floats(0.0, 18.0),
            threshold=st.floats(1.05, 4.0), dt=st.floats(0.05, 1.0),
            fraction=st.floats(0.05, 0.95))
@@ -265,7 +271,7 @@ class TestDeltaSweep:
                         SimConfig(replications=10, master_seed=1), **SWEEP)
         assert [str(w.message) for w in caught] == []
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, phases=UNSHRUNK)
     @given(
         spreads=st.lists(st.floats(0.1, 45.0), min_size=1, max_size=4, unique=True).map(sorted),
         lab=st.floats(0.0, 20.0),

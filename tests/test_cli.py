@@ -18,7 +18,7 @@ from redzone.config import load_config
 from redzone.montecarlo import EVENT_KINDS, EventLog, run_batch, sample_lifetimes
 from redzone.system import scenario_timeline, system_hazard_curve
 
-from conftest import event_fields
+from conftest import event_fields, pulse_at_first_failure, with_spread
 from oracle import derive_seed, run_replication
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
@@ -37,6 +37,17 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+# ``conftest.pulse_at_first_failure`` as config document sections.
+PULSE_AT_FIRST_FAILURE = {
+    "hazard": {"useful_rate": 0.01, "burnin": {"scale": 0.9, "shape": 0.1},
+               "wearout": {"scale": 1e-6, "shape": 3.0}, "th1": 20.0, "th2": 180.0, "th3": 10.0},
+    "software": {"steady_floor": 0.001, "update_amplitude": 0.004, "update_decay_tau": 26.0,
+                 "upgrade_events": [{"time": 208.0, "kind": "minor", "pulse_amplitude": 10.0,
+                                     "pulse_decay_tau": 50.0}]},
+    "system": {"lab_burnin": 2.0},
+}
 
 
 def read_csv(path):
@@ -668,6 +679,19 @@ class TestRedzoneCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: spare dies before the first main failure (208.0)")
         assert err.endswith(" (config: system.shelf_aging_factor, system.lab_burnin)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["scenario"], ["redzone", "--deltas", "1,30"]],
+                             ids=["scenario", "redzone"])
+    def test_undefined_composed_curve_exits_two(self, argv, tmp_path, capsys):
+        # at spread 30 the pulse at Tf1 leaves both units of the pair certainly failed
+        # before Tf2, so the composed rate is undefined there
+        conf = write_config(tmp_path, lifetime={"mean": 208.0, "sd": 30.0},
+                            **PULSE_AT_FIRST_FAILURE)
+        assert load_config(conf).system == with_spread(pulse_at_first_failure(), 30.0)
+        out = tmp_path / "out.csv"
+        assert main([argv[0], "--config", conf, "--out", str(out), *argv[1:]]) == 2
+        assert "certainly failed" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -24,7 +24,7 @@ from redzone.cli import main
 from redzone.config import load_config
 from redzone.montecarlo import _derive_seeds, _uniforms, run_batch, sample_lifetimes
 
-from conftest import event_fields, make_flat_bathtub, make_redzone_system
+from conftest import UNSHRUNK, event_fields, make_flat_bathtub, make_redzone_system
 from oracle import (
     ExponentialLifetime,
     SplitMix64,
@@ -580,13 +580,13 @@ class TestRunBatch:
             (100.0, 70.0, None, True, 100.0)]
 
     @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, phases=UNSHRUNK)
     @fleets
     def test_matches_run_replication(self, **fleet):
         assert_fleet_matches_scalar(**fleet, record_events=False)
 
     @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, phases=UNSHRUNK)
     @fleets
     def test_event_log_matches_run_replication(self, **fleet):
         assert_fleet_matches_scalar(**fleet, record_events=True)

@@ -24,11 +24,13 @@ from redzone import system
 from redzone.system import _unit_cumulative_at, _unit_rate, scenario_timelines
 
 from conftest import (
+    UNSHRUNK,
     make_bathtub,
     make_flat_bathtub,
     make_redzone_system,
     make_software_system,
     per_segment_curve,
+    pulse_at_first_failure,
     with_spread,
 )
 from oracle import Unit, effective_age
@@ -185,7 +187,7 @@ class TestScenarioTimeline:
         with pytest.raises(ValidationError):
             scenario_timeline(cfg)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=UNSHRUNK)
     @given(
         th1=st.floats(5.0, 40.0),
         th2=st.floats(50.0, 300.0),
@@ -266,7 +268,7 @@ class TestSystemHazardCurve:
         assert np.all(np.isfinite(curve.rates))
         assert np.all(curve.rates >= 0.0)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=UNSHRUNK)
     @given(
         th1=st.floats(5.0, 40.0),
         th2=st.floats(50.0, 300.0),
@@ -310,13 +312,8 @@ UPGRADES = st.lists(st.tuples(st.floats(0.0, 800.0), st.sampled_from(["minor", "
     lambda events: tuple(UpgradeEvent(*e) for e in sorted(events)))
 
 
-def pulse_at_first_failure():
-    """A system whose software pulse at Tf1 makes both units certainly failed within weeks."""
-    return make_software_system(upgrades=(UpgradeEvent(208.0, "minor", 10.0, 50.0),))
-
-
 class TestSystemHazardCurves:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=UNSHRUNK)
     @given(
         th1=st.floats(5.0, 40.0),
         th2=st.floats(50.0, 300.0),
@@ -351,42 +348,41 @@ class TestSystemHazardCurves:
         assert np.array_equal(curve.rates, single.rates)
 
     @pytest.fixture
-    def births(self, monkeypatch):
-        """The birth of each unit whose rate, or cumulative hazard over the grid, is evaluated."""
-        births = {"rate": [], "cumulative": []}
-        rate, cumulative = system._unit_rate, system._unit_cumulative_at
+    def pieces(self, monkeypatch):
+        """The (unit ids, epoch) of each piece evaluated; a single unit's epoch is None."""
+        pieces, segment_rate = [], system._segment_rate
 
-        def counted_rate(times, au, config):
-            births["rate"].append(au.birth)
-            return rate(times, au, config)
+        def counted(t, seg, config):
+            units = tuple(au.unit_id for au in seg.units)
+            pieces.append((units, seg.epoch if len(units) > 1 else None))
+            return segment_rate(t, seg, config)
 
-        def counted_cumulative(t, au, config):
-            if np.ndim(t):  # not the cumulative hazard at a pair's epoch
-                births["cumulative"].append(au.birth)
-            return cumulative(t, au, config)
+        monkeypatch.setattr(system, "_segment_rate", counted)
+        return pieces
 
-        monkeypatch.setattr(system, "_unit_rate", counted_rate)
-        monkeypatch.setattr(system, "_unit_cumulative_at", counted_cumulative)
-        return births
-
-    def test_each_unit_evaluated_once(self, births):
+    def test_sweep_evaluates_each_piece_once(self, pieces):
         # The spreads of a sweep straddling th3 = 10, sampled from the baseline window on,
-        # hold two units: the mains (born at 0) and the spare (born 2 weeks before Tf1).
+        # share Tf1 = 208 and a spare born at 206: three pieces, the mains from epoch 0,
+        # main2 with the spare from Tf1, and the spare alone in every later segment.
         spreads = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0, 40.0)
         timelines = [scenario_timeline(make_redzone_system(delta=d)) for d in spreads]
         start = 0.8 * timelines[0].t0
         curves = list(system_hazard_curves(timelines, dt=0.01, start=start))
-        assert sorted(births["rate"]) == sorted(births["cumulative"]) == [0.0, 206.0]
+        assert sorted(pieces, key=repr) == [
+            (("controller_1", "controller_2"), 0.0),
+            (("controller_2", "controller_3"), 208.0),
+            (("controller_3",), None),
+        ]
         for tl, curve in zip(timelines, curves):
             assert np.array_equal(curve.rates, per_segment_curve(tl, 0.01, start)[1])
 
-    def test_equal_configs_are_one_system(self, births):
-        # two configs built apart, equal by value, key their units alike
+    def test_equal_configs_share_their_pieces(self, pieces):
+        # two configs built apart, equal by value, key their pieces alike
         first, second = make_redzone_system(delta=4.0), make_redzone_system(delta=4.0)
         assert first is not second and first == second and hash(first) == hash(second)
         timelines = [scenario_timeline(cfg) for cfg in (first, second)]
         curves = list(system_hazard_curves(timelines, dt=0.5))
-        assert sorted(births["rate"]) == sorted(births["cumulative"]) == [0.0, 206.0]
+        assert len(pieces) == 3
         assert np.array_equal(curves[0].rates, curves[1].rates)
 
     def test_each_curve_owns_its_rates(self):
