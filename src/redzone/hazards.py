@@ -16,7 +16,8 @@ functions never need quadrature.
 
 Conventions: all times are in weeks, all rates in failures per week.
 Every evaluator accepts a float or a numpy array for ``t`` and returns a
-matching float or array.
+matching float or array.  A time must be finite and >= 0, a uniform inside
+(0, 1); each has one guard, whose :class:`DomainError` names the kernel.
 """
 
 from __future__ import annotations
@@ -46,11 +47,20 @@ __all__ = [
 ]
 
 
-def _coerce_time(t, name: str = "t"):
-    """Validate and return (array, was_scalar) for a time argument."""
+def _checked_time(t, kernel: str):
+    """(array, was_scalar) of times ``t``, which ``kernel`` needs finite and >= 0."""
     arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite, got {t!r}")
+    # two reductions, both of which a NaN fails, and no boolean temporary the grid's length
+    if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
+        raise DomainError(f"{kernel} requires finite t >= 0, got {t!r}")
+    return arr, arr.ndim == 0
+
+
+def _checked_uniform(u, kernel: str):
+    """(array, was_scalar) of uniforms ``u``, which ``kernel`` needs inside (0, 1)."""
+    arr = np.asarray(u, dtype=float)
+    if not (arr.min(initial=0.5) > 0.0 and arr.max(initial=0.5) < 1.0):
+        raise DomainError(f"{kernel} requires u strictly inside (0, 1), got {u!r}")
     return arr, arr.ndim == 0
 
 
@@ -91,9 +101,7 @@ def weibull_hazard(t, term: WeibullTerm):
     clamp ``t`` themselves, as :func:`bathtub_hazard` clamps its own burn-in
     term to ``clamp_floor``.
     """
-    arr, scalar = _coerce_time(t)
-    if np.any(arr < 0.0):
-        raise DomainError("weibull_hazard requires t >= 0")
+    arr, scalar = _checked_time(t, "weibull_hazard")
     if term.shape < 1.0 and np.any(arr == 0.0):
         raise DomainError("t = 0 with shape < 1: the rate diverges at the origin")
     if term.scale == 0.0:
@@ -103,9 +111,7 @@ def weibull_hazard(t, term: WeibullTerm):
 
 def weibull_cumulative(t, term: WeibullTerm):
     """Integrated hazard ``scale * t**shape`` (exact, no quadrature)."""
-    arr, scalar = _coerce_time(t)
-    if np.any(arr < 0.0):
-        raise DomainError("weibull_cumulative requires t >= 0")
+    arr, scalar = _checked_time(t, "weibull_cumulative")
     if term.scale == 0.0:
         return _ret(np.zeros_like(arr), scalar)
     return _ret(term.scale * arr ** term.shape, scalar)
@@ -160,9 +166,7 @@ def _add_wearout(out, ages, model: BathtubModel, coef: float, power: float):
 
 def bathtub_hazard(t, model: BathtubModel):
     """Total hardware rate at age ``t`` (burn-in clamped near the origin)."""
-    arr, scalar = _coerce_time(t)
-    if np.any(arr < 0.0):
-        raise DomainError("bathtub_hazard requires t >= 0")
+    arr, scalar = _checked_time(t, "bathtub_hazard")
     ages = np.atleast_1d(arr)
     b, w = model.burnin, model.wearout
     if b.scale > 0.0:
@@ -184,9 +188,7 @@ def bathtub_cumulative(t, model: BathtubModel):
     The burn-in integral is exact even though the point rate is clamped: the
     clamp only guards point evaluation, and t**shape -> 0 at the origin.
     """
-    arr, scalar = _coerce_time(t)
-    if np.any(arr < 0.0):
-        raise DomainError("bathtub_cumulative requires t >= 0")
+    arr, scalar = _checked_time(t, "bathtub_cumulative")
     ages = np.atleast_1d(arr)
     b, w = model.burnin, model.wearout
     total = model.useful_rate * ages
@@ -259,11 +261,8 @@ def _nq_central(u):
     return q * num / den
 
 
-def standard_normal_quantile(u):
-    """Inverse standard normal CDF on the open interval (0, 1)."""
-    arr, scalar = _coerce_time(u, name="u")
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("u must lie strictly inside (0, 1)")
+def _normal_quantile(arr):
+    """The standard normal quantile of each element of checked uniforms ``arr``."""
     out = np.empty_like(arr)
     lo = arr < _NQ_LOW
     hi = arr > 1.0 - _NQ_LOW
@@ -276,7 +275,13 @@ def standard_normal_quantile(u):
         out[hi] = -_nq_tail(q)
     if np.any(mid):
         out[mid] = _nq_central(arr[mid])
-    return _ret(out, scalar)
+    return out
+
+
+def standard_normal_quantile(u):
+    """Inverse standard normal CDF on the open interval (0, 1)."""
+    arr, scalar = _checked_uniform(u, "standard_normal_quantile")
+    return _ret(_normal_quantile(arr), scalar)
 
 
 def lognormal_sample(dist: LifetimeDistribution, u):
@@ -284,13 +289,10 @@ def lognormal_sample(dist: LifetimeDistribution, u):
 
     The degenerate distribution returns ``mean`` for every ``u``.
     """
-    arr, scalar = _coerce_time(u, name="u")
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("u must lie strictly inside (0, 1)")
+    arr, scalar = _checked_uniform(u, "lognormal_sample")
     if dist.degenerate:
         return _ret(np.full_like(arr, dist.mean), scalar)
-    z = standard_normal_quantile(arr)
-    return _ret(np.exp(dist.location + dist.scale * np.asarray(z)), scalar)
+    return _ret(np.exp(dist.location + dist.scale * _normal_quantile(arr)), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +336,8 @@ class SoftwareHazardModel(Value):
     never falls below ``steady_floor``.
     """
 
-    __slots__ = ("steady_floor", "update_amplitude", "update_decay_tau", "upgrade_events")
+    __slots__ = ("steady_floor", "update_amplitude", "update_decay_tau", "upgrade_events",
+                 "_terms")
 
     def __init__(self, steady_floor: float, update_amplitude: float = 0.0,
                  update_decay_tau: float = 0.0, upgrade_events: tuple[UpgradeEvent, ...] = ()):
@@ -352,50 +355,34 @@ class SoftwareHazardModel(Value):
         times = [e.time for e in self.upgrade_events]
         _require(all(t1 < t2 for t1, t2 in zip(times, times[1:])),
                  "upgrade_events must be sorted by time, strictly increasing")
-
-    def _major_times(self):
-        return [e.time for e in self.upgrade_events if e.kind == "major"]
+        # the one list of decaying terms (start, end, amplitude, tau) that both kernels read
+        terms = []
+        if self.update_amplitude > 0.0:
+            starts = [0.0] + [e.time for e in self.upgrade_events if e.kind == "major"]
+            terms += [(start, end, self.update_amplitude, self.update_decay_tau)
+                      for start, end in zip(starts, starts[1:] + [math.inf])]
+        terms += [(e.time, math.inf, e.pulse_amplitude, e.pulse_decay_tau)
+                  for e in self.upgrade_events if e.kind == "minor" and e.pulse_amplitude > 0.0]
+        self._set(_terms=tuple(terms))
 
 
 def software_hazard(t, model: SoftwareHazardModel):
     """Software rate at calendar time ``t`` (weeks since the system entered service)."""
-    arr, scalar = _coerce_time(t)
-    if np.any(arr < 0.0):
-        raise DomainError("software_hazard requires t >= 0")
-    work = np.atleast_1d(arr).astype(float)
-    h = np.full_like(work, model.steady_floor)
-    if model.update_amplitude > 0.0:
-        since_major = work.copy()
-        for m in model._major_times():
-            mask = work >= m
-            since_major[mask] = work[mask] - m
-        h += model.update_amplitude * np.exp(-since_major / model.update_decay_tau)
-    for ev in model.upgrade_events:
-        if ev.kind == "minor" and ev.pulse_amplitude > 0.0:
-            mask = work >= ev.time
-            h[mask] += ev.pulse_amplitude * np.exp(-(work[mask] - ev.time) / ev.pulse_decay_tau)
-    if scalar:
-        return float(h[0])
-    return h.reshape(arr.shape)
+    arr, scalar = _checked_time(t, "software_hazard")
+    h = np.full_like(arr, model.steady_floor)
+    for start, end, amplitude, tau in model._terms:
+        on = (arr >= start) & (arr < end)
+        h[on] += amplitude * np.exp(-(arr[on] - start) / tau)
+    return _ret(h, scalar)
 
 
 def software_cumulative(t, model: SoftwareHazardModel):
     """Integral of the software rate on [0, t], in closed form per term."""
-    arr, scalar = _coerce_time(t)
-    if np.any(arr < 0.0):
-        raise DomainError("software_cumulative requires t >= 0")
+    arr, scalar = _checked_time(t, "software_cumulative")
     total = model.steady_floor * arr
-    if model.update_amplitude > 0.0:
-        amp, tau = model.update_amplitude, model.update_decay_tau
-        starts = [0.0] + model._major_times()
-        for i, s in enumerate(starts):
-            end = starts[i + 1] if i + 1 < len(starts) else None
-            span = np.clip((arr if end is None else np.minimum(arr, end)) - s, 0.0, None)
-            total = total + amp * tau * -np.expm1(-span / tau)
-    for ev in model.upgrade_events:
-        if ev.kind == "minor" and ev.pulse_amplitude > 0.0:
-            span = np.clip(arr - ev.time, 0.0, None)
-            total = total + ev.pulse_amplitude * ev.pulse_decay_tau * -np.expm1(-span / ev.pulse_decay_tau)
+    for start, end, amplitude, tau in model._terms:
+        span = np.clip(np.minimum(arr, end) - start, 0.0, None)
+        total = total + amplitude * tau * -np.expm1(-span / tau)
     return _ret(total, scalar)
 
 

@@ -69,12 +69,11 @@ __all__ = [
 class SystemConfig(Value):
     """Everything that defines one system under study.
 
-    ``unit_lifetime`` is any model with a ``mean`` and a ``sample(u)`` that
-    maps an array of uniforms to lifetimes in weeks, as
-    ``LifetimeDistribution`` does.  ``lab_burnin`` is the burn-in credit
-    (weeks) given to the provisioned shelf spare; practical lab runs are one
-    or two weeks, far shorter than a typical burn-in phase, so a warning is
-    emitted when it exceeds ``th1``.
+    The engine takes any ``unit_lifetime`` with a ``mean`` and a ``sample(u)`` of
+    lifetimes in weeks; a scenario timeline, and so a sweep's ensembles, use the
+    ``LifetimeDistribution`` of its ``mean`` and ``sd``, whatever model it is.
+    ``lab_burnin``, the shelf spare's burn-in credit (weeks), warns above ``th1``:
+    lab runs take a week or two, far less than a typical burn-in phase.
     """
 
     __slots__ = ("hazard", "unit_lifetime", "shelf_aging_factor", "lab_burnin", "software",
@@ -273,7 +272,7 @@ class HazardCurve(Value):
 
 def _unit_rate(times: np.ndarray, au: ActiveUnit, config: SystemConfig) -> np.ndarray:
     # Hardware runs on the unit's age clock, software on the calendar clock.
-    h = np.asarray(bathtub_hazard(times - au.birth, config.hazard), dtype=float)
+    h = bathtub_hazard(times - au.birth, config.hazard)
     if config.software is not None:
         h += software_hazard(times, config.software)
     if config.operator is not None:
@@ -282,7 +281,7 @@ def _unit_rate(times: np.ndarray, au: ActiveUnit, config: SystemConfig) -> np.nd
 
 
 def _unit_cumulative_at(t, au: ActiveUnit, config: SystemConfig):
-    total = np.asarray(bathtub_cumulative(t - au.birth, config.hazard), dtype=float)
+    total = bathtub_cumulative(t - au.birth, config.hazard)
     if config.software is not None:
         total += software_cumulative(t, config.software)
     if config.operator is not None:

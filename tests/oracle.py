@@ -15,9 +15,11 @@ same config values as the engine and reads a policy only through its
 
 It also holds two references of the closed-form checks, the constant-hazard
 :class:`ExponentialLifetime` and the binned :func:`empirical_hazard` estimator,
-and the term-by-term bathtub formulas, :func:`bathtub_hazard` and
-:func:`bathtub_cumulative`, that the kernels of ``redzone.hazards`` must
-reproduce bit for bit.
+and the formulas that the kernels of ``redzone.hazards`` must reproduce bit
+for bit: the term-by-term bathtub, :func:`bathtub_hazard` and
+:func:`bathtub_cumulative`, and the software rate on the time since the last
+major upgrade with its segment-wise integral, :func:`software_hazard` and
+:func:`software_cumulative`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from redzone import (
     DomainError,
     Policy,
     RedzoneError,
+    SoftwareHazardModel,
     SystemConfig,
     ValidationError,
     weibull_cumulative,
@@ -305,6 +308,49 @@ def bathtub_cumulative(t, model: BathtubModel):
     total = model.useful_rate * arr
     total = total + weibull_cumulative(arr, model.burnin)
     total = total + weibull_cumulative(np.maximum(arr - model.wearout_onset, 0.0), model.wearout)
+    return float(total) if arr.ndim == 0 else total
+
+
+def _pulses(model: SoftwareHazardModel):
+    """The minor upgrades whose pulse enters the rate, in event order."""
+    return [ev for ev in model.upgrade_events if ev.kind == "minor" and ev.pulse_amplitude > 0.0]
+
+
+def software_hazard(t, model: SoftwareHazardModel):
+    """Software rate at calendar time ``t``: the floor, plus the update transient on
+    the time since the last major upgrade at or before ``t`` (or since 0), plus each
+    minor upgrade's pulse from its time on; a float for a float or a 0-d array."""
+    arr = np.asarray(t, dtype=float)
+    work = np.atleast_1d(arr)
+    h = np.full_like(work, model.steady_floor)
+    if model.update_amplitude > 0.0:
+        since_major = work.copy()
+        for ev in model.upgrade_events:
+            if ev.kind == "major":
+                mask = work >= ev.time
+                since_major[mask] = work[mask] - ev.time
+        h += model.update_amplitude * np.exp(-since_major / model.update_decay_tau)
+    for ev in _pulses(model):
+        mask = work >= ev.time
+        h[mask] += ev.pulse_amplitude * np.exp(-(work[mask] - ev.time) / ev.pulse_decay_tau)
+    return float(h[0]) if arr.ndim == 0 else h.reshape(arr.shape)
+
+
+def software_cumulative(t, model: SoftwareHazardModel):
+    """Integral of :func:`software_hazard` on [0, t]: the floor, the update transient
+    segment by segment between major upgrades, then each pulse, in closed form."""
+    arr = np.asarray(t, dtype=float)
+    total = model.steady_floor * arr
+    if model.update_amplitude > 0.0:
+        amp, tau = model.update_amplitude, model.update_decay_tau
+        starts = [0.0] + [ev.time for ev in model.upgrade_events if ev.kind == "major"]
+        for i, s in enumerate(starts):
+            span = arr - s if i + 1 == len(starts) else np.minimum(arr, starts[i + 1]) - s
+            total = total + amp * tau * -np.expm1(-np.clip(span, 0.0, None) / tau)
+    for ev in _pulses(model):
+        span = np.clip(arr - ev.time, 0.0, None)
+        tau = ev.pulse_decay_tau
+        total = total + ev.pulse_amplitude * tau * -np.expm1(-span / tau)
     return float(total) if arr.ndim == 0 else total
 
 

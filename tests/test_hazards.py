@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -37,6 +38,35 @@ def logspaced_trapezoid(fn, a, b, n=100_000):
     return float(np.trapezoid(fn(x), x))
 
 
+SOFTWARE = SoftwareHazardModel(
+    steady_floor=0.001, update_amplitude=0.004, update_decay_tau=26.0,
+    upgrade_events=(UpgradeEvent(52.0, "minor", 0.002, 8.0), UpgradeEvent(104.0, "major")))
+
+TIME_KERNELS = [(weibull_hazard, WeibullTerm(1.0, 0.5)),
+                (weibull_cumulative, WeibullTerm(1.0, 2.0)),
+                (bathtub_hazard, make_bathtub()), (bathtub_cumulative, make_bathtub()),
+                (software_hazard, SOFTWARE), (software_cumulative, SOFTWARE)]
+
+
+@pytest.mark.parametrize("kernel, model", TIME_KERNELS, ids=[k.__name__ for k, _ in TIME_KERNELS])
+class TestTimeDomain:
+    """Every time kernel takes times finite and >= 0, as a float or an array of any shape."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "one_of_two"])
+    def test_bad_time_rejected_naming_the_kernel(self, kernel, model, bad, as_array):
+        t = np.array([3.0, bad]) if as_array else bad
+        with pytest.raises(DomainError, match=rf"^{kernel.__name__} requires finite t >= 0"):
+            kernel(t, model)
+
+    def test_scalar_gives_float_and_array_keeps_shape(self, kernel, model):
+        grid = np.linspace(1.0, 150.0, 6).reshape(2, 3)
+        out = kernel(grid, model)
+        assert isinstance(out, np.ndarray) and out.shape == (2, 3)
+        for t in (60.0, np.float64(60.0), np.asarray(60.0)):
+            assert type(kernel(t, model)) is float
+
+
 class TestWeibullHazard:
     def test_shape_one_is_constant(self):
         assert weibull_hazard(5.0, WeibullTerm(0.2, 1.0)) == 0.2
@@ -49,16 +79,6 @@ class TestWeibullHazard:
 
     def test_zero_scale_disables_term(self):
         assert weibull_hazard(3.0, WeibullTerm(0.0, 2.0)) == 0.0
-
-    def test_non_finite_t_rejected(self):
-        with pytest.raises(DomainError):
-            weibull_hazard(float("nan"), WeibullTerm(1.0, 1.0))
-        with pytest.raises(DomainError):
-            weibull_hazard(float("inf"), WeibullTerm(1.0, 1.0))
-
-    def test_negative_t_rejected(self):
-        with pytest.raises(DomainError):
-            weibull_hazard(-1.0, WeibullTerm(1.0, 2.0))
 
     def test_origin_needs_clamp_for_decreasing_shape(self):
         with pytest.raises(DomainError, match="diverges at the origin"):
@@ -85,10 +105,6 @@ class TestWeibullCumulative:
 
     def test_sqrt_case(self):
         assert weibull_cumulative(4.0, WeibullTerm(2.0, 0.5)) == pytest.approx(4.0)
-
-    def test_negative_t_rejected(self):
-        with pytest.raises(DomainError):
-            weibull_cumulative(-0.5, WeibullTerm(1.0, 1.0))
 
     def test_matches_quadrature_for_random_models(self):
         rng = np.random.default_rng(20240501)
@@ -292,10 +308,14 @@ class TestLognormal:
         assert np.max(np.abs(ours - ref)) < 1e-8
 
     def test_u_domain_enforced(self):
-        d = LifetimeDistribution(10.0, 2.0)
-        for u in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(DomainError):
-                lognormal_sample(d, u)
+        # the degenerate distribution checks u too, though it returns its mean for every u
+        kernels = [("lognormal_sample", partial(lognormal_sample, LifetimeDistribution(10.0, sd)))
+                   for sd in (2.0, 0.0)] + [("standard_normal_quantile", standard_normal_quantile)]
+        for name, kernel in kernels:
+            for u in (0.0, 1.0, -0.2, 1.5, math.nan, math.inf,
+                      np.array([0.5, 1.0]), np.array([math.nan, 0.5])):
+                with pytest.raises(DomainError, match=rf"^{name} requires u strictly inside"):
+                    kernel(u)
 
     def test_sampling_round_trip(self):
         d = LifetimeDistribution(200.0, 20.0)
@@ -371,6 +391,51 @@ class TestSoftwareHazard:
             x = np.linspace(a, b - 1e-9, 200_001)
             quad += float(np.trapezoid(software_hazard(x, m), x))
         assert quad == pytest.approx(software_cumulative(horizon, m), rel=1e-6)
+
+
+@st.composite
+def software_and_times(draw):
+    """A software model over a drawn upgrade schedule, minor or major upgrades with a
+    pulse or none and possibly a major at 0, and an unsorted array of times that holds
+    0, -0.0, every upgrade time and its neighbours, among times drawn around them."""
+    times = sorted(draw(st.lists(st.just(0.0) | st.floats(0.0, 200.0), unique=True, max_size=6)))
+    amplitude = st.just(0.0) | st.floats(1e-4, 0.05)
+    events = tuple(UpgradeEvent(tm, draw(st.sampled_from(["minor", "major"])), draw(amplitude),
+                                draw(st.floats(0.5, 60.0))) for tm in times)
+    model = SoftwareHazardModel(draw(st.floats(0.0, 0.01)), draw(amplitude),
+                                draw(st.floats(0.5, 80.0)), events)
+    landmarks = [0.0, -0.0] + [x for tm in times
+                               for x in (tm, np.nextafter(tm, 0.0), np.nextafter(tm, np.inf))]
+    drawn = draw(st.lists(st.floats(0.0, 300.0), max_size=30))
+    return model, np.array(draw(st.permutations(landmarks + drawn)))
+
+
+class TestSoftwareMatchesReference:
+    """Both software kernels, which read one list of terms, give the bits of the rate on
+    the time since the last major upgrade and of its segment-wise integral in ``oracle``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_arrays(self, data):
+        model, times = data.draw(software_and_times())
+        for fn, ref in ((software_hazard, oracle.software_hazard),
+                        (software_cumulative, oracle.software_cumulative)):
+            assert np.array_equal(bits(fn(times, model)), bits(ref(times, model)))
+            grid = times[:len(times) // 2 * 2].reshape(2, -1)
+            assert np.array_equal(bits(fn(grid, model)), bits(ref(grid, model)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_scalars_and_0d_arrays(self, data):
+        model, times = data.draw(software_and_times())
+        for t in times.tolist():
+            for fn, ref in ((software_hazard, oracle.software_hazard),
+                            (software_cumulative, oracle.software_cumulative)):
+                expected = ref(t, model)
+                for arg in (t, np.asarray(t)):
+                    got = fn(arg, model)
+                    assert type(got) is float
+                    assert bits(got) == bits(expected)
 
 
 @settings(max_examples=80, deadline=None)

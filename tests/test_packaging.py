@@ -1,8 +1,9 @@
 """The package's declared dependencies cover what its modules import, its import
 loads neither ``dataclasses`` nor ``orjson``, orjson loads only where a float
 table is written, every warning goes through ``redzone.errors.warn``, only the
-engine reads how the spare is consumed, and the scalar oracle in
-``tests/oracle.py`` stays apart from the engine it checks."""
+engine reads how the spare is consumed, each rate kernel checks its argument
+through one guard, and the scalar oracle in ``tests/oracle.py`` stays apart
+from the engine it checks."""
 
 import ast
 import os
@@ -87,6 +88,29 @@ def test_only_the_engine_reads_the_spare_s_consumption():
                        if isinstance(node, ast.Attribute) and node not in checks
                        and node.attr in ("lab_burnin", "shelf_aging_factor"))
     assert readers == {"montecarlo.py"}
+
+
+def test_each_kernel_checks_its_domain_through_one_guard():
+    # a time is finite and >= 0, a uniform inside (0, 1): each rule lives in its guard
+    # alone, which every kernel of its argument calls once, under the kernel's own name
+    tree = ast.parse((ROOT / "src" / "redzone" / "hazards.py").read_text(encoding="utf-8"))
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    assert "np.isfinite" not in {ast.unparse(node) for node in ast.walk(tree)}
+    raises = {fn.name: [ast.unparse(node.exc) for node in ast.walk(fn)
+                        if isinstance(node, ast.Raise) and "DomainError" in ast.unparse(node)]
+              for fn in functions}
+    assert {name: len(r) for name, r in raises.items() if r} == {
+        "_checked_time": 1, "_checked_uniform": 1, "weibull_hazard": 1}
+    assert "shape < 1" in raises["weibull_hazard"][0]  # the burn-in origin: that kernel's rule
+    guarded = {fn.name: [(ast.unparse(call.func), ast.literal_eval(call.args[1]))
+                         for call in ast.walk(fn) if isinstance(call, ast.Call)
+                         and ast.unparse(call.func) in ("_checked_time", "_checked_uniform")]
+               for fn in functions}
+    time_kernels = ("weibull_hazard", "weibull_cumulative", "bathtub_hazard",
+                    "bathtub_cumulative", "software_hazard", "software_cumulative")
+    assert {name: calls for name, calls in guarded.items() if calls} == {
+        **{k: [("_checked_time", k)] for k in time_kernels},
+        **{k: [("_checked_uniform", k)] for k in ("standard_normal_quantile", "lognormal_sample")}}
 
 
 def test_cli_import_builds_no_dataclass_and_loads_no_orjson():
