@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .maintenance import Policy, red_zone_condition
-from .montecarlo import Metrics, MetricSummary, SimConfig, _summarize, run_ensemble
+from .montecarlo import (BatchOutcomes, Metrics, MetricSummary, SimConfig, _derive_seeds,
+                         _summarize, _uniforms, run_batch, sample_lifetimes)
 from .system import (
     _SPARE_EXHAUSTED,
     HazardCurve,
@@ -209,8 +210,11 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
     engine call, before any curve or ensemble, so a spread the timeline
     rejects fails the sweep at once, its error naming the spread in place of
     ``lifetime.sd``; a check no spread moves is raised as the timeline raised
-    it.  The curves come from one :func:`system_hazard_curves` call; the rows
-    equal per-spread :func:`assess_red_zone` results bit for bit.
+    it.  The curves come from one :func:`system_hazard_curves` call.  The
+    ensembles are one :func:`run_batch` call on one draw of uniforms, which
+    each spread's lifetime model samples; spreads share lab credit, shelf
+    aging and horizon, and the engine's rows are independent, so the rows
+    equal per-spread :func:`assess_red_zone` and ``run_ensemble`` bit for bit.
     """
     deltas = [float(d) for d in deltas]
     if any(d <= 0.0 for d in deltas):
@@ -234,9 +238,13 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
     # curves share are freed before the ensembles allocate.
     assessments = _assess(timelines, threshold=threshold, dt=dt,
                           baseline_window_fraction=baseline_window_fraction)
+    u = _uniforms(_derive_seeds(sim.master_seed, sim.replications), 3)
+    lives = np.concatenate([timeline.config.unit_lifetime.sample(u) for timeline in timelines])
+    out = run_batch(config, policy, lives, horizon=sim.horizon)
     rows: list[DeltaSweepPoint] = []
-    for d, timeline, assessment in zip(deltas, timelines, assessments):
-        metrics = run_ensemble(timeline.config, policy, sim)
+    n = sim.replications
+    for i, (d, assessment) in enumerate(zip(deltas, assessments)):
+        metrics = Metrics.from_batch(BatchOutcomes(*(c[i * n:(i + 1) * n] for c in out[:4])))
         rows.append(DeltaSweepPoint(
             delta=d,
             predicted=red_zone_condition(d, config.hazard.th3),
@@ -279,15 +287,16 @@ def apply_vendor_decision_point(metrics: Metrics, vendor_mtbf: float | None,
 def compare_policies(config: SystemConfig, rotation_period: float, sim: SimConfig, *,
                      vendor_mtbf: float | None = None, warn_factor: float) -> ComparisonReport:
     """Run replace on failure (type1) and rotation every ``rotation_period``
-    weeks (type2) from the same master seed and compare lifetimes.
+    weeks (type2) on one draw of the master seed's lifetimes and compare them.
 
     The extension ratio uses the ensemble means of the redundant lifetime.
     When a vendor MTBF is configured, the type1 decision point and margin
     are derived from it.  A bad period is rejected before any ensemble runs.
     """
     rotation = Policy("type2", rotation_period=rotation_period)
-    m1 = run_ensemble(config, Policy("type1"), sim)
-    m2 = run_ensemble(config, rotation, sim)
+    lifetimes = sample_lifetimes(config, sim.master_seed, sim.replications)
+    m1, m2 = (Metrics.from_batch(run_batch(config, policy, lifetimes, horizon=sim.horizon))
+              for policy in (Policy("type1"), rotation))
     m1 = apply_vendor_decision_point(m1, vendor_mtbf, warn_factor)
     if m1.trdd is None or m2.trdd is None:
         raise DomainError("policy comparison needs defined redundant lifetimes on both sides")

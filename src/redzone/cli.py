@@ -5,6 +5,10 @@ timeline and composed curve), ``simulate`` (Monte Carlo ensemble summary),
 ``compare`` (both policies from one master seed), ``redzone`` (spread
 sweep).  All behavior flows from the flags and the JSON configuration
 document; outputs are byte-reproducible for a given config and seed.
+Each subcommand's help line and flags are stated once, in ``_COMMANDS``; a
+job builds the parser of the subcommand it names only, and
+:func:`build_parser`, every subcommand's, serves ``redzone -h`` and an argv
+that names none.  Both give the same arguments, errors and help.
 
 CSV tables are written in blocks of rows, each block as bytes: a block of
 float columns takes one orjson pass (:func:`_float_lines`).  A block of the
@@ -36,7 +40,7 @@ from .analysis import (
     delta_sweep,
 )
 from .config import SCHEMA_VERSION, RunConfig, load_config
-from .errors import DomainError, ValidationError, ValidationWarning
+from .errors import CompositionError, DomainError, ValidationError, ValidationWarning
 from .hazards import bathtub_hazard, software_hazard
 from .montecarlo import EventLog, Metrics, _event_tails, run_batch, sample_lifetimes
 from .system import scenario_timeline, system_hazard_curve
@@ -51,55 +55,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="redzone",
-        description="Reliability analysis of a two-controller system with one shelf spare.",
-        epilog="Every config field is optional except schema_version; defaults are "
-               "documented in the shipped schema (redzone/schema/run_config.schema.json).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", required=True, help="path to the JSON run configuration")
-        p.add_argument("--out", required=True, help="output file path")
-
-    p_hazard = sub.add_parser("hazard", help="emit component hazard curves as CSV")
-    add_common(p_hazard)
-    p_hazard.add_argument("--t-max", type=float, default=None,
-                          help="grid end in weeks (default: 1.2 * (th1+th2+th3))")
-    p_hazard.add_argument("--dt", type=float, default=None,
-                          help="grid step in weeks (default: analysis.curve_dt)")
-
-    p_scen = sub.add_parser("scenario", help="emit the deterministic timeline and curve")
-    add_common(p_scen)
-    p_scen.add_argument("--policy", choices=["type1", "type2"], default=None)
-    p_scen.add_argument("--dt", type=float, default=None)
-
-    p_sim = sub.add_parser("simulate", help="run a Monte Carlo ensemble, emit summary JSON")
-    add_common(p_sim)
-    p_sim.add_argument("--policy", choices=["type1", "type2"], default=None)
-    p_sim.add_argument("--seed", type=int, default=None, help="master seed override")
-    p_sim.add_argument("--replications", type=int, default=None)
-    p_sim.add_argument("--events-out", default=None,
-                       help="also write a per-replication event CSV here")
-
-    p_cmp = sub.add_parser("compare", help="compare both policies from one master seed")
-    add_common(p_cmp)
-    p_cmp.add_argument("--seed", type=int, default=None)
-    p_cmp.add_argument("--replications", type=int, default=None)
-
-    p_rz = sub.add_parser("redzone", help="sweep the lifetime spread, emit a detection table")
-    add_common(p_rz)
-    p_rz.add_argument("--policy", choices=["type1", "type2"], default=None)
-    p_rz.add_argument("--seed", type=int, default=None)
-    p_rz.add_argument("--replications", type=int, default=None)
-    p_rz.add_argument("--deltas", default=None,
-                      help="comma-separated spreads in weeks "
-                           "(default: 0.1,0.5,2,4 times th3)")
-    return parser
 
 
 # Rows per block that the CSV writers format and write at once, not to hold a whole table's text.
@@ -328,8 +283,8 @@ def cmd_simulate(run: RunConfig, args) -> int:
     try:
         zone = assess_red_zone(run.system, threshold=run.red_zone_threshold, dt=dt,
                                baseline_window_fraction=run.baseline_window_fraction).zone
-    except ValidationError:
-        zone = None  # the timeline is undefined for this system; its ensemble is not
+    except (ValidationError, CompositionError):
+        zone = None  # the timeline or its curve is undefined here; the ensemble is not
     lifetimes = sample_lifetimes(run.system, sim.master_seed, sim.replications)
     out = run_batch(run.system, policy, lifetimes, horizon=sim.horizon,
                     record_events=bool(args.events_out))
@@ -397,13 +352,61 @@ def cmd_redzone(run: RunConfig, args) -> int:
     return 0
 
 
+# The flags several subcommands take, as (flag, add_argument keywords).
+_POLICY = ("--policy", {"choices": ["type1", "type2"]})
+_SEED = ("--seed", {"type": int})
+_REPLICATIONS = ("--replications", {"type": int})
+_COMMON = (("--config", {"required": True, "help": "path to the JSON run configuration"}),
+           ("--out", {"required": True, "help": "output file path"}))
+
+# Each subcommand: its function, its help line, and its flags after the common pair.
 _COMMANDS = {
-    "hazard": cmd_hazard,
-    "scenario": cmd_scenario,
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-    "redzone": cmd_redzone,
+    "hazard": (cmd_hazard, "emit component hazard curves as CSV", (
+        ("--t-max", {"type": float, "help": "grid end in weeks (default: 1.2 * (th1+th2+th3))"}),
+        ("--dt", {"type": float, "help": "grid step in weeks (default: analysis.curve_dt)"}))),
+    "scenario": (cmd_scenario, "emit the deterministic timeline and curve", (
+        _POLICY, ("--dt", {"type": float}))),
+    "simulate": (cmd_simulate, "run a Monte Carlo ensemble, emit summary JSON", (
+        _POLICY, ("--seed", {"type": int, "help": "master seed override"}), _REPLICATIONS,
+        ("--events-out", {"help": "also write a per-replication event CSV here"}))),
+    "compare": (cmd_compare, "compare both policies from one master seed", (
+        _SEED, _REPLICATIONS)),
+    "redzone": (cmd_redzone, "sweep the lifetime spread, emit a detection table", (
+        _POLICY, _SEED, _REPLICATIONS,
+        ("--deltas", {"help": "comma-separated spreads in weeks "
+                                "(default: 0.1,0.5,2,4 times th3)"}))),
 }
+
+
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    for flag, keywords in _COMMON + _COMMANDS[command][2]:
+        parser.add_argument(flag, **keywords)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, for ``redzone -h`` and an argv that names none."""
+    parser = _Parser(
+        prog="redzone",
+        description="Reliability analysis of a two-controller system with one shelf spare.",
+        epilog="Every config field is optional except schema_version; defaults are "
+               "documented in the shipped schema (redzone/schema/run_config.schema.json).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_line, _) in _COMMANDS.items():
+        _add_flags(sub.add_parser(command, help=help_line), command)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the named subcommand's parser
+    when ``argv`` starts with one: its own ``prog``, flags, errors and help are those
+    of the subparser ``build_parser`` makes."""
+    if not argv or argv[0] not in _COMMANDS:
+        return build_parser().parse_args(argv)
+    args = _add_flags(_Parser(prog=f"redzone {argv[0]}"), argv[0]).parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
@@ -419,9 +422,9 @@ def main(argv=None) -> int:
 
         warnings.showwarning = show_warning
         try:
-            args = build_parser().parse_args(argv)
+            args = _parse(sys.argv[1:] if argv is None else list(argv))
             run = load_config(args.config, _overrides(args))
-            return _COMMANDS[args.command](run, args)
+            return _COMMANDS[args.command][0](run, args)
         except Exception as e:
             fields = getattr(e, "fields", ())
             print(f"error: {e}" + (f" (config: {', '.join(fields)})" if fields else ""),

@@ -86,6 +86,16 @@ def runs_of_rates(draw):
     return rates
 
 
+def forbid_ensembles(monkeypatch):
+    """Fail the test if the analysis draws lifetimes or runs the engine: the draw and
+    the engine call that the sweep's and the comparison's ensembles make."""
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble ran")
+
+    for name in ("_uniforms", "sample_lifetimes", "run_batch"):
+        monkeypatch.setattr(analysis, name, no_ensemble)
+
+
 def full_grid_assessment(config, *, threshold, dt, baseline_window_fraction):
     """Reference assessment: every reader takes its points from the curve on [0, t_end)."""
     timeline = scenario_timeline(config)
@@ -283,12 +293,24 @@ class TestDeltaSweep:
         threshold=st.floats(1.05, 4.0),
         dt=st.floats(0.05, 1.0),
         fraction=st.floats(0.05, 0.95),
+        alpha=st.sampled_from([0.0, 0.3]),
+        period=st.one_of(st.none(), st.floats(5.0, 100.0)),
+        # deaths fall between 198 and 481 weeks here, so a drawn horizon censors some rows
+        horizon=st.one_of(st.none(), st.floats(200.0, 420.0)),
     )
+    # type2, shelf aging and a horizon that censors some of the spreads' rows but not all
+    @example(spreads=[1.0, 30.0, 45.0], lab=2.0, upgrades=[], software=True,
+             operator_rate=0.0, threshold=2.0, dt=0.1, fraction=0.8, alpha=0.3, period=34.67,
+             horizon=300.0)
     def test_rows_equal_per_spread_reference(self, spreads, lab, upgrades, software,
-                                             operator_rate, threshold, dt, fraction):
+                                             operator_rate, threshold, dt, fraction, alpha,
+                                             period, horizon):
+        # one draw and one engine call give each spread's own ensemble, bit for bit
         cfg = make_software_system(lab=lab, software=software, operator_rate=operator_rate,
                                    upgrades=[UpgradeEvent(*e) for e in sorted(upgrades)])
-        policy, sim = Policy("type1"), SimConfig(replications=3, master_seed=11)
+        cfg = cfg._replace(shelf_aging_factor=alpha)
+        policy = Policy("type1") if period is None else Policy("type2", rotation_period=period)
+        sim = SimConfig(replications=20, master_seed=11, horizon=horizon)
         rows = delta_sweep(cfg, spreads, policy, sim, threshold=threshold, dt=dt,
                            baseline_window_fraction=fraction)
         expected = []
@@ -309,8 +331,7 @@ class TestDeltaSweep:
         cfg = make_redzone_system(delta=1.0)
         with pytest.raises(ValidationError) as reference:
             scenario_timeline(with_spread(cfg, 300.0))
-        ensembles = []
-        monkeypatch.setattr(analysis, "run_ensemble", lambda *args: ensembles.append(args))
+        forbid_ensembles(monkeypatch)
         with pytest.raises(ValidationError) as swept:
             delta_sweep(cfg, [1.0, 2.0, 300.0], Policy("type1"),
                         SimConfig(replications=10, master_seed=1), **SWEEP)
@@ -319,7 +340,6 @@ class TestDeltaSweep:
             "spread 300.0: spare exhausts before the second main failure; "
             "use a smaller spread or raise the mean lifetime")
         assert swept.value.fields == ("lifetime.mean", "system.lab_burnin")
-        assert ensembles == []
 
     @pytest.mark.parametrize("alpha, lab", [(1.0, 2.0), (0.0, 250.0)],
                              ids=["shelf-death", "dead-on-arrival"])
@@ -331,14 +351,12 @@ class TestDeltaSweep:
         cfg = make_redzone_system(delta=1.0, lab=lab)._replace(shelf_aging_factor=alpha)
         with pytest.raises(ValidationError) as reference:
             scenario_timeline(cfg)
-        ensembles = []
-        monkeypatch.setattr(analysis, "run_ensemble", lambda *args: ensembles.append(args))
+        forbid_ensembles(monkeypatch)
         with pytest.raises(ValidationError) as swept:
             delta_sweep(cfg, [1.0, 20.0], Policy("type1"),
                         SimConfig(replications=10, master_seed=1), **SWEEP)
         assert str(swept.value) == str(reference.value)
         assert swept.value.fields == ("system.shelf_aging_factor", "system.lab_burnin")
-        assert ensembles == []
 
     def test_later_certainly_failed_spread_raises_the_reference_error(self):
         # a software pulse at Tf1 leaves both units certainly failed within weeks
@@ -391,10 +409,7 @@ class TestComparePolicies:
 
     @pytest.mark.parametrize("period", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_rotation_period_rejected_before_any_ensemble(self, period, monkeypatch):
-        def no_ensemble(*args, **kwargs):
-            raise AssertionError("an ensemble ran")
-
-        monkeypatch.setattr(analysis, "run_ensemble", no_ensemble)
+        forbid_ensembles(monkeypatch)
         with pytest.raises(ValidationError, match="rotation_period"):
             compare_policies(make_redzone_system(delta=2.0, mean=200.0), period,
                              SimConfig(replications=10, master_seed=1), warn_factor=0.8)

@@ -179,6 +179,82 @@ class TestParser:
         assert not out.exists()
 
 
+# Every flag of each subcommand beyond --config and --out, with a value.
+FULL_FLAGS = {
+    "hazard": ["--t-max", "10", "--dt", "0.5"],
+    "scenario": ["--policy", "type1", "--dt", "0.5"],
+    "simulate": ["--policy", "type2", "--seed", "9", "--replications", "12",
+                 "--events-out", "e.csv"],
+    "compare": ["--seed", "9", "--replications", "12"],
+    "redzone": ["--policy", "type2", "--seed", "9", "--replications", "12", "--deltas", "1,2"],
+}
+
+
+def full_parser_run(argv, capsys):
+    """What ``main`` prints and returns for a usage error or a help request when it
+    parses with ``build_parser``: (exit or SystemExit code, stdout, stderr)."""
+    try:
+        build_parser().parse_args(argv)
+    except cli._UsageError as e:
+        return 1, "", f"error: {e}\n"
+    except SystemExit as e:
+        return e.code, *capsys.readouterr()
+    raise AssertionError(f"{argv} parsed")
+
+
+def main_run(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    return code, *capsys.readouterr()
+
+
+class TestParserParity:
+    """A job parses with its subcommand's parser alone; ``build_parser`` gives the same."""
+
+    @pytest.fixture
+    def one_parser(self, monkeypatch):
+        # a job that names its subcommand never builds the full parser; the tests
+        # reach it through their own import of build_parser
+        def no_full_parser():
+            raise AssertionError("build_parser called")
+
+        monkeypatch.setattr(cli, "build_parser", no_full_parser)
+
+    @pytest.mark.parametrize("command", list(FULL_FLAGS))
+    def test_full_flag_set_parses_alike(self, command, one_parser):
+        argv = [command, "--config", "c.json", "--out", "o", *FULL_FLAGS[command]]
+        expected = vars(build_parser().parse_args(argv))
+        parsed = vars(cli._parse(argv))
+        assert parsed == expected
+        assert parsed["command"] == command and None not in parsed.values()
+
+    @pytest.mark.parametrize("command", list(FULL_FLAGS))
+    @pytest.mark.parametrize("flags", [
+        ["--out", "o"],
+        ["--config", "c.json", "--out", "o", "--seed", "x"],
+        ["--config", "c.json", "--out", "o", "--policy", "type9"],
+        ["--config", "c.json", "--out", "o", "--bogus", "1"],
+        ["--config", "c.json", "--out", "o", "extra"],
+        ["-h"],
+    ], ids=["missing-config", "bad-seed", "bad-policy", "unknown-flag", "extra-positional",
+            "help"])
+    def test_usage_errors_and_help_alike(self, command, flags, capsys, one_parser):
+        expected = full_parser_run([command, *flags], capsys)
+        assert expected[0] == (0 if flags == ["-h"] else 1)
+        assert main_run([command, *flags], capsys) == expected
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["--config", "c.json"]],
+                             ids=["none", "help", "unknown", "flag-first"])
+    def test_argv_naming_no_subcommand_takes_the_full_parser(self, argv, capsys, monkeypatch):
+        expected = full_parser_run(argv, capsys)
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        assert main_run(argv, capsys) == expected
+        assert built == [1]
+
+
 class TestFlagOverrides:
     """A flag that sets a config field acts exactly as the field set in the file."""
 
@@ -532,6 +608,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", conf, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         run = load_config(conf)
+        assert doc["red_zone"] is None
+        metrics = run_ensemble(run.system, Policy("type1"), run.sim)
+        assert doc["tdt_weeks"]["mean"] == metrics.tdt.mean
+
+    def test_undefined_composed_curve_leaves_the_ensemble(self, tmp_path):
+        # scenario and redzone exit 2 on this system (test_undefined_composed_curve_exits_two);
+        # its timeline is defined, its composed curve is not, and its ensemble is
+        conf = write_config(tmp_path, lifetime={"mean": 208.0, "sd": 30.0},
+                            sim={"replications": 20, "master_seed": 5}, **PULSE_AT_FIRST_FAILURE)
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", conf, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        run = load_config(conf)
+        assert run.system == with_spread(pulse_at_first_failure(), 30.0)
         assert doc["red_zone"] is None
         metrics = run_ensemble(run.system, Policy("type1"), run.sim)
         assert doc["tdt_weeks"]["mean"] == metrics.tdt.mean

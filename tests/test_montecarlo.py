@@ -674,6 +674,28 @@ class TestRunBatch:
         assert rotations_after_the_spare_is_gone(
             (i, e.time, e.kind, e.slot) for i, tr in enumerate(traces) for e in tr.events) == []
 
+    @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    @settings(max_examples=10, deadline=None, phases=UNSHRUNK)
+    @given(master_seed=st.integers(0, 2 ** 64 - 1))
+    def test_last_gap_is_tdt_minus_trdd(self, kind, alpha, master_seed):
+        # The gap between the last two deaths needs no column of its own: in every
+        # uncensored replication's log, the last two in-slot failures are tdt - trdd apart.
+        run = load_config(EXAMPLE)
+        cfg = run.system._replace(shelf_aging_factor=alpha)
+        policy = Policy(kind, rotation_period=run.policy.rotation_period)
+        out = run_batch(cfg, policy, sample_lifetimes(cfg, master_seed, 200),
+                        record_events=True)
+        replication, time, kinds, _, slots, _ = event_fields(out.events)
+        in_slot = np.array([k == "failure" and s != "shelf" for k, s in zip(kinds, slots)])
+        replication = np.array(replication)
+        uncensored = np.flatnonzero(~out.censored)
+        assert uncensored.size
+        for i in uncensored:
+            before_last, last = time[in_slot & (replication == i)][-2:]
+            assert last - before_last == out.tdt[i] - out.trdd[i]
+
     @pytest.mark.parametrize("lifetimes", [
         [[208.0, np.nan, 208.0]], [[208.0, -5.0, 208.0]], [[208.0, np.inf, 208.0]],
         [[208.0, 208.0]], [208.0, 208.0, 208.0], np.full((2, 3, 1), 208.0),
