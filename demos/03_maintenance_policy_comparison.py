@@ -9,19 +9,14 @@ at a time), and the decision point becomes observable as the moment the
 shelf first empties.
 """
 
-import warnings
-
 from redzone import (
     BathtubModel,
     LifetimeDistribution,
     SimConfig,
     SystemConfig,
-    ValidationWarning,
     WeibullTerm,
     compare_policies,
 )
-
-warnings.simplefilter("ignore", ValidationWarning)
 
 MEAN_LIFE = 200.0
 

@@ -41,7 +41,7 @@ from .hazards import (
     weibull_cumulative,
     weibull_hazard,
 )
-from .maintenance import Policy, red_zone_condition
+from .maintenance import Policy
 from .montecarlo import (
     Metrics,
     SimConfig,

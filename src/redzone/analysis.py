@@ -8,7 +8,9 @@ baseline``; the baseline is the useful-phase plateau measured from the flat
 part of the curve itself.  Detection is restricted to the end-of-life
 window (at or after the mains' wear-out onset): the burn-in hump at
 t = 0 is a property of any fresh system, not of the spare interaction
-under study.  The existence rule under test is spread < th3, strict.
+under study.  The zone's existence condition is read from the same model:
+at Tf2 the spare comes to stand alone, and there the zone peaks, so a zone
+exists when the composed rate at Tf2 exceeds ``threshold * baseline``.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .maintenance import Policy, red_zone_condition
-from .montecarlo import (BatchOutcomes, Metrics, MetricSummary, SimConfig, _derive_seeds,
-                         _summarize, _uniforms, run_batch, sample_lifetimes)
+from .maintenance import Policy
+from .montecarlo import (Metrics, MetricSummary, SimConfig, _derive_seeds, _summarize,
+                         _uniforms, run_batch, sample_lifetimes)
 from .system import (
     _SPARE_EXHAUSTED,
     HazardCurve,
     ScenarioTimeline,
     SystemConfig,
+    _segment_rate,
     scenario_timeline,
     scenario_timelines,
     system_hazard_curves,
@@ -190,7 +193,12 @@ def lifetime_extension(trdd_1: float, trdd_2: float) -> float:
 
 
 class DeltaSweepPoint(NamedTuple):
-    """One row of a spread sweep."""
+    """One row of a spread sweep.
+
+    ``predicted`` is the zone's existence condition, the composed rate at Tf2
+    above ``threshold * baseline``; ``detected`` reads the sampled curve, whose
+    first point after Tf2 can already fall below the threshold.
+    """
 
     delta: float
     predicted: bool
@@ -202,11 +210,12 @@ class DeltaSweepPoint(NamedTuple):
 def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
                 threshold: float, dt: float,
                 baseline_window_fraction: float) -> list[DeltaSweepPoint]:
-    """Sweep the lifetime spread and test the existence rule spread < th3.
+    """Sweep the lifetime spread and test the red zone's existence condition.
 
     Each row pairs the ensemble estimate of the redundant lifetime (spread
     as sampling sd) with curve-based detection (spread as the deterministic
-    failure gap) and the rule's prediction.  The timelines come from one
+    failure gap) and the condition's prediction, read from the same model at
+    Tf2, where the spare comes to stand alone.  The timelines come from one
     engine call, before any curve or ensemble, so a spread the timeline
     rejects fails the sweep at once, its error naming the spread in place of
     ``lifetime.sd``; a check no spread moves is raised as the timeline raised
@@ -243,11 +252,15 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
     out = run_batch(config, policy, lives, horizon=sim.horizon)
     rows: list[DeltaSweepPoint] = []
     n = sim.replications
-    for i, (d, assessment) in enumerate(zip(deltas, assessments)):
-        metrics = Metrics.from_batch(BatchOutcomes(*(c[i * n:(i + 1) * n] for c in out[:4])))
+    for i, (d, tl, assessment) in enumerate(zip(deltas, timelines, assessments)):
+        part = slice(i * n, (i + 1) * n)
+        metrics = Metrics.from_batch(out._replace(
+            trdd=out.trdd[part], tdt=out.tdt[part], dp=out.dp[part], censored=out.censored[part]))
+        # a segment always opens at Tf2, as the spare's life outlasts it
+        alone = next(seg for seg in tl.segments if seg.t_start == tl.tf2)
         rows.append(DeltaSweepPoint(
             delta=d,
-            predicted=red_zone_condition(d, config.hazard.th3),
+            predicted=_segment_rate(tl.tf2, alone, tl.config) > threshold * assessment.baseline,
             detected=assessment.detected,
             severity=assessment.severity,
             trdd_mean=None if metrics.trdd is None else metrics.trdd.mean,

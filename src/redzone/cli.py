@@ -354,8 +354,9 @@ def cmd_redzone(run: RunConfig, args) -> int:
 
 # The flags several subcommands take, as (flag, add_argument keywords).
 _POLICY = ("--policy", {"choices": ["type1", "type2"]})
-_SEED = ("--seed", {"type": int})
+_SEED = ("--seed", {"type": int, "help": "master seed override"})
 _REPLICATIONS = ("--replications", {"type": int})
+_DT = ("--dt", {"type": float, "help": "grid step in weeks (default: analysis.curve_dt)"})
 _COMMON = (("--config", {"required": True, "help": "path to the JSON run configuration"}),
            ("--out", {"required": True, "help": "output file path"}))
 
@@ -363,11 +364,10 @@ _COMMON = (("--config", {"required": True, "help": "path to the JSON run configu
 _COMMANDS = {
     "hazard": (cmd_hazard, "emit component hazard curves as CSV", (
         ("--t-max", {"type": float, "help": "grid end in weeks (default: 1.2 * (th1+th2+th3))"}),
-        ("--dt", {"type": float, "help": "grid step in weeks (default: analysis.curve_dt)"}))),
-    "scenario": (cmd_scenario, "emit the deterministic timeline and curve", (
-        _POLICY, ("--dt", {"type": float}))),
+        _DT)),
+    "scenario": (cmd_scenario, "emit the deterministic timeline and curve", (_POLICY, _DT)),
     "simulate": (cmd_simulate, "run a Monte Carlo ensemble, emit summary JSON", (
-        _POLICY, ("--seed", {"type": int, "help": "master seed override"}), _REPLICATIONS,
+        _POLICY, _SEED, _REPLICATIONS,
         ("--events-out", {"help": "also write a per-replication event CSV here"}))),
     "compare": (cmd_compare, "compare both policies from one master seed", (
         _SEED, _REPLICATIONS)),

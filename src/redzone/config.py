@@ -11,7 +11,7 @@ rotation period, upgrade events are sorted, ...).  Unknown keys are
 rejected, and every validation error names the offending field path
 (e.g. ``hazard.burnin.scale``), or the label of the override that set it
 (e.g. ``--seed``, for a command-line flag).  A constructor's error or
-warning is prefixed with its section's path (``hazard: burn-in term at th1
+warning is prefixed with its section's path (``system: lab_burnin (30.0)
 exceeds ...``), and a warning points at the line that called the loader.
 """
 

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, warn
+from .errors import DomainError, ValidationError
 from .value import Value
 
 __all__ = [
@@ -144,13 +144,6 @@ class BathtubModel(Value):
             _require(_finite_number(v) and v > 0.0, f"{nm} must be > 0, got {v!r}")
         self._set(clamp_floor=1e-6 * self.th1)
         _require(self.clamp_floor > 0.0, f"clamp_floor must be > 0, got {self.clamp_floor!r}")
-        if self.burnin.scale > 0.0:
-            residual = weibull_hazard(self.th1, self.burnin)
-            limit = 0.01 * self.useful_rate
-            if residual > limit:
-                warn("burn-in term at th1 exceeds 1% of useful_rate "
-                     f"({residual:.3g} vs {limit:.3g}); declared phase "
-                     "durations are inconsistent with the term decay")
 
     @property
     def wearout_onset(self) -> float:

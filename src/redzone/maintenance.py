@@ -1,4 +1,4 @@
-"""Maintenance policies, the rotation rule, and the red-zone condition.
+"""Maintenance policies and the rotation rule.
 
 Two interaction styles are supported:
 
@@ -23,13 +23,12 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .value import Value
 
 __all__ = [
     "Policy",
     "rotation_targets",
-    "red_zone_condition",
 ]
 
 TYPE1 = "type1"
@@ -61,12 +60,3 @@ def rotation_targets(ages: np.ndarray, shelf_usable) -> np.ndarray:
     are up whenever the shelf unit is usable, so there is no failed slot to skip.
     """
     return np.where(shelf_usable, ages[1] > ages[0], -1)
-
-
-def red_zone_condition(delta_spread: float, th3: float) -> bool:
-    """Whether the critical end-of-life window can exist: spread < th3, strict."""
-    if delta_spread < 0.0:
-        raise DomainError(f"delta_spread must be >= 0, got {delta_spread!r}")
-    if not th3 > 0.0:
-        raise DomainError(f"th3 must be > 0, got {th3!r}")
-    return delta_spread < th3

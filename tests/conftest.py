@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import Phase
@@ -11,7 +9,6 @@ from redzone import (
     SoftwareHazardModel,
     SystemConfig,
     UpgradeEvent,
-    ValidationWarning,
     WeibullTerm,
     compose_parallel,
 )
@@ -28,14 +25,12 @@ UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 def make_bathtub(useful_rate=0.01, burnin=(0.05, 0.5), wearout=(1e-6, 3.0),
                  th1=20.0, th2=80.0, th3=40.0) -> BathtubModel:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidationWarning)
-        return BathtubModel(
-            useful_rate=useful_rate,
-            burnin=WeibullTerm(*burnin),
-            wearout=WeibullTerm(*wearout),
-            th1=th1, th2=th2, th3=th3,
-        )
+    return BathtubModel(
+        useful_rate=useful_rate,
+        burnin=WeibullTerm(*burnin),
+        wearout=WeibullTerm(*wearout),
+        th1=th1, th2=th2, th3=th3,
+    )
 
 
 def make_flat_bathtub(useful_rate=0.01, th1=20.0, th2=180.0, th3=40.0) -> BathtubModel:
@@ -60,13 +55,11 @@ def make_software_system(*, th1=20.0, th2=180.0, margin=8.0, lab=2.0, upgrades=(
                          software=True, operator_rate=0.0) -> SystemConfig:
     """A red-zone system with optional software and operator terms; lifetime sd 0."""
     model = make_bathtub(burnin=(0.9, 0.1), th1=th1, th2=th2, th3=10.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidationWarning)
-        return SystemConfig(
-            hazard=model, unit_lifetime=LifetimeDistribution(th1 + th2 + margin, 0.0),
-            lab_burnin=lab,
-            software=SoftwareHazardModel(0.001, 0.004, 26.0, tuple(upgrades)) if software else None,
-            operator=OperatorHazard(operator_rate) if operator_rate else None)
+    return SystemConfig(
+        hazard=model, unit_lifetime=LifetimeDistribution(th1 + th2 + margin, 0.0),
+        lab_burnin=lab,
+        software=SoftwareHazardModel(0.001, 0.004, 26.0, tuple(upgrades)) if software else None,
+        operator=OperatorHazard(operator_rate) if operator_rate else None)
 
 
 def pulse_at_first_failure() -> SystemConfig:

@@ -99,6 +99,7 @@ def test_criterion_2_closed_form_vs_quadrature():
             assert abs(quad - exact) <= 1e-6 * abs(exact)
 
 
+@pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
 def test_criterion_3_parallel_composition_oracle():
     with criterion(3, "exact parallel composition and its Monte Carlo lifetime", 60.0):
         lam = 1.0
@@ -155,7 +156,7 @@ def test_criterion_5_rotation_extension():
         assert float(np.nanmax(trdd)) <= 1.55 * mean
 
 
-def test_criterion_6_red_zone_condition_brackets_th3():
+def test_criterion_6_spread_sweep_brackets_th3():
     with criterion(6, "spread sweep detects the red zone only below th3", 120.0):
         cfg = make_redzone_system(delta=1.0)
         th3 = cfg.hazard.th3
@@ -214,6 +215,7 @@ def test_criterion_8_byte_identical_cli_output(tmp_path):
             assert met.censored_count == sum(tr.censored for tr in traces)
 
 
+@pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
 def test_criterion_9_empirical_hazard_recovers_constant_rate():
     with criterion(9, "binned hazard estimator recovers a constant rate within 3 SE", 60.0):
         rate = 0.01

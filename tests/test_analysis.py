@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from redzone import (
@@ -15,8 +15,11 @@ from redzone import (
     SimConfig,
     UpgradeEvent,
     ValidationError,
+    ValidationWarning,
+    WeibullTerm,
     assess_curve,
     assess_red_zone,
+    bathtub_hazard,
     compare_policies,
     delta_sweep,
     detect_red_zone,
@@ -27,8 +30,8 @@ from redzone import (
 )
 from redzone import analysis
 from redzone.analysis import apply_vendor_decision_point, baseline_from_curve, peak_ratio
-from redzone.maintenance import red_zone_condition
 from redzone.montecarlo import run_batch, sample_lifetimes
+from redzone.system import _segment_rate
 
 from conftest import (
     UNSHRUNK,
@@ -271,10 +274,39 @@ class TestDeltaSweep:
             sevs.append(assess_red_zone(cfg, threshold=2.0, dt=0.1, baseline_window_fraction=0.8).severity)
         assert all(a > b for a, b in zip(sevs, sevs[1:]))
 
+    @settings(max_examples=40, deadline=None, phases=UNSHRUNK)
+    # thresholds from 1.25: below about 1.1 the spare's own wear-out at its death crosses
+    @given(lab=st.floats(0.0, 20.0), alpha=st.floats(0.0, 0.5), spread=st.floats(0.1, 40.0),
+           threshold=st.floats(1.25, 4.0), burnin=st.tuples(st.floats(0.05, 1.5),
+                                                           st.floats(0.05, 0.5)),
+           dt=st.floats(0.02, 0.5))
+    # the demo config's critical spread, 8.0506, at the grid step it is resolved at
+    @example(lab=2.0, alpha=0.0, spread=8.05, threshold=2.0, burnin=(0.9, 0.1), dt=0.002)
+    def test_predicted_is_detected_off_the_grid_band(self, lab, alpha, spread, threshold,
+                                                     burnin, dt):
+        # With the demo wear-out and no software the zone peaks at Tf2, where the spare
+        # comes to stand alone, so the curve detects it exactly when the condition
+        # predicts it, unless the spare's rate crosses the threshold within the grid
+        # step after Tf2, where the grid steps past the peak.
+        cfg = make_redzone_system(delta=spread, lab=lab)
+        cfg = cfg._replace(hazard=cfg.hazard._replace(burnin=WeibullTerm(*burnin)),
+                           shelf_aging_factor=alpha)
+        sweep = {"threshold": threshold, "dt": dt, "baseline_window_fraction": 0.8}
+        (row,) = delta_sweep(cfg, [spread], Policy("type1"),
+                             SimConfig(replications=1, master_seed=1), **sweep)
+        timeline = scenario_timeline(cfg)
+        spare = timeline.segments[-1].units[0]
+        ratios = (bathtub_hazard(np.array([timeline.tf2, timeline.tf2 + dt]) - spare.birth,
+                                 cfg.hazard) / assess_red_zone(cfg, **sweep).baseline)
+        assume((ratios[0] > threshold) == (ratios[1] > threshold))
+        assert row.predicted == row.detected
+
     def test_config_warning_not_repeated_per_spread(self):
         # lab_burnin 25 > th1 20 warns once, when the caller builds the config;
         # the sweep's per-spread copies of it must not warn again
-        cfg = make_redzone_system(delta=1.0, lab=25.0)
+        with pytest.warns(ValidationWarning) as record:
+            cfg = make_redzone_system(delta=1.0, lab=25.0)
+        assert len(record) == 1
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             delta_sweep(cfg, [1.0, 20.0], Policy("type1"),
@@ -321,8 +353,10 @@ class TestDeltaSweep:
             reference = assess_curve(timeline, HazardCurve(times=t, rates=h),
                                      threshold=threshold, baseline_window_fraction=fraction)
             trdd = run_ensemble(spread, policy, sim).trdd
+            alone = next(seg for seg in timeline.segments if seg.t_start == timeline.tf2)
+            rate = _segment_rate(timeline.tf2, alone, spread)
             expected.append(DeltaSweepPoint(
-                delta=d, predicted=red_zone_condition(d, cfg.hazard.th3),
+                delta=d, predicted=rate > threshold * reference.baseline,
                 detected=reference.detected, severity=reference.severity,
                 trdd_mean=None if trdd is None else trdd.mean))
         assert rows == expected
@@ -341,6 +375,7 @@ class TestDeltaSweep:
             "use a smaller spread or raise the mean lifetime")
         assert swept.value.fields == ("lifetime.mean", "system.lab_burnin")
 
+    @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
     @pytest.mark.parametrize("alpha, lab", [(1.0, 2.0), (0.0, 250.0)],
                              ids=["shelf-death", "dead-on-arrival"])
     def test_spare_dead_before_first_failure_fails_before_any_ensemble(self, alpha, lab,

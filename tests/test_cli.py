@@ -486,6 +486,7 @@ class TestSimulateCommand:
         jsonschema.validate(json.loads(Path(conf).read_text()),
                             json.loads((schema_dir / "run_config.schema.json").read_text()))
 
+    @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
     @pytest.mark.parametrize("policy, system, horizon", [
         # lab credit near the mean lifetime: some spares are dead on arrival
         (Policy("type1"), {"lab_burnin": 189.0}, None),
@@ -593,6 +594,7 @@ class TestSimulateCommand:
         assert main(argv) == 0
         assert calls == [events]
 
+    @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
     @pytest.mark.parametrize("lifetime, system", [
         ({"mean": 208.0, "sd": 2.0}, {"lab_burnin": 2.0, "shelf_aging_factor": 1.0}),
         ({"mean": 208.0, "sd": 2.0}, {"lab_burnin": 250.0}),
@@ -755,6 +757,7 @@ class TestRedzoneCommand:
             "the end-of-life scenario is undefined "
             "(config: lifetime.mean, hazard.th1 + hazard.th2)\n")
 
+    @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
     @pytest.mark.parametrize("command", ["scenario", "redzone"])
     @pytest.mark.parametrize("system", [
         {"lab_burnin": 2.0, "shelf_aging_factor": 1.0},  # dies on the shelf at 206
@@ -785,35 +788,39 @@ class TestRedzoneCommand:
         assert not out.exists()
 
 
-# The shipped example config's one ValidationWarning, as the CLI prints it.
-EXAMPLE_WARNING = ("warning: hazard: burn-in term at th1 exceeds 1% of useful_rate "
-                   "(0.00607 vs 0.0001); declared phase durations are inconsistent with the "
-                   "term decay\n")
+# The one ValidationWarning of a config with 30 weeks of lab credit, past th1 (20),
+# as the CLI prints it.
+LAB_WARNING = ("warning: system: lab_burnin (30.0) exceeds the declared burn-in duration "
+               "th1 (20.0)\n")
 
 
 class TestWarnings:
+    @pytest.fixture
+    def conf(self, tmp_path):
+        return write_config(tmp_path, system={"lab_burnin": 30.0})
+
     @pytest.mark.filterwarnings("always::redzone.errors.ValidationWarning")
-    def test_config_warning_is_one_line(self, tmp_path, capsys):
+    def test_config_warning_is_one_line(self, conf, tmp_path, capsys):
         show = warnings.showwarning
-        assert main(["hazard", "--config", str(EXAMPLE), "--out", str(tmp_path / "h.csv"),
+        assert main(["hazard", "--config", conf, "--out", str(tmp_path / "h.csv"),
                      "--t-max", "10"]) == 0
-        assert capsys.readouterr().err == EXAMPLE_WARNING
+        assert capsys.readouterr().err == LAB_WARNING
         assert warnings.showwarning is show
 
     @pytest.mark.filterwarnings("always::redzone.errors.ValidationWarning")
-    def test_config_warning_precedes_the_error(self, tmp_path, capsys):
-        assert main(["redzone", "--config", str(EXAMPLE), "--out", str(tmp_path / "rz.csv"),
+    def test_config_warning_precedes_the_error(self, conf, tmp_path, capsys):
+        assert main(["redzone", "--config", conf, "--out", str(tmp_path / "rz.csv"),
                      "--deltas", "1,300"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(EXAMPLE_WARNING + "error: spread 300.0: ")
+        assert err.startswith(LAB_WARNING + "error: spread 300.0: ")
         assert err.count("\n") == 2
 
     @pytest.mark.filterwarnings("always::redzone.errors.ValidationWarning")
-    def test_library_callers_keep_the_python_warning(self, tmp_path):
-        assert main(["hazard", "--config", str(EXAMPLE), "--out", str(tmp_path / "h.csv"),
+    def test_library_callers_keep_the_python_warning(self, conf, tmp_path):
+        assert main(["hazard", "--config", conf, "--out", str(tmp_path / "h.csv"),
                      "--t-max", "10"]) == 0
         with pytest.warns(redzone.ValidationWarning) as record:
-            load_config(EXAMPLE)
+            load_config(conf)
         assert [w.filename for w in record] == [__file__]
 
 
@@ -902,13 +909,15 @@ KERNEL_CONFIG = {
 
 # SHA-256 of hazard, scenario and a three-spread redzone run on KERNEL_CONFIG.  hazard's
 # was recorded before the per-unit curve evaluation and the masked bathtub kernels; the
-# others when the timeline began to read its spare from the engine, which ages it on the
-# shelf (alpha 0.3): it goes in 64.4 weeks old, born at 143.6, and dies at 351.6.
+# scenario files when the timeline began to read its spare from the engine, which ages it
+# on the shelf (alpha 0.3): it goes in 64.4 weeks old, born at 143.6, and dies at 351.6.
+# redzone's when `predicted` began to read the composed rate at Tf2: past its burn-in,
+# the spare shows no zone, so every row reads predicted 0, as detected does.
 KERNEL_DIGESTS = {
     "hazard.csv": "912359d2b54b3494ab23dd4f8d8f20ef2342c09ab3e2a42ec69d7ccc867b4038",
     "scenario.csv": "53ce9f212b4595a622178b1739d34a22c4ed5f4d849c921041cc6fec06dbe6bf",
     "scenario_curve.csv": "546a28506e5a569503d1ea8fb6c721aba86665e9c2e3d84e5001f1c56ef01a95",
-    "redzone.csv": "f8ab51717bc3f070cf4d293249ba854a2f83308dd0e08cf76ea030819955a7d4",
+    "redzone.csv": "d1c04a63e6c3ef45ec1c0e6148daa35f54aafc3cb96fcee204adb9731c7215d9",
 }
 
 
@@ -935,6 +944,7 @@ EVENTS_DIGESTS = {
 }
 
 
+@pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
 def test_events_outputs_byte_identical(tmp_path):
     doc = json.loads(json.dumps(KERNEL_CONFIG))
     doc["policy"] = {"rotation_period": 34.67}

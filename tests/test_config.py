@@ -3,10 +3,20 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import redzone
-from redzone import SimConfig, SystemConfig, ValidationError, ValidationWarning
+import redzone.config
+from redzone import (
+    Policy,
+    SimConfig,
+    SoftwareHazardModel,
+    SystemConfig,
+    UpgradeEvent,
+    ValidationError,
+    ValidationWarning,
+)
 from redzone.config import _build, _check, default_config, load_config, parse_config
 
 SCHEMA = json.loads((Path(redzone.__file__).parent / "schema" / "run_config.schema.json")
@@ -235,21 +245,17 @@ class TestParseConfig:
         (event,) = parse_config(doc).system.software.upgrade_events
         assert (event.time, event.kind) == (0.0, "minor")
 
-    @pytest.mark.parametrize("doc, message", [
-        ({}, "hazard: burn-in term at th1 exceeds"),
-        ({"hazard": {"burnin": {"scale": 0.0}}, "system": {"lab_burnin": 30.0}},
-         "system: lab_burnin (30.0) exceeds"),
-    ], ids=["hazard", "system"])
-    def test_warnings_name_the_section(self, doc, message):
+    def test_warnings_name_the_section(self):
         with pytest.warns(ValidationWarning) as record:
-            parse_config({"schema_version": 1, **doc})
-        assert [str(w.message)[:len(message)] for w in record] == [message]
+            parse_config({"schema_version": 1, "system": {"lab_burnin": 30.0}})
+        assert [str(w.message) for w in record] == [
+            "system: lab_burnin (30.0) exceeds the declared burn-in duration th1 (20.0)"]
 
     @pytest.mark.parametrize("loader", ["parse_config", "load_config"])
     @pytest.mark.parametrize("policy", [{}, {"kind": "type2"}], ids=["valid", "invalid"])
     def test_warnings_point_at_the_caller(self, loader, policy, tmp_path):
-        # the default hazard warns; a later section that fails still lets the warning out
-        doc = {"schema_version": 1, "policy": policy}
+        # the system section warns; a later section that fails still lets the warning out
+        doc = {"schema_version": 1, "system": {"lab_burnin": 30.0}, "policy": policy}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         load = {"parse_config": lambda: parse_config(doc), "load_config": lambda: load_config(path)}
@@ -259,17 +265,21 @@ class TestParseConfig:
                     load[loader]()
             else:
                 load[loader]()
-        assert [(w.filename, str(w.message)[:8]) for w in record] == [(__file__, "hazard: ")]
+        assert [(w.filename, str(w.message)[:8]) for w in record] == [(__file__, "system: ")]
 
     @pytest.mark.filterwarnings("always")
-    def test_other_warnings_keep_their_category(self):
-        # the burn-in term at a tiny th1 overflows in numpy before the model warns of it
-        doc = {"schema_version": 1, "system": {"lab_burnin": 0.0},
-               "hazard": {"burnin": {"scale": 1e308, "shape": 0.5}, "th1": 1e-3}}
+    def test_other_warnings_keep_their_category(self, monkeypatch):
+        # a numpy overflow inside a constructor is re-emitted as itself, beside the
+        # system section's own warning, both at the caller and with the section's path
+        def overflowing(**fields):
+            np.float64(1e308) * 10.0
+            return SystemConfig(**fields)
+
+        monkeypatch.setattr(redzone.config, "SystemConfig", overflowing)
         with pytest.warns(Warning) as record:
-            parse_config(doc)
+            parse_config({"schema_version": 1, "system": {"lab_burnin": 30.0}})
         assert [(w.category, w.filename, str(w.message)[:8]) for w in record] == [
-            (RuntimeWarning, __file__, "hazard: "), (ValidationWarning, __file__, "hazard: ")]
+            (RuntimeWarning, __file__, "system: "), (ValidationWarning, __file__, "system: ")]
 
     def test_integers_in_number_fields_become_floats(self):
         run = parse_config({"schema_version": 1, "hazard": {"th1": 20}})
@@ -293,14 +303,22 @@ class TestSchemaIsTheLoader:
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.validate(default_config(), SCHEMA)
 
-    @pytest.mark.parametrize("cls, section", [(SimConfig, "sim"), (SystemConfig, "system")])
+    @pytest.mark.parametrize("cls, section", [
+        (SimConfig, "sim"), (SystemConfig, "system"), (Policy, "policy"),
+        (SoftwareHazardModel, "software"), (UpgradeEvent, "software.upgrade_events"),
+    ])
     def test_library_defaults_match_schema(self, cls, section):
         # the constructors' defaults serve direct library use; they must say what the schema says
-        doc = default_config()
-        values = {**doc, **doc[section]}  # software and operator are top-level sections
-        defaults = {name: p.default for name, p in inspect.signature(cls).parameters.items()
+        node = SCHEMA
+        for key in section.split("."):
+            node = node["properties"][key]
+            node = node.get("items", node)  # an array's fields are its items'
+        # software and operator are top-level sections
+        fields = {**SCHEMA["properties"], **node["properties"]}
+        defaults = {name: list(p.default) if isinstance(p.default, tuple) else p.default
+                    for name, p in inspect.signature(cls).parameters.items()
                     if p.default is not p.empty}
-        assert defaults == {name: values[name] for name in defaults}
+        assert defaults == {name: fields[name]["default"] for name in defaults}
 
     @pytest.mark.parametrize("path, default, value", bound_cases())
     def test_constructors_hold_schema_bounds(self, path, default, value):

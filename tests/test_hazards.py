@@ -10,13 +10,11 @@ from scipy import integrate
 from scipy.special import ndtri
 
 from redzone import (
-    BathtubModel,
     DomainError,
     LifetimeDistribution,
     SoftwareHazardModel,
     UpgradeEvent,
     ValidationError,
-    ValidationWarning,
     WeibullTerm,
     bathtub_cumulative,
     bathtub_hazard,
@@ -173,13 +171,6 @@ class TestBathtub:
             make_bathtub(useful_rate=0.0)
         with pytest.raises(ValidationError):
             make_bathtub(th1=0.0)
-
-    def test_slow_burnin_decay_warns(self):
-        with pytest.warns(ValidationWarning) as record:
-            model = BathtubModel(useful_rate=0.01, burnin=WeibullTerm(0.05, 0.5),
-                                 wearout=WeibullTerm(1e-6, 3.0), th1=20.0, th2=80.0, th3=40.0)
-            model._replace(th3=30.0)  # a copy warns as a new value does
-        assert [w.filename for w in record] == [__file__] * 2  # the caller, not the model
 
     def test_cumulative_matches_quadrature(self):
         rng = np.random.default_rng(20240502)

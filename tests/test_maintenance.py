@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redzone import DomainError, Policy, ValidationError, red_zone_condition
+from redzone import Policy, ValidationError
 from redzone.maintenance import rotation_targets
 
 from oracle import Unit, oldest_slot
@@ -71,26 +71,3 @@ class TestOldestSlot:
         for age_pair, target in zip(ages.T, targets):
             assert rotation_targets(age_pair, True) == target
 
-
-class TestRedZoneCondition:
-    def test_below_threshold(self):
-        assert red_zone_condition(10.0, 20.0) is True
-
-    def test_above_threshold(self):
-        assert red_zone_condition(30.0, 20.0) is False
-
-    def test_boundary_is_strict(self):
-        assert red_zone_condition(20.0, 20.0) is False
-
-    def test_argument_validation(self):
-        with pytest.raises(DomainError):
-            red_zone_condition(-1.0, 20.0)
-        with pytest.raises(DomainError):
-            red_zone_condition(1.0, 0.0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(delta=st.floats(0.0, 100.0), th3=st.floats(0.1, 100.0),
-           shrink=st.floats(0.0, 1.0))
-    def test_monotone_in_spread(self, delta, th3, shrink):
-        if red_zone_condition(delta, th3):
-            assert red_zone_condition(delta * shrink, th3)

@@ -273,6 +273,7 @@ class TestRunReplication:
         rotations = [e for e in tr.events if e.kind == "rotate"]
         assert [e.slot for e in rotations[:2]] == [0, 1]
 
+    @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
     @pytest.mark.parametrize("lab, alpha, death, dp", [
         (250.0, 0.0, 0.0, 150.0),  # dead on arrival: the lab credit exceeds the lifetime
         (100.0, 1.0, 100.0, 100.0),  # shelf ageing exhausts the remaining 100 weeks
@@ -366,6 +367,7 @@ class TestRunEnsemble:
         assert met.tdt.mean == met.tdt_values[0]
         assert met.tdt.ci_low == met.tdt.ci_high == met.tdt.mean
 
+    @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
     def test_exponential_pair_first_failure_mean(self):
         # With the spare dead on arrival, redundancy ends at the pair's first
         # failure, the minimum of two Exp(lam): Exp(2 lam), mean 1/(2 lam) = 50.
@@ -376,11 +378,13 @@ class TestRunEnsemble:
         assert abs(met.trdd.mean - 50.0) < 3 * se
         assert abs(met.trdd.mean - 50.0) / 50.0 < 0.02
 
+    @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
     def test_two_unit_parallel_mean(self):
         met = run_ensemble(exp_config(0.01, lab=DEAD_SPARE_LAB), Policy("type1"),
                            SimConfig(replications=20_000, master_seed=7, horizon=10000.0))
         assert abs(met.tdt.mean - 150.0) / 150.0 < 0.02
 
+    @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
     def test_monotone_redundancy_benefit(self):
         # the pair's first failure, then its second, then the spare's extra life
         sim = SimConfig(replications=10_000, master_seed=21, horizon=5000.0)

@@ -11,6 +11,7 @@ few ulp.
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +74,7 @@ def assert_outcome(actual, expected, lifetimes, horizon):
     assert (apart <= MAP_ULPS).all(), f"{apart.max()} ulp of the largest value apart"
 
 
+@pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
 class TestType1Map:
     @settings(max_examples=200, deadline=None, phases=UNSHRUNK)
     @given(lifetimes=fleet,
