@@ -301,6 +301,18 @@ class TestDeltaSweep:
         assume((ratios[0] > threshold) == (ratios[1] > threshold))
         assert row.predicted == row.detected
 
+    # the demo config's critical spread is 8.0506; at grid step 0.002 the curve resolves
+    # the jump at Tf2, so on either side of it the condition and the curve agree
+    @pytest.mark.parametrize("spread, zone", [
+        (7.0, True), (8.0, True), (8.05, True), (8.1, False),
+        (9.0, False), (9.5, False), (10.0, False), (11.0, False),
+    ])
+    def test_predicted_brackets_the_critical_spread(self, spread, zone):
+        (row,) = delta_sweep(make_redzone_system(delta=spread), [spread], Policy("type1"),
+                             SimConfig(replications=1, master_seed=1),
+                             **{**SWEEP, "dt": 0.002})
+        assert (row.predicted, row.detected) == (zone, zone)
+
     def test_config_warning_not_repeated_per_spread(self):
         # lab_burnin 25 > th1 20 warns once, when the caller builds the config;
         # the sweep's per-spread copies of it must not warn again
