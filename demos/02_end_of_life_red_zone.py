@@ -40,11 +40,11 @@ def study(spread_weeks: float) -> None:
 
     result = assess_red_zone(config, threshold=2.0, dt=0.1, baseline_window_fraction=0.8)
     print(f"  useful-phase baseline: {result.baseline:.5f} failures/week")
-    print(f"  peak over baseline in the failure window: {result.severity:.2f}x")
+    # the zone and the severity read one peak: z.severity is result.severity
+    print(f"  severity, peak over baseline in the failure window: {result.severity:.2f}x")
     if result.zone is not None:
         z = result.zone
-        print(f"  RED ZONE detected: weeks {z.start:.1f}-{z.end:.1f}, "
-              f"severity {z.severity:.2f}x")
+        print(f"  RED ZONE detected: weeks {z.start:.1f}-{z.end:.1f}")
     else:
         print("  no red zone: the spare matures before it has to stand alone")
 

@@ -2,14 +2,16 @@
 
 The red zone is the interval of critically elevated system failure rate
 that appears when both active units wear out near-simultaneously while the
-just-installed spare is still in burn-in.  It is detected on a sampled
-hazard curve as the maximal contiguous run of points above ``threshold *
-baseline``; the baseline is the useful-phase plateau measured from the flat
-part of the curve itself.  Detection is restricted to the end-of-life
-window (at or after the mains' wear-out onset): the burn-in hump at
-t = 0 is a property of any fresh system, not of the spare interaction
-under study.  The zone's existence condition is read from the same model:
-at Tf2 the spare comes to stand alone, and there the zone peaks, so a zone
+just-installed spare is still in burn-in.  It is read on a sampled hazard
+curve from one peak, the highest point of the failure window (first main
+failure through the later of the second main failure and the declared end
+of the spare's burn-in): that peak over the useful-phase baseline, measured
+from the flat part of the curve itself, is the severity, and when it exceeds
+``threshold * baseline`` the zone is the maximal contiguous run of points
+above that value around it.  The burn-in hump at t = 0, a property of any
+fresh system, and the spare's own wear-out at its death lie outside the
+window.  The zone's existence condition is read from the same model: at
+Tf2 the spare comes to stand alone, and there the zone peaks, so a zone
 exists when the composed rate at Tf2 exceeds ``threshold * baseline``.
 """
 
@@ -42,7 +44,6 @@ __all__ = [
     "DeltaSweepPoint",
     "detect_red_zone",
     "baseline_from_curve",
-    "peak_ratio",
     "assess_curve",
     "assess_red_zone",
     "lifetime_extension",
@@ -63,42 +64,59 @@ class RedZone(Value):
             raise ValidationError("red zone needs start < end")
 
 
-def detect_red_zone(curve: HazardCurve, baseline: float, threshold: float) -> RedZone | None:
-    """Find the elevated interval on a uniformly sampled curve.
+class RedZoneAssessment(NamedTuple):
+    """Curve-based red-zone study of one configuration."""
 
-    Returns the maximal contiguous run of grid points with rate above
-    ``threshold * baseline`` that contains the global maximum (so the
-    interval for a higher threshold always nests inside the interval for a
-    lower one), or None when no point exceeds.  Severity is the peak rate
-    over the baseline.
+    zone: RedZone | None
+    severity: float
+    baseline: float
+
+    @property
+    def detected(self) -> bool:
+        return self.zone is not None
+
+
+def detect_red_zone(curve: HazardCurve, baseline: float, threshold: float,
+                    t_start: float, t_end: float) -> RedZoneAssessment:
+    """Read the zone and its severity from one peak of a uniformly sampled curve.
+
+    The window holds the grid points from the first at or after ``t_start``
+    through the first at or after ``t_end``, so a jump at the window's end is
+    read on the next point.  ``severity`` is the window's peak rate (a NaN is
+    never the peak) over ``baseline``, reported whether or not it crosses the
+    threshold.  A zone exists when the peak exceeds ``threshold * baseline``:
+    the maximal contiguous run of the curve's points above that value that
+    contains the peak (so the zone for a higher threshold nests inside the
+    zone for a lower one), widened to one grid step when it is one point.
     """
-    if len(curve.times) == 0:
-        raise DomainError("detect_red_zone needs a non-empty curve")
     if not baseline > 0.0:
         raise DomainError(f"baseline must be > 0, got {baseline!r}")
     if not threshold > 1.0:
         raise DomainError(f"threshold must be > 1, got {threshold!r}")
+    lo, hi = np.searchsorted(curve.times, (t_start, t_end), "left")
+    window = curve.rates[lo:hi + 1]
+    if len(window) == 0:
+        raise DomainError("no curve samples inside the requested window")
+    # the first maximum; a NaN is never the peak
+    peak = lo + int(np.argmax(np.where(np.isnan(window), -np.inf, window)))
+    severity = float(curve.rates[peak] / baseline)
     above = curve.rates > threshold * baseline
-    # the first maximum, which exceeds when any point does, unless a NaN took argmax
-    peak = int(np.argmax(curve.rates))
     if not above[peak]:
-        if not np.any(above):
-            return None
-        peak = int(np.argmax(np.where(above, curve.rates, -np.inf)))
+        return RedZoneAssessment(zone=None, severity=severity, baseline=baseline)
     # the run ends next to the nearest non-exceeding point on either side: argmin
     # finds the first False scanning out from the peak, or 0 when there is none
     k = int(np.argmin(above[peak:]))
     hi = peak + k - 1 if k else len(above) - 1
     k = int(np.argmin(above[peak::-1]))
     lo = peak - k + 1 if k else 0
-    severity = float(curve.rates[peak] / baseline)
     start = float(curve.times[lo])
     end = float(curve.times[hi])
     if end <= start:
         # single-point run: widen to one grid step
         step = float(curve.times[1] - curve.times[0]) if len(curve.times) > 1 else 1e-9
         end = start + step
-    return RedZone(start=start, end=end, severity=severity)
+    zone = RedZone(start=start, end=end, severity=severity)
+    return RedZoneAssessment(zone=zone, severity=severity, baseline=baseline)
 
 
 def baseline_from_curve(curve: HazardCurve, useful_end: float, *,
@@ -119,53 +137,21 @@ def baseline_from_curve(curve: HazardCurve, useful_end: float, *,
     return baseline
 
 
-def peak_ratio(curve: HazardCurve, baseline: float, t_start: float, t_end: float) -> float:
-    """Peak rate over baseline inside [t_start, t_end]; defined even when
-    the peak never crosses a detection threshold.
-
-    A window narrower than the grid step can fall between two grid points;
-    it then reads those two points.  A window outside the sampled span is
-    rejected.
-    """
-    lo = int(np.searchsorted(curve.times, t_start, "left"))
-    hi = int(np.searchsorted(curve.times, t_end, "right"))
-    if lo == hi and 0 < lo < len(curve.times):
-        # window between two grid points: widen to them
-        lo, hi = lo - 1, hi + 1
-    if lo >= hi:
-        raise DomainError("no curve samples inside the requested window")
-    return float(np.max(curve.rates[lo:hi]) / baseline)
-
-
-class RedZoneAssessment(NamedTuple):
-    """Curve-based red-zone study of one configuration."""
-
-    zone: RedZone | None
-    severity: float
-    baseline: float
-
-    @property
-    def detected(self) -> bool:
-        return self.zone is not None
-
-
 def assess_curve(timeline: ScenarioTimeline, curve: HazardCurve, *, threshold: float,
                  baseline_window_fraction: float) -> RedZoneAssessment:
     """Detect the end-of-life red zone on a curve sampled from ``timeline``.
 
     The curve must hold the grid points from the start of the baseline
     window, ``baseline_window_fraction * t0``, on: the first point any of
-    these reads.  Detection runs on the curve restricted to t >= the mains'
-    wear-out onset.  ``severity`` is the peak ratio over the failure window
-    (first main failure through the declared end of the spare's burn-in)
-    and is reported whether or not it crosses the threshold.
+    these reads.  Detection reads the failure window, first main failure
+    through the later of the second and the declared end of the spare's
+    burn-in, on the curve restricted to t >= the mains' wear-out onset.
     """
     baseline = baseline_from_curve(curve, timeline.t0, window_fraction=baseline_window_fraction)
     tail = np.searchsorted(curve.times, timeline.t0, "left")
     tail_curve = HazardCurve(times=curve.times[tail:], rates=curve.rates[tail:])
-    zone = detect_red_zone(tail_curve, baseline, threshold)
-    severity = peak_ratio(curve, baseline, timeline.tf1, max(timeline.t2, timeline.tf2))
-    return RedZoneAssessment(zone=zone, severity=severity, baseline=baseline)
+    return detect_red_zone(tail_curve, baseline, threshold,
+                           timeline.tf1, max(timeline.t2, timeline.tf2))
 
 
 def assess_red_zone(config: SystemConfig, *, threshold: float, dt: float,

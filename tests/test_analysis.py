@@ -29,7 +29,7 @@ from redzone import (
     system_hazard_curve,
 )
 from redzone import analysis
-from redzone.analysis import apply_vendor_decision_point, baseline_from_curve, peak_ratio
+from redzone.analysis import RedZoneAssessment, apply_vendor_decision_point, baseline_from_curve
 from redzone.montecarlo import run_batch, sample_lifetimes
 from redzone.system import _segment_rate
 
@@ -53,22 +53,34 @@ def bump_curve(baseline=1.0, bumps=((40.0, 50.0, 3.0),), dt=0.5, t_max=100.0):
     return HazardCurve(times=t, rates=h)
 
 
-def walked_zone(curve, baseline, threshold):
-    """Reference detection: walk the run out from the peak one point at a time."""
-    above = curve.rates > threshold * baseline
-    if not np.any(above):
-        return None
-    exceed_idx = np.flatnonzero(above)
-    peak = exceed_idx[np.argmax(curve.rates[exceed_idx])]
+# a window that spans bump_curve's grid
+SPAN = (0.0, 100.0)
+
+
+def walked_assessment(curve, baseline, threshold, t_start, t_end):
+    """Reference detection: find the window's first highest number, then walk the run
+    out from it one point at a time."""
+    times, rates = curve.times.tolist(), curve.rates.tolist()
+    lo = next(i for i, t in enumerate(times) if t >= t_start)
+    hi = next((i for i, t in enumerate(times) if t >= t_end), len(times) - 1)
+    peak = lo
+    for i in range(lo, hi + 1):
+        if rates[i] > rates[peak] or np.isnan(rates[peak]):
+            peak = i
+    severity = rates[peak] / baseline
+    above = [r > threshold * baseline for r in rates]
+    if not above[peak]:
+        return RedZoneAssessment(zone=None, severity=severity, baseline=baseline)
     lo = hi = peak
     while lo > 0 and above[lo - 1]:
         lo -= 1
     while hi + 1 < len(above) and above[hi + 1]:
         hi += 1
-    start, end = float(curve.times[lo]), float(curve.times[hi])
+    start, end = times[lo], times[hi]
     if end <= start:
-        end = start + (float(curve.times[1] - curve.times[0]) if len(curve.times) > 1 else 1e-9)
-    return RedZone(start=start, end=end, severity=float(curve.rates[peak] / baseline))
+        end = start + (times[1] - times[0] if len(times) > 1 else 1e-9)
+    zone = RedZone(start=start, end=end, severity=severity)
+    return RedZoneAssessment(zone=zone, severity=severity, baseline=baseline)
 
 
 @st.composite
@@ -105,33 +117,40 @@ def full_grid_assessment(config, *, threshold, dt, baseline_window_fraction):
     curve = system_hazard_curve(timeline, dt=dt)
     baseline = baseline_from_curve(curve, timeline.t0, window_fraction=baseline_window_fraction)
     tail = curve.times >= timeline.t0
-    zone = walked_zone(HazardCurve(times=curve.times[tail], rates=curve.rates[tail]),
-                       baseline, threshold)
-    severity = peak_ratio(curve, baseline, timeline.tf1, max(timeline.t2, timeline.tf2))
-    return zone, severity, baseline
+    return walked_assessment(HazardCurve(times=curve.times[tail], rates=curve.rates[tail]),
+                             baseline, threshold, timeline.tf1, max(timeline.t2, timeline.tf2))
 
 
 class TestDetectRedZone:
     def test_flat_curve_yields_none(self):
-        assert detect_red_zone(bump_curve(bumps=()), baseline=1.0, threshold=2.0) is None
+        a = detect_red_zone(bump_curve(bumps=()), 1.0, 2.0, *SPAN)
+        assert (a.zone, a.severity, a.baseline) == (None, 1.0, 1.0)
 
     def test_single_bump_detected(self):
-        zone = detect_red_zone(bump_curve(), baseline=1.0, threshold=2.0)
-        assert zone is not None
-        assert zone.start == pytest.approx(40.0)
-        assert zone.end == pytest.approx(50.0)
-        assert zone.severity == pytest.approx(3.0)
+        a = detect_red_zone(bump_curve(), 1.0, 2.0, *SPAN)
+        assert a.detected
+        assert a.zone.start == pytest.approx(40.0)
+        assert a.zone.end == pytest.approx(50.0)
+        assert a.zone.severity == a.severity == pytest.approx(3.0)
 
-    def test_interval_contains_global_peak(self):
+    def test_interval_contains_window_peak(self):
         curve = bump_curve(bumps=((10.0, 30.0, 2.5), (60.0, 65.0, 4.0)))
-        zone = detect_red_zone(curve, baseline=1.0, threshold=2.0)
+        zone = detect_red_zone(curve, 1.0, 2.0, *SPAN).zone
         assert 60.0 <= zone.start <= zone.end <= 65.0
         assert zone.severity == pytest.approx(4.0)
 
+    def test_higher_peak_outside_the_window_is_not_read(self):
+        # the wear-out of a spare at its death, past the failure window, is no zone
+        curve = bump_curve(bumps=((10.0, 30.0, 2.5), (60.0, 65.0, 4.0)))
+        a = detect_red_zone(curve, 1.0, 2.0, 5.0, 35.0)
+        assert (a.zone.start, a.zone.end, a.severity) == (10.0, 30.0, 2.5)
+        a = detect_red_zone(curve, 1.0, 3.0, 5.0, 35.0)
+        assert (a.zone, a.severity) == (None, 2.5)
+
     def test_threshold_nesting(self):
         curve = bump_curve(bumps=((10.0, 30.0, 2.5), (60.0, 65.0, 4.0)))
-        z_lo = detect_red_zone(curve, baseline=1.0, threshold=2.0)
-        z_hi = detect_red_zone(curve, baseline=1.0, threshold=3.0)
+        z_lo = detect_red_zone(curve, 1.0, 2.0, *SPAN).zone
+        z_hi = detect_red_zone(curve, 1.0, 3.0, *SPAN).zone
         assert z_lo.start <= z_hi.start and z_hi.end <= z_lo.end
 
     @pytest.mark.parametrize("bump, start, end", [
@@ -141,31 +160,49 @@ class TestDetectRedZone:
         ((0.0, 100.0, 3.0), 0.0, 99.5),    # every point
     ], ids=["first", "last", "single", "all"])
     def test_run_edges(self, bump, start, end):
-        curve = bump_curve(bumps=(bump,))
-        zone = detect_red_zone(curve, baseline=1.0, threshold=2.0)
+        zone = detect_red_zone(bump_curve(bumps=(bump,)), 1.0, 2.0, *SPAN).zone
         assert (zone.start, zone.end, zone.severity) == (start, end, 3.0)
 
     @settings(max_examples=300, deadline=None)
-    @given(rates=runs_of_rates(), threshold=st.sampled_from([1.5, 2.0, 2.9, 3.5]))
-    @example(rates=[4.0, 3.0, 1.0, 1.0], threshold=2.0)  # the run touches the first point
-    @example(rates=[1.0, 3.0, 4.0], threshold=2.0)  # the run touches the last point
-    @example(rates=[1.0, 4.0, 1.0], threshold=2.0)  # a single point
-    @example(rates=[3.0, 4.0, 1.0, 4.0, 4.0], threshold=2.0)  # tied maxima: the first wins
-    @example(rates=[np.nan, 1.0, 4.0, np.nan], threshold=2.0)  # a NaN is below any threshold
-    def test_matches_walked_run(self, rates, threshold):
-        curve = HazardCurve(times=0.5 * np.arange(len(rates)), rates=np.array(rates))
-        assert detect_red_zone(curve, 1.0, threshold) == walked_zone(curve, 1.0, threshold)
+    @given(rates=runs_of_rates(), threshold=st.sampled_from([1.5, 2.0, 2.9, 3.5]),
+           window=st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0)))
+    @example(rates=[4.0, 3.0, 1.0, 1.0], threshold=2.0,
+             window=(-1.0, 1.0))  # the run touches the first point
+    @example(rates=[1.0, 3.0, 4.0], threshold=2.0,
+             window=(-1.0, 1.0))  # the run touches the last point
+    @example(rates=[1.0, 4.0, 1.0], threshold=2.0, window=(-1.0, 1.0))  # a single point
+    @example(rates=[3.0, 4.0, 1.0, 4.0, 4.0], threshold=2.0,
+             window=(-1.0, 1.0))  # tied maxima: the first wins
+    @example(rates=[np.nan, 1.0, 4.0, np.nan], threshold=2.0,
+             window=(-1.0, 1.0))  # a NaN is never the peak
+    @example(rates=[1.0, np.nan, np.nan, 4.0], threshold=2.0,
+             window=(0.2, 0.05))  # an all-NaN window reads NaN
+    @example(rates=[1.0, 1.0, 4.0, 1.0], threshold=2.0,
+             window=(0.0, 0.3))  # a window's end between points reads the next one
+    @example(rates=[1.0, 3.0, 4.0, 3.0, 1.0], threshold=2.0,
+             window=(0.4, 0.0))  # a one-point window: the run reaches past it
+    def test_matches_walked_run(self, rates, threshold, window):
+        # the window starts and ends anywhere from before the first point to past the
+        # last, as fractions of the grid's span, and holds at least the first point at
+        # or after its start
+        times = 0.5 * np.arange(len(rates))
+        span = 0.5 * len(rates)
+        t_start = min(window[0] * span, float(times[-1]))
+        t_end = t_start + window[1] * span
+        curve = HazardCurve(times=times, rates=np.array(rates))
+        np.testing.assert_equal(detect_red_zone(curve, 1.0, threshold, t_start, t_end),
+                                walked_assessment(curve, 1.0, threshold, t_start, t_end))
 
     def test_empty_curve_rejected(self):
         empty = HazardCurve(times=np.array([]), rates=np.array([]))
         with pytest.raises(DomainError):
-            detect_red_zone(empty, baseline=1.0, threshold=2.0)
+            detect_red_zone(empty, 1.0, 2.0, *SPAN)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
-            detect_red_zone(bump_curve(), baseline=0.0, threshold=2.0)
+            detect_red_zone(bump_curve(), 0.0, 2.0, *SPAN)
         with pytest.raises(DomainError):
-            detect_red_zone(bump_curve(), baseline=1.0, threshold=1.0)
+            detect_red_zone(bump_curve(), 1.0, 1.0, *SPAN)
 
 
 class TestBaselineAndPeak:
@@ -173,18 +210,22 @@ class TestBaselineAndPeak:
         curve = bump_curve(bumps=())
         assert baseline_from_curve(curve, useful_end=80.0, window_fraction=0.8) == pytest.approx(1.0)
 
-    def test_peak_ratio_defined_below_threshold(self):
+    def test_severity_defined_below_threshold(self):
         curve = bump_curve(bumps=((40.0, 50.0, 1.5),))
-        assert peak_ratio(curve, 1.0, 30.0, 60.0) == pytest.approx(1.5)
+        a = detect_red_zone(curve, 1.0, 2.0, 30.0, 60.0)
+        assert (a.zone, a.severity) == (None, pytest.approx(1.5))
 
     def test_empty_window_rejected(self):
         with pytest.raises(DomainError):
-            peak_ratio(bump_curve(), 1.0, 200.0, 300.0)
+            detect_red_zone(bump_curve(), 1.0, 2.0, 200.0, 300.0)
 
-    def test_window_between_grid_points_reads_both_neighbours(self):
-        # grid step 0.5: [50.1, 50.3] holds no point and reads 50.0 (bump) and 50.5
-        assert peak_ratio(bump_curve(), 1.0, 50.1, 50.3) == pytest.approx(3.0)
-        assert peak_ratio(bump_curve(), 1.0, 39.6, 39.8) == pytest.approx(3.0)
+    def test_window_end_reads_the_next_grid_point(self):
+        # grid step 0.5, bump on [40, 50]: a window between two grid points reads the
+        # point after it, and a window ending on a grid point stops there
+        assert detect_red_zone(bump_curve(), 1.0, 2.0, 39.6, 39.8).severity == 3.0  # 40.0
+        assert detect_red_zone(bump_curve(), 1.0, 2.0, 50.1, 50.3).severity == 1.0  # 50.5
+        assert detect_red_zone(bump_curve(), 1.0, 2.0, 30.0, 39.7).severity == 3.0  # 40.0
+        assert detect_red_zone(bump_curve(), 1.0, 2.0, 30.0, 39.5).severity == 1.0  # 39.5
 
 
 class TestLifetimeExtension:
@@ -240,8 +281,8 @@ class TestAssessRedZone:
     def test_window_matches_full_grid(self, delta, lab, threshold, dt, fraction):
         cfg = make_redzone_system(delta=delta, lab=lab)
         a = assess_red_zone(cfg, threshold=threshold, dt=dt, baseline_window_fraction=fraction)
-        assert (a.zone, a.severity, a.baseline) == full_grid_assessment(
-            cfg, threshold=threshold, dt=dt, baseline_window_fraction=fraction)
+        assert a == full_grid_assessment(cfg, threshold=threshold, dt=dt,
+                                         baseline_window_fraction=fraction)
 
 
 class TestDeltaSweep:
@@ -275,13 +316,14 @@ class TestDeltaSweep:
         assert all(a > b for a, b in zip(sevs, sevs[1:]))
 
     @settings(max_examples=40, deadline=None, phases=UNSHRUNK)
-    # thresholds from 1.25: below about 1.1 the spare's own wear-out at its death crosses
     @given(lab=st.floats(0.0, 20.0), alpha=st.floats(0.0, 0.5), spread=st.floats(0.1, 40.0),
-           threshold=st.floats(1.25, 4.0), burnin=st.tuples(st.floats(0.05, 1.5),
+           threshold=st.floats(1.02, 4.0), burnin=st.tuples(st.floats(0.05, 1.5),
                                                            st.floats(0.05, 0.5)),
            dt=st.floats(0.02, 0.5))
     # the demo config's critical spread, 8.0506, at the grid step it is resolved at
     @example(lab=2.0, alpha=0.0, spread=8.05, threshold=2.0, burnin=(0.9, 0.1), dt=0.002)
+    # the spare's own wear-out before its death at 312 crosses 1.094, past the window
+    @example(lab=0.0, alpha=0.5, spread=1.0, threshold=1.094, burnin=(0.125, 0.0625), dt=0.5)
     def test_predicted_is_detected_off_the_grid_band(self, lab, alpha, spread, threshold,
                                                      burnin, dt):
         # With the demo wear-out and no software the zone peaks at Tf2, where the spare
@@ -300,6 +342,24 @@ class TestDeltaSweep:
                                  cfg.hazard) / assess_red_zone(cfg, **sweep).baseline)
         assume((ratios[0] > threshold) == (ratios[1] > threshold))
         assert row.predicted == row.detected
+
+    @settings(max_examples=40, deadline=None, phases=UNSHRUNK)
+    @given(lab=st.floats(0.0, 20.0), alpha=st.floats(0.0, 0.5), spread=st.floats(0.1, 40.0),
+           threshold=st.floats(1.02, 4.0), burnin=st.tuples(st.floats(0.05, 1.5),
+                                                           st.floats(0.05, 0.5)),
+           dt=st.floats(0.02, 0.5))
+    # the spare goes in past its burn-in, so T2 = Tf2 and the window ends on the jump there
+    @example(lab=0.0, alpha=0.3395, spread=0.3395, threshold=1.25, burnin=(1.5, 0.3229), dt=0.1)
+    def test_zone_and_severity_read_one_peak(self, lab, alpha, spread, threshold, burnin, dt):
+        cfg = make_redzone_system(delta=spread, lab=lab)
+        cfg = cfg._replace(hazard=cfg.hazard._replace(burnin=WeibullTerm(*burnin)),
+                           shelf_aging_factor=alpha)
+        a = assess_red_zone(cfg, threshold=threshold, dt=dt, baseline_window_fraction=0.8)
+        if a.detected:
+            assert a.zone.severity == a.severity
+        # the zone compares the rate with threshold * baseline, severity is rate / baseline
+        if abs(a.severity - threshold) > 1e-12:
+            assert a.detected == (a.severity > threshold)
 
     # the demo config's critical spread is 8.0506; at grid step 0.002 the curve resolves
     # the jump at Tf2, so on either side of it the condition and the curve agree

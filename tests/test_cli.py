@@ -757,6 +757,21 @@ class TestRedzoneCommand:
             "the end-of-life scenario is undefined "
             "(config: lifetime.mean, hazard.th1 + hazard.th2)\n")
 
+    def test_matured_spare_severity_reads_its_jump_past_tf2(self, tmp_path):
+        # shelf-aged, the spare goes in past its burn-in, so T2 = Tf2 and the failure
+        # window ends on the jump at Tf2: its next grid point holds the spare standing
+        # alone, above baseline, not the pair's near-zero rate just after Tf1
+        doc = json.loads(EXAMPLE.read_text(encoding="utf-8"))
+        doc["system"]["shelf_aging_factor"] = 0.3
+        conf = tmp_path / "aged.json"
+        conf.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "rz.csv"
+        assert main(["redzone", "--config", str(conf), "--out", str(out), "--replications", "5",
+                     "--deltas", "1.05,2.05,4.05,8.05"]) == 0
+        rows = read_csv(out)[1]
+        assert [r[1:3] for r in rows] == [["0", "0"]] * 4
+        assert all(float(r[3]) > 1.0 for r in rows)
+
     @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
     @pytest.mark.parametrize("command", ["scenario", "redzone"])
     @pytest.mark.parametrize("system", [

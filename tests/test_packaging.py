@@ -2,8 +2,8 @@
 loads neither ``dataclasses`` nor ``orjson``, orjson loads only where a float
 table is written, every warning goes through ``redzone.errors.warn``, only the
 engine reads how the spare is consumed, each rate kernel checks its argument
-through one guard, and the scalar oracle in ``tests/oracle.py`` stays apart
-from the engine it checks."""
+through one guard, the red zone's failure window is stated once, and the
+scalar oracle in ``tests/oracle.py`` stays apart from the engine it checks."""
 
 import ast
 import os
@@ -111,6 +111,16 @@ def test_each_kernel_checks_its_domain_through_one_guard():
     assert {name: calls for name, calls in guarded.items() if calls} == {
         **{k: [("_checked_time", k)] for k in time_kernels},
         **{k: [("_checked_uniform", k)] for k in ("standard_normal_quantile", "lognormal_sample")}}
+
+
+def test_the_failure_window_is_stated_once():
+    # detection and severity read one peak from one window; no second reader of it,
+    # with its own rule for a window between grid points, comes back
+    nodes = [node for path in SRC_MODULES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
+    calls = [ast.unparse(node) for node in nodes if isinstance(node, ast.Call)]
+    assert calls.count("max(timeline.t2, timeline.tf2)") == 1
+    assert "peak_ratio" not in {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
 
 
 def test_cli_import_builds_no_dataclass_and_loads_no_orjson():
