@@ -17,23 +17,25 @@ exists when the composed rate at Tf2 exceeds ``threshold * baseline``.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
 from .maintenance import Policy
-from .montecarlo import (Metrics, MetricSummary, SimConfig, _derive_seeds, _summarize,
+from .montecarlo import (Metrics, MetricSummary, SimConfig, _defined, _derive_seeds, _summarize,
                          _uniforms, run_batch, sample_lifetimes)
 from .system import (
     _SPARE_EXHAUSTED,
     HazardCurve,
     ScenarioTimeline,
     SystemConfig,
+    _hazard_curves,
     _segment_rate,
     scenario_timeline,
     scenario_timelines,
-    system_hazard_curves,
+    system_hazard_curve,
 )
 from .value import Value
 
@@ -89,20 +91,10 @@ def detect_red_zone(curve: HazardCurve, baseline: float, threshold: float,
     contains the peak (so the zone for a higher threshold nests inside the
     zone for a lower one), widened to one grid step when it is one point.
     """
-    if not baseline > 0.0:
-        raise DomainError(f"baseline must be > 0, got {baseline!r}")
-    if not threshold > 1.0:
-        raise DomainError(f"threshold must be > 1, got {threshold!r}")
-    lo, hi = np.searchsorted(curve.times, (t_start, t_end), "left")
-    window = curve.rates[lo:hi + 1]
-    if len(window) == 0:
-        raise DomainError("no curve samples inside the requested window")
-    # the first maximum; a NaN is never the peak
-    peak = lo + int(np.argmax(np.where(np.isnan(window), -np.inf, window)))
-    severity = float(curve.rates[peak] / baseline)
-    above = curve.rates > threshold * baseline
-    if not above[peak]:
+    peak, severity, exceeds = _read_peak(curve, baseline, threshold, t_start, t_end)
+    if not exceeds:
         return RedZoneAssessment(zone=None, severity=severity, baseline=baseline)
+    above = curve.rates > threshold * baseline
     # the run ends next to the nearest non-exceeding point on either side: argmin
     # finds the first False scanning out from the peak, or 0 when there is none
     k = int(np.argmin(above[peak:]))
@@ -117,6 +109,24 @@ def detect_red_zone(curve: HazardCurve, baseline: float, threshold: float,
         end = start + step
     zone = RedZone(start=start, end=end, severity=severity)
     return RedZoneAssessment(zone=zone, severity=severity, baseline=baseline)
+
+
+def _read_peak(curve: HazardCurve, baseline: float, threshold: float,
+               t_start: float, t_end: float) -> tuple[int, float, bool]:
+    """The window's peak, as :func:`detect_red_zone` reads it: its index, its rate over
+    ``baseline``, and whether that rate exceeds ``threshold * baseline``."""
+    if not baseline > 0.0:
+        raise DomainError(f"baseline must be > 0, got {baseline!r}")
+    if not threshold > 1.0:
+        raise DomainError(f"threshold must be > 1, got {threshold!r}")
+    lo, hi = np.searchsorted(curve.times, (t_start, t_end), "left")
+    window = curve.rates[lo:hi + 1]
+    if len(window) == 0:
+        raise DomainError("no curve samples inside the requested window")
+    # the first maximum; a NaN is never the peak
+    peak = lo + int(np.argmax(np.where(np.isnan(window), -np.inf, window)))
+    rate = curve.rates[peak]
+    return peak, float(rate / baseline), bool(rate > threshold * baseline)
 
 
 def baseline_from_curve(curve: HazardCurve, useful_end: float, *,
@@ -143,32 +153,28 @@ def assess_curve(timeline: ScenarioTimeline, curve: HazardCurve, *, threshold: f
 
     The curve must hold the grid points from the start of the baseline
     window, ``baseline_window_fraction * t0``, on: the first point any of
-    these reads.  Detection reads the failure window, first main failure
-    through the later of the second and the declared end of the spare's
-    burn-in, on the curve restricted to t >= the mains' wear-out onset.
+    these reads.  Detection reads the failure window on the curve restricted
+    to t >= the mains' wear-out onset.
     """
     baseline = baseline_from_curve(curve, timeline.t0, window_fraction=baseline_window_fraction)
     tail = np.searchsorted(curve.times, timeline.t0, "left")
     tail_curve = HazardCurve(times=curve.times[tail:], rates=curve.rates[tail:])
-    return detect_red_zone(tail_curve, baseline, threshold,
-                           timeline.tf1, max(timeline.t2, timeline.tf2))
+    return detect_red_zone(tail_curve, baseline, threshold, *_failure_window(timeline))
+
+
+def _failure_window(timeline: ScenarioTimeline) -> tuple[float, float]:
+    """Where the zone is read: first main failure through the later of the second
+    and the declared end of the spare's burn-in."""
+    return timeline.tf1, max(timeline.t2, timeline.tf2)
 
 
 def assess_red_zone(config: SystemConfig, *, threshold: float, dt: float,
                     baseline_window_fraction: float) -> RedZoneAssessment:
-    """Build the deterministic timeline, sample its curve and assess it."""
-    return _assess([scenario_timeline(config)], threshold=threshold, dt=dt,
-                   baseline_window_fraction=baseline_window_fraction)[0]
-
-
-def _assess(timelines, *, threshold: float, dt: float,
-            baseline_window_fraction: float) -> list[RedZoneAssessment]:
-    """:func:`assess_curve` of one system's timelines, from one sampling of their curves."""
-    curves = system_hazard_curves(timelines, dt=dt,
-                                  start=baseline_window_fraction * timelines[0].t0)
-    return [assess_curve(timeline, curve, threshold=threshold,
-                         baseline_window_fraction=baseline_window_fraction)
-            for timeline, curve in zip(timelines, curves)]
+    """Build the deterministic timeline, sample its curve to its end of life and assess it."""
+    timeline = scenario_timeline(config)
+    curve = system_hazard_curve(timeline, dt=dt, start=baseline_window_fraction * timeline.t0)
+    return assess_curve(timeline, curve, threshold=threshold,
+                        baseline_window_fraction=baseline_window_fraction)
 
 
 def lifetime_extension(trdd_1: float, trdd_2: float) -> float:
@@ -183,7 +189,8 @@ class DeltaSweepPoint(NamedTuple):
 
     ``predicted`` is the zone's existence condition, the composed rate at Tf2
     above ``threshold * baseline``; ``detected`` reads the sampled curve, whose
-    first point after Tf2 can already fall below the threshold.
+    first point after Tf2 can already fall below the threshold.  A row holds
+    no zone extent, so its curve ends where its failure window does.
     """
 
     delta: float
@@ -205,11 +212,16 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
     engine call, before any curve or ensemble, so a spread the timeline
     rejects fails the sweep at once, its error naming the spread in place of
     ``lifetime.sd``; a check no spread moves is raised as the timeline raised
-    it.  The curves come from one :func:`system_hazard_curves` call.  The
-    ensembles are one :func:`run_batch` call on one draw of uniforms, which
-    each spread's lifetime model samples; spreads share lab credit, shelf
-    aging and horizon, and the engine's rows are independent, so the rows
-    equal per-spread :func:`assess_red_zone` and ``run_ensemble`` bit for bit.
+    it.  The curves are sampled as :func:`system_hazard_curves` samples them,
+    from the baseline window through the last point the failure window reads,
+    the first at or after max(T2, Tf2): every pair segment ends by Tf2, so a
+    :class:`CompositionError` is raised as on the full curve.  The baseline is
+    measured once, as every spread's window lies before T0 <= Tf1 = mean, in
+    the mains' segment from epoch 0.  The ensembles are one
+    :func:`run_batch` call on one draw of uniforms, which each spread's
+    lifetime model samples; spreads share lab credit, shelf aging and
+    horizon, and the engine's rows are independent, so the rows equal
+    per-spread :func:`assess_red_zone` and ``run_ensemble`` bit for bit.
     """
     deltas = [float(d) for d in deltas]
     if any(d <= 0.0 for d in deltas):
@@ -229,27 +241,31 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
                                   "or raise the mean lifetime", fields=fields) from None
     if not timelines:
         return []
-    # All spreads are assessed before any ensemble runs, so the samples the
-    # curves share are freed before the ensembles allocate.
-    assessments = _assess(timelines, threshold=threshold, dt=dt,
-                          baseline_window_fraction=baseline_window_fraction)
+    # The spreads are read before any ensemble runs, so the samples the curves
+    # share are freed before the ensembles allocate.
+    windows = [_failure_window(tl) for tl in timelines]
+    curves = _hazard_curves(timelines, dt, baseline_window_fraction * timelines[0].t0,
+                            [end for _, end in windows])
+    first = next(curves)
+    baseline = baseline_from_curve(first, timelines[0].t0,
+                                   window_fraction=baseline_window_fraction)
+    reads = [_read_peak(curve, baseline, threshold, *window)[1:]
+             for window, curve in zip(windows, itertools.chain([first], curves))]
     u = _uniforms(_derive_seeds(sim.master_seed, sim.replications), 3)
     lives = np.concatenate([timeline.config.unit_lifetime.sample(u) for timeline in timelines])
-    out = run_batch(config, policy, lives, horizon=sim.horizon)
+    trdd = run_batch(config, policy, lives, horizon=sim.horizon).trdd
     rows: list[DeltaSweepPoint] = []
     n = sim.replications
-    for i, (d, tl, assessment) in enumerate(zip(deltas, timelines, assessments)):
-        part = slice(i * n, (i + 1) * n)
-        metrics = Metrics.from_batch(out._replace(
-            trdd=out.trdd[part], tdt=out.tdt[part], dp=out.dp[part], censored=out.censored[part]))
+    for i, (d, tl, (severity, detected)) in enumerate(zip(deltas, timelines, reads)):
+        defined = _defined(trdd[i * n:(i + 1) * n])
         # a segment always opens at Tf2, as the spare's life outlasts it
         alone = next(seg for seg in tl.segments if seg.t_start == tl.tf2)
         rows.append(DeltaSweepPoint(
             delta=d,
-            predicted=_segment_rate(tl.tf2, alone, tl.config) > threshold * assessment.baseline,
-            detected=assessment.detected,
-            severity=assessment.severity,
-            trdd_mean=None if metrics.trdd is None else metrics.trdd.mean,
+            predicted=_segment_rate(tl.tf2, alone, tl.config) > threshold * baseline,
+            detected=detected,
+            severity=severity,
+            trdd_mean=float(np.mean(defined)) if len(defined) else None,
         ))
     return rows
 

@@ -324,23 +324,32 @@ def system_hazard_curves(timelines, *, dt: float,
     assembles one curve per timeline, in order, as it is advanced.  The
     curves' ``times`` are views of one array.
     """
+    timelines = list(timelines)
+    return _hazard_curves(timelines, dt, start, [math.inf] * len(timelines))
+
+
+def _hazard_curves(timelines, dt: float, start: float, through) -> Iterator[HazardCurve]:
+    """:func:`system_hazard_curves` of a list of timelines, each curve stopping at the
+    first grid point at or after its time in ``through``, if its grid holds one."""
     if not dt > 0.0:
         raise DomainError(f"dt must be > 0, got {dt!r}")
-    timelines = list(timelines)
     if not timelines:
         return iter(())
     # Slice the full grid rather than build one from ``start``, whose floats differ; a
     # curve's own grid, arange(0.0, t_end, dt), is its first ceil(t_end / dt) points.
-    t = np.arange(0.0, max(tl.t_end for tl in timelines), dt)
+    # The first grid point at or after a time lies within one step of it.
+    t = np.arange(0.0, min(max(tl.t_end for tl in timelines), max(through) + 2.0 * dt), dt)
+    counts = [min(math.ceil(tl.t_end / dt), int(np.searchsorted(t, w, "left")) + 1)
+              for tl, w in zip(timelines, through)]
     first = int(np.searchsorted(t, start, "left"))
     t = t[first:]
     # piece -> [a segment of it, its config, hull lo, hull hi]; a piece is (index of its
     # terms, its units' births) and, for a pair, its epoch
     terms, hulls, plans = {}, {}, []  # plans: [point count, (piece, lo, hi) per segment]
-    for tl in timelines:
+    for tl, count in zip(timelines, counts):
         c = tl.config
         index = terms.setdefault((c.hazard, c.software, c.operator), len(terms))
-        plan = [n := max(math.ceil(tl.t_end / dt) - first, 0)]
+        plan = [n := max(count - first, 0)]
         for seg in tl.segments:
             lo, hi = (min(int(i), n) for i in np.searchsorted(t, (seg.t_start, seg.t_end), "left"))
             if lo == hi:

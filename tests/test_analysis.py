@@ -28,7 +28,7 @@ from redzone import (
     scenario_timeline,
     system_hazard_curve,
 )
-from redzone import analysis
+from redzone import analysis, system
 from redzone.analysis import RedZoneAssessment, apply_vendor_decision_point, baseline_from_curve
 from redzone.montecarlo import run_batch, sample_lifetimes
 from redzone.system import _segment_rate
@@ -406,6 +406,12 @@ class TestDeltaSweep:
     @example(spreads=[1.0, 30.0, 45.0], lab=2.0, upgrades=[], software=True,
              operator_rate=0.0, threshold=2.0, dt=0.1, fraction=0.8, alpha=0.3, period=34.67,
              horizon=300.0)
+    # T2 426 lies past the spare's death at 414 (Tf2 408): the window is clipped at t_end
+    @example(spreads=[1.0, 200.0], lab=2.0, upgrades=[], software=True, operator_rate=0.0,
+             threshold=2.0, dt=0.1, fraction=0.8, alpha=0.0, period=None, horizon=None)
+    # the zone, 209 to 241.7, runs on past the window's end at T2 227
+    @example(spreads=[1.0], lab=2.0, upgrades=[], software=True, operator_rate=0.0,
+             threshold=1.25, dt=0.1, fraction=0.8, alpha=0.0, period=None, horizon=None)
     def test_rows_equal_per_spread_reference(self, spreads, lab, upgrades, software,
                                              operator_rate, threshold, dt, fraction, alpha,
                                              period, horizon):
@@ -476,6 +482,51 @@ class TestDeltaSweep:
         with pytest.raises(CompositionError) as swept:
             delta_sweep(cfg, [1.0, 30.0], Policy("type1"), sim, **SWEEP)
         assert str(swept.value) == str(reference.value)
+
+    def test_certainly_failed_mains_raise_the_reference_error(self):
+        # a software pulse at 203 leaves the mains certainly failed between T0 and Tf1 =
+        # 208, while the one-week pair segment after Tf1 composes: the sweep must evaluate
+        # the mains' points before its failure window, not only the window
+        cfg = make_software_system(upgrades=(UpgradeEvent(203.0, "minor", 10.0, 50.0),))
+        timeline = scenario_timeline(with_spread(cfg, 1.0))
+        assert (timeline.tf1, timeline.tf2) == (208.0, 209.0)
+        with pytest.raises(CompositionError) as reference:
+            per_segment_curve(timeline, SWEEP["dt"], SWEEP["baseline_window_fraction"] * timeline.t0)
+        with pytest.raises(CompositionError) as swept:
+            delta_sweep(cfg, [1.0], Policy("type1"), SimConfig(replications=10, master_seed=1),
+                        **SWEEP)
+        assert str(swept.value) == str(reference.value)
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        """The (unit ids, last time) of each piece of curve evaluated."""
+        sampled, segment_rate = [], system._segment_rate
+
+        def recorded(t, seg, config):
+            sampled.append((tuple(au.unit_id for au in seg.units), float(np.max(t))))
+            return segment_rate(t, seg, config)
+
+        monkeypatch.setattr(system, "_segment_rate", recorded)
+        return sampled
+
+    def test_sweep_samples_through_the_failure_window(self, sampled):
+        # the demo sweep's pieces end at the latest spread's first grid point at or after
+        # max(T2, Tf2), T2 266 at spread 40, not at the spare's death at 414
+        spreads = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0, 40.0)
+        cfg, dt = make_redzone_system(delta=1.0), 0.01
+        delta_sweep(cfg, spreads, Policy("type1"), SimConfig(replications=2, master_seed=1),
+                    **{**SWEEP, "dt": dt})
+        assert sorted(units for units, _ in sampled) == [
+            ("controller_1", "controller_2"), ("controller_2", "controller_3"), ("controller_3",)]
+        timelines = [scenario_timeline(with_spread(cfg, d)) for d in spreads]
+        grid = np.arange(0.0, timelines[-1].t_end, dt)
+        last = grid[np.searchsorted(grid, max(timelines[-1].t2, timelines[-1].tf2), "left")]
+        assert 266.0 <= last < 266.0 + dt
+        assert max(end for _, end in sampled) == last
+        # a single assessment reports the zone's extent, so it samples to the end of life
+        sampled.clear()
+        assess_red_zone(with_spread(cfg, 40.0), **{**SWEEP, "dt": dt})
+        assert max(end for _, end in sampled) == grid[-1]
 
     def test_empty_sweep(self):
         cfg = make_redzone_system(delta=1.0)

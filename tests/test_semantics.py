@@ -116,6 +116,31 @@ class TestType1Map:
         assert (out.trdd.tolist(), out.tdt.tolist()) == ([trace.trdd], [trace.tdt])
 
 
+class TestHorizonTie:
+    """A replication that dies exactly at the horizon is not censored: the horizon
+    censors only what lies past it.  Lifetimes (208, 210, 208) with 2 weeks of lab
+    credit install the spare at 208 with 206 weeks left, so the system dies at 414."""
+
+    LIVES = (208.0, 210.0, 208.0)
+
+    @pytest.mark.parametrize("horizon, censored", [(414.0, False),
+                                                   (np.nextafter(414.0, 0.0), True)],
+                             ids=["at-the-death", "one-ulp-before"])
+    def test_death_at_the_horizon(self, horizon, censored):
+        out = run_batch(system(2.0, 0.0), Policy("type1"), np.array([self.LIVES]),
+                        horizon=horizon)
+        draws = iter(self.LIVES)
+        drawn = SimpleNamespace(mean=208.0, sample=lambda u: next(draws))
+        trace = run_replication(system(2.0, 0.0)._replace(unit_lifetime=drawn),
+                                Policy("type1"), seed=0, horizon=horizon)
+        assert out.censored.tolist() == [censored] and trace.censored is censored
+        assert (out.trdd.tolist(), trace.trdd) == ([210.0], 210.0)
+        if censored:
+            assert np.isnan(out.tdt).all() and trace.tdt is None
+        else:
+            assert (out.tdt.tolist(), trace.tdt) == ([414.0], 414.0)
+
+
 class TestWorkConservation:
     """At alpha 0 a usable spare's life is all spent in a slot: the two slots run
     together until ``trdd`` and one runs on until ``tdt``, so trdd + tdt is every
