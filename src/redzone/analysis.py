@@ -4,13 +4,13 @@ The red zone is the interval of critically elevated system failure rate
 that appears when both active units wear out near-simultaneously while the
 just-installed spare is still in burn-in.  It is read on a sampled hazard
 curve from one peak, the highest point of the failure window (first main
-failure through the later of the second main failure and the declared end
-of the spare's burn-in): that peak over the useful-phase baseline, measured
-from the flat part of the curve itself, is the severity, and when it exceeds
-``threshold * baseline`` the zone is the maximal contiguous run of points
-above that value around it.  The burn-in hump at t = 0, a property of any
-fresh system, and the spare's own wear-out at its death lie outside the
-window.  The zone's existence condition is read from the same model: at
+failure through T2, the declared end of the spare's burn-in, which is never
+before the second main failure): that peak over the useful-phase baseline,
+measured from the flat part of the curve itself, is the severity, and when
+it exceeds ``threshold * baseline`` the zone is the maximal contiguous run
+of points above that value around it.  The burn-in hump at t = 0, a
+property of any fresh system, and the spare's own wear-out at its death lie
+outside the window.  The zone's existence condition is read from the same model: at
 Tf2 the spare comes to stand alone, and there the zone peaks, so a zone
 exists when the composed rate at Tf2 exceeds ``threshold * baseline``.
 """
@@ -163,9 +163,9 @@ def assess_curve(timeline: ScenarioTimeline, curve: HazardCurve, *, threshold: f
 
 
 def _failure_window(timeline: ScenarioTimeline) -> tuple[float, float]:
-    """Where the zone is read: first main failure through the later of the second
-    and the declared end of the spare's burn-in."""
-    return timeline.tf1, max(timeline.t2, timeline.tf2)
+    """Where the zone is read: first main failure through the declared end of the
+    spare's burn-in, T2, which the timeline sets at or after the second failure."""
+    return timeline.tf1, timeline.t2
 
 
 def assess_red_zone(config: SystemConfig, *, threshold: float, dt: float,
@@ -214,7 +214,7 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
     ``lifetime.sd``; a check no spread moves is raised as the timeline raised
     it.  The curves are sampled as :func:`system_hazard_curves` samples them,
     from the baseline window through the last point the failure window reads,
-    the first at or after max(T2, Tf2): every pair segment ends by Tf2, so a
+    the first at or after T2 >= Tf2: every pair segment ends by Tf2, so a
     :class:`CompositionError` is raised as on the full curve.  The baseline is
     measured once, as every spread's window lies before T0 <= Tf1 = mean, in
     the mains' segment from epoch 0.  The ensembles are one

@@ -43,7 +43,7 @@ from .config import SCHEMA_VERSION, RunConfig, load_config
 from .errors import CompositionError, DomainError, ValidationError, ValidationWarning
 from .hazards import bathtub_hazard, software_hazard
 from .montecarlo import EventLog, Metrics, _event_tails, run_batch, sample_lifetimes
-from .system import scenario_timeline, system_hazard_curve
+from .system import _BLOCK, scenario_timeline, system_hazard_curve
 
 __all__ = ["main", "build_parser"]
 
@@ -55,10 +55,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-# Rows per block that the CSV writers format and write at once, not to hold a whole table's text.
-_BLOCK = 8192
 
 
 def _repr_fix_ups(x: np.ndarray) -> np.ndarray:
@@ -159,7 +155,8 @@ def _overrides(args) -> dict:
 
 
 # A curve command holds up to about seven float64 arrays of its grid at once (44-55
-# bytes a point, measured on hazard and scenario runs); a grid may take eight.
+# bytes a point, measured on hazard runs); a grid may take eight.  scenario, whose
+# curve is evaluated a block at a time, holds about three; hazard sets the bound.
 _GRID_POINT_BYTES = 8 * np.dtype(float).itemsize
 _PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 

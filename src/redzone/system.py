@@ -49,6 +49,10 @@ from .maintenance import Policy
 from .montecarlo import _FAILURE, _REPLACE, run_batch
 from .value import Value
 
+# Grid points a curve evaluates, and table rows a CSV writer formats, at once: no
+# temporary outgrows a block, and a block of float64 (64 KiB) stays in the heap.
+_BLOCK = 8192
+
 # The cause of the one timeline error a smaller lifetime spread avoids.
 _SPARE_EXHAUSTED = "spare exhausts before the second main failure"
 
@@ -316,13 +320,15 @@ def system_hazard_curves(timelines, *, dt: float,
     life.  Evaluation is by piece: segments whose units have the same terms
     and births, and for a pair the same epoch, are one function of time (the
     spare alone across segments and spreads; a sweep's pairs).  Each piece
-    is evaluated once, by :func:`_segment_rate`, over the hull of the grid
-    slices of its segments.  A grid point's value does not depend on which
-    other points are evaluated with it, so every curve equals the curve
-    sampled from its timeline alone, bit for bit.  All evaluation, and any
-    error it raises, happens in this call; the returned iterator then
-    assembles one curve per timeline, in order, as it is advanced.  The
-    curves' ``times`` are views of one array.
+    is evaluated once over the hull of the grid slices of its segments, block
+    by block: :func:`_segment_rate` takes ``_BLOCK`` points at a time and
+    writes them into the piece's one array, so no temporary is longer than a
+    block.  A grid point's value does not depend on which other points are
+    evaluated with it, so every curve equals the curve sampled from its
+    timeline alone, bit for bit.  All evaluation, and any error it raises,
+    happens in this call; the returned iterator then assembles one curve per
+    timeline, in order, as it is advanced.  The curves' ``times`` are views
+    of one array.
     """
     timelines = list(timelines)
     return _hazard_curves(timelines, dt, start, [math.inf] * len(timelines))
@@ -360,8 +366,13 @@ def _hazard_curves(timelines, dt: float, start: float, through) -> Iterator[Haza
             hull[2:] = min(hull[2], lo), max(hull[3], hi)
             plan.append((piece, lo, hi))
         plans.append(plan)
-    values = {piece: (lo, _segment_rate(t[lo:hi], seg, c))
-              for piece, (seg, c, lo, hi) in hulls.items()}
+    values = {}  # piece -> (hull lo, its rates), evaluated a block of points at a time
+    for piece, (seg, c, lo, hi) in hulls.items():
+        rates = np.empty(hi - lo)
+        for a in range(lo, hi, _BLOCK):
+            b = min(a + _BLOCK, hi)
+            rates[a - lo:b - lo] = _segment_rate(t[a:b], seg, c)
+        values[piece] = lo, rates
 
     def assemble(plan) -> HazardCurve:
         n, *plan = plan

@@ -118,7 +118,7 @@ def full_grid_assessment(config, *, threshold, dt, baseline_window_fraction):
     baseline = baseline_from_curve(curve, timeline.t0, window_fraction=baseline_window_fraction)
     tail = curve.times >= timeline.t0
     return walked_assessment(HazardCurve(times=curve.times[tail], rates=curve.rates[tail]),
-                             baseline, threshold, timeline.tf1, max(timeline.t2, timeline.tf2))
+                             baseline, threshold, timeline.tf1, timeline.t2)
 
 
 class TestDetectRedZone:
@@ -511,7 +511,7 @@ class TestDeltaSweep:
 
     def test_sweep_samples_through_the_failure_window(self, sampled):
         # the demo sweep's pieces end at the latest spread's first grid point at or after
-        # max(T2, Tf2), T2 266 at spread 40, not at the spare's death at 414
+        # T2, 266 at spread 40, not at the spare's death at 414
         spreads = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0, 40.0)
         cfg, dt = make_redzone_system(delta=1.0), 0.01
         delta_sweep(cfg, spreads, Policy("type1"), SimConfig(replications=2, master_seed=1),
@@ -520,7 +520,7 @@ class TestDeltaSweep:
             ("controller_1", "controller_2"), ("controller_2", "controller_3"), ("controller_3",)]
         timelines = [scenario_timeline(with_spread(cfg, d)) for d in spreads]
         grid = np.arange(0.0, timelines[-1].t_end, dt)
-        last = grid[np.searchsorted(grid, max(timelines[-1].t2, timelines[-1].tf2), "left")]
+        last = grid[np.searchsorted(grid, timelines[-1].t2, "left")]
         assert 266.0 <= last < 266.0 + dt
         assert max(end for _, end in sampled) == last
         # a single assessment reports the zone's extent, so it samples to the end of life

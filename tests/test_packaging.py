@@ -113,14 +113,33 @@ def test_each_kernel_checks_its_domain_through_one_guard():
         **{k: [("_checked_uniform", k)] for k in ("standard_normal_quantile", "lognormal_sample")}}
 
 
+def attribute_readers(tree: ast.AST, attr: str) -> set[str]:
+    """The functions of a module that read an attribute named ``attr``, each read
+    credited to the innermost function around it (``<module>`` outside any)."""
+    readers = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = getattr(node, "name", "<lambda>")
+        elif isinstance(node, ast.Attribute) and node.attr == attr:
+            readers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return readers
+
+
 def test_the_failure_window_is_stated_once():
     # detection and severity read one peak from one window; no second reader of it,
-    # with its own rule for a window between grid points, comes back
-    nodes = [node for path in SRC_MODULES
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
-    calls = [ast.unparse(node) for node in nodes if isinstance(node, ast.Call)]
-    assert calls.count("max(timeline.t2, timeline.tf2)") == 1
-    assert "peak_ratio" not in {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
+    # with its own rule for a window between grid points or its own end, comes back:
+    # T2, the window's end, is read in one function of the package
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC_MODULES}
+    readers = {(name, func) for name, tree in trees.items()
+               for func in attribute_readers(tree, "t2")}
+    assert readers == {("analysis.py", "_failure_window")}
+    assert "peak_ratio" not in {node.name for tree in trees.values() for node in ast.walk(tree)
+                                if isinstance(node, ast.FunctionDef)}
 
 
 def test_cli_import_builds_no_dataclass_and_loads_no_orjson():

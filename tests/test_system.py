@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from redzone import (
@@ -21,6 +24,7 @@ from redzone import (
     system_hazard_curves,
 )
 from redzone import system
+from redzone.config import load_config
 from redzone.system import _unit_cumulative_at, _unit_rate, scenario_timelines
 
 from conftest import (
@@ -34,6 +38,8 @@ from conftest import (
     with_spread,
 )
 from oracle import Unit, effective_age
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
 
 
 def closed_form_pair(lam, t):
@@ -208,6 +214,29 @@ class TestScenarioTimeline:
             assert a.t_start < a.t_end
         assert tl.segments[-1].t_end == tl.t_end
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        th1=st.floats(1.0, 40.0),
+        th2=st.floats(50.0, 300.0),
+        margin=st.floats(0.0, 60.0),
+        delta=st.floats(0.0, 100.0),
+        lab_share=st.floats(0.0, 1.5),
+        alpha=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    )
+    def test_burnin_end_never_precedes_the_second_failure(self, th1, th2, margin, delta,
+                                                          lab_share, alpha):
+        # T2 = Tf2 + max(th1 - the spare's age at Tf1, 0): the failure window ends at T2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidationWarning)  # lab credit past th1
+            cfg = SystemConfig(hazard=make_bathtub(th1=th1, th2=th2, th3=10.0),
+                               unit_lifetime=LifetimeDistribution(th1 + th2 + margin, delta),
+                               shelf_aging_factor=alpha, lab_burnin=lab_share * th1)
+        try:
+            tl = scenario_timeline(cfg)
+        except ValidationError:
+            return  # the spare dies before Tf1 or by Tf2: no timeline is built
+        assert tl.tf1 <= tl.tf2 <= tl.t2
+
 
 class TestSystemHazardCurve:
     def test_two_constant_units_rise_toward_plateau(self):
@@ -340,6 +369,42 @@ class TestSystemHazardCurves:
             assert np.array_equal(curve.times, t)
             assert np.array_equal(curve.rates, h)
 
+    @pytest.mark.parametrize("block", [3, 7])
+    @settings(max_examples=30, deadline=None, phases=UNSHRUNK)
+    @given(
+        th1=st.floats(5.0, 40.0),
+        th2=st.floats(50.0, 300.0),
+        margin=st.floats(0.0, 60.0),
+        lab_share=st.floats(0.0, 1.0),
+        spreads=SPREADS,
+        upgrades=UPGRADES,
+        software=st.booleans(),
+        operator_rate=st.floats(0.0, 0.01),
+        dt=st.floats(0.5, 5.0),
+        start_share=st.floats(0.0, 1.0),
+    )
+    # T2 (227) lies 21 grid points after Tf2 (209), where the spare's piece starts: a
+    # block edge inside the piece at both sizes falls on the T2 segment edge
+    @example(th1=20.0, th2=180.0, margin=8.0, lab_share=0.1, spreads=[1.0], upgrades=(),
+             software=False, operator_rate=0.0, dt=18 / 21, start_share=0.0)
+    def test_blocks_of_any_size_equal_the_reference(self, block, th1, th2, margin, lab_share,
+                                                    spreads, upgrades, software,
+                                                    operator_rate, dt, start_share):
+        # a piece is evaluated a block of points at a time; no value depends on where
+        # the block edges fall, inside a piece or on a segment edge
+        cfg = make_software_system(th1=th1, th2=th2, margin=margin, lab=lab_share * th1,
+                                   upgrades=upgrades, software=software,
+                                   operator_rate=operator_rate)
+        timelines = [scenario_timeline(with_spread(cfg, d)) for d in spreads]
+        start = start_share * timelines[0].t_end
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(system, "_BLOCK", block)
+            curves = list(system_hazard_curves(timelines, dt=dt, start=start))
+        for tl, curve in zip(timelines, curves):
+            t, h = per_segment_curve(tl, dt, start)
+            assert np.array_equal(curve.times, t)
+            assert np.array_equal(curve.rates, h)
+
     def test_one_timeline_is_system_hazard_curve(self):
         tl = scenario_timeline(make_redzone_system(delta=3.0))
         (curve,) = system_hazard_curves([tl], dt=0.1, start=150.0)
@@ -347,23 +412,31 @@ class TestSystemHazardCurves:
         assert np.array_equal(curve.times, single.times)
         assert np.array_equal(curve.rates, single.rates)
 
+    @staticmethod
+    def piece_of(seg):
+        """The (unit ids, epoch) of a segment's piece; a single unit's epoch is None."""
+        units = tuple(au.unit_id for au in seg.units)
+        return units, seg.epoch if len(units) > 1 else None
+
     @pytest.fixture
     def pieces(self, monkeypatch):
-        """The (unit ids, epoch) of each piece evaluated; a single unit's epoch is None."""
-        pieces, segment_rate = [], system._segment_rate
+        """Each piece evaluated, by :meth:`piece_of`, with the first and last time of each
+        block of it evaluated, in call order."""
+        pieces, segment_rate = {}, system._segment_rate
 
         def counted(t, seg, config):
-            units = tuple(au.unit_id for au in seg.units)
-            pieces.append((units, seg.epoch if len(units) > 1 else None))
+            pieces.setdefault(self.piece_of(seg), []).append((t[0], t[-1]))
             return segment_rate(t, seg, config)
 
         monkeypatch.setattr(system, "_segment_rate", counted)
         return pieces
 
-    def test_sweep_evaluates_each_piece_once(self, pieces):
+    @pytest.mark.parametrize("block", [system._BLOCK, 997])
+    def test_sweep_evaluates_each_piece_once(self, pieces, monkeypatch, block):
         # The spreads of a sweep straddling th3 = 10, sampled from the baseline window on,
         # share Tf1 = 208 and a spare born at 206: three pieces, the mains from epoch 0,
         # main2 with the spare from Tf1, and the spare alone in every later segment.
+        monkeypatch.setattr(system, "_BLOCK", block)
         spreads = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0, 40.0)
         timelines = [scenario_timeline(make_redzone_system(delta=d)) for d in spreads]
         start = 0.8 * timelines[0].t0
@@ -373,6 +446,20 @@ class TestSystemHazardCurves:
             (("controller_2", "controller_3"), 208.0),
             (("controller_3",), None),
         ]
+        # Each piece's blocks, in call order, tile its hull, the grid points from the
+        # first its segments hold to the last, each point once and at most a block a call.
+        grid = max((curve.times for curve in curves), key=len)
+        held = {piece: set() for piece in pieces}
+        for tl, curve in zip(timelines, curves):
+            for seg in tl.segments:
+                points = np.flatnonzero((curve.times >= seg.t_start) & (curve.times < seg.t_end))
+                held[self.piece_of(seg)].update(points.tolist())
+        for piece, calls in pieces.items():
+            spans = [tuple(np.searchsorted(grid, ends).tolist()) for ends in calls]
+            points = [i for first, last in spans for i in range(first, last + 1)]
+            assert points == list(range(min(held[piece]), max(held[piece]) + 1))
+            assert max(last - first + 1 for first, last in spans) <= block
+        assert max(map(len, pieces.values())) > 1  # the spare's hull takes blocks
         for tl, curve in zip(timelines, curves):
             assert np.array_equal(curve.rates, per_segment_curve(tl, 0.01, start)[1])
 
@@ -382,7 +469,7 @@ class TestSystemHazardCurves:
         assert first is not second and first == second and hash(first) == hash(second)
         timelines = [scenario_timeline(cfg) for cfg in (first, second)]
         curves = list(system_hazard_curves(timelines, dt=0.5))
-        assert len(pieces) == 3
+        assert [len(calls) for calls in pieces.values()] == [1, 1, 1]
         assert np.array_equal(curves[0].rates, curves[1].rates)
 
     def test_each_curve_owns_its_rates(self):
@@ -464,7 +551,10 @@ class TestSystemHazardCurves:
             assert np.array_equal(curve.times, times)
             assert np.array_equal(curve.rates, rates)
 
-    def test_certainly_failed_only_where_a_curve_reaches(self):
+    @pytest.mark.parametrize("block", [system._BLOCK, 3])
+    def test_certainly_failed_only_where_a_curve_reaches(self, monkeypatch, block):
+        # the block whose composition is undefined raises the reference's error
+        monkeypatch.setattr(system, "_BLOCK", block)
         cfg = pulse_at_first_failure()
         small, large = (scenario_timeline(with_spread(cfg, d)) for d in (1.0, 30.0))
         (curve,) = system_hazard_curves([small], dt=0.5)
@@ -474,3 +564,17 @@ class TestSystemHazardCurves:
         with pytest.raises(CompositionError) as shared:
             system_hazard_curves([small, large], dt=0.5)
         assert str(shared.value) == str(reference.value)
+
+    def test_a_curve_holds_about_three_grid_arrays(self):
+        # its times, its rates and the pieces' rates: every ufunc temporary is a block long
+        tl = scenario_timeline(load_config(EXAMPLE).system)
+        dt = 0.002
+        points = math.ceil(tl.t_end / dt)
+        assert points == 207_000
+        tracemalloc.start()
+        try:
+            system_hazard_curve(tl, dt=dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * points
