@@ -129,6 +129,10 @@ def _read_peak(curve: HazardCurve, baseline: float, threshold: float,
     return peak, float(rate / baseline), bool(rate > threshold * baseline)
 
 
+class _BaselineUnsampled(DomainError):
+    """No point of the curve lies in the baseline window: its grid is too coarse."""
+
+
 def baseline_from_curve(curve: HazardCurve, useful_end: float, *,
                         window_fraction: float) -> float:
     """Useful-phase plateau: median rate over the tail of the useful window.
@@ -138,9 +142,11 @@ def baseline_from_curve(curve: HazardCurve, useful_end: float, *,
     """
     if not 0.0 < window_fraction < 1.0:
         raise DomainError("window_fraction must lie in (0, 1)")
-    lo, hi = np.searchsorted(curve.times, (window_fraction * useful_end, useful_end), "left")
+    window = (window_fraction * useful_end, useful_end)
+    lo, hi = np.searchsorted(curve.times, window, "left")
     if lo >= hi:
-        raise DomainError("no curve samples inside the baseline window")
+        raise _BaselineUnsampled("no curve samples inside the baseline window "
+                                 f"[{window[0]!r}, {window[1]!r}) weeks")
     baseline = float(np.median(curve.rates[lo:hi]))
     if not baseline > 0.0:
         raise DomainError("measured baseline is not positive")

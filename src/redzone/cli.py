@@ -13,8 +13,10 @@ that names none.  Both give the same arguments, errors and help.
 CSV tables are written in blocks of rows, each block as bytes: a block of
 float columns takes one orjson pass (:func:`_float_lines`).  A block of the
 event log is one flat join of each row's replication prefix, time and row
-tail, the tail looked up by the row's codes in ``montecarlo._event_tails``.
-Floats read as ``repr`` writes them.
+tail, the tail looked up by the row's codes in ``montecarlo._event_tails``;
+when the log holds rotation rows, whose epochs every replication shares, a
+block formats each of its distinct times once.  Floats read as ``repr``
+writes them.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical or
 runtime failure.  A configuration warning prints as ``warning: <message>``
@@ -33,6 +35,7 @@ import warnings
 import numpy as np
 
 from .analysis import (
+    _BaselineUnsampled,
     apply_vendor_decision_point,
     assess_curve,
     assess_red_zone,
@@ -42,7 +45,7 @@ from .analysis import (
 from .config import SCHEMA_VERSION, RunConfig, load_config
 from .errors import CompositionError, DomainError, ValidationError, ValidationWarning
 from .hazards import bathtub_hazard, software_hazard
-from .montecarlo import EventLog, Metrics, _event_tails, run_batch, sample_lifetimes
+from .montecarlo import EventLog, Metrics, _ROTATE, _event_tails, run_batch, sample_lifetimes
 from .system import _BLOCK, scenario_timeline, system_hazard_curve
 
 __all__ = ["main", "build_parser"]
@@ -161,6 +164,11 @@ _GRID_POINT_BYTES = 8 * np.dtype(float).itemsize
 _PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _dt_source(args) -> str:
+    """What set the grid step, for an error to name: ``--dt`` or its config field."""
+    return "--dt" if getattr(args, "dt", None) is not None else _FLAG_FIELDS["--dt"]
+
+
 def _curve_dt(run: RunConfig, args, t_max: float | None = None) -> float:
     """``run.curve_dt``, checked to give a grid that fits in physical memory: over
     [0, t_max] for ``hazard``, else over twice the mean lifetime, past where any scenario
@@ -168,7 +176,7 @@ def _curve_dt(run: RunConfig, args, t_max: float | None = None) -> float:
     span = 2.0 * run.system.unit_lifetime.mean if t_max is None else t_max
     dt = run.curve_dt
     if span / dt * _GRID_POINT_BYTES >= _PHYSICAL_MEMORY:
-        source = "--dt" if getattr(args, "dt", None) is not None else _FLAG_FIELDS["--dt"]
+        source = _dt_source(args)
         fix = f"raise {source}" + ("" if t_max is None else " or lower --t-max")
         raise ValidationError(f"{source} {dt!r} gives {span / dt:.3g} grid points over "
                               f"[0, {span!r}] weeks, more than {_PHYSICAL_MEMORY:.3g} bytes of "
@@ -256,16 +264,27 @@ def _zone_doc(zone) -> dict | None:
 
 def _write_events_csv(path: str, log: EventLog) -> None:
     """Write the event log, a block of rows as one join of ``[prefix, time, tail] * rows``:
-    the replication's ``"{i},"``, the time and the row tail :func:`_event_tails` decodes."""
+    the replication's ``"{i},"``, the time and the row tail :func:`_event_tails` decodes.
+
+    A log with rotation rows holds each rotation epoch once per replication, so
+    its blocks format each distinct time, by bit pattern, once.  Other logs'
+    times are mostly distinct, and there a cell per row is faster.
+    """
     n = len(log.time)
     prefixes = np.array([f"{i}," for i in range(int(log.replication[-1]) + 1 if n else 0)],
                         dtype=object)
     tails = _event_tails()
+    # a byte search of the int8 codes: on a cold cache a ufunc call costs more than the scan
+    shared = _ROTATE in log.kind.tobytes()
     with open(path, "wb") as fh:
         fh.write(b"replication,time_weeks,kind,unit,slot,unit_out\n")
         for lo in range(0, n, _BLOCK):
             rows = slice(lo, lo + _BLOCK)
-            times = _float_reprs(log.time[rows])
+            if shared:
+                bits, at = np.unique(log.time[rows].view(np.int64), return_inverse=True)
+                times = np.array(_float_reprs(bits.view(float)), dtype=object)[at].tolist()
+            else:
+                times = _float_reprs(log.time[rows])
             parts = [None] * (3 * len(times))
             parts[0::3] = prefixes[log.replication[rows]].tolist()
             parts[1::3] = times
@@ -421,7 +440,11 @@ def main(argv=None) -> int:
         try:
             args = _parse(sys.argv[1:] if argv is None else list(argv))
             run = load_config(args.config, _overrides(args))
-            return _COMMANDS[args.command][0](run, args)
+            try:
+                return _COMMANDS[args.command][0](run, args)
+            except _BaselineUnsampled as e:
+                source = _dt_source(args)
+                raise ValidationError(f"{source} {run.curve_dt!r}: {e}; lower {source}") from None
         except Exception as e:
             fields = getattr(e, "fields", ())
             print(f"error: {e}" + (f" (config: {', '.join(fields)})" if fields else ""),

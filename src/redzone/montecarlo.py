@@ -338,9 +338,10 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
         # unit and unit_out are positions, read before the event moves their units; an
         # empty block is kept only first, where it gives each column its dtype
         if record_events and ((n := np.count_nonzero(sel)) or not columns[0]):
-            ids = [np.full(n, _NONE) if p is None else units[_ID, p, sel]
-                   for p in (unit, unit_out)]
-            block = (rows[sel], t[sel], np.full(n, kind), ids[0], np.full(n, slot), ids[1])
+            ids = [np.full(n, _NONE, np.int8) if p is None
+                   else units[_ID, p, sel].astype(np.int8) for p in (unit, unit_out)]
+            block = (rows[sel], t[sel], np.full(n, kind, np.int8), ids[0],
+                     np.full(n, slot, np.int8), ids[1])
             for column, values in zip(columns, block):
                 column.append(values)
 
@@ -363,7 +364,8 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
             now, epoch = when, epoch + 1.0
             s = rotation_targets(_consumed(lead[:, :S], alpha), True)
             if record_events:
-                for column, value in zip(columns, (rows, now, _ROTATE, order[S], s, order[s])):
+                codes = np.array((_ROTATE, order[S], s, order[s]), np.int8)
+                for column, value in zip(columns, (rows, now, *codes)):
                     column.append(np.broadcast_to(value, replications))
             lead[:, [s, S]] = lead[:, [S, s]]
             order[s], order[S] = order[S], order[s]
@@ -443,13 +445,13 @@ def _event_log(columns) -> EventLog:
     """Concatenate the recorded blocks and group them by replication, stably.
 
     The block recorded before the loop, empty or not, gives each column its
-    dtype, so an ensemble with no events still has typed columns.  The codes,
-    unit ids among them, are cast to int8.
+    dtype, so an ensemble with no events still has typed columns.  Every block
+    records the codes, unit ids among them, as int8, so they are gathered as
+    recorded.
     """
     replication, time, *codes = map(np.concatenate, columns)
     order = np.argsort(replication, kind="stable")
-    return EventLog(replication[order], time[order],
-                    *(code.astype(np.int8)[order] for code in codes))
+    return EventLog(replication[order], time[order], *(code[order] for code in codes))
 
 
 def run_ensemble(config: SystemConfig, policy: Policy, sim: SimConfig) -> Metrics:

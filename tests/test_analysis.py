@@ -509,15 +509,18 @@ class TestDeltaSweep:
         monkeypatch.setattr(system, "_segment_rate", recorded)
         return sampled
 
-    def test_sweep_samples_through_the_failure_window(self, sampled):
+    @pytest.mark.parametrize("block", [system._BLOCK, 997])
+    def test_sweep_samples_through_the_failure_window(self, sampled, monkeypatch, block):
         # the demo sweep's pieces end at the latest spread's first grid point at or after
-        # T2, 266 at spread 40, not at the spare's death at 414
+        # T2, 266 at spread 40, not at the spare's death at 414; a piece longer than a
+        # block is sampled in several calls
+        monkeypatch.setattr(system, "_BLOCK", block)
         spreads = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0, 40.0)
         cfg, dt = make_redzone_system(delta=1.0), 0.01
         delta_sweep(cfg, spreads, Policy("type1"), SimConfig(replications=2, master_seed=1),
                     **{**SWEEP, "dt": dt})
-        assert sorted(units for units, _ in sampled) == [
-            ("controller_1", "controller_2"), ("controller_2", "controller_3"), ("controller_3",)]
+        assert {units for units, _ in sampled} == {
+            ("controller_1", "controller_2"), ("controller_2", "controller_3"), ("controller_3",)}
         timelines = [scenario_timeline(with_spread(cfg, d)) for d in spreads]
         grid = np.arange(0.0, timelines[-1].t_end, dt)
         last = grid[np.searchsorted(grid, timelines[-1].t2, "left")]

@@ -50,6 +50,12 @@ PULSE_AT_FIRST_FAILURE = {
 }
 
 
+def event_lines(log):
+    """The CSV lines of an ``EventLog`` as its docstring decodes it, each time by ``repr``."""
+    return [f"{i},{float(t)!r},{k},{u or ''},{'' if s is None else s},{o or ''}"
+            for i, t, k, u, s, o in zip(*event_fields(log))]
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -166,6 +172,26 @@ class TestParser:
         out = tmp_path / "out.csv"
         assert main([command, "--config", conf, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: analysis.curve_dt 1e-300 gives ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, curve_dt, flags, source", [
+        ("simulate", 50.0, [], "analysis.curve_dt"),
+        ("scenario", 50.0, [], "analysis.curve_dt"),
+        ("redzone", 50.0, ["--deltas", "1"], "analysis.curve_dt"),
+        ("scenario", 0.1, ["--dt", "50"], "--dt"),
+    ])
+    def test_grid_missing_the_baseline_window_exits_one(self, command, curve_dt, flags, source,
+                                                        tmp_path, capsys):
+        # the demo's baseline window is [160, 200) weeks; a 50-week grid steps from 150 to 200
+        doc = json.loads(EXAMPLE.read_text(encoding="utf-8"))
+        doc["analysis"]["curve_dt"] = curve_dt
+        conf = tmp_path / "config.json"
+        conf.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(conf), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {source} 50.0: no curve samples inside the baseline window "
+            f"[160.0, 200.0) weeks; lower {source}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "compare", "redzone"])
@@ -534,9 +560,7 @@ class TestSimulateCommand:
                         record_events=True).events
         assert len(log.time) > 2 * cli._BLOCK
         assert ev.read_text(encoding="utf-8").splitlines() == [
-            "replication,time_weeks,kind,unit,slot,unit_out"] + [
-            f"{i},{float(t)!r},{k},{u or ''},{'' if s is None else s},{o or ''}"
-            for i, t, k, u, s, o in zip(*event_fields(log))]
+            "replication,time_weeks,kind,unit,slot,unit_out"] + event_lines(log)
 
     def test_events_csv_without_events_is_the_header(self, tmp_path):
         doc = json.loads(EXAMPLE.read_text(encoding="utf-8"))
@@ -557,26 +581,60 @@ class TestSimulateCommand:
                        unit=codes[:, 1], slot=codes[:, 2], unit_out=codes[:, 3])
         ev = tmp_path / "events.csv"
         cli._write_events_csv(str(ev), log)
-        assert ev.read_text(encoding="utf-8").splitlines()[1:] == [
-            f"{i},{float(t)!r},{k},{u or ''},{'' if s is None else s},{o or ''}"
-            for i, t, k, u, s, o in zip(*event_fields(log))]
+        assert ev.read_text(encoding="utf-8").splitlines()[1:] == event_lines(log)
 
-    def test_events_csv_fix_ups_across_blocks(self, tmp_path, monkeypatch):
-        # ten times in three-row blocks, three times over: every time whose notation repr
-        # and orjson write differently starts, ends and sits inside a block
+    @pytest.mark.parametrize("kind", ["failure", "rotate"])
+    def test_events_csv_fix_ups_across_blocks(self, tmp_path, monkeypatch, kind):
+        # twelve times, each on two rows, in three-row blocks, twice over: every time
+        # whose notation repr and orjson write differently starts, ends and sits inside
+        # a block, beside itself, in logs with and without rotation rows.  The zeros and
+        # the NaN payloads are distinct bit patterns and stay distinct cells.
         monkeypatch.setattr(cli, "_BLOCK", 3)
-        times = [0.0, -0.0, 5e-324, 1e-05, 9.999999999999999e-05, 1e-4, 1e16, np.nan, np.inf,
-                 1 / 7] * 3
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000001], np.uint64).view(float)
+        values = [0.0, -0.0, *nans, 5e-324, 1e-05, 9.999999999999999e-05, 1e-4, 1e16, np.inf,
+                  -np.inf, 1 / 7]
+        times = np.repeat(values, 2)
+        times = np.concatenate([times, times])
+        assert len(np.unique(times.view(np.int64))) == len(values)
         n = len(times)
-        log = EventLog(replication=np.arange(n) * 37 // 2, time=np.array(times),
-                       kind=np.zeros(n, dtype=np.int8), unit=np.full(n, -1, dtype=np.int8),
-                       slot=np.full(n, -2, dtype=np.int8),
+        log = EventLog(replication=np.arange(n) * 37 // 2, time=times,
+                       kind=np.full(n, EVENT_KINDS.index(kind), dtype=np.int8),
+                       unit=np.full(n, -1, dtype=np.int8), slot=np.full(n, -2, dtype=np.int8),
                        unit_out=(np.arange(n) % 3).astype(np.int8))
         ev = tmp_path / "events.csv"
         cli._write_events_csv(str(ev), log)
         assert ev.read_text(encoding="utf-8").splitlines()[1:] == [
-            f"{i},{t!r},failure,,shelf,controller_{o + 1}"
-            for i, t, o in zip(log.replication.tolist(), times, log.unit_out.tolist())]
+            f"{i},{t!r},{kind},,shelf,controller_{o + 1}"
+            for i, t, o in zip(log.replication.tolist(), times.tolist(), log.unit_out.tolist())]
+
+    @pytest.mark.parametrize("block", [3, cli._BLOCK])
+    @pytest.mark.parametrize("rotations", [False, True], ids=["no-rotations", "rotations"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_events_csv_equals_repr_rows(self, tmp_path_factory, block, rotations, data):
+        # times from a small pool, so rows share them within and across blocks: either
+        # path, formatting each row's time or each distinct time once, writes repr's rows.
+        # The pool holds each value's negation, a distinct bit pattern even for 0 and NaN.
+        pool = data.draw(st.lists(st.one_of(st.floats(), st.sampled_from(FIX_UPS)),
+                                  min_size=1, max_size=3))
+        pool += [-v for v in pool]
+        n = data.draw(st.integers(1, 30))
+        kinds = [k for k in range(len(EVENT_KINDS)) if rotations or EVENT_KINDS[k] != "rotate"]
+        rows = st.tuples(st.sampled_from(kinds), st.integers(-1, 2), st.integers(-2, 1),
+                         st.integers(-1, 2))
+        codes = np.array(data.draw(st.lists(rows, min_size=n, max_size=n)), dtype=np.int8)
+        if rotations:
+            codes[data.draw(st.integers(0, n - 1)), 0] = EVENT_KINDS.index("rotate")
+        log = EventLog(
+            replication=np.sort(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))),
+            time=np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                          dtype=float),
+            kind=codes[:, 0], unit=codes[:, 1], slot=codes[:, 2], unit_out=codes[:, 3])
+        ev = tmp_path_factory.mktemp("events") / "events.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BLOCK", block)
+            cli._write_events_csv(str(ev), log)
+        assert ev.read_text(encoding="utf-8").splitlines()[1:] == event_lines(log)
 
     @pytest.mark.parametrize("events", [False, True], ids=["summary", "events-out"])
     def test_one_ensemble_pass(self, events, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -608,6 +609,21 @@ class TestRunBatch:
         assert out.censored.all()
         assert [(len(c), c.dtype) for c in out.events] == [
             (0, np.dtype(np.intp)), (0, np.dtype(float))] + [(0, np.dtype(np.int8))] * 4
+
+    def test_recording_holds_about_three_event_logs(self):
+        # the recorded blocks, their concatenation and the grouped log: every block
+        # records the codes at the log's dtypes, so none is cast or held wider
+        run = load_config(EXAMPLE)
+        policy = Policy("type2", rotation_period=run.policy.rotation_period)
+        lifetimes = sample_lifetimes(run.system, run.sim.master_seed, 2000)
+        tracemalloc.start()
+        try:
+            log = run_batch(run.system, policy, lifetimes, record_events=True).events
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(log.time) == 27_024
+        assert peak < 4 * sum(c.nbytes for c in log)
 
     @pytest.mark.parametrize("record_events", [False, True])
     @pytest.mark.parametrize("alpha, death", [(0.0, 400.0), (1.0, 200.0)])
