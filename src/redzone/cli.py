@@ -274,8 +274,7 @@ def _write_events_csv(path: str, log: EventLog) -> None:
     prefixes = np.array([f"{i}," for i in range(int(log.replication[-1]) + 1 if n else 0)],
                         dtype=object)
     tails = _event_tails()
-    # a byte search of the int8 codes: on a cold cache a ufunc call costs more than the scan
-    shared = _ROTATE in log.kind.tobytes()
+    shared = (log.kind == _ROTATE).any()
     with open(path, "wb") as fh:
         fh.write(b"replication,time_weeks,kind,unit,slot,unit_out\n")
         for lo in range(0, n, _BLOCK):

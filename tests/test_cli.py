@@ -585,17 +585,20 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("kind", ["failure", "rotate"])
     def test_events_csv_fix_ups_across_blocks(self, tmp_path, monkeypatch, kind):
-        # twelve times, each on two rows, in three-row blocks, twice over: every time
-        # whose notation repr and orjson write differently starts, ends and sits inside
-        # a block, beside itself, in logs with and without rotation rows.  The zeros and
-        # the NaN payloads are distinct bit patterns and stay distinct cells.
+        # thirteen times, each on two rows, in three-row blocks, twice over: a pass is 26
+        # rows, not a multiple of 3, so every time whose notation repr and orjson write
+        # differently starts, ends and sits inside a block, beside itself, in logs with
+        # and without rotation rows.  The zeros and the NaN payloads are distinct bit
+        # patterns and stay distinct cells.
         monkeypatch.setattr(cli, "_BLOCK", 3)
         nans = np.array([0x7FF8000000000000, 0xFFF8000000000001], np.uint64).view(float)
-        values = [0.0, -0.0, *nans, 5e-324, 1e-05, 9.999999999999999e-05, 1e-4, 1e16, np.inf,
-                  -np.inf, 1 / 7]
+        values = [0.0, -0.0, *nans, 5e-324, -5e-324, 1e-05, 9.999999999999999e-05, 1e-4, 1e16,
+                  np.inf, -np.inf, 1 / 7]
         times = np.repeat(values, 2)
         times = np.concatenate([times, times])
-        assert len(np.unique(times.view(np.int64))) == len(values)
+        bits, at = np.unique(times.view(np.int64), return_inverse=True)
+        assert len(bits) == len(values)
+        assert all(set(np.flatnonzero(at == v) % 3) == {0, 1, 2} for v in range(len(bits)))
         n = len(times)
         log = EventLog(replication=np.arange(n) * 37 // 2, time=times,
                        kind=np.full(n, EVENT_KINDS.index(kind), dtype=np.int8),
@@ -615,7 +618,7 @@ class TestSimulateCommand:
         # times from a small pool, so rows share them within and across blocks: either
         # path, formatting each row's time or each distinct time once, writes repr's rows.
         # The pool holds each value's negation, a distinct bit pattern even for 0 and NaN.
-        pool = data.draw(st.lists(st.one_of(st.floats(), st.sampled_from(FIX_UPS)),
+        pool = data.draw(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, *FIX_UPS])),
                                   min_size=1, max_size=3))
         pool += [-v for v in pool]
         n = data.draw(st.integers(1, 30))
