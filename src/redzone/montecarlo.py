@@ -10,16 +10,17 @@ is no integration step.  Simultaneous events are ordered failure < replace
 :func:`run_batch` runs all replications of an ensemble in lockstep over
 position-major numpy arrays, one pass per event epoch that skips the event
 kinds no replication is due for; on request it also records every
-replication's event log as one :class:`EventLog` table.  Under a rotating
-policy with every shelf spare usable, one shared state first takes all
-replications through the leading rotation epochs at which none has any
-other event, which leaves results and event logs unchanged.  It alone says
-when the spare goes in, how old it is then and when it dies: every ensemble
-and every scenario timeline runs it.  The tests hold its per-replication
-results and event logs, bit for bit, to a scalar event loop over per-unit
-age ledgers kept in ``tests/oracle.py``.  The module keeps what the outputs
-read: :class:`Metrics`, the summaries ``simulate`` and ``compare`` print,
-and :func:`_event_tails`, the one table that decodes the event codes
+replication's event log as one :class:`EventLog` table.  Replace on failure
+runs as rotation at an infinite period, so both policies take one path.  With
+every shelf spare usable, one shared state first takes all replications
+through the leading rotation epochs at which none has any other event, which
+leaves results and event logs unchanged.  It alone says when the spare goes
+in, how old it is then and when it dies: every ensemble and every scenario
+timeline runs it.  The tests hold its per-replication results and event logs,
+bit for bit, to a scalar event loop over per-unit age ledgers kept in
+``tests/oracle.py``.  The module keeps what the outputs read:
+:class:`Metrics`, the summaries ``simulate`` and ``compare`` print, and
+:func:`_event_tails`, the one table that decodes the event codes
 ``simulate --events-out`` writes.
 
 Randomness comes from splitmix64 streams: 64-bit state advanced by the
@@ -236,7 +237,7 @@ class BatchOutcomes(NamedTuple):
 
     ``trdd`` is the first time fewer than two unfailed units occupy slots
     with no usable shelf unit left; ``tdt`` the time no unfailed unit
-    occupies a slot; ``dp`` (type2 only) the first event epoch at which
+    occupies a slot; ``dp`` (under rotation) the first event epoch at which
     both slots hold an unfailed unit but no usable shelf unit is left.
     Each holds NaN where it did not occur before the horizon, where the
     oracle's scalar trace (``tests/oracle.py``) holds None.
@@ -269,7 +270,9 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
     equals the oracle's ``run_replication`` for ``derive_seed(master_seed, i)``
     exactly.  A pass first drops the rows next due past the horizon, as
     censored, and skips an event kind, or the compaction of dead rows, that no
-    row is due for.
+    row is due for.  The policy is read once, as a rotation period: replace on
+    failure (type1) is rotation at an infinite period, never due, so both
+    policies take one path, and only the ``dp`` record tests the period.
 
     The engine rests on one invariant: a usable shelf spare means both slots
     are up.  A slot stays failed only when no usable spare was left to fill it,
@@ -280,35 +283,36 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
     or :class:`DomainError`.  Each pass gives every running row an event of its
     own or censors it, so a row takes at most three failure passes, one per
     unit; one rotation pass per epoch up to the horizon and its lifetime sum
-    (it has a unit on the job until it dies), plus one for rounding; and the
-    censoring pass.  A row still running after that many passes is an engine
-    fault and raises :class:`RedzoneError` instead of hanging.  Passes are
-    counted, not time: a spare installed with no life left fails in a pass of
-    its own at the same instant.
+    (it has a unit on the job until it dies), plus one for rounding, which
+    is all an infinite period has; and the censoring pass: five under type1.
+    A row still running after that many passes is an engine fault and raises
+    :class:`RedzoneError` instead of hanging.  Passes are counted, not time:
+    a spare installed with no life left fails in a pass of its own at the
+    same instant.
 
     With ``record_events`` the result also holds the event logs (:class:`EventLog`),
     equal to the scalar traces' events: each pass appends a block of rows per
     event kind, in the scalar loop's order within an epoch, and a stable sort
     on the replication index groups the blocks into per-replication logs.
 
-    A rotating policy whose every row starts with a usable shelf spare first
-    runs the lead.  Until its first failure every row holds the same ages in
-    the same positions and rotates the same slot, so one shared state, with
-    each position's least lifetime over the rows, stands for them all.
-    The lead and the loop take due times from the one :func:`_due`, and
-    rounding is monotone in the lifetime, so the shared state is due past
-    epoch ``e`` exactly when no row is.  The lead takes the rotations of such
-    epochs, one block of event rows each, up to the first epoch that a
-    failure ties, another event precedes or the horizon cuts, then hands
-    every row to the loop; results and event logs are those of the loop
-    alone.
+    When every row starts with a usable shelf spare the lead runs first.
+    Until its first failure every row holds the same ages in the same
+    positions and rotates the same slot, so one shared state, with each
+    position's least lifetime over the rows, stands for them all.  The lead
+    and the loop take due times from the one :func:`_due`, and rounding is
+    monotone in the lifetime, so the shared state is due past epoch ``e``
+    exactly when no row is.  The lead takes the rotations of such epochs
+    (none at an infinite period), one block of event rows each, up to the
+    first epoch that a failure ties, another event precedes or the horizon
+    cuts, then hands every row its units back in place; results and event
+    logs are those of the loop alone.
     """
     if horizon is None:
         horizon = 5.0 * config.unit_lifetime.mean
     if not horizon > 0.0:
         raise DomainError(f"horizon must be > 0, got {horizon!r}")
     alpha = config.shelf_aging_factor
-    rotating = policy.kind == "type2"
+    period = policy.rotation_period if policy.kind == "type2" else math.inf
     S = 2  # position of the shelf, after the two slots
     lifetimes = np.asarray(lifetimes, dtype=float)
     if lifetimes.ndim != 2 or lifetimes.shape[1] != S + 1:
@@ -317,7 +321,7 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
         raise DomainError("lifetimes must be finite and >= 0")
     # the pass bound (see above): 3 failures, the censoring pass, the rotation epochs
     cap = min(horizon, lifetimes.sum(axis=1).max(initial=0.0))
-    passes = 4 + (math.floor(cap / policy.rotation_period) + 1 if rotating else 0)
+    passes = 5 + math.floor(cap / period)
 
     replications = len(lifetimes)
     units = np.zeros((_ID + int(record_events), S + 1, replications))
@@ -349,14 +353,13 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
         units[_ID] = np.arange(S + 1)[:, None]
     record(~spare, _FAILURE, S, _SHELF_SLOT)
 
-    if rotating and replications and spare.all():
-        # the lead (see above): every row's ages by position, and each position's
-        # least lifetime over the rows
-        lead = units[:_ID, :, 0].copy()
+    if replications and spare.all():
+        # the lead (see above): every row's ages and roster ids, and the least lifetimes
+        lead = units[:, :, 0].copy()
         lead[_LIFE] = units[_LIFE].min(axis=1)
         order = list(range(S + 1))  # the starting position of each position's unit
         now, epoch = 0.0, 1.0
-        while (when := epoch * policy.rotation_period) <= horizon:
+        while (when := epoch * period) <= horizon:
             if not (_due(lead, now, alpha) > when).all():  # strict: a tying failure goes first
                 break
             lead[_ONJOB, :S] += when - now
@@ -369,18 +372,15 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
                     column.append(np.broadcast_to(value, replications))
             lead[:, [s, S]] = lead[:, [S, s]]
             order[s], order[S] = order[S], order[s]
-        units = units[:, order]
-        units[_LAB:_ID] = lead[_LAB:, :, None]
+        units[_LIFE] = units[_LIFE, order]  # in place: units[:, order] is a new table
+        units[_LAB:] = lead[_LAB:, :, None]
         t[:], rotation[:] = now, epoch
 
     for _ in range(passes):
         # when each slot's unit and the spare fail and the next rotation falls; inf: never
-        due_at = np.full((S + 2, rows.size), np.inf)
-        due_at[:S + 1] = _due(units, t, alpha)
+        due_at = np.vstack((_due(units, t, alpha), rotation * period))
         np.copyto(due_at[:S], np.inf, where=failed)
         np.copyto(due_at[S], np.inf, where=~spare)
-        if rotating:
-            due_at[S + 1] = rotation * policy.rotation_period
         t_next = due_at.min(axis=0)
         step = t_next - t
         # failed units and an emptied shelf also age here; nothing reads them again
@@ -421,7 +421,7 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
         alive = (~failed).sum(axis=0, dtype=np.int8)
         first = (alive < 2) & np.isnan(trdd[rows])
         trdd[rows[first]] = t[first]
-        if rotating:
+        if period < math.inf:  # under replace on failure dp is the vendor's estimate
             first = (alive == S) & ~spare & np.isnan(dp[rows])
             dp[rows[first]] = t[first]
             record(first, _DP)

@@ -2,8 +2,9 @@
 loads neither ``dataclasses`` nor ``orjson``, orjson loads only where a float
 table is written, every warning goes through ``redzone.errors.warn``, only the
 engine reads how the spare is consumed, each rate kernel checks its argument
-through one guard, the red zone's failure window is stated once, and the
-scalar oracle in ``tests/oracle.py`` stays apart from the engine it checks."""
+through one guard, the red zone's failure window is stated once, the engine
+reads the policy in one line, and the scalar oracle in ``tests/oracle.py``
+stays apart from the engine it checks."""
 
 import ast
 import os
@@ -140,6 +141,20 @@ def test_the_failure_window_is_stated_once():
     assert readers == {("analysis.py", "_failure_window")}
     assert "peak_ratio" not in {node.name for tree in trees.values() for node in ast.walk(tree)
                                 if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_engine_reads_the_policy_in_one_line():
+    # replace on failure runs as rotation at an infinite period: run_batch maps the
+    # policy to its period in one assignment, and no other line of the engine's module
+    # reads a kind or a rotation period, so no second path for either policy comes back
+    tree = ast.parse((ROOT / "src" / "redzone" / "montecarlo.py").read_text(encoding="utf-8"))
+    reads = {node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("kind", "rotation_period")}
+    (mapping,) = [node for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                  and [ast.unparse(target) for target in node.targets] == ["period"]]
+    assert reads == {node for node in ast.walk(mapping) if node in reads}
+    assert sorted(map(ast.unparse, reads)) == ["policy.kind", "policy.rotation_period"]
+    assert attribute_readers(tree, "kind") == {"run_batch"}
 
 
 def test_cli_import_builds_no_dataclass_and_loads_no_orjson():
