@@ -9,19 +9,17 @@ is no integration step.  Simultaneous events are ordered failure < replace
 
 :func:`run_batch` runs all replications of an ensemble in lockstep over
 position-major numpy arrays, one pass per event epoch that skips the event
-kinds no replication is due for; on request it also records every
-replication's event log as one :class:`EventLog` table.  Replace on failure
-runs as rotation at an infinite period, so both policies take one path.  With
-every shelf spare usable, one shared state first takes all replications
-through the leading rotation epochs at which none has any other event, which
-leaves results and event logs unchanged.  It alone says when the spare goes
-in, how old it is then and when it dies: every ensemble and every scenario
-timeline runs it.  The tests hold its per-replication results and event logs,
-bit for bit, to a scalar event loop over per-unit age ledgers kept in
-``tests/oracle.py``.  The module keeps what the outputs read:
-:class:`Metrics`, the summaries ``simulate`` and ``compare`` print, and
-:func:`_event_tails`, the one table that decodes the event codes
-``simulate --events-out`` writes.
+kinds no replication is due for; on request it also records every replication's
+event log as one :class:`EventLog` table.  Replace on failure runs as rotation
+at an infinite period, so both policies take one path, and where it can a
+shared state first takes all replications through the leading rotation epochs
+at which none has any other event.  It alone says when the spare goes in, how
+old it is then and when it dies: every ensemble and every scenario timeline
+runs it.  The tests hold its per-replication results and event logs, bit for
+bit, to a scalar event loop over per-unit age ledgers kept in
+``tests/oracle.py``.  The module keeps what the outputs read: :class:`Metrics`,
+the summaries ``simulate`` and ``compare`` print, and :func:`_event_tails`, the
+one table that decodes the event codes ``simulate --events-out`` writes.
 
 Randomness comes from splitmix64 streams: 64-bit state advanced by the
 golden-gamma increment 0x9E3779B97F4A7C15 and finalized by the standard
@@ -272,7 +270,7 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
     censored, and skips an event kind, or the compaction of dead rows, that no
     row is due for.  The policy is read once, as a rotation period: replace on
     failure (type1) is rotation at an infinite period, never due, so both
-    policies take one path, and only the ``dp`` record tests the period.
+    policies take one path and only the ``dp`` record asks which one runs.
 
     The engine rests on one invariant: a usable shelf spare means both slots
     are up.  A slot stays failed only when no usable spare was left to fill it,
@@ -283,29 +281,27 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
     or :class:`DomainError`.  Each pass gives every running row an event of its
     own or censors it, so a row takes at most three failure passes, one per
     unit; one rotation pass per epoch up to the horizon and its lifetime sum
-    (it has a unit on the job until it dies), plus one for rounding, which
-    is all an infinite period has; and the censoring pass: five under type1.
-    A row still running after that many passes is an engine fault and raises
-    :class:`RedzoneError` instead of hanging.  Passes are counted, not time:
-    a spare installed with no life left fails in a pass of its own at the
-    same instant.
+    (it has a unit on the job until it dies), plus one for rounding, all that
+    an infinite period has; and the censoring pass: five under type1.  A row
+    still running after that many passes is an engine fault and raises
+    :class:`RedzoneError` instead of hanging.  Passes are counted, not time: a
+    spare installed with no life left fails in a pass of its own at the same instant.
 
     With ``record_events`` the result also holds the event logs (:class:`EventLog`),
     equal to the scalar traces' events: each pass appends a block of rows per
     event kind, in the scalar loop's order within an epoch, and a stable sort
     on the replication index groups the blocks into per-replication logs.
 
-    When every row starts with a usable shelf spare the lead runs first.
-    Until its first failure every row holds the same ages in the same
-    positions and rotates the same slot, so one shared state, with each
-    position's least lifetime over the rows, stands for them all.  The lead
-    and the loop take due times from the one :func:`_due`, and rounding is
-    monotone in the lifetime, so the shared state is due past epoch ``e``
-    exactly when no row is.  The lead takes the rotations of such epochs
-    (none at an infinite period), one block of event rows each, up to the
-    first epoch that a failure ties, another event precedes or the horizon
-    cuts, then hands every row its units back in place; results and event
-    logs are those of the loop alone.
+    The lead runs first when every row starts with a usable shelf spare and the first
+    rotation falls by the horizon and the largest lifetime sum (never at an infinite
+    period).  Until its first failure every row holds the same ages in the same
+    positions and rotates the same slot, so one shared state, with each position's
+    least lifetime over the rows, stands for them all.  The lead and the loop take due
+    times from the one :func:`_due`, and rounding is monotone in the lifetime, so the
+    shared state is due past epoch ``e`` exactly when no row is.  It takes the
+    rotations of such epochs, one block of event rows each, up to the first epoch that
+    a failure ties, another event precedes or those bounds cut, then, if it took any,
+    hands every row its units back in place; results and event logs are the loop's.
     """
     if horizon is None:
         horizon = 5.0 * config.unit_lifetime.mean
@@ -353,13 +349,13 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
         units[_ID] = np.arange(S + 1)[:, None]
     record(~spare, _FAILURE, S, _SHELF_SLOT)
 
-    if replications and spare.all():
+    if replications and spare.all() and period <= cap:
         # the lead (see above): every row's ages and roster ids, and the least lifetimes
         lead = units[:, :, 0].copy()
         lead[_LIFE] = units[_LIFE].min(axis=1)
         order = list(range(S + 1))  # the starting position of each position's unit
         now, epoch = 0.0, 1.0
-        while (when := epoch * period) <= horizon:
+        while (when := epoch * period) <= cap:  # past every lifetime sum a unit has died
             if not (_due(lead, now, alpha) > when).all():  # strict: a tying failure goes first
                 break
             lead[_ONJOB, :S] += when - now
@@ -372,13 +368,16 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
                     column.append(np.broadcast_to(value, replications))
             lead[:, [s, S]] = lead[:, [S, s]]
             order[s], order[S] = order[S], order[s]
-        units[_LIFE] = units[_LIFE, order]  # in place: units[:, order] is a new table
-        units[_LAB:] = lead[_LAB:, :, None]
-        t[:], rotation[:] = now, epoch
+        if epoch > 1.0:  # it rotated; in place, as units[:, order] is a new table
+            units[_LIFE] = units[_LIFE, order]
+            units[_LAB:] = lead[_LAB:, :, None]
+            t[:], rotation[:] = now, epoch
 
     for _ in range(passes):
         # when each slot's unit and the spare fail and the next rotation falls; inf: never
-        due_at = np.vstack((_due(units, t, alpha), rotation * period))
+        due_at = np.empty((S + 2, rows.size))
+        due_at[:S + 1] = _due(units, t, alpha)
+        np.multiply(rotation, period, out=due_at[S + 1])
         np.copyto(due_at[:S], np.inf, where=failed)
         np.copyto(due_at[S], np.inf, where=~spare)
         t_next = due_at.min(axis=0)

@@ -28,8 +28,8 @@ from redzone.montecarlo import EVENT_KINDS, EventLog, run_batch
 from conftest import UNSHRUNK, make_flat_bathtub
 from oracle import run_replication
 
-# lab credits past the hazard's burn-in duration are drawn on purpose
-pytestmark = pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
+# for the tests that draw lab credits past the hazard's burn-in duration on purpose
+ignore_lab_warning = pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
 
 ULPS = 4
 # The type1 map and the engine compute lab + alpha * lo alike; past it they differ by at
@@ -99,6 +99,7 @@ def assert_outcome(actual, expected, lifetimes, horizon):
     assert (apart <= MAP_ULPS).all(), f"{apart.max()} ulp of the largest value apart"
 
 
+@ignore_lab_warning
 class TestType1Map:
     @settings(max_examples=200, deadline=None, phases=UNSHRUNK)
     @given(lifetimes=fleet, lab=labs, alpha=alphas, horizon=horizons)
@@ -178,6 +179,7 @@ class TestWorkConservation:
                                         maxulp=ULPS)
 
 
+@ignore_lab_warning
 class TestPeriodPastTheHorizon:
     """Replace on failure is rotation at an infinite period: a rotation due only past the
     horizon never happens, so every outcome is type1's, and so is the event log but for
@@ -198,6 +200,7 @@ class TestPeriodPastTheHorizon:
         assert_same_log([column[kept] for column in type2.events], type1.events)
 
 
+@ignore_lab_warning
 class TestTimeScaling:
     """Scaling every time (lifetimes, lab credit, period, horizon) by 2^k scales every
     outcome and event time by 2^k, bit for bit, and changes nothing else: the engine's
@@ -225,6 +228,7 @@ class TestTimeScaling:
         assert_same_log(scaled.events, out.events._replace(time=out.events.time * c))
 
 
+@ignore_lab_warning
 class TestHorizonConsistency:
     """A horizon only cuts: the outcomes at horizon h are those at an infinite horizon
     with every value past h set to NaN, censored where the system outlives h, and the
@@ -247,6 +251,7 @@ class TestHorizonConsistency:
                                      for column in full.events])
 
 
+@ignore_lab_warning
 class TestType1SlotSymmetry:
     """Under replace on failure the two slots are alike: swapping the lifetimes of slot
     0's and slot 1's units changes no outcome.  Type2 is not symmetric: a rotation
