@@ -10,13 +10,14 @@ job builds the parser of the subcommand it names only, and
 :func:`build_parser`, every subcommand's, serves ``redzone -h`` and an argv
 that names none.  Both give the same arguments, errors and help.
 
-CSV tables are written in blocks of rows, each block as bytes: a block of
-float columns takes one orjson pass (:func:`_float_lines`).  A block of the
-event log is one flat join of each row's replication prefix, time and row
-tail, the tail looked up by the row's codes in ``montecarlo._event_tails``;
-when the log holds rotation rows, whose epochs every replication shares, a
-block formats each of its distinct times once.  Floats read as ``repr``
-writes them.
+CSV tables are written in blocks of rows.  A block of ``_TABLE_BLOCK`` rows
+of float columns takes one orjson pass (:func:`_float_lines`), and the
+buffer it formats is written itself, not copied to bytes.  A block of
+``_EVENT_BLOCK`` rows of the event log is one flat join of each row's
+replication prefix, time and row tail, the tail looked up by the row's codes
+in ``montecarlo._event_tails``; when the log holds rotation rows, whose
+epochs every replication shares, a block formats each of its distinct times
+once.  Floats read as ``repr`` writes them.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical or
 runtime failure.  A configuration warning prints as ``warning: <message>``
@@ -46,9 +47,17 @@ from .config import SCHEMA_VERSION, RunConfig, load_config
 from .errors import CompositionError, DomainError, ValidationError, ValidationWarning
 from .hazards import bathtub_hazard, software_hazard
 from .montecarlo import EventLog, Metrics, _ROTATE, _event_tails, run_batch, sample_lifetimes
-from .system import _BLOCK, scenario_timeline, system_hazard_curve
+from .system import scenario_timeline, system_hazard_curve
 
 __all__ = ["main", "build_parser"]
+
+# Rows a CSV writer formats and writes at once; a block's buffers are freed before the
+# next, and glibc trims large ones and faults them back in.  On a 2-core Xeon a 207,000-row
+# float curve took 34.4-34.7 ms to write at 8,192 rows and 29.3-30.0 ms at 4,096 (p10 of
+# 30), a 27,024-row type2 event log 5.2-6.0 ms and 306-459 faults at 8,192, and with none
+# 4.6-5.0, 4.8-5.2 and 5.3-5.8 ms at 4,096, 2,048 and 1,024 (median of 15 calls).
+_TABLE_BLOCK = 4096
+_EVENT_BLOCK = 2048  # half the strings of 4,096 rows, at about their time
 
 
 class _UsageError(Exception):
@@ -69,12 +78,13 @@ def _repr_fix_ups(x: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~((ax >= 1e-4) & (ax < 1e16)) & (x != 0.0))
 
 
-def _float_lines(columns) -> bytes:
+def _float_lines(columns) -> np.ndarray | bytes:
     """The CSV lines of a block of float columns, each cell as ``repr`` writes it.
 
     The block is interleaved row by row and dumped by orjson as one JSON array;
-    every k-th comma becomes a newline, and only the cells of :func:`_repr_fix_ups`
-    are spliced in from ``repr``, at the byte spans the commas bound.
+    every k-th comma becomes a newline in that buffer, which is returned as it is
+    unless a cell of :func:`_repr_fix_ups` is spliced in from ``repr``, at the byte
+    spans the commas bound, by joining views of the buffer.
     """
     import orjson  # loaded only by commands that write float tables
 
@@ -88,12 +98,12 @@ def _float_lines(columns) -> bytes:
     line[commas[len(columns) - 1::len(columns)]] = 10
     fix = _repr_fix_ups(x)
     if not fix.size:
-        return line.tobytes()
+        return line
     # Spliced, not sent to _float_reprs: a str per cell gave the same bytes but raised the
     # curve-sweep benchmark's peak memory by 1.6 MB, at 1.6x the time on a two-column block.
     # cell i lies between separators i - 1 and i
     bounds = np.concatenate(([-1], commas, [line.size - 1]))
-    text, parts, pos = line.tobytes(), [], 0
+    text, parts, pos = memoryview(line), [], 0
     for v, start, end in zip(x[fix].tolist(), (bounds[fix] + 1).tolist(),
                              bounds[fix + 1].tolist()):
         parts += (text[pos:start], repr(v).encode())
@@ -115,8 +125,8 @@ def _float_reprs(x) -> list[str]:
     return cells
 
 
-def _table_lines(columns) -> bytes:
-    """The CSV lines of a block of columns: float arrays, or lists of cell text.
+def _table_lines(columns) -> np.ndarray | bytes:
+    """The CSV lines of a block of columns (float arrays, or lists of cell text) as a buffer.
 
     A block of float arrays alone is :func:`_float_lines`; otherwise the
     float arrays are formatted by :func:`_float_reprs` and the rows joined.
@@ -129,12 +139,12 @@ def _table_lines(columns) -> bytes:
 
 def _write_table(path: str, table: dict) -> None:
     """Write a table given as {header: column}, each column as :func:`_table_lines`
-    takes it, one block of ``_BLOCK`` rows at a time."""
+    takes it, one block of ``_TABLE_BLOCK`` rows at a time."""
     columns = list(table.values())
     with open(path, "wb") as fh:
         fh.write((",".join(table) + "\n").encode())
-        for lo in range(0, len(columns[0]), _BLOCK):
-            fh.write(_table_lines([c[lo:lo + _BLOCK] for c in columns]))
+        for lo in range(0, len(columns[0]), _TABLE_BLOCK):
+            fh.write(_table_lines([c[lo:lo + _TABLE_BLOCK] for c in columns]))
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -159,7 +169,8 @@ def _overrides(args) -> dict:
 
 # A curve command holds up to about seven float64 arrays of its grid at once (44-55
 # bytes a point, measured on hazard runs); a grid may take eight.  scenario, whose
-# curve is evaluated a block at a time, holds about three; hazard sets the bound.
+# curve is evaluated a block at a time into its rates, holds about two; hazard sets
+# the bound.
 _GRID_POINT_BYTES = 8 * np.dtype(float).itemsize
 _PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
@@ -277,8 +288,8 @@ def _write_events_csv(path: str, log: EventLog) -> None:
     shared = (log.kind == _ROTATE).any()
     with open(path, "wb") as fh:
         fh.write(b"replication,time_weeks,kind,unit,slot,unit_out\n")
-        for lo in range(0, n, _BLOCK):
-            rows = slice(lo, lo + _BLOCK)
+        for lo in range(0, n, _EVENT_BLOCK):
+            rows = slice(lo, lo + _EVENT_BLOCK)
             if shared:
                 bits, at = np.unique(log.time[rows].view(np.int64), return_inverse=True)
                 times = np.array(_float_reprs(bits.view(float)), dtype=object)[at].tolist()

@@ -49,8 +49,8 @@ from .maintenance import Policy
 from .montecarlo import _FAILURE, _REPLACE, run_batch
 from .value import Value
 
-# Grid points a curve evaluates, and table rows a CSV writer formats, at once: no
-# temporary outgrows a block, and a block of float64 (64 KiB) stays in the heap.
+# Grid points a curve evaluates at once: no temporary outgrows a block, and a block of
+# float64 (64 KiB) stays in the heap.
 _BLOCK = 8192
 
 # The cause of the one timeline error a smaller lifetime spread avoids.
@@ -320,15 +320,17 @@ def system_hazard_curves(timelines, *, dt: float,
     life.  Evaluation is by piece: segments whose units have the same terms
     and births, and for a pair the same epoch, are one function of time (the
     spare alone across segments and spreads; a sweep's pairs).  Each piece
-    is evaluated once over the hull of the grid slices of its segments, block
-    by block: :func:`_segment_rate` takes ``_BLOCK`` points at a time and
-    writes them into the piece's one array, so no temporary is longer than a
-    block.  A grid point's value does not depend on which other points are
-    evaluated with it, so every curve equals the curve sampled from its
-    timeline alone, bit for bit.  All evaluation, and any error it raises,
-    happens in this call; the returned iterator then assembles one curve per
-    timeline, in order, as it is advanced.  The curves' ``times`` are views
-    of one array.
+    is evaluated once, block by block: :func:`_segment_rate` takes ``_BLOCK``
+    points at a time, so no temporary is longer than a block.  A piece that
+    one curve reads is written straight into that curve's rates, slice by
+    slice of its segments, so a lone timeline holds two grid arrays, its
+    times and its rates; a piece that several curves read is written into one
+    array over the hull of their slices and copied into each.  A grid point's
+    value does not depend on which other points are evaluated with it, so
+    every curve equals the curve sampled from its timeline alone, bit for
+    bit.  All evaluation, and any error it raises, happens in this call; the
+    returned iterator then assembles one curve per timeline, in order, as it
+    is advanced.  The curves' ``times`` are views of one array.
     """
     timelines = list(timelines)
     return _hazard_curves(timelines, dt, start, [math.inf] * len(timelines))
@@ -336,7 +338,8 @@ def system_hazard_curves(timelines, *, dt: float,
 
 def _hazard_curves(timelines, dt: float, start: float, through) -> Iterator[HazardCurve]:
     """:func:`system_hazard_curves` of a list of timelines, each curve stopping at the
-    first grid point at or after its time in ``through``, if its grid holds one."""
+    first grid point at or after its time in ``through``, if its grid holds one; a piece
+    one curve reads is evaluated into its rates, one several read into an array of its own."""
     if not dt > 0.0:
         raise DomainError(f"dt must be > 0, got {dt!r}")
     if not timelines:
@@ -349,40 +352,46 @@ def _hazard_curves(timelines, dt: float, start: float, through) -> Iterator[Haza
               for tl, w in zip(timelines, through)]
     first = int(np.searchsorted(t, start, "left"))
     t = t[first:]
-    # piece -> [a segment of it, its config, hull lo, hull hi]; a piece is (index of its
+    # piece -> (a segment of it, its config, {curve: its slices}); a piece is (index of its
     # terms, its units' births) and, for a pair, its epoch
-    terms, hulls, plans = {}, {}, []  # plans: [point count, (piece, lo, hi) per segment]
-    for tl, count in zip(timelines, counts):
+    terms, pieces, sizes = {}, {}, []
+    for k, (tl, count) in enumerate(zip(timelines, counts)):
         c = tl.config
         index = terms.setdefault((c.hazard, c.software, c.operator), len(terms))
-        plan = [n := max(count - first, 0)]
+        sizes.append(n := max(count - first, 0))
         for seg in tl.segments:
             lo, hi = (min(int(i), n) for i in np.searchsorted(t, (seg.t_start, seg.t_end), "left"))
             if lo == hi:
                 continue
             births = tuple(au.birth for au in seg.units)
             piece = (index, births, seg.epoch) if len(births) > 1 else (index, births)
-            hull = hulls.setdefault(piece, [seg, c, lo, hi])
-            hull[2:] = min(hull[2], lo), max(hull[3], hi)
-            plan.append((piece, lo, hi))
-        plans.append(plan)
-    values = {}  # piece -> (hull lo, its rates), evaluated a block of points at a time
-    for piece, (seg, c, lo, hi) in hulls.items():
-        rates = np.empty(hi - lo)
-        for a in range(lo, hi, _BLOCK):
-            b = min(a + _BLOCK, hi)
-            rates[a - lo:b - lo] = _segment_rate(t[a:b], seg, c)
-        values[piece] = lo, rates
+            pieces.setdefault(piece, (seg, c, {}))[2].setdefault(k, []).append((lo, hi))
 
-    def assemble(plan) -> HazardCurve:
-        n, *plan = plan
-        h = np.zeros(n)
-        for piece, lo, hi in plan:
-            base, block = values[piece]
-            h[lo:hi] = block[lo - base:hi - base]
-        return HazardCurve(times=t[:n], rates=h)
+    rates, shared = {}, []  # rates: curve -> its rates, if it reads a piece alone
+    for seg, c, slices in pieces.values():
+        if len(slices) == 1:
+            ((k, spans),) = slices.items()
+            if k not in rates:
+                rates[k] = np.zeros(sizes[k])
+            out, base = rates[k], 0
+        else:
+            ends = [end for spans in slices.values() for end in spans]
+            base, hi = min(lo for lo, _ in ends), max(hi for _, hi in ends)
+            spans, out = [(base, hi)], np.empty(hi - base)
+            shared.append((base, out, slices))
+        for lo, hi in spans:
+            for a in range(lo, hi, _BLOCK):
+                b = min(a + _BLOCK, hi)
+                out[a - base:b - base] = _segment_rate(t[a:b], seg, c)
 
-    return (assemble(plan) for plan in plans)
+    def assemble(k) -> HazardCurve:
+        h = rates.pop(k) if k in rates else np.zeros(sizes[k])
+        for base, values, slices in shared:
+            for lo, hi in slices.get(k, ()):
+                h[lo:hi] = values[lo - base:hi - base]
+        return HazardCurve(times=t[:sizes[k]], rates=h)
+
+    return map(assemble, range(len(sizes)))
 
 
 def system_hazard_curve(timeline: ScenarioTimeline, *, dt: float,

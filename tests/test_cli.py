@@ -2,6 +2,7 @@ import csv
 import hashlib
 import itertools
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -369,12 +370,12 @@ class TestHazardCommand:
     def test_table_spans_blocks(self, tmp_path):
         # more rows than one formatted block: the blocks join without a seam
         conf = write_config(tmp_path)
-        dt = 250.0 / (2.5 * cli._BLOCK)
+        dt = 250.0 / (2.5 * cli._TABLE_BLOCK)
         out = tmp_path / "h.csv"
         assert main(["hazard", "--config", conf, "--out", str(out),
                      "--t-max", "250", "--dt", repr(dt)]) == 0
         t = np.arange(0.0, 250.0 + 0.5 * dt, dt)
-        assert len(t) > 2 * cli._BLOCK
+        assert len(t) > 2 * cli._TABLE_BLOCK
         h = bathtub_hazard(t, load_config(conf).system.hazard)
         assert out.read_text(encoding="utf-8").splitlines() == [
             "t_weeks,h_hardware,h_software,h_operate,h_system"] + [
@@ -438,11 +439,11 @@ class TestScenarioCommand:
                             system={"lab_burnin": 2.0})
         run = load_config(conf)
         timeline = scenario_timeline(run.system)
-        dt = timeline.t_end / (2.5 * cli._BLOCK)
+        dt = timeline.t_end / (2.5 * cli._TABLE_BLOCK)
         out = tmp_path / "s.csv"
         assert main(["scenario", "--config", conf, "--out", str(out), "--dt", repr(dt)]) == 0
         curve = system_hazard_curve(timeline, dt=dt)
-        assert len(curve.times) > 2 * cli._BLOCK
+        assert len(curve.times) > 2 * cli._TABLE_BLOCK
         lines = (tmp_path / "s_curve.csv").read_text(encoding="utf-8").splitlines()
         assert lines == ["t_weeks,h_system"] + [
             f"{a!r},{b!r}" for a, b in zip(curve.times.tolist(), curve.rates.tolist())]
@@ -549,7 +550,7 @@ class TestSimulateCommand:
 
     def test_events_csv_spans_blocks(self, tmp_path):
         # more rows than one formatted block: the blocks join without a seam
-        reps, seed = cli._BLOCK, 5
+        reps, seed = cli._EVENT_BLOCK, 5
         conf = write_config(tmp_path, lifetime={"mean": 200.0, "sd": 10.0},
                             sim={"replications": reps, "master_seed": seed})
         ev = tmp_path / "events.csv"
@@ -558,7 +559,7 @@ class TestSimulateCommand:
         system = load_config(conf).system
         log = run_batch(system, Policy("type1"), sample_lifetimes(system, seed, reps),
                         record_events=True).events
-        assert len(log.time) > 2 * cli._BLOCK
+        assert len(log.time) > 2 * cli._EVENT_BLOCK
         assert ev.read_text(encoding="utf-8").splitlines() == [
             "replication,time_weeks,kind,unit,slot,unit_out"] + event_lines(log)
 
@@ -590,7 +591,7 @@ class TestSimulateCommand:
         # differently starts, ends and sits inside a block, beside itself, in logs with
         # and without rotation rows.  The zeros and the NaN payloads are distinct bit
         # patterns and stay distinct cells.
-        monkeypatch.setattr(cli, "_BLOCK", 3)
+        monkeypatch.setattr(cli, "_EVENT_BLOCK", 3)
         nans = np.array([0x7FF8000000000000, 0xFFF8000000000001], np.uint64).view(float)
         values = [0.0, -0.0, *nans, 5e-324, -5e-324, 1e-05, 9.999999999999999e-05, 1e-4, 1e16,
                   np.inf, -np.inf, 1 / 7]
@@ -610,7 +611,7 @@ class TestSimulateCommand:
             f"{i},{t!r},{kind},,shelf,controller_{o + 1}"
             for i, t, o in zip(log.replication.tolist(), times.tolist(), log.unit_out.tolist())]
 
-    @pytest.mark.parametrize("block", [3, cli._BLOCK])
+    @pytest.mark.parametrize("block", [3, cli._EVENT_BLOCK])
     @pytest.mark.parametrize("rotations", [False, True], ids=["no-rotations", "rotations"])
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -635,7 +636,7 @@ class TestSimulateCommand:
             kind=codes[:, 0], unit=codes[:, 1], slot=codes[:, 2], unit_out=codes[:, 3])
         ev = tmp_path_factory.mktemp("events") / "events.csv"
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_BLOCK", block)
+            patch.setattr(cli, "_EVENT_BLOCK", block)
             cli._write_events_csv(str(ev), log)
         assert ev.read_text(encoding="utf-8").splitlines()[1:] == event_lines(log)
 
@@ -1094,7 +1095,7 @@ class TestFloatLines:
                                        for j in range(k)])))
     def test_matches_repr(self, columns):
         # st.floats() draws NaN, both infinities, subnormals and both zeros
-        assert cli._float_lines(columns) == lines(columns)
+        assert bytes(cli._float_lines(columns)) == lines(columns)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     @pytest.mark.parametrize("cells", [[(0, 0)], [(0, -1)], [(-1, 0)], [(-1, -1)],
@@ -1105,7 +1106,7 @@ class TestFloatLines:
         for n, (i, j) in enumerate(cells):
             block[i, j] = FIX_UPS[n]
         columns = list(block.T)
-        assert cli._float_lines(columns) == lines(columns)
+        assert bytes(cli._float_lines(columns)) == lines(columns)
 
     @pytest.mark.parametrize("columns", [
         [np.array(FIX_UPS), -np.array(FIX_UPS)],
@@ -1113,9 +1114,62 @@ class TestFloatLines:
         [np.array([]), np.array([])],
     ], ids=["all-fix-ups", "one-row", "empty"])
     def test_special_blocks(self, columns):
-        assert cli._float_lines(columns) == lines(columns)
+        assert bytes(cli._float_lines(columns)) == lines(columns)
 
     @pytest.mark.parametrize("edge", [1e-4, 1e16], ids=["1e-4", "1e16"])
     def test_notation_edges_in_two_columns(self, edge):
         columns = list(ulp_window(edge).reshape(-1, 2).T)
-        assert cli._float_lines(columns) == lines(columns)
+        assert bytes(cli._float_lines(columns)) == lines(columns)
+
+    def test_scenario_curve_block_with_fix_ups(self):
+        # the one block of the example's curve at dt 0.002 that splices: 40 cells below 1e-4
+        curve = system_hazard_curve(scenario_timeline(load_config(EXAMPLE).system), dt=0.002)
+        cells = cli._repr_fix_ups(np.column_stack([curve.times, curve.rates]).ravel())
+        lo = cells[0] // 2 // cli._TABLE_BLOCK * cli._TABLE_BLOCK
+        rows = slice(lo, lo + cli._TABLE_BLOCK)
+        assert len(cells) == 40 and cells[-1] // 2 < rows.stop
+        columns = [curve.times[rows], curve.rates[rows]]
+        assert bytes(cli._float_lines(columns)) == lines(columns)
+
+
+def traced_peak(write, *args) -> int:
+    """The peak of memory traced while ``write(*args)`` runs, after one untraced call
+    has loaded what it imports."""
+    write(*args)
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriterMemory:
+    # a writer holds one block of rows at a time: four times the rows, the same peak
+
+    def test_float_table(self, tmp_path):
+        def peak(rows):
+            t = np.arange(rows) / 7.0
+            h = np.sqrt(t)
+            h[::1000] = 1e-6  # a fix-up in every block
+            return traced_peak(cli._write_table, str(tmp_path / "t.csv"), {"t": t, "h": h})
+
+        small, large = peak(4 * cli._TABLE_BLOCK), peak(16 * cli._TABLE_BLOCK)
+        assert large < small + 8 * cli._TABLE_BLOCK
+        # the interleaved floats, orjson's text, the buffer it is formatted in and the
+        # splice, about 120 bytes a row; copying the buffer to bytes once more took 190
+        assert large < 160 * cli._TABLE_BLOCK
+
+    @pytest.mark.parametrize("kind", ["failure", "rotate"])
+    def test_events(self, tmp_path, kind):
+        def peak(rows):
+            rng = np.random.default_rng(7)
+            codes = np.zeros(rows, dtype=np.int8)
+            log = EventLog(replication=np.sort(rng.integers(0, 50, rows)),
+                           time=rng.integers(0, 1000, rows) / 7.0,
+                           kind=codes + EVENT_KINDS.index(kind), unit=codes, slot=codes,
+                           unit_out=codes)
+            return traced_peak(cli._write_events_csv, str(tmp_path / "e.csv"), log)
+
+        small, large = peak(4 * cli._EVENT_BLOCK), peak(16 * cli._EVENT_BLOCK)
+        assert large < small + 8 * cli._EVENT_BLOCK

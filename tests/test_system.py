@@ -397,13 +397,16 @@ class TestSystemHazardCurves:
                                    operator_rate=operator_rate)
         timelines = [scenario_timeline(with_spread(cfg, d)) for d in spreads]
         start = start_share * timelines[0].t_end
+        # alone, each timeline's pieces are evaluated into its rates from each slice's start
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(system, "_BLOCK", block)
             curves = list(system_hazard_curves(timelines, dt=dt, start=start))
-        for tl, curve in zip(timelines, curves):
+            lone = [system_hazard_curve(tl, dt=dt, start=start) for tl in timelines]
+        for tl, curve, alone in zip(timelines, curves, lone):
             t, h = per_segment_curve(tl, dt, start)
-            assert np.array_equal(curve.times, t)
-            assert np.array_equal(curve.rates, h)
+            for c in (curve, alone):
+                assert np.array_equal(c.times, t)
+                assert np.array_equal(c.rates, h)
 
     def test_one_timeline_is_system_hazard_curve(self):
         tl = scenario_timeline(make_redzone_system(delta=3.0))
@@ -462,6 +465,22 @@ class TestSystemHazardCurves:
         assert max(map(len, pieces.values())) > 1  # the spare's hull takes blocks
         for tl, curve in zip(timelines, curves):
             assert np.array_equal(curve.rates, per_segment_curve(tl, 0.01, start)[1])
+
+    @pytest.mark.parametrize("block", [system._BLOCK, 997, 3])
+    def test_a_lone_timeline_evaluates_its_own_slices(self, pieces, monkeypatch, block):
+        # Each piece of one timeline is evaluated over its segments' points alone, a block
+        # at a time from each segment's first point.
+        monkeypatch.setattr(system, "_BLOCK", block)
+        tl = scenario_timeline(make_redzone_system(delta=6.0))
+        dt = 0.01 if block > 3 else 0.5
+        curve = system_hazard_curve(tl, dt=dt, start=150.0)
+        for piece, calls in pieces.items():
+            spans = [tuple(np.searchsorted(curve.times, ends).tolist()) for ends in calls]
+            slices = [np.searchsorted(curve.times, (seg.t_start, seg.t_end)).tolist()
+                      for seg in tl.segments if self.piece_of(seg) == piece]
+            assert spans == [(a, min(a + block, hi) - 1) for lo, hi in slices
+                             for a in range(lo, hi, block)]
+        assert np.array_equal(curve.rates, per_segment_curve(tl, dt, 150.0)[1])
 
     def test_equal_configs_share_their_pieces(self, pieces):
         # two configs built apart, equal by value, key their pieces alike
@@ -565,8 +584,9 @@ class TestSystemHazardCurves:
             system_hazard_curves([small, large], dt=0.5)
         assert str(shared.value) == str(reference.value)
 
-    def test_a_curve_holds_about_three_grid_arrays(self):
-        # its times, its rates and the pieces' rates: every ufunc temporary is a block long
+    def test_a_lone_curve_holds_two_grid_arrays(self):
+        # its times and its rates; every ufunc temporary is a block long, and each piece
+        # is evaluated into the rates (about seven blocks of float64 at the peak)
         tl = scenario_timeline(load_config(EXAMPLE).system)
         dt = 0.002
         points = math.ceil(tl.t_end / dt)
@@ -577,4 +597,4 @@ class TestSystemHazardCurves:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 8 * points
+        assert peak < 2 * 8 * points + 10 * 8 * system._BLOCK
