@@ -10,14 +10,15 @@ job builds the parser of the subcommand it names only, and
 :func:`build_parser`, every subcommand's, serves ``redzone -h`` and an argv
 that names none.  Both give the same arguments, errors and help.
 
-CSV tables are written in blocks of rows.  A block of ``_TABLE_BLOCK`` rows
-of float columns takes one orjson pass (:func:`_float_lines`), and the
-buffer it formats is written itself, not copied to bytes.  A block of
-``_EVENT_BLOCK`` rows of the event log is one flat join of each row's
-replication prefix, time and row tail, the tail looked up by the row's codes
-in ``montecarlo._event_tails``; when the log holds rotation rows, whose
-epochs every replication shares, a block formats each of its distinct times
-once.  Floats read as ``repr`` writes them.
+Each kind of CSV table has one writer path.  A float table is written in
+blocks of ``_TABLE_BLOCK`` rows, each one orjson pass (:func:`_float_lines`)
+whose buffer is written itself, not copied to bytes.  A short table (the
+scenario segments, the spread sweep) arrives as cell text, its floats as
+``repr`` writes them, and is written in one join.  A block of
+``_EVENT_BLOCK`` rows of the event log formats its distinct times once, by
+bit pattern, and is one flat join of each row's replication prefix, time and
+row tail, the tail looked up by the row's codes in
+``montecarlo._event_tails``.  Floats read as ``repr`` writes them.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical or
 runtime failure.  A configuration warning prints as ``warning: <message>``
@@ -46,7 +47,7 @@ from .analysis import (
 from .config import SCHEMA_VERSION, RunConfig, load_config
 from .errors import CompositionError, DomainError, ValidationError, ValidationWarning
 from .hazards import bathtub_hazard, software_hazard
-from .montecarlo import EventLog, Metrics, _ROTATE, _event_tails, run_batch, sample_lifetimes
+from .montecarlo import EventLog, Metrics, _event_tails, run_batch, sample_lifetimes
 from .system import scenario_timeline, system_hazard_curve
 
 __all__ = ["main", "build_parser"]
@@ -125,26 +126,17 @@ def _float_reprs(x) -> list[str]:
     return cells
 
 
-def _table_lines(columns) -> np.ndarray | bytes:
-    """The CSV lines of a block of columns (float arrays, or lists of cell text) as a buffer.
-
-    A block of float arrays alone is :func:`_float_lines`; otherwise the
-    float arrays are formatted by :func:`_float_reprs` and the rows joined.
-    """
-    if all(isinstance(c, np.ndarray) for c in columns):
-        return _float_lines(columns)
-    cells = [_float_reprs(c) if isinstance(c, np.ndarray) else c for c in columns]
-    return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
-
-
 def _write_table(path: str, table: dict) -> None:
-    """Write a table given as {header: column}, each column as :func:`_table_lines`
-    takes it, one block of ``_TABLE_BLOCK`` rows at a time."""
+    """Write a table given as {header: column}: float arrays, written ``_TABLE_BLOCK``
+    rows at a time by :func:`_float_lines`, or lists of cell text, written in one join."""
     columns = list(table.values())
     with open(path, "wb") as fh:
         fh.write((",".join(table) + "\n").encode())
+        if isinstance(columns[0], list):
+            fh.write("".join(",".join(row) + "\n" for row in zip(*columns)).encode())
+            return
         for lo in range(0, len(columns[0]), _TABLE_BLOCK):
-            fh.write(_table_lines([c[lo:lo + _TABLE_BLOCK] for c in columns]))
+            fh.write(_float_lines([c[lo:lo + _TABLE_BLOCK] for c in columns]))
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -233,8 +225,8 @@ def cmd_scenario(run: RunConfig, args) -> int:
 
     segs = timeline.segments
     _write_table(args.out, {
-        "t_start_weeks": np.array([seg.t_start for seg in segs], dtype=float),
-        "t_end_weeks": np.array([seg.t_end for seg in segs], dtype=float),
+        "t_start_weeks": [repr(float(seg.t_start)) for seg in segs],
+        "t_end_weeks": [repr(float(seg.t_end)) for seg in segs],
         "composition": [seg.composition for seg in segs],
         "boundary": [seg.boundary for seg in segs],
         "active_units": [";".join(au.unit_id for au in seg.units) for seg in segs],
@@ -277,24 +269,19 @@ def _write_events_csv(path: str, log: EventLog) -> None:
     """Write the event log, a block of rows as one join of ``[prefix, time, tail] * rows``:
     the replication's ``"{i},"``, the time and the row tail :func:`_event_tails` decodes.
 
-    A log with rotation rows holds each rotation epoch once per replication, so
-    its blocks format each distinct time, by bit pattern, once.  Other logs'
-    times are mostly distinct, and there a cell per row is faster.
+    A block formats each of its distinct times once, told apart by bit pattern, and
+    gathers them back by row: a rotation epoch recurs once per replication.
     """
     n = len(log.time)
     prefixes = np.array([f"{i}," for i in range(int(log.replication[-1]) + 1 if n else 0)],
                         dtype=object)
     tails = _event_tails()
-    shared = (log.kind == _ROTATE).any()
     with open(path, "wb") as fh:
         fh.write(b"replication,time_weeks,kind,unit,slot,unit_out\n")
         for lo in range(0, n, _EVENT_BLOCK):
             rows = slice(lo, lo + _EVENT_BLOCK)
-            if shared:
-                bits, at = np.unique(log.time[rows].view(np.int64), return_inverse=True)
-                times = np.array(_float_reprs(bits.view(float)), dtype=object)[at].tolist()
-            else:
-                times = _float_reprs(log.time[rows])
+            bits, at = np.unique(log.time[rows].view(np.int64), return_inverse=True)
+            times = np.array(_float_reprs(bits.view(float)), dtype=object)[at].tolist()
             parts = [None] * (3 * len(times))
             parts[0::3] = prefixes[log.replication[rows]].tolist()
             parts[1::3] = times
@@ -368,10 +355,10 @@ def cmd_redzone(run: RunConfig, args) -> int:
                        threshold=run.red_zone_threshold, dt=dt,
                        baseline_window_fraction=run.baseline_window_fraction)
     _write_table(args.out, {
-        "delta_weeks": np.array([r.delta for r in rows], dtype=float),
+        "delta_weeks": [repr(float(r.delta)) for r in rows],
         "predicted": [str(int(r.predicted)) for r in rows],
         "detected": [str(int(r.detected)) for r in rows],
-        "severity": np.array([r.severity for r in rows], dtype=float),
+        "severity": [repr(float(r.severity)) for r in rows],
         "trdd_mean_weeks": ["" if r.trdd_mean is None else repr(float(r.trdd_mean))
                             for r in rows],
     })

@@ -589,8 +589,8 @@ class TestSimulateCommand:
         # thirteen times, each on two rows, in three-row blocks, twice over: a pass is 26
         # rows, not a multiple of 3, so every time whose notation repr and orjson write
         # differently starts, ends and sits inside a block, beside itself, in logs with
-        # and without rotation rows.  The zeros and the NaN payloads are distinct bit
-        # patterns and stay distinct cells.
+        # and without rotation rows, whose times the one path formats alike.  The zeros
+        # and the NaN payloads are distinct bit patterns and stay distinct cells.
         monkeypatch.setattr(cli, "_EVENT_BLOCK", 3)
         nans = np.array([0x7FF8000000000000, 0xFFF8000000000001], np.uint64).view(float)
         values = [0.0, -0.0, *nans, 5e-324, -5e-324, 1e-05, 9.999999999999999e-05, 1e-4, 1e16,
@@ -616,9 +616,10 @@ class TestSimulateCommand:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_events_csv_equals_repr_rows(self, tmp_path_factory, block, rotations, data):
-        # times from a small pool, so rows share them within and across blocks: either
-        # path, formatting each row's time or each distinct time once, writes repr's rows.
-        # The pool holds each value's negation, a distinct bit pattern even for 0 and NaN.
+        # times from a small pool, so rows share them within and across blocks: formatting
+        # each distinct time once and gathering it back by row writes repr's rows, for a
+        # log with rotation rows or without.  The pool holds each value's negation, a
+        # distinct bit pattern even for 0 and NaN.
         pool = data.draw(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, *FIX_UPS])),
                                   min_size=1, max_size=3))
         pool += [-v for v in pool]

@@ -3,8 +3,8 @@ loads neither ``dataclasses`` nor ``orjson``, orjson loads only where a float
 table is written, every warning goes through ``redzone.errors.warn``, only the
 engine reads how the spare is consumed, each rate kernel checks its argument
 through one guard, the red zone's failure window is stated once, the engine
-reads the policy in one line, and the scalar oracle in ``tests/oracle.py``
-stays apart from the engine it checks."""
+reads the policy in one line, the CLI names no event-kind code, and the scalar
+oracle in ``tests/oracle.py`` stays apart from the engine it checks."""
 
 import ast
 import os
@@ -155,6 +155,23 @@ def test_the_engine_reads_the_policy_in_one_line():
     assert reads == {node for node in ast.walk(mapping) if node in reads}
     assert sorted(map(ast.unparse, reads)) == ["policy.kind", "policy.rotation_period"]
     assert attribute_readers(tree, "kind") == {"run_batch"}
+
+
+def test_cli_names_no_event_kind_code():
+    # the engine owns the event codes; the events writer reads them only through
+    # montecarlo._event_tails, so no branch of the CLI on a kind of event comes back
+    engine = ast.parse((ROOT / "src" / "redzone" / "montecarlo.py").read_text(encoding="utf-8"))
+    (codes,) = [node for node in ast.walk(engine) if isinstance(node, ast.Assign)
+                and ast.unparse(node.value) == "range(len(EVENT_KINDS))"]
+    kinds = {"EVENT_KINDS", *(ast.unparse(name) for name in codes.targets[0].elts)}
+    assert kinds == {"EVENT_KINDS", "_FAILURE", "_REPLACE", "_ROTATE", "_DP", "_DEATH"}
+    tree = ast.parse((ROOT / "src" / "redzone" / "cli.py").read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "_event_tails" in names  # the walk sees the writer's import
+    assert not names & kinds
 
 
 def test_cli_import_builds_no_dataclass_and_loads_no_orjson():
