@@ -48,6 +48,7 @@ from .montecarlo import (
     run_ensemble,
 )
 from .system import (
+    Grid,
     HazardCurve,
     SystemConfig,
     compose_parallel,

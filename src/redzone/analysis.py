@@ -101,12 +101,11 @@ def detect_red_zone(curve: HazardCurve, baseline: float, threshold: float,
     hi = peak + k - 1 if k else len(above) - 1
     k = int(np.argmin(above[peak::-1]))
     lo = peak - k + 1 if k else 0
-    start = float(curve.times[lo])
-    end = float(curve.times[hi])
+    grid = curve.grid
+    start, end = grid.time(lo), grid.time(hi)
     if end <= start:
-        # single-point run: widen to one grid step
-        step = float(curve.times[1] - curve.times[0]) if len(curve.times) > 1 else 1e-9
-        end = start + step
+        # single-point run: widen to one grid step, the distance of its first two points
+        end = start + (grid.time(1) - grid.time(0) if len(grid) > 1 else 1e-9)
     zone = RedZone(start=start, end=end, severity=severity)
     return RedZoneAssessment(zone=zone, severity=severity, baseline=baseline)
 
@@ -119,7 +118,7 @@ def _read_peak(curve: HazardCurve, baseline: float, threshold: float,
         raise DomainError(f"baseline must be > 0, got {baseline!r}")
     if not threshold > 1.0:
         raise DomainError(f"threshold must be > 1, got {threshold!r}")
-    lo, hi = np.searchsorted(curve.times, (t_start, t_end), "left")
+    lo, hi = map(curve.grid.index, (t_start, t_end))
     window = curve.rates[lo:hi + 1]
     if len(window) == 0:
         raise DomainError("no curve samples inside the requested window")
@@ -143,7 +142,7 @@ def baseline_from_curve(curve: HazardCurve, useful_end: float, *,
     if not 0.0 < window_fraction < 1.0:
         raise DomainError("window_fraction must lie in (0, 1)")
     window = (window_fraction * useful_end, useful_end)
-    lo, hi = np.searchsorted(curve.times, window, "left")
+    lo, hi = map(curve.grid.index, window)
     if lo >= hi:
         raise _BaselineUnsampled("no curve samples inside the baseline window "
                                  f"[{window[0]!r}, {window[1]!r}) weeks")
@@ -163,8 +162,8 @@ def assess_curve(timeline: ScenarioTimeline, curve: HazardCurve, *, threshold: f
     to t >= the mains' wear-out onset.
     """
     baseline = baseline_from_curve(curve, timeline.t0, window_fraction=baseline_window_fraction)
-    tail = np.searchsorted(curve.times, timeline.t0, "left")
-    tail_curve = HazardCurve(times=curve.times[tail:], rates=curve.rates[tail:])
+    tail = curve.grid.index(timeline.t0)
+    tail_curve = HazardCurve(grid=curve.grid[tail:], rates=curve.rates[tail:])
     return detect_red_zone(tail_curve, baseline, threshold, *_failure_window(timeline))
 
 

@@ -127,8 +127,9 @@ def _float_reprs(x) -> list[str]:
 
 
 def _write_table(path: str, table: dict) -> None:
-    """Write a table given as {header: column}: float arrays, written ``_TABLE_BLOCK``
-    rows at a time by :func:`_float_lines`, or lists of cell text, written in one join."""
+    """Write a table given as {header: column}: float arrays or a curve's grid, written
+    ``_TABLE_BLOCK`` rows at a time by :func:`_float_lines`, the grid's rows built per
+    block; or lists of cell text, written in one join."""
     columns = list(table.values())
     with open(path, "wb") as fh:
         fh.write((",".join(table) + "\n").encode())
@@ -161,8 +162,8 @@ def _overrides(args) -> dict:
 
 # A curve command holds up to about seven float64 arrays of its grid at once (44-55
 # bytes a point, measured on hazard runs); a grid may take eight.  scenario, whose
-# curve is evaluated a block at a time into its rates, holds about two; hazard sets
-# the bound.
+# curve is evaluated a block at a time into its rates and holds its times as a Grid,
+# holds about one; hazard sets the bound.
 _GRID_POINT_BYTES = 8 * np.dtype(float).itemsize
 _PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
@@ -234,7 +235,7 @@ def cmd_scenario(run: RunConfig, args) -> int:
         "red_zone": [str(int(in_zone(seg))) for seg in segs],
     })
     _write_table(args.out.removesuffix(".csv") + "_curve.csv",
-                 {"t_weeks": curve.times, "h_system": curve.rates})
+                 {"t_weeks": curve.grid, "h_system": curve.rates})
     return 0
 
 

@@ -175,6 +175,10 @@ def _defined(values: np.ndarray) -> np.ndarray:
 # on-job age, and (only while recording events) the unit's roster index.
 _LIFE, _LAB, _SHELF, _ONJOB, _ID = range(5)
 
+# The most passes run_batch takes on.  The tests' periods need a few thousand at most;
+# a pass per epoch of a period far smaller would run for hours.
+_MAX_PASSES = 10**6
+
 
 def _consumed(units: np.ndarray, alpha: float) -> np.ndarray:
     """Each unit's effective consumed life: lab credit + alpha * shelf time + on-job time."""
@@ -284,8 +288,10 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
     (it has a unit on the job until it dies), plus one for rounding, all that
     an infinite period has; and the censoring pass: five under type1.  A row
     still running after that many passes is an engine fault and raises
-    :class:`RedzoneError` instead of hanging.  Passes are counted, not time: a
-    spare installed with no life left fails in a pass of its own at the same instant.
+    :class:`RedzoneError` instead of hanging; a period so small that the bound
+    exceeds ``_MAX_PASSES`` raises :class:`ValidationError` before any pass.  Passes
+    are counted, not time: a spare installed with no life left fails in a pass of its
+    own at the same instant.
 
     With ``record_events`` the result also holds the event logs (:class:`EventLog`),
     equal to the scalar traces' events: each pass appends a block of rows per
@@ -317,7 +323,13 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
         raise DomainError("lifetimes must be finite and >= 0")
     # the pass bound (see above): 3 failures, the censoring pass, the rotation epochs
     cap = min(horizon, lifetimes.sum(axis=1).max(initial=0.0))
-    passes = 5 + math.floor(cap / period)
+    passes = 5 + math.floor(min(cap / period, _MAX_PASSES))
+    if passes > _MAX_PASSES:
+        raise ValidationError(f"policy.rotation_period {period!r} gives {cap / period:.3g} "
+                              f"rotation epochs in {float(cap):.6g} weeks, past the "
+                              f"{_MAX_PASSES} passes an ensemble may take; raise "
+                              "policy.rotation_period or lower sim.horizon",
+                              fields=("policy.rotation_period", "sim.horizon"))
 
     replications = len(lifetimes)
     units = np.zeros((_ID + int(record_events), S + 1, replications))
@@ -337,10 +349,11 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
     def record(sel, kind, unit=None, slot=_NONE, unit_out=None):
         # unit and unit_out are positions, read before the event moves their units; an
         # empty block is kept only first, where it gives each column its dtype
-        if record_events and ((n := np.count_nonzero(sel)) or not columns[0]):
+        if record_events and ((at := np.flatnonzero(sel)).size or not columns[0]):
+            n = at.size
             ids = [np.full(n, _NONE, np.int8) if p is None
-                   else units[_ID, p, sel].astype(np.int8) for p in (unit, unit_out)]
-            block = (rows[sel], t[sel], np.full(n, kind, np.int8), ids[0],
+                   else units[_ID, p].take(at).astype(np.int8) for p in (unit, unit_out)]
+            block = (rows.take(at), t.take(at), np.full(n, kind, np.int8), ids[0],
                      np.full(n, slot, np.int8), ids[1])
             for column, values in zip(columns, block):
                 column.append(values)

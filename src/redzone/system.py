@@ -61,6 +61,7 @@ __all__ = [
     "ActiveUnit",
     "ScenarioSegment",
     "ScenarioTimeline",
+    "Grid",
     "HazardCurve",
     "compose_parallel",
     "scenario_timeline",
@@ -262,16 +263,69 @@ def _timeline(config: SystemConfig, events) -> ScenarioTimeline:
                             t0=t0, tf1=tf1, tf2=tf2, t2=t2, t_end=t_end)
 
 
-class HazardCurve(Value):
-    """A hazard curve sampled on a uniform grid; equal only to itself."""
+class Grid(Value):
+    """The points ``(first + j) * dt`` of a uniform grid, j in [0, length), held by
+    their bounds: point i of ``np.arange(0.0, end, dt)`` is ``i * dt`` bit for bit, so
+    these are its points ``first`` through ``first + length - 1``.  ``grid[lo:hi]`` is
+    the grid of points lo through hi - 1, and ``np.asarray(grid)`` builds the points."""
 
-    __slots__ = ("times", "rates")
+    __slots__ = ("first", "length", "dt")
+
+    def __init__(self, first: int, length: int, dt: float):
+        self._set(first=first, length=length, dt=dt)
+        if not (self.first >= 0 and self.length >= 0):
+            raise ValidationError(f"grid first and length must be >= 0, got {first!r}, {length!r}")
+        if not self.dt > 0.0:
+            raise ValidationError(f"grid step must be > 0, got {dt!r}")
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, points: slice) -> Grid:
+        lo, hi, step = points.indices(self.length)
+        if step != 1:
+            raise DomainError("a grid slices in steps of one point")
+        return Grid(self.first + lo, max(hi - lo, 0), self.dt)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        t = np.arange(self.first, self.first + self.length) * self.dt
+        return t if dtype is None else t.astype(dtype, copy=False)
+
+    def time(self, j: int) -> float:
+        """Point ``j``, as ``np.asarray(grid)[j]`` holds it."""
+        return (self.first + j) * self.dt
+
+    def index(self, x: float) -> int:
+        """The first j with ``time(j) >= x``, else ``length``: the index
+        ``np.searchsorted(np.asarray(grid), x, "left")`` gives, NaN sorted last."""
+        if x <= 0.0:
+            return 0
+        end = self.first + self.length
+        q = x / self.dt
+        i = math.ceil(q) if q < end else end  # within a point of the first i * dt >= x
+        while (i - 1) * self.dt >= x:
+            i -= 1
+        while i < end and i * self.dt < x:
+            i += 1
+        return max(i - self.first, 0)
+
+
+class HazardCurve(Value):
+    """A hazard curve sampled on a uniform grid, ``rates[j]`` at ``grid.time(j)``;
+    equal only to itself."""
+
+    __slots__ = ("grid", "rates")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, times: np.ndarray, rates: np.ndarray):
-        self._set(times=times, rates=rates)
-        if len(self.times) != len(self.rates):
-            raise ValidationError("times and rates must have equal length")
+    def __init__(self, grid: Grid, rates: np.ndarray):
+        self._set(grid=grid, rates=rates)
+        if len(self.grid) != len(self.rates):
+            raise ValidationError("grid and rates must have equal length")
+
+    @property
+    def times(self) -> np.ndarray:
+        """The grid's points, built as an array on each read."""
+        return np.asarray(self.grid)
 
 
 def _unit_rate(times: np.ndarray, au: ActiveUnit, config: SystemConfig) -> np.ndarray:
@@ -321,16 +375,17 @@ def system_hazard_curves(timelines, *, dt: float,
     and births, and for a pair the same epoch, are one function of time (the
     spare alone across segments and spreads; a sweep's pairs).  Each piece
     is evaluated once, block by block: :func:`_segment_rate` takes ``_BLOCK``
-    points at a time, so no temporary is longer than a block.  A piece that
-    one curve reads is written straight into that curve's rates, slice by
-    slice of its segments, so a lone timeline holds two grid arrays, its
-    times and its rates; a piece that several curves read is written into one
-    array over the hull of their slices and copied into each.  A grid point's
-    value does not depend on which other points are evaluated with it, so
-    every curve equals the curve sampled from its timeline alone, bit for
-    bit.  All evaluation, and any error it raises, happens in this call; the
-    returned iterator then assembles one curve per timeline, in order, as it
-    is advanced.  The curves' ``times`` are views of one array.
+    points at a time, built from their indexes, so no temporary is longer
+    than a block.  A piece that one curve reads is written straight into that
+    curve's rates, slice by slice of its segments, so a lone timeline holds
+    one grid array, its rates; a piece that several curves read is written
+    into one array over the hull of their slices and copied into each.  A
+    grid point's value does not depend on which other points are evaluated
+    with it, so every curve equals the curve sampled from its timeline alone,
+    bit for bit.  All evaluation, and any error it raises, happens in this
+    call; the returned iterator then assembles one curve per timeline, in
+    order, as it is advanced.  A curve holds its points as a :class:`Grid`,
+    never as an array.
     """
     timelines = list(timelines)
     return _hazard_curves(timelines, dt, start, [math.inf] * len(timelines))
@@ -344,23 +399,22 @@ def _hazard_curves(timelines, dt: float, start: float, through) -> Iterator[Haza
         raise DomainError(f"dt must be > 0, got {dt!r}")
     if not timelines:
         return iter(())
-    # Slice the full grid rather than build one from ``start``, whose floats differ; a
-    # curve's own grid, arange(0.0, t_end, dt), is its first ceil(t_end / dt) points.
     # The first grid point at or after a time lies within one step of it.
-    t = np.arange(0.0, min(max(tl.t_end for tl in timelines), max(through) + 2.0 * dt), dt)
-    counts = [min(math.ceil(tl.t_end / dt), int(np.searchsorted(t, w, "left")) + 1)
+    t_max = min(max(tl.t_end for tl in timelines), max(through) + 2.0 * dt)
+    grid = Grid(0, math.ceil(t_max / dt), dt)  # the points of np.arange(0.0, t_max, dt)
+    # a curve's own grid, np.arange(0.0, t_end, dt), is its first ceil(t_end / dt) points
+    counts = [min(math.ceil(tl.t_end / dt), grid.index(w) + 1)
               for tl, w in zip(timelines, through)]
-    first = int(np.searchsorted(t, start, "left"))
-    t = t[first:]
+    grid = grid[grid.index(start):]
     # piece -> (a segment of it, its config, {curve: its slices}); a piece is (index of its
     # terms, its units' births) and, for a pair, its epoch
     terms, pieces, sizes = {}, {}, []
     for k, (tl, count) in enumerate(zip(timelines, counts)):
         c = tl.config
         index = terms.setdefault((c.hazard, c.software, c.operator), len(terms))
-        sizes.append(n := max(count - first, 0))
+        sizes.append(n := max(count - grid.first, 0))
         for seg in tl.segments:
-            lo, hi = (min(int(i), n) for i in np.searchsorted(t, (seg.t_start, seg.t_end), "left"))
+            lo, hi = (min(grid.index(x), n) for x in (seg.t_start, seg.t_end))
             if lo == hi:
                 continue
             births = tuple(au.birth for au in seg.units)
@@ -382,14 +436,14 @@ def _hazard_curves(timelines, dt: float, start: float, through) -> Iterator[Haza
         for lo, hi in spans:
             for a in range(lo, hi, _BLOCK):
                 b = min(a + _BLOCK, hi)
-                out[a - base:b - base] = _segment_rate(t[a:b], seg, c)
+                out[a - base:b - base] = _segment_rate(np.asarray(grid[a:b]), seg, c)
 
     def assemble(k) -> HazardCurve:
         h = rates.pop(k) if k in rates else np.zeros(sizes[k])
         for base, values, slices in shared:
             for lo, hi in slices.get(k, ()):
                 h[lo:hi] = values[lo - base:hi - base]
-        return HazardCurve(times=t[:sizes[k]], rates=h)
+        return HazardCurve(grid=grid[:sizes[k]], rates=h)
 
     return map(assemble, range(len(sizes)))
 

@@ -9,6 +9,7 @@ from redzone import (
     CompositionError,
     DeltaSweepPoint,
     DomainError,
+    Grid,
     HazardCurve,
     Policy,
     RedZone,
@@ -50,7 +51,7 @@ def bump_curve(baseline=1.0, bumps=((40.0, 50.0, 3.0),), dt=0.5, t_max=100.0):
     h = np.full_like(t, baseline)
     for lo, hi, height in bumps:
         h[(t >= lo) & (t <= hi)] = height * baseline
-    return HazardCurve(times=t, rates=h)
+    return HazardCurve(grid=Grid(0, len(t), dt), rates=h)
 
 
 # a window that spans bump_curve's grid
@@ -116,8 +117,8 @@ def full_grid_assessment(config, *, threshold, dt, baseline_window_fraction):
     timeline = scenario_timeline(config)
     curve = system_hazard_curve(timeline, dt=dt)
     baseline = baseline_from_curve(curve, timeline.t0, window_fraction=baseline_window_fraction)
-    tail = curve.times >= timeline.t0
-    return walked_assessment(HazardCurve(times=curve.times[tail], rates=curve.rates[tail]),
+    tail = int(np.count_nonzero(curve.times < timeline.t0))
+    return walked_assessment(HazardCurve(grid=curve.grid[tail:], rates=curve.rates[tail:]),
                              baseline, threshold, timeline.tf1, timeline.t2)
 
 
@@ -189,12 +190,12 @@ class TestDetectRedZone:
         span = 0.5 * len(rates)
         t_start = min(window[0] * span, float(times[-1]))
         t_end = t_start + window[1] * span
-        curve = HazardCurve(times=times, rates=np.array(rates))
+        curve = HazardCurve(grid=Grid(0, len(rates), 0.5), rates=np.array(rates))
         np.testing.assert_equal(detect_red_zone(curve, 1.0, threshold, t_start, t_end),
                                 walked_assessment(curve, 1.0, threshold, t_start, t_end))
 
     def test_empty_curve_rejected(self):
-        empty = HazardCurve(times=np.array([]), rates=np.array([]))
+        empty = HazardCurve(grid=Grid(0, 0, 0.5), rates=np.array([]))
         with pytest.raises(DomainError):
             detect_red_zone(empty, 1.0, 2.0, *SPAN)
 
@@ -428,7 +429,8 @@ class TestDeltaSweep:
             spread = with_spread(cfg, d)
             timeline = scenario_timeline(spread)
             t, h = per_segment_curve(timeline, dt, fraction * timeline.t0)
-            reference = assess_curve(timeline, HazardCurve(times=t, rates=h),
+            first = len(np.arange(0.0, timeline.t_end, dt)) - len(t)
+            reference = assess_curve(timeline, HazardCurve(grid=Grid(first, len(t), dt), rates=h),
                                      threshold=threshold, baseline_window_fraction=fraction)
             trdd = run_ensemble(spread, policy, sim).trdd
             alone = next(seg for seg in timeline.segments if seg.t_start == timeline.tf2)

@@ -1148,6 +1148,17 @@ def traced_peak(write, *args) -> int:
 class TestWriterMemory:
     # a writer holds one block of rows at a time: four times the rows, the same peak
 
+    def test_scenario_holds_one_grid_array(self, tmp_path):
+        # the curve's rates: its times are a Grid, built a block at a time where the
+        # writer reads them (about 1.3 times the rates; a times array took 2.3)
+        argv = ["scenario", "--config", str(EXAMPLE), "--dt", "0.002",
+                "--out", str(tmp_path / "s.csv")]
+        peak = traced_peak(main, argv)
+        with open(tmp_path / "s_curve.csv", "rb") as fh:
+            rows = sum(1 for _ in fh) - 1
+        assert rows == 207_000
+        assert peak < 1.6 * 8 * rows
+
     def test_float_table(self, tmp_path):
         def peak(rows):
             t = np.arange(rows) / 7.0

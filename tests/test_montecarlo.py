@@ -1,4 +1,6 @@
+import json
 import math
+import time
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -17,6 +19,7 @@ from redzone import (
     RedzoneError,
     SimConfig,
     SystemConfig,
+    ValidationError,
     montecarlo,
     run_ensemble,
     scenario_timeline,
@@ -749,6 +752,30 @@ class TestRunBatch:
         assert main(["simulate", "--config", str(EXAMPLE), "--out", str(tmp_path / "s.json"),
                      "--policy", kind, "--replications", "50"]) == 2
         assert "run_batch" in capsys.readouterr().err
+
+    def test_a_period_too_small_to_finish_is_rejected(self, tmp_path, capsys):
+        # a pass per rotation epoch: 6e11 of them at 1e-9 weeks, rejected before any
+        doc = json.loads(EXAMPLE.read_text(encoding="utf-8"))
+        doc["policy"]["rotation_period"] = 1e-9
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        begun = time.perf_counter()
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s.json"),
+                     "--policy", "type2", "--replications", "2"]) == 1
+        assert time.perf_counter() - begun < 1.0
+        assert "policy.rotation_period, sim.horizon" in capsys.readouterr().err
+
+    def test_a_period_at_the_pass_bound_runs(self):
+        # mains dead at 0 and a spare dead on arrival: the row dies in its first pass,
+        # while its lifetime sum, 2 weeks, sets the pass bound at each period
+        lifetimes, bound = [[0.0, 0.0, 2.0]], montecarlo._MAX_PASSES
+        at, past = 2.0 / (bound - 4.5), 2.0 / (bound - 3.5)
+        assert (5 + math.floor(2.0 / at), 5 + math.floor(2.0 / past)) == (bound, bound + 1)
+        out = run_batch(det_config(lab=2.0), Policy("type2", rotation_period=at), lifetimes)
+        assert out.tdt.tolist() == [0.0]
+        with pytest.raises(ValidationError, match="policy.rotation_period") as error:
+            run_batch(det_config(lab=2.0), Policy("type2", rotation_period=past), lifetimes)
+        assert error.value.fields == ("policy.rotation_period", "sim.horizon")
 
     @pytest.mark.parametrize("policy", [Policy("type1"), Policy("type2", rotation_period=30.0)],
                              ids=["type1", "type2"])

@@ -3,8 +3,9 @@ loads neither ``dataclasses`` nor ``orjson``, orjson loads only where a float
 table is written, every warning goes through ``redzone.errors.warn``, only the
 engine reads how the spare is consumed, each rate kernel checks its argument
 through one guard, the red zone's failure window is stated once, the engine
-reads the policy in one line, the CLI names no event-kind code, and the scalar
-oracle in ``tests/oracle.py`` stays apart from the engine it checks."""
+reads the policy in one line, only ``system.py`` reads a curve's times, the CLI
+names no event-kind code, and the scalar oracle in ``tests/oracle.py`` stays apart
+from the engine it checks."""
 
 import ast
 import os
@@ -141,6 +142,19 @@ def test_the_failure_window_is_stated_once():
     assert readers == {("analysis.py", "_failure_window")}
     assert "peak_ratio" not in {node.name for tree in trees.values() for node in ast.walk(tree)
                                 if isinstance(node, ast.FunctionDef)}
+
+
+def test_only_the_curve_s_module_reads_curve_times():
+    # a curve holds its points as a Grid: outside system.py no reader builds a curve's
+    # times array or searches it, so no grid-sized times array comes back
+    for path in SRC_MODULES:
+        if path.name == "system.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not attribute_readers(tree, "times"), path.name
+        searches = [ast.unparse(call) for call in ast.walk(tree) if isinstance(call, ast.Call)
+                    and ast.unparse(call.func) == "np.searchsorted"]
+        assert not [call for call in searches if "curve" in call], path.name
 
 
 def test_the_engine_reads_the_policy_in_one_line():

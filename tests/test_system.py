@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from redzone import (
     CompositionError,
     DomainError,
+    Grid,
+    HazardCurve,
     LifetimeDistribution,
     OperatorHazard,
     SoftwareHazardModel,
@@ -19,6 +21,7 @@ from redzone import (
     ValidationError,
     ValidationWarning,
     compose_parallel,
+    detect_red_zone,
     scenario_timeline,
     system_hazard_curve,
     system_hazard_curves,
@@ -236,6 +239,75 @@ class TestScenarioTimeline:
         except ValidationError:
             return  # the spare dies before Tf1 or by Tf2: no timeline is built
         assert tl.tf1 <= tl.tf2 <= tl.t2
+
+
+# grid steps: the benchmark's, the shipped config's, one no binary fraction holds, and any
+STEPS = st.one_of(st.sampled_from([0.002, 0.1, 1.0 / 3.0]), st.floats(1e-4, 10.0))
+
+
+@st.composite
+def grid_points(draw, grid):
+    """A time to look up on ``grid``'s points: one of them or a float next to it, 0,
+    -0.0, a negative time, a time past the last point, or inf."""
+    points = np.asarray(grid)
+    if len(points):
+        at = float(points[draw(st.integers(0, len(points) - 1))])
+        near = [at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf)]
+    else:
+        near = []
+    after = grid.time(len(grid))
+    return draw(st.sampled_from([*near, 0.0, -0.0, -grid.dt, after, np.nextafter(after, 0.0),
+                                 np.nextafter(after, np.inf), 2.0 * after + 1.0, np.inf]))
+
+
+class TestGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(dt=STEPS, span=st.floats(0.0, 2000.0), data=st.data())
+    @example(dt=0.002, span=207_000.0, data=None)  # as long as the demo scenario's curve
+    def test_index_is_searchsorted_on_arange(self, dt, span, data):
+        # the grid a curve evaluates on is np.arange(0.0, end, dt), whose point i is i * dt
+        # bit for bit: Grid holds it by its bounds, and its index rule is searchsorted's
+        end = span * dt
+        t = np.arange(0.0, end, dt)
+        grid = Grid(0, math.ceil(end / dt), dt)
+        assert len(grid) == len(t)
+        assert np.array_equal(t, np.arange(len(t)) * dt)
+        assert np.array_equal(np.asarray(grid), t)
+        if data is None:
+            return
+        first = data.draw(st.integers(0, len(t)), label="first")
+        tail = grid[first:data.draw(st.integers(first, len(t)), label="stop")]
+        assert np.array_equal(np.asarray(tail), t[first:first + len(tail)])
+        assert [tail.time(j) for j in range(len(tail))] == np.asarray(tail).tolist()
+        for g, points in ((grid, t), (tail, np.asarray(tail))):
+            for _ in range(4):
+                x = data.draw(grid_points(g), label="x")
+                assert g.index(x) == np.searchsorted(points, x, "left")
+        # as _hazard_curves clips a segment's bounds to a curve's size
+        n = data.draw(st.integers(0, len(tail)), label="size")
+        x = data.draw(grid_points(tail), label="bound")
+        assert min(tail.index(x), n) == np.searchsorted(np.asarray(tail[:n]), x, "left")
+
+    def test_a_grid_slices_in_steps_of_one(self):
+        grid = Grid(3, 10, 0.5)
+        assert grid[2:-2] == Grid(5, 6, 0.5) and grid[8:2] == Grid(11, 0, 0.5)
+        with pytest.raises(DomainError):
+            grid[::2]
+
+    def test_a_one_point_zone_widens_by_its_grid_times(self):
+        # a tail grid's first two points differ by other than dt: the widened zone ends
+        # at the start plus that difference, as on the curve's times array
+        dt = 0.1
+        first = next(f for f in range(1, 100)
+                     if (f + 1) * dt + ((f + 1) * dt - f * dt) != (f + 1) * dt + dt)
+        grid = Grid(first, 3, dt)
+        t = np.asarray(grid)
+        zone = detect_red_zone(HazardCurve(grid, np.array([1.0, 3.0, 1.0])), 1.0, 2.0,
+                               0.0, np.inf).zone
+        assert (zone.start, zone.end) == (t[1], t[1] + (t[1] - t[0]))
+        assert zone.end != t[1] + dt
+        lone = detect_red_zone(HazardCurve(grid[1:2], np.array([3.0])), 1.0, 2.0, 0.0, 1.0).zone
+        assert (lone.start, lone.end) == (t[1], t[1] + 1e-9)
 
 
 class TestSystemHazardCurve:
@@ -584,9 +656,9 @@ class TestSystemHazardCurves:
             system_hazard_curves([small, large], dt=0.5)
         assert str(shared.value) == str(reference.value)
 
-    def test_a_lone_curve_holds_two_grid_arrays(self):
-        # its times and its rates; every ufunc temporary is a block long, and each piece
-        # is evaluated into the rates (about seven blocks of float64 at the peak)
+    def test_a_lone_curve_holds_one_grid_array(self):
+        # its rates, its times being a Grid; every ufunc temporary is a block long, and
+        # each piece is evaluated into the rates (about eight blocks of float64 at the peak)
         tl = scenario_timeline(load_config(EXAMPLE).system)
         dt = 0.002
         points = math.ceil(tl.t_end / dt)
@@ -597,4 +669,4 @@ class TestSystemHazardCurves:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8 * points + 10 * 8 * system._BLOCK
+        assert peak < 8 * points + 10 * 8 * system._BLOCK

@@ -56,7 +56,7 @@ def one_of_each() -> dict:
         software_system.software.upgrade_events[0], software_system.operator,
         run, run.policy, run.sim,
         timeline, timeline.segments[0], timeline.segments[0].units[0],
-        system_hazard_curve(timeline, dt=0.5),
+        (curve := system_hazard_curve(timeline, dt=0.5)), curve.grid,
         out, out.events, report, report.metrics_type1, report.metrics_type1.trdd,
         assessment, assessment.zone,
         delta_sweep(red, [2.0], Policy("type1"), SimConfig(replications=20), **SWEEP)[0],
@@ -65,7 +65,7 @@ def one_of_each() -> dict:
 
 
 def test_every_public_value_type_is_covered():
-    assert (len(VALIDATED), len(RECORDS)) == (12, 10)
+    assert (len(VALIDATED), len(RECORDS)) == (13, 10)
     assert sorted(TYPES) == sorted(VALIDATED + RECORDS) == sorted(one_of_each())
 
 
@@ -106,6 +106,7 @@ BAD_VALUES = [
     ("ScenarioSegment", "t_end", 0.0),
     ("RedZone", "end", 0.0),
     ("HazardCurve", "rates", np.zeros(1)),
+    ("Grid", "dt", 0.0),
 ]
 
 
