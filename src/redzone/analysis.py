@@ -132,12 +132,28 @@ class _BaselineUnsampled(DomainError):
     """No point of the curve lies in the baseline window: its grid is too coarse."""
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D float array, bit for bit.
+
+    It partitions at the middle index or indexes and at the last, where a NaN
+    sorts, and takes the mean of the middle as ``np.median`` does; a NaN is
+    returned as found.  ``np.median``'s own NaN check imports ``numpy.ma``,
+    10 ms of start-up that no command needs otherwise.
+    """
+    n = values.size
+    middle = slice((n - 1) // 2, n // 2 + 1)
+    part = np.partition(values, [*range(n)[middle], -1])
+    return float(part[-1] if np.isnan(part[-1]) else np.mean(part[middle]))
+
+
 def baseline_from_curve(curve: HazardCurve, useful_end: float, *,
                         window_fraction: float) -> float:
     """Useful-phase plateau: median rate over the tail of the useful window.
 
     ``useful_end`` is the calendar time where the mains' wear-out begins;
-    the window spans [window_fraction * useful_end, useful_end).
+    the window spans [window_fraction * useful_end, useful_end).  The median
+    is :func:`_median`'s, equal to ``np.median``'s without its import of
+    ``numpy.ma``; a NaN in the window makes it NaN, which is not positive.
     """
     if not 0.0 < window_fraction < 1.0:
         raise DomainError("window_fraction must lie in (0, 1)")
@@ -146,7 +162,7 @@ def baseline_from_curve(curve: HazardCurve, useful_end: float, *,
     if lo >= hi:
         raise _BaselineUnsampled("no curve samples inside the baseline window "
                                  f"[{window[0]!r}, {window[1]!r}) weeks")
-    baseline = float(np.median(curve.rates[lo:hi]))
+    baseline = _median(curve.rates[lo:hi])
     if not baseline > 0.0:
         raise DomainError("measured baseline is not positive")
     return baseline

@@ -456,14 +456,24 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
 def _event_log(columns) -> EventLog:
     """Concatenate the recorded blocks and group them by replication, stably.
 
-    The block recorded before the loop, empty or not, gives each column its
+    The order comes from the replication column; then each column in turn is
+    concatenated, gathered into the log and released with its blocks, so at
+    most one concatenated column is held beside the blocks and the log.  The
+    block recorded before the loop, empty or not, gives each column its
     dtype, so an ensemble with no events still has typed columns.  Every block
     records the codes, unit ids among them, as int8, so they are gathered as
     recorded.
     """
-    replication, time, *codes = map(np.concatenate, columns)
-    order = np.argsort(replication, kind="stable")
-    return EventLog(replication[order], time[order], *(code[order] for code in codes))
+    order = None
+    log = []
+    for blocks in columns:
+        column = np.concatenate(blocks)
+        blocks.clear()
+        if order is None:
+            order = np.argsort(column, kind="stable")
+        log.append(column[order])
+        del column  # before the next column is concatenated
+    return EventLog(*log)
 
 
 def run_ensemble(config: SystemConfig, policy: Policy, sim: SimConfig) -> Metrics:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from redzone import (
     CompositionError,
@@ -30,7 +31,8 @@ from redzone import (
     system_hazard_curve,
 )
 from redzone import analysis, system
-from redzone.analysis import RedZoneAssessment, apply_vendor_decision_point, baseline_from_curve
+from redzone.analysis import (RedZoneAssessment, _median, apply_vendor_decision_point,
+                              baseline_from_curve)
 from redzone.montecarlo import run_batch, sample_lifetimes
 from redzone.system import _segment_rate
 
@@ -210,6 +212,27 @@ class TestBaselineAndPeak:
     def test_baseline_is_window_median(self):
         curve = bump_curve(bumps=())
         assert baseline_from_curve(curve, useful_end=80.0, window_fraction=0.8) == pytest.approx(1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pool=st.lists(st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
+                         | st.sampled_from([0.0, -0.0]), min_size=1, max_size=20),
+           data=st.data())
+    def test_median_is_numpy_s_bit_for_bit(self, pool, data):
+        # lengths 1 to 500 drawn from a pool of at most 20 values, so most hold ties;
+        # the same bits, signed zeros included
+        picks = data.draw(arrays(np.intp, st.integers(1, 500),
+                                 elements=st.integers(0, len(pool) - 1)))
+        values = np.array(pool)[picks]
+        expected = np.median(values)
+        assert np.float64(_median(values)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("at", [64.0, 72.0, 79.5])
+    def test_a_nan_in_the_window_is_not_a_positive_baseline(self, at):
+        # the window [64, 80) on a grid of step 0.5: its first, a middle and its last point
+        curve = bump_curve(bumps=())
+        curve.rates[curve.grid.index(at)] = np.nan
+        with pytest.raises(DomainError, match="^measured baseline is not positive$"):
+            baseline_from_curve(curve, useful_end=80.0, window_fraction=0.8)
 
     def test_severity_defined_below_threshold(self):
         curve = bump_curve(bumps=((40.0, 50.0, 1.5),))

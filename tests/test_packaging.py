@@ -1,11 +1,11 @@
 """The package's declared dependencies cover what its modules import, its import
 loads neither ``dataclasses`` nor ``orjson``, orjson loads only where a float
-table is written, every warning goes through ``redzone.errors.warn``, only the
-engine reads how the spare is consumed, each rate kernel checks its argument
-through one guard, the red zone's failure window is stated once, the engine
-reads the policy in one line, only ``system.py`` reads a curve's times, the CLI
-names no event-kind code, and the scalar oracle in ``tests/oracle.py`` stays apart
-from the engine it checks."""
+table is written, no command loads ``numpy.ma``, every warning goes through
+``redzone.errors.warn``, only the engine reads how the spare is consumed, each
+rate kernel checks its argument through one guard, the red zone's failure window
+is stated once, the engine reads the policy in one line, only ``system.py`` reads
+a curve's times, the CLI names no event-kind code, and the scalar oracle in
+``tests/oracle.py`` stays apart from the engine it checks."""
 
 import ast
 import os
@@ -213,3 +213,25 @@ def test_orjson_loads_only_with_a_float_table(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "compare.json").exists()
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # np.median's NaN check imports numpy.ma, 10 ms of start-up; the baseline's median
+    # partitions instead, and nothing else any command runs reaches it
+    code = (
+        "import sys\n"
+        "import redzone.cli\n"
+        "config, out = sys.argv[1:]\n"
+        "for argv in (['hazard'], ['scenario'], ['redzone', '--replications', '20'],\n"
+        "             ['compare', '--replications', '20'],\n"
+        "             ['simulate', '--replications', '20', '--events-out', out + '.csv']):\n"
+        "    assert redzone.cli.main([argv[0], '--config', config, '--out', out,\n"
+        "                             *argv[1:]]) == 0, argv[0]\n"
+        "    assert 'numpy.ma' not in sys.modules, argv[0]\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code, str(ROOT / "demos" / "config_example.json"),
+                           str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out.csv").exists()
