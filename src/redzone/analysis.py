@@ -27,7 +27,6 @@ from .maintenance import Policy
 from .montecarlo import (Metrics, MetricSummary, SimConfig, _defined, _derive_seeds, _summarize,
                          _uniforms, run_batch, sample_lifetimes)
 from .system import (
-    _SPARE_EXHAUSTED,
     HazardCurve,
     ScenarioTimeline,
     SystemConfig,
@@ -103,9 +102,8 @@ def detect_red_zone(curve: HazardCurve, baseline: float, threshold: float,
     lo = peak - k + 1 if k else 0
     grid = curve.grid
     start, end = grid.time(lo), grid.time(hi)
-    if end <= start:
-        # single-point run: widen to one grid step, the distance of its first two points
-        end = start + (grid.time(1) - grid.time(0) if len(grid) > 1 else 1e-9)
+    if end <= start:  # a grid has its step even at one point
+        end = start + (grid.time(1) - grid.time(0))
     zone = RedZone(start=start, end=end, severity=severity)
     return RedZoneAssessment(zone=zone, severity=severity, baseline=baseline)
 
@@ -126,10 +124,6 @@ def _read_peak(curve: HazardCurve, baseline: float, threshold: float,
     peak = lo + int(np.argmax(np.where(np.isnan(window), -np.inf, window)))
     rate = curve.rates[peak]
     return peak, float(rate / baseline), bool(rate > threshold * baseline)
-
-
-class _BaselineUnsampled(DomainError):
-    """No point of the curve lies in the baseline window: its grid is too coarse."""
 
 
 def _median(values: np.ndarray) -> float:
@@ -160,8 +154,9 @@ def baseline_from_curve(curve: HazardCurve, useful_end: float, *,
     window = (window_fraction * useful_end, useful_end)
     lo, hi = map(curve.grid.index, window)
     if lo >= hi:
-        raise _BaselineUnsampled("no curve samples inside the baseline window "
-                                 f"[{window[0]!r}, {window[1]!r}) weeks")
+        raise ValidationError(f"grid step {curve.grid.dt!r} puts no curve sample inside the "
+                              f"baseline window [{window[0]!r}, {window[1]!r}) weeks; lower the "
+                              "step", fields=("analysis.curve_dt",))
     baseline = _median(curve.rates[lo:hi])
     if not baseline > 0.0:
         raise DomainError("measured baseline is not positive")
@@ -231,10 +226,9 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
     failure gap) and the condition's prediction, read from the same model at
     Tf2, where the spare comes to stand alone.  The timelines come from one
     engine call, before any curve or ensemble, so a spread the timeline
-    rejects fails the sweep at once, its error naming the spread in place of
-    ``lifetime.sd``; a check no spread moves is raised as the timeline raised
-    it.  The curves are sampled as :func:`system_hazard_curves` samples them,
-    from the baseline window through the last point the failure window reads,
+    rejects fails the sweep at once, its error naming the spread.  The
+    curves are sampled as :func:`system_hazard_curves` samples them, from
+    the baseline window through the last point the failure window reads,
     the first at or after T2 >= Tf2: every pair segment ends by Tf2, so a
     :class:`CompositionError` is raised as on the full curve.  The baseline is
     measured once, as every spread's window lies before T0 <= Tf1 = mean, in
@@ -249,17 +243,7 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
         raise DomainError("all sweep spreads must be > 0")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise DomainError("sweep spreads must be sorted, strictly increasing")
-    timelines, built = [], scenario_timelines(config, deltas)
-    for d in deltas:
-        try:
-            timelines.append(next(built))
-        except ValidationError as e:
-            if "lifetime.sd" not in e.fields:
-                raise  # no spread moves this check
-            # the swept spread stands in for the config's lifetime sd, in the fields and the advice
-            fields = tuple(f for f in e.fields if f != "lifetime.sd")
-            raise ValidationError(f"spread {d!r}: {_SPARE_EXHAUSTED}; use a smaller spread "
-                                  "or raise the mean lifetime", fields=fields) from None
+    timelines = scenario_timelines(config, deltas)
     if not timelines:
         return []
     # The spreads are read before any ensemble runs, so the samples the curves

@@ -4,7 +4,9 @@ Subcommands: ``hazard`` (component rate curves), ``scenario`` (deterministic
 timeline and composed curve), ``simulate`` (Monte Carlo ensemble summary),
 ``compare`` (both policies from one master seed), ``redzone`` (spread
 sweep).  All behavior flows from the flags and the JSON configuration
-document; outputs are byte-reproducible for a given config and seed.
+document; outputs are byte-reproducible for a given config, seed, numpy
+version and numpy CPU dispatch level (numpy picks its ``exp`` and ``log``
+loops by CPU feature).
 Each subcommand's help line and flags are stated once, in ``_COMMANDS``; a
 job builds the parser of the subcommand it names only, and
 :func:`build_parser`, every subcommand's, serves ``redzone -h`` and an argv
@@ -21,8 +23,9 @@ row tail, the tail looked up by the row's codes in
 ``montecarlo._event_tails``.  Floats read as ``repr`` writes them.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical or
-runtime failure.  A configuration warning prints as ``warning: <message>``
-on stderr.
+runtime failure.  :func:`main` alone prints an error's ``fields`` after it,
+as ``(config: ...)``, with the flag that set a field in its place.  A
+config warning prints as ``warning: <message>`` on stderr.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import warnings
 import numpy as np
 
 from .analysis import (
-    _BaselineUnsampled,
     apply_vendor_decision_point,
     assess_curve,
     assess_red_zone,
@@ -160,6 +162,15 @@ def _overrides(args) -> dict:
             if getattr(args, flag[2:], None) is not None}
 
 
+def _sources(args) -> dict:
+    """What an error names in place of a config field: the flag that set it, and in
+    ``redzone`` what set the spreads that stand in for ``lifetime.sd``."""
+    sources = {field: flag for field, (flag, _) in _overrides(args).items()}
+    if args.command == "redzone":
+        sources["lifetime.sd"] = "--deltas" if args.deltas is not None else "hazard.th3"
+    return sources
+
+
 # A curve command holds up to about seven float64 arrays of its grid at once (44-55
 # bytes a point, measured on hazard runs); a grid may take eight.  scenario, whose
 # curve is evaluated a block at a time into its rates and holds its times as a Grid,
@@ -168,23 +179,18 @@ _GRID_POINT_BYTES = 8 * np.dtype(float).itemsize
 _PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _dt_source(args) -> str:
-    """What set the grid step, for an error to name: ``--dt`` or its config field."""
-    return "--dt" if getattr(args, "dt", None) is not None else _FLAG_FIELDS["--dt"]
-
-
-def _curve_dt(run: RunConfig, args, t_max: float | None = None) -> float:
+def _curve_dt(run: RunConfig, t_max: float | None = None) -> float:
     """``run.curve_dt``, checked to give a grid that fits in physical memory: over
     [0, t_max] for ``hazard``, else over twice the mean lifetime, past where any scenario
-    curve ends.  An error names ``--dt`` when the flag set the step, else the config field."""
+    curve ends."""
     span = 2.0 * run.system.unit_lifetime.mean if t_max is None else t_max
     dt = run.curve_dt
     if span / dt * _GRID_POINT_BYTES >= _PHYSICAL_MEMORY:
-        source = _dt_source(args)
-        fix = f"raise {source}" + ("" if t_max is None else " or lower --t-max")
-        raise ValidationError(f"{source} {dt!r} gives {span / dt:.3g} grid points over "
+        raise ValidationError(f"grid step {dt!r} gives {span / dt:.3g} grid points over "
                               f"[0, {span!r}] weeks, more than {_PHYSICAL_MEMORY:.3g} bytes of "
-                              f"physical memory hold; {fix}")
+                              "physical memory hold; raise the step"
+                              + ("" if t_max is None else " or lower --t-max"),
+                              fields=("analysis.curve_dt",))
     return dt
 
 
@@ -193,13 +199,13 @@ def cmd_hazard(run: RunConfig, args) -> int:
     if args.t_max is None:
         t_max = 1.2 * (hz.th1 + hz.th2 + hz.th3)
         if not math.isfinite(t_max):
-            raise ValidationError(f"hazard.th1, hazard.th2, hazard.th3: the default grid end "
-                                  f"1.2 * (th1 + th2 + th3) is {t_max!r}; pass --t-max")
+            raise ValidationError(f"the default grid end 1.2 * (th1 + th2 + th3) is {t_max!r}; "
+                                  "pass --t-max", fields=("hazard.th1", "hazard.th2", "hazard.th3"))
     else:
         t_max = args.t_max
         if not (math.isfinite(t_max) and t_max > 0.0):
             raise ValidationError(f"--t-max must be a finite number > 0, got {t_max!r}")
-    dt = _curve_dt(run, args, t_max)
+    dt = _curve_dt(run, t_max)
     t = np.arange(0.0, t_max + 0.5 * dt, dt)
     h_hw = bathtub_hazard(t, hz)
     h_sw = (software_hazard(t, run.system.software) if run.system.software is not None
@@ -212,9 +218,9 @@ def cmd_hazard(run: RunConfig, args) -> int:
 
 def cmd_scenario(run: RunConfig, args) -> int:
     if run.policy.kind != "type1":
-        raise ValidationError(f"scenario: policy {run.policy.kind} is not modelled; the "
-                              "analytic timeline covers the replace-on-failure policy (type1) only")
-    dt = _curve_dt(run, args)
+        raise ValidationError("scenario models the replace-on-failure policy (type1) only, "
+                              f"not {run.policy.kind}", fields=("policy.kind",))
+    dt = _curve_dt(run)
     timeline = scenario_timeline(run.system)
     # one full curve serves both the assessment and the curve file
     curve = system_hazard_curve(timeline, dt=dt)
@@ -293,11 +299,13 @@ def _write_events_csv(path: str, log: EventLog) -> None:
 
 def cmd_simulate(run: RunConfig, args) -> int:
     policy, sim = run.policy, run.sim
-    dt = _curve_dt(run, args)
+    dt = _curve_dt(run)
     try:
         zone = assess_red_zone(run.system, threshold=run.red_zone_threshold, dt=dt,
                                baseline_window_fraction=run.baseline_window_fraction).zone
-    except (ValidationError, CompositionError):
+    except (ValidationError, CompositionError) as e:
+        if "analysis.curve_dt" in getattr(e, "fields", ()):
+            raise  # a grid too coarse for the baseline fails the run, as in scenario
         zone = None  # the timeline or its curve is undefined here; the ensemble is not
     lifetimes = sample_lifetimes(run.system, sim.master_seed, sim.replications)
     out = run_batch(run.system, policy, lifetimes, horizon=sim.horizon,
@@ -322,7 +330,8 @@ def cmd_simulate(run: RunConfig, args) -> int:
 def cmd_compare(run: RunConfig, args) -> int:
     sim = run.sim
     if run.policy.rotation_period is None:
-        raise ValidationError("policy.rotation_period: required to compare against type2")
+        raise ValidationError("compare needs a rotation period for type2",
+                              fields=("policy.rotation_period",))
     report = compare_policies(run.system, run.policy.rotation_period, sim,
                               vendor_mtbf=run.vendor_mtbf, warn_factor=run.warn_factor)
     m1, m2 = report.metrics_type1, report.metrics_type2
@@ -341,7 +350,7 @@ def cmd_compare(run: RunConfig, args) -> int:
 
 
 def cmd_redzone(run: RunConfig, args) -> int:
-    dt = _curve_dt(run, args)
+    dt = _curve_dt(run)
     th3 = run.system.hazard.th3
     if args.deltas is not None:
         try:
@@ -435,16 +444,14 @@ def main(argv=None) -> int:
                 show(message, category, *args, **kwargs)
 
         warnings.showwarning = show_warning
+        args = None
         try:
             args = _parse(sys.argv[1:] if argv is None else list(argv))
             run = load_config(args.config, _overrides(args))
-            try:
-                return _COMMANDS[args.command][0](run, args)
-            except _BaselineUnsampled as e:
-                source = _dt_source(args)
-                raise ValidationError(f"{source} {run.curve_dt!r}: {e}; lower {source}") from None
+            return _COMMANDS[args.command][0](run, args)
         except Exception as e:
-            fields = getattr(e, "fields", ())
+            sources = _sources(args) if args else {}
+            fields = [sources.get(field, field) for field in getattr(e, "fields", ())]
             print(f"error: {e}" + (f" (config: {', '.join(fields)})" if fields else ""),
                   file=sys.stderr)
             return 1 if isinstance(e, (_UsageError, ValidationError, DomainError)) else 2

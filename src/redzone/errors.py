@@ -15,8 +15,8 @@ class DomainError(RedzoneError, ValueError):
 class ValidationError(RedzoneError, ValueError):
     """A model, configuration, or document violates its construction contract.
 
-    ``fields`` names the run-config fields that decide a failed check on a
-    model built from a config document, for a caller that reads the document.
+    ``fields`` names the run-config fields that decide a failed check, so its
+    message need not; the CLI prints them, or the flag that set one.
     """
 
     def __init__(self, *args, fields: tuple[str, ...] = ()):

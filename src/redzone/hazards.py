@@ -121,9 +121,10 @@ class BathtubModel(Value):
     """Additive bathtub hazard for one hardware unit.
 
     ``th1``, ``th2``, ``th3`` declare the burn-in / useful / wear-out phase
-    durations used for scenario boundaries; they are configuration, not
-    values derived from the terms.  The wear-out onset always equals
-    ``th1 + th2``.  ``clamp_floor``, ``1e-6 * th1``, bounds the burn-in
+    durations; they are configuration, not values derived from the terms.
+    The scenario's boundaries read ``th1`` and the wear-out onset, always
+    ``th1 + th2``; ``th3`` bounds no segment, and sets only ``redzone``'s
+    default spreads and ``hazard``'s default grid end.  ``clamp_floor``, ``1e-6 * th1``, bounds the burn-in
     singularity at the origin.
     """
 

@@ -30,8 +30,10 @@ replications are independent of execution order.  Uniform variates are
 ((u64 >> 11) + 0.5) * 2**-53, strictly inside (0, 1): the one value that
 rounds to 1.0, u64 >> 11 = 2**53 - 1, is taken as 1 - 2**-53.  The
 generator is implemented here, in integer arithmetic (wrapping uint64
-arrays for the batched engine), so byte-identical output does not depend
-on any library version; golden vectors are frozen in the tests.
+arrays for the batched engine), so the uniforms do not depend on any
+library version; golden vectors are frozen in the tests.  The lifetimes do:
+numpy's ``log`` and ``exp`` loops may differ by an ulp between its versions
+and CPU dispatch levels, and so may output bytes.
 """
 
 from __future__ import annotations
@@ -325,10 +327,10 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
     cap = min(horizon, lifetimes.sum(axis=1).max(initial=0.0))
     passes = 5 + math.floor(min(cap / period, _MAX_PASSES))
     if passes > _MAX_PASSES:
-        raise ValidationError(f"policy.rotation_period {period!r} gives {cap / period:.3g} "
+        raise ValidationError(f"rotation period {period!r} gives {cap / period:.3g} "
                               f"rotation epochs in {float(cap):.6g} weeks, past the "
-                              f"{_MAX_PASSES} passes an ensemble may take; raise "
-                              "policy.rotation_period or lower sim.horizon",
+                              f"{_MAX_PASSES} passes an ensemble may take; raise the "
+                              "period or lower the horizon",
                               fields=("policy.rotation_period", "sim.horizon"))
 
     replications = len(lifetimes)

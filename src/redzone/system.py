@@ -53,9 +53,6 @@ from .value import Value
 # float64 (64 KiB) stays in the heap.
 _BLOCK = 8192
 
-# The cause of the one timeline error a smaller lifetime spread avoids.
-_SPARE_EXHAUSTED = "spare exhausts before the second main failure"
-
 __all__ = [
     "SystemConfig",
     "ActiveUnit",
@@ -194,12 +191,13 @@ def scenario_timeline(config: SystemConfig) -> ScenarioTimeline:
     Segment labels follow the declared phase windows; hazard values use true
     unit ages.  A spare dead before Tf1 or by Tf2 raises ValidationError.
     """
-    return next(scenario_timelines(config, [config.unit_lifetime.sd]))
+    return scenario_timelines(config, [config.unit_lifetime.sd])[0]
 
 
-def scenario_timelines(config: SystemConfig, spreads) -> Iterator[ScenarioTimeline]:
+def scenario_timelines(config: SystemConfig, spreads) -> list[ScenarioTimeline]:
     """The :func:`scenario_timeline` of ``config`` at each lifetime spread, from one
-    ``run_batch`` call; the iterator builds each, or raises its error, when advanced."""
+    ``run_batch`` call, built in order: the first spread whose timeline is undefined
+    raises its error, which names that spread."""
     # the caller's config has already warned about itself; the copies would repeat it
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidationWarning)
@@ -210,8 +208,8 @@ def scenario_timelines(config: SystemConfig, spreads) -> Iterator[ScenarioTimeli
     log = run_batch(config, Policy("type1"), lives, horizon=math.inf, record_events=True).events
     ends = np.searchsorted(log.replication, np.arange(1, len(lives) + 1)).tolist()
     events = zip(log.time.tolist(), log.kind.tolist(), log.unit.tolist())
-    return (_timeline(c, list(itertools.islice(events, hi - lo)))
-            for c, lo, hi in zip(configs, [0, *ends], ends))
+    return [_timeline(c, list(itertools.islice(events, hi - lo)))
+            for c, lo, hi in zip(configs, [0, *ends], ends)]
 
 
 def _timeline(config: SystemConfig, events) -> ScenarioTimeline:
@@ -231,9 +229,10 @@ def _timeline(config: SystemConfig, events) -> ScenarioTimeline:
     tf1, tf2, spare_birth = failed_at[0], failed_at[1], failed_at[2] - mean
     t_end = events[-1][0]  # the system's death ends the log
     if t_end <= tf2:
-        raise ValidationError(f"{_SPARE_EXHAUSTED}; lower the lifetime sd or raise the "
-                              "mean lifetime",
-                              fields=("lifetime.sd", "lifetime.mean", "system.lab_burnin"))
+        raise ValidationError(f"spare exhausts before the second main failure at spread "
+                              f"{config.unit_lifetime.sd!r}; lower the spread or raise the mean "
+                              "lifetime", fields=("lifetime.sd", "lifetime.mean",
+                                                  "system.lab_burnin"))
     age = tf1 - spare_birth  # the spare's consumed life at install
     t2 = tf2 + max(hz.th1 - age, 0.0)
 

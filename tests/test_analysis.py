@@ -80,8 +80,9 @@ def walked_assessment(curve, baseline, threshold, t_start, t_end):
     while hi + 1 < len(above) and above[hi + 1]:
         hi += 1
     start, end = times[lo], times[hi]
-    if end <= start:
-        end = start + (times[1] - times[0] if len(times) > 1 else 1e-9)
+    if end <= start:  # one grid step, read on the curve's first two grid points
+        first_two = (curve.grid.first + np.arange(2)) * curve.grid.dt
+        end = start + (first_two[1] - first_two[0])
     zone = RedZone(start=start, end=end, severity=severity)
     return RedZoneAssessment(zone=zone, severity=severity, baseline=baseline)
 
@@ -472,11 +473,10 @@ class TestDeltaSweep:
         with pytest.raises(ValidationError) as swept:
             delta_sweep(cfg, [1.0, 2.0, 300.0], Policy("type1"),
                         SimConfig(replications=10, master_seed=1), **SWEEP)
-        assert str(reference.value).endswith("; lower the lifetime sd or raise the mean lifetime")
-        assert str(swept.value) == (
-            "spread 300.0: spare exhausts before the second main failure; "
-            "use a smaller spread or raise the mean lifetime")
-        assert swept.value.fields == ("lifetime.mean", "system.lab_burnin")
+        assert str(swept.value) == str(reference.value) == (
+            "spare exhausts before the second main failure at spread 300.0; "
+            "lower the spread or raise the mean lifetime")
+        assert swept.value.fields == ("lifetime.sd", "lifetime.mean", "system.lab_burnin")
 
     @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
     @pytest.mark.parametrize("alpha, lab", [(1.0, 2.0), (0.0, 250.0)],

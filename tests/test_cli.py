@@ -1,7 +1,11 @@
+import contextlib
 import csv
 import hashlib
+import io
 import itertools
 import json
+import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -19,7 +23,7 @@ from redzone.config import load_config
 from redzone.montecarlo import EVENT_KINDS, EventLog, run_batch, sample_lifetimes
 from redzone.system import scenario_timeline, system_hazard_curve
 
-from conftest import event_fields, pulse_at_first_failure, with_spread
+from conftest import UNSHRUNK, event_fields, pulse_at_first_failure, with_spread
 from oracle import derive_seed, run_replication
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
@@ -119,9 +123,9 @@ class TestParser:
         conf = write_config(tmp_path, hazard={"th1": 1e308, "th2": 1e308})
         out = tmp_path / "out.csv"
         assert main(["hazard", "--config", conf, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: hazard.th1, hazard.th2, hazard.th3: ")
-        assert "--t-max must" not in err
+        assert capsys.readouterr().err == (
+            "error: the default grid end 1.2 * (th1 + th2 + th3) is inf; pass --t-max "
+            "(config: hazard.th1, hazard.th2, hazard.th3)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["hazard", "scenario"])
@@ -130,7 +134,9 @@ class TestParser:
         conf = write_config(tmp_path)
         out = tmp_path / "out.csv"
         assert main([command, "--config", conf, "--out", str(out), "--dt", "1e-300"]) == 1
-        assert capsys.readouterr().err.startswith("error: --dt 1e-300 gives ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid step 1e-300 gives ")
+        assert err.endswith(" (config: --dt)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flags, source", [
@@ -148,9 +154,9 @@ class TestParser:
         out = tmp_path / "out.csv"
         assert main([command, "--config", conf, "--out", str(out), *flags]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {source} 0.01 gives ")
-        fix = f"; raise {source}" + (" or lower --t-max" if command == "hazard" else "") + "\n"
-        assert err.endswith(fix)
+        assert err.startswith("error: grid step 0.01 gives ")
+        fix = "; raise the step" + (" or lower --t-max" if command == "hazard" else "")
+        assert err.endswith(f"{fix} (config: {source})\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["hazard", "scenario"])
@@ -172,7 +178,9 @@ class TestParser:
         conf = write_config(tmp_path, analysis={"curve_dt": 1e-300})
         out = tmp_path / "out.csv"
         assert main([command, "--config", conf, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: analysis.curve_dt 1e-300 gives ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid step 1e-300 gives ")
+        assert err.endswith(" (config: analysis.curve_dt)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, curve_dt, flags, source", [
@@ -191,8 +199,8 @@ class TestParser:
         out = tmp_path / "out"
         assert main([command, "--config", str(conf), "--out", str(out), *flags]) == 1
         assert capsys.readouterr().err == (
-            f"error: {source} 50.0: no curve samples inside the baseline window "
-            f"[160.0, 200.0) weeks; lower {source}\n")
+            "error: grid step 50.0 puts no curve sample inside the baseline window "
+            f"[160.0, 200.0) weeks; lower the step (config: {source})\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "compare", "redzone"])
@@ -401,12 +409,16 @@ class TestScenarioCommand:
         assert (tmp_path / "segments_curve.csv").exists()
 
     def test_rotation_policy_exits_one(self, tmp_path, capsys):
-        conf = write_config(tmp_path, policy={"kind": "type1", "rotation_period": 30.0})
-        rc = main(["scenario", "--config", conf, "--out", str(tmp_path / "s.csv"),
-                   "--policy", "type2"])
-        assert rc == 1
-        assert "policy type2" in capsys.readouterr().err
-        assert not (tmp_path / "s.csv").exists()
+        # named by the flag that set it, else by its config field
+        for kind, flags, source in (("type1", ["--policy", "type2"], "--policy"),
+                                    ("type2", [], "policy.kind")):
+            conf = write_config(tmp_path, policy={"kind": kind, "rotation_period": 30.0})
+            rc = main(["scenario", "--config", conf, "--out", str(tmp_path / "s.csv"), *flags])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                "error: scenario models the replace-on-failure policy (type1) only, not type2 "
+                f"(config: {source})\n")
+            assert not (tmp_path / "s.csv").exists()
 
     def test_red_zone_annotation_tracks_gap(self, tmp_path):
         small = write_config(tmp_path, name="small.json", lifetime={"mean": 208.0, "sd": 1.0},
@@ -734,7 +746,8 @@ class TestCompareCommand:
         conf = write_config(tmp_path)
         rc = main(["compare", "--config", conf, "--out", str(tmp_path / "cmp.json")])
         assert rc == 1
-        assert "rotation_period" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: compare needs a rotation period for type2 (config: policy.rotation_period)\n")
 
     def test_byte_identical_reruns(self, tmp_path):
         conf = write_config(
@@ -803,11 +816,25 @@ class TestRedzoneCommand:
         out = tmp_path / "rz.csv"
         rc = main(["redzone", "--config", str(EXAMPLE), "--out", str(out), "--deltas", "1,300"])
         assert rc == 1
-        # the spread comes from --deltas, so the advice names the spread, not the lifetime sd
+        # the spread comes from --deltas, so the error names the flag, not the lifetime sd
         assert capsys.readouterr().err == (
-            "error: spread 300.0: spare exhausts before the second main failure; "
-            "use a smaller spread or raise the mean lifetime "
-            "(config: lifetime.mean, system.lab_burnin)\n")
+            "error: spare exhausts before the second main failure at spread 300.0; lower the "
+            "spread or raise the mean lifetime (config: --deltas, lifetime.mean, "
+            "system.lab_burnin)\n")
+        assert not out.exists()
+
+    def test_default_spread_past_the_spare_names_th3(self, tmp_path, capsys):
+        # the default spreads reach 4 * th3 = 240 weeks, past the spare's 206 weeks of life
+        doc = json.loads(EXAMPLE.read_text(encoding="utf-8"))
+        doc["hazard"]["th3"] = 60.0
+        conf = tmp_path / "config.json"
+        conf.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "rz.csv"
+        assert main(["redzone", "--config", str(conf), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: spare exhausts before the second main failure at spread 240.0; lower the "
+            "spread or raise the mean lifetime (config: hazard.th3, lifetime.mean, "
+            "system.lab_burnin)\n")
         assert not out.exists()
 
     def test_spread_independent_error_names_no_spread(self, tmp_path, capsys):
@@ -866,6 +893,60 @@ class TestRedzoneCommand:
         assert not out.exists()
 
 
+@st.composite
+def scaled_demo_documents(draw):
+    """The example config with each hazard, lifetime, system and rotation-period number
+    scaled by a log-uniform factor in [1/30, 30], and a grid step of mean / 2000.  A
+    term's shape, an exponent the schema bounds, takes the part of that range that keeps
+    it inside its bounds: below 1 for the burn-in, above 1 for the wear-out."""
+    doc = json.loads(EXAMPLE.read_text(encoding="utf-8"))
+
+    def scale(section, key, lo=1 / 30, hi=30.0):
+        section[key] *= math.exp(draw(st.floats(math.log(lo), math.log(hi))))
+
+    hazard = doc["hazard"]
+    for key in ("useful_rate", "th1", "th2", "th3"):
+        scale(hazard, key)
+    for term, (lo, hi) in (("burnin", (1 / 30, 9.9)), ("wearout", (1 / 2.9, 30.0))):
+        scale(hazard[term], "scale")
+        scale(hazard[term], "shape", lo, hi)
+    for section, keys in (("lifetime", ("mean", "sd")),
+                          ("system", ("shelf_aging_factor", "lab_burnin")),
+                          ("policy", ("rotation_period",))):
+        for key in keys:
+            scale(doc[section], key)
+    doc["analysis"]["curve_dt"] = doc["lifetime"]["mean"] / 2000
+    return doc
+
+
+class TestExitCodeContract:
+    # Composing the pair as (f1*F2 + f2*F1) / (1 - F1*F2) fails where both units are
+    # certainly failed, which a quarter to a third of these documents reach: that error,
+    # from scenario and redzone alone, is the one exit 2 they may give.
+    CERTAINLY_FAILED = "error: all units certainly failed; composed rate undefined"
+
+    @pytest.mark.filterwarnings("always::redzone.errors.ValidationWarning")
+    @settings(max_examples=100, deadline=None, phases=UNSHRUNK)
+    @given(doc=scaled_demo_documents())
+    def test_every_error_names_a_field_or_a_flag(self, tmp_path_factory, doc):
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(doc, SCHEMA)
+        folder = tmp_path_factory.mktemp("fuzz")
+        conf = folder / "config.json"
+        conf.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("scenario", "simulate", "compare", "redzone"):
+            flags = [] if command == "scenario" else ["--replications", "20"]
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                rc = main([command, "--config", str(conf), "--out", str(folder / command),
+                           *flags])
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+            assert rc in (0, 1, 2) and len(errors) == (rc != 0), (command, rc, errors)
+            if rc == 1:
+                assert re.search(r" \(config: [^()]+\)$| --[a-z]", errors[0]), (command, errors)
+            if rc == 2:
+                assert command in ("scenario", "redzone") and errors == [self.CERTAINLY_FAILED]
+
+
 # The one ValidationWarning of a config with 30 weeks of lab credit, past th1 (20),
 # as the CLI prints it.
 LAB_WARNING = ("warning: system: lab_burnin (30.0) exceeds the declared burn-in duration "
@@ -890,7 +971,8 @@ class TestWarnings:
         assert main(["redzone", "--config", conf, "--out", str(tmp_path / "rz.csv"),
                      "--deltas", "1,300"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(LAB_WARNING + "error: spread 300.0: ")
+        assert err.startswith(LAB_WARNING + "error: spare exhausts before the second main "
+                              "failure at spread 300.0; ")
         assert err.count("\n") == 2
 
     @pytest.mark.filterwarnings("always::redzone.errors.ValidationWarning")

@@ -774,7 +774,7 @@ class TestRunBatch:
         assert (5 + math.floor(2.0 / at), 5 + math.floor(2.0 / past)) == (bound, bound + 1)
         out = run_batch(det_config(lab=2.0), Policy("type2", rotation_period=at), lifetimes)
         assert out.tdt.tolist() == [0.0]
-        with pytest.raises(ValidationError, match="policy.rotation_period") as error:
+        with pytest.raises(ValidationError, match="rotation period") as error:
             run_batch(det_config(lab=2.0), Policy("type2", rotation_period=past), lifetimes)
         assert error.value.fields == ("policy.rotation_period", "sim.horizon")
 

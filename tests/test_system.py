@@ -306,8 +306,9 @@ class TestGrid:
                                0.0, np.inf).zone
         assert (zone.start, zone.end) == (t[1], t[1] + (t[1] - t[0]))
         assert zone.end != t[1] + dt
+        # a one-point grid widens by the distance to the point after it, as any other
         lone = detect_red_zone(HazardCurve(grid[1:2], np.array([3.0])), 1.0, 2.0, 0.0, 1.0).zone
-        assert (lone.start, lone.end) == (t[1], t[1] + 1e-9)
+        assert (lone.start, lone.end) == (t[1], t[1] + (t[2] - t[1]))
 
 
 class TestSystemHazardCurve:
