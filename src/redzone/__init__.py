@@ -22,7 +22,6 @@ from .analysis import (
 )
 from .errors import (
     CompositionError,
-    DomainError,
     RedzoneError,
     ValidationError,
     ValidationWarning,

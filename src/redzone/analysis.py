@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .maintenance import Policy
 from .montecarlo import (Metrics, MetricSummary, SimConfig, _defined, _derive_seeds, _summarize,
                          _uniforms, run_batch, sample_lifetimes)
@@ -113,13 +113,13 @@ def _read_peak(curve: HazardCurve, baseline: float, threshold: float,
     """The window's peak, as :func:`detect_red_zone` reads it: its index, its rate over
     ``baseline``, and whether that rate exceeds ``threshold * baseline``."""
     if not baseline > 0.0:
-        raise DomainError(f"baseline must be > 0, got {baseline!r}")
+        raise ValidationError(f"baseline must be > 0, got {baseline!r}")
     if not threshold > 1.0:
-        raise DomainError(f"threshold must be > 1, got {threshold!r}")
+        raise ValidationError(f"threshold must be > 1, got {threshold!r}")
     lo, hi = map(curve.grid.index, (t_start, t_end))
     window = curve.rates[lo:hi + 1]
     if len(window) == 0:
-        raise DomainError("no curve samples inside the requested window")
+        raise ValidationError("no curve samples inside the requested window")
     # the first maximum; a NaN is never the peak
     peak = lo + int(np.argmax(np.where(np.isnan(window), -np.inf, window)))
     rate = curve.rates[peak]
@@ -150,7 +150,7 @@ def baseline_from_curve(curve: HazardCurve, useful_end: float, *,
     ``numpy.ma``; a NaN in the window makes it NaN, which is not positive.
     """
     if not 0.0 < window_fraction < 1.0:
-        raise DomainError("window_fraction must lie in (0, 1)")
+        raise ValidationError("window_fraction must lie in (0, 1)")
     window = (window_fraction * useful_end, useful_end)
     lo, hi = map(curve.grid.index, window)
     if lo >= hi:
@@ -159,7 +159,7 @@ def baseline_from_curve(curve: HazardCurve, useful_end: float, *,
                               "step", fields=("analysis.curve_dt",))
     baseline = _median(curve.rates[lo:hi])
     if not baseline > 0.0:
-        raise DomainError("measured baseline is not positive")
+        raise ValidationError("measured baseline is not positive")
     return baseline
 
 
@@ -196,7 +196,8 @@ def assess_red_zone(config: SystemConfig, *, threshold: float, dt: float,
 def lifetime_extension(trdd_1: float, trdd_2: float) -> float:
     """Relative gain of the rotation policy: (trdd_2 - trdd_1) / trdd_1."""
     if not trdd_1 > 0.0:
-        raise DomainError(f"trdd_1 must be > 0, got {trdd_1!r}")
+        raise ValidationError(f"trdd_1 must be > 0, got {trdd_1!r}",
+                              fields=("lifetime.mean", "lifetime.sd"))
     return (trdd_2 - trdd_1) / trdd_1
 
 
@@ -239,10 +240,10 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
     per-spread :func:`assess_red_zone` and ``run_ensemble`` bit for bit.
     """
     deltas = [float(d) for d in deltas]
-    if any(d <= 0.0 for d in deltas):
-        raise DomainError("all sweep spreads must be > 0")
-    if any(b <= a for a, b in zip(deltas, deltas[1:])):
-        raise DomainError("sweep spreads must be sorted, strictly increasing")
+    if not (all(0.0 < d < np.inf for d in deltas)
+            and all(a < b for a, b in zip(deltas, deltas[1:]))):
+        raise ValidationError(f"sweep spreads must be finite, > 0 and strictly increasing, "
+                              f"got {deltas!r}", fields=("lifetime.sd",))
     timelines = scenario_timelines(config, deltas)
     if not timelines:
         return []
@@ -296,9 +297,9 @@ def apply_vendor_decision_point(metrics: Metrics, vendor_mtbf: float | None,
     if vendor_mtbf is None or metrics.tdt is None:
         return metrics
     if not vendor_mtbf > 0.0:
-        raise DomainError(f"vendor_mtbf must be > 0, got {vendor_mtbf!r}")
+        raise ValidationError(f"vendor_mtbf must be > 0, got {vendor_mtbf!r}")
     if not warn_factor > 0.0:
-        raise DomainError(f"warn_factor must be > 0, got {warn_factor!r}")
+        raise ValidationError(f"warn_factor must be > 0, got {warn_factor!r}")
     dp = float(warn_factor * vendor_mtbf)
     return metrics._replace(dp=MetricSummary(mean=dp, std=0.0, ci_low=dp, ci_high=dp),
                             tdr=_summarize(metrics.tdt_values - dp))
@@ -319,6 +320,7 @@ def compare_policies(config: SystemConfig, rotation_period: float, sim: SimConfi
               for policy in (Policy("type1"), rotation))
     m1 = apply_vendor_decision_point(m1, vendor_mtbf, warn_factor)
     if m1.trdd is None or m2.trdd is None:
-        raise DomainError("policy comparison needs defined redundant lifetimes on both sides")
+        raise ValidationError("policy comparison needs defined redundant lifetimes on both sides",
+                              fields=("sim.horizon", "lifetime.mean"))
     return ComparisonReport(metrics_type1=m1, metrics_type2=m2,
                             extension_ratio=lifetime_extension(m1.trdd.mean, m2.trdd.mean))

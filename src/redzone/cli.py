@@ -22,8 +22,8 @@ bit pattern, and is one flat join of each row's replication prefix, time and
 row tail, the tail looked up by the row's codes in
 ``montecarlo._event_tails``.  Floats read as ``repr`` writes them.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 numerical or
-runtime failure.  :func:`main` alone prints an error's ``fields`` after it,
+Exit codes: 0 success, 1 a :class:`ValidationError` (input the run does not
+accept), 2 numerical or runtime failure.  :func:`main` alone prints an error's ``fields`` after it,
 as ``(config: ...)``, with the flag that set a field in its place.  A
 config warning prints as ``warning: <message>`` on stderr.
 """
@@ -47,7 +47,7 @@ from .analysis import (
     delta_sweep,
 )
 from .config import SCHEMA_VERSION, RunConfig, load_config
-from .errors import CompositionError, DomainError, ValidationError, ValidationWarning
+from .errors import CompositionError, ValidationError, ValidationWarning
 from .hazards import bathtub_hazard, software_hazard
 from .montecarlo import EventLog, Metrics, _event_tails, run_batch, sample_lifetimes
 from .system import scenario_timeline, system_hazard_curve
@@ -63,13 +63,9 @@ _TABLE_BLOCK = 4096
 _EVENT_BLOCK = 2048  # half the strings of 4,096 rows, at about their time
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValidationError(message)
 
 
 def _repr_fix_ups(x: np.ndarray) -> np.ndarray:
@@ -329,9 +325,6 @@ def cmd_simulate(run: RunConfig, args) -> int:
 
 def cmd_compare(run: RunConfig, args) -> int:
     sim = run.sim
-    if run.policy.rotation_period is None:
-        raise ValidationError("compare needs a rotation period for type2",
-                              fields=("policy.rotation_period",))
     report = compare_policies(run.system, run.policy.rotation_period, sim,
                               vendor_mtbf=run.vendor_mtbf, warn_factor=run.warn_factor)
     m1, m2 = report.metrics_type1, report.metrics_type2
@@ -357,7 +350,7 @@ def cmd_redzone(run: RunConfig, args) -> int:
             deltas = [float(x) for x in args.deltas.split(",") if x.strip()]
         except ValueError as e:
             raise ValidationError(f"--deltas: {e}") from e
-        if not deltas or not all(math.isfinite(d) for d in deltas):
+        if not deltas:  # delta_sweep([]) is no rows
             raise ValidationError(f"--deltas: give one or more finite spreads, got {args.deltas!r}")
     else:
         deltas = [0.1 * th3, 0.5 * th3, 2.0 * th3, 4.0 * th3]
@@ -454,7 +447,7 @@ def main(argv=None) -> int:
             fields = [sources.get(field, field) for field in getattr(e, "fields", ())]
             print(f"error: {e}" + (f" (config: {', '.join(fields)})" if fields else ""),
                   file=sys.stderr)
-            return 1 if isinstance(e, (_UsageError, ValidationError, DomainError)) else 2
+            return 1 if isinstance(e, ValidationError) else 2
 
 
 if __name__ == "__main__":

@@ -8,12 +8,9 @@ class RedzoneError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DomainError(RedzoneError, ValueError):
-    """An argument is outside the mathematical domain of an operation."""
-
-
 class ValidationError(RedzoneError, ValueError):
-    """A model, configuration, or document violates its construction contract.
+    """An input a call does not accept: a model, configuration, document, flag or
+    argument that breaks its contract or leaves an operation's domain.
 
     ``fields`` names the run-config fields that decide a failed check, so its
     message need not; the CLI prints them, or the flag that set one.

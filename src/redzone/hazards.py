@@ -17,7 +17,7 @@ functions never need quadrature.
 Conventions: all times are in weeks, all rates in failures per week.
 Every evaluator accepts a float or a numpy array for ``t`` and returns a
 matching float or array.  A time must be finite and >= 0, a uniform inside
-(0, 1); each has one guard, whose :class:`DomainError` names the kernel.
+(0, 1); each has one guard, whose :class:`ValidationError` names the kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .value import Value
 
 __all__ = [
@@ -52,7 +52,7 @@ def _checked_time(t, kernel: str):
     arr = np.asarray(t, dtype=float)
     # two reductions, both of which a NaN fails, and no boolean temporary the grid's length
     if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
-        raise DomainError(f"{kernel} requires finite t >= 0, got {t!r}")
+        raise ValidationError(f"{kernel} requires finite t >= 0, got {t!r}")
     return arr, arr.ndim == 0
 
 
@@ -60,7 +60,7 @@ def _checked_uniform(u, kernel: str):
     """(array, was_scalar) of uniforms ``u``, which ``kernel`` needs inside (0, 1)."""
     arr = np.asarray(u, dtype=float)
     if not (arr.min(initial=0.5) > 0.0 and arr.max(initial=0.5) < 1.0):
-        raise DomainError(f"{kernel} requires u strictly inside (0, 1), got {u!r}")
+        raise ValidationError(f"{kernel} requires u strictly inside (0, 1), got {u!r}")
     return arr, arr.ndim == 0
 
 
@@ -97,13 +97,13 @@ def weibull_hazard(t, term: WeibullTerm):
     """Instantaneous rate ``scale * shape * t**(shape - 1)``.
 
     For ``shape < 1`` the rate diverges at ``t = 0``, so ``t = 0`` with
-    ``shape < 1`` raises :class:`DomainError`; callers that need the origin
+    ``shape < 1`` raises :class:`ValidationError`; callers that need the origin
     clamp ``t`` themselves, as :func:`bathtub_hazard` clamps its own burn-in
     term to ``clamp_floor``.
     """
     arr, scalar = _checked_time(t, "weibull_hazard")
     if term.shape < 1.0 and np.any(arr == 0.0):
-        raise DomainError("t = 0 with shape < 1: the rate diverges at the origin")
+        raise ValidationError("t = 0 with shape < 1: the rate diverges at the origin")
     if term.scale == 0.0:
         return _ret(np.zeros_like(arr), scalar)
     return _ret(term.scale * term.shape * arr ** (term.shape - 1.0), scalar)
@@ -211,7 +211,10 @@ class LifetimeDistribution(Value):
     def __init__(self, mean: float, sd: float):
         _require(_finite_number(mean) and mean > 0.0, f"lifetime mean must be > 0, got {mean!r}")
         _require(_finite_number(sd) and sd >= 0.0, f"lifetime sd must be >= 0, got {sd!r}")
-        s2 = math.log1p((sd / mean) ** 2) if sd else 0.0
+        ratio = sd / mean
+        # where ratio ** 2 would overflow, log1p of it is 2 * log(ratio) to the last bit
+        s2 = (math.log1p(ratio ** 2) if ratio * ratio < math.inf
+              else 2.0 * (math.log(sd) - math.log(mean)))
         self._set(mean=mean, sd=sd, location=math.log(mean) - 0.5 * s2, scale=math.sqrt(s2))
 
     @property

@@ -45,7 +45,8 @@ class Policy(Value):
         if self.kind not in (TYPE1, TYPE2):
             raise ValidationError(f"policy kind must be 'type1' or 'type2', got {self.kind!r}")
         if self.kind == TYPE2 and self.rotation_period is None:
-            raise ValidationError("type2 needs rotation_period > 0")
+            raise ValidationError("type2 needs rotation_period > 0",
+                                  fields=("policy.rotation_period",))
         if self.rotation_period is not None and not 0.0 < self.rotation_period < math.inf:
             raise ValidationError(f"rotation_period must be finite and > 0, "
                                   f"got {self.rotation_period!r}")

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, RedzoneError, ValidationError
+from .errors import RedzoneError, ValidationError
 from .maintenance import Policy, rotation_targets
 from .value import Value
 
@@ -82,7 +82,7 @@ def _derive_seeds(master_seed: int, n: int) -> np.ndarray:
     """Replication i's seed, for i in 0..n-1, as uint64: the avalanche mix of
     master + i * golden gamma, a bijection of i for a fixed master in [0, 2**64)."""
     if not 0 <= master_seed <= _MASK64:
-        raise DomainError(f"master_seed must be in [0, 2**64), got {master_seed!r}")
+        raise ValidationError(f"master_seed must be in [0, 2**64), got {master_seed!r}")
     with np.errstate(over="ignore"):
         steps = np.arange(n, dtype=np.uint64) * np.uint64(_GAMMA)
         return _mix64_array(np.uint64(master_seed) + steps)
@@ -284,7 +284,7 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
     unfailed slots, and a row with a failed slot has no usable spare.
 
     Lifetimes must be finite and >= 0, and ``horizon`` > 0 (``inf`` allowed),
-    or :class:`DomainError`.  Each pass gives every running row an event of its
+    or :class:`ValidationError`.  Each pass gives every running row an event of its
     own or censors it, so a row takes at most three failure passes, one per
     unit; one rotation pass per epoch up to the horizon and its lifetime sum
     (it has a unit on the job until it dies), plus one for rounding, all that
@@ -314,18 +314,21 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
     if horizon is None:
         horizon = 5.0 * config.unit_lifetime.mean
     if not horizon > 0.0:
-        raise DomainError(f"horizon must be > 0, got {horizon!r}")
+        raise ValidationError(f"horizon must be > 0, got {horizon!r}")
     alpha = config.shelf_aging_factor
     period = policy.rotation_period if policy.kind == "type2" else math.inf
     S = 2  # position of the shelf, after the two slots
     lifetimes = np.asarray(lifetimes, dtype=float)
     if lifetimes.ndim != 2 or lifetimes.shape[1] != S + 1:
-        raise DomainError(f"lifetimes must have shape (N, 3), got {lifetimes.shape}")
+        raise ValidationError(f"lifetimes must have shape (N, 3), got {lifetimes.shape}")
     if not ((lifetimes >= 0.0) & (lifetimes < np.inf)).all():
-        raise DomainError("lifetimes must be finite and >= 0")
-    # the pass bound (see above): 3 failures, the censoring pass, the rotation epochs
-    cap = min(horizon, lifetimes.sum(axis=1).max(initial=0.0))
-    passes = 5 + math.floor(min(cap / period, _MAX_PASSES))
+        raise ValidationError("lifetimes must be finite and >= 0",
+                              fields=("lifetime.mean", "lifetime.sd"))
+    # the pass bound (see above): 3 failures, the censoring pass, the rotation epochs, of
+    # which an infinite period has none; a lifetime sum past the largest float reads inf
+    with np.errstate(over="ignore"):
+        cap = min(horizon, lifetimes.sum(axis=1).max(initial=0.0))
+    passes = 5 + math.floor(min(cap / period if period < math.inf else 0.0, _MAX_PASSES))
     if passes > _MAX_PASSES:
         raise ValidationError(f"rotation period {period!r} gives {cap / period:.3g} "
                               f"rotation epochs in {float(cap):.6g} weeks, past the "

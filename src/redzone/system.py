@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CompositionError, DomainError, ValidationError, ValidationWarning, warn
+from .errors import CompositionError, ValidationError, ValidationWarning, warn
 from .hazards import (
     BathtubModel,
     LifetimeDistribution,
@@ -108,10 +108,10 @@ def compose_parallel(hazards, cumulative_hazards):
     composition is undefined because every unit is certainly failed.
     """
     if len(hazards) != len(cumulative_hazards):
-        raise DomainError("hazards and cumulative_hazards must have equal length")
+        raise ValidationError("hazards and cumulative_hazards must have equal length")
     k = len(hazards)
     if not 1 <= k <= 2:
-        raise DomainError(f"compose_parallel takes one or two units, got {k}")
+        raise ValidationError(f"compose_parallel takes one or two units, got {k}")
     if k == 1:
         return hazards[0]
     h1, h2 = (np.asarray(x, dtype=float) for x in hazards)
@@ -220,7 +220,7 @@ def _timeline(config: SystemConfig, events) -> ScenarioTimeline:
     if mean < t0:
         raise ValidationError(f"mean lifetime ({mean}) lies before the wear-out onset ({t0}); "
                               "the end-of-life scenario is undefined",
-                              fields=("lifetime.mean", "hazard.th1 + hazard.th2"))
+                              fields=("lifetime.mean", "hazard.th1", "hazard.th2"))
     failed_at = {unit: t for t, kind, unit in events if kind == _FAILURE}
     if not any(kind == _REPLACE for _, kind, _ in events):
         raise ValidationError(f"spare dies before the first main failure ({failed_at[0]!r}), on "
@@ -283,7 +283,7 @@ class Grid(Value):
     def __getitem__(self, points: slice) -> Grid:
         lo, hi, step = points.indices(self.length)
         if step != 1:
-            raise DomainError("a grid slices in steps of one point")
+            raise ValidationError("a grid slices in steps of one point")
         return Grid(self.first + lo, max(hi - lo, 0), self.dt)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
@@ -395,7 +395,7 @@ def _hazard_curves(timelines, dt: float, start: float, through) -> Iterator[Haza
     first grid point at or after its time in ``through``, if its grid holds one; a piece
     one curve reads is evaluated into its rates, one several read into an array of its own."""
     if not dt > 0.0:
-        raise DomainError(f"dt must be > 0, got {dt!r}")
+        raise ValidationError(f"dt must be > 0, got {dt!r}")
     if not timelines:
         return iter(())
     # The first grid point at or after a time lies within one step of it.

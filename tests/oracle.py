@@ -32,7 +32,6 @@ import numpy as np
 
 from redzone import (
     BathtubModel,
-    DomainError,
     Policy,
     RedzoneError,
     SoftwareHazardModel,
@@ -63,7 +62,7 @@ def derive_seed(master_seed: int, replication_index: int) -> int:
     distinct indices always yield distinct seeds for a fixed master.
     """
     if replication_index < 0:
-        raise DomainError("replication_index must be >= 0")
+        raise ValidationError("replication_index must be >= 0")
     return _mix64((master_seed + replication_index * _GAMMA) & _MASK64)
 
 
@@ -394,10 +393,10 @@ def empirical_hazard(end_times, death_times, bin_width: float) -> EmpiricalHazar
     Needs at least one death.
     """
     if not bin_width > 0.0:
-        raise DomainError("bin_width must be > 0")
+        raise ValidationError("bin_width must be > 0")
     deaths_t = np.asarray(death_times, dtype=float)
     if len(deaths_t) == 0:
-        raise DomainError("empirical_hazard needs at least one uncensored replication")
+        raise ValidationError("empirical_hazard needs at least one uncensored replication")
     ends = np.sort(np.asarray(end_times, dtype=float))
     n_bins = int(math.ceil(ends[-1] / bin_width))
     edges = np.arange(n_bins + 1, dtype=float) * bin_width

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from redzone import (
     CompositionError,
     DeltaSweepPoint,
-    DomainError,
     Grid,
     HazardCurve,
     Policy,
@@ -199,13 +198,13 @@ class TestDetectRedZone:
 
     def test_empty_curve_rejected(self):
         empty = HazardCurve(grid=Grid(0, 0, 0.5), rates=np.array([]))
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             detect_red_zone(empty, 1.0, 2.0, *SPAN)
 
     def test_parameter_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             detect_red_zone(bump_curve(), 0.0, 2.0, *SPAN)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             detect_red_zone(bump_curve(), 1.0, 1.0, *SPAN)
 
 
@@ -232,7 +231,7 @@ class TestBaselineAndPeak:
         # the window [64, 80) on a grid of step 0.5: its first, a middle and its last point
         curve = bump_curve(bumps=())
         curve.rates[curve.grid.index(at)] = np.nan
-        with pytest.raises(DomainError, match="^measured baseline is not positive$"):
+        with pytest.raises(ValidationError, match="^measured baseline is not positive$"):
             baseline_from_curve(curve, useful_end=80.0, window_fraction=0.8)
 
     def test_severity_defined_below_threshold(self):
@@ -241,7 +240,7 @@ class TestBaselineAndPeak:
         assert (a.zone, a.severity) == (None, pytest.approx(1.5))
 
     def test_empty_window_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             detect_red_zone(bump_curve(), 1.0, 2.0, 200.0, 300.0)
 
     def test_window_end_reads_the_next_grid_point(self):
@@ -264,8 +263,9 @@ class TestLifetimeExtension:
         assert lifetime_extension(200.0, 290.0) == pytest.approx(0.45)
 
     def test_invalid_reference(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError) as error:
             lifetime_extension(0.0, 100.0)
+        assert error.value.fields == ("lifetime.mean", "lifetime.sd")
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False))
@@ -561,11 +561,17 @@ class TestDeltaSweep:
         assert delta_sweep(cfg, [], Policy("type1"),
                            SimConfig(replications=10, master_seed=1), **SWEEP) == []
 
-    def test_unsorted_rejected(self):
+    @pytest.mark.parametrize("spreads", [[5.0, 1.0], [1.0, 1.0], [0.0, 1.0], [-1.0, 2.0],
+                                         [np.nan], [1.0, np.nan], [1.0, np.inf]])
+    def test_spreads_outside_the_rule_rejected(self, spreads, monkeypatch):
+        # finite, > 0 and strictly increasing, checked before any timeline or ensemble
+        forbid_ensembles(monkeypatch)
         cfg = make_redzone_system(delta=1.0)
-        with pytest.raises(DomainError):
-            delta_sweep(cfg, [5.0, 1.0], Policy("type1"),
+        with pytest.raises(ValidationError, match="^sweep spreads must be finite, > 0 and "
+                                                  "strictly increasing, got ") as error:
+            delta_sweep(cfg, spreads, Policy("type1"),
                         SimConfig(replications=10, master_seed=1), **SWEEP)
+        assert error.value.fields == ("lifetime.sd",)
 
 
 class TestComparePolicies:
@@ -593,7 +599,15 @@ class TestComparePolicies:
         report = compare_policies(cfg, 400.0, sim, warn_factor=0.8)
         assert abs(report.extension_ratio) < 0.05
 
-    @pytest.mark.parametrize("period", [0.0, -1.0, float("nan"), float("inf")])
+    def test_every_replication_censored_names_the_horizon(self):
+        # a one-week horizon ends every replication before its redundant lifetime does
+        sim = SimConfig(replications=10, master_seed=1, horizon=1.0)
+        with pytest.raises(ValidationError, match="needs defined redundant lifetimes") as error:
+            compare_policies(make_redzone_system(delta=2.0, mean=200.0), 200.0 / 6, sim,
+                             warn_factor=0.8)
+        assert error.value.fields == ("sim.horizon", "lifetime.mean")
+
+    @pytest.mark.parametrize("period", [None, 0.0, -1.0, float("nan"), float("inf")])
     def test_bad_rotation_period_rejected_before_any_ensemble(self, period, monkeypatch):
         forbid_ensembles(monkeypatch)
         with pytest.raises(ValidationError, match="rotation_period"):
@@ -633,5 +647,5 @@ class TestApplyVendorDecisionPoint:
         (0.0, 0.8), (-200.0, 0.8), (float("nan"), 0.8), (200.0, 0.0), (200.0, -0.5),
     ])
     def test_non_positive_input_rejected(self, vendor_mtbf, warn_factor):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             apply_vendor_decision_point(self.type1_metrics(), vendor_mtbf, warn_factor)

@@ -61,6 +61,16 @@ def event_lines(log):
             for i, t, k, u, s, o in zip(*event_fields(log))]
 
 
+def write_example(tmp_path, **sections):
+    """The shipped example config with each of ``sections``' fields replaced."""
+    doc = json.loads(EXAMPLE.read_text(encoding="utf-8"))
+    for section, fields in sections.items():
+        doc[section].update(fields)
+    path = tmp_path / "example.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -100,14 +110,26 @@ class TestParser:
         ["hazard", "--dt", "nan"],
         ["scenario", "--dt", "inf"],
         ["scenario", "--dt", "nan"],
-        ["redzone", "--deltas", "nan"],
-        ["redzone", "--deltas", "1,inf"],
     ], ids="_".join)
     def test_non_finite_flag_exits_one(self, argv, tmp_path, capsys):
         conf = write_config(tmp_path, sim={"replications": 5, "master_seed": 5})
         out = tmp_path / "out.csv"
         assert main([*argv, "--config", conf, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {argv[1]}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, spreads", [
+        ("nan", "[nan]"), ("1,inf", "[1.0, inf]"), ("-1,2", "[-1.0, 2.0]"), ("2,1", "[2.0, 1.0]"),
+    ])
+    def test_deltas_outside_the_sweep_s_rule_name_the_flag(self, value, spreads, tmp_path,
+                                                           capsys):
+        # delta_sweep alone states the rule, naming lifetime.sd, which --deltas set
+        conf = write_config(tmp_path)
+        out = tmp_path / "out.csv"
+        assert main(["redzone", f"--deltas={value}", "--config", conf, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: sweep spreads must be finite, > 0 and strictly increasing, "
+            f"got {spreads} (config: --deltas)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [",", "", " , "])
@@ -192,12 +214,9 @@ class TestParser:
     def test_grid_missing_the_baseline_window_exits_one(self, command, curve_dt, flags, source,
                                                         tmp_path, capsys):
         # the demo's baseline window is [160, 200) weeks; a 50-week grid steps from 150 to 200
-        doc = json.loads(EXAMPLE.read_text(encoding="utf-8"))
-        doc["analysis"]["curve_dt"] = curve_dt
-        conf = tmp_path / "config.json"
-        conf.write_text(json.dumps(doc), encoding="utf-8")
+        conf = write_example(tmp_path, analysis={"curve_dt": curve_dt})
         out = tmp_path / "out"
-        assert main([command, "--config", str(conf), "--out", str(out), *flags]) == 1
+        assert main([command, "--config", conf, "--out", str(out), *flags]) == 1
         assert capsys.readouterr().err == (
             "error: grid step 50.0 puts no curve sample inside the baseline window "
             f"[160.0, 200.0) weeks; lower the step (config: {source})\n")
@@ -230,7 +249,7 @@ def full_parser_run(argv, capsys):
     parses with ``build_parser``: (exit or SystemExit code, stdout, stderr)."""
     try:
         build_parser().parse_args(argv)
-    except cli._UsageError as e:
+    except redzone.ValidationError as e:
         return 1, "", f"error: {e}\n"
     except SystemExit as e:
         return e.code, *capsys.readouterr()
@@ -435,7 +454,7 @@ class TestScenarioCommand:
         assert all(r[6] == "0" for r in rows_large)
 
     @pytest.mark.parametrize("lifetime, fields", [
-        ({"mean": 150.0, "sd": 1.0}, "lifetime.mean, hazard.th1 + hazard.th2"),
+        ({"mean": 150.0, "sd": 1.0}, "lifetime.mean, hazard.th1, hazard.th2"),
         ({"mean": 200.0, "sd": 300.0}, "lifetime.sd, lifetime.mean, system.lab_burnin"),
     ], ids=["mean-before-wear-out", "spare-exhausted"])
     def test_timeline_error_names_config_fields(self, lifetime, fields, tmp_path, capsys):
@@ -462,6 +481,14 @@ class TestScenarioCommand:
 
 
 class TestSimulateCommand:
+    def test_spread_whose_ratio_squared_overflows_runs(self, tmp_path, capsys):
+        # (sd / mean) ** 2 passes the largest float; the lifetime model takes its log form
+        conf = write_example(tmp_path, lifetime={"sd": 1e300})
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", conf, "--out", str(out), "--replications", "20"]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["replications"] == 20
+
     def test_deterministic_summary(self, tmp_path):
         conf = write_config(tmp_path, sim={"replications": 1, "master_seed": 5})
         out = tmp_path / "sim.json"
@@ -576,12 +603,10 @@ class TestSimulateCommand:
             "replication,time_weeks,kind,unit,slot,unit_out"] + event_lines(log)
 
     def test_events_csv_without_events_is_the_header(self, tmp_path):
-        doc = json.loads(EXAMPLE.read_text(encoding="utf-8"))
-        doc["sim"]["horizon"] = 1e-9  # every replication is censored before its first event
-        conf = tmp_path / "config.json"
-        conf.write_text(json.dumps(doc), encoding="utf-8")
+        # every replication is censored before its first event
+        conf = write_example(tmp_path, sim={"horizon": 1e-9})
         ev = tmp_path / "events.csv"
-        assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "sim.json"),
+        assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim.json"),
                      "--events-out", str(ev)]) == 0
         assert ev.read_text(encoding="utf-8") == "replication,time_weeks,kind,unit,slot,unit_out\n"
 
@@ -747,7 +772,22 @@ class TestCompareCommand:
         rc = main(["compare", "--config", conf, "--out", str(tmp_path / "cmp.json")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: compare needs a rotation period for type2 (config: policy.rotation_period)\n")
+            "error: type2 needs rotation_period > 0 (config: policy.rotation_period)\n")
+
+    def test_every_replication_censored_names_the_horizon(self, tmp_path, capsys):
+        # a one-week horizon ends every replication before its redundant lifetime does
+        conf = write_example(tmp_path, sim={"horizon": 1.0})
+        assert main(["compare", "--config", conf, "--out", str(tmp_path / "cmp.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: policy comparison needs defined redundant lifetimes on both sides "
+            "(config: sim.horizon, lifetime.mean)\n")
+
+    def test_no_type1_redundant_lifetime_names_the_lifetime(self, tmp_path, capsys):
+        # every lifetime drawn underflows to 0, so type1 loses redundancy at once
+        conf = write_example(tmp_path, lifetime={"mean": 6.5e-214, "sd": 8.3e106})
+        assert main(["compare", "--config", conf, "--out", str(tmp_path / "cmp.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: trdd_1 must be > 0, got 0.0 (config: lifetime.mean, lifetime.sd)\n")
 
     def test_byte_identical_reruns(self, tmp_path):
         conf = write_config(
@@ -825,17 +865,22 @@ class TestRedzoneCommand:
 
     def test_default_spread_past_the_spare_names_th3(self, tmp_path, capsys):
         # the default spreads reach 4 * th3 = 240 weeks, past the spare's 206 weeks of life
-        doc = json.loads(EXAMPLE.read_text(encoding="utf-8"))
-        doc["hazard"]["th3"] = 60.0
-        conf = tmp_path / "config.json"
-        conf.write_text(json.dumps(doc), encoding="utf-8")
+        conf = write_example(tmp_path, hazard={"th3": 60.0})
         out = tmp_path / "rz.csv"
-        assert main(["redzone", "--config", str(conf), "--out", str(out)]) == 1
+        assert main(["redzone", "--config", conf, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: spare exhausts before the second main failure at spread 240.0; lower the "
             "spread or raise the mean lifetime (config: hazard.th3, lifetime.mean, "
             "system.lab_burnin)\n")
         assert not out.exists()
+
+    def test_default_spreads_whose_ratio_squared_overflows_name_th3(self, tmp_path, capsys):
+        conf = write_example(tmp_path, hazard={"th3": 1e300})
+        assert main(["redzone", "--config", conf, "--out", str(tmp_path / "rz.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: spare exhausts before the second main failure at spread 1e+299; lower the "
+            "spread or raise the mean lifetime (config: hazard.th3, lifetime.mean, "
+            "system.lab_burnin)\n")
 
     def test_spread_independent_error_names_no_spread(self, tmp_path, capsys):
         # a mean before the wear-out onset fails every spread; the flag is not to blame
@@ -845,18 +890,15 @@ class TestRedzoneCommand:
         assert capsys.readouterr().err == (
             "error: mean lifetime (150.0) lies before the wear-out onset (200.0); "
             "the end-of-life scenario is undefined "
-            "(config: lifetime.mean, hazard.th1 + hazard.th2)\n")
+            "(config: lifetime.mean, hazard.th1, hazard.th2)\n")
 
     def test_matured_spare_severity_reads_its_jump_past_tf2(self, tmp_path):
         # shelf-aged, the spare goes in past its burn-in, so T2 = Tf2 and the failure
         # window ends on the jump at Tf2: its next grid point holds the spare standing
         # alone, above baseline, not the pair's near-zero rate just after Tf1
-        doc = json.loads(EXAMPLE.read_text(encoding="utf-8"))
-        doc["system"]["shelf_aging_factor"] = 0.3
-        conf = tmp_path / "aged.json"
-        conf.write_text(json.dumps(doc), encoding="utf-8")
+        conf = write_example(tmp_path, system={"shelf_aging_factor": 0.3})
         out = tmp_path / "rz.csv"
-        assert main(["redzone", "--config", str(conf), "--out", str(out), "--replications", "5",
+        assert main(["redzone", "--config", conf, "--out", str(out), "--replications", "5",
                      "--deltas", "1.05,2.05,4.05,8.05"]) == 0
         rows = read_csv(out)[1]
         assert [r[1:3] for r in rows] == [["0", "0"]] * 4
@@ -896,9 +938,10 @@ class TestRedzoneCommand:
 @st.composite
 def scaled_demo_documents(draw):
     """The example config with each hazard, lifetime, system and rotation-period number
-    scaled by a log-uniform factor in [1/30, 30], and a grid step of mean / 2000.  A
-    term's shape, an exponent the schema bounds, takes the part of that range that keeps
-    it inside its bounds: below 1 for the burn-in, above 1 for the wear-out."""
+    scaled by a log-uniform factor in [1/30, 30], a grid step of mean / 2000, and a
+    horizon of null or the mean times a log-uniform factor in [1e-3, 1e3].  A term's
+    shape, an exponent the schema bounds, takes the part of that range that keeps it
+    inside its bounds: below 1 for the burn-in, above 1 for the wear-out."""
     doc = json.loads(EXAMPLE.read_text(encoding="utf-8"))
 
     def scale(section, key, lo=1 / 30, hi=30.0):
@@ -916,6 +959,9 @@ def scaled_demo_documents(draw):
         for key in keys:
             scale(doc[section], key)
     doc["analysis"]["curve_dt"] = doc["lifetime"]["mean"] / 2000
+    if draw(st.booleans()):
+        doc["sim"]["horizon"] = doc["lifetime"]["mean"]
+        scale(doc["sim"], "horizon", 1e-3, 1e3)
     return doc
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from functools import partial
 
@@ -10,7 +11,6 @@ from scipy import integrate
 from scipy.special import ndtri
 
 from redzone import (
-    DomainError,
     LifetimeDistribution,
     SoftwareHazardModel,
     UpgradeEvent,
@@ -54,7 +54,7 @@ class TestTimeDomain:
     @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "one_of_two"])
     def test_bad_time_rejected_naming_the_kernel(self, kernel, model, bad, as_array):
         t = np.array([3.0, bad]) if as_array else bad
-        with pytest.raises(DomainError, match=rf"^{kernel.__name__} requires finite t >= 0"):
+        with pytest.raises(ValidationError, match=rf"^{kernel.__name__} requires finite t >= 0"):
             kernel(t, model)
 
     def test_scalar_gives_float_and_array_keeps_shape(self, kernel, model):
@@ -79,7 +79,7 @@ class TestWeibullHazard:
         assert weibull_hazard(3.0, WeibullTerm(0.0, 2.0)) == 0.0
 
     def test_origin_needs_clamp_for_decreasing_shape(self):
-        with pytest.raises(DomainError, match="diverges at the origin"):
+        with pytest.raises(ValidationError, match="diverges at the origin"):
             weibull_hazard(0.0, WeibullTerm(1.0, 0.5))
 
     def test_array_input(self):
@@ -271,6 +271,25 @@ class TestLognormal:
         for u in (0.1, 0.5, 0.9):
             assert lognormal_sample(d, u) == 200.0
 
+    @pytest.mark.parametrize("mean, sd", [(208.0, 1e300), (6.5e-214, 8.3e106), (1e-300, 1e300)])
+    def test_spread_past_the_largest_squarable_ratio(self, mean, sd):
+        # (sd / mean) ** 2 would overflow; log1p of it is 2 log(sd / mean) there
+        d = LifetimeDistribution(mean, sd)
+        s2 = 2.0 * (math.log(sd) - math.log(mean))
+        assert (d.location, d.scale) == (math.log(mean) - 0.5 * s2, math.sqrt(s2))
+
+    def test_scale_up_to_the_largest_squarable_ratio_is_log1p_s(self):
+        # the largest spread over a unit mean whose square is a float, the one below it,
+        # and the one above it, whose square overflows
+        last = math.sqrt(sys.float_info.max)
+        for sd in (last, math.nextafter(last, 0.0)):
+            d = LifetimeDistribution(1.0, sd)
+            assert d.scale == math.sqrt(math.log1p(sd ** 2))
+        past = math.nextafter(last, math.inf)
+        with pytest.raises(OverflowError):
+            past ** 2
+        assert LifetimeDistribution(1.0, past).scale >= LifetimeDistribution(1.0, last).scale
+
     def test_invalid_parameters(self):
         with pytest.raises(ValidationError):
             LifetimeDistribution(0.0, 1.0)
@@ -305,7 +324,7 @@ class TestLognormal:
         for name, kernel in kernels:
             for u in (0.0, 1.0, -0.2, 1.5, math.nan, math.inf,
                       np.array([0.5, 1.0]), np.array([math.nan, 0.5])):
-                with pytest.raises(DomainError, match=rf"^{name} requires u strictly inside"):
+                with pytest.raises(ValidationError, match=rf"^{name} requires u strictly inside"):
                     kernel(u)
 
     def test_sampling_round_trip(self):

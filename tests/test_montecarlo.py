@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from redzone import (
-    DomainError,
     LifetimeDistribution,
     Policy,
     RedzoneError,
@@ -242,7 +241,7 @@ class TestSplitMix64:
     @pytest.mark.parametrize("master", [-1, 2 ** 64])
     def test_master_seed_outside_64_bits_is_rejected(self, master):
         # a seed is a 64-bit word: 2**64 would alias 0, and -1 would alias 2**64 - 1
-        with pytest.raises(DomainError, match="master_seed"):
+        with pytest.raises(ValidationError, match="master_seed"):
             sample_lifetimes(det_config(), master, 5)
 
 
@@ -729,12 +728,15 @@ class TestRunBatch:
         # a NaN lifetime is never due, so its row would never leave the loop; a
         # negative one would fail before t = 0
         policy = Policy(kind, rotation_period=50.0 if kind == "type2" else None)
-        with pytest.raises(DomainError, match="lifetimes"):
+        with pytest.raises(ValidationError, match="lifetimes") as error:
             run_batch(det_config(), policy, lifetimes)
+        # a value outside the domain comes from the lifetime model; a shape does not
+        assert error.value.fields == (() if "shape" in str(error.value)
+                                      else ("lifetime.mean", "lifetime.sd"))
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan])
     def test_horizon_must_be_positive(self, horizon):
-        with pytest.raises(DomainError, match="horizon"):
+        with pytest.raises(ValidationError, match="horizon"):
             run_batch(det_config(), Policy("type2", rotation_period=50.0), [[208.0] * 3],
                       horizon=horizon)
 
@@ -778,6 +780,23 @@ class TestRunBatch:
             run_batch(det_config(lab=2.0), Policy("type2", rotation_period=past), lifetimes)
         assert error.value.fields == ("policy.rotation_period", "sim.horizon")
 
+    def test_an_infinite_period_bounds_no_rotation_epochs(self):
+        # the lifetime sum overflows to inf, and so does the cap at an infinite horizon:
+        # type1's infinite period counts no epoch of it, type2's a million too many, and
+        # no numpy overflow warning reaches the caller
+        lifetimes = [[1.5e308, 1.5e308, 1e-3]]
+        out = run_batch(det_config(lab=2.0), Policy("type1"), lifetimes, horizon=math.inf,
+                        record_events=True)
+        assert out.trdd.tolist() == out.tdt.tolist() == [1.5e308]
+        _, times, kinds, units, _, _ = event_fields(out.events)
+        assert list(zip(times.tolist(), kinds, units)) == [
+            (0.0, "failure", "controller_3"), (1.5e308, "failure", "controller_1"),
+            (1.5e308, "failure", "controller_2"), (1.5e308, "system_death", None)]
+        with pytest.raises(ValidationError, match="rotation period") as error:
+            run_batch(det_config(lab=2.0), Policy("type2", rotation_period=34.67), lifetimes,
+                      horizon=math.inf)
+        assert error.value.fields == ("policy.rotation_period", "sim.horizon")
+
     @pytest.mark.parametrize("policy", [Policy("type1"), Policy("type2", rotation_period=30.0)],
                              ids=["type1", "type2"])
     def test_subnormal_shelf_aging_factor(self, policy):
@@ -802,7 +821,7 @@ class TestEmpiricalHazard:
     def test_requires_uncensored_trace(self):
         traces = [run_replication(det_config(), Policy("type1"), seed=s, horizon=100.0)
                   for s in range(3)]
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             hazard_of(traces, bin_width=10.0)
 
     def test_end_of_life_peak_dwarfs_useful_phase_rates(self):

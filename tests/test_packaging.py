@@ -94,15 +94,16 @@ def test_only_the_engine_reads_the_spare_s_consumption():
 
 def test_each_kernel_checks_its_domain_through_one_guard():
     # a time is finite and >= 0, a uniform inside (0, 1): each rule lives in its guard
-    # alone, which every kernel of its argument calls once, under the kernel's own name
+    # alone, which every kernel of its argument calls once, under the kernel's own name;
+    # the module's one other raise is _require's, which the value types' checks call
     tree = ast.parse((ROOT / "src" / "redzone" / "hazards.py").read_text(encoding="utf-8"))
     functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
     assert "np.isfinite" not in {ast.unparse(node) for node in ast.walk(tree)}
     raises = {fn.name: [ast.unparse(node.exc) for node in ast.walk(fn)
-                        if isinstance(node, ast.Raise) and "DomainError" in ast.unparse(node)]
+                        if isinstance(node, ast.Raise) and "ValidationError" in ast.unparse(node)]
               for fn in functions}
     assert {name: len(r) for name, r in raises.items() if r} == {
-        "_checked_time": 1, "_checked_uniform": 1, "weibull_hazard": 1}
+        "_checked_time": 1, "_checked_uniform": 1, "weibull_hazard": 1, "_require": 1}
     assert "shape < 1" in raises["weibull_hazard"][0]  # the burn-in origin: that kernel's rule
     guarded = {fn.name: [(ast.unparse(call.func), ast.literal_eval(call.args[1]))
                          for call in ast.walk(fn) if isinstance(call, ast.Call)

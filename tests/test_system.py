@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from redzone import (
     CompositionError,
-    DomainError,
     Grid,
     HazardCurve,
     LifetimeDistribution,
@@ -139,11 +138,11 @@ class TestComposeParallel:
             compose_parallel([1.0, 1.0], [800.0, 800.0])
 
     def test_argument_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             compose_parallel([], [])
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             compose_parallel([1.0], [1.0, 2.0])
-        with pytest.raises(DomainError, match="one or two units, got 3"):
+        with pytest.raises(ValidationError, match="one or two units, got 3"):
             compose_parallel([1.0] * 3, [1.0] * 3)
 
 
@@ -291,7 +290,7 @@ class TestGrid:
     def test_a_grid_slices_in_steps_of_one(self):
         grid = Grid(3, 10, 0.5)
         assert grid[2:-2] == Grid(5, 6, 0.5) and grid[8:2] == Grid(11, 0, 0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             grid[::2]
 
     def test_a_one_point_zone_widens_by_its_grid_times(self):
@@ -361,7 +360,7 @@ class TestSystemHazardCurve:
     def test_grid_step_validation(self):
         cfg = make_redzone_system(delta=1.0)
         tl = scenario_timeline(cfg)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             system_hazard_curve(tl, dt=0.0)
 
     def test_curve_finite_and_nonnegative(self):
@@ -603,7 +602,7 @@ class TestSystemHazardCurves:
 
     def test_grid_step_validation(self):
         tl = scenario_timeline(make_redzone_system(delta=1.0))
-        with pytest.raises(DomainError, match="dt must be > 0"):
+        with pytest.raises(ValidationError, match="dt must be > 0"):
             system_hazard_curves([tl], dt=0.0)
 
     @pytest.mark.parametrize("mean, lab, alpha, spreads, dt, points", [
