@@ -32,7 +32,7 @@ software = SoftwareHazardModel(
     update_decay_tau=26.0,
     upgrade_events=(
         UpgradeEvent(time=52.0, kind="minor", pulse_amplitude=0.002, pulse_decay_tau=8.0),
-        UpgradeEvent(time=120.0, kind="major"),
+        UpgradeEvent(time=120.0, kind="major", pulse_amplitude=0.0, pulse_decay_tau=0.0),
     ),
 )
 

@@ -29,7 +29,7 @@ def study(spread_weeks: float) -> None:
     config = SystemConfig(
         hazard=hardware,
         unit_lifetime=LifetimeDistribution(mean=208.0, sd=spread_weeks),
-        lab_burnin=2.0,
+        shelf_aging_factor=0.0, lab_burnin=2.0, software=None, operator=None,
     )
     timeline = scenario_timeline(config)
     print(f"\nLifetime spread {spread_weeks:.1f} weeks")
@@ -40,7 +40,7 @@ def study(spread_weeks: float) -> None:
 
     result = assess_red_zone(config, threshold=2.0, dt=0.1, baseline_window_fraction=0.8)
     print(f"  useful-phase baseline: {result.baseline:.5f} failures/week")
-    # the zone and the severity read one peak: z.severity is result.severity
+    # the zone and the severity read one peak
     print(f"  severity, peak over baseline in the failure window: {result.severity:.2f}x")
     if result.zone is not None:
         z = result.zone

@@ -28,13 +28,13 @@ config = SystemConfig(
         th1=20.0, th2=180.0, th3=10.0,
     ),
     unit_lifetime=LifetimeDistribution(mean=MEAN_LIFE, sd=2.0),
-    lab_burnin=2.0,
+    shelf_aging_factor=0.0, lab_burnin=2.0, software=None, operator=None,
 )
 
 report = compare_policies(
     config,
     MEAN_LIFE / 6.0,         # type2 rotates every sixth of a mean life; type1 replaces on failure
-    SimConfig(replications=5000, master_seed=2024),
+    SimConfig(replications=5000, master_seed=2024, horizon=None),
     vendor_mtbf=MEAN_LIFE,   # the only statistic available under type1
     warn_factor=0.8,         # type1 decision point at 80% of the vendor MTBF
 )

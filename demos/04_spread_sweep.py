@@ -31,15 +31,15 @@ def make_config(lab_burnin=2.0):
             th1=20.0, th2=180.0, th3=TH3,
         ),
         unit_lifetime=LifetimeDistribution(mean=208.0, sd=1.0),
-        lab_burnin=lab_burnin,
+        shelf_aging_factor=0.0, lab_burnin=lab_burnin, software=None, operator=None,
     )
 
 
 rows = delta_sweep(
     make_config(),
     [0.1 * TH3, 0.5 * TH3, 1.0 * TH3, 2.0 * TH3, 4.0 * TH3],
-    Policy("type1"),
-    SimConfig(replications=1000, master_seed=99),
+    Policy("type1", rotation_period=None),
+    SimConfig(replications=1000, master_seed=99, horizon=None),
     threshold=2.0,
     dt=0.1,
     baseline_window_fraction=0.8,

@@ -35,10 +35,7 @@ from .hazards import (
     WeibullTerm,
     bathtub_cumulative,
     bathtub_hazard,
-    lognormal_sample,
     software_hazard,
-    weibull_cumulative,
-    weibull_hazard,
 )
 from .maintenance import Policy
 from .montecarlo import (

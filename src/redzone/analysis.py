@@ -57,16 +57,17 @@ __all__ = [
 class RedZone(Value):
     """A detected interval of critically elevated system failure rate."""
 
-    __slots__ = ("start", "end", "severity")
+    __slots__ = ("start", "end")
 
-    def __init__(self, start: float, end: float, severity: float):
-        self._set(start=start, end=end, severity=severity)
+    def __init__(self, start: float, end: float):
+        self._set(start=start, end=end)
         if not self.start < self.end:
             raise ValidationError("red zone needs start < end")
 
 
 class RedZoneAssessment(NamedTuple):
-    """Curve-based red-zone study of one configuration."""
+    """Curve-based red-zone study of one configuration: the zone, if any, and the
+    severity of the peak it is read around."""
 
     zone: RedZone | None
     severity: float
@@ -104,8 +105,8 @@ def detect_red_zone(curve: HazardCurve, baseline: float, threshold: float,
     start, end = grid.time(lo), grid.time(hi)
     if end <= start:  # a grid has its step even at one point
         end = start + (grid.time(1) - grid.time(0))
-    zone = RedZone(start=start, end=end, severity=severity)
-    return RedZoneAssessment(zone=zone, severity=severity, baseline=baseline)
+    return RedZoneAssessment(zone=RedZone(start=start, end=end), severity=severity,
+                             baseline=baseline)
 
 
 def _read_peak(curve: HazardCurve, baseline: float, threshold: float,
@@ -317,7 +318,7 @@ def compare_policies(config: SystemConfig, rotation_period: float, sim: SimConfi
     rotation = Policy("type2", rotation_period=rotation_period)
     lifetimes = sample_lifetimes(config, sim.master_seed, sim.replications)
     m1, m2 = (Metrics.from_batch(run_batch(config, policy, lifetimes, horizon=sim.horizon))
-              for policy in (Policy("type1"), rotation))
+              for policy in (Policy("type1", rotation_period=None), rotation))
     m1 = apply_vendor_decision_point(m1, vendor_mtbf, warn_factor)
     if m1.trdd is None or m2.trdd is None:
         raise ValidationError("policy comparison needs defined redundant lifetimes on both sides",

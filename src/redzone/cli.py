@@ -261,11 +261,12 @@ def _metrics_doc(metrics: Metrics) -> dict:
     }
 
 
-def _zone_doc(zone) -> dict | None:
-    if zone is None:
+def _zone_doc(assessment) -> dict | None:
+    if assessment is None or assessment.zone is None:
         return None
+    zone = assessment.zone
     return {"start": float(zone.start), "end": float(zone.end),
-            "severity": float(zone.severity)}
+            "severity": float(assessment.severity)}
 
 
 def _write_events_csv(path: str, log: EventLog) -> None:
@@ -297,12 +298,12 @@ def cmd_simulate(run: RunConfig, args) -> int:
     policy, sim = run.policy, run.sim
     dt = _curve_dt(run)
     try:
-        zone = assess_red_zone(run.system, threshold=run.red_zone_threshold, dt=dt,
-                               baseline_window_fraction=run.baseline_window_fraction).zone
+        assessment = assess_red_zone(run.system, threshold=run.red_zone_threshold, dt=dt,
+                                     baseline_window_fraction=run.baseline_window_fraction)
     except (ValidationError, CompositionError) as e:
         if "analysis.curve_dt" in getattr(e, "fields", ()):
             raise  # a grid too coarse for the baseline fails the run, as in scenario
-        zone = None  # the timeline or its curve is undefined here; the ensemble is not
+        assessment = None  # the timeline or its curve is undefined here; the ensemble is not
     lifetimes = sample_lifetimes(run.system, sim.master_seed, sim.replications)
     out = run_batch(run.system, policy, lifetimes, horizon=sim.horizon,
                     record_events=bool(args.events_out))
@@ -314,7 +315,7 @@ def cmd_simulate(run: RunConfig, args) -> int:
         "seed": int(sim.master_seed),
         "policy": policy.kind,
         "replications": int(sim.replications),
-        "red_zone": _zone_doc(zone),
+        "red_zone": _zone_doc(assessment),
         **_metrics_doc(metrics),
     }
     _write_json(args.out, doc)

@@ -38,7 +38,7 @@ from .maintenance import Policy
 from .montecarlo import SimConfig
 from .system import SystemConfig
 
-__all__ = ["RunConfig", "SCHEMA_VERSION", "default_config", "parse_config", "load_config"]
+__all__ = ["RunConfig", "SCHEMA_VERSION", "parse_config", "load_config"]
 
 SCHEMA_VERSION = 1
 
@@ -124,11 +124,6 @@ def _check(schema: dict, value, path: str):
         elif "default" in sub or sub.get("type") == "object":
             filled[key] = _check(sub, sub.get("default", {}), prefix + key)
     return filled
-
-
-def default_config() -> dict:
-    """The fully defaulted configuration document."""
-    return _check(_schema(), {"schema_version": SCHEMA_VERSION}, "")
 
 
 def _made(path: str, cls, /, **fields):

@@ -36,12 +36,8 @@ __all__ = [
     "UpgradeEvent",
     "SoftwareHazardModel",
     "OperatorHazard",
-    "weibull_hazard",
-    "weibull_cumulative",
     "bathtub_hazard",
     "bathtub_cumulative",
-    "lognormal_sample",
-    "standard_normal_quantile",
     "software_hazard",
     "software_cumulative",
 ]
@@ -93,30 +89,6 @@ class WeibullTerm(Value):
                  f"WeibullTerm.shape must be a finite number > 0, got {self.shape!r}")
 
 
-def weibull_hazard(t, term: WeibullTerm):
-    """Instantaneous rate ``scale * shape * t**(shape - 1)``.
-
-    For ``shape < 1`` the rate diverges at ``t = 0``, so ``t = 0`` with
-    ``shape < 1`` raises :class:`ValidationError`; callers that need the origin
-    clamp ``t`` themselves, as :func:`bathtub_hazard` clamps its own burn-in
-    term to ``clamp_floor``.
-    """
-    arr, scalar = _checked_time(t, "weibull_hazard")
-    if term.shape < 1.0 and np.any(arr == 0.0):
-        raise ValidationError("t = 0 with shape < 1: the rate diverges at the origin")
-    if term.scale == 0.0:
-        return _ret(np.zeros_like(arr), scalar)
-    return _ret(term.scale * term.shape * arr ** (term.shape - 1.0), scalar)
-
-
-def weibull_cumulative(t, term: WeibullTerm):
-    """Integrated hazard ``scale * t**shape`` (exact, no quadrature)."""
-    arr, scalar = _checked_time(t, "weibull_cumulative")
-    if term.scale == 0.0:
-        return _ret(np.zeros_like(arr), scalar)
-    return _ret(term.scale * arr ** term.shape, scalar)
-
-
 class BathtubModel(Value):
     """Additive bathtub hazard for one hardware unit.
 
@@ -154,8 +126,10 @@ class BathtubModel(Value):
 def _add_wearout(out, ages, model: BathtubModel, coef: float, power: float):
     # coef * max(age - onset, 0)**power adds exactly 0 before the onset, where numpy's
     # power would take its slow path on zero bases; a mask, as ages need not be sorted.
+    # A power past the largest float is +inf, its limit.
     past = ages > model.wearout_onset
-    out[past] += coef * (ages[past] - model.wearout_onset) ** power
+    with np.errstate(over="ignore"):
+        out[past] += coef * (ages[past] - model.wearout_onset) ** power
 
 
 def bathtub_hazard(t, model: BathtubModel):
@@ -222,7 +196,14 @@ class LifetimeDistribution(Value):
         return self.sd == 0.0
 
     def sample(self, u):
-        return lognormal_sample(self, u)
+        """Inverse-transform sample: ``exp(location + scale * quantile(u))``.
+
+        The degenerate distribution returns ``mean`` for every ``u``.
+        """
+        arr, scalar = _checked_uniform(u, "LifetimeDistribution.sample")
+        if self.degenerate:
+            return _ret(np.full_like(arr, self.mean), scalar)
+        return _ret(np.exp(self.location + self.scale * _normal_quantile(arr)), scalar)
 
 
 # Rational approximation of the standard normal quantile (Acklam's
@@ -275,23 +256,6 @@ def _normal_quantile(arr):
     return out
 
 
-def standard_normal_quantile(u):
-    """Inverse standard normal CDF on the open interval (0, 1)."""
-    arr, scalar = _checked_uniform(u, "standard_normal_quantile")
-    return _ret(_normal_quantile(arr), scalar)
-
-
-def lognormal_sample(dist: LifetimeDistribution, u):
-    """Inverse-transform sample: ``exp(location + scale * quantile(u))``.
-
-    The degenerate distribution returns ``mean`` for every ``u``.
-    """
-    arr, scalar = _checked_uniform(u, "lognormal_sample")
-    if dist.degenerate:
-        return _ret(np.full_like(arr, dist.mean), scalar)
-    return _ret(np.exp(dist.location + dist.scale * _normal_quantile(arr)), scalar)
-
-
 # ---------------------------------------------------------------------------
 # Software and operator contributions
 # ---------------------------------------------------------------------------
@@ -307,8 +271,7 @@ class UpgradeEvent(Value):
 
     __slots__ = ("time", "kind", "pulse_amplitude", "pulse_decay_tau")
 
-    def __init__(self, time: float, kind: str, pulse_amplitude: float = 0.0,
-                 pulse_decay_tau: float = 0.0):
+    def __init__(self, time: float, kind: str, pulse_amplitude: float, pulse_decay_tau: float):
         self._set(time=time, kind=kind, pulse_amplitude=pulse_amplitude,
                   pulse_decay_tau=pulse_decay_tau)
         _require(self.kind in ("minor", "major"),
@@ -336,8 +299,8 @@ class SoftwareHazardModel(Value):
     __slots__ = ("steady_floor", "update_amplitude", "update_decay_tau", "upgrade_events",
                  "_terms")
 
-    def __init__(self, steady_floor: float, update_amplitude: float = 0.0,
-                 update_decay_tau: float = 0.0, upgrade_events: tuple[UpgradeEvent, ...] = ()):
+    def __init__(self, steady_floor: float, update_amplitude: float, update_decay_tau: float,
+                 upgrade_events: tuple[UpgradeEvent, ...]):
         self._set(steady_floor=steady_floor, update_amplitude=update_amplitude,
                   update_decay_tau=update_decay_tau, upgrade_events=tuple(upgrade_events))
         _require(_finite_number(self.steady_floor) and self.steady_floor >= 0.0,

@@ -40,7 +40,7 @@ class Policy(Value):
 
     __slots__ = ("kind", "rotation_period")
 
-    def __init__(self, kind: str, rotation_period: float | None = None):
+    def __init__(self, kind: str, rotation_period: float | None):
         self._set(kind=kind, rotation_period=rotation_period)
         if self.kind not in (TYPE1, TYPE2):
             raise ValidationError(f"policy kind must be 'type1' or 'type2', got {self.kind!r}")

@@ -99,14 +99,13 @@ def _uniforms(seeds: np.ndarray, k: int) -> np.ndarray:
 class SimConfig(Value):
     """Ensemble parameters.
 
-    ``horizon`` defaults to five mean lifetimes; replications still alive
+    A ``horizon`` of None is five mean lifetimes; replications still alive
     there are censored rather than simulated unboundedly.
     """
 
     __slots__ = ("replications", "master_seed", "horizon")
 
-    def __init__(self, replications: int = 1000, master_seed: int = 1,
-                 horizon: float | None = None):
+    def __init__(self, replications: int, master_seed: int, horizon: float | None):
         self._set(replications=replications, master_seed=master_seed, horizon=horizon)
         for name in ("replications", "master_seed"):
             value = getattr(self, name)
@@ -251,8 +250,12 @@ class BatchOutcomes(NamedTuple):
     trdd: np.ndarray
     tdt: np.ndarray
     dp: np.ndarray
-    censored: np.ndarray
     events: EventLog | None = None
+
+    @property
+    def censored(self) -> np.ndarray:
+        """Whether each replication was cut at the horizon: it has no total lifetime."""
+        return np.isnan(self.tdt)
 
 
 def sample_lifetimes(config: SystemConfig, master_seed: int, replications: int) -> np.ndarray:
@@ -454,7 +457,7 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
         raise RedzoneError(f"run_batch: {rows.size} replications still running after "
                            f"{passes} passes, the most their lifetimes and horizon allow")
 
-    return BatchOutcomes(trdd=trdd, tdt=tdt, dp=dp, censored=np.isnan(tdt),
+    return BatchOutcomes(trdd=trdd, tdt=tdt, dp=dp,
                          events=_event_log(columns) if record_events else None)
 
 

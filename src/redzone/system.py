@@ -2,7 +2,7 @@
 
 The reference architecture is two active controller units plus one shelf
 spare.  The shelf aging factor weights shelf time in a unit's consumed
-life (see :mod:`redzone.montecarlo`); it defaults to 0 (ideal cold storage).
+life (see :mod:`redzone.montecarlo`); 0 is ideal cold storage.
 
 Redundancy is composed exactly: for the two active units with rates ``h_i``
 and cumulative hazards ``H_i`` measured from a common conditioning epoch,
@@ -82,9 +82,8 @@ class SystemConfig(Value):
                  "operator")
 
     def __init__(self, hazard: BathtubModel, unit_lifetime: LifetimeDistribution,
-                 shelf_aging_factor: float = 0.0, lab_burnin: float = 2.0,
-                 software: SoftwareHazardModel | None = None,
-                 operator: OperatorHazard | None = None):
+                 shelf_aging_factor: float, lab_burnin: float,
+                 software: SoftwareHazardModel | None, operator: OperatorHazard | None):
         self._set(hazard=hazard, unit_lifetime=unit_lifetime,
                   shelf_aging_factor=shelf_aging_factor, lab_burnin=lab_burnin,
                   software=software, operator=operator)
@@ -117,14 +116,17 @@ def compose_parallel(hazards, cumulative_hazards):
     h1, h2 = (np.asarray(x, dtype=float) for x in hazards)
     H1, H2 = (np.asarray(x, dtype=float) for x in cumulative_hazards)
     scalar = h1.ndim == 0 and h2.ndim == 0
-    F1, f1 = -np.expm1(-H1), h1 * np.exp(-H1)
     # one unit given twice (the same arrays) has its terms computed once
-    F2, f2 = (F1, f1) if h2 is h1 and H2 is H1 else (-np.expm1(-H2), h2 * np.exp(-H2))
-    num = f1 * F2 + f2 * F1
+    same = h2 is h1 and H2 is H1
+    F1 = -np.expm1(-H1)
+    F2 = F1 if same else -np.expm1(-H2)
     den = 1.0 - F1 * F2
+    # checked first: where both units are certainly failed, h * exp(-H) may be inf * 0
     if np.any(den <= 0.0):
         raise CompositionError("all units certainly failed; composed rate undefined")
-    out = num / den
+    f1 = h1 * np.exp(-H1)
+    f2 = f1 if same else h2 * np.exp(-H2)
+    out = (f1 * F2 + f2 * F1) / den
     return float(out) if scalar else out
 
 
@@ -205,7 +207,8 @@ def scenario_timelines(config: SystemConfig, spreads) -> list[ScenarioTimeline]:
             config.unit_lifetime.mean, d)) for d in spreads]
     mean = config.unit_lifetime.mean
     lives = np.array([(mean, mean + c.unit_lifetime.sd, mean) for c in configs]).reshape(-1, 3)
-    log = run_batch(config, Policy("type1"), lives, horizon=math.inf, record_events=True).events
+    log = run_batch(config, Policy("type1", rotation_period=None), lives, horizon=math.inf,
+                    record_events=True).events
     ends = np.searchsorted(log.replication, np.arange(1, len(lives) + 1)).tolist()
     events = zip(log.time.tolist(), log.kind.tolist(), log.unit.tolist())
     return [_timeline(c, list(itertools.islice(events, hi - lo)))

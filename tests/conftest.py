@@ -6,6 +6,7 @@ from redzone import (
     BathtubModel,
     LifetimeDistribution,
     OperatorHazard,
+    Policy,
     SoftwareHazardModel,
     SystemConfig,
     UpgradeEvent,
@@ -21,6 +22,9 @@ from redzone.system import _unit_cumulative_at, _unit_rate
 # reruns such examples hundreds of times, minutes per test when the engine is broken,
 # and skipping the phase is the one bound on shrinking that Hypothesis offers.
 UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+# Replace on failure, which takes no rotation period.
+TYPE1 = Policy("type1", rotation_period=None)
 
 
 def make_bathtub(useful_rate=0.01, burnin=(0.05, 0.5), wearout=(1e-6, 3.0),
@@ -48,7 +52,7 @@ def make_redzone_system(delta: float, lab: float = 2.0, mean: float = 208.0) -> 
     model = make_bathtub(useful_rate=0.01, burnin=(0.9, 0.1), wearout=(1e-6, 3.0),
                          th1=20.0, th2=180.0, th3=10.0)
     return SystemConfig(hazard=model, unit_lifetime=LifetimeDistribution(mean, delta),
-                        lab_burnin=lab)
+                        shelf_aging_factor=0.0, lab_burnin=lab, software=None, operator=None)
 
 
 def make_software_system(*, th1=20.0, th2=180.0, margin=8.0, lab=2.0, upgrades=(),
@@ -57,7 +61,7 @@ def make_software_system(*, th1=20.0, th2=180.0, margin=8.0, lab=2.0, upgrades=(
     model = make_bathtub(burnin=(0.9, 0.1), th1=th1, th2=th2, th3=10.0)
     return SystemConfig(
         hazard=model, unit_lifetime=LifetimeDistribution(th1 + th2 + margin, 0.0),
-        lab_burnin=lab,
+        shelf_aging_factor=0.0, lab_burnin=lab,
         software=SoftwareHazardModel(0.001, 0.004, 26.0, tuple(upgrades)) if software else None,
         operator=OperatorHazard(operator_rate) if operator_rate else None)
 

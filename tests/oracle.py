@@ -37,8 +37,7 @@ from redzone import (
     SoftwareHazardModel,
     SystemConfig,
     ValidationError,
-    weibull_cumulative,
-    weibull_hazard,
+    WeibullTerm,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -289,9 +288,27 @@ def run_replication(config: SystemConfig, policy: Policy, seed: int, *,
                  censored=censored, end_time=t, lifetimes=lifetimes)
 
 
+def weibull_hazard(t, term: WeibullTerm):
+    """One power-law term's rate ``scale * shape * t**(shape - 1)``, 0 at scale 0, over
+    an array of ``t`` (numpy's power ufunc, not its scalar power, even at a float)."""
+    arr = np.asarray(t, dtype=float)
+    if term.scale == 0.0:
+        return np.zeros_like(arr)
+    return term.scale * term.shape * arr ** (term.shape - 1.0)
+
+
+def weibull_cumulative(t, term: WeibullTerm):
+    """One power-law term's integral ``scale * t**shape``, 0 at scale 0, as
+    :func:`weibull_hazard`."""
+    arr = np.asarray(t, dtype=float)
+    if term.scale == 0.0:
+        return np.zeros_like(arr)
+    return term.scale * arr ** term.shape
+
+
 def bathtub_hazard(t, model: BathtubModel):
-    """Total hardware rate at age ``t``: every term over every age, through the
-    validating Weibull evaluators; a float for a float or a 0-d array."""
+    """Total hardware rate at age ``t``: every term over every age, through
+    :func:`weibull_hazard`; a float for a float or a 0-d array."""
     arr = np.asarray(t, dtype=float)
     h = np.full_like(arr, model.useful_rate, dtype=float)
     if model.burnin.scale > 0.0:

@@ -29,15 +29,20 @@ from redzone import (
     run_ensemble,
     scenario_timeline,
     system_hazard_curve,
-    weibull_cumulative,
-    weibull_hazard,
 )
 from redzone.cli import main
 from redzone.config import parse_config
 from redzone.montecarlo import run_batch, sample_lifetimes
 
-from conftest import make_bathtub, make_flat_bathtub, make_redzone_system
-from oracle import ExponentialLifetime, derive_seed, empirical_hazard, run_replication
+from conftest import TYPE1, make_bathtub, make_flat_bathtub, make_redzone_system
+from oracle import (
+    ExponentialLifetime,
+    derive_seed,
+    empirical_hazard,
+    run_replication,
+    weibull_cumulative,
+    weibull_hazard,
+)
 
 
 @contextmanager
@@ -51,6 +56,7 @@ def criterion(number, title, limit_s):
 
 
 def test_criterion_1_weibull_regimes():
+    # on the term-by-term reference, whose bits the bathtub kernels reproduce
     with criterion(1, "Weibull regimes: constant at shape 1, monotone otherwise", 1.0):
         rng = np.random.default_rng(101)
         lam = rng.uniform(1e-4, 5.0, size=10_000)
@@ -112,7 +118,7 @@ def test_criterion_3_parallel_composition_oracle():
         rate = 0.01
         model = make_flat_bathtub(useful_rate=rate, th1=20.0, th2=980.0, th3=100.0)
         cfg = SystemConfig(hazard=model, unit_lifetime=LifetimeDistribution(1100.0, 0.0),
-                           lab_burnin=0.0)
+                           lab_burnin=0.0, shelf_aging_factor=0.0, software=None, operator=None)
         curve = system_hazard_curve(scenario_timeline(cfg), dt=0.5)
         mains = curve.times < 1000.0
         ref = 2 * rate * (1 - np.exp(-rate * curve.times[mains])) \
@@ -122,7 +128,7 @@ def test_criterion_3_parallel_composition_oracle():
         # a lab credit above every lifetime Exp(rate) can draw (53 ln 2 / rate, about
         # 3,674 weeks) leaves the spare dead on arrival and the two units as the pair
         pair = cfg._replace(unit_lifetime=ExponentialLifetime(rate), lab_burnin=1e4)
-        met = run_ensemble(pair, Policy("type1"),
+        met = run_ensemble(pair, TYPE1,
                            SimConfig(replications=100_000, master_seed=303, horizon=10_000.0))
         assert met.censored_count == 0
         assert abs(met.tdt.mean - 150.0) / 150.0 < 0.02
@@ -132,8 +138,8 @@ def test_criterion_4_replace_on_failure_relations():
     with criterion(4, "replace-on-failure: Trdd near the unit life, Tdt near twice it", 60.0):
         mean = 200.0
         cfg = make_redzone_system(delta=0.01 * mean, mean=mean)
-        met = run_ensemble(cfg, Policy("type1"),
-                           SimConfig(replications=10_000, master_seed=404))
+        met = run_ensemble(cfg, TYPE1,
+                           SimConfig(replications=10_000, master_seed=404, horizon=None))
         assert met.censored_count == 0
         assert abs(met.trdd.mean - mean) / mean <= 0.05
         ratio = met.tdt.mean / met.trdd.mean
@@ -144,8 +150,8 @@ def test_criterion_5_rotation_extension():
     with criterion(5, "rotation policy extends redundant lifetime 40-55%", 120.0):
         mean = 200.0
         cfg = make_redzone_system(delta=0.01 * mean, mean=mean)
-        sim = SimConfig(replications=10_000, master_seed=505)
-        m1 = run_ensemble(cfg, Policy("type1"), sim)
+        sim = SimConfig(replications=10_000, master_seed=505, horizon=None)
+        m1 = run_ensemble(cfg, TYPE1, sim)
         rotation = Policy("type2", rotation_period=mean / 6.0)
         m2 = run_ensemble(cfg, rotation, sim)
         ratio = lifetime_extension(m1.trdd.mean, m2.trdd.mean)
@@ -161,8 +167,8 @@ def test_criterion_6_spread_sweep_brackets_th3():
         cfg = make_redzone_system(delta=1.0)
         th3 = cfg.hazard.th3
         rows = delta_sweep(cfg, [0.1 * th3, 0.5 * th3, 2.0 * th3, 4.0 * th3],
-                           Policy("type1"),
-                           SimConfig(replications=1_000, master_seed=606),
+                           TYPE1,
+                           SimConfig(replications=1_000, master_seed=606, horizon=None),
                            threshold=2.0, dt=0.1, baseline_window_fraction=0.8)
         assert [r.detected for r in rows] == [True, True, False, False]
         assert [r.predicted for r in rows] == [True, True, False, False]
@@ -202,7 +208,7 @@ def test_criterion_8_byte_identical_cli_output(tmp_path):
             assert outputs[0] == outputs[1] == outputs[2]
 
         run = parse_config(doc)
-        for policy in (Policy("type1"), Policy("type2", rotation_period=run.policy.rotation_period)):
+        for policy in (TYPE1, Policy("type2", rotation_period=run.policy.rotation_period)):
             met = run_ensemble(run.system, policy, run.sim)
             out = run_batch(run.system, policy, sample_lifetimes(
                 run.system, run.sim.master_seed, run.sim.replications), horizon=run.sim.horizon)
@@ -223,7 +229,7 @@ def test_criterion_9_empirical_hazard_recovers_constant_rate():
         # pair's first failure, trdd, is Exp(2 rate)
         cfg = make_redzone_system(delta=1.0)._replace(unit_lifetime=ExponentialLifetime(rate),
                                                       lab_burnin=1e4)
-        out = run_batch(cfg, Policy("type1"), sample_lifetimes(cfg, 909, 100_000),
+        out = run_batch(cfg, TYPE1, sample_lifetimes(cfg, 909, 100_000),
                         horizon=5_000.0)
         h = empirical_hazard(out.trdd, out.trdd, bin_width=10.0)
         first_two_lifetimes = h.midpoints <= 2.0 / rate

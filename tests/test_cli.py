@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redzone
@@ -23,7 +23,7 @@ from redzone.config import load_config
 from redzone.montecarlo import EVENT_KINDS, EventLog, run_batch, sample_lifetimes
 from redzone.system import scenario_timeline, system_hazard_curve
 
-from conftest import UNSHRUNK, event_fields, pulse_at_first_failure, with_spread
+from conftest import TYPE1, UNSHRUNK, event_fields, pulse_at_first_failure, with_spread
 from oracle import derive_seed, run_replication
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
@@ -555,7 +555,7 @@ class TestSimulateCommand:
     @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
     @pytest.mark.parametrize("policy, system, horizon", [
         # lab credit near the mean lifetime: some spares are dead on arrival
-        (Policy("type1"), {"lab_burnin": 189.0}, None),
+        (TYPE1, {"lab_burnin": 189.0}, None),
         (Policy("type2", rotation_period=30.0), {"lab_burnin": 2.0, "shelf_aging_factor": 0.5},
          245.0),
     ], ids=["type1-dead-on-arrival", "type2-censored"])
@@ -596,7 +596,7 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim.json"),
                      "--events-out", str(ev)]) == 0
         system = load_config(conf).system
-        log = run_batch(system, Policy("type1"), sample_lifetimes(system, seed, reps),
+        log = run_batch(system, TYPE1, sample_lifetimes(system, seed, reps),
                         record_events=True).events
         assert len(log.time) > 2 * cli._EVENT_BLOCK
         assert ev.read_text(encoding="utf-8").splitlines() == [
@@ -711,7 +711,7 @@ class TestSimulateCommand:
         doc = json.loads(out.read_text())
         run = load_config(conf)
         assert doc["red_zone"] is None
-        metrics = run_ensemble(run.system, Policy("type1"), run.sim)
+        metrics = run_ensemble(run.system, TYPE1, run.sim)
         assert doc["tdt_weeks"]["mean"] == metrics.tdt.mean
 
     def test_undefined_composed_curve_leaves_the_ensemble(self, tmp_path):
@@ -725,7 +725,7 @@ class TestSimulateCommand:
         run = load_config(conf)
         assert run.system == with_spread(pulse_at_first_failure(), 30.0)
         assert doc["red_zone"] is None
-        metrics = run_ensemble(run.system, Policy("type1"), run.sim)
+        metrics = run_ensemble(run.system, TYPE1, run.sim)
         assert doc["tdt_weeks"]["mean"] == metrics.tdt.mean
 
     def test_malformed_config_exits_one(self, tmp_path, capsys):
@@ -974,6 +974,23 @@ class TestExitCodeContract:
     @pytest.mark.filterwarnings("always::redzone.errors.ValidationWarning")
     @settings(max_examples=100, deadline=None, phases=UNSHRUNK)
     @given(doc=scaled_demo_documents())
+    # a wear-out shape of 89 overflows the rate's power to inf past the onset, and the
+    # pair's densities are inf * 0 where both units are certainly failed: no numpy warning,
+    # only the certainly-failed error, from scenario and redzone
+    @example(doc={
+        "schema_version": 1,
+        "hazard": {"useful_rate": 0.023944369728908843,
+                   "burnin": {"scale": 0.07418058354783326, "shape": 0.07244109348510844},
+                   "wearout": {"scale": 3.448346102573251e-07, "shape": 89.0180532572627},
+                   "th1": 157.67521889406578, "th2": 179.99999966617307, "th3": 10.0},
+        "software": None, "operator": None,
+        "lifetime": {"mean": 5223.44023323643, "sd": 0.29046891371079897},
+        "system": {"shelf_aging_factor": 0.0, "lab_burnin": 2.0001220740378662},
+        "policy": {"kind": "type1", "rotation_period": 19.16842040153834},
+        "vendor": {"mtbf": 208.0, "warn_factor": 0.8},
+        "sim": {"replications": 2000, "master_seed": 42, "horizon": None},
+        "analysis": {"red_zone_threshold": 2.0, "curve_dt": 2.6117201166182147,
+                     "baseline_window_fraction": 0.8}})
     def test_every_error_names_a_field_or_a_flag(self, tmp_path_factory, doc):
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.validate(doc, SCHEMA)

@@ -17,7 +17,7 @@ from redzone import (
     ValidationError,
     ValidationWarning,
 )
-from redzone.config import _build, _check, default_config, load_config, parse_config
+from redzone.config import _build, _check, load_config, parse_config
 
 SCHEMA = json.loads((Path(redzone.__file__).parent / "schema" / "run_config.schema.json")
                     .read_text(encoding="utf-8"))
@@ -26,6 +26,49 @@ EXAMPLE = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
 
 def minimal():
     return {"schema_version": 1}
+
+
+def defaulted():
+    """The minimal document with every default filled in, as the loader fills them."""
+    return _check(SCHEMA, minimal(), "")
+
+
+# each value type the loader builds, the section whose schema node states its fields, and
+# a document that leaves every one of those fields to the schema's default
+BUILT = [
+    (SimConfig, "sim", {}), (SystemConfig, "system", {}), (Policy, "policy", {}),
+    (SoftwareHazardModel, "software", {"software": {}}),
+    (UpgradeEvent, "software.upgrade_events", {"software": {"upgrade_events": [{}]}}),
+]
+
+
+# the fields whose schema default each constructor stated too, before the schema was
+# made their one statement
+RESTATED_DEFAULTS = {
+    "SimConfig": ("replications", "master_seed", "horizon"),
+    "SystemConfig": ("shelf_aging_factor", "lab_burnin", "software", "operator"),
+    "Policy": ("rotation_period",),
+    "SoftwareHazardModel": ("update_amplitude", "update_decay_tau", "upgrade_events"),
+    "UpgradeEvent": ("pulse_amplitude", "pulse_decay_tau"),
+}
+
+
+def built_from_defaults(section, doc):
+    """The value the loader builds for ``section`` from ``doc``."""
+    run = parse_config({"schema_version": 1, **doc})
+    if section.startswith("software"):
+        software = run.system.software
+        return software.upgrade_events[0] if section.endswith("upgrade_events") else software
+    return getattr(run, section)
+
+
+def section_fields(section):
+    """The schema nodes of a section's fields; software and operator are top-level."""
+    node = SCHEMA
+    for key in section.split("."):
+        node = node["properties"][key]
+        node = node.get("items", node)  # an array's fields are its items'
+    return {**SCHEMA["properties"], **node["properties"]}
 
 
 def schema_nodes(node, path=()):
@@ -122,7 +165,7 @@ class TestParseConfig:
         assert run.vendor_mtbf is None
 
     def test_defaults_document_is_valid(self):
-        run = parse_config(default_config())
+        run = parse_config(defaulted())
         assert run.system.hazard.th3 == 10.0
 
     def test_schema_version_required(self):
@@ -301,24 +344,33 @@ class TestSchemaIsTheLoader:
 
     def test_default_config_validates(self):
         jsonschema = pytest.importorskip("jsonschema")
-        jsonschema.validate(default_config(), SCHEMA)
+        jsonschema.validate(defaulted(), SCHEMA)
 
-    @pytest.mark.parametrize("cls, section", [
-        (SimConfig, "sim"), (SystemConfig, "system"), (Policy, "policy"),
-        (SoftwareHazardModel, "software"), (UpgradeEvent, "software.upgrade_events"),
-    ])
-    def test_library_defaults_match_schema(self, cls, section):
-        # the constructors' defaults serve direct library use; they must say what the schema says
-        node = SCHEMA
-        for key in section.split("."):
-            node = node["properties"][key]
-            node = node.get("items", node)  # an array's fields are its items'
-        # software and operator are top-level sections
-        fields = {**SCHEMA["properties"], **node["properties"]}
-        defaults = {name: list(p.default) if isinstance(p.default, tuple) else p.default
-                    for name, p in inspect.signature(cls).parameters.items()
-                    if p.default is not p.empty}
-        assert defaults == {name: fields[name]["default"] for name in defaults}
+    @pytest.mark.parametrize("cls, section, doc", BUILT,
+                             ids=[f"{cls.__name__}-{section}" for cls, section, _ in BUILT])
+    def test_library_defaults_match_schema(self, cls, section, doc):
+        # the schema states each default once: the loader fills it in, and the value
+        # type it builds holds it, with no default of the constructor's own in between
+        fields = section_fields(section)
+        built = built_from_defaults(section, doc)
+        assert type(built) is cls
+        params = inspect.signature(cls).parameters
+        defaulted = [name for name in params if "default" in fields.get(name, {})]
+        assert defaulted and all(params[name].default is params[name].empty for name in defaulted)
+        held = {name: list(v) if isinstance(v := getattr(built, name), tuple) else v
+                for name in defaulted}
+        assert held == {name: fields[name]["default"] for name in defaulted}
+
+    @pytest.mark.parametrize("cls, section, doc, name", [
+        (cls, section, doc, name) for cls, section, doc in BUILT
+        for name in RESTATED_DEFAULTS[cls.__name__]],
+        ids=[f"{cls}.{name}" for cls, names in RESTATED_DEFAULTS.items() for name in names])
+    def test_schema_defaulted_field_is_required(self, cls, section, doc, name):
+        # direct library use passes every field the schema defaults: none is left out
+        built = built_from_defaults(section, doc)
+        fields = {p: getattr(built, p) for p in inspect.signature(cls).parameters if p != name}
+        with pytest.raises(TypeError, match=rf"missing 1 required .*'{name}'"):
+            cls(**fields)
 
     @pytest.mark.parametrize("path, default, value", bound_cases())
     def test_constructors_hold_schema_bounds(self, path, default, value):
@@ -335,7 +387,7 @@ class TestSchemaIsTheLoader:
     @pytest.mark.parametrize("value", [2.5, math.nan, True, "3"], ids=repr)
     def test_sim_integer_fields_named(self, key, value):
         with pytest.raises(ValidationError, match=rf"^{key} must be an integer, got "):
-            SimConfig(**{key: value})
+            SimConfig(**{"replications": 1000, "master_seed": 1, "horizon": None, key: value})
 
     def test_example_config_loads_and_validates(self):
         jsonschema = pytest.importorskip("jsonschema")

@@ -16,18 +16,20 @@ def unit(uid, onjob=0.0, shelf=0.0, credit=0.0, status="active", lifetime=1000.0
 
 class TestPolicy:
     def test_type1(self):
-        assert Policy("type1").rotation_period is None
+        # replace on failure runs no rotation, but holds the period compare's type2 reads
+        assert Policy("type1", rotation_period=None).rotation_period is None
+        assert Policy("type1", rotation_period=30.0).rotation_period == 30.0
 
     def test_type2_requires_period(self):
         with pytest.raises(ValidationError):
-            Policy("type2")
+            Policy("type2", rotation_period=None)
         with pytest.raises(ValidationError):
             Policy("type2", rotation_period=0.0)
         assert Policy("type2", rotation_period=30.0).rotation_period == 30.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
-            Policy("type3")
+            Policy("type3", rotation_period=None)
 
 
 class TestOldestSlot:

@@ -27,7 +27,7 @@ from redzone.cli import main
 from redzone.config import load_config
 from redzone.montecarlo import _derive_seeds, _uniforms, run_batch, sample_lifetimes
 
-from conftest import UNSHRUNK, event_fields, make_flat_bathtub, make_redzone_system
+from conftest import TYPE1, UNSHRUNK, event_fields, make_flat_bathtub, make_redzone_system
 from oracle import (
     ExponentialLifetime,
     SplitMix64,
@@ -43,7 +43,7 @@ EXAMPLE = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
 def det_config(mean=200.0, lab=0.0, alpha=0.0):
     model = make_flat_bathtub(th1=20.0, th2=160.0, th3=40.0)
     return SystemConfig(hazard=model, unit_lifetime=LifetimeDistribution(mean, 0.0),
-                        lab_burnin=lab, shelf_aging_factor=alpha)
+                        lab_burnin=lab, shelf_aging_factor=alpha, software=None, operator=None)
 
 
 def exp_config(rate, lab=0.0, alpha=0.0):
@@ -63,12 +63,14 @@ class ScriptedLifetimes:
         return np.vectorize(self.table.__getitem__, otypes=[float])(u)
 
 
-def scripted_config(lifetimes, master_seed, **system):
+def scripted_config(lifetimes, master_seed, *, lab_burnin, shelf_aging_factor=0.0):
     """A config whose replication i of ``master_seed`` draws ``lifetimes[i]``, its
     three units' lifetimes in roster order."""
     u = _uniforms(_derive_seeds(master_seed, len(lifetimes)), 3)
     model = ScriptedLifetimes(dict(zip(u.ravel().tolist(), np.ravel(lifetimes).tolist())))
-    return SystemConfig(hazard=make_flat_bathtub(), unit_lifetime=model, **system)
+    return SystemConfig(hazard=make_flat_bathtub(), unit_lifetime=model,
+                        shelf_aging_factor=shelf_aging_factor, lab_burnin=lab_burnin,
+                        software=None, operator=None)
 
 
 # A lab credit above every lifetime the tests' models can draw (ExponentialLifetime(0.01)
@@ -213,7 +215,7 @@ class TestSplitMix64:
         below_one = 1.0 - 2.0 ** -53
         assert SplitMix64(seed).uniform() == below_one
         assert _uniforms(_derive_seeds(master, 1), 3)[0, 0] == below_one
-        for policy in (Policy("type1"), Policy("type2", rotation_period=30.0)):
+        for policy in (TYPE1, Policy("type2", rotation_period=30.0)):
             assert_batch_matches_scalar(make_redzone_system(delta=2.0), policy, master, 5)
         config = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s.json"),
@@ -247,7 +249,7 @@ class TestSplitMix64:
 
 class TestRunReplication:
     def test_deterministic_type1_hand_trace(self):
-        tr = run_replication(det_config(lab=0.0), Policy("type1"), seed=1, horizon=2000.0)
+        tr = run_replication(det_config(lab=0.0), TYPE1, seed=1, horizon=2000.0)
         # the spare replaces the first failed unit; the second failure finds the shelf empty
         kinds = [(e.time, e.kind, e.unit, e.slot, e.unit_out) for e in tr.events]
         assert kinds == [
@@ -262,7 +264,7 @@ class TestRunReplication:
         assert not tr.censored
 
     def test_lab_credit_consumes_budget(self):
-        tr = run_replication(det_config(lab=2.0), Policy("type1"), seed=1, horizon=2000.0)
+        tr = run_replication(det_config(lab=2.0), TYPE1, seed=1, horizon=2000.0)
         assert tr.trdd == 200.0
         assert tr.tdt == pytest.approx(398.0)
 
@@ -312,8 +314,8 @@ class TestRunReplication:
 
     def test_same_seed_identical_traces(self):
         cfg = make_redzone_system(delta=5.0)
-        a = run_replication(cfg, Policy("type1"), seed=77, horizon=2000.0)
-        b = run_replication(cfg, Policy("type1"), seed=77, horizon=2000.0)
+        a = run_replication(cfg, TYPE1, seed=77, horizon=2000.0)
+        b = run_replication(cfg, TYPE1, seed=77, horizon=2000.0)
         assert a == b
 
     def test_event_times_nondecreasing_and_bounds(self):
@@ -341,7 +343,7 @@ class TestRunReplication:
     def test_policy_divergence_only_after_first_epoch(self):
         cfg = make_redzone_system(delta=10.0)
         p = 30.0
-        t1 = run_replication(cfg, Policy("type1"), seed=1234, horizon=3000.0)
+        t1 = run_replication(cfg, TYPE1, seed=1234, horizon=3000.0)
         t2 = run_replication(cfg, Policy("type2", rotation_period=p), seed=1234,
                              horizon=3000.0)
         assert t1.lifetimes == t2.lifetimes
@@ -351,12 +353,12 @@ class TestRunReplication:
 
     def test_shelf_aging_consumes_budget(self):
         cfg = det_config(lab=0.0, alpha=0.5)
-        tr = run_replication(cfg, Policy("type1"), seed=1, horizon=2000.0)
+        tr = run_replication(cfg, TYPE1, seed=1, horizon=2000.0)
         # spare consumed 0.5 * 200 = 100 weeks on the shelf before install
         assert tr.tdt == pytest.approx(300.0)
 
     def test_horizon_censoring(self):
-        tr = run_replication(det_config(), Policy("type1"), seed=1, horizon=150.0)
+        tr = run_replication(det_config(), TYPE1, seed=1, horizon=150.0)
         assert tr.censored
         assert tr.tdt is None
         assert tr.end_time == 150.0
@@ -364,8 +366,8 @@ class TestRunReplication:
 
 class TestRunEnsemble:
     def test_single_replication_zero_std(self):
-        met = run_ensemble(det_config(), Policy("type1"),
-                           SimConfig(replications=1, master_seed=9))
+        met = run_ensemble(det_config(), TYPE1,
+                           SimConfig(replications=1, master_seed=9, horizon=None))
         assert met.tdt.std == 0.0
         assert met.tdt.mean == met.tdt_values[0]
         assert met.tdt.ci_low == met.tdt.ci_high == met.tdt.mean
@@ -375,7 +377,7 @@ class TestRunEnsemble:
         # With the spare dead on arrival, redundancy ends at the pair's first
         # failure, the minimum of two Exp(lam): Exp(2 lam), mean 1/(2 lam) = 50.
         sim = SimConfig(replications=20_000, master_seed=7, horizon=5000.0)
-        met = run_ensemble(exp_config(0.01, lab=DEAD_SPARE_LAB), Policy("type1"), sim)
+        met = run_ensemble(exp_config(0.01, lab=DEAD_SPARE_LAB), TYPE1, sim)
         assert met.censored_count == 0  # every replication defines trdd
         se = met.trdd.std / math.sqrt(sim.replications)
         assert abs(met.trdd.mean - 50.0) < 3 * se
@@ -383,7 +385,7 @@ class TestRunEnsemble:
 
     @pytest.mark.filterwarnings("ignore::redzone.ValidationWarning")
     def test_two_unit_parallel_mean(self):
-        met = run_ensemble(exp_config(0.01, lab=DEAD_SPARE_LAB), Policy("type1"),
+        met = run_ensemble(exp_config(0.01, lab=DEAD_SPARE_LAB), TYPE1,
                            SimConfig(replications=20_000, master_seed=7, horizon=10000.0))
         assert abs(met.tdt.mean - 150.0) / 150.0 < 0.02
 
@@ -392,9 +394,10 @@ class TestRunEnsemble:
         # the pair's first failure, then its second, then the spare's extra life
         sim = SimConfig(replications=10_000, master_seed=21, horizon=5000.0)
         cfg = SystemConfig(hazard=make_flat_bathtub(),
-                           unit_lifetime=LifetimeDistribution(200.0, 20.0), lab_burnin=0.0)
-        pair = run_ensemble(cfg._replace(lab_burnin=DEAD_SPARE_LAB), Policy("type1"), sim)
-        full = run_ensemble(cfg, Policy("type1"), sim)
+                           unit_lifetime=LifetimeDistribution(200.0, 20.0),
+                           shelf_aging_factor=0.0, lab_burnin=0.0, software=None, operator=None)
+        pair = run_ensemble(cfg._replace(lab_burnin=DEAD_SPARE_LAB), TYPE1, sim)
+        full = run_ensemble(cfg, TYPE1, sim)
 
         assert pair.censored_count == full.censored_count == 0  # n is the replication count
 
@@ -404,7 +407,7 @@ class TestRunEnsemble:
         assert pair.tdt.mean - pair.trdd.mean > 3 * (se(pair.tdt) + se(pair.trdd))
         assert full.tdt.mean - pair.tdt.mean > 3 * (se(full.tdt) + se(pair.tdt))
 
-    @pytest.mark.parametrize("policy", [Policy("type1"), Policy("type2", rotation_period=30.0)])
+    @pytest.mark.parametrize("policy", [TYPE1, Policy("type2", rotation_period=30.0)])
     def test_cold_spare_matches_closed_form_means(self, policy):
         # Cold spare (alpha = 0, no lab credit), memoryless lifetimes: two units
         # run until the first failure, then the survivor and the installed spare
@@ -419,7 +422,7 @@ class TestRunEnsemble:
             se = summary.std / math.sqrt(sim.replications)
             assert abs(summary.mean - expected) < 3 * se
 
-    @pytest.mark.parametrize("policy", [Policy("type1"), Policy("type2", rotation_period=30.0)],
+    @pytest.mark.parametrize("policy", [TYPE1, Policy("type2", rotation_period=30.0)],
                              ids=["type1", "type2"])
     def test_warm_spare_matches_closed_form(self, policy):
         # Warm spare (alpha = 0.5), memoryless lifetimes: the waiting spare fails at
@@ -445,14 +448,14 @@ class TestRunEnsemble:
         # failure is at t = 0.  Tolerance: 3 standard errors of the share.
         lam, lab, n = 0.01, 20.0, 50_000
         cfg = exp_config(lam, lab=lab)
-        out = run_batch(cfg, Policy("type1"), sample_lifetimes(cfg, 7, n), horizon=10000.0,
+        out = run_batch(cfg, TYPE1, sample_lifetimes(cfg, 7, n), horizon=10000.0,
                         record_events=True)
         on_shelf = out.events.slot == -2
         assert np.all(out.events.time[on_shelf] == 0.0)
         share, p = np.count_nonzero(on_shelf) / n, 1.0 - math.exp(-lam * lab)
         assert abs(share - p) < 3 * math.sqrt(p * (1.0 - p) / n)
 
-    @pytest.mark.parametrize("policy", [Policy("type1"), Policy("type2", rotation_period=30.0)],
+    @pytest.mark.parametrize("policy", [TYPE1, Policy("type2", rotation_period=30.0)],
                              ids=["type1", "type2"])
     def test_cold_spare_trdd_is_erlang(self, policy):
         # The whole distribution, not only the mean: with a cold spare trdd is
@@ -483,12 +486,12 @@ class TestRunEnsemble:
         tl = scenario_timeline(system)
         assert tl.tf2 == 208.0
         assert tl.t_end == pytest.approx(208.0 + (208.0 - lab - alpha * 208.0), rel=1e-15)
-        out = run_batch(system, Policy("type1"), sample_lifetimes(system, 42, 500))
+        out = run_batch(system, TYPE1, sample_lifetimes(system, 42, 500))
         assert np.all(out.trdd == tl.tf2)
         assert np.all(out.tdt == tl.t_end)
 
     def test_all_censored_flagged_unusable(self):
-        met = run_ensemble(det_config(), Policy("type1"),
+        met = run_ensemble(det_config(), TYPE1,
                            SimConfig(replications=20, master_seed=5, horizon=50.0))
         assert met.censored_count == 20
         assert met.tdt is None
@@ -536,8 +539,8 @@ def assert_fleet_matches_scalar(rotation_period, alpha, sd, lab, horizon, expone
         horizon = math.nextafter(horizon, 0.0) if below else horizon
     lifetime = ExponentialLifetime(1.0 / 208.0) if exponential else LifetimeDistribution(208.0, sd)
     cfg = SystemConfig(hazard=make_flat_bathtub(), unit_lifetime=lifetime,
-                       lab_burnin=lab, shelf_aging_factor=alpha)
-    policy = (Policy("type1") if rotation_period is None
+                       lab_burnin=lab, shelf_aging_factor=alpha, software=None, operator=None)
+    policy = (TYPE1 if rotation_period is None
               else Policy("type2", rotation_period=rotation_period))
     assert_batch_matches_scalar(
         cfg, policy, master_seed, 30, record_events=record_events, horizon=horizon)
@@ -685,7 +688,7 @@ class TestRunBatch:
         # slots are up, and once the spare is installed or dies on the shelf none is left.
         cfg = SystemConfig(hazard=make_flat_bathtub(),
                            unit_lifetime=LifetimeDistribution(208.0, sd),
-                           lab_burnin=lab, shelf_aging_factor=alpha)
+                           lab_burnin=lab, shelf_aging_factor=alpha, software=None, operator=None)
         policy = Policy(kind, rotation_period=rotation_period if kind == "type2" else None)
         n = 20
         log = run_batch(cfg, policy, sample_lifetimes(cfg, master_seed, n),
@@ -785,7 +788,7 @@ class TestRunBatch:
         # type1's infinite period counts no epoch of it, type2's a million too many, and
         # no numpy overflow warning reaches the caller
         lifetimes = [[1.5e308, 1.5e308, 1e-3]]
-        out = run_batch(det_config(lab=2.0), Policy("type1"), lifetimes, horizon=math.inf,
+        out = run_batch(det_config(lab=2.0), TYPE1, lifetimes, horizon=math.inf,
                         record_events=True)
         assert out.trdd.tolist() == out.tdt.tolist() == [1.5e308]
         _, times, kinds, units, _, _ = event_fields(out.events)
@@ -797,14 +800,14 @@ class TestRunBatch:
                       horizon=math.inf)
         assert error.value.fields == ("policy.rotation_period", "sim.horizon")
 
-    @pytest.mark.parametrize("policy", [Policy("type1"), Policy("type2", rotation_period=30.0)],
+    @pytest.mark.parametrize("policy", [TYPE1, Policy("type2", rotation_period=30.0)],
                              ids=["type1", "type2"])
     def test_subnormal_shelf_aging_factor(self, policy):
         # (lifetime - consumed) / 1e-310 overflows: the shelf unit's failure time is
         # inf in both engines, and no numpy overflow warning reaches the caller
         cfg = SystemConfig(hazard=make_flat_bathtub(),
                            unit_lifetime=LifetimeDistribution(208.0, 20.0),
-                           lab_burnin=2.0, shelf_aging_factor=1e-310)
+                           lab_burnin=2.0, shelf_aging_factor=1e-310, software=None, operator=None)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert_batch_matches_scalar(cfg, policy, 42, 50)
@@ -812,21 +815,21 @@ class TestRunBatch:
 
 class TestEmpiricalHazard:
     def test_bins_beyond_all_deaths_omitted(self):
-        traces = [run_replication(det_config(), Policy("type1"), seed=s, horizon=2000.0)
+        traces = [run_replication(det_config(), TYPE1, seed=s, horizon=2000.0)
                   for s in range(3)]
         h = hazard_of(traces, bin_width=50.0)
         assert h.midpoints[-1] < 400.0 + 50.0
         assert np.all(h.exposure > 0.0)
 
     def test_requires_uncensored_trace(self):
-        traces = [run_replication(det_config(), Policy("type1"), seed=s, horizon=100.0)
+        traces = [run_replication(det_config(), TYPE1, seed=s, horizon=100.0)
                   for s in range(3)]
         with pytest.raises(ValidationError):
             hazard_of(traces, bin_width=10.0)
 
     def test_end_of_life_peak_dwarfs_useful_phase_rates(self):
         cfg = make_redzone_system(delta=1.0)
-        out = run_batch(cfg, Policy("type1"), sample_lifetimes(cfg, 23, 2_000))
+        out = run_batch(cfg, TYPE1, sample_lifetimes(cfg, 23, 2_000))
         ends = end_times(out, 5.0 * cfg.unit_lifetime.mean)  # run_batch's default horizon
         h = empirical_hazard(ends, out.tdt[~np.isnan(out.tdt)], bin_width=5.0)
         useful = (h.midpoints > cfg.hazard.th1) & (h.midpoints < cfg.hazard.wearout_onset)

@@ -4,10 +4,15 @@ table is written, no command loads ``numpy.ma``, every warning goes through
 ``redzone.errors.warn``, only the engine reads how the spare is consumed, each
 rate kernel checks its argument through one guard, the red zone's failure window
 is stated once, the engine reads the policy in one line, only ``system.py`` reads
-a curve's times, the CLI names no event-kind code, and the scalar oracle in
-``tests/oracle.py`` stays apart from the engine it checks."""
+a curve's times, the CLI names no event-kind code, no constructor restates a
+schema default, no function ships for the tests alone, no record stores a copy
+of another's value, and the scalar oracle in ``tests/oracle.py`` stays apart
+from the engine it checks."""
 
 import ast
+import importlib
+import inspect
+import json
 import os
 import re
 import subprocess
@@ -15,6 +20,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from redzone.analysis import RedZone, RedZoneAssessment
+from redzone.montecarlo import BatchOutcomes
+from redzone.value import Value
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC_MODULES = sorted((ROOT / "src" / "redzone").glob("*.py"))
@@ -48,6 +57,55 @@ def test_third_party_imports_are_declared_dependencies():
                 for dep in project["dependencies"]}
     assert {"numpy", "orjson"} <= third_party  # imports inside functions count too
     assert third_party <= declared
+
+
+def defaulted_fields(node: dict) -> set[str]:
+    """The names of the fields below a schema node that state a ``default``."""
+    children = [*node.get("properties", {}).items(), *([("", node["items"])] if "items" in node
+                                                       else [])]
+    return {key for key, sub in children if "default" in sub}.union(
+        *(defaulted_fields(sub) for _, sub in children))
+
+
+def test_no_constructor_restates_a_schema_default():
+    # the shipped schema is the one statement of a field's default: the loader fills it in,
+    # and a value type's constructor takes each field as a required parameter
+    schema = json.loads((ROOT / "src" / "redzone" / "schema" / "run_config.schema.json")
+                        .read_text(encoding="utf-8"))
+    defaulted = defaulted_fields(schema)
+    assert {"replications", "lab_burnin", "software", "pulse_decay_tau",
+            "upgrade_events", "rotation_period"} <= defaulted  # the walk reaches every level
+    modules = [importlib.import_module(f"redzone.{path.stem}") for path in SRC_MODULES]
+    classes = {cls for m in modules for cls in vars(m).values()
+               if inspect.isclass(cls) and cls.__module__ == m.__name__}
+    restated = {f"{cls.__name__}.{name}" for cls in classes if issubclass(cls, Value)
+                for name, p in inspect.signature(cls).parameters.items()
+                if p.default is not p.empty and name in defaulted}
+    restated |= {f"{cls.__name__}.{name}" for cls in classes
+                 for name in getattr(cls, "_field_defaults", {}) if name in defaulted}
+    assert {"SimConfig", "SystemConfig", "Policy", "SoftwareHazardModel",
+            "UpgradeEvent"} <= {cls.__name__ for cls in classes}
+    assert restated == set()
+
+
+def test_no_function_ships_for_the_tests_alone():
+    # the bathtub kernels are the one runtime statement of the Weibull terms (the oracle
+    # keeps its own copy), LifetimeDistribution.sample the one sampler, and the schema
+    # walker fills in defaults where a document is loaded
+    defined = {node.name for path in SRC_MODULES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "sample" in defined  # the walk sees methods
+    assert not defined & {"weibull_hazard", "weibull_cumulative", "standard_normal_quantile",
+                          "lognormal_sample", "default_config"}
+
+
+def test_no_record_stores_a_copy():
+    # a zone's severity is its assessment's, and a censored replication is one with no
+    # total lifetime: each is read where it is held, not stored a second time
+    assert RedZone._fields == ("start", "end")
+    assert "severity" in RedZoneAssessment._fields
+    assert "censored" not in BatchOutcomes._fields and "tdt" in BatchOutcomes._fields
 
 
 def test_oracle_imports_no_engine_module():
@@ -103,17 +161,16 @@ def test_each_kernel_checks_its_domain_through_one_guard():
                         if isinstance(node, ast.Raise) and "ValidationError" in ast.unparse(node)]
               for fn in functions}
     assert {name: len(r) for name, r in raises.items() if r} == {
-        "_checked_time": 1, "_checked_uniform": 1, "weibull_hazard": 1, "_require": 1}
-    assert "shape < 1" in raises["weibull_hazard"][0]  # the burn-in origin: that kernel's rule
+        "_checked_time": 1, "_checked_uniform": 1, "_require": 1}
     guarded = {fn.name: [(ast.unparse(call.func), ast.literal_eval(call.args[1]))
                          for call in ast.walk(fn) if isinstance(call, ast.Call)
                          and ast.unparse(call.func) in ("_checked_time", "_checked_uniform")]
                for fn in functions}
-    time_kernels = ("weibull_hazard", "weibull_cumulative", "bathtub_hazard",
-                    "bathtub_cumulative", "software_hazard", "software_cumulative")
+    time_kernels = ("bathtub_hazard", "bathtub_cumulative", "software_hazard",
+                    "software_cumulative")
     assert {name: calls for name, calls in guarded.items() if calls} == {
         **{k: [("_checked_time", k)] for k in time_kernels},
-        **{k: [("_checked_uniform", k)] for k in ("standard_normal_quantile", "lognormal_sample")}}
+        "sample": [("_checked_uniform", "LifetimeDistribution.sample")]}
 
 
 def attribute_readers(tree: ast.AST, attr: str) -> set[str]:

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from redzone import LifetimeDistribution, Policy, SystemConfig
 from redzone.montecarlo import EVENT_KINDS, EventLog, run_batch
 
-from conftest import UNSHRUNK, make_flat_bathtub
+from conftest import TYPE1, UNSHRUNK, make_flat_bathtub
 from oracle import run_replication
 
 # for the tests that draw lab credits past the hazard's burn-in duration on purpose
@@ -57,11 +57,11 @@ periods = st.one_of(st.none(), st.sampled_from([50.0, 208.0]), st.floats(1.0, 20
 def system(lab, alpha):
     return SystemConfig(hazard=make_flat_bathtub(),
                         unit_lifetime=LifetimeDistribution(208.0, 20.0),
-                        lab_burnin=lab, shelf_aging_factor=alpha)
+                        lab_burnin=lab, shelf_aging_factor=alpha, software=None, operator=None)
 
 
 def policy(period):
-    return Policy("type1") if period is None else Policy("type2", rotation_period=period)
+    return TYPE1 if period is None else Policy("type2", rotation_period=period)
 
 
 def assert_same_log(actual, expected):
@@ -105,7 +105,7 @@ class TestType1Map:
     @given(lifetimes=fleet, lab=labs, alpha=alphas, horizon=horizons)
     @example(**ROUNDED_APART)
     def test_outcome_is_the_closed_form(self, lifetimes, lab, alpha, horizon):
-        out = run_batch(system(lab, alpha), Policy("type1"), np.array(lifetimes),
+        out = run_batch(system(lab, alpha), TYPE1, np.array(lifetimes),
                         horizon=horizon)
         trdd, tdt = type1_map(lifetimes, lab, alpha)
         assert_outcome(out.trdd, trdd, lifetimes, horizon)
@@ -119,7 +119,7 @@ class TestType1Map:
         # at 60, tying it, and is installed with nothing left
         lifetimes = np.array([(60.0, 80.0, 100.0), (60.0, 80.0, 150.0), (60.0, 80.0, 160.0),
                               (60.0, 80.0, 300.0)])
-        out = run_batch(system(100.0, 1.0), Policy("type1"), lifetimes, horizon=1e9)
+        out = run_batch(system(100.0, 1.0), TYPE1, lifetimes, horizon=1e9)
         assert out.trdd.tolist() == [60.0, 60.0, 60.0, 80.0]
         assert out.tdt.tolist() == [80.0, 80.0, 80.0, 200.0]
         np.testing.assert_array_equal(np.array(type1_map(lifetimes, 100.0, 1.0)),
@@ -132,8 +132,8 @@ class TestType1Map:
         draws = iter(lives)
         drawn = SimpleNamespace(mean=208.0, sample=lambda u: next(draws))
         trace = run_replication(system(lab, alpha)._replace(unit_lifetime=drawn),
-                                Policy("type1"), seed=0, horizon=horizon)
-        out = run_batch(system(lab, alpha), Policy("type1"), np.array([lives]), horizon=horizon)
+                                TYPE1, seed=0, horizon=horizon)
+        out = run_batch(system(lab, alpha), TYPE1, np.array([lives]), horizon=horizon)
         assert out.tdt.tolist() == [2.4999999999999867]  # the map's is 2.5
         assert (out.trdd.tolist(), out.tdt.tolist()) == ([trace.trdd], [trace.tdt])
 
@@ -149,12 +149,12 @@ class TestHorizonTie:
                                                    (np.nextafter(414.0, 0.0), True)],
                              ids=["at-the-death", "one-ulp-before"])
     def test_death_at_the_horizon(self, horizon, censored):
-        out = run_batch(system(2.0, 0.0), Policy("type1"), np.array([self.LIVES]),
+        out = run_batch(system(2.0, 0.0), TYPE1, np.array([self.LIVES]),
                         horizon=horizon)
         draws = iter(self.LIVES)
         drawn = SimpleNamespace(mean=208.0, sample=lambda u: next(draws))
         trace = run_replication(system(2.0, 0.0)._replace(unit_lifetime=drawn),
-                                Policy("type1"), seed=0, horizon=horizon)
+                                TYPE1, seed=0, horizon=horizon)
         assert out.censored.tolist() == [censored] and trace.censored is censored
         assert (out.trdd.tolist(), trace.trdd) == ([210.0], 210.0)
         if censored:
@@ -192,7 +192,7 @@ class TestPeriodPastTheHorizon:
         period = np.nextafter(horizon + excess, np.inf)
         type1, type2 = (run_batch(system(lab, alpha), p, np.array(lifetimes), horizon=horizon,
                                   record_events=True)
-                        for p in (Policy("type1"), Policy("type2", rotation_period=period)))
+                        for p in (TYPE1, Policy("type2", rotation_period=period)))
         for name in ("trdd", "tdt", "censored"):
             np.testing.assert_array_equal(getattr(type2, name), getattr(type1, name),
                                           err_msg=name)
@@ -262,7 +262,7 @@ class TestType1SlotSymmetry:
     @given(lifetimes=fleet, lab=labs, alpha=alphas, horizon=horizons)
     def test_swapping_the_slots_changes_nothing(self, lifetimes, lab, alpha, horizon):
         lifetimes = np.array(lifetimes)
-        out, swapped = (run_batch(system(lab, alpha), Policy("type1"), lives, horizon=horizon)
+        out, swapped = (run_batch(system(lab, alpha), TYPE1, lives, horizon=horizon)
                         for lives in (lifetimes, lifetimes[:, [1, 0, 2]]))
         for name in ("trdd", "tdt", "dp", "censored"):
             np.testing.assert_array_equal(getattr(swapped, name), getattr(out, name),

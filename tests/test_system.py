@@ -88,7 +88,8 @@ class TestSystemConfig:
         with pytest.warns(ValidationWarning) as record:
             config = SystemConfig(hazard=flat_bathtub,
                                   unit_lifetime=LifetimeDistribution(220.0, 0.0),
-                                  lab_burnin=flat_bathtub.th1 + 1.0)
+                                  shelf_aging_factor=0.0, lab_burnin=flat_bathtub.th1 + 1.0,
+                                  software=None, operator=None)
             config._replace(lab_burnin=flat_bathtub.th1 + 2.0)
         assert [w.filename for w in record] == [__file__] * 2
 
@@ -137,6 +138,17 @@ class TestComposeParallel:
         with pytest.raises(CompositionError):
             compose_parallel([1.0, 1.0], [800.0, 800.0])
 
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "one_of_two"])
+    def test_certainly_failed_raises_before_forming_densities(self, as_array):
+        # both units past the float range: each density h * exp(-H) would be inf * 0,
+        # so the undefined composition is named before any numpy warning
+        h, H = ([np.array([1.0, math.inf])] * 2, [np.array([1.0, math.inf])] * 2) \
+            if as_array else ([math.inf, math.inf], [math.inf, math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CompositionError, match="all units certainly failed"):
+                compose_parallel(h, H)
+
     def test_argument_validation(self):
         with pytest.raises(ValidationError):
             compose_parallel([], [])
@@ -151,7 +163,7 @@ class TestScenarioTimeline:
         model = make_bathtub(th1=20.0, th2=180.0, th3=40.0)
         return SystemConfig(hazard=model,
                             unit_lifetime=LifetimeDistribution(220.0, delta),
-                            lab_burnin=lab)
+                            lab_burnin=lab, shelf_aging_factor=0.0, software=None, operator=None)
 
     def test_worked_example_boundaries(self):
         tl = scenario_timeline(self.worked_config())
@@ -181,7 +193,7 @@ class TestScenarioTimeline:
         model = make_bathtub(th1=20.0, th2=180.0, th3=40.0)
         cfg = SystemConfig(hazard=model,
                            unit_lifetime=LifetimeDistribution(500.0, 200.0),
-                           lab_burnin=2.0)
+                           lab_burnin=2.0, shelf_aging_factor=0.0, software=None, operator=None)
         tl = scenario_timeline(cfg)
         pairing = [s for s in tl.segments if s.boundary == "Tf1"]
         assert pairing and pairing[0].t_end - pairing[0].t_start == pytest.approx(200.0)
@@ -191,7 +203,8 @@ class TestScenarioTimeline:
 
     def test_mean_before_onset_rejected(self):
         model = make_bathtub(th1=20.0, th2=180.0, th3=40.0)
-        cfg = SystemConfig(hazard=model, unit_lifetime=LifetimeDistribution(150.0, 1.0))
+        cfg = SystemConfig(hazard=model, unit_lifetime=LifetimeDistribution(150.0, 1.0),
+                           shelf_aging_factor=0.0, lab_burnin=2.0, software=None, operator=None)
         with pytest.raises(ValidationError):
             scenario_timeline(cfg)
 
@@ -208,7 +221,7 @@ class TestScenarioTimeline:
         model = make_flat_bathtub(th1=th1, th2=th2, th3=th3)
         mean = th1 + th2 + margin
         cfg = SystemConfig(hazard=model, unit_lifetime=LifetimeDistribution(mean, delta),
-                           lab_burnin=lab)
+                           lab_burnin=lab, shelf_aging_factor=0.0, software=None, operator=None)
         tl = scenario_timeline(cfg)
         assert tl.segments[0].t_start == 0.0
         for a, b in zip(tl.segments, tl.segments[1:]):
@@ -232,7 +245,8 @@ class TestScenarioTimeline:
             warnings.simplefilter("ignore", ValidationWarning)  # lab credit past th1
             cfg = SystemConfig(hazard=make_bathtub(th1=th1, th2=th2, th3=10.0),
                                unit_lifetime=LifetimeDistribution(th1 + th2 + margin, delta),
-                               shelf_aging_factor=alpha, lab_burnin=lab_share * th1)
+                               shelf_aging_factor=alpha, lab_burnin=lab_share * th1,
+                               software=None, operator=None)
         try:
             tl = scenario_timeline(cfg)
         except ValidationError:
@@ -315,7 +329,7 @@ class TestSystemHazardCurve:
         lam = 0.01
         model = make_flat_bathtub(useful_rate=lam, th1=20.0, th2=980.0, th3=100.0)
         cfg = SystemConfig(hazard=model, unit_lifetime=LifetimeDistribution(1100.0, 0.0),
-                           lab_burnin=0.0)
+                           lab_burnin=0.0, shelf_aging_factor=0.0, software=None, operator=None)
         tl = scenario_timeline(cfg)
         curve = system_hazard_curve(tl, dt=1.0)
         mains = curve.times < 1000.0
@@ -332,7 +346,7 @@ class TestSystemHazardCurve:
         lam = 0.01
         model = make_flat_bathtub(useful_rate=lam, th1=20.0, th2=180.0, th3=40.0)
         cfg = SystemConfig(hazard=model, unit_lifetime=LifetimeDistribution(220.0, 1.0),
-                           lab_burnin=2.0)
+                           lab_burnin=2.0, shelf_aging_factor=0.0, software=None, operator=None)
         tl = scenario_timeline(cfg)
         curve = system_hazard_curve(tl, dt=0.1)
         solo_useful = (curve.times >= tl.t2) & (curve.times < tl.tf1 - 2.0 + 200.0)
@@ -391,7 +405,7 @@ class TestSystemHazardCurve:
         cfg = SystemConfig(hazard=model, unit_lifetime=LifetimeDistribution(mean, stagger),
                            lab_burnin=lab_share * th1,
                            software=SoftwareHazardModel(0.001, 0.004, 26.0, upgrades),
-                           operator=OperatorHazard(operator_rate))
+                           operator=OperatorHazard(operator_rate), shelf_aging_factor=0.0)
         tl = scenario_timeline(cfg)
         full = system_hazard_curve(tl, dt=dt)
         start = data.draw(st.one_of(

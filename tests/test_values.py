@@ -26,7 +26,7 @@ from redzone.config import parse_config
 from redzone.montecarlo import run_batch, sample_lifetimes
 from redzone.value import Value
 
-from conftest import make_redzone_system, make_software_system
+from conftest import TYPE1, make_redzone_system, make_software_system
 
 MODULES = (hazards, system, maintenance, montecarlo, analysis, config)
 SWEEP = {"threshold": 2.0, "dt": 0.1, "baseline_window_fraction": 0.8}
@@ -48,7 +48,8 @@ def one_of_each() -> dict:
     timeline = scenario_timeline(red)
     out = run_batch(red, Policy("type2", rotation_period=34.67), sample_lifetimes(red, 1, 20),
                     record_events=True)
-    report = compare_policies(red, 34.67, SimConfig(replications=20), warn_factor=0.8)
+    sim = SimConfig(replications=20, master_seed=1, horizon=None)
+    report = compare_policies(red, 34.67, sim, warn_factor=0.8)
     assessment = assess_red_zone(red, **SWEEP)
     values = [
         software_system, software_system.hazard, software_system.hazard.burnin,
@@ -59,7 +60,7 @@ def one_of_each() -> dict:
         (curve := system_hazard_curve(timeline, dt=0.5)), curve.grid,
         out, out.events, report, report.metrics_type1, report.metrics_type1.trdd,
         assessment, assessment.zone,
-        delta_sweep(red, [2.0], Policy("type1"), SimConfig(replications=20), **SWEEP)[0],
+        delta_sweep(red, [2.0], TYPE1, sim, **SWEEP)[0],
     ]
     return {type(v).__name__: v for v in values}
 
