@@ -17,7 +17,6 @@ exists when the composed rate at Tf2 exceeds ``threshold * baseline``.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -30,11 +29,11 @@ from .system import (
     HazardCurve,
     ScenarioTimeline,
     SystemConfig,
-    _hazard_curves,
     _segment_rate,
     scenario_timeline,
     scenario_timelines,
     system_hazard_curve,
+    system_hazard_curves,
 )
 from .value import Value
 
@@ -228,13 +227,15 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
     failure gap) and the condition's prediction, read from the same model at
     Tf2, where the spare comes to stand alone.  The timelines come from one
     engine call, before any curve or ensemble, so a spread the timeline
-    rejects fails the sweep at once, its error naming the spread.  The
-    curves are sampled as :func:`system_hazard_curves` samples them, from
-    the baseline window through the last point the failure window reads,
-    the first at or after T2 >= Tf2: every pair segment ends by Tf2, so a
-    :class:`CompositionError` is raised as on the full curve.  The baseline is
+    rejects fails the sweep at once, its error naming the spread.  One
+    :func:`system_hazard_curves` call samples only what the rows read: the
+    first timeline from its baseline window's start through Tf1, and each
+    spread over its failure window, Tf1 through T2 >= Tf2.  The baseline is
     measured once, as every spread's window lies before T0 <= Tf1 = mean, in
-    the mains' segment from epoch 0.  The ensembles are one
+    the mains' segment from epoch 0, which every spread shares.  Every pair
+    point of the full curves from that window on is sampled (the mains'
+    through Tf1, each spread's pair by Tf2), so a :class:`CompositionError`
+    is raised as on the full curve.  The ensembles are one
     :func:`run_batch` call on one draw of uniforms, which each spread's
     lifetime model samples; spreads share lab credit, shelf aging and
     horizon, and the engine's rows are independent, so the rows equal
@@ -251,13 +252,12 @@ def delta_sweep(config: SystemConfig, deltas, policy: Policy, sim: SimConfig, *,
     # The spreads are read before any ensemble runs, so the samples the curves
     # share are freed before the ensembles allocate.
     windows = [_failure_window(tl) for tl in timelines]
-    curves = _hazard_curves(timelines, dt, baseline_window_fraction * timelines[0].t0,
-                            [end for _, end in windows])
-    first = next(curves)
-    baseline = baseline_from_curve(first, timelines[0].t0,
-                                   window_fraction=baseline_window_fraction)
+    t0, tf1 = timelines[0].t0, timelines[0].tf1
+    curves = system_hazard_curves([timelines[0], *timelines],
+                                  [(baseline_window_fraction * t0, tf1), *windows], dt=dt)
+    baseline = baseline_from_curve(next(curves), t0, window_fraction=baseline_window_fraction)
     reads = [_read_peak(curve, baseline, threshold, *window)[1:]
-             for window, curve in zip(windows, itertools.chain([first], curves))]
+             for window, curve in zip(windows, curves)]
     u = _uniforms(_derive_seeds(sim.master_seed, sim.replications), 3)
     lives = np.concatenate([timeline.config.unit_lifetime.sample(u) for timeline in timelines])
     trdd = run_batch(config, policy, lives, horizon=sim.horizon).trdd

@@ -18,9 +18,10 @@ whose buffer is written itself, not copied to bytes.  A short table (the
 scenario segments, the spread sweep) arrives as cell text, its floats as
 ``repr`` writes them, and is written in one join.  A block of
 ``_EVENT_BLOCK`` rows of the event log formats its distinct times once, by
-bit pattern, and is one flat join of each row's replication prefix, time and
-row tail, the tail looked up by the row's codes in
-``montecarlo._event_tails``.  Floats read as ``repr`` writes them.
+bit pattern, as one :func:`_float_lines` column, and is one flat join of
+each row's replication prefix, time and row tail, the tail looked up by the
+row's codes in ``montecarlo._event_tails``.  Floats read as ``repr`` writes
+them.
 
 Exit codes: 0 success, 1 a :class:`ValidationError` (input the run does not
 accept), 2 numerical or runtime failure.  :func:`main` alone prints an error's ``fields`` after it,
@@ -98,7 +99,7 @@ def _float_lines(columns) -> np.ndarray | bytes:
     fix = _repr_fix_ups(x)
     if not fix.size:
         return line
-    # Spliced, not sent to _float_reprs: a str per cell gave the same bytes but raised the
+    # Spliced, not formatted as a str per cell: that gave the same bytes but raised the
     # curve-sweep benchmark's peak memory by 1.6 MB, at 1.6x the time on a two-column block.
     # cell i lies between separators i - 1 and i
     bounds = np.concatenate(([-1], commas, [line.size - 1]))
@@ -109,19 +110,6 @@ def _float_lines(columns) -> np.ndarray | bytes:
         pos = end
     parts.append(text[pos:])
     return b"".join(parts)
-
-
-def _float_reprs(x) -> list[str]:
-    """``[repr(v) for v in x.tolist()]`` for a float array: orjson's cells, fixed up by ``repr``."""
-    import orjson
-
-    x = np.ascontiguousarray(x, dtype=float)
-    if not x.size:
-        return []
-    cells = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
-    for i in _repr_fix_ups(x).tolist():
-        cells[i] = repr(float(x[i]))
-    return cells
 
 
 def _write_table(path: str, table: dict) -> None:
@@ -273,8 +261,9 @@ def _write_events_csv(path: str, log: EventLog) -> None:
     """Write the event log, a block of rows as one join of ``[prefix, time, tail] * rows``:
     the replication's ``"{i},"``, the time and the row tail :func:`_event_tails` decodes.
 
-    A block formats each of its distinct times once, told apart by bit pattern, and
-    gathers them back by row: a rotation epoch recurs once per replication.
+    A block formats each of its distinct times once, told apart by bit pattern, as the
+    lines of a one-column :func:`_float_lines` table, and gathers them back by row: a
+    rotation epoch recurs once per replication.
     """
     n = len(log.time)
     prefixes = np.array([f"{i}," for i in range(int(log.replication[-1]) + 1 if n else 0)],
@@ -285,7 +274,8 @@ def _write_events_csv(path: str, log: EventLog) -> None:
         for lo in range(0, n, _EVENT_BLOCK):
             rows = slice(lo, lo + _EVENT_BLOCK)
             bits, at = np.unique(log.time[rows].view(np.int64), return_inverse=True)
-            times = np.array(_float_reprs(bits.view(float)), dtype=object)[at].tolist()
+            cells = bytes(_float_lines([bits.view(float)])).decode().split("\n")[:-1]
+            times = np.array(cells, dtype=object)[at].tolist()
             parts = [None] * (3 * len(times))
             parts[0::3] = prefixes[log.replication[rows]].tolist()
             parts[1::3] = times

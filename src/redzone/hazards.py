@@ -159,10 +159,11 @@ def bathtub_cumulative(t, model: BathtubModel):
     arr, scalar = _checked_time(t, "bathtub_cumulative")
     ages = np.atleast_1d(arr)
     b, w = model.burnin, model.wearout
-    total = model.useful_rate * ages
-    total += 0.0  # as the wear-out term's 0 before the onset did: an age of -0.0 sums to +0.0
-    if b.scale > 0.0:
-        total += b.scale * ages ** b.shape
+    with np.errstate(over="ignore"):  # a term past the largest float is +inf, its limit
+        total = model.useful_rate * ages
+        total += 0.0  # as the wear-out term's 0 before the onset did: an age of -0.0 sums to +0.0
+        if b.scale > 0.0:
+            total += b.scale * ages ** b.shape
     if w.scale > 0.0:
         _add_wearout(total, ages, model, w.scale, w.shape)
     return _ret(total.reshape(arr.shape), scalar)

@@ -129,13 +129,21 @@ class MetricSummary(NamedTuple):
 
 
 def _summarize(values: np.ndarray) -> MetricSummary | None:
+    """The summary of ``values``, None when there are none; a summary past the largest
+    float raises :class:`ValidationError` naming the lifetime fields."""
     n = len(values)
     if n == 0:
         return None
-    mean = float(np.mean(values))
-    std = 0.0 if n < 2 else float(np.std(values, ddof=1))
+    with np.errstate(over="ignore"):  # a sum or a square past the largest float is inf
+        mean = float(np.mean(values))
+        std = 0.0 if n < 2 else float(np.std(values, ddof=1))
     half = 1.96 * std / math.sqrt(n)
-    return MetricSummary(mean=mean, std=std, ci_low=mean - half, ci_high=mean + half)
+    summary = MetricSummary(mean=mean, std=std, ci_low=mean - half, ci_high=mean + half)
+    if not all(map(math.isfinite, summary)):
+        raise ValidationError(f"ensemble statistics overflow the float range (mean {mean!r}, "
+                              f"std {std!r}); lower the lifetime mean and spread",
+                              fields=("lifetime.mean", "lifetime.sd"))
+    return summary
 
 
 class Metrics(NamedTuple):
@@ -328,12 +336,14 @@ def run_batch(config: SystemConfig, policy: Policy, lifetimes, *, horizon: float
         raise ValidationError("lifetimes must be finite and >= 0",
                               fields=("lifetime.mean", "lifetime.sd"))
     # the pass bound (see above): 3 failures, the censoring pass, the rotation epochs, of
-    # which an infinite period has none; a lifetime sum past the largest float reads inf
+    # which an infinite period has none; a lifetime sum or an epoch count past the
+    # largest float reads inf
     with np.errstate(over="ignore"):
         cap = min(horizon, lifetimes.sum(axis=1).max(initial=0.0))
-    passes = 5 + math.floor(min(cap / period if period < math.inf else 0.0, _MAX_PASSES))
+        epochs = cap / period if period < math.inf else 0.0
+    passes = 5 + math.floor(min(epochs, _MAX_PASSES))
     if passes > _MAX_PASSES:
-        raise ValidationError(f"rotation period {period!r} gives {cap / period:.3g} "
+        raise ValidationError(f"rotation period {period!r} gives {epochs:.3g} "
                               f"rotation epochs in {float(cap):.6g} weeks, past the "
                               f"{_MAX_PASSES} passes an ensemble may take; raise the "
                               "period or lower the horizon",

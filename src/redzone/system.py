@@ -16,7 +16,8 @@ last state-change event (failure or installation): this is the observed
 state of the maintained system.  Conditioning from birth instead would make
 the composed rate jump to roughly the survivor's own rate immediately after
 any first failure regardless of the lifetime spread, which erases the very
-effect the timeline exists to exhibit.
+effect the timeline exists to exhibit.  One sampler, :func:`system_hazard_curves`,
+reads each curve over its own window of the grid ``arange(0, t_end, dt)``.
 
 Two readings of the lifetime spread are supported deliberately: the Monte
 Carlo engine treats it as the standard deviation of sampled lifetimes, and
@@ -361,62 +362,54 @@ def _segment_rate(t: np.ndarray, seg: ScenarioSegment, config: SystemConfig) -> 
     return compose_parallel([h[au.birth] for au in seg.units], [H[au.birth] for au in seg.units])
 
 
-def system_hazard_curves(timelines, *, dt: float,
-                         start: float = 0.0) -> Iterator[HazardCurve]:
-    """Sample the composed system rate of each timeline on ``arange(0, t_end, dt)``.
+def system_hazard_curves(timelines, windows, *, dt: float) -> Iterator[HazardCurve]:
+    """Sample the composed system rate of each timeline over its own window.
 
-    Only the grid points at or after ``start`` are sampled, and they hold
-    the same values as the ``times >= start`` tail of the full curve.
-    Within each segment the active units' cumulative hazards are measured
-    from the segment's conditioning epoch; single-unit segments reduce to
-    the unit's own rate.
+    Curve k holds the points of ``arange(0, t_end, dt)``, ``t_end`` its
+    timeline's end of life, from the first at or after ``windows[k][0]``
+    through the first at or after ``windows[k][1]`` (``math.inf`` means its
+    end of life), with the values those points hold on the full curve.
 
-    The timelines may end at different times: each curve's grid,
-    ``arange(0, t_end, dt)``, is a prefix of the grid to the latest end of
-    life.  Evaluation is by piece: segments whose units have the same terms
-    and births, and for a pair the same epoch, are one function of time (the
-    spare alone across segments and spreads; a sweep's pairs).  Each piece
-    is evaluated once, block by block: :func:`_segment_rate` takes ``_BLOCK``
-    points at a time, built from their indexes, so no temporary is longer
-    than a block.  A piece that one curve reads is written straight into that
-    curve's rates, slice by slice of its segments, so a lone timeline holds
-    one grid array, its rates; a piece that several curves read is written
-    into one array over the hull of their slices and copied into each.  A
-    grid point's value does not depend on which other points are evaluated
-    with it, so every curve equals the curve sampled from its timeline alone,
-    bit for bit.  All evaluation, and any error it raises, happens in this
-    call; the returned iterator then assembles one curve per timeline, in
-    order, as it is advanced.  A curve holds its points as a :class:`Grid`,
-    never as an array.
+    The timelines may end at different times: each curve's grid is a slice
+    of the grid to the latest point any curve reads.  Evaluation is by
+    piece: segments whose units have the same terms and births, and for a
+    pair the same epoch, are one function of time (the spare alone across
+    segments and spreads; a sweep's pairs).  Each piece is evaluated once,
+    block by block: :func:`_segment_rate` takes ``_BLOCK`` points at a time,
+    built from their indexes, so no temporary is longer than a block.  A
+    piece that one curve reads is written straight into that curve's rates,
+    slice by slice of its segments, so a lone timeline holds one grid array,
+    its rates; a piece that several curves read is written into one array
+    over the hull of their slices and copied into each.  A grid point's
+    value does not depend on which other points are evaluated with it, so
+    every curve equals the curve sampled from its timeline alone, bit for
+    bit.  All evaluation, and any error it raises, happens in this call; the
+    returned iterator then assembles one curve per timeline, in order, as it
+    is advanced.  A curve holds its points as a :class:`Grid`, never as an
+    array.
     """
-    timelines = list(timelines)
-    return _hazard_curves(timelines, dt, start, [math.inf] * len(timelines))
-
-
-def _hazard_curves(timelines, dt: float, start: float, through) -> Iterator[HazardCurve]:
-    """:func:`system_hazard_curves` of a list of timelines, each curve stopping at the
-    first grid point at or after its time in ``through``, if its grid holds one; a piece
-    one curve reads is evaluated into its rates, one several read into an array of its own."""
     if not dt > 0.0:
         raise ValidationError(f"dt must be > 0, got {dt!r}")
+    timelines, windows = list(timelines), list(windows)
+    if len(windows) != len(timelines):
+        raise ValidationError(f"{len(timelines)} timelines need as many windows, "
+                              f"got {len(windows)}")
     if not timelines:
         return iter(())
     # The first grid point at or after a time lies within one step of it.
-    t_max = min(max(tl.t_end for tl in timelines), max(through) + 2.0 * dt)
+    t_max = min(max(tl.t_end for tl in timelines), max(end for _, end in windows) + 2.0 * dt)
     grid = Grid(0, math.ceil(t_max / dt), dt)  # the points of np.arange(0.0, t_max, dt)
-    # a curve's own grid, np.arange(0.0, t_end, dt), is its first ceil(t_end / dt) points
-    counts = [min(math.ceil(tl.t_end / dt), grid.index(w) + 1)
-              for tl, w in zip(timelines, through)]
-    grid = grid[grid.index(start):]
-    # piece -> (a segment of it, its config, {curve: its slices}); a piece is (index of its
-    # terms, its units' births) and, for a pair, its epoch
-    terms, pieces, sizes = {}, {}, []
-    for k, (tl, count) in enumerate(zip(timelines, counts)):
+    # a curve's own grid, np.arange(0.0, t_end, dt), is the first ceil(t_end / dt) points
+    grids = [grid[grid.index(start):min(math.ceil(tl.t_end / dt), grid.index(end) + 1)]
+             for tl, (start, end) in zip(timelines, windows)]
+    # piece -> (a segment of it, its config, {curve: its slices of grid}); a piece is (index
+    # of its terms, its units' births) and, for a pair, its epoch
+    terms, pieces = {}, {}
+    for k, (tl, g) in enumerate(zip(timelines, grids)):
         c = tl.config
         index = terms.setdefault((c.hazard, c.software, c.operator), len(terms))
-        sizes.append(n := max(count - grid.first, 0))
         for seg in tl.segments:
-            lo, hi = (min(grid.index(x), n) for x in (seg.t_start, seg.t_end))
+            lo, hi = (g.first + g.index(x) for x in (seg.t_start, seg.t_end))
             if lo == hi:
                 continue
             births = tuple(au.birth for au in seg.units)
@@ -428,8 +421,8 @@ def _hazard_curves(timelines, dt: float, start: float, through) -> Iterator[Haza
         if len(slices) == 1:
             ((k, spans),) = slices.items()
             if k not in rates:
-                rates[k] = np.zeros(sizes[k])
-            out, base = rates[k], 0
+                rates[k] = np.zeros(len(grids[k]))
+            out, base = rates[k], grids[k].first
         else:
             ends = [end for spans in slices.values() for end in spans]
             base, hi = min(lo for lo, _ in ends), max(hi for _, hi in ends)
@@ -441,16 +434,18 @@ def _hazard_curves(timelines, dt: float, start: float, through) -> Iterator[Haza
                 out[a - base:b - base] = _segment_rate(np.asarray(grid[a:b]), seg, c)
 
     def assemble(k) -> HazardCurve:
-        h = rates.pop(k) if k in rates else np.zeros(sizes[k])
+        g = grids[k]
+        h = rates.pop(k) if k in rates else np.zeros(len(g))
         for base, values, slices in shared:
             for lo, hi in slices.get(k, ()):
-                h[lo:hi] = values[lo - base:hi - base]
-        return HazardCurve(grid=grid[:sizes[k]], rates=h)
+                h[lo - g.first:hi - g.first] = values[lo - base:hi - base]
+        return HazardCurve(grid=g, rates=h)
 
-    return map(assemble, range(len(sizes)))
+    return map(assemble, range(len(grids)))
 
 
 def system_hazard_curve(timeline: ScenarioTimeline, *, dt: float,
                         start: float = 0.0) -> HazardCurve:
-    """The curve of one timeline; see :func:`system_hazard_curves`."""
-    return next(system_hazard_curves([timeline], dt=dt, start=start))
+    """The curve of one timeline from the first grid point at or after ``start`` to its
+    end of life; see :func:`system_hazard_curves`."""
+    return next(system_hazard_curves([timeline], [(start, math.inf)], dt=dt))

@@ -789,6 +789,25 @@ class TestCompareCommand:
         assert capsys.readouterr().err == (
             "error: trdd_1 must be > 0, got 0.0 (config: lifetime.mean, lifetime.sd)\n")
 
+    def test_statistics_past_the_largest_float_name_the_lifetime(self, tmp_path, capsys):
+        # the example's times scaled by 1e300 and lifetimes near 1e303: their deviations
+        # square past the largest float in the sample variance, and the run exits 1 naming
+        # the lifetime, with no numpy warning and no compare.json
+        f = 1e300
+        conf = write_example(tmp_path, lifetime={"mean": 1e303, "sd": 1e302},
+                             hazard={"th1": 20.0 * f, "th2": 180.0 * f, "th3": 10.0 * f},
+                             system={"lab_burnin": 2.0 * f},
+                             policy={"rotation_period": 34.67 * f}, vendor={"mtbf": 208.0 * f},
+                             analysis={"curve_dt": 0.1 * f})
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--config", conf, "--out", str(out),
+                     "--replications", "200"]) == 1
+        assert re.fullmatch(r"error: ensemble statistics overflow the float range \(mean "
+                            r"[0-9.e+]+, std inf\); lower the lifetime mean and spread "
+                            r"\(config: lifetime\.mean, lifetime\.sd\)\n",
+                            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         conf = write_config(
             tmp_path,
@@ -1067,7 +1086,7 @@ def test_curve_outputs_byte_identical(tmp_path):
 
 
 # SHA-256 of the float tables of hazard and simulate --events-out on the shipped example
-# config, recorded before _float_reprs formatted them: they pin the repr bytes.
+# config, recorded when repr formatted every cell: they pin the repr bytes.
 TABLE_DIGESTS = {
     "hazard.csv": "92437cd9e4c635b0e2c5dc1655c598e5ce92f41e278203af25a460c0751bcce8",
     "hazard_dt.csv": "1cc4a9288ed5258a6119ce5afed536e423c611a2151506993a0ef4e991a52e86",
@@ -1195,32 +1214,38 @@ def ulp_window(edge, n=200_000):
     return np.concatenate([x, -x])
 
 
-class TestFloatReprs:
+def column_cells(x):
+    """The cells of one float column as the event writer takes them, the lines of a
+    one-column :func:`cli._float_lines` table."""
+    return bytes(cli._float_lines([x])).decode().split("\n")[:-1]
+
+
+class TestColumnCells:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(), max_size=50))
     def test_matches_repr(self, values):
         # st.floats() draws NaN, both infinities, subnormals and both zeros
         x = np.array(values, dtype=float)
-        assert cli._float_reprs(x) == reprs(x)
+        assert column_cells(x) == reprs(x)
 
     @pytest.mark.parametrize("edge", [1e-4, 1e16], ids=["1e-4", "1e16"])
     def test_notation_edges(self, edge):
         # the edges where repr's notation leaves orjson's
         x = ulp_window(edge)
-        assert cli._float_reprs(x) == reprs(x)
+        assert column_cells(x) == reprs(x)
 
     def test_special_values(self):
         x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-05, 1e+16, 1e308])
-        assert cli._float_reprs(x) == ["0.0", "-0.0", "nan", "inf", "-inf", "5e-324",
+        assert column_cells(x) == ["0.0", "-0.0", "nan", "inf", "-inf", "5e-324",
                                        "1e-05", "1e+16", "1e+308"]
 
     def test_empty(self):
-        assert cli._float_reprs(np.array([])) == []
+        assert column_cells(np.array([])) == []
 
     def test_strided_view(self):
         x = np.linspace(-3.0, 7.0, 301)[::3]
         assert not x.flags.c_contiguous
-        assert cli._float_reprs(x) == reprs(x)
+        assert column_cells(x) == reprs(x)
 
 
 def lines(columns):

@@ -207,6 +207,15 @@ class TestBathtub:
                     + logspaced_trapezoid(lambda x: bathtub_hazard(x, model), onset, horizon))
             assert quad == pytest.approx(exact, rel=1e-6)
 
+    @pytest.mark.parametrize("useful_rate, burnin", [(1e10, (0.0, 0.5)), (0.01, (1e300, 0.5))],
+                             ids=["useful", "burnin"])
+    def test_cumulative_past_the_largest_float_is_inf(self, useful_rate, burnin):
+        # a term's product past the largest float is +inf, its limit, with no numpy
+        # overflow warning (an error under this suite's warning filters)
+        model = make_bathtub(useful_rate=useful_rate, burnin=burnin, wearout=(0.0, 3.0))
+        assert bathtub_cumulative(1e300, model) == math.inf
+        assert bathtub_cumulative(np.array([1.0, 1e300]), model)[1] == math.inf
+
 
 def bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)

@@ -14,6 +14,7 @@ from scipy import stats
 
 from redzone import (
     LifetimeDistribution,
+    Metrics,
     Policy,
     RedzoneError,
     SimConfig,
@@ -799,6 +800,25 @@ class TestRunBatch:
             run_batch(det_config(lab=2.0), Policy("type2", rotation_period=34.67), lifetimes,
                       horizon=math.inf)
         assert error.value.fields == ("policy.rotation_period", "sim.horizon")
+
+    def test_rotation_epochs_past_the_largest_float_are_too_many(self):
+        # a lifetime sum of 3e300 weeks over a period of 1e-10 is past the largest float:
+        # the epoch count reads inf, with no numpy overflow warning, and is rejected
+        with pytest.raises(ValidationError, match="gives inf rotation epochs") as error:
+            run_batch(det_config(lab=2.0), Policy("type2", rotation_period=1e-10),
+                      [[1e300, 1e300, 1e300]], horizon=math.inf)
+        assert error.value.fields == ("policy.rotation_period", "sim.horizon")
+
+    @pytest.mark.parametrize("lifetimes", [[[1e303, 1e303, 1e303], [1e302, 1e302, 1e302]],
+                                           [[1.7e308, 1.7e308, 0.0]] * 2],
+                             ids=["square", "sum"])
+    def test_statistics_past_the_largest_float_name_the_lifetime(self, lifetimes):
+        # the sample variance's squares (or the mean's sum) overflow: a summary that is
+        # not finite raises, with no numpy overflow warning, and names the lifetime fields
+        out = run_batch(det_config(lab=0.0), TYPE1, lifetimes, horizon=math.inf)
+        with pytest.raises(ValidationError, match="ensemble statistics overflow") as error:
+            Metrics.from_batch(out)
+        assert error.value.fields == ("lifetime.mean", "lifetime.sd")
 
     @pytest.mark.parametrize("policy", [TYPE1, Policy("type2", rotation_period=30.0)],
                              ids=["type1", "type2"])

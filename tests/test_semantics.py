@@ -12,10 +12,13 @@ themselves passes the differential tests.  Metamorphic relations (Chen,
 Cheung and Yiu, "Metamorphic testing", 1998) check invariants of the model
 instead, each bit for bit: a rotation period past the horizon is replace on
 failure, time scales by powers of two, a horizon only cuts, and replace on
-failure does not tell the two slots apart.
+failure does not tell the two slots apart; and, but for one rounding, more
+lab credit or shelf aging never lengthens a replace-on-failure life.
 """
 
 from types import SimpleNamespace
+
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from redzone import LifetimeDistribution, Policy, SystemConfig
-from redzone.montecarlo import EVENT_KINDS, EventLog, run_batch
+from redzone.montecarlo import EVENT_KINDS, EventLog, run_batch, sample_lifetimes
 
 from conftest import TYPE1, UNSHRUNK, make_flat_bathtub
 from oracle import run_replication
@@ -267,3 +270,49 @@ class TestType1SlotSymmetry:
         for name in ("trdd", "tdt", "dp", "censored"):
             np.testing.assert_array_equal(getattr(swapped, name), getattr(out, name),
                                           err_msg=name)
+
+
+@ignore_lab_warning
+class TestType1Monotonicity:
+    """On one draw, more lab credit or more shelf aging never lengthens a replication's
+    total lifetime under replace on failure: the spare has consumed more at install, so
+    it dies no later, and ``tdt`` is the later of its death and the other main unit's.
+
+    The engine keeps this bit for bit but for one rounding.  A unit's death is its due
+    time ``t + (L - consumed)``, computed at the last event epoch ``t`` before it.
+    Where the spare dies last, that epoch is the second main failure whatever the lab
+    credit or alpha, and raising either only raises ``consumed``; rounding is monotone,
+    so the death does not rise.  Where the surviving main unit (born at 0, lifetime
+    ``L``) dies last, its death is ``t + (L - t)``: exactly ``L`` when ``t >= L / 2``
+    (Sterbenz), else within one ulp of it.  Raising lab or alpha can move that epoch,
+    the spare dying at another time, on the shelf or on arrival, and so move ``tdt``
+    from one ulp below ``L`` to one ulp above.  At a lifetime sd of 60 a first failure
+    often falls before half the other main's life, and the draw below holds such rows;
+    at sd 20 it holds none.  A rise anywhere else, or past one ulp of ``L`` on either
+    side, breaks the relation: charging shelf aging at 1 - alpha does.
+    """
+
+    LABS = np.linspace(0.0, 250.0, 26)  # past many spares' lifetimes: some arrive dead
+    ALPHAS = np.linspace(0.0, 1.0, 11)
+
+    @pytest.mark.parametrize("sd, rounded", [(20.0, False), (60.0, True)])
+    def test_more_lab_or_alpha_never_lengthens_life(self, sd, rounded):
+        cfg = system(0.0, 0.0)._replace(unit_lifetime=LifetimeDistribution(208.0, sd))
+        lifetimes = sample_lifetimes(cfg, 42, 2000)
+        survivor = lifetimes[:, :2].max(axis=1)  # the main unit that fails second
+        ulp = np.spacing(survivor)
+        tdt = np.array([[run_batch(cfg._replace(lab_burnin=lab, shelf_aging_factor=alpha),
+                                   TYPE1, lifetimes, horizon=math.inf).tdt
+                         for alpha in self.ALPHAS] for lab in self.LABS])
+        assert not np.isnan(tdt).any()
+        rose = False
+        for axis in (0, 1):  # raising lab at each alpha, then alpha at each lab
+            values = np.moveaxis(tdt, axis, 0)
+            # each setting against the least tdt any lower setting gave
+            least = np.minimum.accumulate(values, axis=0)[:-1]
+            higher = values[1:]
+            up = higher > least
+            rose |= up.any()
+            near = np.abs(np.array([higher, least]) - survivor) <= ulp
+            assert near.all(axis=0)[up].all(), "tdt rose away from the surviving main's death"
+        assert rose == rounded

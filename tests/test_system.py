@@ -14,18 +14,20 @@ from redzone import (
     HazardCurve,
     LifetimeDistribution,
     OperatorHazard,
+    SimConfig,
     SoftwareHazardModel,
     SystemConfig,
     UpgradeEvent,
     ValidationError,
     ValidationWarning,
     compose_parallel,
+    delta_sweep,
     detect_red_zone,
     scenario_timeline,
     system_hazard_curve,
     system_hazard_curves,
 )
-from redzone import system
+from redzone import analysis, system
 from redzone.config import load_config
 from redzone.system import _unit_cumulative_at, _unit_rate, scenario_timelines
 
@@ -296,10 +298,12 @@ class TestGrid:
             for _ in range(4):
                 x = data.draw(grid_points(g), label="x")
                 assert g.index(x) == np.searchsorted(points, x, "left")
-        # as _hazard_curves clips a segment's bounds to a curve's size
+        # system_hazard_curves reads a segment's bounds on a curve's own grid, a slice of
+        # the shared one: its index is the shared index clipped to the slice
         n = data.draw(st.integers(0, len(tail)), label="size")
         x = data.draw(grid_points(tail), label="bound")
-        assert min(tail.index(x), n) == np.searchsorted(np.asarray(tail[:n]), x, "left")
+        head = np.asarray(tail[:n])
+        assert tail[:n].index(x) == min(tail.index(x), n) == np.searchsorted(head, x, "left")
 
     def test_a_grid_slices_in_steps_of_one(self):
         grid = Grid(3, 10, 0.5)
@@ -427,6 +431,11 @@ UPGRADES = st.lists(st.tuples(st.floats(0.0, 800.0), st.sampled_from(["minor", "
     lambda events: tuple(UpgradeEvent(*e) for e in sorted(events)))
 
 
+def from_start(timelines, start=0.0):
+    """Windows from ``start`` to each timeline's end of life."""
+    return [(start, math.inf)] * len(timelines)
+
+
 class TestSystemHazardCurves:
     @settings(max_examples=60, deadline=None, phases=UNSHRUNK)
     @given(
@@ -448,7 +457,7 @@ class TestSystemHazardCurves:
                                    operator_rate=operator_rate)
         timelines = [scenario_timeline(with_spread(cfg, d)) for d in spreads]
         start = start_share * timelines[0].t_end
-        curves = list(system_hazard_curves(timelines, dt=dt, start=start))
+        curves = list(system_hazard_curves(timelines, from_start(timelines, start), dt=dt))
         assert len(curves) == len(timelines)
         for tl, curve in zip(timelines, curves):
             t, h = per_segment_curve(tl, dt, start)
@@ -486,7 +495,7 @@ class TestSystemHazardCurves:
         # alone, each timeline's pieces are evaluated into its rates from each slice's start
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(system, "_BLOCK", block)
-            curves = list(system_hazard_curves(timelines, dt=dt, start=start))
+            curves = list(system_hazard_curves(timelines, from_start(timelines, start), dt=dt))
             lone = [system_hazard_curve(tl, dt=dt, start=start) for tl in timelines]
         for tl, curve, alone in zip(timelines, curves, lone):
             t, h = per_segment_curve(tl, dt, start)
@@ -494,9 +503,80 @@ class TestSystemHazardCurves:
                 assert np.array_equal(c.times, t)
                 assert np.array_equal(c.rates, h)
 
+    @settings(max_examples=60, deadline=None, phases=UNSHRUNK)
+    @given(
+        th1=st.floats(5.0, 40.0),
+        th2=st.floats(50.0, 300.0),
+        margin=st.floats(0.0, 60.0),
+        lab_share=st.floats(0.0, 1.0),
+        spreads=SPREADS,
+        upgrades=UPGRADES,
+        software=st.booleans(),
+        operator_rate=st.floats(0.0, 0.01),
+        dt=st.floats(0.05, 5.0),
+        data=st.data(),
+    )
+    def test_each_window_is_a_slice_of_its_full_curve(self, th1, th2, margin, lab_share,
+                                                      spreads, upgrades, software,
+                                                      operator_rate, dt, data):
+        # a window's bounds may fall anywhere, on a landmark, on a grid point or past the
+        # end of life; curve k holds the full curve's points from the first at or after
+        # its start through the first at or after its end
+        cfg = make_software_system(th1=th1, th2=th2, margin=margin, lab=lab_share * th1,
+                                   upgrades=upgrades, software=software,
+                                   operator_rate=operator_rate)
+        timelines = [scenario_timeline(with_spread(cfg, d)) for d in spreads]
+        full = [system_hazard_curve(tl, dt=dt) for tl in timelines]
+        windows = []
+        for tl, curve in zip(timelines, full):
+            bound = st.one_of(
+                st.floats(0.0, 1.1 * tl.t_end),
+                st.sampled_from([0.0, 0.8 * tl.t0, tl.t0, tl.tf1, tl.tf2, tl.t2, tl.t_end,
+                                 math.inf]),
+                st.sampled_from(curve.times.tolist()))
+            windows.append(tuple(sorted(data.draw(st.tuples(bound, bound), label="window"))))
+        curves = list(system_hazard_curves(timelines, windows, dt=dt))
+        assert len(curves) == len(timelines)
+        for (start, end), curve, whole in zip(windows, curves, full):
+            lo, hi = np.searchsorted(whole.times, (start, end), "left")
+            points = slice(lo, min(hi + 1, len(whole.times)))
+            assert curve.grid == whole.grid[points]
+            assert np.array_equal(curve.times, whole.times[points])
+            assert np.array_equal(curve.rates, whole.rates[points])
+
+    def test_one_window_per_timeline(self):
+        tl = scenario_timeline(make_redzone_system(delta=1.0))
+        with pytest.raises(ValidationError, match="2 timelines need as many windows, got 1"):
+            system_hazard_curves([tl, tl], [(0.0, math.inf)], dt=0.5)
+
+    def test_the_sweep_samples_only_what_its_rows_read(self, monkeypatch):
+        # The curve-sweep benchmark's sweep, the example config at curve_dt 0.002 over ten
+        # spreads: the first timeline from the baseline window's start, 0.8 * T0 = 160,
+        # through Tf1 = 208, then each spread from Tf1 through T2, 175,511 points in all.
+        # Sampling each spread from the baseline window on to T2 assembled 391,510.
+        assembled, sample = [], analysis.system_hazard_curves
+
+        def spy(timelines, windows, *, dt):
+            for curve in sample(timelines, windows, dt=dt):
+                assembled.append(curve.grid)
+                yield curve
+
+        monkeypatch.setattr(analysis, "system_hazard_curves", spy)
+        run, dt = load_config(EXAMPLE), 0.002
+        spreads = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0, 40.0)
+        delta_sweep(run.system, spreads, run.policy,
+                    SimConfig(replications=2, master_seed=1, horizon=None), threshold=2.0,
+                    dt=dt, baseline_window_fraction=0.8)
+        assert sum(map(len, assembled)) == 175_511
+        assert assembled[0] == Grid(80_000, 24_001, dt)
+        for tl, grid in zip(scenario_timelines(run.system, spreads), assembled[1:], strict=True):
+            full = Grid(0, math.ceil(tl.t_end / dt), dt)
+            assert tl.tf1 == 208.0 and grid.first == full.index(tl.tf1) == 104_000
+            assert grid == full[full.index(tl.tf1):full.index(tl.t2) + 1]
+
     def test_one_timeline_is_system_hazard_curve(self):
         tl = scenario_timeline(make_redzone_system(delta=3.0))
-        (curve,) = system_hazard_curves([tl], dt=0.1, start=150.0)
+        (curve,) = system_hazard_curves([tl], from_start([tl], 150.0), dt=0.1)
         single = system_hazard_curve(tl, dt=0.1, start=150.0)
         assert np.array_equal(curve.times, single.times)
         assert np.array_equal(curve.rates, single.rates)
@@ -529,7 +609,7 @@ class TestSystemHazardCurves:
         spreads = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0, 40.0)
         timelines = [scenario_timeline(make_redzone_system(delta=d)) for d in spreads]
         start = 0.8 * timelines[0].t0
-        curves = list(system_hazard_curves(timelines, dt=0.01, start=start))
+        curves = list(system_hazard_curves(timelines, from_start(timelines, start), dt=0.01))
         assert sorted(pieces, key=repr) == [
             (("controller_1", "controller_2"), 0.0),
             (("controller_2", "controller_3"), 208.0),
@@ -573,13 +653,13 @@ class TestSystemHazardCurves:
         first, second = make_redzone_system(delta=4.0), make_redzone_system(delta=4.0)
         assert first is not second and first == second and hash(first) == hash(second)
         timelines = [scenario_timeline(cfg) for cfg in (first, second)]
-        curves = list(system_hazard_curves(timelines, dt=0.5))
+        curves = list(system_hazard_curves(timelines, from_start(timelines), dt=0.5))
         assert [len(calls) for calls in pieces.values()] == [1, 1, 1]
         assert np.array_equal(curves[0].rates, curves[1].rates)
 
     def test_each_curve_owns_its_rates(self):
         timelines = [scenario_timeline(make_redzone_system(delta=d)) for d in (1.0, 4.0, 9.0)]
-        curves = system_hazard_curves(timelines, dt=0.5)
+        curves = system_hazard_curves(timelines, from_start(timelines), dt=0.5)
         first = next(curves)
         first.rates[:] = -1.0
         for tl, curve in zip(timelines[1:], curves):
@@ -599,7 +679,8 @@ class TestSystemHazardCurves:
         ]
         timelines = [scenario_timeline(with_spread(cfg, 3.0)) for cfg in configs]
         assert len({tl.t_end for tl in timelines}) == 1
-        for tl, curve in zip(timelines, system_hazard_curves(timelines, dt=0.25, start=100.0)):
+        curves = system_hazard_curves(timelines, from_start(timelines, 100.0), dt=0.25)
+        for tl, curve in zip(timelines, curves):
             assert np.array_equal(curve.rates, per_segment_curve(tl, 0.25, 100.0)[1])
 
     def test_pairs_with_other_epochs_keep_their_own_values(self):
@@ -608,16 +689,17 @@ class TestSystemHazardCurves:
         moved = tl._replace(segments=tuple(
             seg._replace(epoch=seg.epoch - 1.0) if seg.boundary == "Tf1" else seg
             for seg in tl.segments))
-        for timeline, curve in zip((tl, moved), system_hazard_curves([tl, moved], dt=0.25)):
+        curves = system_hazard_curves([tl, moved], from_start([tl, moved]), dt=0.25)
+        for timeline, curve in zip((tl, moved), curves):
             assert np.array_equal(curve.rates, per_segment_curve(timeline, 0.25)[1])
 
     def test_empty(self):
-        assert list(system_hazard_curves([], dt=0.1)) == []
+        assert list(system_hazard_curves([], [], dt=0.1)) == []
 
     def test_grid_step_validation(self):
         tl = scenario_timeline(make_redzone_system(delta=1.0))
         with pytest.raises(ValidationError, match="dt must be > 0"):
-            system_hazard_curves([tl], dt=0.0)
+            system_hazard_curves([tl], from_start([tl]), dt=0.0)
 
     @pytest.mark.parametrize("mean, lab, alpha, spreads, dt, points", [
         # 402.19 at spread 1 and one ulp below it at spread 8.06: one grid
@@ -635,7 +717,7 @@ class TestSystemHazardCurves:
         timelines = list(scenario_timelines(cfg, spreads))
         assert timelines[0].t_end != timelines[1].t_end
         assert math.isclose(timelines[0].t_end, timelines[1].t_end, rel_tol=1e-15)
-        curves = list(system_hazard_curves(timelines, dt=dt, start=start))
+        curves = list(system_hazard_curves(timelines, from_start(timelines, start), dt=dt))
         for tl, curve, n in zip(timelines, curves, points):
             times, rates = per_segment_curve(tl, dt, start)
             assert len(times) == n - int(start / dt)
@@ -650,7 +732,7 @@ class TestSystemHazardCurves:
         timelines = [scenario_timeline(make_redzone_system(delta=1.0, lab=lab))
                      for lab in (2.0, 4.0, 0.5)]
         assert [tl.t_end for tl in timelines] == [414.0, 412.0, 415.5]
-        curves = list(system_hazard_curves(timelines, dt=dt, start=start))
+        curves = list(system_hazard_curves(timelines, from_start(timelines, start), dt=dt))
         for tl, curve in zip(timelines, curves):
             times, rates = per_segment_curve(tl, dt, start)
             assert np.array_equal(curve.times, times)
@@ -662,12 +744,12 @@ class TestSystemHazardCurves:
         monkeypatch.setattr(system, "_BLOCK", block)
         cfg = pulse_at_first_failure()
         small, large = (scenario_timeline(with_spread(cfg, d)) for d in (1.0, 30.0))
-        (curve,) = system_hazard_curves([small], dt=0.5)
+        (curve,) = system_hazard_curves([small], from_start([small]), dt=0.5)
         assert np.array_equal(curve.rates, per_segment_curve(small, 0.5)[1])
         with pytest.raises(CompositionError) as reference:
             per_segment_curve(large, 0.5)
         with pytest.raises(CompositionError) as shared:
-            system_hazard_curves([small, large], dt=0.5)
+            system_hazard_curves([small, large], from_start([small, large]), dt=0.5)
         assert str(shared.value) == str(reference.value)
 
     def test_a_lone_curve_holds_one_grid_array(self):
